@@ -416,8 +416,8 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
 
 def rank_one_sum_norm(X: HilbertBimodule, xs, ys) -> float:
     """Norm of sum_i theta^r_{x_i, y_i} via the Gram half-product formula."""
-    xs = [_coords(X, x) for x in _aslist(xs)]
-    ys = [_coords(X, y) for y in _aslist(ys)]
+    xs = [_coords(X, x) for x in xs]
+    ys = [_coords(X, y) for y in ys]
     if len(xs) != len(ys):
         raise ContractError(f"lists have lengths {len(xs)} != {len(ys)}")
     if not xs:
@@ -438,14 +438,8 @@ def _psd_half(mat: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
-def _aslist(xs) -> list:
-    if isinstance(xs, np.ndarray) and xs.ndim == 2:
-        return list(xs)
-    return list(xs)
-
-
 def frame_operator(X: HilbertBimodule, vectors) -> np.ndarray:
-    vecs = [_coords(X, v) for v in _aslist(vectors)]
+    vecs = [_coords(X, v) for v in vectors]
     S = np.zeros((X.dim, X.dim), dtype=complex)
     for v in vecs:
         S += X.rank_one(v, v)
@@ -480,7 +474,7 @@ def tight_frame(X: HilbertBimodule, spanning=None,
     """
     if spanning is None:
         spanning = np.eye(X.dim, dtype=complex)
-    vecs = np.array([_coords(X, v) for v in _aslist(spanning)])
+    vecs = np.array([_coords(X, v) for v in spanning])
     S = frame_operator(X, vecs)
     spec = X.op_spectrum(S)
     if spec.min() <= rank_tol * max(spec.max(), 1e-300):
@@ -508,7 +502,7 @@ def left_tight_frame(X: HilbertBimodule, spanning=None) -> FrameSet:
 def generalized_basis_step(X: HilbertBimodule, mu) -> tuple[FrameSet, ModuleOperator]:
     """One step of the generalized-basis net: from vectors x_1..x_n build
     u = (1/n + S)^(-1/2) x_i and T = S (1/n + S)^(-1), S the frame operator."""
-    vecs = np.array([_coords(X, v) for v in _aslist(mu)])
+    vecs = np.array([_coords(X, v) for v in mu])
     n = vecs.shape[0]
     if n == 0:
         raise ContractError("mu must be nonempty")

@@ -2,8 +2,9 @@
 
 Solutions of the conjugate equations are stored as vectors in the interior
 tensor products Y (x)_A X and X (x)_B Y (quotient coordinates); the equation
-maps are assembled by contracting the lifted coordinates against the product
-Gram tensors, never materializing the full pre-quotient Gram.
+maps are assembled by contracting the lifted coordinates against the factor
+Gram tensors.  The quotient coordinates themselves come from ``tensor``,
+which does materialize the full pre-quotient Gram of each product.
 
 Convention: in the two equations the tensor product is applied before the
 composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).
@@ -39,10 +40,12 @@ from .bimodule import (
 )
 from .index import (
     CPMap,
+    _multiplier_certificate,
+    _operator_cp_map,
     best_constants,
     extend_left_inner,
-    module_operator_algebra,
     relative_commutant,
+    relative_commutant_of_right_action,
     right_index,
 )
 
@@ -442,43 +445,23 @@ def cp_characterization(X: HilbertBimodule, delta: float = 1e-3,
     X._need_left()
     F = extend_left_inner(X)
     rep = right_index(X)
-    alg = module_operator_algebra(X, seed=seed)
-    pre = []   # op_rep picture of phi(F(unit)) per block
-    for u_blk in alg.units:
-        k = u_blk.shape[0]
-        blk = np.empty((k, k, X.dim, X.dim), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                T = X.op_unrep(u_blk[i, j])
-                blk[i, j] = X.op_rep(X.phi(F.apply(T)))
-        pre.append(blk)
+    d = X.dim
+    zero = np.zeros((d, d), dtype=complex)
+    # one recognition of L(X_B) gives the unit images of phi.F and of the
+    # identity, as the two summands of T -> phi(F(T)) (+) T (op_rep picture)
+    both = _operator_cp_map(
+        X, lambda T: np.block([[X.op_rep(X.phi(F.apply(T))), zero],
+                               [zero, X.op_rep(T)]]), seed)
 
     def choi_min(c: AlgebraElement) -> float:
         psi_hat = X.op_rep(X.psi(c))
-        mins = []
-        for blk, u_blk in zip(pre, alg.units):
-            k = blk.shape[0]
-            img = np.einsum("ab,ijbc->ijac", psi_hat, blk) - u_blk
-            choi = img.transpose(0, 2, 1, 3).reshape(k * X.dim, k * X.dim)
-            mins.append(float(np.linalg.eigvalsh(hermitian_part(choi)).min()))
-        return min(mins)
+        return CPMap(both.source, [psi_hat @ img[:, :, :d, :d] - img[:, :, d:, d:]
+                                   for img in both.unit_images]).choi_min_eig()
 
-    mn = choi_min(rep.l_ind)
     scale = 1.0 + rep.l_num
-    passed = mn >= -tol * scale
-    perturbed = []
-    certified = True
-    for k in range(X.B.num_blocks):
-        coeff = float(np.real(np.trace(rep.l_ind.blocks[k])) / X.B.blocks[k])
-        if coeff <= RANK_TOL * max(rep.l_num, 1e-300):
-            continue
-        c2 = rep.l_ind.copy()
-        c2.blocks[k] = (1.0 - delta) * c2.blocks[k]
-        mn_k = choi_min(c2)
-        broke = mn_k < -tol * scale
-        certified = certified and broke
-        perturbed.append({"block": k, "choi_min": mn_k, "non_psd": broke})
-    return CPCharacterization(choi_min_at_index=mn, passed_at_index=passed,
+    mn, perturbed, certified = _multiplier_certificate(choi_min, rep.l_ind, scale,
+                                                       delta, tol)
+    return CPCharacterization(choi_min_at_index=mn, passed_at_index=mn >= -tol * scale,
                               perturbed=perturbed, minimality_certified=certified,
                               tol=tol)
 
@@ -567,12 +550,6 @@ def morita_check(X: HilbertBimodule, run_min_dim: bool = True,
                         r_ind_identity_residual=float(res_r),
                         l_ind_identity_residual=float(res_l),
                         min_dim=min_dim, conditions_agree=agree)
-
-
-def relative_commutant_of_right_action(X: HilbertBimodule) -> np.ndarray:
-    """Basis of K(X_B) = L(X_B): all matrices commuting with the right action."""
-    from .index import commutant_of
-    return commutant_of([X.psi(u) for u in X.B.units_embedded()], X.dim)
 
 
 # -- composing conjugates over a tensor product ---------------------------------------

@@ -16,8 +16,15 @@ from .multimatrix import (
     StructureError,
     hermitian_part,
 )
-from .bimodule import HilbertBimodule, tight_frame, validate
-from .index import CPMap
+from .bimodule import (
+    HilbertBimodule,
+    contragredient,
+    identity_bimodule,
+    tensor,
+    tight_frame,
+    validate,
+)
+from .index import CPMap, _multiplier_certificate
 
 
 # -- weighted Hilbert spaces -----------------------------------------------------
@@ -223,49 +230,16 @@ def from_expectation(spec: ExpectationSpec):
     if not chk["passed"]:
         raise ContractError(f"not a faithful conditional expectation: {chk}")
     A, B, inc = spec.A, spec.B, spec.inclusion
-    units = B.units_embedded()
-    d = B.linear_dim
-
-    def product_coeffs(left_emb, right_emb):
-        # coordinates of left * u_q * right in the unit basis
-        prods = np.einsum("ij,qjk,kl->qil", left_emb, units, right_emb)
-        return np.einsum("pji,qji->pq", units.conj(), prods)
-
-    eyeB = B.identity_embedded()
-    # right A-action and left B-action on X = B
-    Psi = np.zeros((A.rep_dim, A.rep_dim, d, d), dtype=complex)
-    for t, (j, i, jj) in enumerate(A.unit_triples()):
-        a = inc.embed(A.unit(j, i, jj)).embed()
-        coeff = product_coeffs(eyeB, a)
+    # X = B over itself with (x|y)_A = E(x* y) and the right action through iota
+    I = identity_bimodule(B)
+    GX = np.array([[spec.apply(B.from_embedded(g)).embed() for g in row]
+                   for row in I.right_gram])
+    Psi = np.zeros((A.rep_dim, A.rep_dim, I.dim, I.dim), dtype=complex)
+    for j, i, ii in A.unit_triples():
         sl = A.block_slice(j)
-        Psi[sl.start + i, sl.start + jj] = coeff
-    PhiB = np.zeros((B.rep_dim, B.rep_dim, d, d), dtype=complex)
-    for t, (k, r, s) in enumerate(B.unit_triples()):
-        b = np.zeros((B.rep_dim, B.rep_dim), dtype=complex)
-        sl = B.block_slice(k)
-        b[sl.start + r, sl.start + s] = 1.0
-        PhiB[sl.start + r, sl.start + s] = product_coeffs(b, eyeB)
-
-    # Gram tensors of X = (B)_A with (x|y)_A = E(x* y), _B(x|y) = x y*
-    GX = np.zeros((d, d, A.rep_dim, A.rep_dim), dtype=complex)
-    LX = np.zeros((d, d, B.rep_dim, B.rep_dim), dtype=complex)
-    triples = B.unit_triples()
-    for p, (kp, ip, jp) in enumerate(triples):
-        for q, (kq, iq, jq) in enumerate(triples):
-            if kp != kq:
-                continue
-            prod = B.zero()
-            if ip == iq:
-                prod.blocks[kp][jp, jq] = 1.0
-            GX[p, q] = spec.apply(prod).embed()
-            prod2 = B.zero()
-            if jp == jq:
-                prod2.blocks[kp][ip, iq] = 1.0
-            LX[p, q] = prod2.embed()
-    X = HilbertBimodule(B, A, d, GX, PhiB, Psi, LX)
-    from .bimodule import contragredient
+        Psi[sl.start + i, sl.start + ii] = I.psi(inc.embed(A.unit(j, i, ii)))
+    X = HilbertBimodule(B, A, I.dim, GX, I.left_action, Psi, I.left_gram)
     Y = contragredient(X)
-    from .bimodule import tensor
     Z = tensor(Y, X)
     return X, Y, Z
 
@@ -285,47 +259,45 @@ def quasi_basis(spec: ExpectationSpec) -> tuple[np.ndarray, AlgebraElement]:
     return fr.coords, B.from_embedded(ind)
 
 
-def expectation_cp_gap(spec: ExpectationSpec, tol: float = 1e-9,
-                       max_iter: int = 60) -> float:
-    """Largest c such that E - c*id is completely positive, by bisection on
-    the Choi spectrum."""
+def _unit_images(spec: ExpectationSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per block k of B: the embedded units E^k_rs and their images
+    iota(E(E^k_rs)), both stacked with shape (n_k, n_k, N_B, N_B)."""
+    B, inc = spec.B, spec.inclusion
+    own, iota = [], []
+    for k, n in enumerate(B.blocks):
+        units = [[B.unit(k, r, s) for s in range(n)] for r in range(n)]
+        own.append(np.array([[u.embed() for u in row] for row in units]))
+        iota.append(np.array([[inc.embed(spec.apply(u)).embed() for u in row]
+                              for row in units]))
+    return own, iota
+
+
+def expectation_cp_gap(spec: ExpectationSpec, tol: float = 1e-9) -> float:
+    """The Pimsner-Popa constant: the largest c such that E - c*id is
+    completely positive, in closed form.
+
+    On B-block k the Choi matrix of id is the rank-one w w* with
+    w = sum_r e_r (x) e_{off_k + r}, so E - c*id is completely positive iff
+    c <= 1 / (w* C_k^+ w) for every k, where C_k is the Choi block of
+    iota.E; the bound is 0 when w leaves the range of C_k.  ``tol`` is the
+    relative eigenvalue cut that defines that range.
+    """
     B = spec.B
-    iota_units = []
-    for k, n in enumerate(B.blocks):
-        blk = np.empty((n, n, B.rep_dim, B.rep_dim), dtype=complex)
-        for r in range(n):
-            for s in range(n):
-                blk[r, s] = spec.inclusion.embed(spec.apply(_unit(B, k, r, s))).embed()
-        iota_units.append(blk)
-    own_units = []
-    for k, n in enumerate(B.blocks):
-        blk = np.empty((n, n, B.rep_dim, B.rep_dim), dtype=complex)
-        for r in range(n):
-            for s in range(n):
-                blk[r, s] = _unit(B, k, r, s).embed()
-        own_units.append(blk)
-
-    def is_cp(c: float) -> bool:
-        for ib, ob in zip(iota_units, own_units):
-            img = ib - c * ob
-            n = img.shape[0]
-            choi = img.transpose(0, 2, 1, 3).reshape(n * B.rep_dim, n * B.rep_dim)
-            if np.linalg.eigvalsh(hermitian_part(choi)).min() < -1e-12:
-                return False
-        return True
-
-    lo, hi = 0.0, 1.0
-    if not is_cp(0.0):
+    iota_e = CPMap(B, _unit_images(spec)[1])
+    if iota_e.choi_min_eig() < -1e-12:
         raise ContractError("expectation is not even positive")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if is_cp(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return lo
+    gap = np.inf
+    for k, choi in enumerate(iota_e.choi_blocks()):
+        n, N = B.blocks[k], B.rep_dim
+        w_k = np.zeros(n * N)
+        w_k[np.arange(n) * (N + 1) + B.block_slice(k).start] = 1.0
+        evals, evecs = np.linalg.eigh(hermitian_part(choi))
+        keep = evals > tol * evals.max()
+        weight = np.abs(evecs[:, keep].conj().T @ w_k) ** 2
+        if n - weight.sum() > tol * n:
+            return 0.0
+        gap = min(gap, 1.0 / float(np.sum(weight / evals[keep])))
+    return gap
 
 
 def minimal_cp_multiplier(spec: ExpectationSpec, delta: float = 1e-3) -> dict:
@@ -334,37 +306,17 @@ def minimal_cp_multiplier(spec: ExpectationSpec, delta: float = 1e-3) -> dict:
     cone when any central coefficient is scaled by 1 - delta."""
     B = spec.B
     _, ind = quasi_basis(spec)
+    own, iota = _unit_images(spec)
 
     def choi_min(c: AlgebraElement) -> float:
-        mins = []
-        for k, n in enumerate(B.blocks):
-            img = np.empty((n, n, B.rep_dim, B.rep_dim), dtype=complex)
-            for r in range(n):
-                for s in range(n):
-                    u = _unit(B, k, r, s)
-                    img[r, s] = (c * spec.inclusion.embed(spec.apply(u))).embed() - u.embed()
-            choi = img.transpose(0, 2, 1, 3).reshape(n * B.rep_dim, n * B.rep_dim)
-            mins.append(float(np.linalg.eigvalsh(hermitian_part(choi)).min()))
-        return min(mins)
+        c_emb = c.embed()
+        return CPMap(B, [c_emb @ i - o for i, o in zip(iota, own)]).choi_min_eig()
 
-    base = choi_min(ind)
     scale = 1.0 + ind.norm()
-    perturbed = []
-    certified = True
-    for k in range(B.num_blocks):
-        c2 = ind.copy()
-        c2.blocks[k] = (1.0 - delta) * c2.blocks[k]
-        mn = choi_min(c2)
-        broke = mn < -1e-9 * scale
-        certified = certified and broke
-        perturbed.append({"block": k, "choi_min": mn, "non_psd": broke})
+    base, perturbed, certified = _multiplier_certificate(choi_min, ind, scale, delta, 1e-9)
     return {"index_element": ind, "choi_min_at_index": base,
             "passed_at_index": base >= -1e-8 * scale,
             "minimality_certified": certified, "perturbed": perturbed}
-
-
-def _unit(B: MultiMatrixAlgebra, k: int, r: int, s: int) -> AlgebraElement:
-    return B.unit(k, r, s)
 
 
 # -- weighted graphs ----------------------------------------------------------------

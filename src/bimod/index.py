@@ -24,6 +24,7 @@ from .multimatrix import (
     MultiMatrixAlgebra,
     StarAlgebraDecomposition,
     StructureError,
+    _matrix_nullspace,
     decompose_star_algebra,
     hermitian_part,
     inverse_on_support,
@@ -40,18 +41,6 @@ from .bimodule import (
 
 
 # -- commutants and concrete operator algebras ---------------------------------
-
-
-def _matrix_nullspace(rows: np.ndarray, scale: float, rel_tol: float = 1e-9) -> np.ndarray:
-    """Null space with a threshold floored at the scale of the generators, so
-    an all-noise system (e.g. commutators of identity actions) keeps its full
-    null space."""
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
-    smax = max(float(s.max()), scale, 1e-300) if s.size else 1.0
-    null_dim = int(np.sum(s <= rel_tol * smax)) + (vh.shape[0] - len(s))
-    if null_dim == 0:
-        return np.zeros((0, vh.shape[1]), dtype=complex)
-    return vh.conj()[-null_dim:]
 
 
 def commutant_of(mats, dim: int) -> np.ndarray:
@@ -77,6 +66,11 @@ def relative_commutant(X: HilbertBimodule) -> np.ndarray:
     return commutant_of(gens, X.dim)
 
 
+def relative_commutant_of_right_action(X: HilbertBimodule) -> np.ndarray:
+    """Basis of K(X_B) = L(X_B): all matrices commuting with the right action."""
+    return commutant_of([X.psi(u) for u in X.B.units_embedded()], X.dim)
+
+
 def module_operator_algebra(X: HilbertBimodule, seed: int = 7) -> StarAlgebraDecomposition:
     """L(X_B) = K(X_B) presented as a multimatrix algebra.
 
@@ -84,8 +78,7 @@ def module_operator_algebra(X: HilbertBimodule, seed: int = 7) -> StarAlgebraDec
     conjugating with the square root of the scalar Gram form; returned units
     live in that picture (use ``X.op_rep`` / ``X.op_unrep`` to translate).
     """
-    basis = commutant_of([X.psi(u) for u in X.B.units_embedded()], X.dim)
-    hat = np.array([X.op_rep(b) for b in basis])
+    hat = np.array([X.op_rep(b) for b in relative_commutant_of_right_action(X)])
     return decompose_star_algebra(hat, seed=seed)
 
 
@@ -141,6 +134,40 @@ class CPMap:
         return mn >= -tol * (1.0 + scale), mn
 
 
+def _operator_cp_map(X: HilbertBimodule, f, seed: int,
+                     target: MultiMatrixAlgebra | None = None) -> CPMap:
+    """The map u -> f(op_unrep(u)) on the units u of the recognized algebra
+    L(X_B); ``f`` takes an operator on X in coordinates to its image."""
+    alg = module_operator_algebra(X, seed=seed)
+    images = [np.array([[f(X.op_unrep(u)) for u in row] for row in blk])
+              for blk in alg.units]
+    return CPMap(alg.algebra, images, target=target)
+
+
+def _multiplier_certificate(choi_min, c: AlgebraElement, scale: float, delta: float,
+                            tol: float) -> tuple[float, list[dict], bool]:
+    """Certificate that the central element c is the smallest multiplier
+    keeping a map completely positive.
+
+    ``choi_min`` returns the least Choi eigenvalue of the map at a multiplier.
+    Each nonzero central block of c is scaled by 1 - delta in turn, and the
+    Choi matrix must then leave the positive cone (fall below -tol * scale).
+    Returns the Choi minimum at c, one record per perturbed block, and
+    whether every perturbation left the cone.
+    """
+    base = choi_min(c)
+    cut = RANK_TOL * max(c.norm(), 1e-300)
+    perturbed = []
+    for k, blk in enumerate(c.blocks):
+        if float(np.real(np.trace(blk)) / len(blk)) <= cut:
+            continue
+        c2 = c.copy()
+        c2.blocks[k] = (1.0 - delta) * c2.blocks[k]
+        mn = choi_min(c2)
+        perturbed.append({"block": k, "choi_min": mn, "non_psd": mn < -tol * scale})
+    return base, perturbed, all(p["non_psd"] for p in perturbed)
+
+
 # -- the extension of the left inner product -----------------------------------
 
 
@@ -174,17 +201,8 @@ class LeftInnerExtension:
         return self.apply(np.eye(self.bimodule.dim))
 
     def as_cp_map(self, seed: int = 7) -> CPMap:
-        alg = module_operator_algebra(self.bimodule, seed=seed)
-        images = []
-        for u_blk in alg.units:
-            k = u_blk.shape[0]
-            na = self.bimodule.A.rep_dim
-            img = np.empty((k, k, na, na), dtype=complex)
-            for i in range(k):
-                for j in range(k):
-                    img[i, j] = self.apply_matrix(self.bimodule.op_unrep(u_blk[i, j]))
-            images.append(img)
-        return CPMap(alg.algebra, images, target=self.bimodule.A)
+        return _operator_cp_map(self.bimodule, self.apply_matrix, seed,
+                                target=self.bimodule.A)
 
 
 def extend_left_inner(X: HilbertBimodule, frame: FrameSet | None = None) -> LeftInnerExtension:
@@ -358,17 +376,7 @@ class BasicConstruction:
     def as_cp_map(self, seed: int = 7) -> CPMap:
         """phi.E as a map on the recognized operator algebra L(X_B)."""
         X = self.bimodule
-        alg = module_operator_algebra(X, seed=seed)
-        images = []
-        for u_blk in alg.units:
-            k = u_blk.shape[0]
-            img = np.empty((k, k, X.dim, X.dim), dtype=complex)
-            for i in range(k):
-                for j in range(k):
-                    T = X.op_unrep(u_blk[i, j])
-                    img[i, j] = X.op_rep(self.phi_expectation(T))
-            images.append(img)
-        return CPMap(alg.algebra, images)
+        return _operator_cp_map(X, lambda T: X.op_rep(self.phi_expectation(T)), seed)
 
 
 def basic_construction(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> BasicConstruction:

@@ -431,6 +431,18 @@ def _orthonormal_span(mats: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return vh[keep].reshape(-1, t, t)
 
 
+def _matrix_nullspace(rows: np.ndarray, scale: float, rel_tol: float = 1e-9) -> np.ndarray:
+    """Null space with a threshold floored at the scale of the generators, so
+    an all-noise system (e.g. commutators of identity actions) keeps its full
+    null space."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    smax = max(float(s.max()), scale, 1e-300) if s.size else 1.0
+    null_dim = int(np.sum(s <= rel_tol * smax)) + (vh.shape[0] - len(s))
+    if null_dim == 0:
+        return np.zeros((0, vh.shape[1]), dtype=complex)
+    return vh.conj()[-null_dim:]
+
+
 def _center_basis(basis: np.ndarray, rng: np.random.Generator, tol: float) -> np.ndarray:
     """Basis of the centre of the algebra spanned by ``basis``.
 
@@ -445,15 +457,12 @@ def _center_basis(basis: np.ndarray, rng: np.random.Generator, tol: float) -> np
             r = np.einsum("a,aij->ij", coeff, basis)
             comm = np.einsum("aij,jk->aik", basis, r) - np.einsum("ij,ajk->aik", r, basis)
             rows.append(comm.reshape(m, t * t).T)
-        sys = np.vstack(rows)
-        _, s, vh = np.linalg.svd(sys, full_matrices=True)
         # basis elements are HS-normalized, so commutators live on an O(1)
         # scale; floor the cutoff there to survive all-noise (abelian) systems
-        smax = max(s.max(), 1.0)
-        null_dim = int(np.sum(s <= 1e-9 * smax)) + (m - len(s))
-        if null_dim == 0:
+        null = _matrix_nullspace(np.vstack(rows), 1.0)
+        if len(null) == 0:
             continue
-        cand = np.einsum("ca,aij->cij", vh.conj()[-null_dim:], basis)
+        cand = np.einsum("ca,aij->cij", null, basis)
         res = max(np.abs(np.einsum("cij,ajk->caik", cand, basis)
                          - np.einsum("aij,cjk->caik", basis, cand)).max(), 0.0)
         if res <= tol * 10:

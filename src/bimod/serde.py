@@ -18,6 +18,20 @@ class ParseError(StructureError):
     """Malformed input file."""
 
 
+def _convert(conv, value, what: str):
+    """``conv(value)``, with a failed conversion reported as a ParseError."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"cannot read {what}: {exc}") from exc
+
+
+def _finite(arr, what: str):
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what} has a non-finite entry")
+    return arr
+
+
 def encode_complex_matrix(mat: np.ndarray) -> list:
     mat = np.asarray(mat, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
@@ -39,7 +53,7 @@ def decode_complex_matrix(obj, what: str = "matrix") -> np.ndarray:
         raise ParseError(f"cannot read {what}: {exc}") from exc
     if mat.ndim != 2:
         raise ParseError(f"{what} is not two-dimensional")
-    return mat
+    return _finite(mat, what)
 
 
 def encode_algebra(alg: MultiMatrixAlgebra) -> dict:
@@ -51,7 +65,7 @@ def decode_algebra(obj, what: str = "algebra") -> MultiMatrixAlgebra:
         raise ParseError(f"{what} must be an object with a 'blocks' list")
     try:
         return MultiMatrixAlgebra(obj["blocks"])
-    except StructureError as exc:
+    except (StructureError, TypeError, ValueError) as exc:
         raise ParseError(f"bad {what}: {exc}") from exc
 
 
@@ -128,7 +142,7 @@ def decode_bimodule(obj) -> HilbertBimodule:
             raise ParseError(f"bimodule file is missing '{key}'")
     A = decode_algebra(obj["A"], "A")
     B = decode_algebra(obj["B"], "B")
-    d = int(obj["dim"])
+    d = _convert(int, obj["dim"], "dim")
     right_gram = _decode_gram(obj["right_gram"], B, d, "right_gram")
     left_action = _decode_action(obj["left_action"], A, d, "left_action")
     right_action = _decode_action(obj["right_action"], B, d, "right_action")
@@ -144,11 +158,14 @@ def decode_bimodule(obj) -> HilbertBimodule:
 def decode_graph(obj) -> GraphSpec:
     if "vertices" not in obj or "edges" not in obj:
         raise ParseError("graph file needs 'vertices' and 'edges'")
+    if not isinstance(obj["edges"], list):
+        raise ParseError("'edges' must be a list")
     edges = []
     for e in obj["edges"]:
-        if len(e) != 3:
+        if not isinstance(e, list) or len(e) != 3:
             raise ParseError(f"edge {e} must be [source, range, weight]")
-        edges.append((str(e[0]), str(e[1]), float(e[2])))
+        w = _finite(_convert(float, e[2], f"weight of edge {e}"), f"edge {e}")
+        edges.append((str(e[0]), str(e[1]), w))
     try:
         return GraphSpec([str(v) for v in obj["vertices"]], edges)
     except StructureError as exc:
@@ -164,9 +181,14 @@ def decode_expectation(obj) -> ExpectationSpec:
     if not isinstance(ab, dict) or "blocks" not in ab or "multiplicity" not in ab:
         raise ParseError("'A_blocks' must carry 'blocks' and 'multiplicity'")
     A = decode_algebra({"blocks": ab["blocks"]}, "A")
+    mult = _convert(lambda v: np.asarray(v, dtype=int), ab["multiplicity"], "multiplicity")
+    weights = _finite(_convert(lambda v: np.asarray(v, dtype=float), obj["E_weights"],
+                               "E_weights"), "E_weights")
+    if weights.shape != mult.shape:
+        raise ParseError(f"E_weights has shape {weights.shape}, multiplicity {mult.shape}")
     try:
-        inc = Inclusion(A, B, np.asarray(ab["multiplicity"], dtype=int))
-        return trace_weighted_expectation(inc, np.asarray(obj["E_weights"], dtype=float))
+        inc = Inclusion(A, B, mult)
+        return trace_weighted_expectation(inc, weights)
     except StructureError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -175,7 +197,7 @@ def decode_hilbert(obj):
     from .constructors import from_hilbert_space
     if "n" not in obj or "T" not in obj:
         raise ParseError("hilbert file needs 'n' and 'T'")
-    n = int(obj["n"])
+    n = _convert(int, obj["n"], "n")
     T = decode_complex_matrix(obj["T"], "T")
     try:
         return from_hilbert_space(n, T)
@@ -191,9 +213,10 @@ def decode_vector(obj, what: str = "vector") -> np.ndarray:
                 out.append(complex(z))
             else:
                 out.append(complex(float(z[0]), float(z[1])))
-        return np.array(out, dtype=complex)
+        vec = np.array(out, dtype=complex)
     except (TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"cannot read {what}: {exc}") from exc
+    return _finite(vec, what)
 
 
 def encode_vector(vec: np.ndarray) -> list:

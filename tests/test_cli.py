@@ -124,6 +124,33 @@ def test_input_errors_exit_two(fixtures):
     assert status == 2      # missing second input
 
 
+_CYCLE2 = ["a", "b"]
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "graph", "vertices": _CYCLE2,
+     "edges": [["a", "b", "heavy"], ["b", "a", 1.0]]},
+    {"kind": "graph", "vertices": _CYCLE2, "edges": [["a", "b", 1.0], 5]},
+    {"kind": "hilbert", "n": "two", "T": [[1, 0], [0, 2]]},
+    {"kind": "expectation", "B": {"blocks": [2]},
+     "A_blocks": {"blocks": [1, 1], "multiplicity": [[1, 1]]},
+     "E_weights": [["x", 1.0]]},
+    {"kind": "graph", "vertices": _CYCLE2,
+     "edges": [["a", "b", float("inf")], ["b", "a", 1.0]]},
+    {"kind": "graph", "vertices": _CYCLE2, "edges": 3},
+    {"kind": "expectation", "B": {"blocks": ["x"]},
+     "A_blocks": {"blocks": [1], "multiplicity": [[1]]}, "E_weights": [[1.0]]},
+    {"kind": "expectation", "B": {"blocks": [2]},
+     "A_blocks": {"blocks": [1, 1], "multiplicity": [[1, 1]]}, "E_weights": [[1.0]]},
+], ids=["edge_weight_text", "edge_not_list", "n_text", "weights_text", "edge_weight_inf",
+        "edges_not_list", "blocks_text", "weights_shape"])
+def test_malformed_values_exit_two(spec, tmp_path):
+    path, out = tmp_path / "input.json", tmp_path / "report.json"
+    path.write_text(json.dumps(spec))
+    assert main(["validate", str(path), "--out", str(out)]) == 2
+    assert "error" in json.loads(out.read_text())
+
+
 def test_validation_failure_exits_one(fixtures, tmp_path):
     X = from_hilbert_space(2, np.diag([1.0, 2.0]))
     obj = encode_bimodule(X)

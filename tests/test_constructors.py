@@ -124,9 +124,34 @@ def test_expectation_quasi_basis_reconstruction():
         assert (acc - x).norm() <= 1e-9 * (1 + x.norm())
 
 
+# (B blocks, A blocks, multiplicity, weights or None for uniform, gap)
+PIMSNER_POPA_CASES = [
+    ([2], [1, 1], [[1, 1]], None, 1 / 2),
+    ([2, 2], [2], [[1], [1]], [[.3], [.7]], 0.3),
+    ([3], [1, 1], [[2, 1]], [[.5, 1]], 1 / 5),
+    ([3, 1], [1, 1], [[2, 1], [0, 1]], None, 1 / 6),
+    ([4], [2], [[2]], None, 1 / 4),
+    ([3, 2], [1, 2], [[1, 1], [0, 1]], [[1, .2], [0, .8]], 1 / 6),
+    ([2, 2, 1], [1, 1], [[1, 1], [2, 0], [0, 1]], [[.2, .6], [.4, 0], [0, .4]], 0.15),
+]
+
+
 def test_expectation_pimsner_popa_norm_bound():
+    # the gap of a trace-weighted expectation is min_k 1 / sum_j mult[k,j] / weights[k,j];
     # E(b) >= gap * b forces ||E(b)|| >= gap ||b|| on positive b
-    for spec in (diag_expectation_m2(), two_block_expectation()):
+    specs = [diag_expectation_m2(), two_block_expectation()]
+    for b_blocks, a_blocks, mult, weights, exact in PIMSNER_POPA_CASES:
+        inc = Inclusion(MultiMatrixAlgebra(a_blocks), MultiMatrixAlgebra(b_blocks), mult)
+        spec = trace_weighted_expectation(inc, weights)
+        m = np.array(mult, dtype=float)
+        w = (np.where(m > 0, 1.0 / m.sum(axis=0), 0.0) if weights is None
+             else np.array(weights, dtype=float))
+        closed = float((1.0 / np.divide(m, w, out=np.zeros_like(m), where=m > 0)
+                        .sum(axis=1)).min())
+        assert closed == pytest.approx(exact, abs=1e-15)
+        assert abs(expectation_cp_gap(spec) - closed) <= 1e-12
+        specs.append(spec)
+    for spec in specs:
         gap = expectation_cp_gap(spec)
         rng = np.random.default_rng(2)
         for _ in range(100):

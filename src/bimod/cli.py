@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .multimatrix import ContractError, StructureError, random_element
+from .multimatrix import ToolkitError, random_element
 from .bimodule import HilbertBimodule, contragredient, tensor, validate
 from .index import (
     basic_construction,
@@ -361,7 +361,7 @@ def run(request: CommandRequest) -> tuple[int, dict]:
         report["passed"] = bool(passed)
         report["results"] = _sanitize(results)
         status = 0 if passed else 1
-    except (ParseError, ContractError, StructureError, FileNotFoundError) as exc:
+    except (ToolkitError, FileNotFoundError) as exc:
         report["error"] = str(exc)
         report["passed"] = False
         status = 2

@@ -222,10 +222,9 @@ def trace_weighted_expectation(inclusion: Inclusion,
     return ExpectationSpec(inclusion, images)
 
 
-def from_expectation(spec: ExpectationSpec):
-    """The three bimodules of a finite-index conditional expectation:
-    X = B as a B-A bimodule, Y its contragredient A-B structure, Z = the
-    A-A bimodule, all with E-twisted inner products."""
+def _expectation_module(spec: ExpectationSpec) -> HilbertBimodule:
+    """X = B as a B-A bimodule with the E-twisted right inner product, after
+    checking that E is a faithful conditional expectation."""
     chk = spec.check()
     if not chk["passed"]:
         raise ContractError(f"not a faithful conditional expectation: {chk}")
@@ -238,18 +237,23 @@ def from_expectation(spec: ExpectationSpec):
     for j, i, ii in A.unit_triples():
         sl = A.block_slice(j)
         Psi[sl.start + i, sl.start + ii] = I.psi(inc.embed(A.unit(j, i, ii)))
-    X = HilbertBimodule(B, A, I.dim, GX, I.left_action, Psi, I.left_gram)
+    return HilbertBimodule(B, A, I.dim, GX, I.left_action, Psi, I.left_gram)
+
+
+def from_expectation(spec: ExpectationSpec):
+    """The three bimodules of a finite-index conditional expectation:
+    X = B as a B-A bimodule, Y its contragredient A-B structure, Z = the
+    A-A bimodule, all with E-twisted inner products."""
+    X = _expectation_module(spec)
     Y = contragredient(X)
-    Z = tensor(Y, X)
-    return X, Y, Z
+    return X, Y, tensor(Y, X)
 
 
 def quasi_basis(spec: ExpectationSpec) -> tuple[np.ndarray, AlgebraElement]:
     """A quasi-basis {u_i} for E (x = sum_i u_i E(u_i* x)) and the associated
     index element sum_i u_i u_i* in B, produced from a normalized tight frame
     of B as a right A-module."""
-    X, _, _ = from_expectation(spec)
-    fr = tight_frame(X)
+    fr = tight_frame(_expectation_module(spec))
     B = spec.B
     units = B.units_embedded()
     ind = np.zeros((B.rep_dim, B.rep_dim), dtype=complex)

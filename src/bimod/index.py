@@ -3,6 +3,16 @@ index elements and numerical indices, best norm-equivalence constants, the
 Jones basic construction, and the fiber decomposition of the relative
 commutant.
 
+Commutants come from the averaging projection
+P(T) = sum_k (1/n_k) sum_ij act(e^k_ij) T act(e^k_ji), which is idempotent
+onto the commutant of a unital homomorphism or anti-homomorphism act; for
+the relative commutant P is composed over the left and right actions.  Its
+range is sampled on a few seeded Gaussian matrices.  Two independent checks
+certify the result: the sampled rank must equal sum Lambda^2, where the
+integers Lambda are the multiplicities read from the traces of the
+central-projection images, and every basis element must commute with every
+unit image.
+
 At finite dimension the compacts K(X_B) coincide with all adjointable
 B-linear maps, so the extension map serves simultaneously as the norm and
 strict extensions; maps are checked for complete positivity through Choi
@@ -24,7 +34,6 @@ from .multimatrix import (
     MultiMatrixAlgebra,
     StarAlgebraDecomposition,
     StructureError,
-    _matrix_nullspace,
     decompose_star_algebra,
     hermitian_part,
     inverse_on_support,
@@ -43,32 +52,92 @@ from .bimodule import (
 # -- commutants and concrete operator algebras ---------------------------------
 
 
+_COMMUTANT_SEED = 20110331     # fixed, so that seeded reports stay byte-identical
+_OVERSAMPLE = 4
+
+
+def _unit_image_blocks(alg: MultiMatrixAlgebra, act: np.ndarray) -> list[np.ndarray]:
+    """Per block k of ``alg``: the images act[e^k_ij], shape (n_k, n_k, d, d)."""
+    return [act[alg.block_slice(k), alg.block_slice(k)] for k in range(alg.num_blocks)]
+
+
+def _average(units: list[np.ndarray], T: np.ndarray) -> np.ndarray:
+    """P(T) = sum_k (1/n_k) sum_ij act[e^k_ij] T act[e^k_ji] on a stack T
+    (s, d, d).  For a unital homomorphism or anti-homomorphism act, P is
+    idempotent onto the commutant of its image."""
+    out = np.zeros_like(T)
+    for L in units:
+        n = len(L)
+        for i in range(n):      # one row of units at a time: (n, s, d, d) scratch
+            out += (L[i][:, None] @ T @ L[:, i][:, None]).sum(axis=0) / n
+    return out
+
+
+def _commutant_dimension(pairs, dim: int) -> int:
+    """sum of Lambda^2 over the joint central blocks, where Lambda is the
+    trace of the product of the central-projection images over the pairs
+    divided by the product of the block sizes: the multiplicity of that
+    irreducible block, so an integer for a unital (anti-)homomorphism."""
+    terms = [(1, np.eye(dim, dtype=complex))]
+    for alg, act in pairs:
+        centre = [(n, np.einsum("iiab->ab", L))
+                  for n, L in zip(alg.blocks, _unit_image_blocks(alg, act))]
+        terms = [(den * n, M @ Z) for den, M in terms for n, Z in centre]
+    lam = np.array([np.trace(M).real / den for den, M in terms])
+    if np.abs(lam - np.round(lam)).max() > 1e-6:
+        raise StructureError(f"multiplicities {np.round(lam, 6).tolist()} are not integers: "
+                             "the action is not a homomorphism")
+    lam = np.round(lam).astype(int)
+    sizes = np.array([den for den, _ in terms])
+    if int(lam @ sizes) != dim:
+        raise StructureError("the actions are not unital")
+    return int(lam @ lam)
+
+
 def commutant_of(mats, dim: int) -> np.ndarray:
-    """Basis (stack) of all dim x dim matrices commuting with every matrix in
-    ``mats``, via the null space of the stacked commutator system."""
-    blocks = []
-    eye = np.eye(dim)
-    scale = 1e-300
-    for K in mats:
-        K = np.asarray(K, dtype=complex)
-        scale = max(scale, float(np.linalg.norm(K, 2)))
-        blocks.append(np.kron(K, eye) - np.kron(eye, K.T))
-    rows = np.vstack(blocks)
-    null = _matrix_nullspace(rows, scale)
-    return null.reshape(-1, dim, dim)
+    """Orthonormal basis (stack (m, dim, dim)) of all dim x dim matrices that
+    commute with the actions in ``mats``.
+
+    ``mats`` is a sequence of (MultiMatrixAlgebra, action tensor
+    (N, N, dim, dim)) pairs, each a unital homomorphism or anti-homomorphism
+    with commuting images.  The basis is the range of the composed averaging
+    projections, sampled on m + 4 Gaussian matrices.  The dimension m is read
+    beforehand from the multiplicities (see ``_commutant_dimension``); the
+    sampled rank must equal it, and every basis element must commute with
+    every unit image, or StructureError is raised.
+    """
+    pairs = [(alg, np.asarray(act, dtype=complex)) for alg, act in mats]
+    m = _commutant_dimension(pairs, dim)
+    units = [_unit_image_blocks(alg, act) for alg, act in pairs]
+    rng = np.random.default_rng(_COMMUTANT_SEED)
+    shape = (m + _OVERSAMPLE, dim, dim)
+    T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for blocks in units:
+        T = _average(blocks, T)
+    _, s, vh = np.linalg.svd(T.reshape(len(T), dim * dim), full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * s[0]))
+    if rank != m:
+        raise StructureError(f"averaging projection has rank {rank}, "
+                             f"the multiplicities give {m}")
+    basis = vh[:m].reshape(m, dim, dim)
+    images = np.concatenate([L.reshape(-1, dim, dim) for blocks in units for L in blocks])
+    scale = max(float(np.linalg.norm(K, 2)) for K in images)
+    res = max(float(np.linalg.norm(K @ basis - basis @ K, axis=(1, 2)).max())
+              for K in images)
+    if res > 2 * RANK_TOL * scale:
+        raise StructureError(f"commutant basis fails to commute (residual {res:.3g})")
+    return basis
 
 
 def relative_commutant(X: HilbertBimodule) -> np.ndarray:
     """Matrices commuting with the left A-action and the right B-action
     (automatically adjointable at finite dimension); stack of shape (m, d, d)."""
-    gens = [X.phi(u) for u in X.A.units_embedded()]
-    gens += [X.psi(u) for u in X.B.units_embedded()]
-    return commutant_of(gens, X.dim)
+    return commutant_of([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
 
 
 def relative_commutant_of_right_action(X: HilbertBimodule) -> np.ndarray:
     """Basis of K(X_B) = L(X_B): all matrices commuting with the right action."""
-    return commutant_of([X.psi(u) for u in X.B.units_embedded()], X.dim)
+    return commutant_of([(X.B, X.right_action)], X.dim)
 
 
 def module_operator_algebra(X: HilbertBimodule, seed: int = 7) -> StarAlgebraDecomposition:
@@ -278,19 +347,31 @@ class BestConstants:
         return self.lambda_hat, self.lambda_prime_hat
 
 
-def _norm_ratio_batch(X: HilbertBimodule, vecs: np.ndarray) -> np.ndarray:
-    num = np.einsum("sp,sq,pqab->sab", vecs, vecs.conj(), X.left_gram, optimize=True)
-    den = np.einsum("sp,sq,pqab->sab", vecs.conj(), vecs, X.right_gram, optimize=True)
+def _ratio_paths(X: HilbertBimodule, vecs: np.ndarray) -> tuple[list, list]:
+    """Contraction paths of the two Gram contractions of
+    :func:`_norm_ratio_batch` for a stack of this shape."""
+    return (np.einsum_path("sp,sq,pqab->sab", vecs, vecs, X.left_gram, optimize=True)[0],
+            np.einsum_path("sp,sq,pqab->sab", vecs, vecs, X.right_gram, optimize=True)[0])
+
+
+def _norm_ratio_batch(X: HilbertBimodule, vecs: np.ndarray,
+                      paths: tuple[list, list] | None = None) -> np.ndarray:
+    """||_A(x|x)|| / ||(x|x)_B|| for each row x of ``vecs``; ``paths`` from
+    :func:`_ratio_paths` skips re-planning the contractions on every call."""
+    left, right = paths if paths is not None else (True, True)
+    num = np.einsum("sp,sq,pqab->sab", vecs, vecs.conj(), X.left_gram, optimize=left)
+    den = np.einsum("sp,sq,pqab->sab", vecs.conj(), vecs, X.right_gram, optimize=right)
     top = np.linalg.eigvalsh(0.5 * (num + np.conj(np.swapaxes(num, 1, 2))))[:, -1]
     bot = np.linalg.eigvalsh(0.5 * (den + np.conj(np.swapaxes(den, 1, 2))))[:, -1]
     return np.real(top) / np.maximum(np.real(bot), 1e-300)
 
 
 def _coordinate_descent(X: HilbertBimodule, x0: np.ndarray, sign: float,
-                        steps: int) -> tuple[np.ndarray, float]:
-    """Minimize sign * ratio by cyclic moves on the 2d real coordinates."""
+                        steps: int, paths: tuple[list, list]) -> tuple[np.ndarray, float]:
+    """Minimize sign * ratio by cyclic moves on the 2d real coordinates;
+    ``paths`` are the single-vector contraction paths."""
     def val(v):
-        return sign * float(_norm_ratio_batch(X, v[None, :])[0])
+        return sign * float(_norm_ratio_batch(X, v[None, :], paths)[0])
 
     x = x0 / np.linalg.norm(x0)
     best = val(x)
@@ -333,13 +414,14 @@ def best_constants(X: HilbertBimodule, seed: int = 0, samples: int = 10000,
     order = np.argsort(ratios)
     lo_sampled = float(ratios[order[0]])
     hi_sampled = float(ratios[order[-1]])
+    paths = _ratio_paths(X, vecs[:1])
     lo = lo_sampled
     for idx in order[:top]:
-        _, v = _coordinate_descent(X, vecs[idx], +1.0, refine_steps)
+        _, v = _coordinate_descent(X, vecs[idx], +1.0, refine_steps, paths)
         lo = min(lo, v)
     hi = hi_sampled
     for idx in order[-top:]:
-        _, v = _coordinate_descent(X, vecs[idx], -1.0, refine_steps)
+        _, v = _coordinate_descent(X, vecs[idx], -1.0, refine_steps, paths)
         hi = max(hi, v)
     return BestConstants(lambda_hat=hi, lambda_prime_hat=lo,
                          lambda_sampled=hi_sampled, lambda_prime_sampled=lo_sampled)

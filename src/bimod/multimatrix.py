@@ -434,10 +434,15 @@ def _orthonormal_span(mats: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 def _matrix_nullspace(rows: np.ndarray, scale: float, rel_tol: float = 1e-9) -> np.ndarray:
     """Null space with a threshold floored at the scale of the generators, so
     an all-noise system (e.g. commutators of identity actions) keeps its full
-    null space."""
-    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    null space.
+
+    ``rows`` must have at least as many rows as columns: then the thin SVD
+    has one singular value per column and its right factor already spans
+    the null space, with no (rows x rows) left factor formed.
+    """
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
     smax = max(float(s.max()), scale, 1e-300) if s.size else 1.0
-    null_dim = int(np.sum(s <= rel_tol * smax)) + (vh.shape[0] - len(s))
+    null_dim = int(np.sum(s <= rel_tol * smax))
     if null_dim == 0:
         return np.zeros((0, vh.shape[1]), dtype=complex)
     return vh.conj()[-null_dim:]

@@ -105,6 +105,32 @@ def random_bimodule(A_blocks, B_blocks, mult, seed: int = 0,
     return HilbertBimodule(A, B, d, G, Phi, Psi, L)
 
 
+def kron_commutant(X: HilbertBimodule, left: bool = True) -> np.ndarray:
+    """Reference relative commutant (with ``left=False``, the commutant of
+    the right action alone): the null space of the stacked Kronecker system
+    K (x) 1 - 1 (x) K^T over the unit images K, with the threshold floored
+    at their scale.  Orthonormal stack (m, d, d)."""
+    gens = [X.psi(u) for u in X.B.units_embedded()]
+    if left:
+        gens = [X.phi(u) for u in X.A.units_embedded()] + gens
+    eye = np.eye(X.dim)
+    scale = max(float(np.linalg.norm(K, 2)) for K in gens)
+    rows = np.vstack([np.kron(K, eye) - np.kron(eye, K.T) for K in gens])
+    # rows >= columns, so the thin factor already spans the null space
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    null_dim = int(np.sum(s <= 1e-9 * max(float(s.max()), scale)))
+    return vh.conj()[len(s) - null_dim:].reshape(-1, X.dim, X.dim)
+
+
+def span_distance(U: np.ndarray, V: np.ndarray) -> float:
+    """Max-abs distance between the orthogonal projections onto the spans of
+    two orthonormal stacks of matrices; inf when their dimensions differ."""
+    if len(U) != len(V):
+        return np.inf
+    u, v = U.reshape(len(U), -1), V.reshape(len(V), -1)
+    return float(np.abs(u.T @ u.conj() - v.T @ v.conj()).max()) if len(u) else 0.0
+
+
 def random_graph(seed: int, max_vertices: int = 12, extra_edges: int = 6) -> GraphSpec:
     """Random weighted graph where every vertex has in- and out-degree >= 1
     (a permutation cycle cover plus extra random edges)."""

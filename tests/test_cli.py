@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bimod import build_conjugate, column_bimodule, from_hilbert_space
+from bimod import SpectrumDomainError, build_conjugate, column_bimodule, from_hilbert_space
+from bimod import cli
 from bimod.cli import CommandRequest, main, parse_spec, run
 from bimod.serde import ParseError, encode_bimodule, encode_vector
 
@@ -122,6 +123,17 @@ def test_input_errors_exit_two(fixtures):
     assert status == 2
     status, report = _run("verify", [fixtures["hilbert"]])
     assert status == 2      # missing second input
+
+
+def test_every_toolkit_error_exits_two(fixtures, monkeypatch):
+    def handler(req):
+        raise SpectrumDomainError("sqrt is defined on [0, inf) but the spectrum reaches -1")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+    status, report = _run("validate", [fixtures["hilbert"]])
+    assert status == 2
+    assert report["passed"] is False
+    assert "spectrum" in report["error"]
 
 
 _CYCLE2 = ["a", "b"]

@@ -21,17 +21,21 @@ from bimod import (
     right_index,
     tight_frame,
 )
-from bimod.multimatrix import random_element
+from bimod.index import commutant_of, relative_commutant_of_right_action
+from bimod.multimatrix import StructureError, random_element
 
 from helpers import (
+    _RANDOM_SHAPES,
     corpus,
     degenerate_action_bimodule,
     diag_expectation_m2,
     four_cycle_graph,
+    kron_commutant,
     random_bimodule,
     random_bimodule_family,
     random_posdef,
     random_positive_operator,
+    span_distance,
     two_block_expectation,
     well_conditioned,
 )
@@ -345,6 +349,46 @@ def test_fibers_bound_on_random_modules():
         rep = fiber_decomposition(X)
         assert rep.passed
         assert rep.left_adjoint_residual < 1e-7
+
+
+# -- the commutant routine ------------------------------------------------------------
+
+# the module shapes of the benchmark's commutant ladder, d = 13 and d = 18
+_LADDER_SHAPES = [([2, 1], [2, 1], [[1, 1], [2, 3]]),
+                  ([2, 1], [2, 1], [[2, 2], [2, 2]])]
+
+
+def _commutant_cases():
+    cases = [pytest.param(X, id=name) for name, X in corpus()]
+    for i, (a, b, m) in enumerate(_LADDER_SHAPES):
+        X = random_bimodule(a, b, m, seed=41 + i)
+        cases.append(pytest.param(X, id=f"ladder_d{X.dim}"))
+    return cases
+
+
+@pytest.mark.parametrize("X", _commutant_cases())
+def test_commutant_spans_match_kronecker_oracle(X):
+    assert span_distance(relative_commutant(X), kron_commutant(X)) <= 1e-10
+    assert span_distance(relative_commutant_of_right_action(X),
+                         kron_commutant(X, left=False)) <= 1e-10
+
+
+def test_commutant_dimension_is_sum_of_squared_multiplicities():
+    for i, (a, b, m) in enumerate(_RANDOM_SHAPES + _LADDER_SHAPES):
+        X = random_bimodule(a, b, m, seed=60 + i)
+        assert len(relative_commutant(X)) == int(np.sum(np.square(m)))
+
+
+@pytest.mark.parametrize("tamper", ["off_diagonal_unit", "scaled_diagonal_unit"])
+def test_commutant_rejects_broken_homomorphism(tamper):
+    X = random_bimodule([2, 1], [2, 1], [[1, 1], [2, 3]], seed=4)
+    act = X.left_action.copy()
+    if tamper == "off_diagonal_unit":
+        act[0, 1] = np.random.default_rng(0).standard_normal((X.dim, X.dim))
+    else:
+        act[0, 0] *= 1.5
+    with pytest.raises(StructureError):
+        commutant_of([(X.A, act), (X.B, X.right_action)], X.dim)
 
 
 # -- operator algebra recognition and trichotomy ----------------------------------------

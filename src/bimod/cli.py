@@ -7,9 +7,12 @@ Grammar::
           [--out PATH] [--format json|text]
 
 Exit status: 0 when every computed check passed, 1 when a computation ran but
-an invariant failed, 2 on input errors.  Reports are single JSON documents
-with schema tag "bimod-report/1"; the wall-time field is the only
-nondeterministic entry for fixed inputs and seed.
+an invariant failed, 2 on input errors, 3 on an internal error (a fault of
+the toolkit, reported rather than raised).  Reports are single JSON
+documents with schema tag "bimod-report/2"; the wall-time field is the only
+nondeterministic entry for fixed inputs and seed.  ``--budget`` is accepted
+and ignored: it bounded the minimal-dimension search, which is now a closed
+form.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from .index import (
 )
 from .conjugation import (
     build_conjugate,
-    inner_from_conjugate,
     min_dimension,
     morita_check,
     verify_conjugate,
@@ -44,12 +46,11 @@ from .constructors import (
     from_expectation,
     from_weight_graph,
     minimal_cp_multiplier,
-    quasi_basis,
 )
 from . import serde
 from .serde import ParseError
 
-SCHEMA = "bimod-report/1"
+SCHEMA = "bimod-report/2"
 COMMANDS = ("validate", "index", "conjugate", "verify", "mindim", "basic",
             "fibers", "morita", "tensor", "graph", "expectation", "hilbert")
 
@@ -60,7 +61,6 @@ class CommandRequest:
     inputs: list[str]
     tol: float = 1e-8
     seed: int = 0
-    budget: int = 5000
     out: str | None = None
     fmt: str = "json"
 
@@ -187,11 +187,9 @@ def _cmd_verify(req: CommandRequest):
 def _cmd_mindim(req: CommandRequest):
     kind, parsed = parse_spec(req.inputs[0])
     X = _as_bimodule(kind, parsed)
-    res = min_dimension(X, seed=req.seed, budget=req.budget)
-    passed = res.dim_hat >= 1.0 - 1e-6
-    return passed, {"dim_hat": res.dim_hat, "evaluations": res.evaluations,
-                    "budget_exhausted": res.budget_exhausted,
-                    "restart_values": res.restart_values}
+    res = min_dimension(X)
+    return res.certified, {"dim_hat": res.dim_hat, "multiplicity_matrix": res.multiplicities,
+                           "certificate_residual": res.certificate_residual}
 
 
 def _cmd_basic(req: CommandRequest):
@@ -232,7 +230,7 @@ def _cmd_fibers(req: CommandRequest):
 def _cmd_morita(req: CommandRequest):
     kind, parsed = parse_spec(req.inputs[0])
     X = _as_bimodule(kind, parsed)
-    rep = morita_check(X, seed=req.seed, budget=req.budget)
+    rep = morita_check(X)
     return rep.conditions_agree, rep.as_dict()
 
 
@@ -276,12 +274,12 @@ def _cmd_expectation(req: CommandRequest):
         raise ParseError("expectation command expects an expectation file")
     chk = parsed.check()
     X, Y, Z = from_expectation(parsed)
-    _, ind = quasi_basis(parsed)
     idxX = right_index(X)
     idxY = right_index(Y)
     round_trip = (idxX.r_ind - idxY.l_ind).norm()
     gap = expectation_cp_gap(parsed)
     cert = minimal_cp_multiplier(parsed)
+    ind = cert["index_element"]
     l_identity = (idxX.l_ind - X.B.identity()).norm()
     passed = (chk["passed"] and round_trip <= 1e-9 * (1 + idxX.r_num)
               and l_identity <= req.tol and cert["minimality_certified"]
@@ -365,6 +363,10 @@ def run(request: CommandRequest) -> tuple[int, dict]:
         report["error"] = str(exc)
         report["passed"] = False
         status = 2
+    except Exception as exc:
+        report["error"] = f"internal error: {type(exc).__name__}: {exc}"
+        report["passed"] = False
+        status = 3
     report["wall_time_ms"] = 1000.0 * (time.perf_counter() - t0)
     return status, report
 
@@ -399,13 +401,13 @@ def main(argv=None) -> int:
     parser.add_argument("inputs", nargs="+", help="1-2 input files")
     parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=5000)
+    parser.add_argument("--budget", type=int, default=None,
+                        help="ignored; kept so that older command lines still parse")
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     args = parser.parse_args(argv)
     req = CommandRequest(command=args.command, inputs=args.inputs, tol=args.tol,
-                         seed=args.seed, budget=args.budget, out=args.out,
-                         fmt=args.fmt)
+                         seed=args.seed, out=args.out, fmt=args.fmt)
     status, report = run(req)
     payload = (json.dumps(_sanitize(report), indent=2, sort_keys=True) + "\n"
                if req.fmt == "json" else _render_text(_sanitize(report)))

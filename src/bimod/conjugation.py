@@ -8,29 +8,30 @@ which does materialize the full pre-quotient Gram of each product.
 
 Convention: in the two equations the tensor product is applied before the
 composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).
+
+The minimal dimension over left rescalings is taken in closed form: it is
+||Lambda||_2, the spectral norm of the integer multiplicity matrix of the two
+actions.  It is certified by building the rescaling that attains it and
+evaluating the product of the numerical indices there; nothing is searched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .multimatrix import (
-    DEFAULT_TOL,
     RANK_TOL,
     AlgebraElement,
     ContractError,
-    MultiMatrixAlgebra,
-    StructureError,
+    center_decompose,
     hermitian_part,
 )
 from .bimodule import (
     FrameSet,
     HilbertBimodule,
-    ModuleOperator,
     contragredient,
-    frame_operator,
     left_tight_frame,
     tensor,
     tensor_lift,
@@ -40,11 +41,10 @@ from .bimodule import (
 )
 from .index import (
     CPMap,
+    _multiplicities,
     _multiplier_certificate,
     _operator_cp_map,
-    best_constants,
     extend_left_inner,
-    relative_commutant,
     relative_commutant_of_right_action,
     right_index,
 )
@@ -276,143 +276,82 @@ def rescale_left(X: HilbertBimodule, Q: np.ndarray,
 # -- minimal dimension --------------------------------------------------------------
 
 
+CERTIFICATE_TOL = 1e-10
+
+
 @dataclass
 class MinDimResult:
+    """The minimal dimension and its certificate.
+
+    ``certificate_residual`` is |r_num l_num - dim_hat^2| / dim_hat^2 for X
+    rescaled by ``Q_star``, or inf when that rescaled module fails
+    validation.  ``evaluations`` counts objective evaluations (always one).
+    """
+
     dim_hat: float
     Q_star: np.ndarray
-    evaluations: int
-    budget_exhausted: bool
-    restart_values: list[float]
-    history: list[float]
+    multiplicities: np.ndarray
+    certificate_residual: float
+    evaluations: int = 1
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate_residual <= CERTIFICATE_TOL
 
 
-def _rescaling_directions(X: HilbertBimodule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real basis of trace-free self-adjoint directions in the relative
-    commutant (left-inner-product involution), in the conjugated picture."""
-    comm = relative_commutant(X)
-    hats = [X.left_op_rep(c) for c in comm]
-    cands = []
-    for h in hats:
-        cands.append(hermitian_part(h))
-        cands.append(hermitian_part(1j * h))
-    d = X.dim
-    eye = np.eye(d) / np.sqrt(d)
-    vecs = []
-    for h in cands:
-        h = h - np.trace(h) / d * np.eye(d)   # remove the flat scaling direction
-        vecs.append(np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)]))
-    if not vecs:
-        return np.zeros((0, d, d)), *X._gl_half()
-    V = np.array(vecs)
-    u, s, vh = np.linalg.svd(V, full_matrices=False)
-    keep = s > 1e-9 * max(float(s.max()), 1e-300)
-    basis = []
-    for row in vh[keep]:
-        basis.append(row[:d * d].reshape(d, d) + 1j * row[d * d:].reshape(d, d))
-    sq, isq = X._gl_half()
-    return np.array(basis) if basis else np.zeros((0, d, d)), sq, isq
+def _perron_weights(lam: np.ndarray) -> np.ndarray:
+    """c[k, l] = v_l / u_k where Lambda_kl > 0, with u, v the Perron vectors
+    of the connected component of Lambda's bipartite graph holding (k, l):
+    Lambda_c v = ||Lambda_c|| u and Lambda_c^T u = ||Lambda_c|| v."""
+    na, nb = lam.shape
+    link = np.eye(na + nb, dtype=int)
+    link[:na, na:] = lam > 0
+    link[na:, :na] = (lam > 0).T
+    for _ in range((na + nb).bit_length()):
+        link = (link @ link > 0).astype(int)
+    label = link.argmax(axis=1)     # smallest vertex of each component
+    c = np.zeros(lam.shape)
+    for comp in np.unique(label):
+        rows, cols = np.flatnonzero(label[:na] == comp), np.flatnonzero(label[na:] == comp)
+        if len(rows) and len(cols):
+            u, _, vh = np.linalg.svd(lam[np.ix_(rows, cols)])
+            c[np.ix_(rows, cols)] = np.abs(vh[0])[None, :] / np.abs(u[:, 0])[:, None]
+    return c * (lam > 0)
 
 
-def min_dimension(X: HilbertBimodule, seed: int = 0, restarts: int = 8,
-                  budget: int = 5000, grad_step: float = 1e-5) -> MinDimResult:
-    """Minimize the product of the two numerical indices over all left
-    rescalings Q = exp(H), H trace-free self-adjoint in the relative
-    commutant; returns the square root of the best value found.
+def min_dimension(X: HilbertBimodule) -> MinDimResult:
+    """Minimal dimension of X over all left rescalings: ||Lambda||_2, the
+    largest singular value of the integer multiplicity matrix Lambda
+    (Goodman-de la Harpe-Jones), with a rescaling that attains it.
 
-    Multi-start descent with central-difference gradients; deterministic for
-    a fixed seed.  When the evaluation budget runs out the best point so far
-    is returned with ``budget_exhausted`` set.
+    The reference left Gram L0, fixed by Tr_A(a _A(x|y)) = Tr_B((y|a x)_B)
+    with unnormalized block traces, has r-ind_k = sum_l Lambda_kl and
+    l-ind_l = sum_k Lambda_kl.  Weighting it by the central element
+    C = sum_kl (v_l / u_k) phi(z_k) psi(z_l) (see ``_perron_weights``) makes
+    both index elements ||Lambda_c|| on each component c.  Q_star carries the
+    left Gram of X to C L0, read off the two scalar trace forms; the
+    certificate rescales X by it (``rescale_left`` checks that Q_star is
+    positive in the relative commutant), validates the result and compares
+    r_num l_num there with ||Lambda||_2^2.
     """
     X._need_left()
-    basis, gl_sq, gl_isq = _rescaling_directions(X)
-    nparams = len(basis)
-    U = tight_frame(X).coords
-    psi_bar = X.left_action.transpose(1, 0, 2, 3).conj()   # right action of X-bar
-    d = X.dim
-    evals = 0
-
-    def objective(theta: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        if nparams:
-            H = np.einsum("r,rij->ij", theta, basis)
-            w, v = np.linalg.eigh(hermitian_part(H))
-            Q = gl_isq @ ((v * np.exp(w)) @ v.conj().T) @ gl_sq
-        else:
-            Q = np.eye(d)
-        LQ = np.einsum("rp,rqab->pqab", Q, X.left_gram)
-        r_emb = np.einsum("mp,mq,pqab->ab", U, U.conj(), LQ, optimize=True)
-        r_num = float(np.linalg.eigvalsh(hermitian_part(r_emb)).max())
-        # left frame of the rescaled structure via the contragredient
-        S_bar = np.einsum("sqab,abis->iq", LQ, psi_bar, optimize=True)
-        g_bar = hermitian_part(np.einsum("pqaa->pq", LQ))
-        wb, vb = np.linalg.eigh(g_bar)
-        wb = np.clip(wb, 1e-300, None)
-        sqb = (vb * np.sqrt(wb)) @ vb.conj().T
-        isqb = (vb / np.sqrt(wb)) @ vb.conj().T
-        Sh = hermitian_part(sqb @ S_bar @ isqb)
-        ws, vs = np.linalg.eigh(Sh)
-        ws = np.clip(ws, 1e-300, None)
-        S_isqrt = isqb @ ((vs / np.sqrt(ws)) @ vs.conj().T) @ sqb
-        Fr = S_isqrt.T
-        # the left index sums the frame in the left Gram of the contragredient,
-        # which is the (Q-independent) right Gram of X
-        l_emb = np.einsum("mp,mq,pqab->ab", Fr, Fr.conj(), X.right_gram, optimize=True)
-        l_num = float(np.linalg.eigvalsh(hermitian_part(l_emb)).max())
-        return r_num * l_num
-
-    rng = np.random.default_rng(seed)
-    best_theta = np.zeros(nparams)
-    best_val = objective(best_theta)
-    history = [best_val]
-    restart_values = []
-    exhausted = False
-    for restart in range(restarts):
-        if evals >= budget:
-            exhausted = True
-            break
-        theta = (np.zeros(nparams) if restart == 0
-                 else 0.4 * rng.standard_normal(nparams))
-        if nparams == 0:
-            restart_values.append(best_val)
-            break
-        f = objective(theta)
-        lr = 0.25
-        while evals + 2 * nparams + 1 <= budget:
-            grad = np.zeros(nparams)
-            for i in range(nparams):
-                e = np.zeros(nparams)
-                e[i] = grad_step
-                grad[i] = (objective(theta + e) - objective(theta - e)) / (2 * grad_step)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-9:
-                break
-            step, moved = lr, False
-            while step > 1e-12 and evals < budget:
-                cand = theta - step * grad / gnorm
-                fc = objective(cand)
-                if fc < f - 1e-14:
-                    theta, f, moved = cand, fc, True
-                    lr = min(1.0, step * 1.5)
-                    break
-                step *= 0.5
-            if not moved:
-                break
-            if f < best_val:
-                best_val, best_theta = f, theta.copy()
-            history.append(min(history[-1], f))
-        restart_values.append(f)
-        if evals >= budget:
-            exhausted = True
-    if nparams:
-        H = np.einsum("r,rij->ij", best_theta, basis)
-        w, v = np.linalg.eigh(hermitian_part(H))
-        Q_star = gl_isq @ ((v * np.exp(w)) @ v.conj().T) @ gl_sq
-    else:
-        Q_star = np.eye(d, dtype=complex)
-    return MinDimResult(dim_hat=float(np.sqrt(best_val)), Q_star=Q_star,
-                        evaluations=evals, budget_exhausted=exhausted,
-                        restart_values=restart_values, history=history)
+    lam = _multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
+    dim_hat = float(np.linalg.norm(lam, 2))
+    # L0[p, q][b, a] = sum_r phi(e_ab)[r, p] tr (e_q|e_r)_B
+    L0 = np.einsum("abrp,qrcc->pqba", X.left_action, X.right_gram, optimize=True)
+    phis = np.array([X.phi(z) for z in center_decompose(X.A)])
+    psis = np.array([X.psi(z) for z in center_decompose(X.B)])
+    C = np.einsum("kl,kij,ljm->im", _perron_weights(lam), phis, psis)
+    L_star = np.einsum("rp,rqab->pqab", C, L0)
+    # a rescaling Q multiplies the scalar form tr _A(e_p|e_q) by Q^T on the left
+    Q_star = np.linalg.solve(X.scalar_left_gram, np.einsum("pqaa->qp", L_star))
+    X_star = rescale_left(X, Q_star)
+    residual = np.inf
+    if validate(X_star).passed:
+        rep = right_index(X_star)
+        residual = abs(rep.r_num * rep.l_num - dim_hat ** 2) / dim_hat ** 2
+    return MinDimResult(dim_hat=dim_hat, Q_star=Q_star, multiplicities=lam,
+                        certificate_residual=float(residual))
 
 
 # -- characterization of the index by complete positivity ---------------------------
@@ -489,14 +428,14 @@ class MoritaReport:
                 "min_dim": self.min_dim, "conditions_agree": self.conditions_agree}
 
 
-def morita_check(X: HilbertBimodule, run_min_dim: bool = True,
-                 seed: int = 0, budget: int = 3000, tol: float = 1e-7) -> MoritaReport:
+def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     """Decide whether X can carry a left inner product making it a strong
     Morita equivalence: both index elements become identities.
 
     Tests the candidate _A(x|y) = phi^{-1}(theta^r_{x,y}), which exists iff
     the left action fills all of K(X_B); cross-checks the minimal dimension
-    when X is bi-Hilbertian (it must be 1 for an equivalence).
+    when X or the candidate carries a left inner product (it must be 1 for
+    an equivalence).
     """
     d = X.dim
     # fullness of the right inner product
@@ -535,15 +474,14 @@ def morita_check(X: HilbertBimodule, run_min_dim: bool = True,
                 res_l = (idx.l_ind - X.B.identity()).norm()
     is_morita = candidate_valid and res_r <= tol and res_l <= tol and right_full
     min_dim = None
-    if run_min_dim:
-        target = X if X.is_bihilbertian else None
-        if target is None and candidate_valid:
-            target = X.with_left_gram(L)
-        if target is not None:
-            min_dim = min_dimension(target, seed=seed, budget=budget).dim_hat
+    target = X if X.is_bihilbertian else None
+    if target is None and candidate_valid:
+        target = X.with_left_gram(L)
+    if target is not None:
+        min_dim = min_dimension(target).dim_hat
     agree = True
     if min_dim is not None:
-        agree = is_morita == (abs(min_dim - 1.0) <= 1e-3)
+        agree = is_morita == (abs(min_dim - 1.0) <= 1e-9)
     return MoritaReport(is_morita=is_morita, right_full=right_full,
                         action_surjective=surjective,
                         candidate_valid=candidate_valid,

@@ -22,7 +22,6 @@ from .bimodule import (
     identity_bimodule,
     tensor,
     tight_frame,
-    validate,
 )
 from .index import CPMap, _multiplier_certificate
 
@@ -119,11 +118,13 @@ class ExpectationSpec:
     """A conditional expectation E: B -> A given on the matrix units of B.
 
     ``images[k]`` has shape (n_k, n_k, N_A, N_A): the image in A (embedded)
-    of the (r, s) unit of B-block k.
+    of the (r, s) unit of B-block k.  A spec is not modified after
+    construction, so its check and its bimodule are computed once and kept.
     """
 
     inclusion: Inclusion
     images: list[np.ndarray]
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def A(self) -> MultiMatrixAlgebra:
@@ -144,6 +145,11 @@ class ExpectationSpec:
 
     def check(self, tol: float = 1e-9) -> dict:
         """Invariants: unital, idempotent onto A, bimodule property, faithful."""
+        if ("check", tol) not in self._cache:
+            self._cache["check", tol] = self._check(tol)
+        return dict(self._cache["check", tol])
+
+    def _check(self, tol: float) -> dict:
         A, B = self.A, self.B
         one = self.apply(B.identity())
         unital = (one - A.identity()).norm()
@@ -224,7 +230,10 @@ def trace_weighted_expectation(inclusion: Inclusion,
 
 def _expectation_module(spec: ExpectationSpec) -> HilbertBimodule:
     """X = B as a B-A bimodule with the E-twisted right inner product, after
-    checking that E is a faithful conditional expectation."""
+    checking that E is a faithful conditional expectation; built once per
+    spec."""
+    if "module" in spec._cache:
+        return spec._cache["module"]
     chk = spec.check()
     if not chk["passed"]:
         raise ContractError(f"not a faithful conditional expectation: {chk}")
@@ -237,7 +246,8 @@ def _expectation_module(spec: ExpectationSpec) -> HilbertBimodule:
     for j, i, ii in A.unit_triples():
         sl = A.block_slice(j)
         Psi[sl.start + i, sl.start + ii] = I.psi(inc.embed(A.unit(j, i, ii)))
-    return HilbertBimodule(B, A, I.dim, GX, I.left_action, Psi, I.left_gram)
+    spec._cache["module"] = HilbertBimodule(B, A, I.dim, GX, I.left_action, Psi, I.left_gram)
+    return spec._cache["module"]
 
 
 def from_expectation(spec: ExpectationSpec):

@@ -22,7 +22,7 @@ source algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .bimodule import (
     HilbertBimodule,
     ModuleOperator,
     contragredient,
-    frame_operator,
     tight_frame,
 )
 
@@ -73,11 +72,14 @@ def _average(units: list[np.ndarray], T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _commutant_dimension(pairs, dim: int) -> int:
-    """sum of Lambda^2 over the joint central blocks, where Lambda is the
-    trace of the product of the central-projection images over the pairs
-    divided by the product of the block sizes: the multiplicity of that
-    irreducible block, so an integer for a unital (anti-)homomorphism."""
+def _multiplicities(pairs, dim: int) -> np.ndarray:
+    """Integer multiplicities Lambda of the joint central blocks, one axis per
+    pair: the trace of the product of the central-projection images over the
+    pairs divided by the product of the block sizes.  That is the
+    multiplicity of the irreducible block, so an integer for a unital
+    (anti-)homomorphism.  For the two actions of X it is the K_A x K_B
+    matrix (K the number of blocks) whose relative commutant is
+    (+)_kl M_{Lambda_kl}."""
     terms = [(1, np.eye(dim, dtype=complex))]
     for alg, act in pairs:
         centre = [(n, np.einsum("iiab->ab", L))
@@ -91,7 +93,7 @@ def _commutant_dimension(pairs, dim: int) -> int:
     sizes = np.array([den for den, _ in terms])
     if int(lam @ sizes) != dim:
         raise StructureError("the actions are not unital")
-    return int(lam @ lam)
+    return lam.reshape([alg.num_blocks for alg, _ in pairs])
 
 
 def commutant_of(mats, dim: int) -> np.ndarray:
@@ -102,12 +104,12 @@ def commutant_of(mats, dim: int) -> np.ndarray:
     (N, N, dim, dim)) pairs, each a unital homomorphism or anti-homomorphism
     with commuting images.  The basis is the range of the composed averaging
     projections, sampled on m + 4 Gaussian matrices.  The dimension m is read
-    beforehand from the multiplicities (see ``_commutant_dimension``); the
-    sampled rank must equal it, and every basis element must commute with
+    beforehand as sum Lambda^2 over the multiplicities (``_multiplicities``);
+    the sampled rank must equal it, and every basis element must commute with
     every unit image, or StructureError is raised.
     """
     pairs = [(alg, np.asarray(act, dtype=complex)) for alg, act in mats]
-    m = _commutant_dimension(pairs, dim)
+    m = int(np.sum(np.square(_multiplicities(pairs, dim))))
     units = [_unit_image_blocks(alg, act) for alg, act in pairs]
     rng = np.random.default_rng(_COMMUTANT_SEED)
     shape = (m + _OVERSAMPLE, dim, dim)

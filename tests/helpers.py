@@ -4,6 +4,8 @@ random graphs and expectations, and the named corpus used by the
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from bimod import (
@@ -16,8 +18,11 @@ from bimod import (
     from_expectation,
     from_weight_graph,
     identity_bimodule,
+    relative_commutant,
+    tight_frame,
     trace_weighted_expectation,
 )
+from bimod.multimatrix import hermitian_part
 
 
 def random_posdef(n: int, rng: np.random.Generator, spread: float = 2.0) -> np.ndarray:
@@ -120,6 +125,151 @@ def kron_commutant(X: HilbertBimodule, left: bool = True) -> np.ndarray:
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     null_dim = int(np.sum(s <= 1e-9 * max(float(s.max()), scale)))
     return vh.conj()[len(s) - null_dim:].reshape(-1, X.dim, X.dim)
+
+
+# The multi-start descent that ``bimod.min_dimension`` used before it took
+# the closed form ||Lambda||_2, kept as a test-only oracle: every value it
+# reaches is the objective r_num * l_num at an actual rescaling, so its
+# square root can never fall below the minimal dimension.
+
+
+@dataclass
+class DescentResult:
+    dim_hat: float
+    Q_star: np.ndarray
+    evaluations: int
+    budget_exhausted: bool
+    restart_values: list[float]
+    history: list[float]
+
+
+def _rescaling_directions(X: HilbertBimodule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real basis of trace-free self-adjoint directions in the relative
+    commutant (left-inner-product involution), in the conjugated picture."""
+    comm = relative_commutant(X)
+    hats = [X.left_op_rep(c) for c in comm]
+    cands = []
+    for h in hats:
+        cands.append(hermitian_part(h))
+        cands.append(hermitian_part(1j * h))
+    d = X.dim
+    eye = np.eye(d) / np.sqrt(d)
+    vecs = []
+    for h in cands:
+        h = h - np.trace(h) / d * np.eye(d)   # remove the flat scaling direction
+        vecs.append(np.concatenate([h.real.reshape(-1), h.imag.reshape(-1)]))
+    if not vecs:
+        return np.zeros((0, d, d)), *X._gl_half()
+    V = np.array(vecs)
+    u, s, vh = np.linalg.svd(V, full_matrices=False)
+    keep = s > 1e-9 * max(float(s.max()), 1e-300)
+    basis = []
+    for row in vh[keep]:
+        basis.append(row[:d * d].reshape(d, d) + 1j * row[d * d:].reshape(d, d))
+    sq, isq = X._gl_half()
+    return np.array(basis) if basis else np.zeros((0, d, d)), sq, isq
+
+
+def descent_min_dimension(X: HilbertBimodule, seed: int = 0, restarts: int = 8,
+                          budget: int = 5000, grad_step: float = 1e-5) -> DescentResult:
+    """Minimize the product of the two numerical indices over all left
+    rescalings Q = exp(H), H trace-free self-adjoint in the relative
+    commutant; returns the square root of the best value found.
+
+    Multi-start descent with central-difference gradients; deterministic for
+    a fixed seed.  When the evaluation budget runs out the best point so far
+    is returned with ``budget_exhausted`` set.
+    """
+    X._need_left()
+    basis, gl_sq, gl_isq = _rescaling_directions(X)
+    nparams = len(basis)
+    U = tight_frame(X).coords
+    psi_bar = X.left_action.transpose(1, 0, 2, 3).conj()   # right action of X-bar
+    d = X.dim
+    evals = 0
+
+    def objective(theta: np.ndarray) -> float:
+        nonlocal evals
+        evals += 1
+        if nparams:
+            H = np.einsum("r,rij->ij", theta, basis)
+            w, v = np.linalg.eigh(hermitian_part(H))
+            Q = gl_isq @ ((v * np.exp(w)) @ v.conj().T) @ gl_sq
+        else:
+            Q = np.eye(d)
+        LQ = np.einsum("rp,rqab->pqab", Q, X.left_gram)
+        r_emb = np.einsum("mp,mq,pqab->ab", U, U.conj(), LQ, optimize=True)
+        r_num = float(np.linalg.eigvalsh(hermitian_part(r_emb)).max())
+        # left frame of the rescaled structure via the contragredient
+        S_bar = np.einsum("sqab,abis->iq", LQ, psi_bar, optimize=True)
+        g_bar = hermitian_part(np.einsum("pqaa->pq", LQ))
+        wb, vb = np.linalg.eigh(g_bar)
+        wb = np.clip(wb, 1e-300, None)
+        sqb = (vb * np.sqrt(wb)) @ vb.conj().T
+        isqb = (vb / np.sqrt(wb)) @ vb.conj().T
+        Sh = hermitian_part(sqb @ S_bar @ isqb)
+        ws, vs = np.linalg.eigh(Sh)
+        ws = np.clip(ws, 1e-300, None)
+        S_isqrt = isqb @ ((vs / np.sqrt(ws)) @ vs.conj().T) @ sqb
+        Fr = S_isqrt.T
+        # the left index sums the frame in the left Gram of the contragredient,
+        # which is the (Q-independent) right Gram of X
+        l_emb = np.einsum("mp,mq,pqab->ab", Fr, Fr.conj(), X.right_gram, optimize=True)
+        l_num = float(np.linalg.eigvalsh(hermitian_part(l_emb)).max())
+        return r_num * l_num
+
+    rng = np.random.default_rng(seed)
+    best_theta = np.zeros(nparams)
+    best_val = objective(best_theta)
+    history = [best_val]
+    restart_values = []
+    exhausted = False
+    for restart in range(restarts):
+        if evals >= budget:
+            exhausted = True
+            break
+        theta = (np.zeros(nparams) if restart == 0
+                 else 0.4 * rng.standard_normal(nparams))
+        if nparams == 0:
+            restart_values.append(best_val)
+            break
+        f = objective(theta)
+        lr = 0.25
+        while evals + 2 * nparams + 1 <= budget:
+            grad = np.zeros(nparams)
+            for i in range(nparams):
+                e = np.zeros(nparams)
+                e[i] = grad_step
+                grad[i] = (objective(theta + e) - objective(theta - e)) / (2 * grad_step)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm < 1e-9:
+                break
+            step, moved = lr, False
+            while step > 1e-12 and evals < budget:
+                cand = theta - step * grad / gnorm
+                fc = objective(cand)
+                if fc < f - 1e-14:
+                    theta, f, moved = cand, fc, True
+                    lr = min(1.0, step * 1.5)
+                    break
+                step *= 0.5
+            if not moved:
+                break
+            if f < best_val:
+                best_val, best_theta = f, theta.copy()
+            history.append(min(history[-1], f))
+        restart_values.append(f)
+        if evals >= budget:
+            exhausted = True
+    if nparams:
+        H = np.einsum("r,rij->ij", best_theta, basis)
+        w, v = np.linalg.eigh(hermitian_part(H))
+        Q_star = gl_isq @ ((v * np.exp(w)) @ v.conj().T) @ gl_sq
+    else:
+        Q_star = np.eye(d, dtype=complex)
+    return DescentResult(dim_hat=float(np.sqrt(best_val)), Q_star=Q_star,
+                         evaluations=evals, budget_exhausted=exhausted,
+                         restart_values=restart_values, history=history)
 
 
 def span_distance(U: np.ndarray, V: np.ndarray) -> float:

@@ -156,26 +156,25 @@ def test_c07_imprimitivity_identities():
     X = column_bimodule(3)
     rep = right_index(X)
     mor = morita_check(X)
-    md = min_dimension(X, budget=2000)
+    md = min_dimension(X)
     ok = ((rep.r_ind - X.A.identity()).norm() < 1e-9
           and (rep.l_ind - X.B.identity()).norm() < 1e-9
-          and mor.is_morita and abs(md.dim_hat - 1.0) <= 1e-6)
+          and mor.is_morita and abs(md.dim_hat - 1.0) <= 1e-10 and md.certified)
     _report(7, "column bimodule: identity index elements, Morita, dim 1", ok,
             f"min dim {md.dim_hat:.8f}")
 
 
 def test_c08_minimal_dimension_optimizer():
-    worst = 0.0
-    evals = []
+    worst = cert = 0.0
     rng = np.random.default_rng(108)
     for n in (2, 3, 5):
         T = random_posdef(n, rng)
-        res = min_dimension(from_hilbert_space(n, T), budget=5000)
+        res = min_dimension(from_hilbert_space(n, T))
         worst = max(worst, abs(res.dim_hat - n))
-        evals.append(res.evaluations)
-    ok = worst <= 1e-3 and max(evals) <= 5000
-    _report(8, "minimal dimension of weighted C^n converges to n", ok,
-            f"worst gap {worst:.2e}, evaluations {evals}")
+        cert = max(cert, res.certificate_residual)
+    ok = worst <= 1e-10 and cert <= 1e-10
+    _report(8, "minimal dimension of weighted C^n is n, certified", ok,
+            f"worst gap {worst:.2e}, worst certificate residual {cert:.2e}")
 
 
 def test_c09_fiber_bound():
@@ -313,8 +312,7 @@ def test_c14_cli_determinism(tmp_path):
     for command, inputs in jobs:
         blobs = []
         for _ in range(2):
-            status, report = run(CommandRequest(command=command, inputs=inputs,
-                                                seed=0, budget=1500))
+            status, report = run(CommandRequest(command=command, inputs=inputs, seed=0))
             report.pop("wall_time_ms")
             blobs.append(json.dumps(report, sort_keys=True).encode())
         identical = identical and blobs[0] == blobs[1]

@@ -87,10 +87,10 @@ def test_exit_codes_per_command(fixtures):
         ("hilbert", [fixtures["hilbert"]]),
     ]
     for command, inputs in cases:
-        status, report = _run(command, inputs, budget=2500)
+        status, report = _run(command, inputs)
         assert status == 0, (command, report.get("error"), report.get("results"))
         assert report["passed"] is True
-        assert report["schema"] == "bimod-report/1"
+        assert report["schema"] == "bimod-report/2"
 
 
 def test_index_values(fixtures):
@@ -98,6 +98,41 @@ def test_index_values(fixtures):
     assert status == 0
     assert report["results"]["r_num"] == pytest.approx(3.0)
     assert report["results"]["l_num"] == pytest.approx(1.5)
+
+
+def test_mindim_reports_the_certified_closed_form(fixtures):
+    status, report = _run("mindim", [fixtures["hilbert"]])
+    assert status == 0
+    res = report["results"]
+    assert res["dim_hat"] == 2.0
+    assert res["multiplicity_matrix"] == [[2]]
+    assert res["certificate_residual"] <= 1e-10
+
+
+def test_budget_flag_still_parses(fixtures, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["mindim", fixtures["hilbert"], "--budget", "2000", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["dim_hat"] == 2.0
+
+
+def test_expectation_checks_and_builds_once(fixtures, monkeypatch):
+    from bimod import constructors
+    calls = {"check": 0, "module": 0}
+    check, identity = constructors.ExpectationSpec._check, constructors.identity_bimodule
+
+    def counted_check(spec, tol):
+        calls["check"] += 1
+        return check(spec, tol)
+
+    def counted_identity(alg):      # called once per build of the module X
+        calls["module"] += 1
+        return identity(alg)
+
+    monkeypatch.setattr(constructors.ExpectationSpec, "_check", counted_check)
+    monkeypatch.setattr(constructors, "identity_bimodule", counted_identity)
+    status, _ = _run("expectation", [fixtures["expectation"]])
+    assert status == 0
+    assert calls == {"check": 1, "module": 1}
 
 
 def test_morita_column_confirms_identities(fixtures):
@@ -134,6 +169,18 @@ def test_every_toolkit_error_exits_two(fixtures, monkeypatch):
     assert status == 2
     assert report["passed"] is False
     assert "spectrum" in report["error"]
+
+
+def test_internal_error_exits_three(fixtures, monkeypatch):
+    def handler(req):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", handler)
+    status, report = _run("validate", [fixtures["hilbert"]])
+    assert status == 3
+    assert report["passed"] is False
+    assert report["error"] == "internal error: RuntimeError: boom"
+    assert "results" not in report
 
 
 _CYCLE2 = ["a", "b"]
@@ -190,7 +237,7 @@ def test_determinism_byte_identical(fixtures, tmp_path):
     for command, inputs in commands:
         payloads = []
         for rep in range(2):
-            status, report = _run(command, inputs, seed=0, budget=2000)
+            status, report = _run(command, inputs, seed=0)
             report.pop("wall_time_ms")
             payloads.append(json.dumps(report, sort_keys=True).encode())
         assert payloads[0] == payloads[1], command

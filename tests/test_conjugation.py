@@ -29,6 +29,7 @@ from bimod import (
 from helpers import (
     bidirected_cycle_graph,
     corpus,
+    descent_min_dimension,
     diag_expectation_m2,
     four_cycle_graph,
     random_bimodule,
@@ -272,36 +273,81 @@ def test_min_dimension_weighted_spaces():
     for n in (2, 3):
         T = random_posdef(n, np.random.default_rng(10 + n))
         X = from_hilbert_space(n, T)
-        res = min_dimension(X, budget=4000)
-        assert res.dim_hat == pytest.approx(n, abs=1e-3)
-        assert res.dim_hat >= 1.0 - 1e-6
+        res = min_dimension(X)
+        assert abs(res.dim_hat - n) <= 1e-10
+        assert res.certificate_residual <= 1e-10
 
 
 def test_min_dimension_imprimitivity():
     X = column_bimodule(3)
-    res = min_dimension(X, budget=2000)
-    assert res.dim_hat == pytest.approx(1.0, abs=1e-6)
+    res = min_dimension(X)
+    assert abs(res.dim_hat - 1.0) <= 1e-10
 
 
 def test_min_dimension_markov_inclusion():
     X, _, _ = from_expectation(diag_expectation_m2())
-    res = min_dimension(X, budget=4000)
-    assert res.dim_hat ** 2 == pytest.approx(2.0, abs=1e-3)
+    res = min_dimension(X)
+    assert abs(res.dim_hat ** 2 - 2.0) <= 1e-10
 
 
 def test_min_dimension_invariant_under_rescaling():
     X = from_hilbert_space(2, np.diag([1.0, 3.0]))
-    res1 = min_dimension(X, budget=3000)
+    res1 = min_dimension(X)
     X2 = rescale_left(X, np.diag([3.0, 1.0]))
-    res2 = min_dimension(X2, budget=3000)
-    assert abs(res1.dim_hat - res2.dim_hat) <= 2e-3
+    res2 = min_dimension(X2)
+    assert abs(res1.dim_hat - res2.dim_hat) <= 1e-12
+    for name, Y in corpus():
+        rng = np.random.default_rng(len(name))
+        comm = relative_commutant(Y)
+        H = Y.left_op_rep(np.einsum("m,mij->ij", rng.standard_normal(len(comm)), comm))
+        w, v = np.linalg.eigh(0.5 * (H + H.conj().T))
+        Q = Y.left_op_unrep((v * np.exp(0.5 * w)) @ v.conj().T)
+        assert abs(min_dimension(rescale_left(Y, Q)).dim_hat
+                   - min_dimension(Y).dim_hat) <= 1e-12, name
 
 
-def test_min_dimension_monotone_history():
-    X = from_hilbert_space(3, np.diag([1.0, 2.0, 5.0]))
-    res = min_dimension(X, budget=2500)
-    hist = np.array(res.history)
-    assert (np.diff(hist) <= 1e-12).all()
+_EXACT_MIN_DIM = {
+    "hilbert_diag12": 2.0, "hilbert_random3": 3.0, "column2": 1.0, "identity_M2": 1.0,
+    "identity_C2": 1.0, "graph_cycle4": 1.0, "graph_bidirected": 2.0,
+    "expectation_M2": np.sqrt(2.0), "expectation_2block": np.sqrt(2.0),
+    "random_11": 2.0, "random_21": 1.0, "random_112": np.sqrt(2.0),
+}
+
+# (A blocks, B blocks, Lambda, ||Lambda||_2)
+_MIN_DIM_SHAPES = [
+    ([1, 1], [1, 1], [[2, 1], [1, 1]], 2.6180339887498949),    # golden ratio squared
+    ([1, 1], [1, 1], [[1, 1], [1, 1]], 2.0),
+    ([1, 1], [1, 1], [[1, 0], [0, 2]], 2.0),
+    ([2, 1], [2, 1], [[1, 1], [2, 3]], 3.8643284505408246),    # ladder, d = 13
+    ([2, 1], [2, 1], [[2, 2], [2, 2]], 4.0),                   # ladder, d = 18
+]
+
+
+def _min_dim_cases(shapes=_MIN_DIM_SHAPES):
+    cases = [pytest.param(X, _EXACT_MIN_DIM[name], id=name) for name, X in corpus()]
+    for i, (a, b, m, exact) in enumerate(shapes):
+        X = random_bimodule(a, b, m, seed=80 + i)
+        tag = "_".join("".join(map(str, row)) for row in m)
+        cases.append(pytest.param(X, exact, id=f"lambda_{tag}"))
+    return cases
+
+
+@pytest.mark.parametrize("X, exact", _min_dim_cases())
+def test_min_dimension_is_spectral_norm_of_multiplicities(X, exact):
+    res = min_dimension(X)
+    assert abs(res.dim_hat - exact) <= 1e-10
+    assert res.certificate_residual <= 1e-10
+    # the rescaled module balances the two numerical indices at ||Lambda||_2
+    rep = right_index(rescale_left(X, res.Q_star))
+    assert abs(rep.r_num - exact) <= 1e-10 * exact
+    assert abs(rep.l_num - exact) <= 1e-10 * exact
+
+
+# without the ladder shapes, where the descent takes about a second each
+@pytest.mark.parametrize("X, exact", _min_dim_cases(_MIN_DIM_SHAPES[:3]))
+def test_descent_oracle_never_beats_the_closed_form(X, exact):
+    # every value the descent reaches is r_num * l_num at an actual rescaling
+    assert descent_min_dimension(X, budget=2000).dim_hat >= exact * (1 - 1e-9)
 
 
 # -- complete positivity characterization ----------------------------------------------

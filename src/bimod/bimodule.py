@@ -123,8 +123,9 @@ class HilbertBimodule:
     def rank_one(self, x, y) -> np.ndarray:
         """Matrix of z -> x (y|z)_B."""
         x, y = _coords(self, x), _coords(self, y)
-        b = np.einsum("p,pqab->qab", y.conj(), self.right_gram)
-        return np.einsum("qab,abij,j->iq", b, self.right_action, x)
+        xb = np.tensordot(self.right_action, x, axes=([3], [0]))      # [a, b, i] = (x.e_ab)_i
+        yz = np.tensordot(y.conj(), self.right_gram, axes=([0], [0]))  # [q, a, b] = (y|e_q)_B
+        return np.tensordot(xb, yz, axes=([0, 1], [1, 2]))
 
     def _need_left(self) -> None:
         if self.left_gram is None:
@@ -439,11 +440,11 @@ def _psd_half(mat: np.ndarray) -> np.ndarray:
 
 
 def frame_operator(X: HilbertBimodule, vectors) -> np.ndarray:
-    vecs = [_coords(X, v) for v in vectors]
-    S = np.zeros((X.dim, X.dim), dtype=complex)
-    for v in vecs:
-        S += X.rank_one(v, v)
-    return S
+    """sum_v theta^r_{v,v} in one contraction: with P = sum_v v v^*, the
+    matrices M_ab = P^T G_ab give S = sum_ab psi(e_ab) M_ab."""
+    vecs = np.array([_coords(X, v) for v in vectors]).reshape(-1, X.dim)
+    M = np.tensordot(vecs.T @ vecs.conj(), X.right_gram, axes=([1], [0]))  # [j, q, a, b]
+    return np.tensordot(X.right_action, M, axes=([0, 1, 3], [2, 3, 0]))
 
 
 def random_compact(X: HilbertBimodule, rng: np.random.Generator,
@@ -596,9 +597,16 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule,
     """Interior tensor product X (x)_B Y of an A-B and a B-C bimodule.
 
     The algebraic tensor basis e_p (x) f_u is reduced by the kernel of the
-    right Gram tensor (vectors of seminorm zero); the quotient isometry is
+    right Gram tensor (vectors of seminorm zero); the quotient isometry V is
     kept in ``meta["tensor"]`` for lifting vectors back to product
     coordinates.
+
+    The quotient is found first, from the D x D scalar trace form of the
+    right Gram (D = d_X d_Y), and the four structure tensors are then
+    contracted from the factors straight into its d_2 coordinates.  Cost:
+    one O(D^3) ``eigh`` of the trace form plus O(D^2 d_2) contractions; no
+    intermediate is larger than O(D d_2 N^2), N the largest algebra
+    representation, where the pre-quotient tensors would take D^2 N^2.
     """
     if X.B != Y.A:
         raise ContractError(
@@ -607,34 +615,53 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule,
     Y._need_left()
     dx, dy = X.dim, Y.dim
     D = dx * dy
-    # right Gram over C: (f_u | phi_Y((e_p|e_q)_B) f_v)_C
-    phiG = np.einsum("pqab,abwv->pqwv", X.right_gram, Y.left_action, optimize=True)
-    G = np.einsum("uwcd,pqwv->puqvcd", Y.right_gram, phiG, optimize=True)
-    G = G.reshape(D, D, Y.B.rep_dim, Y.B.rep_dim)
-    # left Gram over A: _A(e_p . _B(f_u|f_v) | e_q)
-    psiL = np.einsum("uvab,abrp->uvrp", Y.left_gram, X.right_action, optimize=True)
-    L = np.einsum("uvrp,rqcd->puqvcd", psiL, X.left_gram, optimize=True)
-    L = L.reshape(D, D, X.A.rep_dim, X.A.rep_dim)
-    PhiT = np.einsum("abij,uv->abiujv", X.left_action, np.eye(dy)).reshape(
-        X.A.rep_dim, X.A.rep_dim, D, D)
-    PsiT = np.einsum("ij,abuv->abiujv", np.eye(dx), Y.right_action).reshape(
-        Y.B.rep_dim, Y.B.rep_dim, D, D)
-
-    g = hermitian_part(np.einsum("pqaa->pq", G))
+    na, nc = X.A.rep_dim, Y.B.rep_dim
+    # phiG[p, q, w, v] = phi_Y((e_p|e_q)_B)[w, v]
+    phiG = np.tensordot(X.right_gram, Y.left_action, axes=([2, 3], [0, 1]))
+    # scalar trace form g[(p,u),(q,v)] = sum_c sum_w (f_u|f_w)_C[c,c] phiG[p,q,w,v],
+    # one diagonal entry c at a time, in increasing c, as the trace of the
+    # product Gram adds them: where the form is singular, eigh's column
+    # phases follow its last bits, and so do the quotient coordinates that
+    # solution files store
+    g = 0
+    for c in range(nc):
+        g = g + np.tensordot(Y.right_gram[:, :, c, c], phiG, axes=([1], [2]))
+    g = hermitian_part(g.transpose(1, 0, 2, 3).reshape(D, D))
     w, v = np.linalg.eigh(g)
+    del g
     keep = w > rank_tol * max(float(w.max()), 1e-300)
-    if keep.all():
-        V = np.eye(D, dtype=complex)
-    else:
-        V = v[:, keep]
+    V = np.eye(D, dtype=complex) if keep.all() else np.ascontiguousarray(v[:, keep])
+    del v
     d2 = V.shape[1]
-    G2 = np.einsum("Pi,Qj,PQab->ijab", V.conj(), V, G, optimize=True)
-    L2 = np.einsum("Pi,Qj,PQab->ijab", V, V.conj(), L, optimize=True)
-    Phi2 = np.einsum("Pi,abPQ,Qj->abij", V.conj(), PhiT, V, optimize=True)
-    Psi2 = np.einsum("Pi,abPQ,Qj->abij", V.conj(), PsiT, V, optimize=True)
-    Z = HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2,
-                        meta={"tensor": {"V": V, "dims": (dx, dy)}})
-    return Z
+    Vh = V.conj().T
+
+    # right Gram over C: (f_u | phi_Y((e_p|e_q)_B) f_v)_C, compressed by V
+    T = (phiG.transpose(0, 2, 1, 3).reshape(D, D) @ V).reshape(dx, dy, d2)  # [p, w, j]
+    del phiG
+    GY = Y.right_gram.transpose(0, 2, 3, 1).reshape(dy * nc * nc, dy)   # [(u,c,d), w]
+    S = np.matmul(GY, T).reshape(D, nc * nc * d2)                        # [(p,u), (c,d,j)]
+    del T
+    G2 = (Vh @ S).reshape(d2, nc, nc, d2).transpose(0, 3, 1, 2)
+    del S
+    # left Gram over A: _A(e_p . _B(f_u|f_v) | e_q), linear in the first leg
+    psiL = np.tensordot(Y.left_gram, X.right_action, axes=([2, 3], [0, 1]))  # [u, v, r, p]
+    T = psiL.transpose(1, 2, 3, 0).reshape(D, D) @ V                         # [(v,r), i]
+    del psiL
+    T = T.reshape(dy, dx, d2).transpose(0, 2, 1).reshape(dy * d2, dx)        # [(v,i), r]
+    LX = X.left_gram.transpose(1, 0, 2, 3).reshape(dx, dx, na * na)           # [q, r, (c,d)]
+    S = np.matmul(T, LX).reshape(D, d2 * na * na)                             # [(q,v), (i,c,d)]
+    del T
+    L2 = (Vh @ S).reshape(d2, d2, na, na).transpose(1, 0, 2, 3)
+    del S
+    # actions: phi_X(a) (x) 1 and 1 (x) psi_Y(c), compressed by V
+    PV = np.matmul(X.left_action.reshape(na * na, dx, dx), V.reshape(dx, dy * d2))
+    Phi2 = np.matmul(Vh, PV.reshape(na * na, D, d2)).reshape(na, na, d2, d2)
+    del PV
+    PV = np.matmul(Y.right_action.reshape(nc * nc, 1, dy, dy), V.reshape(dx, dy, d2))
+    Psi2 = np.matmul(Vh, PV.reshape(nc * nc, D, d2)).reshape(nc, nc, d2, d2)
+    return HilbertBimodule(X.A, Y.B, d2, np.ascontiguousarray(G2), Phi2, Psi2,
+                           np.ascontiguousarray(L2),
+                           meta={"tensor": {"V": V, "dims": (dx, dy)}})
 
 
 def tensor_lift(Z: HilbertBimodule, vec) -> np.ndarray:

@@ -4,7 +4,8 @@ Solutions of the conjugate equations are stored as vectors in the interior
 tensor products Y (x)_A X and X (x)_B Y (quotient coordinates); the equation
 maps are assembled by contracting the lifted coordinates against the factor
 Gram tensors.  The quotient coordinates themselves come from ``tensor``,
-which does materialize the full pre-quotient Gram of each product.
+which finds each product's quotient from its D x D scalar trace form and
+builds no pre-quotient Gram or action tensor.
 
 Convention: in the two equations the tensor product is applied before the
 composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).

@@ -22,7 +22,7 @@ from bimod import (
     tight_frame,
     trace_weighted_expectation,
 )
-from bimod.multimatrix import hermitian_part
+from bimod.multimatrix import RANK_TOL, ContractError, hermitian_part
 
 
 def random_posdef(n: int, rng: np.random.Generator, spread: float = 2.0) -> np.ndarray:
@@ -125,6 +125,53 @@ def kron_commutant(X: HilbertBimodule, left: bool = True) -> np.ndarray:
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     null_dim = int(np.sum(s <= 1e-9 * max(float(s.max()), scale)))
     return vh.conj()[len(s) - null_dim:].reshape(-1, X.dim, X.dim)
+
+
+# The pre-quotient body of ``bimod.tensor`` before it went quotient-first,
+# kept as a test-only oracle: it builds the four dense (D, D, N, N) and
+# (N, N, D, D) product tensors and compresses them by the kernel of the
+# scalar trace form of the dense right Gram.
+
+
+def dense_tensor(X: HilbertBimodule, Y: HilbertBimodule,
+                 rank_tol: float = RANK_TOL) -> HilbertBimodule:
+    """Reference interior tensor product X (x)_B Y through the dense
+    pre-quotient Gram and action tensors."""
+    if X.B != Y.A:
+        raise ContractError(
+            f"middle algebras differ: {X.B.blocks} vs {Y.A.blocks}")
+    X._need_left()
+    Y._need_left()
+    dx, dy = X.dim, Y.dim
+    D = dx * dy
+    # right Gram over C: (f_u | phi_Y((e_p|e_q)_B) f_v)_C
+    phiG = np.einsum("pqab,abwv->pqwv", X.right_gram, Y.left_action, optimize=True)
+    G = np.einsum("uwcd,pqwv->puqvcd", Y.right_gram, phiG, optimize=True)
+    G = G.reshape(D, D, Y.B.rep_dim, Y.B.rep_dim)
+    # left Gram over A: _A(e_p . _B(f_u|f_v) | e_q)
+    psiL = np.einsum("uvab,abrp->uvrp", Y.left_gram, X.right_action, optimize=True)
+    L = np.einsum("uvrp,rqcd->puqvcd", psiL, X.left_gram, optimize=True)
+    L = L.reshape(D, D, X.A.rep_dim, X.A.rep_dim)
+    PhiT = np.einsum("abij,uv->abiujv", X.left_action, np.eye(dy)).reshape(
+        X.A.rep_dim, X.A.rep_dim, D, D)
+    PsiT = np.einsum("ij,abuv->abiujv", np.eye(dx), Y.right_action).reshape(
+        Y.B.rep_dim, Y.B.rep_dim, D, D)
+
+    g = hermitian_part(np.einsum("pqaa->pq", G))
+    w, v = np.linalg.eigh(g)
+    keep = w > rank_tol * max(float(w.max()), 1e-300)
+    if keep.all():
+        V = np.eye(D, dtype=complex)
+    else:
+        V = v[:, keep]
+    d2 = V.shape[1]
+    G2 = np.einsum("Pi,Qj,PQab->ijab", V.conj(), V, G, optimize=True)
+    L2 = np.einsum("Pi,Qj,PQab->ijab", V, V.conj(), L, optimize=True)
+    Phi2 = np.einsum("Pi,abPQ,Qj->abij", V.conj(), PhiT, V, optimize=True)
+    Psi2 = np.einsum("Pi,abPQ,Qj->abij", V.conj(), PsiT, V, optimize=True)
+    Z = HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2,
+                        meta={"tensor": {"V": V, "dims": (dx, dy)}})
+    return Z
 
 
 # The multi-start descent that ``bimod.min_dimension`` used before it took

@@ -21,6 +21,7 @@ from bimod.bimodule import bimodule_map_residual
 
 from helpers import (
     corpus,
+    dense_tensor,
     four_cycle_graph,
     random_bimodule,
     random_bimodule_family,
@@ -146,6 +147,20 @@ def test_frame_norms_at_most_one():
             assert X.vector_norm(u) <= 1.0 + 1e-10, name
 
 
+def test_frame_operator_is_sum_of_rank_ones():
+    rng = np.random.default_rng(14)
+    for name, X in corpus():
+        x, y, z = rng.standard_normal((3, X.dim)) + 1j * rng.standard_normal((3, X.dim))
+        # theta_{x,y} z = x . (y|z)_B
+        direct = X.psi(X.right_inner(y, z)) @ x
+        assert np.abs(X.rank_one(x, y) @ z - direct).max() <= 1e-12 * np.abs(direct).max(), name
+        for m in (1, 3, X.dim + 2):
+            vs = rng.standard_normal((m, X.dim)) + 1j * rng.standard_normal((m, X.dim))
+            S = sum(X.rank_one(v, v) for v in vs)
+            err = np.abs(frame_operator(X, vs) - S).max()
+            assert err <= 1e-12 * max(np.abs(S).max(), 1.0), name
+
+
 def test_finite_sum_inequality_with_estimated_constant():
     # lambda' * ||sum theta|| <= ||sum _A(x_i|x_i)|| for the refined estimate
     from bimod import best_constants
@@ -246,6 +261,47 @@ def test_tensor_unit_object():
                 Wfull[:, p * IB.dim + q] = X.psi(units[q]) @ np.eye(X.dim)[p]
         W = Wfull @ Z.meta["tensor"]["V"]
         assert bimodule_map_residual(W, Z, X) < 1e-10, name
+
+
+# the d = 13 and d = 24 shapes of the conjugate round trip
+ROUNDTRIP_13 = ([2, 1, 1], [2, 1, 1], [[1, 1, 0], [1, 1, 1], [0, 1, 2]])
+ROUNDTRIP_24 = ([2, 1, 1], [2, 1, 1], [[2, 1, 1], [2, 1, 1], [1, 2, 2]])
+
+
+def test_tensor_matches_dense_oracle():
+    from bimod import build_conjugate, tensor_lift, tensor_push, verify_conjugate
+    mods = corpus() + [("roundtrip_13", random_bimodule(*ROUNDTRIP_13, seed=1))]
+    for name, X in mods:
+        Xbar = contragredient(X)
+        for a, b in ((X, Xbar), (Xbar, X)):
+            Z, Zd = tensor(a, b), dense_tensor(a, b)
+            assert Z.dim == Zd.dim, name
+            # quotient coordinates of Z -> those of the oracle
+            W = Zd.meta["tensor"]["V"].conj().T @ Z.meta["tensor"]["V"]
+            assert np.abs(W.conj().T @ W - np.eye(Z.dim)).max() <= 1e-10, name
+            assert bimodule_map_residual(W, Z, Zd) <= 1e-10, name
+        # a solution stored in the oracle's coordinates still verifies
+        sol = build_conjugate(X)
+        ZR, ZRbar = dense_tensor(Xbar, X), dense_tensor(X, Xbar)
+        R = tensor_push(ZR, tensor_lift(sol.ZR, sol.R))
+        Rbar = tensor_push(ZRbar, tensor_lift(sol.ZRbar, sol.Rbar))
+        assert verify_conjugate(X, Xbar, R, Rbar).passed, name
+
+
+def test_tensor_stays_below_dense_footprint():
+    import tracemalloc
+    X = random_bimodule(*ROUNDTRIP_24, seed=0)
+    Xbar = contragredient(X)
+    D = X.dim * Xbar.dim
+    dense = 16 * D * D * 2 * (Xbar.A.rep_dim ** 2 + X.B.rep_dim ** 2)
+    tracemalloc.start()
+    try:
+        Z = tensor(Xbar, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Z.dim < D
+    assert peak < 0.3 * dense, (peak, dense)
 
 
 def test_tensor_middle_algebra_mismatch():

@@ -323,6 +323,16 @@ def _gram_big(gram: np.ndarray) -> np.ndarray:
     return gram.transpose(0, 2, 1, 3).reshape(d * n, d * n)
 
 
+def _act_first(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """[p, q] = sum_r M[r, p] gram[r, q], as one matrix product."""
+    return (M.T @ gram.reshape(len(gram), -1)).reshape(gram.shape)
+
+
+def _act_second(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """[p, q] = sum_s M[s, q] gram[p, s], as one matrix product."""
+    return np.tensordot(gram, M, axes=([1], [0])).transpose(0, 3, 1, 2)
+
+
 def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     """Check every structural invariant; the report carries one line per check."""
     checks: list[CheckResult] = []
@@ -361,8 +371,8 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     add("left_action_unital", np.abs(X.phi(X.A.identity()) - np.eye(d)).max())
     adj_err = 0.0
     for u, trip in enumerate(triples):
-        lhs = np.einsum("rp,rqab->pqab", phis[u].conj(), G)
-        rhs = np.einsum("sq,psab->pqab", phis[adj_index[trip]], G)
+        lhs = _act_first(phis[u].conj(), G)
+        rhs = _act_second(phis[adj_index[trip]], G)
         adj_err = max(adj_err, float(np.abs(lhs - rhs).max()))
     add("left_action_adjointable", adj_err / scale)
 
@@ -377,12 +387,12 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     add("right_action_unital", np.abs(X.psi(X.B.identity()) - np.eye(d)).max())
     lin_err = 0.0
     for u in range(len(triples_B)):
-        lhs = np.einsum("sq,psab->pqab", psis[u], G)
-        rhs = np.einsum("pqac,cb->pqab", G, units_B[u])
+        lhs = _act_second(psis[u], G)
+        rhs = G @ units_B[u]
         lin_err = max(lin_err, float(np.abs(lhs - rhs).max()))
     add("right_gram_B_linear", lin_err / scale)
 
-    comm = np.einsum("uij,vjk->uvik", phis, psis) - np.einsum("vij,ujk->uvik", psis, phis)
+    comm = phis[:, None] @ psis[None] - psis[None] @ phis[:, None]
     add("actions_commute", np.abs(comm).max() / pscale)
 
     if X.left_gram is not None:
@@ -398,14 +408,14 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
             passed=float(glw.min()) > RANK_TOL * max(float(glw.max()), 1e-300))
         alin_err = 0.0
         for u in range(len(triples)):
-            lhs = np.einsum("rp,rqab->pqab", phis[u], L)
-            rhs = np.einsum("ac,pqcb->pqab", units_A[u], L)
+            lhs = _act_first(phis[u], L)
+            rhs = units_A[u] @ L
             alin_err = max(alin_err, float(np.abs(lhs - rhs).max()))
         add("left_gram_A_linear", alin_err / lscale)
         radj_err = 0.0
         for u, trip in enumerate(triples_B):
-            lhs = np.einsum("rp,rqab->pqab", psis[u], L)
-            rhs = np.einsum("sq,psab->pqab", psis[triples_B.index((trip[0], trip[2], trip[1]))].conj(), L)
+            lhs = _act_first(psis[u], L)
+            rhs = _act_second(psis[triples_B.index((trip[0], trip[2], trip[1]))].conj(), L)
             radj_err = max(radj_err, float(np.abs(lhs - rhs).max()))
         add("right_action_left_adjointable", radj_err / lscale)
 

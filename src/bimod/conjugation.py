@@ -46,7 +46,7 @@ from .index import (
     _multiplier_certificate,
     _operator_cp_map,
     extend_left_inner,
-    relative_commutant_of_right_action,
+    module_operator_algebra,
     right_index,
 )
 
@@ -380,23 +380,20 @@ def cp_characterization(X: HilbertBimodule, delta: float = 1e-3,
 
     Checks the Choi blocks at c = l-ind and certifies minimality by scaling
     each central coefficient in the support down by ``delta`` and requiring
-    the Choi matrix to leave the positive cone.
+    the Choi matrix to leave the positive cone.  ``seed`` is ignored; kept
+    for API stability.
     """
     X._need_left()
     F = extend_left_inner(X)
     rep = right_index(X)
-    d = X.dim
-    zero = np.zeros((d, d), dtype=complex)
-    # one recognition of L(X_B) gives the unit images of phi.F and of the
-    # identity, as the two summands of T -> phi(F(T)) (+) T (op_rep picture)
-    both = _operator_cp_map(
-        X, lambda T: np.block([[X.op_rep(X.phi(F.apply(T))), zero],
-                               [zero, X.op_rep(T)]]), seed)
+    # in the op_rep picture the identity's unit images are the units themselves
+    alg = module_operator_algebra(X)
+    phi_F = _operator_cp_map(X, lambda T: X.op_rep(X.phi(F.apply(T))), alg=alg)
 
     def choi_min(c: AlgebraElement) -> float:
         psi_hat = X.op_rep(X.psi(c))
-        return CPMap(both.source, [psi_hat @ img[:, :, :d, :d] - img[:, :, d:, d:]
-                                   for img in both.unit_images]).choi_min_eig()
+        return CPMap(alg.algebra, [psi_hat @ img - u for img, u in
+                                   zip(phi_F.unit_images, alg.units)]).choi_min_eig()
 
     scale = 1.0 + rep.l_num
     mn, perturbed, certified = _multiplier_certificate(choi_min, rep.l_ind, scale,
@@ -442,11 +439,12 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     # fullness of the right inner product
     span = X.right_gram.reshape(d * d, -1)
     right_full = int(np.linalg.matrix_rank(span, tol=1e-9)) == X.B.linear_dim
-    # phi(A) = K(X_B): compare dimensions of phi(A) and of the commutant of psi(B)
+    # phi(A) = K(X_B): compare dim phi(A) with dim L(X_B) = sum M_l^2, the M_l
+    # the multiplicities of the right action
     phis = np.array([X.phi(u) for u in X.A.units_embedded()])
-    kx = relative_commutant_of_right_action(X)
+    dim_kx = int(np.sum(np.square(_multiplicities([(X.B, X.right_action)], d))))
     dim_phi = int(np.linalg.matrix_rank(phis.reshape(len(phis), -1), tol=1e-9))
-    surjective = dim_phi == len(kx)
+    surjective = dim_phi == dim_kx
 
     candidate_valid = False
     res_r = res_l = np.inf

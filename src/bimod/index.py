@@ -16,8 +16,9 @@ unit image.
 At finite dimension the compacts K(X_B) coincide with all adjointable
 B-linear maps, so the extension map serves simultaneously as the norm and
 strict extensions; maps are checked for complete positivity through Choi
-blocks over an explicitly recognized matrix-unit decomposition of their
-source algebra.
+blocks over matrix units of their source algebra.  For L(X_B) those units
+are read off the right action itself (X_B = (+)_l C^{M_l} (x) C^{n_l}), with
+no seed and no search; see ``module_operator_algebra``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .multimatrix import (
     MultiMatrixAlgebra,
     StarAlgebraDecomposition,
     StructureError,
-    decompose_star_algebra,
     hermitian_part,
     inverse_on_support,
     support_projection,
@@ -142,15 +142,61 @@ def relative_commutant_of_right_action(X: HilbertBimodule) -> np.ndarray:
     return commutant_of([(X.B, X.right_action)], X.dim)
 
 
-def module_operator_algebra(X: HilbertBimodule, seed: int = 7) -> StarAlgebraDecomposition:
-    """L(X_B) = K(X_B) presented as a multimatrix algebra.
+_UNIT_TOL = 1e-8
 
-    The recognition happens in the standard-involution picture obtained by
-    conjugating with the square root of the scalar Gram form; returned units
-    live in that picture (use ``X.op_rep`` / ``X.op_unrep`` to translate).
+
+def module_operator_algebra(X: HilbertBimodule, seed: int = 7) -> StarAlgebraDecomposition:
+    """L(X_B) = K(X_B) presented as a multimatrix algebra, with matrix units
+    read off the right action (``seed`` is ignored; kept for API stability).
+
+    The units live in the standard-involution picture obtained by
+    conjugating with the square root of the scalar Gram form (use
+    ``X.op_rep`` / ``X.op_unrep`` to translate).  There psi_hat = op_rep.psi
+    is a *-anti-representation, and X_B = (+)_l C^{M_l} (x) C^{n_l} with n_l
+    the size of block l of B.  With E_l = psi_hat(e^l_11), W_l an
+    orthonormal basis of its range and J_s = psi_hat(e^l_1s), block l of
+    L(X_B) is M_{M_l} with multiplicity n_l and units
+    u_l(i, j) = sum_s (J_s W_l)_i (J_s W_l)_j^*.
+
+    Three checks raise StructureError: rank E_l must equal the multiplicity
+    M_l read from the traces (``_multiplicities``); the columns (J_s W_l)_i
+    of all blocks must form a unitary Q, which is the full set of unit
+    relations u_ij u_ka = delta_jk u_ia and sum u_ii = 1; and in the basis Q
+    every psi_hat(e^l_rs) must act as 1_{M_l} (x) e_sr on block l, so that it
+    commutes with every unit e_ij (x) 1_{n_l}.  Since sum M_l^2 is the
+    dimension of the commutant of psi(B), the units then span all of L(X_B).
     """
-    hat = np.array([X.op_rep(b) for b in relative_commutant_of_right_action(X)])
-    return decompose_star_algebra(hat, seed=seed)
+    d = X.dim
+    lam = _multiplicities([(X.B, X.right_action)], d)
+    hats, cols = [], []
+    for l, L in enumerate(_unit_image_blocks(X.B, X.right_action)):
+        J = X.op_rep(L)                                   # psi_hat(e^l_rs), (n, n, d, d)
+        w, v = np.linalg.eigh(hermitian_part(J[0, 0]))
+        W = v[:, w > 0.5]
+        if W.shape[1] != lam[l]:
+            raise StructureError(f"psi(e^{l}_11) has rank {W.shape[1]}, "
+                                 f"the multiplicity is {lam[l]}")
+        hats.append(J)
+        cols.append((J[0] @ W).transpose(1, 2, 0))        # [:, i, s] = (J_s W)_i
+    Q = np.concatenate([K.reshape(d, -1) for K in cols], axis=1)
+    res = float(np.abs(Q.conj().T @ Q - np.eye(d)).max())
+    start = 0
+    for J, K in zip(hats, cols):
+        # psi_hat(e_rs) (J_t W)_i = delta_rt (J_s W)_i; zero on the other blocks
+        expected = np.zeros(J.shape, dtype=complex)
+        n, width = len(J), K.shape[1] * K.shape[2]
+        expected[:, :, :, start:start + width] = np.einsum(
+            "rt,ais->rsait", np.eye(n), K).reshape(n, n, d, width)
+        res = max(res, float(np.abs(J @ Q - expected).max()))
+        start += width
+    if res > _UNIT_TOL:
+        raise StructureError(f"matrix units of L(X_B) fail their relations or do not "
+                             f"commute with the right action (residual {res:.3g})")
+    keep = [l for l in range(X.B.num_blocks) if lam[l] > 0]
+    units = [np.tensordot(cols[l], cols[l].conj(), axes=([2], [2])).transpose(1, 3, 0, 2)
+             for l in keep]
+    return StarAlgebraDecomposition(MultiMatrixAlgebra([int(lam[l]) for l in keep]), units,
+                                    [X.B.blocks[l] for l in keep], d)
 
 
 # -- completely positive maps ---------------------------------------------------
@@ -205,11 +251,12 @@ class CPMap:
         return mn >= -tol * (1.0 + scale), mn
 
 
-def _operator_cp_map(X: HilbertBimodule, f, seed: int,
-                     target: MultiMatrixAlgebra | None = None) -> CPMap:
-    """The map u -> f(op_unrep(u)) on the units u of the recognized algebra
-    L(X_B); ``f`` takes an operator on X in coordinates to its image."""
-    alg = module_operator_algebra(X, seed=seed)
+def _operator_cp_map(X: HilbertBimodule, f, target: MultiMatrixAlgebra | None = None,
+                     alg: StarAlgebraDecomposition | None = None) -> CPMap:
+    """The map u -> f(op_unrep(u)) on the units u of L(X_B) (``alg``, built
+    from the right action when not given); ``f`` takes an operator on X in
+    coordinates to its image."""
+    alg = alg if alg is not None else module_operator_algebra(X)
     images = [np.array([[f(X.op_unrep(u)) for u in row] for row in blk])
               for blk in alg.units]
     return CPMap(alg.algebra, images, target=target)
@@ -246,9 +293,8 @@ class LeftInnerExtension:
     """The positive A-bilinear extension of the left inner product to K(X_B):
     T -> sum_i _A(T u_i | u_i) over a normalized tight frame {u_i}.
 
-    The value is frame independent; ``as_cp_map`` presents the map on an
-    explicit matrix-unit decomposition of L(X_B) for Choi-based positivity
-    checks.
+    The value is frame independent; ``as_cp_map`` presents the map on the
+    matrix units of L(X_B) for Choi-based positivity checks.
     """
 
     def __init__(self, X: HilbertBimodule, frame: FrameSet | None = None):
@@ -272,8 +318,9 @@ class LeftInnerExtension:
         return self.apply(np.eye(self.bimodule.dim))
 
     def as_cp_map(self, seed: int = 7) -> CPMap:
-        return _operator_cp_map(self.bimodule, self.apply_matrix, seed,
-                                target=self.bimodule.A)
+        """The map on the matrix units of L(X_B) (``seed`` is ignored; kept
+        for API stability)."""
+        return _operator_cp_map(self.bimodule, self.apply_matrix, target=self.bimodule.A)
 
 
 def extend_left_inner(X: HilbertBimodule, frame: FrameSet | None = None) -> LeftInnerExtension:
@@ -458,9 +505,10 @@ class BasicConstruction:
         return self.bimodule.phi(self.expectation(T))
 
     def as_cp_map(self, seed: int = 7) -> CPMap:
-        """phi.E as a map on the recognized operator algebra L(X_B)."""
+        """phi.E as a map on the matrix units of L(X_B) (``seed`` is ignored;
+        kept for API stability)."""
         X = self.bimodule
-        return _operator_cp_map(X, lambda T: X.op_rep(self.phi_expectation(T)), seed)
+        return _operator_cp_map(X, lambda T: X.op_rep(self.phi_expectation(T)))
 
 
 def basic_construction(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> BasicConstruction:

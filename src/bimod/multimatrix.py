@@ -5,9 +5,12 @@ matrix per block.  Everything spectral (norms, positivity, functional
 calculus) goes through numpy's Hermitian eigensolver after an explicit
 Hermitianization gate, so results are reliable to ~1e-12 relative.
 
-The module also contains the structure-recognition routine used elsewhere to
-present a concrete *-closed matrix algebra (an operator algebra, a commutant)
-as an abstract multimatrix algebra with explicit matrix units.
+The module also contains a generic, seeded structure-recognition routine,
+``decompose_star_algebra``, that presents any concrete *-closed matrix
+algebra as an abstract multimatrix algebra with explicit matrix units.  No
+library path calls it: L(X_B) takes its units from the right action
+(``index.module_operator_algebra``).  It stays as public API and serves the
+test suite as an independent oracle.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from bimod import (
     tight_frame,
     validate,
 )
-from bimod.bimodule import bimodule_map_residual
+from bimod.bimodule import _act_first, _act_second, bimodule_map_residual
 
 from helpers import (
     corpus,
@@ -40,6 +40,16 @@ def test_validate_corpus():
     for name, X in corpus():
         rep = validate(X)
         assert rep.passed, f"{name}: {[(c.name, c.residual) for c in rep.failures()]}"
+
+
+def test_gram_actions_match_einsum_reference():
+    # validate's adjointability and linearity checks contract one operator
+    # into a Gram index; the einsum forms are the reference
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    G = rng.standard_normal((5, 5, 3, 3)) + 1j * rng.standard_normal((5, 5, 3, 3))
+    assert np.abs(_act_first(M, G) - np.einsum("rp,rqab->pqab", M, G)).max() <= 1e-13
+    assert np.abs(_act_second(M, G) - np.einsum("sq,psab->pqab", M, G)).max() <= 1e-13
 
 
 def test_validate_flags_non_hermitian_gram():

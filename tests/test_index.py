@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from bimod import (
+    HilbertBimodule,
     MultiMatrixAlgebra,
     basic_construction,
     best_constants,
     column_bimodule,
     contragredient,
+    cp_characterization,
+    decompose_star_algebra,
     expectation_cp_gap,
     extend_left_inner,
     fiber_decomposition,
@@ -21,8 +26,10 @@ from bimod import (
     right_index,
     tight_frame,
 )
-from bimod.index import commutant_of, relative_commutant_of_right_action
+from bimod.cli import CommandRequest, run
+from bimod.index import _operator_cp_map, commutant_of, relative_commutant_of_right_action
 from bimod.multimatrix import StructureError, random_element
+from bimod.serde import encode_bimodule
 
 from helpers import (
     _RANDOM_SHAPES,
@@ -391,21 +398,77 @@ def test_commutant_rejects_broken_homomorphism(tamper):
         commutant_of([(X.A, act), (X.B, X.right_action)], X.dim)
 
 
-# -- operator algebra recognition and trichotomy ----------------------------------------
+# -- the matrix units of L(X_B) and trichotomy -------------------------------------
 
 
-def test_module_operator_algebra_shapes():
-    X = from_hilbert_space(3, np.diag([1.0, 2.0, 3.0]))
+def _choi_min(cp):
+    scale = max(float(np.abs(c).max()) for c in cp.choi_blocks())
+    return cp.choi_min_eig(), scale
+
+
+# a B block acting with multiplicity zero has no block of L(X_B)
+_ZERO_BLOCK = pytest.param(random_bimodule([2, 1], [1, 2], [[1, 0], [2, 0]], seed=3),
+                           id="zero_block")
+
+
+@pytest.mark.parametrize("X", _commutant_cases() + [_ZERO_BLOCK])
+def test_module_operator_algebra_matches_recognizer(X):
     dec = module_operator_algebra(X)
-    assert dec.algebra.blocks == (3,)
-    X2, _, _ = from_expectation(diag_expectation_m2())
-    dec2 = module_operator_algebra(X2)
-    assert sum(k * k for k in dec2.algebra.blocks) == len(relative_commutant_of(X2))
+    hat = np.array([X.op_rep(b) for b in relative_commutant_of_right_action(X)])
+    ref = decompose_star_algebra(hat)
+    assert sorted(zip(dec.algebra.blocks, dec.multiplicities)) == \
+        sorted(zip(ref.algebra.blocks, ref.multiplicities))
+    assert dec.carrier_dim == X.dim
+    assert sum(k * k for k in dec.algebra.blocks) == len(hat)
+    # the units are orthogonal with squared HS norm n_l, so they rescale to an
+    # orthonormal stack spanning L(X_B)
+    flat = np.concatenate([u.reshape(-1, X.dim, X.dim) / np.sqrt(n)
+                           for u, n in zip(dec.units, dec.multiplicities)])
+    basis = np.linalg.svd(hat.reshape(len(hat), -1), full_matrices=False)[2]
+    assert span_distance(flat, basis) <= 1e-10
+    for u in dec.units:         # u_ij u_ja = u_ia for every j
+        assert np.abs(np.einsum("ijab,jkbc->ijkac", u, u) - u[:, None]).max() <= 1e-12
+    if not X.is_bihilbertian:
+        return
+    F = extend_left_inner(X)
+    bco = basic_construction(X)
+    phi_E = lambda T: X.op_rep(bco.phi_expectation(T))
+    for f, target in ((F.apply_matrix, X.A), (phi_E, None)):
+        mn, scale = _choi_min(_operator_cp_map(X, f, target=target))
+        mn_ref, _ = _choi_min(_operator_cp_map(X, f, target=target, alg=ref))
+        assert abs(mn - mn_ref) <= 1e-12 * (1 + scale)
 
 
-def relative_commutant_of(X):
-    from bimod.conjugation import relative_commutant_of_right_action
-    return relative_commutant_of_right_action(X)
+def test_no_command_path_reaches_the_recognizer(monkeypatch, tmp_path):
+    def boom(*args, **kwargs):
+        raise AssertionError("decompose_star_algebra reached")
+
+    for target in ("bimod.decompose_star_algebra", "bimod.multimatrix.decompose_star_algebra",
+                   "bimod.index.decompose_star_algebra"):
+        monkeypatch.setattr(target, boom, raising=False)
+    for name, X in corpus():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(encode_bimodule(X)))
+        for command in ("basic", "morita", "fibers", "index"):
+            status, report = run(CommandRequest(command=command, inputs=[str(path)]))
+            # a patched recognizer would surface as an internal error (status 3);
+            # `basic` on expectation_2block exits 1 from the sampled lambda'
+            assert status in (0, 1) and "error" not in report, (name, command, report)
+        cp_characterization(X)
+
+
+@pytest.mark.parametrize("tamper", ["scaled_e11", "trace_preserving"])
+def test_module_operator_algebra_rejects_tampered_right_action(tamper):
+    X = random_bimodule([2, 1], [2, 1], [[1, 1], [2, 3]], seed=4)
+    act = X.right_action.copy()
+    act[0, 0] *= 1.5          # psi(e^0_11) is no longer a projection
+    match = None
+    if tamper == "trace_preserving":
+        act[1, 1] *= 0.5      # the multiplicities still read as integers
+        match = "matrix units"
+    Y = HilbertBimodule(X.A, X.B, X.dim, X.right_gram, X.left_action, act, X.left_gram)
+    with pytest.raises(StructureError, match=match):
+        module_operator_algebra(Y)
 
 
 def test_invertibility_trichotomy_on_corpus():

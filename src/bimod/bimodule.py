@@ -84,9 +84,9 @@ class HilbertBimodule:
         return self.left_gram is not None
 
     def phi(self, a) -> np.ndarray:
-        """Matrix of the left action of a (AlgebraElement or embedded)."""
+        """Matrix of the left action of a (AlgebraElement, or embedded; may be a stack)."""
         a_emb = a.embed() if isinstance(a, AlgebraElement) else np.asarray(a, dtype=complex)
-        return np.einsum("ab,abij->ij", a_emb, self.left_action)
+        return np.tensordot(a_emb, self.left_action, axes=([-2, -1], [0, 1]))
 
     def psi(self, b) -> np.ndarray:
         """Matrix of the right action x -> x.b."""

@@ -9,7 +9,7 @@ Grammar::
 Exit status: 0 when every computed check passed, 1 when a computation ran but
 an invariant failed, 2 on input errors, 3 on an internal error (a fault of
 the toolkit, reported rather than raised).  Reports are single JSON
-documents with schema tag "bimod-report/2"; the wall-time field is the only
+documents with schema tag "bimod-report/3"; the wall-time field is the only
 nondeterministic entry for fixed inputs and seed.  ``--budget`` is accepted
 and ignored: it bounded the minimal-dimension search, which is now a closed
 form.
@@ -50,7 +50,7 @@ from .constructors import (
 from . import serde
 from .serde import ParseError
 
-SCHEMA = "bimod-report/2"
+SCHEMA = "bimod-report/3"
 COMMANDS = ("validate", "index", "conjugate", "verify", "mindim", "basic",
             "fibers", "morita", "tensor", "graph", "expectation", "hilbert")
 
@@ -142,14 +142,11 @@ def _cmd_index(req: CommandRequest):
     results = rep.as_dict()
     results["centrality_residual"] = central
     results["index_product"] = rep.r_num * rep.l_num
-    # recorded, not asserted: slack of r-ind >= lambda' on the support; the
-    # estimated constant sits above the best one, so a small negative value
-    # here is sampling slack rather than a failure
-    slack = []
-    for k in range(X.A.num_blocks):
-        c_k = float(np.real(np.trace(rep.r_ind.blocks[k])) / X.A.blocks[k])
-        if c_k > 1e-9 * max(rep.r_num, 1e-300):
-            slack.append(c_k - rep.lambda_prime_hat)
+    # recorded, not asserted: slack of r-ind >= lambda' on the support,
+    # measured from the attained lambda', the upper end of its bracket
+    c = [float(np.real(np.trace(b)) / len(b)) for b in rep.r_ind.blocks]
+    slack = [c_k - rep.constants.lambda_prime_hat for c_k in c
+             if c_k > 1e-9 * max(rep.r_num, 1e-300)]
     results["support_bound_slack"] = min(slack) if slack else None
     return passed, results
 
@@ -197,7 +194,8 @@ def _cmd_basic(req: CommandRequest):
     X = _as_bimodule(kind, parsed)
     bco = basic_construction(X)
     rng = np.random.default_rng(req.seed)
-    lam = 1.0 / best_constants(X, seed=req.seed, samples=4000).lambda_prime_hat
+    bc = best_constants(X, seed=req.seed)
+    lam = 1.0 / bc.lambda_prime_hat
     idem = cond = 0.0
     pp_min = np.inf
     from .bimodule import random_compact_positive
@@ -217,7 +215,8 @@ def _cmd_basic(req: CommandRequest):
               and cp_ok and pp_min >= -1e-8 * scale)
     return passed, {"idempotency_residual": idem, "conditional_residual": cond,
                     "choi_min": choi_min, "completely_positive": cp_ok,
-                    "pp_inequality_min_eig": pp_min, "lambda_used": lam}
+                    "pp_inequality_min_eig": pp_min, "lambda_used": lam,
+                    "constants_exact": bc.exact}
 
 
 def _cmd_fibers(req: CommandRequest):
@@ -302,15 +301,14 @@ def _cmd_hilbert(req: CommandRequest):
     idx = right_index(X)
     tr, tri = float(np.real(np.trace(T))), float(np.real(np.trace(np.linalg.inv(T))))
     eigs = np.linalg.eigvalsh(T)
-    bc = best_constants(X, seed=req.seed, samples=4000)
+    bc = best_constants(X, seed=req.seed)
     passed = (abs(idx.r_num - tr) <= 1e-9 * (1 + tr)
               and abs(idx.l_num - tri) <= 1e-9 * (1 + tri)
-              and abs(bc.lambda_prime_hat - eigs.min()) <= 1e-6 * (1 + eigs.min())
-              and abs(bc.lambda_hat - eigs.max()) <= 1e-6 * (1 + eigs.max()))
+              and abs(bc.lambda_prime_hat - eigs.min()) <= 1e-10 * (1 + eigs.min())
+              and abs(bc.lambda_hat - eigs.max()) <= 1e-10 * (1 + eigs.max())
+              and bc.exact)
     return passed, {"r_num": idx.r_num, "l_num": idx.l_num,
-                    "trace": tr, "inverse_trace": tri,
-                    "lambda_hat": bc.lambda_hat,
-                    "lambda_prime_hat": bc.lambda_prime_hat}
+                    "trace": tr, "inverse_trace": tri, **bc.as_dict()}
 
 
 _HANDLERS = {"validate": _cmd_validate, "index": _cmd_index,

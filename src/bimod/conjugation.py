@@ -388,7 +388,7 @@ def cp_characterization(X: HilbertBimodule, delta: float = 1e-3,
     rep = right_index(X)
     # in the op_rep picture the identity's unit images are the units themselves
     alg = module_operator_algebra(X)
-    phi_F = _operator_cp_map(X, lambda T: X.op_rep(X.phi(F.apply(T))), alg=alg)
+    phi_F = _operator_cp_map(X, lambda T: X.op_rep(X.phi(F.apply_matrix(T))), alg=alg)
 
     def choi_min(c: AlgebraElement) -> float:
         psi_hat = X.op_rep(X.psi(c))
@@ -449,21 +449,14 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     candidate_valid = False
     res_r = res_l = np.inf
     if surjective:
-        flat = phis.reshape(len(phis), -1)
-        L = np.zeros((d, d, X.A.rep_dim, X.A.rep_dim), dtype=complex)
-        units = X.A.units_embedded()
-        ok = True
-        for p in range(d):
-            for q in range(d):
-                theta = X.rank_one(np.eye(d)[p], np.eye(d)[q]).reshape(-1)
-                coeff, *_ = np.linalg.lstsq(flat.T, theta, rcond=None)
-                if np.abs(flat.T @ coeff - theta).max() > 1e-8:
-                    ok = False
-                    break
-                L[p, q] = np.einsum("u,uab->ab", coeff, units)
-            if not ok:
-                break
-        if ok:
+        flat = phis.reshape(len(phis), -1).T
+        # column (p, q) is theta_{e_p,e_q}[i, r] = sum_ab psi(e_ab)[i, p] (e_q|e_r)_B[a, b]
+        thetas = np.tensordot(X.right_action, X.right_gram, axes=([0, 1], [2, 3]))
+        thetas = thetas.transpose(0, 3, 1, 2).reshape(d * d, d * d)
+        coeff, *_ = np.linalg.lstsq(flat, thetas, rcond=None)
+        if np.abs(flat @ coeff - thetas).max() <= 1e-8:
+            L = np.tensordot(coeff, X.A.units_embedded(), axes=([0], [0])).reshape(
+                d, d, X.A.rep_dim, X.A.rep_dim)
             cand = X.with_left_gram(L)
             rep_v = validate(cand, tol=1e-7)
             if rep_v.passed:

@@ -18,12 +18,13 @@ B-linear maps, so the extension map serves simultaneously as the norm and
 strict extensions; maps are checked for complete positivity through Choi
 blocks over matrix units of their source algebra.  For L(X_B) those units
 are read off the right action itself (X_B = (+)_l C^{M_l} (x) C^{n_l}), with
-no seed and no search; see ``module_operator_algebra``.
+no seed and no search; see ``module_operator_algebra``.  The best constants
+are bracketed on the same units (``best_constants``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -254,12 +255,13 @@ class CPMap:
 def _operator_cp_map(X: HilbertBimodule, f, target: MultiMatrixAlgebra | None = None,
                      alg: StarAlgebraDecomposition | None = None) -> CPMap:
     """The map u -> f(op_unrep(u)) on the units u of L(X_B) (``alg``, built
-    from the right action when not given); ``f`` takes an operator on X in
-    coordinates to its image."""
+    from the right action when not given); ``f`` maps a stack (s, d, d) of
+    operators on X in coordinates to their images, once for all units."""
     alg = alg if alg is not None else module_operator_algebra(X)
-    images = [np.array([[f(X.op_unrep(u)) for u in row] for row in blk])
-              for blk in alg.units]
-    return CPMap(alg.algebra, images, target=target)
+    units = np.concatenate([u.reshape(-1, X.dim, X.dim) for u in alg.units])
+    images = np.split(f(X.op_unrep(units)), np.cumsum([len(u) ** 2 for u in alg.units])[:-1])
+    return CPMap(alg.algebra, [img.reshape(u.shape[:2] + img.shape[1:])
+                               for img, u in zip(images, alg.units)], target=target)
 
 
 def _multiplier_certificate(choi_min, c: AlgebraElement, scale: float, delta: float,
@@ -306,9 +308,9 @@ class LeftInnerExtension:
         self._pair = np.einsum("mq,pqab->mpab", U.conj(), X.left_gram)
 
     def apply_matrix(self, T: np.ndarray) -> np.ndarray:
-        """F(T), embedded in M_{N_A}."""
-        TU = self.frame.coords @ np.asarray(T, dtype=complex).T
-        return np.einsum("mp,mpab->ab", TU, self._pair)
+        """F(T), embedded in M_{N_A}; T may be a stack (s, d, d)."""
+        TU = self.frame.coords @ np.swapaxes(np.asarray(T, dtype=complex), -1, -2)
+        return np.tensordot(TU, self._pair, axes=([-2, -1], [0, 1]))
 
     def apply(self, T: np.ndarray) -> AlgebraElement:
         return self.bimodule.A.from_embedded(self.apply_matrix(T))
@@ -340,17 +342,15 @@ class IndexReport:
     p: AlgebraElement
     q: AlgebraElement
     ind_x: ModuleOperator
-    lambda_hat: float | None = None
-    lambda_prime_hat: float | None = None
+    constants: BestConstants | None = None
 
     def as_dict(self) -> dict:
         from .serde import encode_element
         out = {"r_num": self.r_num, "l_num": self.l_num,
                "r_ind": encode_element(self.r_ind), "l_ind": encode_element(self.l_ind),
                "p": encode_element(self.p), "q": encode_element(self.q)}
-        if self.lambda_hat is not None:
-            out["lambda_hat"] = self.lambda_hat
-            out["lambda_prime_hat"] = self.lambda_prime_hat
+        if self.constants is not None:
+            out.update(self.constants.as_dict())
         return out
 
 
@@ -387,101 +387,105 @@ def index_element(X: HilbertBimodule) -> ModuleOperator:
 
 @dataclass
 class BestConstants:
-    lambda_hat: float          # refined estimate of sup ||_A(x|x)|| / ||(x|x)_B||
-    lambda_prime_hat: float    # refined estimate of inf of the same ratio
-    lambda_sampled: float      # certified lower bound for the sup (an evaluated ratio)
-    lambda_prime_sampled: float  # certified upper bound for the inf
+    """lambda = sup ||_A(x|x)|| / ||(x|x)_B|| and lambda', the infimum, as
+    brackets: the ``_hat`` ends are ratios attained by explicit vectors."""
+
+    lambda_hat: float            # lambda_hat <= lambda <= lambda_upper
+    lambda_prime_hat: float      # lambda_prime_lower <= lambda' <= lambda_prime_hat
+    lambda_upper: float
+    lambda_prime_lower: float
+
+    @property
+    def exact(self) -> bool:
+        """Both brackets closed to 1e-12 relative."""
+        hi, lo = self.lambda_upper, self.lambda_prime_lower
+        return hi - self.lambda_hat <= 1e-12 * hi and self.lambda_prime_hat - lo <= 1e-12 * lo
 
     def as_tuple(self) -> tuple[float, float]:
         return self.lambda_hat, self.lambda_prime_hat
 
-
-def _ratio_paths(X: HilbertBimodule, vecs: np.ndarray) -> tuple[list, list]:
-    """Contraction paths of the two Gram contractions of
-    :func:`_norm_ratio_batch` for a stack of this shape."""
-    return (np.einsum_path("sp,sq,pqab->sab", vecs, vecs, X.left_gram, optimize=True)[0],
-            np.einsum_path("sp,sq,pqab->sab", vecs, vecs, X.right_gram, optimize=True)[0])
+    def as_dict(self) -> dict:
+        return {**asdict(self), "constants_exact": self.exact}
 
 
-def _norm_ratio_batch(X: HilbertBimodule, vecs: np.ndarray,
-                      paths: tuple[list, list] | None = None) -> np.ndarray:
-    """||_A(x|x)|| / ||(x|x)_B|| for each row x of ``vecs``; ``paths`` from
-    :func:`_ratio_paths` skips re-planning the contractions on every call."""
-    left, right = paths if paths is not None else (True, True)
-    num = np.einsum("sp,sq,pqab->sab", vecs, vecs.conj(), X.left_gram, optimize=left)
-    den = np.einsum("sp,sq,pqab->sab", vecs.conj(), vecs, X.right_gram, optimize=right)
+def _norm_ratio_batch(X: HilbertBimodule, vecs: np.ndarray) -> np.ndarray:
+    """||_A(x|x)|| / ||(x|x)_B|| for each row x of ``vecs``."""
+    num = np.einsum("sp,sq,pqab->sab", vecs, vecs.conj(), X.left_gram, optimize=True)
+    den = np.einsum("sp,sq,pqab->sab", vecs.conj(), vecs, X.right_gram, optimize=True)
     top = np.linalg.eigvalsh(0.5 * (num + np.conj(np.swapaxes(num, 1, 2))))[:, -1]
     bot = np.linalg.eigvalsh(0.5 * (den + np.conj(np.swapaxes(den, 1, 2))))[:, -1]
     return np.real(top) / np.maximum(np.real(bot), 1e-300)
 
 
-def _coordinate_descent(X: HilbertBimodule, x0: np.ndarray, sign: float,
-                        steps: int, paths: tuple[list, list]) -> tuple[np.ndarray, float]:
-    """Minimize sign * ratio by cyclic moves on the 2d real coordinates;
-    ``paths`` are the single-vector contraction paths."""
-    def val(v):
-        return sign * float(_norm_ratio_batch(X, v[None, :], paths)[0])
+def _largest_ratio(X: HilbertBimodule, seed: int,
+                   starts: int = 5) -> tuple[float, float, np.ndarray]:
+    """lambda of X as (attained value, upper bound, attaining vector).
 
-    x = x0 / np.linalg.norm(x0)
-    best = val(x)
-    h = 0.25
-    d = len(x)
-    used = 0
-    while used < steps and h > 1e-8:
-        improved = False
-        for i in range(d):
-            for delta in (h, -h, 1j * h, -1j * h):
-                if used >= steps:
-                    break
-                cand = x.copy()
-                cand[i] += delta
-                cand /= np.linalg.norm(cand)
-                v = val(cand)
-                used += 1
-                if v < best - 1e-15:
-                    best, x = v, cand
-                    improved = True
-        if not improved:
-            h *= 0.5
-    return x, sign * best
-
-
-def best_constants(X: HilbertBimodule, seed: int = 0, samples: int = 10000,
-                   refine_steps: int = 400, top: int = 3) -> BestConstants:
-    """Estimate the best constants lambda, lambda' comparing the two Gram
-    norms, by seeded sampling plus coordinate-descent refinement.
-
-    Every evaluated ratio is a certified one-sided bound: an upper bound for
-    the infimum (lambda') and a lower bound for the supremum (lambda).
+    theta_{x,x} ranges over the positive P = (+)_l P_l u_l of block ranks
+    r_l = min(M_l, n_l), so lambda is the largest xi* F(P) xi over unit xi
+    and projections P.  From each seeded xi two exact steps alternate while
+    the value rises: P_l spans the top r_l eigenvectors of C^T, C[i, j] =
+    xi* F(u_l(i, j)) xi (Ky Fan), then xi is the top eigenvector of F(P).
+    Bound: min(||F(1)||, max_k sum_l KyFan_{r_l}(Choi block l cut to A-block
+    k)).  Vector: g^{-1/2} sum_lti V_l[i, t] u_l(i, 0) c_t with V_l spanning
+    P_l, c_t an orthonormal basis of ran u_l(0, 0): theta_{x,x} = P.
     """
+    alg = module_operator_algebra(X)
+    F = extend_left_inner(X)
+    cp = _operator_cp_map(X, F.apply_matrix, target=X.A, alg=alg)
+    imgs = cp.unit_images       # F(u_l(i, j)), embedded in M_{N_A}
+    ranks = [min(m, n) for m, n in zip(alg.algebra.blocks, alg.multiplicities)]
+    na = X.A.rep_dim
+    best, rng = -np.inf, np.random.default_rng(seed)
+    for _ in range(starts):
+        xi = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+        value, xi = -np.inf, xi / np.linalg.norm(xi)
+        for _ in range(200):
+            C = [np.einsum("a,ijab,b->ji", xi.conj(), img, xi) for img in imgs]
+            vs = [np.linalg.eigh(hermitian_part(c))[1][:, -r:] for c, r in zip(C, ranks)]
+            FP = sum(np.einsum("ij,ijab->ab", V @ V.conj().T, img) for V, img in zip(vs, imgs))
+            w, v = np.linalg.eigh(hermitian_part(FP))
+            if w[-1] <= value:
+                break
+            value, xi, found = float(w[-1]), v[:, -1], vs
+        if value > best:
+            best, best_v = value, found
+    kyfan = np.zeros(X.A.num_blocks)
+    for c, r in zip(cp.choi_blocks(), ranks):
+        m = len(c) // na
+        for k in range(X.A.num_blocks):
+            s = X.A.block_slice(k)
+            blk = c.reshape(m, na, m, na)[:, s, :, s].reshape(m * (s.stop - s.start), -1)
+            kyfan[k] += np.linalg.eigvalsh(hermitian_part(blk))[-r:].sum()
+    y = np.zeros(X.dim, dtype=complex)
+    for u, V in zip(alg.units, best_v):
+        w, v = np.linalg.eigh(hermitian_part(u[0, 0]))
+        y += np.einsum("it,iab,bt->a", V, u[:, 0], v[:, w > 0.5][:, :V.shape[1]])
+    return best, min(F.index_element().norm(), float(kyfan.max())), X._g_half()[1] @ y
+
+
+def best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
+    """lambda and lambda', each bracketed by an attained value and a bound
+    (``_largest_ratio``); lambda' = 1 / lambda(Xbar), as the contragredient
+    exchanges the two inner products.  Both attaining vectors (for lambda'
+    the conjugate of the Xbar one) are re-evaluated through the norm ratio
+    of X; a mismatch beyond 1e-10 relative raises StructureError."""
     X._need_left()
     if X.dim == 0:
         raise ContractError("zero module")
-    rng = np.random.default_rng(seed)
-    vecs = rng.standard_normal((samples, X.dim)) + 1j * rng.standard_normal((samples, X.dim))
-    ratios = _norm_ratio_batch(X, vecs)
-    order = np.argsort(ratios)
-    lo_sampled = float(ratios[order[0]])
-    hi_sampled = float(ratios[order[-1]])
-    paths = _ratio_paths(X, vecs[:1])
-    lo = lo_sampled
-    for idx in order[:top]:
-        _, v = _coordinate_descent(X, vecs[idx], +1.0, refine_steps, paths)
-        lo = min(lo, v)
-    hi = hi_sampled
-    for idx in order[-top:]:
-        _, v = _coordinate_descent(X, vecs[idx], -1.0, refine_steps, paths)
-        hi = max(hi, v)
-    return BestConstants(lambda_hat=hi, lambda_prime_hat=lo,
-                         lambda_sampled=hi_sampled, lambda_prime_sampled=lo_sampled)
+    lam, lam_up, x = _largest_ratio(X, seed)
+    inv, inv_up, xbar = _largest_ratio(contragredient(X), seed)
+    for vec, value in ((x, lam), (xbar.conj(), 1.0 / inv)):
+        ratio = float(_norm_ratio_batch(X, vec[None, :])[0])
+        if abs(ratio - value) > 1e-10 * value:
+            raise StructureError(f"attaining vector gives ratio {ratio:.12g}, not {value:.12g}")
+    return BestConstants(lambda_hat=lam, lambda_prime_hat=1.0 / inv,
+                         lambda_upper=lam_up, lambda_prime_lower=1.0 / inv_up)
 
 
-def index_report(X: HilbertBimodule, seed: int = 0, samples: int = 10000) -> IndexReport:
-    """Full report: indices plus estimated best constants."""
-    rep = right_index(X)
-    bc = best_constants(X, seed=seed, samples=samples)
-    rep.lambda_hat, rep.lambda_prime_hat = bc.lambda_hat, bc.lambda_prime_hat
-    return rep
+def index_report(X: HilbertBimodule, seed: int = 0) -> IndexReport:
+    """Full report: indices plus the bracketed best constants."""
+    return replace(right_index(X), constants=best_constants(X, seed=seed))
 
 
 # -- Jones basic construction -----------------------------------------------------
@@ -501,8 +505,8 @@ class BasicConstruction:
         return self.z_prime * self.F.apply(T)
 
     def phi_expectation(self, T: np.ndarray) -> np.ndarray:
-        """phi(E(T)) as an operator on X."""
-        return self.bimodule.phi(self.expectation(T))
+        """phi(E(T)) as an operator on X; T may be a stack (s, d, d)."""
+        return self.bimodule.phi(self.z_prime.embed() @ self.F.apply_matrix(T))
 
     def as_cp_map(self, seed: int = 7) -> CPMap:
         """phi.E as a map on the matrix units of L(X_B) (``seed`` is ignored;
@@ -542,6 +546,7 @@ class FiberReport:
     commutant_dim: int
     lambda_prime: float
     left_adjoint_residual: float
+    constants_exact: bool | None = None    # None when lambda' was given
 
     @property
     def passed(self) -> bool:
@@ -551,6 +556,7 @@ class FiberReport:
         return {"passed": self.passed, "commutant_dim": self.commutant_dim,
                 "lambda_prime": self.lambda_prime,
                 "left_adjoint_residual": self.left_adjoint_residual,
+                "constants_exact": self.constants_exact,
                 "fibers": [{"block": f.block, "dimension": f.dimension,
                             "index_value": f.index_value, "bound": f.bound,
                             "within_bound": f.within_bound} for f in self.fibers]}
@@ -562,13 +568,15 @@ def fiber_decomposition(X: HilbertBimodule, lambda_prime: float | None = None,
 
     The relative commutant is cut by the images of the minimal central
     projections of A; each fiber dimension is checked against the square of
-    the integer part of r-ind / lambda'.  The same commutant is verified to
-    be closed under the left-inner-product adjoint.
+    the integer part of r-ind / lambda', by default at the lower end of the
+    bracket of ``best_constants``, which never gives a smaller bound than
+    the exact lambda'.  The same commutant is verified to be closed under
+    the left-inner-product adjoint.
     """
     X._need_left()
     comm = relative_commutant(X)
-    if lambda_prime is None:
-        lambda_prime = best_constants(X, seed=seed, samples=4000).lambda_prime_hat
+    bc = best_constants(X, seed=seed) if lambda_prime is None else None
+    lambda_prime = bc.lambda_prime_lower if bc else lambda_prime
     rep = right_index(X)
     fibers = []
     for k in range(X.A.num_blocks):
@@ -588,7 +596,8 @@ def fiber_decomposition(X: HilbertBimodule, lambda_prime: float | None = None,
         coeff, *_ = np.linalg.lstsq(flat.T, Mb, rcond=None)
         res = max(res, float(np.abs(flat.T @ coeff - Mb).max()))
     return FiberReport(fibers=fibers, commutant_dim=len(comm),
-                       lambda_prime=lambda_prime, left_adjoint_residual=res)
+                       lambda_prime=lambda_prime, left_adjoint_residual=res,
+                       constants_exact=bc.exact if bc else None)
 
 
 # -- invertibility trichotomy -------------------------------------------------------

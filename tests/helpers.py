@@ -319,6 +319,80 @@ def descent_min_dimension(X: HilbertBimodule, seed: int = 0, restarts: int = 8,
                          restart_values=restart_values, history=history)
 
 
+def _ratio_paths(X: HilbertBimodule, vecs: np.ndarray) -> tuple[list, list]:
+    """Contraction paths of the two Gram contractions of :func:`_ratio_batch`
+    for a stack of this shape."""
+    return (np.einsum_path("sp,sq,pqab->sab", vecs, vecs, X.left_gram, optimize=True)[0],
+            np.einsum_path("sp,sq,pqab->sab", vecs, vecs, X.right_gram, optimize=True)[0])
+
+
+def _ratio_batch(X: HilbertBimodule, vecs: np.ndarray,
+                 paths: tuple[list, list] | None = None) -> np.ndarray:
+    """||_A(x|x)|| / ||(x|x)_B|| for each row x of ``vecs``; ``paths`` from
+    :func:`_ratio_paths` skips re-planning the contractions on every call."""
+    left, right = paths if paths is not None else (True, True)
+    num = np.einsum("sp,sq,pqab->sab", vecs, vecs.conj(), X.left_gram, optimize=left)
+    den = np.einsum("sp,sq,pqab->sab", vecs.conj(), vecs, X.right_gram, optimize=right)
+    top = np.linalg.eigvalsh(0.5 * (num + np.conj(np.swapaxes(num, 1, 2))))[:, -1]
+    bot = np.linalg.eigvalsh(0.5 * (den + np.conj(np.swapaxes(den, 1, 2))))[:, -1]
+    return np.real(top) / np.maximum(np.real(bot), 1e-300)
+
+
+def _coordinate_descent(X: HilbertBimodule, x0: np.ndarray, sign: float,
+                        steps: int, paths: tuple[list, list]) -> tuple[np.ndarray, float]:
+    """Minimize sign * ratio by cyclic moves on the 2d real coordinates;
+    ``paths`` are the single-vector contraction paths."""
+    def val(v):
+        return sign * float(_ratio_batch(X, v[None, :], paths)[0])
+
+    x = x0 / np.linalg.norm(x0)
+    best = val(x)
+    h = 0.25
+    d = len(x)
+    used = 0
+    while used < steps and h > 1e-8:
+        improved = False
+        for i in range(d):
+            for delta in (h, -h, 1j * h, -1j * h):
+                if used >= steps:
+                    break
+                cand = x.copy()
+                cand[i] += delta
+                cand /= np.linalg.norm(cand)
+                v = val(cand)
+                used += 1
+                if v < best - 1e-15:
+                    best, x = v, cand
+                    improved = True
+        if not improved:
+            h *= 0.5
+    return x, sign * best
+
+
+def descent_best_constants(X: HilbertBimodule, seed: int = 0, samples: int = 10000,
+                           refine_steps: int = 400, top: int = 3) -> tuple[float, float]:
+    """(lambda, lambda') estimated by seeded sampling plus coordinate-descent
+    refinement of the ``top`` best samples: the search that the exact ascent
+    of ``best_constants`` replaced, kept as an oracle.  Every evaluated ratio
+    is attained, so the first value is a lower bound for lambda and the
+    second an upper bound for lambda'."""
+    X._need_left()
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((samples, X.dim)) + 1j * rng.standard_normal((samples, X.dim))
+    ratios = _ratio_batch(X, vecs)
+    order = np.argsort(ratios)
+    paths = _ratio_paths(X, vecs[:1])
+    lo = float(ratios[order[0]])
+    for idx in order[:top]:
+        _, v = _coordinate_descent(X, vecs[idx], +1.0, refine_steps, paths)
+        lo = min(lo, v)
+    hi = float(ratios[order[-1]])
+    for idx in order[-top:]:
+        _, v = _coordinate_descent(X, vecs[idx], -1.0, refine_steps, paths)
+        hi = max(hi, v)
+    return hi, lo
+
+
 def span_distance(U: np.ndarray, V: np.ndarray) -> float:
     """Max-abs distance between the orthogonal projections onto the spans of
     two orthonormal stacks of matrices; inf when their dimensions differ."""

@@ -203,7 +203,7 @@ def test_c10_basic_construction():
     cp_all = True
     for name, X in entries:
         bco = basic_construction(X)
-        lam = 1.0 / best_constants(X, seed=0, samples=4000).lambda_prime_hat
+        lam = 1.0 / best_constants(X, seed=0).lambda_prime_hat
         scale = 1 + bco.F.index_element().norm()
         for _ in range(50):
             T = random_compact_positive(X, rng)

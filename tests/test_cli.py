@@ -90,7 +90,7 @@ def test_exit_codes_per_command(fixtures):
         status, report = _run(command, inputs)
         assert status == 0, (command, report.get("error"), report.get("results"))
         assert report["passed"] is True
-        assert report["schema"] == "bimod-report/2"
+        assert report["schema"] == "bimod-report/3"
 
 
 def test_index_values(fixtures):

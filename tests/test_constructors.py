@@ -55,7 +55,7 @@ def test_hilbert_space_rayleigh_constants():
     T = random_posdef(3, np.random.default_rng(0))
     X = from_hilbert_space(3, T)
     eigs = np.linalg.eigvalsh(T)
-    bc = best_constants(X, seed=0, samples=4000)
+    bc = best_constants(X, seed=0)
     assert bc.lambda_prime_hat == pytest.approx(eigs.min(), abs=1e-7)
     assert bc.lambda_hat == pytest.approx(eigs.max(), abs=1e-7)
 
@@ -274,7 +274,7 @@ def test_graph_constant_band():
     for seed in (3, 4):
         g = random_graph(seed, max_vertices=6, extra_edges=4)
         rep = from_weight_graph(g)
-        bc = best_constants(rep.bimodule, seed=0, samples=3000)
+        bc = best_constants(rep.bimodule, seed=0)
         assert bc.lambda_prime_hat >= 1.0 / rep.c2 - 1e-7
         assert bc.lambda_hat <= rep.c1 + 1e-7
 

@@ -628,14 +628,8 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule,
     na, nc = X.A.rep_dim, Y.B.rep_dim
     # phiG[p, q, w, v] = phi_Y((e_p|e_q)_B)[w, v]
     phiG = np.tensordot(X.right_gram, Y.left_action, axes=([2, 3], [0, 1]))
-    # scalar trace form g[(p,u),(q,v)] = sum_c sum_w (f_u|f_w)_C[c,c] phiG[p,q,w,v],
-    # one diagonal entry c at a time, in increasing c, as the trace of the
-    # product Gram adds them: where the form is singular, eigh's column
-    # phases follow its last bits, and so do the quotient coordinates that
-    # solution files store
-    g = 0
-    for c in range(nc):
-        g = g + np.tensordot(Y.right_gram[:, :, c, c], phiG, axes=([1], [2]))
+    # scalar trace form g[(p,u),(q,v)] = sum_w tr (f_u|f_w)_C phiG[p,q,w,v]
+    g = np.tensordot(np.einsum("uwcc->uw", Y.right_gram), phiG, axes=([1], [2]))
     g = hermitian_part(g.transpose(1, 0, 2, 3).reshape(D, D))
     w, v = np.linalg.eigh(g)
     del g

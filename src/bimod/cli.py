@@ -9,7 +9,7 @@ Grammar::
 Exit status: 0 when every computed check passed, 1 when a computation ran but
 an invariant failed, 2 on input errors, 3 on an internal error (a fault of
 the toolkit, reported rather than raised).  Reports are single JSON
-documents with schema tag "bimod-report/3"; the wall-time field is the only
+documents with schema tag "bimod-report/4"; the wall-time field is the only
 nondeterministic entry for fixed inputs and seed.  ``--budget`` is accepted
 and ignored: it bounded the minimal-dimension search, which is now a closed
 form.
@@ -50,7 +50,7 @@ from .constructors import (
 from . import serde
 from .serde import ParseError
 
-SCHEMA = "bimod-report/3"
+SCHEMA = "bimod-report/4"
 COMMANDS = ("validate", "index", "conjugate", "verify", "mindim", "basic",
             "fibers", "morita", "tensor", "graph", "expectation", "hilbert")
 
@@ -156,10 +156,8 @@ def _cmd_conjugate(req: CommandRequest):
     X = _as_bimodule(kind, parsed)
     sol = build_conjugate(X)
     idx = right_index(X)
-    rr = sol.ZR.right_inner(sol.R, sol.R)
-    bb = sol.ZRbar.right_inner(sol.Rbar, sol.Rbar)
-    res_rr = (rr - idx.l_ind).norm()
-    res_bb = (bb - idx.r_ind).norm()
+    res_rr = (sol.R_star_R - idx.l_ind).norm()
+    res_bb = (sol.Rbar_star_Rbar - idx.r_ind).norm()
     passed = (sol.residual_1 <= req.tol and sol.residual_2 <= req.tol
               and res_rr <= req.tol * (1 + idx.l_num)
               and res_bb <= req.tol * (1 + idx.r_num))

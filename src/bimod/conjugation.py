@@ -1,11 +1,9 @@
 """Both directions of the index <-> conjugation equivalence.
 
-Solutions of the conjugate equations are stored as vectors in the interior
-tensor products Y (x)_A X and X (x)_B Y (quotient coordinates); the equation
-maps are assembled by contracting the lifted coordinates against the factor
-Gram tensors.  The quotient coordinates themselves come from ``tensor``,
-which finds each product's quotient from its D x D scalar trace form and
-builds no pre-quotient Gram or action tensor.
+Solutions R in Y (x)_A X and Rbar in X (x)_B Y are stored in product
+coordinates; coordinates that differ by a null vector of the product give
+the same solution.  Everything checked of them is an inner product or an
+equation map, contracted from the factor tensors; no tensor bimodule is built.
 
 Convention: in the two equations the tensor product is applied before the
 composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).
@@ -35,8 +33,6 @@ from .bimodule import (
     contragredient,
     left_tight_frame,
     tensor,
-    tensor_lift,
-    tensor_push,
     tight_frame,
     validate,
 )
@@ -51,19 +47,64 @@ from .index import (
 )
 
 
+# -- vectors of a tensor product in product coordinates -------------------------
+
+
+def _inner(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray,
+           s: np.ndarray) -> np.ndarray:
+    """(r|s)_C in X (x)_B Y, embedded in M_{N_C}, for product coordinates r, s
+    of one shape (..., d_X, d_Y).  (e_p (x) f_u | e_q (x) f_v)_C =
+    (f_u | phi_Y((e_p|e_q)_B) f_v)_C, contracted in O(d^3 N^2)."""
+    dx, dy, nb, nc = X.dim, Y.dim, X.B.rep_dim, Y.B.rep_dim
+    lead = s.shape[:-2]
+    # [..., (q, a, b), w] = sum_v phi_Y(e_ab)[w, v] s[..., q, v]
+    s_phi = (s @ Y.left_action.reshape(nb * nb * dy, dy).T).reshape(
+        lead + (dx * nb * nb, dy))
+    # [..., u, (q, a, b)] = sum_p conj(r[..., p, u]) (e_p|e_q)_B[a, b]
+    r_g = np.swapaxes(r.conj(), -1, -2) @ X.right_gram.reshape(dx, dx * nb * nb)
+    k = (r_g @ s_phi).reshape(lead + (dy * dy,))
+    return (k @ Y.right_gram.reshape(dy * dy, nc * nc)).reshape(lead + (nc, nc))
+
+
+def _norm(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
+    """||r|| = ||(r|r)_C||^(1/2) in X (x)_B Y, for a stack r (..., d_X, d_Y)."""
+    emb = _inner(X, Y, r, r)
+    w = np.linalg.eigvalsh(0.5 * (emb + np.swapaxes(emb.conj(), -1, -2)))
+    return np.sqrt(np.maximum(w[..., -1], 0.0))
+
+
+def _product_coords(vec, X: HilbertBimodule, Y: HilbertBimodule, what: str) -> np.ndarray:
+    """A vector of X (x) Y, flat or not, as its (d_X, d_Y) product coordinates."""
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    if vec.size != X.dim * Y.dim:
+        raise ContractError(f"{what} has {vec.size} coordinates, expected {X.dim * Y.dim} "
+                            "product coordinates (re-run `bimod conjugate` for files "
+                            "in the quotient coordinates of schema 3 and earlier)")
+    return vec.reshape(X.dim, Y.dim)
+
+
+def _intertwiner_residual(X: HilbertBimodule, Y: HilbertBimodule,
+                          r: np.ndarray) -> float:
+    """max over the units c of ||phi_X(c) r - r psi_Y(c)^T|| / ||r||: how far r
+    in the C-C bimodule X (x) Y is from intertwining the unit actions."""
+    units = X.A.units_embedded()
+    psi = np.tensordot(units, Y.right_action, axes=([1, 2], [0, 1]))
+    diff = X.phi(units) @ r - r @ np.swapaxes(psi, -1, -2)
+    scale = max(float(_norm(X, Y, r)), 1e-300)
+    return float(_norm(X, Y, diff).max()) / scale
+
+
 # -- solutions of the conjugate equations ---------------------------------------
 
 
 @dataclass
 class ConjugateSolution:
-    """A conjugate pair (Y, R, Rbar) for X, with R in Y (x) X and Rbar in
-    X (x) Y stored in the quotient coordinates of the attached tensor
-    bimodules."""
+    """A conjugate pair (Y, R, Rbar) for X in product coordinates: R[u, p] is
+    the coefficient of f_u (x) e_p in Y (x)_A X, Rbar[p, u] that of
+    e_p (x) f_u in X (x)_B Y."""
 
     X: HilbertBimodule
     Y: HilbertBimodule
-    ZR: HilbertBimodule       # tensor(Y, X)
-    ZRbar: HilbertBimodule    # tensor(X, Y)
     R: np.ndarray
     Rbar: np.ndarray
     residual_1: float
@@ -71,12 +112,22 @@ class ConjugateSolution:
     dim_rel: float
 
     @property
+    def R_star_R(self) -> AlgebraElement:
+        """R*R = (R|R)_B; l-ind for the solution of ``build_conjugate``."""
+        return self.X.B.from_embedded(_inner(self.Y, self.X, self.R, self.R))
+
+    @property
+    def Rbar_star_Rbar(self) -> AlgebraElement:
+        """Rbar*Rbar = (Rbar|Rbar)_A; r-ind for ``build_conjugate``."""
+        return self.X.A.from_embedded(_inner(self.X, self.Y, self.Rbar, self.Rbar))
+
+    @property
     def norm_R(self) -> float:
-        return self.ZR.vector_norm(self.R)
+        return float(_norm(self.Y, self.X, self.R))
 
     @property
     def norm_Rbar(self) -> float:
-        return self.ZRbar.vector_norm(self.Rbar)
+        return float(_norm(self.X, self.Y, self.Rbar))
 
 
 def _equation_maps(X: HilbertBimodule, Y: HilbertBimodule,
@@ -100,18 +151,6 @@ def _equation_maps(X: HilbertBimodule, Y: HilbertBimodule,
     return E1, E2
 
 
-def _intertwiner_residual(Z: HilbertBimodule, vec: np.ndarray) -> float:
-    """How far a vector of a C-C bimodule is from intertwining the two unit
-    actions, relative to its norm."""
-    units = Z.A.units_embedded()
-    scale = max(Z.vector_norm(vec), 1e-300)
-    res = 0.0
-    for u in units:
-        diff = (Z.phi(u) - Z.psi(u)) @ vec
-        res = max(res, Z.vector_norm(diff))
-    return res / scale
-
-
 @dataclass
 class VerifyReport:
     residual_1: float
@@ -133,31 +172,26 @@ class VerifyReport:
 
 
 def verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
-                     tol: float = 1e-8, ZR: HilbertBimodule | None = None,
-                     ZRbar: HilbertBimodule | None = None,
-                     intertwine_tol: float = 1e-6) -> VerifyReport:
+                     tol: float = 1e-8, intertwine_tol: float = 1e-6) -> VerifyReport:
     """Evaluate both conjugate-equation residuals for a candidate pair.
 
-    ``R`` and ``Rbar`` are quotient coordinates in tensor(Y, X) and
-    tensor(X, Y).  Candidates that fail to intertwine the unit actions are
-    rejected: they are not morphisms from the units in the first place.
+    ``R`` and ``Rbar`` are product coordinates in Y (x) X and X (x) Y (see
+    ``ConjugateSolution``), as matrices or flattened row-major.  Candidates
+    that fail to intertwine the unit actions are rejected: they are not
+    morphisms from the units in the first place.
     """
-    ZR = ZR if ZR is not None else tensor(Y, X)
-    ZRbar = ZRbar if ZRbar is not None else tensor(X, Y)
-    R = np.asarray(R, dtype=complex).reshape(-1)
-    Rbar = np.asarray(Rbar, dtype=complex).reshape(-1)
-    int_R = _intertwiner_residual(ZR, R)
-    int_Rbar = _intertwiner_residual(ZRbar, Rbar)
+    r_full = _product_coords(R, Y, X, "R")
+    rbar_full = _product_coords(Rbar, X, Y, "Rbar")
+    int_R = _intertwiner_residual(Y, X, r_full)
+    int_Rbar = _intertwiner_residual(X, Y, rbar_full)
     if max(int_R, int_Rbar) > intertwine_tol:
         raise ContractError(
             f"candidate does not intertwine the unit actions "
             f"(residuals {int_R:.3g}, {int_Rbar:.3g})")
-    r_full = tensor_lift(ZR, R).reshape(Y.dim, X.dim)
-    rbar_full = tensor_lift(ZRbar, Rbar).reshape(X.dim, Y.dim)
     E1, E2 = _equation_maps(X, Y, r_full, rbar_full)
     res1 = X.op_norm(E1 - np.eye(X.dim))
     res2 = Y.op_norm(E2 - np.eye(Y.dim))
-    dim_rel = ZR.vector_norm(R) * ZRbar.vector_norm(Rbar)
+    dim_rel = float(_norm(Y, X, r_full) * _norm(X, Y, rbar_full))
     return VerifyReport(res1, res2, dim_rel, int_R, int_Rbar, tol)
 
 
@@ -175,24 +209,17 @@ def build_conjugate(X: HilbertBimodule, right_frame: FrameSet | None = None,
     if right_frame.residual > 1e-6 or left_frame.residual > 1e-6:
         raise ContractError("frames are not tight enough to solve the equations")
     Y = contragredient(X)
-    ZR, ZRbar = tensor(Y, X), tensor(X, Y)
     U, V = right_frame.coords, left_frame.coords
-    rbar_full = np.einsum("ip,iq->pq", U, U.conj())
-    r_full = np.einsum("jp,jq->pq", V.conj(), V)
-    R = tensor_push(ZR, r_full.reshape(-1))
-    Rbar = tensor_push(ZRbar, rbar_full.reshape(-1))
-    rep = verify_conjugate(X, Y, R, Rbar, tol=tol, ZR=ZR, ZRbar=ZRbar)
-    return ConjugateSolution(X=X, Y=Y, ZR=ZR, ZRbar=ZRbar, R=R, Rbar=Rbar,
-                             residual_1=rep.residual_1, residual_2=rep.residual_2,
-                             dim_rel=rep.dim_rel)
+    R = np.einsum("jp,jq->pq", V.conj(), V)
+    Rbar = np.einsum("ip,iq->pq", U, U.conj())
+    rep = verify_conjugate(X, Y, R, Rbar, tol=tol)
+    return ConjugateSolution(X, Y, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)
 
 
 # -- recovering the left inner product ------------------------------------------
 
 
 def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
-                         ZR: HilbertBimodule | None = None,
-                         ZRbar: HilbertBimodule | None = None,
                          tol: float = 1e-8) -> np.ndarray:
     """Left Gram tensor induced by a verified solution:
     _A(e_p|e_q) = Rbar* (theta^r_{e_p,e_q} (x) 1_Y) Rbar.
@@ -200,10 +227,8 @@ def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
     The returned tensor makes X bi-Hilbertian of finite index; feeding the
     solution produced by ``build_conjugate`` recovers the original left Gram.
     """
-    ZR = ZR if ZR is not None else tensor(Y, X)
-    ZRbar = ZRbar if ZRbar is not None else tensor(X, Y)
-    verify_conjugate(X, Y, R, Rbar, tol=tol, ZR=ZR, ZRbar=ZRbar)
-    rbar_full = tensor_lift(ZRbar, np.asarray(Rbar, dtype=complex)).reshape(X.dim, Y.dim)
+    verify_conjugate(X, Y, R, Rbar, tol=tol)
+    rbar_full = _product_coords(Rbar, X, Y, "Rbar")
     GX, GY = X.right_gram, Y.right_gram
     psiG = np.einsum("qsab,abip->qsip", GX, X.right_action, optimize=True)
     phiYG = np.einsum("PpAB,ABwu->Ppwu", GX, Y.left_action, optimize=True)
@@ -215,16 +240,12 @@ def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
 
 def conjugate_pair_identities(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
                               left_gram: np.ndarray,
-                              ZR: HilbertBimodule | None = None,
-                              ZRbar: HilbertBimodule | None = None,
                               seed: int = 0, trials: int = 20) -> dict:
     """Residuals of Rbar*(x (x) V xbar') = _A(x|x') and R*(V xbar (x) x') =
     (x|x')_B after identifying Y with the contragredient via
     V(xbar) = lambda_x* Rbar."""
-    ZR = ZR if ZR is not None else tensor(Y, X)
-    ZRbar = ZRbar if ZRbar is not None else tensor(X, Y)
-    r_full = tensor_lift(ZR, np.asarray(R, dtype=complex)).reshape(Y.dim, X.dim)
-    rbar_full = tensor_lift(ZRbar, np.asarray(Rbar, dtype=complex)).reshape(X.dim, Y.dim)
+    r_full = _product_coords(R, Y, X, "R")
+    rbar_full = _product_coords(Rbar, X, Y, "Rbar")
     GX, GY = X.right_gram, Y.right_gram
     phiYG = np.einsum("rpAB,ABjq->rpjq", GX, Y.left_action, optimize=True)
     Vmat = np.einsum("pq,rpjq->jr", rbar_full, phiYG, optimize=True)
@@ -374,14 +395,13 @@ class CPCharacterization:
 
 
 def cp_characterization(X: HilbertBimodule, delta: float = 1e-3,
-                        tol: float = 1e-8, seed: int = 7) -> CPCharacterization:
+                        tol: float = 1e-8) -> CPCharacterization:
     """The left index element is the smallest central multiplier c for which
     T -> psi(c) phi(F(T)) - T is completely positive on K(X_B).
 
     Checks the Choi blocks at c = l-ind and certifies minimality by scaling
     each central coefficient in the support down by ``delta`` and requiring
-    the Choi matrix to leave the positive cone.  ``seed`` is ignored; kept
-    for API stability.
+    the Choi matrix to leave the positive cone.
     """
     X._need_left()
     F = extend_left_inner(X)
@@ -495,27 +515,14 @@ def tensor_conjugate(sol_X: ConjugateSolution, sol_Y: ConjugateSolution,
         raise ContractError("middle algebras of the two solutions differ")
     Z = tensor(X, Y)
     W = tensor(y_conj, x_conj)
-    r1 = tensor_lift(sol_X.ZR, sol_X.R).reshape(x_conj.dim, X.dim)
-    r2 = tensor_lift(sol_Y.ZR, sol_Y.R).reshape(y_conj.dim, Y.dim)
-    rbar1 = tensor_lift(sol_X.ZRbar, sol_X.Rbar).reshape(X.dim, x_conj.dim)
-    rbar2 = tensor_lift(sol_Y.ZRbar, sol_Y.Rbar).reshape(Y.dim, y_conj.dim)
-
-    VW = W.meta["tensor"]["V"]
-    VZ = Z.meta["tensor"]["V"]
+    VW, VZ = W.meta["tensor"]["V"], Z.meta["tensor"]["V"]
     # R = (1 (x) R_X (x) 1) R_Y  in  (Ybar (x) Xbar) (x) (X (x) Y)
-    R_full = np.einsum("ab,cd->acdb", r2, r1).reshape(
+    R_full = np.einsum("ab,cd->acdb", sol_Y.R, sol_X.R).reshape(
         y_conj.dim * x_conj.dim, X.dim * Y.dim)
-    R_wz = VW.conj().T @ R_full @ VZ.conj()
+    R = VW.conj().T @ R_full @ VZ.conj()
     # Rbar = (1 (x) Rbar_Y (x) 1) Rbar_X  in  (X (x) Y) (x) (Ybar (x) Xbar)
-    Rbar_full = np.einsum("pq,uv->puvq", rbar1, rbar2).reshape(
+    Rbar_full = np.einsum("pq,uv->puvq", sol_X.Rbar, sol_Y.Rbar).reshape(
         X.dim * Y.dim, y_conj.dim * x_conj.dim)
-    Rbar_zw = VZ.conj().T @ Rbar_full @ VW.conj()
-
-    ZR = tensor(W, Z)
-    ZRbar = tensor(Z, W)
-    R = tensor_push(ZR, R_wz.reshape(-1))
-    Rbar = tensor_push(ZRbar, Rbar_zw.reshape(-1))
-    rep = verify_conjugate(Z, W, R, Rbar, tol=tol, ZR=ZR, ZRbar=ZRbar)
-    return ConjugateSolution(X=Z, Y=W, ZR=ZR, ZRbar=ZRbar, R=R, Rbar=Rbar,
-                             residual_1=rep.residual_1, residual_2=rep.residual_2,
-                             dim_rel=rep.dim_rel)
+    Rbar = VZ.conj().T @ Rbar_full @ VW.conj()
+    rep = verify_conjugate(Z, W, R, Rbar, tol=tol)
+    return ConjugateSolution(Z, W, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)

@@ -146,9 +146,9 @@ def relative_commutant_of_right_action(X: HilbertBimodule) -> np.ndarray:
 _UNIT_TOL = 1e-8
 
 
-def module_operator_algebra(X: HilbertBimodule, seed: int = 7) -> StarAlgebraDecomposition:
+def module_operator_algebra(X: HilbertBimodule) -> StarAlgebraDecomposition:
     """L(X_B) = K(X_B) presented as a multimatrix algebra, with matrix units
-    read off the right action (``seed`` is ignored; kept for API stability).
+    read off the right action.
 
     The units live in the standard-involution picture obtained by
     conjugating with the square root of the scalar Gram form (use
@@ -241,14 +241,13 @@ class CPMap:
                    for c in self.choi_blocks())
 
     def choi_min_eig(self) -> float:
-        mins = []
-        for c in self.choi_blocks():
-            mins.append(float(np.linalg.eigvalsh(hermitian_part(c)).min()))
-        return min(mins)
+        return self.is_completely_positive()[1]
 
     def is_completely_positive(self, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-        mn = self.choi_min_eig()
-        scale = max(max(np.abs(c).max() for c in self.choi_blocks()), 1e-300)
+        """(least Choi eigenvalue >= -tol (1 + largest Choi entry), that eigenvalue)."""
+        blocks = self.choi_blocks()
+        mn = min(float(np.linalg.eigvalsh(hermitian_part(c)).min()) for c in blocks)
+        scale = max(max(np.abs(c).max() for c in blocks), 1e-300)
         return mn >= -tol * (1.0 + scale), mn
 
 
@@ -319,9 +318,8 @@ class LeftInnerExtension:
         """F(1) = sum_i _A(u_i|u_i), the right index element."""
         return self.apply(np.eye(self.bimodule.dim))
 
-    def as_cp_map(self, seed: int = 7) -> CPMap:
-        """The map on the matrix units of L(X_B) (``seed`` is ignored; kept
-        for API stability)."""
+    def as_cp_map(self) -> CPMap:
+        """The map on the matrix units of L(X_B)."""
         return _operator_cp_map(self.bimodule, self.apply_matrix, target=self.bimodule.A)
 
 
@@ -508,9 +506,8 @@ class BasicConstruction:
         """phi(E(T)) as an operator on X; T may be a stack (s, d, d)."""
         return self.bimodule.phi(self.z_prime.embed() @ self.F.apply_matrix(T))
 
-    def as_cp_map(self, seed: int = 7) -> CPMap:
-        """phi.E as a map on the matrix units of L(X_B) (``seed`` is ignored;
-        kept for API stability)."""
+    def as_cp_map(self) -> CPMap:
+        """phi.E as a map on the matrix units of L(X_B)."""
         X = self.bimodule
         return _operator_cp_map(X, lambda T: X.op_rep(self.phi_expectation(T)))
 

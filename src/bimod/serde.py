@@ -220,4 +220,5 @@ def decode_vector(obj, what: str = "vector") -> np.ndarray:
 
 
 def encode_vector(vec: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    return [[float(z.real), float(z.imag)] for z in vec]

@@ -19,9 +19,12 @@ from bimod import (
     from_weight_graph,
     identity_bimodule,
     relative_commutant,
+    tensor,
+    tensor_lift,
     tight_frame,
     trace_weighted_expectation,
 )
+from bimod.conjugation import VerifyReport, _equation_maps
 from bimod.multimatrix import RANK_TOL, ContractError, hermitian_part
 
 
@@ -172,6 +175,48 @@ def dense_tensor(X: HilbertBimodule, Y: HilbertBimodule,
     Z = HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2,
                         meta={"tensor": {"V": V, "dims": (dx, dy)}})
     return Z
+
+
+# The body of ``bimod.verify_conjugate`` from before solutions moved to
+# product coordinates, kept as a test-only oracle: R and Rbar are quotient
+# coordinates of the tensor bimodules, whose norms and unit actions are read
+# off their own Gram and action tensors.
+
+
+def _quotient_intertwiner_residual(Z: HilbertBimodule, vec: np.ndarray) -> float:
+    units = Z.A.units_embedded()
+    scale = max(Z.vector_norm(vec), 1e-300)
+    res = 0.0
+    for u in units:
+        diff = (Z.phi(u) - Z.psi(u)) @ vec
+        res = max(res, Z.vector_norm(diff))
+    return res / scale
+
+
+def quotient_verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
+                              tol: float = 1e-8, ZR: HilbertBimodule | None = None,
+                              ZRbar: HilbertBimodule | None = None,
+                              intertwine_tol: float = 1e-6) -> VerifyReport:
+    """Reference conjugate-equation check for R, Rbar in the quotient
+    coordinates of ZR = tensor(Y, X) and ZRbar = tensor(X, Y) (or of any
+    tensor bimodules passed in their place)."""
+    ZR = ZR if ZR is not None else tensor(Y, X)
+    ZRbar = ZRbar if ZRbar is not None else tensor(X, Y)
+    R = np.asarray(R, dtype=complex).reshape(-1)
+    Rbar = np.asarray(Rbar, dtype=complex).reshape(-1)
+    int_R = _quotient_intertwiner_residual(ZR, R)
+    int_Rbar = _quotient_intertwiner_residual(ZRbar, Rbar)
+    if max(int_R, int_Rbar) > intertwine_tol:
+        raise ContractError(
+            f"candidate does not intertwine the unit actions "
+            f"(residuals {int_R:.3g}, {int_Rbar:.3g})")
+    r_full = tensor_lift(ZR, R).reshape(Y.dim, X.dim)
+    rbar_full = tensor_lift(ZRbar, Rbar).reshape(X.dim, Y.dim)
+    E1, E2 = _equation_maps(X, Y, r_full, rbar_full)
+    res1 = X.op_norm(E1 - np.eye(X.dim))
+    res2 = Y.op_norm(E2 - np.eye(Y.dim))
+    dim_rel = ZR.vector_norm(R) * ZRbar.vector_norm(Rbar)
+    return VerifyReport(res1, res2, dim_rel, int_R, int_Rbar, tol)
 
 
 # The multi-start descent that ``bimod.min_dimension`` used before it took

@@ -90,8 +90,7 @@ def test_c03_conjugate_identities():
         sol = build_conjugate(X)
         idx = right_index(X)
         worst_res = max(worst_res, sol.residual_1, sol.residual_2)
-        rr = sol.ZR.right_inner(sol.R, sol.R)
-        bb = sol.ZRbar.right_inner(sol.Rbar, sol.Rbar)
+        rr, bb = sol.R_star_R, sol.Rbar_star_Rbar
         worst_id = max(worst_id,
                        (rr - idx.l_ind).norm() / (1 + idx.l_num),
                        (bb - idx.r_ind).norm() / (1 + idx.r_num),
@@ -110,7 +109,7 @@ def test_c04_left_inner_round_trip():
         a, b, m = shapes[i % len(shapes)]
         X = random_bimodule(a, b, m, seed=400 + i)
         sol = build_conjugate(X)
-        L = inner_from_conjugate(X, sol.Y, sol.R, sol.Rbar, ZR=sol.ZR, ZRbar=sol.ZRbar)
+        L = inner_from_conjugate(X, sol.Y, sol.R, sol.Rbar)
         scale = max(np.abs(X.left_gram).max(), 1.0)
         worst = max(worst, float(np.abs(L - X.left_gram).max()) / scale)
     _report(4, "solution -> left inner product round trip", worst <= 1e-8,

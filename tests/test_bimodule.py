@@ -279,7 +279,8 @@ ROUNDTRIP_24 = ([2, 1, 1], [2, 1, 1], [[2, 1, 1], [2, 1, 1], [1, 2, 2]])
 
 
 def test_tensor_matches_dense_oracle():
-    from bimod import build_conjugate, tensor_lift, tensor_push, verify_conjugate
+    from bimod import build_conjugate, tensor_push
+    from helpers import quotient_verify_conjugate
     mods = corpus() + [("roundtrip_13", random_bimodule(*ROUNDTRIP_13, seed=1))]
     for name, X in mods:
         Xbar = contragredient(X)
@@ -290,12 +291,11 @@ def test_tensor_matches_dense_oracle():
             W = Zd.meta["tensor"]["V"].conj().T @ Z.meta["tensor"]["V"]
             assert np.abs(W.conj().T @ W - np.eye(Z.dim)).max() <= 1e-10, name
             assert bimodule_map_residual(W, Z, Zd) <= 1e-10, name
-        # a solution stored in the oracle's coordinates still verifies
+        # the solution pushed into the oracle's quotient verifies there
         sol = build_conjugate(X)
         ZR, ZRbar = dense_tensor(Xbar, X), dense_tensor(X, Xbar)
-        R = tensor_push(ZR, tensor_lift(sol.ZR, sol.R))
-        Rbar = tensor_push(ZRbar, tensor_lift(sol.ZRbar, sol.Rbar))
-        assert verify_conjugate(X, Xbar, R, Rbar).passed, name
+        R, Rbar = tensor_push(ZR, sol.R), tensor_push(ZRbar, sol.Rbar)
+        assert quotient_verify_conjugate(X, Xbar, R, Rbar, ZR=ZR, ZRbar=ZRbar).passed, name
 
 
 def test_tensor_stays_below_dense_footprint():

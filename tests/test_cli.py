@@ -90,7 +90,7 @@ def test_exit_codes_per_command(fixtures):
         status, report = _run(command, inputs)
         assert status == 0, (command, report.get("error"), report.get("results"))
         assert report["passed"] is True
-        assert report["schema"] == "bimod-report/3"
+        assert report["schema"] == "bimod-report/4"
 
 
 def test_index_values(fixtures):
@@ -146,6 +146,36 @@ def test_verify_bad_solution_exits_one(fixtures):
     status, report = _run("verify", [fixtures["hilbert"], fixtures["bad_solution"]])
     assert status == 1
     assert report["results"]["residual_1"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_verify_quotient_coordinate_files(fixtures, tmp_path):
+    # files in the quotient coordinates of tensor() are product coordinates
+    # where the product has no kernel (V = I) and are refused elsewhere
+    from bimod import contragredient, tensor, tensor_push
+    from helpers import corpus
+
+    def quotient_file(X, name):
+        sol = build_conjugate(X)
+        Y = contragredient(X)
+        R, Rbar = tensor_push(tensor(Y, X), sol.R), tensor_push(tensor(X, Y), sol.Rbar)
+        path = tmp_path / name
+        path.write_text(json.dumps({"kind": "solution", "R": encode_vector(R),
+                                    "Rbar": encode_vector(Rbar)}))
+        return str(path), len(R)
+
+    hilbert_sol, n = quotient_file(from_hilbert_space(2, np.diag([1.0, 2.0])), "h.json")
+    assert n == 4
+    status, report = _run("verify", [fixtures["hilbert"], hilbert_sol])
+    assert status == 0 and report["passed"] is True
+
+    X = dict(corpus())["random_112"]
+    module = tmp_path / "random_112.json"
+    module.write_text(json.dumps(encode_bimodule(X)))
+    old_sol, n = quotient_file(X, "random_112_solution.json")
+    assert n == 8
+    status, report = _run("verify", [str(module), old_sol])
+    assert status == 2
+    assert "expected 16" in report["error"] and "bimod conjugate" in report["error"]
 
 
 def test_input_errors_exit_two(fixtures):

@@ -3,6 +3,7 @@ import pytest
 
 from bimod import (
     ContractError,
+    HilbertBimodule,
     MultiMatrixAlgebra,
     build_conjugate,
     column_bimodule,
@@ -21,7 +22,6 @@ from bimod import (
     right_index,
     tensor,
     tensor_conjugate,
-    tensor_lift,
     tensor_push,
     verify_conjugate,
 )
@@ -32,6 +32,7 @@ from helpers import (
     descent_min_dimension,
     diag_expectation_m2,
     four_cycle_graph,
+    quotient_verify_conjugate,
     random_bimodule,
     random_bimodule_family,
     random_posdef,
@@ -54,7 +55,7 @@ def test_build_conjugate_identity_weight():
     # Rbar = e1 (x) e1-bar + e2 (x) e2-bar, norm^2 = 2
     assert sol.norm_Rbar ** 2 == pytest.approx(2.0, abs=1e-10)
     assert sol.dim_rel == pytest.approx(2.0, abs=1e-10)
-    rbar_full = tensor_lift(sol.ZRbar, sol.Rbar).reshape(2, 2)
+    rbar_full = sol.Rbar.reshape(2, 2)
     assert np.abs(rbar_full - np.eye(2)).max() < 1e-10
 
 
@@ -64,8 +65,7 @@ def test_solution_identities_on_corpus():
         idx = right_index(X)
         assert sol.residual_1 <= 1e-8, name
         assert sol.residual_2 <= 1e-8, name
-        rr = sol.ZR.right_inner(sol.R, sol.R)
-        bb = sol.ZRbar.right_inner(sol.Rbar, sol.Rbar)
+        rr, bb = sol.R_star_R, sol.Rbar_star_Rbar
         assert (rr - idx.l_ind).norm() <= 1e-8 * (1 + idx.l_num), name
         assert (bb - idx.r_ind).norm() <= 1e-8 * (1 + idx.r_num), name
         assert sol.norm_Rbar ** 2 == pytest.approx(idx.r_num, abs=1e-8 * (1 + idx.r_num))
@@ -78,15 +78,16 @@ def test_rbar_gram_identity():
     rng = np.random.default_rng(0)
     for X in random_bimodule_family(3, seed=51):
         sol = build_conjugate(X)
-        rbar_full = tensor_lift(sol.ZRbar, sol.Rbar)
+        ZRbar = tensor(X, sol.Y)
+        Rbar = tensor_push(ZRbar, sol.Rbar)
         dX, dY = X.dim, sol.Y.dim
         for _ in range(6):
             x = rng.standard_normal(dX) + 1j * rng.standard_normal(dX)
             xp = rng.standard_normal(dX) + 1j * rng.standard_normal(dX)
             theta = X.rank_one(x, xp)
             big = np.kron(theta, np.eye(dY))
-            w = tensor_push(sol.ZRbar, big @ rbar_full)
-            lhs = sol.ZRbar.right_inner(sol.Rbar, w)
+            w = tensor_push(ZRbar, big @ sol.Rbar.reshape(-1))
+            lhs = ZRbar.right_inner(Rbar, w)
             rhs = X.left_inner(x, xp)
             assert (lhs - rhs).norm() <= 1e-8 * (1 + rhs.norm())
 
@@ -101,14 +102,16 @@ def test_solution_frame_independence():
     fr_r = tight_frame(X, spanning=W1)
     fr_l = left_tight_frame(X, spanning=W2)
     sol2 = build_conjugate(X, right_frame=fr_r, left_frame=fr_l)
-    assert np.abs(sol1.R - sol2.R).max() < 1e-8
-    assert np.abs(sol1.Rbar - sol2.Rbar).max() < 1e-8
+    # product coordinates may differ by null vectors: compare in the quotients
+    ZR, ZRbar = tensor(sol1.Y, X), tensor(X, sol1.Y)
+    assert np.abs(tensor_push(ZR, sol1.R - sol2.R)).max() < 1e-8
+    assert np.abs(tensor_push(ZRbar, sol1.Rbar - sol2.Rbar)).max() < 1e-8
 
 
 def test_verify_scaled_candidate_fails():
     X = from_hilbert_space(2, np.diag([1.0, 2.0]))
     sol = build_conjugate(X)
-    rep = verify_conjugate(X, sol.Y, 2.0 * sol.R, sol.Rbar, ZR=sol.ZR, ZRbar=sol.ZRbar)
+    rep = verify_conjugate(X, sol.Y, 2.0 * sol.R, sol.Rbar)
     assert not rep.passed
     assert rep.residual_1 == pytest.approx(1.0, abs=1e-10)
 
@@ -127,7 +130,68 @@ def test_verify_rejects_non_intertwiner():
     bad = sol.R.copy()
     bad[0] += 0.7          # breaks the unit intertwining in a generic way
     with pytest.raises(ContractError):
-        verify_conjugate(X, sol.Y, bad, sol.Rbar, ZR=sol.ZR, ZRbar=sol.ZRbar)
+        verify_conjugate(X, sol.Y, bad, sol.Rbar)
+
+
+# the d = 13 and d = 18 shapes of the conjugate round trip
+_ROUNDTRIP = [([2, 1, 1], [2, 1, 1], [[1, 1, 0], [1, 1, 1], [0, 1, 2]]),
+              ([2, 1, 1], [2, 1, 1], [[2, 1, 0], [1, 1, 1], [0, 2, 2]])]
+
+
+def test_product_coordinates_match_quotient_oracle():
+    mods = corpus() + [(f"roundtrip_{i}", random_bimodule(*shape, seed=1))
+                       for i, shape in enumerate(_ROUNDTRIP)]
+    for name, X in mods:
+        sol = build_conjugate(X)
+        Y = sol.Y
+        ZR, ZRbar = tensor(Y, X), tensor(X, Y)
+        R, Rbar = tensor_push(ZR, sol.R), tensor_push(ZRbar, sol.Rbar)
+        ref = quotient_verify_conjugate(X, Y, R, Rbar, ZR=ZR, ZRbar=ZRbar)
+        rep = verify_conjugate(X, Y, sol.R, sol.Rbar)
+        assert abs(rep.residual_1 - ref.residual_1) <= 1e-12, name
+        assert abs(rep.residual_2 - ref.residual_2) <= 1e-12, name
+        assert abs(rep.dim_rel - ref.dim_rel) <= 1e-12 * ref.dim_rel, name
+        assert abs(sol.norm_R - ZR.vector_norm(R)) <= 1e-12 * sol.norm_R, name
+        assert abs(sol.norm_Rbar - ZRbar.vector_norm(Rbar)) <= 1e-12 * sol.norm_Rbar, name
+        rr, bb = ZR.right_inner(R, R), ZRbar.right_inner(Rbar, Rbar)
+        assert (sol.R_star_R - rr).norm() <= 1e-12 * rr.norm(), name
+        assert (sol.Rbar_star_Rbar - bb).norm() <= 1e-12 * bb.norm(), name
+
+
+@pytest.mark.parametrize("k", [1, 8])
+def test_solution_survives_last_bit_change_of_gram(k):
+    # random_112's products have a kernel; quotient coordinates followed the
+    # eigh phases of the trace form, so this perturbation broke its solution
+    X = dict(corpus())["random_112"]
+    sol = build_conjugate(X)
+    X2 = HilbertBimodule(X.A, X.B, X.dim, X.right_gram * (1 + k * 2.0 ** -52),
+                         X.left_action, X.right_action, X.left_gram)
+    assert verify_conjugate(X2, contragredient(X2), sol.R, sol.Rbar).passed
+
+
+def test_verify_rejects_quotient_length():
+    X = dict(corpus())["random_112"]
+    sol = build_conjugate(X)
+    R = tensor_push(tensor(sol.Y, X), sol.R)
+    assert R.size < sol.R.size
+    with pytest.raises(ContractError, match=f"expected {sol.R.size}"):
+        verify_conjugate(X, sol.Y, R, sol.Rbar)
+
+
+def test_solve_and_verify_build_no_tensor_product(monkeypatch):
+    import bimod.conjugation
+
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("tensor() called")
+
+    monkeypatch.setattr(bimod.conjugation, "tensor", no_tensor)
+    for name, X in corpus() + [("roundtrip", random_bimodule(*_ROUNDTRIP[0], seed=1))]:
+        sol = build_conjugate(X)
+        assert verify_conjugate(X, sol.Y, sol.R, sol.Rbar).passed, name
+        L = inner_from_conjugate(X, sol.Y, sol.R, sol.Rbar)
+        assert np.abs(L - X.left_gram).max() <= 1e-8 * max(np.abs(X.left_gram).max(), 1.0)
+        ids = conjugate_pair_identities(X, sol.Y, sol.R, sol.Rbar, X.left_gram)
+        assert max(ids.values()) <= 1e-8, name
 
 
 def test_transported_solution_passes():
@@ -143,13 +207,9 @@ def test_transported_solution_passes():
         H = np.einsum("c,cij->ij", coeff, comm)
         U = np.eye(Y.dim) + H      # small perturbation keeps U invertible
         Ustar_inv = np.linalg.inv(Y.op_adjoint(U))
-        r_full = tensor_lift(sol.ZR, sol.R).reshape(Y.dim, X.dim)
-        rbar_full = tensor_lift(sol.ZRbar, sol.Rbar).reshape(X.dim, Y.dim)
-        r2 = U @ r_full
-        rbar2 = rbar_full @ Ustar_inv.T
-        R2 = tensor_push(sol.ZR, r2.reshape(-1))
-        Rbar2 = tensor_push(sol.ZRbar, rbar2.reshape(-1))
-        rep = verify_conjugate(X, Y, R2, Rbar2, ZR=sol.ZR, ZRbar=sol.ZRbar)
+        r2 = U @ sol.R.reshape(Y.dim, X.dim)
+        rbar2 = sol.Rbar.reshape(X.dim, Y.dim) @ Ustar_inv.T
+        rep = verify_conjugate(X, Y, r2.reshape(-1), rbar2.reshape(-1))
         assert rep.passed, rep.as_dict()
 
 
@@ -159,7 +219,7 @@ def test_transported_solution_passes():
 def test_round_trip_left_gram_on_corpus():
     for name, X in corpus():
         sol = build_conjugate(X)
-        L = inner_from_conjugate(X, sol.Y, sol.R, sol.Rbar, ZR=sol.ZR, ZRbar=sol.ZRbar)
+        L = inner_from_conjugate(X, sol.Y, sol.R, sol.Rbar)
         scale = max(np.abs(X.left_gram).max(), 1.0)
         assert np.abs(L - X.left_gram).max() <= 1e-8 * scale, name
 
@@ -168,7 +228,7 @@ def test_round_trip_external_solution():
     # a verified external solution yields a bimodule whose own solution passes
     X = random_bimodule([2], [1, 1], [[1, 1]], seed=63)
     sol = build_conjugate(X)
-    L = inner_from_conjugate(X, sol.Y, sol.R, sol.Rbar, ZR=sol.ZR, ZRbar=sol.ZRbar)
+    L = inner_from_conjugate(X, sol.Y, sol.R, sol.Rbar)
     X2 = X.with_left_gram(L)
     sol2 = build_conjugate(X2)
     assert sol2.residual_1 <= 1e-7 and sol2.residual_2 <= 1e-7
@@ -177,8 +237,7 @@ def test_round_trip_external_solution():
 def test_pair_identities_after_identification():
     for name, X in corpus()[:6]:
         sol = build_conjugate(X)
-        ids = conjugate_pair_identities(X, sol.Y, sol.R, sol.Rbar, X.left_gram,
-                                        ZR=sol.ZR, ZRbar=sol.ZRbar)
+        ids = conjugate_pair_identities(X, sol.Y, sol.R, sol.Rbar, X.left_gram)
         assert ids["right_identity_residual"] <= 1e-8, name
         assert ids["left_identity_residual"] <= 1e-8, name
 
@@ -188,7 +247,7 @@ def test_recovered_gram_weight_structure():
     T = random_posdef(3, np.random.default_rng(2))
     X = from_hilbert_space(3, T)
     sol = build_conjugate(X)
-    L = inner_from_conjugate(X, sol.Y, sol.R, sol.Rbar, ZR=sol.ZR, ZRbar=sol.ZRbar)
+    L = inner_from_conjugate(X, sol.Y, sol.R, sol.Rbar)
     assert np.abs(L[:, :, 0, 0] - T.T).max() < 1e-9
 
 
@@ -204,12 +263,12 @@ def test_unitary_transport_preserves_recovered_gram():
     Hh = 0.5 * (Hh + Hh.conj().T)
     w, v = np.linalg.eigh(Hh)
     U = Y.op_unrep((v * np.exp(1j * w)) @ v.conj().T)    # unitary in L(Y_B)
-    r_full = tensor_lift(sol.ZR, sol.R).reshape(Y.dim, X.dim)
-    rbar_full = tensor_lift(sol.ZRbar, sol.Rbar).reshape(X.dim, Y.dim)
+    r_full = sol.R.reshape(Y.dim, X.dim)
+    rbar_full = sol.Rbar.reshape(X.dim, Y.dim)
     Ustar_inv = np.linalg.inv(Y.op_adjoint(U))
-    R2 = tensor_push(sol.ZR, (U @ r_full).reshape(-1))
-    Rbar2 = tensor_push(sol.ZRbar, (rbar_full @ Ustar_inv.T).reshape(-1))
-    L2 = inner_from_conjugate(X, Y, R2, Rbar2, ZR=sol.ZR, ZRbar=sol.ZRbar)
+    R2 = (U @ r_full).reshape(-1)
+    Rbar2 = (rbar_full @ Ustar_inv.T).reshape(-1)
+    L2 = inner_from_conjugate(X, Y, R2, Rbar2)
     assert np.abs(L2 - X.left_gram).max() <= 1e-8 * max(np.abs(X.left_gram).max(), 1.0)
 
 

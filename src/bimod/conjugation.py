@@ -2,8 +2,12 @@
 
 Solutions R in Y (x)_A X and Rbar in X (x)_B Y are stored in product
 coordinates; coordinates that differ by a null vector of the product give
-the same solution.  Everything checked of them is an inner product or an
-equation map, contracted from the factor tensors; no tensor bimodule is built.
+the same solution.  Everything checked of them is an inner product in a
+product, contracted from the factor tensors by two routines and no tensor
+bimodule: ``_inner`` gives (r|s) (norms, R*R, intertwiner residuals) and
+``_pair`` gives (r | e_t (x) f_u) for all basis vectors (the equation maps,
+the recovered left Gram and the pair identities, which are exhaustive on the
+basis).
 
 Convention: in the two equations the tensor product is applied before the
 composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).
@@ -30,6 +34,7 @@ from .multimatrix import (
 from .bimodule import (
     FrameSet,
     HilbertBimodule,
+    _act_first,
     contragredient,
     left_tight_frame,
     tensor,
@@ -50,20 +55,43 @@ from .index import (
 # -- vectors of a tensor product in product coordinates -------------------------
 
 
+def _phi_leg(X: HilbertBimodule, Y: HilbertBimodule, s: np.ndarray) -> np.ndarray:
+    """[..., (q, a, b), w] = sum_v phi_Y(e_ab)[w, v] s[..., q, v]."""
+    dx, dy, nb = X.dim, Y.dim, X.B.rep_dim
+    return (s @ Y.left_action.reshape(nb * nb * dy, dy).T).reshape(
+        s.shape[:-2] + (dx * nb * nb, dy))
+
+
+def _peel(X: HilbertBimodule, Y: HilbertBimodule, s: np.ndarray) -> np.ndarray:
+    """m[p, w]: coordinates in Y of the vectors m_p = sum_{q,v}
+    phi_Y((e_p|e_q)_B) f_v s[q, v], so that (e_p (x) f | s)_C = (f | m_p)_C."""
+    return X.right_gram.reshape(X.dim, -1) @ _phi_leg(X, Y, s)
+
+
 def _inner(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray,
            s: np.ndarray) -> np.ndarray:
     """(r|s)_C in X (x)_B Y, embedded in M_{N_C}, for product coordinates r, s
     of one shape (..., d_X, d_Y).  (e_p (x) f_u | e_q (x) f_v)_C =
     (f_u | phi_Y((e_p|e_q)_B) f_v)_C, contracted in O(d^3 N^2)."""
-    dx, dy, nb, nc = X.dim, Y.dim, X.B.rep_dim, Y.B.rep_dim
+    dx, dy, nc = X.dim, Y.dim, Y.B.rep_dim
     lead = s.shape[:-2]
-    # [..., (q, a, b), w] = sum_v phi_Y(e_ab)[w, v] s[..., q, v]
-    s_phi = (s @ Y.left_action.reshape(nb * nb * dy, dy).T).reshape(
-        lead + (dx * nb * nb, dy))
     # [..., u, (q, a, b)] = sum_p conj(r[..., p, u]) (e_p|e_q)_B[a, b]
-    r_g = np.swapaxes(r.conj(), -1, -2) @ X.right_gram.reshape(dx, dx * nb * nb)
-    k = (r_g @ s_phi).reshape(lead + (dy * dy,))
+    r_g = np.swapaxes(r.conj(), -1, -2) @ X.right_gram.reshape(dx, -1)
+    k = (r_g @ _phi_leg(X, Y, s)).reshape(lead + (dy * dy,))
     return (k @ Y.right_gram.reshape(dy * dy, nc * nc)).reshape(lead + (nc, nc))
+
+
+def _pair(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
+    """[t, u] = (r | e_t (x) f_u)_C in X (x)_B Y, embedded in M_{N_C}, for r
+    (d_X, d_Y).  conj(r) meets G_X, then phi_Y, then G_Y: at most d_X d_Y^3
+    elements are held at once."""
+    dx, dy, nb, nc = X.dim, Y.dim, X.B.rep_dim, Y.B.rep_dim
+    # [(u', t, a, b)] = sum_p conj(r[p, u']) (e_p|e_t)_B[a, b]
+    r_g = r.conj().T @ X.right_gram.reshape(dx, dx * nb * nb)
+    # [(u', t), (w, u)] = sum_ab r_g[u', t, a, b] phi_Y(e_ab)[w, u]
+    k = r_g.reshape(dy * dx, nb * nb) @ Y.left_action.reshape(nb * nb, dy * dy)
+    k = k.reshape(dy, dx, dy, dy).transpose(1, 3, 0, 2).reshape(dx * dy, dy * dy)
+    return (k @ Y.right_gram.reshape(dy * dy, nc * nc)).reshape(dx, dy, nc, nc)
 
 
 def _norm(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
@@ -84,14 +112,13 @@ def _product_coords(vec, X: HilbertBimodule, Y: HilbertBimodule, what: str) -> n
 
 
 def _intertwiner_residual(X: HilbertBimodule, Y: HilbertBimodule,
-                          r: np.ndarray) -> float:
+                          r: np.ndarray, norm: float) -> float:
     """max over the units c of ||phi_X(c) r - r psi_Y(c)^T|| / ||r||: how far r
     in the C-C bimodule X (x) Y is from intertwining the unit actions."""
     units = X.A.units_embedded()
     psi = np.tensordot(units, Y.right_action, axes=([1, 2], [0, 1]))
     diff = X.phi(units) @ r - r @ np.swapaxes(psi, -1, -2)
-    scale = max(float(_norm(X, Y, r)), 1e-300)
-    return float(_norm(X, Y, diff).max()) / scale
+    return float(_norm(X, Y, diff).max()) / max(norm, 1e-300)
 
 
 # -- solutions of the conjugate equations ---------------------------------------
@@ -130,25 +157,14 @@ class ConjugateSolution:
         return float(_norm(self.X, self.Y, self.Rbar))
 
 
-def _equation_maps(X: HilbertBimodule, Y: HilbertBimodule,
-                   r_full: np.ndarray, rbar_full: np.ndarray):
-    """The two composites of the conjugate equations as matrices on X and Y.
-
-    ``r_full`` has shape (dY, dX) (coordinates of R in Y (x) X), ``rbar_full``
-    (dX, dY).  Equation one sends x to sum phi_X((Rbar | x (x) f_u)_A) e_s
-    over the expansion of R; equation two is symmetric.
-    """
-    GX, GY = X.right_gram, Y.right_gram
-    phiYG = np.einsum("PpAB,ABwu->Ppwu", GX, Y.left_action, optimize=True)
-    AG = np.einsum("PU,Ppwu,Uwab->puab", rbar_full.conj(), phiYG, GY, optimize=True)
-    phiAG = np.einsum("tuab,abis->tuis", AG, X.left_action, optimize=True)
-    E1 = np.einsum("us,tuis->it", r_full, phiAG, optimize=True)
-
-    phiXG = np.einsum("UuAB,ABwp->Uuwp", GY, X.left_action, optimize=True)
-    BG = np.einsum("UP,Uuwp,Pwab->upab", r_full.conj(), phiXG, GX, optimize=True)
-    phiBG = np.einsum("tpab,abjq->tpjq", BG, Y.left_action, optimize=True)
-    E2 = np.einsum("pq,tpjq->jt", rbar_full, phiBG, optimize=True)
-    return E1, E2
+def _equation_map(X: HilbertBimodule, Y: HilbertBimodule,
+                  r: np.ndarray, rbar: np.ndarray) -> np.ndarray:
+    """x -> (Rbar* (x) 1_X)(x (x) R) as a matrix on X: E[i, t] = sum_{u,s}
+    R[u, s] phi_X((Rbar | e_t (x) f_u)_A)[i, s].  With X and Y swapped (and
+    R, Rbar) it is the map of the second equation, on Y."""
+    # [u, a, b, i] = sum_s R[u, s] phi_X(e_ab)[i, s]
+    r_phi = np.tensordot(r, X.left_action, axes=([1], [3]))
+    return (_pair(X, Y, rbar).reshape(X.dim, -1) @ r_phi.reshape(-1, X.dim)).T
 
 
 @dataclass
@@ -182,17 +198,16 @@ def verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
     """
     r_full = _product_coords(R, Y, X, "R")
     rbar_full = _product_coords(Rbar, X, Y, "Rbar")
-    int_R = _intertwiner_residual(Y, X, r_full)
-    int_Rbar = _intertwiner_residual(X, Y, rbar_full)
+    norm_r, norm_rbar = float(_norm(Y, X, r_full)), float(_norm(X, Y, rbar_full))
+    int_R = _intertwiner_residual(Y, X, r_full, norm_r)
+    int_Rbar = _intertwiner_residual(X, Y, rbar_full, norm_rbar)
     if max(int_R, int_Rbar) > intertwine_tol:
         raise ContractError(
             f"candidate does not intertwine the unit actions "
             f"(residuals {int_R:.3g}, {int_Rbar:.3g})")
-    E1, E2 = _equation_maps(X, Y, r_full, rbar_full)
-    res1 = X.op_norm(E1 - np.eye(X.dim))
-    res2 = Y.op_norm(E2 - np.eye(Y.dim))
-    dim_rel = float(_norm(Y, X, r_full) * _norm(X, Y, rbar_full))
-    return VerifyReport(res1, res2, dim_rel, int_R, int_Rbar, tol)
+    res1 = X.op_norm(_equation_map(X, Y, r_full, rbar_full) - np.eye(X.dim))
+    res2 = Y.op_norm(_equation_map(Y, X, rbar_full, r_full) - np.eye(Y.dim))
+    return VerifyReport(res1, res2, norm_r * norm_rbar, int_R, int_Rbar, tol)
 
 
 def build_conjugate(X: HilbertBimodule, right_frame: FrameSet | None = None,
@@ -219,6 +234,13 @@ def build_conjugate(X: HilbertBimodule, right_frame: FrameSet | None = None,
 # -- recovering the left inner product ------------------------------------------
 
 
+def _left_pairing(X: HilbertBimodule, Y: HilbertBimodule, rbar: np.ndarray) -> np.ndarray:
+    """[p, q] = Rbar* (theta_{e_p,e_q} (x) 1_Y) Rbar = sum_u (Rbar | e_p (x) f_u)_A
+    m_q[u], with m_q = V(e_q-bar) the coordinates of ``_peel``."""
+    return np.tensordot(_pair(X, Y, rbar), _peel(X, Y, rbar),
+                        axes=([1], [1])).transpose(0, 3, 1, 2)
+
+
 def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
                          tol: float = 1e-8) -> np.ndarray:
     """Left Gram tensor induced by a verified solution:
@@ -228,44 +250,27 @@ def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
     solution produced by ``build_conjugate`` recovers the original left Gram.
     """
     verify_conjugate(X, Y, R, Rbar, tol=tol)
-    rbar_full = _product_coords(Rbar, X, Y, "Rbar")
-    GX, GY = X.right_gram, Y.right_gram
-    psiG = np.einsum("qsab,abip->qsip", GX, X.right_action, optimize=True)
-    phiYG = np.einsum("PpAB,ABwu->Ppwu", GX, Y.left_action, optimize=True)
-    L = np.einsum("PU,qsip,su,Piwu,Uwab->pqab",
-                  rbar_full.conj(), psiG, rbar_full, phiYG, GY, optimize=True)
+    L = _left_pairing(X, Y, _product_coords(Rbar, X, Y, "Rbar"))
     # clean Hermitian symmetry of the result
     return 0.5 * (L + L.conj().transpose(1, 0, 3, 2))
 
 
 def conjugate_pair_identities(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
-                              left_gram: np.ndarray,
-                              seed: int = 0, trials: int = 20) -> dict:
+                              left_gram: np.ndarray) -> dict:
     """Residuals of Rbar*(x (x) V xbar') = _A(x|x') and R*(V xbar (x) x') =
     (x|x')_B after identifying Y with the contragredient via
-    V(xbar) = lambda_x* Rbar."""
+    V(xbar) = lambda_x* Rbar.
+
+    Both sides are sesquilinear in (x, x'), so the check on the coordinate
+    basis is exhaustive: each residual is the largest |lhs - rhs| over the
+    basis pairs (e_p, e_q) and the matrix entries of the values."""
     r_full = _product_coords(R, Y, X, "R")
     rbar_full = _product_coords(Rbar, X, Y, "Rbar")
-    GX, GY = X.right_gram, Y.right_gram
-    phiYG = np.einsum("rpAB,ABjq->rpjq", GX, Y.left_action, optimize=True)
-    Vmat = np.einsum("pq,rpjq->jr", rbar_full, phiYG, optimize=True)
-    phiXG = np.einsum("UuAB,ABwp->Uuwp", GY, X.left_action, optimize=True)
-    rng = np.random.default_rng(seed)
-    res_right = res_left = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim)
-        xp = rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim)
-        vx = Vmat @ x.conj()
-        lhs_r = np.einsum("UP,Uuwp,Pwab,u,p->ab", r_full.conj(), phiXG, GX, vx, xp,
-                          optimize=True)
-        rhs_r = np.einsum("p,q,pqab->ab", x.conj(), xp, GX)
-        res_right = max(res_right, float(np.abs(lhs_r - rhs_r).max()))
-        vxp = Vmat @ xp.conj()
-        lhs_l = np.einsum("PU,Ppwu,Uwab,p,u->ab", rbar_full.conj(), phiYG, GY, x, vxp,
-                          optimize=True)
-        rhs_l = np.einsum("p,q,pqab->ab", x, xp.conj(), np.asarray(left_gram))
-        res_left = max(res_left, float(np.abs(lhs_l - rhs_l).max()))
-    return {"right_identity_residual": res_right, "left_identity_residual": res_left}
+    # [p, q] = R*(V e_p-bar (x) e_q) = sum_u m_p[u] (R | f_u (x) e_q)_B
+    right = np.tensordot(_peel(X, Y, rbar_full), _pair(Y, X, r_full), axes=([1], [0]))
+    left = _left_pairing(X, Y, rbar_full)
+    return {"right_identity_residual": float(np.abs(right - X.right_gram).max()),
+            "left_identity_residual": float(np.abs(left - np.asarray(left_gram)).max())}
 
 
 # -- rescaling the left structure -------------------------------------------------
@@ -291,7 +296,7 @@ def rescale_left(X: HilbertBimodule, Q: np.ndarray,
     w = np.linalg.eigvalsh(hermitian_part(Qh))
     if w.min() <= RANK_TOL * max(float(w.max()), 1e-300):
         raise ContractError("Q is not positive invertible")
-    L2 = np.einsum("rp,rqab->pqab", Q, X.left_gram)
+    L2 = _act_first(Q, X.left_gram)
     return X.with_left_gram(L2)
 
 
@@ -364,7 +369,7 @@ def min_dimension(X: HilbertBimodule) -> MinDimResult:
     phis = np.array([X.phi(z) for z in center_decompose(X.A)])
     psis = np.array([X.psi(z) for z in center_decompose(X.B)])
     C = np.einsum("kl,kij,ljm->im", _perron_weights(lam), phis, psis)
-    L_star = np.einsum("rp,rqab->pqab", C, L0)
+    L_star = _act_first(C, L0)
     # a rescaling Q multiplies the scalar form tr _A(e_p|e_q) by Q^T on the left
     Q_star = np.linalg.solve(X.scalar_left_gram, np.einsum("pqaa->qp", L_star))
     X_star = rescale_left(X, Q_star)
@@ -478,22 +483,15 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
             L = np.tensordot(coeff, X.A.units_embedded(), axes=([0], [0])).reshape(
                 d, d, X.A.rep_dim, X.A.rep_dim)
             cand = X.with_left_gram(L)
-            rep_v = validate(cand, tol=1e-7)
-            if rep_v.passed:
+            if validate(cand, tol=1e-7).passed:
                 candidate_valid = True
                 idx = right_index(cand)
                 res_r = (idx.r_ind - X.A.identity()).norm()
                 res_l = (idx.l_ind - X.B.identity()).norm()
     is_morita = candidate_valid and res_r <= tol and res_l <= tol and right_full
-    min_dim = None
-    target = X if X.is_bihilbertian else None
-    if target is None and candidate_valid:
-        target = X.with_left_gram(L)
-    if target is not None:
-        min_dim = min_dimension(target).dim_hat
-    agree = True
-    if min_dim is not None:
-        agree = is_morita == (abs(min_dim - 1.0) <= 1e-9)
+    target = X if X.is_bihilbertian else (cand if candidate_valid else None)
+    min_dim = min_dimension(target).dim_hat if target is not None else None
+    agree = min_dim is None or is_morita == (abs(min_dim - 1.0) <= 1e-9)
     return MoritaReport(is_morita=is_morita, right_full=right_full,
                         action_surjective=surjective,
                         candidate_valid=candidate_valid,

@@ -138,11 +138,6 @@ def relative_commutant(X: HilbertBimodule) -> np.ndarray:
     return commutant_of([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
 
 
-def relative_commutant_of_right_action(X: HilbertBimodule) -> np.ndarray:
-    """Basis of K(X_B) = L(X_B): all matrices commuting with the right action."""
-    return commutant_of([(X.B, X.right_action)], X.dim)
-
-
 _UNIT_TOL = 1e-8
 
 
@@ -586,12 +581,10 @@ def fiber_decomposition(X: HilbertBimodule, lambda_prime: float | None = None,
         bound = int(np.floor(c_k / lambda_prime + 1e-9)) ** 2
         fibers.append(Fiber(block=k, dimension=dim, index_value=c_k, bound=bound))
     # closure of the commutant under the left adjoint
-    res = 0.0
-    flat = comm.reshape(len(comm), -1)
-    for M in comm:
-        Mb = X.left_op_adjoint(M).reshape(-1)
-        coeff, *_ = np.linalg.lstsq(flat.T, Mb, rcond=None)
-        res = max(res, float(np.abs(flat.T @ coeff - Mb).max()))
+    flat = comm.reshape(len(comm), -1).T
+    adj = np.array([X.left_op_adjoint(M) for M in comm]).reshape(len(comm), -1).T
+    coeff, *_ = np.linalg.lstsq(flat, adj, rcond=None)
+    res = float(np.abs(flat @ coeff - adj).max())
     return FiberReport(fibers=fibers, commutant_dim=len(comm),
                        lambda_prime=lambda_prime, left_adjoint_residual=res,
                        constants_exact=bc.exact if bc else None)

@@ -24,7 +24,8 @@ from bimod import (
     tight_frame,
     trace_weighted_expectation,
 )
-from bimod.conjugation import VerifyReport, _equation_maps
+from bimod.conjugation import VerifyReport, _product_coords, verify_conjugate
+from bimod.index import commutant_of
 from bimod.multimatrix import RANK_TOL, ContractError, hermitian_part
 
 
@@ -113,6 +114,11 @@ def random_bimodule(A_blocks, B_blocks, mult, seed: int = 0,
     return HilbertBimodule(A, B, d, G, Phi, Psi, L)
 
 
+def relative_commutant_of_right_action(X: HilbertBimodule) -> np.ndarray:
+    """Basis of K(X_B) = L(X_B): all matrices commuting with the right action."""
+    return commutant_of([(X.B, X.right_action)], X.dim)
+
+
 def kron_commutant(X: HilbertBimodule, left: bool = True) -> np.ndarray:
     """Reference relative commutant (with ``left=False``, the commutant of
     the right action alone): the null space of the stacked Kronecker system
@@ -177,6 +183,82 @@ def dense_tensor(X: HilbertBimodule, Y: HilbertBimodule,
     return Z
 
 
+# The einsum chains that ``bimod.conjugation`` used for the equation maps,
+# the recovered left Gram and the pair identities before they went through
+# ``_inner``/``_pair``, kept as test-only oracles.  The identities are
+# checked on ``trials`` random vector pairs rather than on the basis.
+
+
+def einsum_equation_maps(X: HilbertBimodule, Y: HilbertBimodule,
+                         r_full: np.ndarray, rbar_full: np.ndarray):
+    """The two composites of the conjugate equations as matrices on X and Y.
+
+    ``r_full`` has shape (dY, dX) (coordinates of R in Y (x) X), ``rbar_full``
+    (dX, dY).  Equation one sends x to sum phi_X((Rbar | x (x) f_u)_A) e_s
+    over the expansion of R; equation two is symmetric.
+    """
+    GX, GY = X.right_gram, Y.right_gram
+    phiYG = np.einsum("PpAB,ABwu->Ppwu", GX, Y.left_action, optimize=True)
+    AG = np.einsum("PU,Ppwu,Uwab->puab", rbar_full.conj(), phiYG, GY, optimize=True)
+    phiAG = np.einsum("tuab,abis->tuis", AG, X.left_action, optimize=True)
+    E1 = np.einsum("us,tuis->it", r_full, phiAG, optimize=True)
+
+    phiXG = np.einsum("UuAB,ABwp->Uuwp", GY, X.left_action, optimize=True)
+    BG = np.einsum("UP,Uuwp,Pwab->upab", r_full.conj(), phiXG, GX, optimize=True)
+    phiBG = np.einsum("tpab,abjq->tpjq", BG, Y.left_action, optimize=True)
+    E2 = np.einsum("pq,tpjq->jt", rbar_full, phiBG, optimize=True)
+    return E1, E2
+
+
+def einsum_inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
+                                tol: float = 1e-8) -> np.ndarray:
+    """Left Gram tensor induced by a verified solution:
+    _A(e_p|e_q) = Rbar* (theta^r_{e_p,e_q} (x) 1_Y) Rbar.
+
+    The returned tensor makes X bi-Hilbertian of finite index; feeding the
+    solution produced by ``build_conjugate`` recovers the original left Gram.
+    """
+    verify_conjugate(X, Y, R, Rbar, tol=tol)
+    rbar_full = _product_coords(Rbar, X, Y, "Rbar")
+    GX, GY = X.right_gram, Y.right_gram
+    psiG = np.einsum("qsab,abip->qsip", GX, X.right_action, optimize=True)
+    phiYG = np.einsum("PpAB,ABwu->Ppwu", GX, Y.left_action, optimize=True)
+    L = np.einsum("PU,qsip,su,Piwu,Uwab->pqab",
+                  rbar_full.conj(), psiG, rbar_full, phiYG, GY, optimize=True)
+    # clean Hermitian symmetry of the result
+    return 0.5 * (L + L.conj().transpose(1, 0, 3, 2))
+
+
+def einsum_conjugate_pair_identities(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
+                                     left_gram: np.ndarray,
+                                     seed: int = 0, trials: int = 20) -> dict:
+    """Residuals of Rbar*(x (x) V xbar') = _A(x|x') and R*(V xbar (x) x') =
+    (x|x')_B after identifying Y with the contragredient via
+    V(xbar) = lambda_x* Rbar."""
+    r_full = _product_coords(R, Y, X, "R")
+    rbar_full = _product_coords(Rbar, X, Y, "Rbar")
+    GX, GY = X.right_gram, Y.right_gram
+    phiYG = np.einsum("rpAB,ABjq->rpjq", GX, Y.left_action, optimize=True)
+    Vmat = np.einsum("pq,rpjq->jr", rbar_full, phiYG, optimize=True)
+    phiXG = np.einsum("UuAB,ABwp->Uuwp", GY, X.left_action, optimize=True)
+    rng = np.random.default_rng(seed)
+    res_right = res_left = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim)
+        xp = rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim)
+        vx = Vmat @ x.conj()
+        lhs_r = np.einsum("UP,Uuwp,Pwab,u,p->ab", r_full.conj(), phiXG, GX, vx, xp,
+                          optimize=True)
+        rhs_r = np.einsum("p,q,pqab->ab", x.conj(), xp, GX)
+        res_right = max(res_right, float(np.abs(lhs_r - rhs_r).max()))
+        vxp = Vmat @ xp.conj()
+        lhs_l = np.einsum("PU,Ppwu,Uwab,p,u->ab", rbar_full.conj(), phiYG, GY, x, vxp,
+                          optimize=True)
+        rhs_l = np.einsum("p,q,pqab->ab", x, xp.conj(), np.asarray(left_gram))
+        res_left = max(res_left, float(np.abs(lhs_l - rhs_l).max()))
+    return {"right_identity_residual": res_right, "left_identity_residual": res_left}
+
+
 # The body of ``bimod.verify_conjugate`` from before solutions moved to
 # product coordinates, kept as a test-only oracle: R and Rbar are quotient
 # coordinates of the tensor bimodules, whose norms and unit actions are read
@@ -212,7 +294,7 @@ def quotient_verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
             f"(residuals {int_R:.3g}, {int_Rbar:.3g})")
     r_full = tensor_lift(ZR, R).reshape(Y.dim, X.dim)
     rbar_full = tensor_lift(ZRbar, Rbar).reshape(X.dim, Y.dim)
-    E1, E2 = _equation_maps(X, Y, r_full, rbar_full)
+    E1, E2 = einsum_equation_maps(X, Y, r_full, rbar_full)
     res1 = X.op_norm(E1 - np.eye(X.dim))
     res2 = Y.op_norm(E2 - np.eye(Y.dim))
     dim_rel = ZR.vector_norm(R) * ZRbar.vector_norm(Rbar)

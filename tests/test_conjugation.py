@@ -25,12 +25,16 @@ from bimod import (
     tensor_push,
     verify_conjugate,
 )
+from bimod.conjugation import _equation_map
 
 from helpers import (
     bidirected_cycle_graph,
     corpus,
     descent_min_dimension,
     diag_expectation_m2,
+    einsum_conjugate_pair_identities,
+    einsum_equation_maps,
+    einsum_inner_from_conjugate,
     four_cycle_graph,
     quotient_verify_conjugate,
     random_bimodule,
@@ -156,6 +160,71 @@ def test_product_coordinates_match_quotient_oracle():
         rr, bb = ZR.right_inner(R, R), ZRbar.right_inner(Rbar, Rbar)
         assert (sol.R_star_R - rr).norm() <= 1e-12 * rr.norm(), name
         assert (sol.Rbar_star_Rbar - bb).norm() <= 1e-12 * bb.norm(), name
+
+
+def _replayed_trials(dim, seed=0, trials=20):
+    # the random vector pairs that einsum_conjugate_pair_identities draws
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        xp = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        yield x, xp
+
+
+def test_conjugation_contractions_match_einsum_oracle():
+    mods = corpus() + [(f"roundtrip_{i}", random_bimodule(*shape, seed=1))
+                       for i, shape in enumerate(_ROUNDTRIP)]
+    rng = np.random.default_rng(7)
+    for name, X in mods:
+        sol = build_conjugate(X)
+        Y, r, rbar = sol.Y, sol.R, sol.Rbar
+        E1, E2 = einsum_equation_maps(X, Y, r, rbar)
+        assert np.abs(_equation_map(X, Y, r, rbar) - E1).max() <= 1e-12 * np.abs(E1).max(), name
+        assert np.abs(_equation_map(Y, X, rbar, r) - E2).max() <= 1e-12 * np.abs(E2).max(), name
+        L_ref = einsum_inner_from_conjugate(X, Y, r, rbar)
+        L = inner_from_conjugate(X, Y, r, rbar)
+        assert np.abs(L - L_ref).max() <= 1e-12 * np.abs(L_ref).max(), name
+        # at a solution both routes read rounding only
+        scale = max(np.abs(X.right_gram).max(), np.abs(X.left_gram).max())
+        for ids in (conjugate_pair_identities(X, Y, r, rbar, X.left_gram),
+                    einsum_conjugate_pair_identities(X, Y, r, rbar, X.left_gram)):
+            assert max(ids.values()) <= 1e-12 * X.dim * scale, (name, ids)
+        # a left Gram off by delta: the basis form reads max |delta|, the
+        # oracle the largest value of delta on its own random pairs
+        delta = 0.1 * (rng.standard_normal(X.left_gram.shape)
+                       + 1j * rng.standard_normal(X.left_gram.shape))
+        new = conjugate_pair_identities(X, Y, r, rbar, X.left_gram + delta)
+        ref = einsum_conjugate_pair_identities(X, Y, r, rbar, X.left_gram + delta)
+        seen = max(np.abs(np.einsum("p,q,pqab->ab", x, xp.conj(), delta)).max()
+                   for x, xp in _replayed_trials(X.dim))
+        exact = np.abs(delta).max()
+        assert abs(new["left_identity_residual"] - exact) <= 1e-12 * exact, name
+        assert abs(ref["left_identity_residual"] - seen) <= 1e-12 * seen, name
+
+
+def test_pair_identities_read_a_one_entry_change_of_left_gram():
+    eps = 1e-3
+    for name, X in corpus()[-3:] + [("roundtrip", random_bimodule(*_ROUNDTRIP[0], seed=1))]:
+        sol = build_conjugate(X)
+        L = X.left_gram.copy()
+        L[X.dim - 1, 0, 0, 0] += eps
+        ids = conjugate_pair_identities(X, sol.Y, sol.R, sol.Rbar, L)
+        assert abs(ids["left_identity_residual"] - eps) <= 1e-12, name
+        assert ids["right_identity_residual"] <= 1e-12, name
+
+
+def test_verify_conjugate_peak_memory_at_d24():
+    import tracemalloc
+    X = random_bimodule([2, 1, 1], [2, 1, 1], [[2, 1, 1], [2, 1, 1], [1, 2, 2]], seed=0)
+    sol = build_conjugate(X)
+    tracemalloc.start()
+    try:
+        rep = verify_conjugate(X, sol.Y, sol.R, sol.Rbar)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.dim == 24 and rep.passed
+    assert peak < 13.5e6, peak
 
 
 @pytest.mark.parametrize("k", [1, 8])

@@ -31,7 +31,6 @@ from bimod.index import (
     _largest_ratio,
     _operator_cp_map,
     commutant_of,
-    relative_commutant_of_right_action,
 )
 from bimod.multimatrix import StructureError, random_element
 from bimod.serde import encode_bimodule
@@ -48,6 +47,7 @@ from helpers import (
     random_bimodule_family,
     random_posdef,
     random_positive_operator,
+    relative_commutant_of_right_action,
     span_distance,
     two_block_expectation,
     well_conditioned,

@@ -115,24 +115,23 @@ def _as_bimodule(kind: str, parsed) -> HilbertBimodule:
     raise ParseError(f"command needs a bimodule-like input, got kind '{kind}'")
 
 
+def _read_module(path: str, check: bool = True) -> tuple[str, HilbertBimodule]:
+    """(kind, module) of a bimodule, graph, expectation or hilbert file."""
+    kind, parsed = parse_spec(path, check)
+    return kind, _as_bimodule(kind, parsed)
+
+
 # -- command handlers ------------------------------------------------------------
 
 
 def _cmd_validate(req: CommandRequest):
-    kind, parsed = parse_spec(req.inputs[0], check=False)
-    if kind in ("graph", "expectation", "hilbert"):
-        X = _as_bimodule(kind, parsed)
-    elif kind == "bimodule":
-        X = parsed
-    else:
-        raise ParseError("validate expects a bimodule, graph, expectation or hilbert file")
+    kind, X = _read_module(req.inputs[0], check=False)
     rep = validate(X, tol=req.tol)
     return rep.passed, {"validation": rep.as_dict(), "kind": kind, "dim": X.dim}
 
 
 def _cmd_index(req: CommandRequest):
-    kind, parsed = parse_spec(req.inputs[0])
-    X = _as_bimodule(kind, parsed)
+    _, X = _read_module(req.inputs[0])
     rep = index_report(X, seed=req.seed)
     units = X.A.units_embedded()
     r_mat = rep.r_ind.embed()
@@ -152,8 +151,7 @@ def _cmd_index(req: CommandRequest):
 
 
 def _cmd_conjugate(req: CommandRequest):
-    kind, parsed = parse_spec(req.inputs[0])
-    X = _as_bimodule(kind, parsed)
+    _, X = _read_module(req.inputs[0])
     sol = build_conjugate(X)
     idx = right_index(X)
     res_rr = (sol.R_star_R - idx.l_ind).norm()
@@ -169,8 +167,7 @@ def _cmd_conjugate(req: CommandRequest):
 
 
 def _cmd_verify(req: CommandRequest):
-    kind, parsed = parse_spec(req.inputs[0])
-    X = _as_bimodule(kind, parsed)
+    _, X = _read_module(req.inputs[0])
     skind, sol = parse_spec(req.inputs[1])
     if skind != "solution":
         raise ParseError("second input of verify must be a solution file")
@@ -180,16 +177,14 @@ def _cmd_verify(req: CommandRequest):
 
 
 def _cmd_mindim(req: CommandRequest):
-    kind, parsed = parse_spec(req.inputs[0])
-    X = _as_bimodule(kind, parsed)
+    _, X = _read_module(req.inputs[0])
     res = min_dimension(X)
     return res.certified, {"dim_hat": res.dim_hat, "multiplicity_matrix": res.multiplicities,
                            "certificate_residual": res.certificate_residual}
 
 
 def _cmd_basic(req: CommandRequest):
-    kind, parsed = parse_spec(req.inputs[0])
-    X = _as_bimodule(kind, parsed)
+    _, X = _read_module(req.inputs[0])
     bco = basic_construction(X)
     rng = np.random.default_rng(req.seed)
     bc = best_constants(X, seed=req.seed)
@@ -218,23 +213,19 @@ def _cmd_basic(req: CommandRequest):
 
 
 def _cmd_fibers(req: CommandRequest):
-    kind, parsed = parse_spec(req.inputs[0])
-    X = _as_bimodule(kind, parsed)
+    _, X = _read_module(req.inputs[0])
     rep = fiber_decomposition(X, seed=req.seed)
     return rep.passed, rep.as_dict()
 
 
 def _cmd_morita(req: CommandRequest):
-    kind, parsed = parse_spec(req.inputs[0])
-    X = _as_bimodule(kind, parsed)
+    _, X = _read_module(req.inputs[0])
     rep = morita_check(X)
     return rep.conditions_agree, rep.as_dict()
 
 
 def _cmd_tensor(req: CommandRequest):
-    kind1, p1 = parse_spec(req.inputs[0])
-    kind2, p2 = parse_spec(req.inputs[1])
-    X, Y = _as_bimodule(kind1, p1), _as_bimodule(kind2, p2)
+    (_, X), (_, Y) = _read_module(req.inputs[0]), _read_module(req.inputs[1])
     Z = tensor(X, Y)
     rep = validate(Z, tol=req.tol)
     idx = right_index(Z)

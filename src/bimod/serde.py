@@ -1,8 +1,14 @@
 """JSON encodings for algebras, elements, bimodules and input files.
 
-Complex scalars are encoded as [re, im] pairs; an algebra element is
-{"blocks": [block, ...]} with each block an n x n nested list of pairs.
-Input files are self-describing through a top-level "kind" field.
+Complex scalars are written as [re, im] pairs; on input each array holds all
+pairs or all reals.  An algebra element is {"blocks": [block, ...]}, each
+block an n x n nested list.  Input files name their "kind" at the top level.
+
+Arrays are read by ``_complex_array`` and written by ``_pairs`` whole, Gram
+tensors and actions one algebra block at a time.  Shapes, finite entries and
+integer fields (``_integer``) are checked before anything sized by a declared
+dimension is allocated; malformed input raises :class:`ParseError` naming the
+field and block.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ def _convert(conv, value, what: str):
     """``conv(value)``, with a failed conversion reported as a ParseError."""
     try:
         return conv(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"cannot read {what}: {exc}") from exc
 
 
@@ -32,28 +38,41 @@ def _finite(arr, what: str):
     return arr
 
 
-def encode_complex_matrix(mat: np.ndarray) -> list:
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+def _integer(value, what: str, least: int) -> int:
+    """An integer field: a JSON integer, or an integral float, >= ``least``.
+
+    Bools, fractions, non-finite values and non-numbers are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer()) or value < least):
+        raise ParseError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
-def decode_complex_matrix(obj, what: str = "matrix") -> np.ndarray:
+def _complex_array(obj, shape: tuple, what: str) -> np.ndarray:
+    """A nested list of all [re, im] pairs or all reals as a complex array.
+
+    ``shape`` is the declared shape; a None entry takes its length from the
+    data.  Pairs become complex numbers by a view of the float array, with
+    no arithmetic, so values are bitwise those :func:`_pairs` wrote.
+    """
     try:
-        rows = []
-        for row in obj:
-            out = []
-            for z in row:
-                if isinstance(z, (int, float)):
-                    out.append(complex(z))
-                else:
-                    out.append(complex(float(z[0]), float(z[1])))
-            rows.append(out)
-        mat = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"cannot read {what}: {exc}") from exc
-    if mat.ndim != 2:
-        raise ParseError(f"{what} is not two-dimensional")
-    return _finite(mat, what)
+    pairs = arr.ndim == len(shape) + 1 and arr.shape[-1] == 2
+    got = arr.shape[:-1] if pairs else arr.shape
+    if len(got) != len(shape) or any(n is not None and n != g for n, g in zip(shape, got)):
+        want = " x ".join("n" if n is None else str(n) for n in shape)
+        raise ParseError(f"{what} must be a {want} array of [re, im] pairs or of reals, "
+                         f"got shape {arr.shape}")
+    _finite(arr, what)
+    return arr.view(complex)[..., 0] if pairs else arr.astype(complex)
+
+
+def _pairs(arr) -> list:
+    """Complex array -> nested list of [re, im] pairs."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def encode_algebra(alg: MultiMatrixAlgebra) -> dict:
@@ -61,67 +80,62 @@ def encode_algebra(alg: MultiMatrixAlgebra) -> dict:
 
 
 def decode_algebra(obj, what: str = "algebra") -> MultiMatrixAlgebra:
-    if not isinstance(obj, dict) or "blocks" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
         raise ParseError(f"{what} must be an object with a 'blocks' list")
+    sizes = [_integer(n, f"{what} block size", 1) for n in obj["blocks"]]
     try:
-        return MultiMatrixAlgebra(obj["blocks"])
-    except (StructureError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad {what}: {exc}") from exc
-
-
-def encode_element(x: AlgebraElement) -> dict:
-    return {"blocks": [encode_complex_matrix(b) for b in x.blocks]}
-
-
-def decode_element(alg: MultiMatrixAlgebra, obj, what: str = "element") -> AlgebraElement:
-    if not isinstance(obj, dict) or "blocks" not in obj:
-        raise ParseError(f"{what} must be an object with a 'blocks' list")
-    mats = [decode_complex_matrix(b, what) for b in obj["blocks"]]
-    try:
-        return AlgebraElement(alg, mats)
+        return MultiMatrixAlgebra(sizes)
     except StructureError as exc:
         raise ParseError(f"bad {what}: {exc}") from exc
 
 
+def encode_element(x: AlgebraElement) -> dict:
+    return {"blocks": [_pairs(b) for b in x.blocks]}
+
+
+def _element_blocks(alg: MultiMatrixAlgebra, obj, what: str) -> list:
+    """The still-encoded block list of an element, checked for its length."""
+    if (not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list)
+            or len(obj["blocks"]) != alg.num_blocks):
+        raise ParseError(f"{what} must be an object with a 'blocks' list of "
+                         f"{alg.num_blocks} blocks")
+    return obj["blocks"]
+
+
 def _encode_action(action: np.ndarray, alg: MultiMatrixAlgebra) -> list:
     """(N, N, d, d) action tensor -> per-block matrix-unit images."""
-    out = []
-    for k in range(alg.num_blocks):
-        s = alg.block_slice(k)
-        n = alg.blocks[k]
-        out.append([[encode_complex_matrix(action[s.start + i, s.start + j])
-                     for j in range(n)] for i in range(n)])
-    return out
+    return [_pairs(action[s, s]) for s in map(alg.block_slice, range(alg.num_blocks))]
 
 
 def _decode_action(obj, alg: MultiMatrixAlgebra, d: int, what: str) -> np.ndarray:
-    action = np.zeros((alg.rep_dim, alg.rep_dim, d, d), dtype=complex)
     if not isinstance(obj, list) or len(obj) != alg.num_blocks:
         raise ParseError(f"{what} must list matrix-unit images for each block")
-    for k, blk in enumerate(obj):
-        s, n = alg.block_slice(k), alg.blocks[k]
-        for i in range(n):
-            for j in range(n):
-                mat = decode_complex_matrix(blk[i][j], f"{what}[{k}][{i}][{j}]")
-                if mat.shape != (d, d):
-                    raise ParseError(f"{what}[{k}][{i}][{j}] is not {d} x {d}")
-                action[s.start + i, s.start + j] = mat
+    blocks = [_complex_array(b, (n, n, d, d), f"{what} block {k}")
+              for k, (b, n) in enumerate(zip(obj, alg.blocks))]
+    action = np.zeros((alg.rep_dim, alg.rep_dim, d, d), dtype=complex)
+    for s, b in zip(map(alg.block_slice, range(alg.num_blocks)), blocks):
+        action[s, s] = b
     return action
 
 
 def _encode_gram(gram: np.ndarray, alg: MultiMatrixAlgebra) -> list:
+    """(d, d, N, N) Gram tensor -> d x d array of elements."""
     d = gram.shape[0]
-    return [[encode_element(alg.from_embedded(gram[p, q])) for q in range(d)]
-            for p in range(d)]
+    blocks = [_pairs(gram[:, :, s, s]) for s in map(alg.block_slice, range(alg.num_blocks))]
+    return [[{"blocks": [b[p][q] for b in blocks]} for q in range(d)] for p in range(d)]
 
 
 def _decode_gram(obj, alg: MultiMatrixAlgebra, d: int, what: str) -> np.ndarray:
+    if not isinstance(obj, list) or len(obj) != d or any(
+            not isinstance(row, list) or len(row) != d for row in obj):
+        raise ParseError(f"{what} must be a dim x dim = {d} x {d} array of elements")
+    cells = [[_element_blocks(alg, e, f"{what}[{p}][{q}]") for q, e in enumerate(row)]
+             for p, row in enumerate(obj)]
+    blocks = [_complex_array([[c[k] for c in row] for row in cells], (d, d, n, n),
+                             f"{what} block {k}") for k, n in enumerate(alg.blocks)]
     gram = np.zeros((d, d, alg.rep_dim, alg.rep_dim), dtype=complex)
-    if not isinstance(obj, list) or len(obj) != d:
-        raise ParseError(f"{what} must be a {d} x {d} array of elements")
-    for p in range(d):
-        for q in range(d):
-            gram[p, q] = decode_element(alg, obj[p][q], f"{what}[{p}][{q}]").embed()
+    for s, b in zip(map(alg.block_slice, range(alg.num_blocks)), blocks):
+        gram[:, :, s, s] = b
     return gram
 
 
@@ -142,7 +156,7 @@ def decode_bimodule(obj) -> HilbertBimodule:
             raise ParseError(f"bimodule file is missing '{key}'")
     A = decode_algebra(obj["A"], "A")
     B = decode_algebra(obj["B"], "B")
-    d = _convert(int, obj["dim"], "dim")
+    d = _integer(obj["dim"], "dim", 1)
     right_gram = _decode_gram(obj["right_gram"], B, d, "right_gram")
     left_action = _decode_action(obj["left_action"], A, d, "left_action")
     right_action = _decode_action(obj["right_action"], B, d, "right_action")
@@ -158,8 +172,8 @@ def decode_bimodule(obj) -> HilbertBimodule:
 def decode_graph(obj) -> GraphSpec:
     if "vertices" not in obj or "edges" not in obj:
         raise ParseError("graph file needs 'vertices' and 'edges'")
-    if not isinstance(obj["edges"], list):
-        raise ParseError("'edges' must be a list")
+    if not isinstance(obj["vertices"], list) or not isinstance(obj["edges"], list):
+        raise ParseError("'vertices' and 'edges' must be lists")
     edges = []
     for e in obj["edges"]:
         if not isinstance(e, list) or len(e) != 3:
@@ -181,7 +195,9 @@ def decode_expectation(obj) -> ExpectationSpec:
     if not isinstance(ab, dict) or "blocks" not in ab or "multiplicity" not in ab:
         raise ParseError("'A_blocks' must carry 'blocks' and 'multiplicity'")
     A = decode_algebra({"blocks": ab["blocks"]}, "A")
-    mult = _convert(lambda v: np.asarray(v, dtype=int), ab["multiplicity"], "multiplicity")
+    mult = _convert(lambda rows: np.array([[_integer(m, "multiplicity", 0) for m in row]
+                                           for row in rows], dtype=int),
+                    ab["multiplicity"], "multiplicity")
     weights = _finite(_convert(lambda v: np.asarray(v, dtype=float), obj["E_weights"],
                                "E_weights"), "E_weights")
     if weights.shape != mult.shape:
@@ -197,8 +213,8 @@ def decode_hilbert(obj):
     from .constructors import from_hilbert_space
     if "n" not in obj or "T" not in obj:
         raise ParseError("hilbert file needs 'n' and 'T'")
-    n = _convert(int, obj["n"], "n")
-    T = decode_complex_matrix(obj["T"], "T")
+    n = _integer(obj["n"], "n", 1)
+    T = _complex_array(obj["T"], (n, n), "T")
     try:
         return from_hilbert_space(n, T)
     except StructureError as exc:
@@ -206,19 +222,8 @@ def decode_hilbert(obj):
 
 
 def decode_vector(obj, what: str = "vector") -> np.ndarray:
-    try:
-        out = []
-        for z in obj:
-            if isinstance(z, (int, float)):
-                out.append(complex(z))
-            else:
-                out.append(complex(float(z[0]), float(z[1])))
-        vec = np.array(out, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"cannot read {what}: {exc}") from exc
-    return _finite(vec, what)
+    return _complex_array(obj, (None,), what)
 
 
 def encode_vector(vec: np.ndarray) -> list:
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in vec]
+    return _pairs(np.asarray(vec, dtype=complex).reshape(-1))

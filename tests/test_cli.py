@@ -7,6 +7,7 @@ from bimod import SpectrumDomainError, build_conjugate, column_bimodule, from_hi
 from bimod import cli
 from bimod.cli import CommandRequest, main, parse_spec, run
 from bimod.serde import ParseError, encode_bimodule, encode_vector
+from helpers import random_bimodule
 
 
 @pytest.fixture(scope="module")
@@ -214,30 +215,74 @@ def test_internal_error_exits_three(fixtures, monkeypatch):
 
 
 _CYCLE2 = ["a", "b"]
+_EXPECTATION = {"kind": "expectation", "B": {"blocks": [2]},
+                "A_blocks": {"blocks": [1, 1], "multiplicity": [[1, 1]]},
+                "E_weights": [[1.0, 1.0]]}
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "graph", "vertices": _CYCLE2,
-     "edges": [["a", "b", "heavy"], ["b", "a", 1.0]]},
-    {"kind": "graph", "vertices": _CYCLE2, "edges": [["a", "b", 1.0], 5]},
-    {"kind": "hilbert", "n": "two", "T": [[1, 0], [0, 2]]},
-    {"kind": "expectation", "B": {"blocks": [2]},
-     "A_blocks": {"blocks": [1, 1], "multiplicity": [[1, 1]]},
-     "E_weights": [["x", 1.0]]},
-    {"kind": "graph", "vertices": _CYCLE2,
-     "edges": [["a", "b", float("inf")], ["b", "a", 1.0]]},
-    {"kind": "graph", "vertices": _CYCLE2, "edges": 3},
-    {"kind": "expectation", "B": {"blocks": ["x"]},
-     "A_blocks": {"blocks": [1], "multiplicity": [[1]]}, "E_weights": [[1.0]]},
-    {"kind": "expectation", "B": {"blocks": [2]},
-     "A_blocks": {"blocks": [1, 1], "multiplicity": [[1, 1]]}, "E_weights": [[1.0]]},
-], ids=["edge_weight_text", "edge_not_list", "n_text", "weights_text", "edge_weight_inf",
-        "edges_not_list", "blocks_text", "weights_shape"])
-def test_malformed_values_exit_two(spec, tmp_path):
+def _random_112(edit):
+    """The corpus module random_112 (d = 4) as a file, after ``edit``."""
+    obj = encode_bimodule(random_bimodule([1, 1], [2], [[1], [1]], seed=3))
+    edit(obj)
+    return obj
+
+
+def _shorten(rows, i):
+    rows[i] = rows[i][:-1]
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+_MALFORMED = {
+    "edge_weight_text": ({"kind": "graph", "vertices": _CYCLE2,
+                          "edges": [["a", "b", "heavy"], ["b", "a", 1.0]]}, "weight"),
+    "edge_not_list": ({"kind": "graph", "vertices": _CYCLE2,
+                       "edges": [["a", "b", 1.0], 5]}, "edge"),
+    "n_text": ({"kind": "hilbert", "n": "two", "T": [[1, 0], [0, 2]]}, "n must"),
+    "weights_text": ({**_EXPECTATION, "E_weights": [["x", 1.0]]}, "E_weights"),
+    "edge_weight_inf": ({"kind": "graph", "vertices": _CYCLE2,
+                         "edges": [["a", "b", float("inf")], ["b", "a", 1.0]]}, "edge"),
+    "edges_not_list": ({"kind": "graph", "vertices": _CYCLE2, "edges": 3}, "edges"),
+    "blocks_text": ({**_EXPECTATION, "B": {"blocks": ["x"]},
+                     "A_blocks": {"blocks": [1], "multiplicity": [[1]]},
+                     "E_weights": [[1.0]]}, "B block"),
+    "weights_shape": ({**_EXPECTATION, "E_weights": [[1.0]]}, "E_weights"),
+    # bimodule, hilbert and solution files: shapes, pairs and integer fields
+    "right_gram_short_row": (_random_112(lambda m: _shorten(m["right_gram"], 1)),
+                             "right_gram"),
+    "left_action_short_row": (_random_112(lambda m: _shorten(m["left_action"][0], 0)),
+                              "left_action block 0"),
+    "dim_huge": (_random_112(lambda m: m.update(dim=10**9)), "dim"),
+    "gram_three_element_pair": (_random_112(lambda m: _set(
+        m, ["right_gram", 0, 0, "blocks", 0, 0, 0], [1.0, 2.0, 3.0])), "right_gram block 0"),
+    "T_mixed_reals_and_pairs": ({"kind": "hilbert", "n": 2,
+                                 "T": [[1, [0, 0]], [[0, 0], 2]]}, "T"),
+    "left_gram_nan": (_random_112(lambda m: _set(
+        m, ["left_gram", 0, 0, "blocks", 1, 0, 0], [float("nan"), 0.0])), "left_gram block 1"),
+    "solution_ragged": ({"kind": "solution", "R": [[1.0, 0.0], [2.0]],
+                         "Rbar": [[1.0, 0.0]]}, "R"),
+    "dim_fraction": (_random_112(lambda m: m.update(dim=4.5)), "dim"),
+    "n_fraction": ({"kind": "hilbert", "n": 2.5, "T": [[1, 0], [0, 2]]}, "n must"),
+    "blocks_fraction": (_random_112(lambda m: m.update(B={"blocks": [2.7]})), "B block"),
+    "multiplicity_fraction": ({**_EXPECTATION, "A_blocks": {
+        "blocks": [1, 1], "multiplicity": [[1.9, 1.2]]}}, "multiplicity"),
+    "dim_negative": (_random_112(lambda m: m.update(dim=-1)), "dim"),
+    "dim_overflow": (json.dumps(_random_112(lambda m: m.update(dim="DIM"))).replace(
+        '"DIM"', "1e400"), "dim"),
+    "T_400_digit_integer": ({"kind": "hilbert", "n": 2, "T": [[10**400, 0], [0, 2]]}, "T"),
+}
+
+
+@pytest.mark.parametrize("spec, field", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_values_exit_two(spec, field, tmp_path):
     path, out = tmp_path / "input.json", tmp_path / "report.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     assert main(["validate", str(path), "--out", str(out)]) == 2
-    assert "error" in json.loads(out.read_text())
+    assert field in json.loads(out.read_text())["error"]
 
 
 def test_validation_failure_exits_one(fixtures, tmp_path):

@@ -392,8 +392,8 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
         lin_err = max(lin_err, float(np.abs(lhs - rhs).max()))
     add("right_gram_B_linear", lin_err / scale)
 
-    comm = phis[:, None] @ psis[None] - psis[None] @ phis[:, None]
-    add("actions_commute", np.abs(comm).max() / pscale)
+    comm_err = max(float(np.abs(P @ psis - psis @ P).max()) for P in phis)
+    add("actions_commute", comm_err / pscale)
 
     if X.left_gram is not None:
         L = X.left_gram
@@ -602,6 +602,31 @@ def amplify(X: HilbertBimodule, n: int) -> HilbertBimodule:
     return HilbertBimodule(A2, X.B, d2, G2, Phi2, Psi2, L2)
 
 
+def _corner_range(act: np.ndarray, b: int, what: str) -> np.ndarray:
+    """Orthonormal columns spanning the range of the idempotent act[b, b];
+    its rank is read from the trace."""
+    E = act[b, b]
+    t = float(np.trace(E).real)
+    rank = int(round(t))
+    if abs(t - rank) > 1e-6:
+        raise StructureError(f"{what} of the unit at ({b}, {b}) has trace {t:.6g}, "
+                             "not an integer: the action is not a homomorphism")
+    return np.linalg.svd(E)[0][:, :rank] if rank else E[:, :0]
+
+
+def _kron_rows(P, Q, R: np.ndarray) -> np.ndarray:
+    """(P (x) Q) R for R of shape (m, k, n), returned with shape (..., m k, n):
+    P acts on the m leg and Q on the k leg, their leading batch axes
+    broadcast, and None stands for the identity."""
+    m, k, n = R.shape
+    if Q is not None:
+        R = np.matmul(Q[..., None, :, :], R)
+    R = R.reshape(R.shape[:-3] + (m, k * n))
+    if P is not None:
+        R = np.matmul(P, R)
+    return R.reshape(R.shape[:-2] + (m * k, n))
+
+
 def tensor(X: HilbertBimodule, Y: HilbertBimodule,
            rank_tol: float = RANK_TOL) -> HilbertBimodule:
     """Interior tensor product X (x)_B Y of an A-B and a B-C bimodule.
@@ -611,12 +636,21 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule,
     kept in ``meta["tensor"]`` for lifting vectors back to product
     coordinates.
 
-    The quotient is found first, from the D x D scalar trace form of the
-    right Gram (D = d_X d_Y), and the four structure tensors are then
-    contracted from the factors straight into its d_2 coordinates.  Cost:
-    one O(D^3) ``eigh`` of the trace form plus O(D^2 d_2) contractions; no
-    intermediate is larger than O(D d_2 N^2), N the largest algebra
-    representation, where the pre-quotient tensors would take D^2 N^2.
+    The quotient splits over the blocks l of B:
+    X (x)_B Y = (+)_l X.e^l_11 (x) e^l_11.Y, of dimension d_2 = sum_l M_l K_l,
+    with M_l = rank psi_X(e^l_11) and K_l = rank phi_Y(e^l_11).  With W_X,l and
+    W_Y,l orthonormal bases of those ranges, the balanced map
+    J = (+)_l (W_X,l^* (x) W_Y,l^*) sum_s psi_X(e^l_s1) (x) phi_Y(e^l_1s)
+    (d_2 x D, D = d_X d_Y) has the kernel of the right Gram as its kernel, so
+    one thin QR J^* = V R gives V (the identity where J is square).  In the J
+    basis w_i (x) y_j the structure tensors are block diagonal over l, with
+    Kronecker blocks: right Gram gamma_l (x) (y_j|y_j')_C, gamma_l the scalar
+    corner of (w_i|w_i')_B; left Gram _A(w_i|w_i') (x) beta_l, beta_l the
+    scalar corner of _B(y_j|y_j'); actions (W_X,l^* phi_X(a) W_X,l) (x) 1 and
+    1 (x) (W_Y,l^* psi_Y(c) W_Y,l).  The J coordinates of V's columns are
+    M = J V, so each tensor moves to V coordinates by one product with M and
+    one with M^*, M^T or M^(-1).  Cost O(D d_2^2 + d_2^3 N^2), N the largest
+    algebra representation; no D x D array is formed unless d_2 = D.
     """
     if X.B != Y.A:
         raise ContractError(
@@ -626,45 +660,60 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule,
     dx, dy = X.dim, Y.dim
     D = dx * dy
     na, nc = X.A.rep_dim, Y.B.rep_dim
-    # phiG[p, q, w, v] = phi_Y((e_p|e_q)_B)[w, v]
-    phiG = np.tensordot(X.right_gram, Y.left_action, axes=([2, 3], [0, 1]))
-    # scalar trace form g[(p,u),(q,v)] = sum_w tr (f_u|f_w)_C phiG[p,q,w,v]
-    g = np.tensordot(np.einsum("uwcc->uw", Y.right_gram), phiG, axes=([1], [2]))
-    g = hermitian_part(g.transpose(1, 0, 2, 3).reshape(D, D))
-    w, v = np.linalg.eigh(g)
-    del g
-    keep = w > rank_tol * max(float(w.max()), 1e-300)
-    V = np.eye(D, dtype=complex) if keep.all() else np.ascontiguousarray(v[:, keep])
-    del v
-    d2 = V.shape[1]
-    Vh = V.conj().T
+    # the empty first row block keeps a zero product (no block on both sides) defined
+    blocks, rows, start = [], [np.zeros((0, D), dtype=complex)], 0
+    for l, n in enumerate(X.B.blocks):
+        b = X.B.block_slice(l).start
+        WX = _corner_range(X.right_action, b, "psi_X")
+        WY = _corner_range(Y.left_action, b, "phi_Y")
+        m, k = WX.shape[1], WY.shape[1]
+        if m == 0 or k == 0:
+            continue
+        # [s, i, p] = (W_X^* psi_X(e_s1))[i, p], [s, j, u] = (W_Y^* phi_Y(e_1s))[j, u]
+        JX = WX.conj().T @ X.right_action[b:b + n, b]
+        JY = WY.conj().T @ Y.left_action[b, b:b + n]
+        rows.append(np.tensordot(JX, JY, axes=([0], [0])).transpose(0, 2, 1, 3).reshape(m * k, D))
+        blocks.append((WX, WY, b, start))     # rows start:start + m k of J
+        start += m * k
+    J = np.concatenate(rows)
+    del rows
+    d2 = len(J)
+    V, R = np.linalg.qr(J.conj().T)
+    diag = np.abs(np.diag(R))
+    if d2 and diag.min() <= rank_tol * diag.max():
+        raise StructureError(f"the balanced map has rank below {d2} (|R_kk| down to "
+                             f"{diag.min():.3g}): the actions are not homomorphisms")
+    if d2 == D:
+        V = np.eye(D, dtype=complex)
+    M = J @ V       # J coordinates of the columns of V
+    del J, R
 
-    # right Gram over C: (f_u | phi_Y((e_p|e_q)_B) f_v)_C, compressed by V
-    T = (phiG.transpose(0, 2, 1, 3).reshape(D, D) @ V).reshape(dx, dy, d2)  # [p, w, j]
-    del phiG
-    GY = Y.right_gram.transpose(0, 2, 3, 1).reshape(dy * nc * nc, dy)   # [(u,c,d), w]
-    S = np.matmul(GY, T).reshape(D, nc * nc * d2)                        # [(p,u), (c,d,j)]
-    del T
-    G2 = (Vh @ S).reshape(d2, nc, nc, d2).transpose(0, 3, 1, 2)
-    del S
-    # left Gram over A: _A(e_p . _B(f_u|f_v) | e_q), linear in the first leg
-    psiL = np.tensordot(Y.left_gram, X.right_action, axes=([2, 3], [0, 1]))  # [u, v, r, p]
-    T = psiL.transpose(1, 2, 3, 0).reshape(D, D) @ V                         # [(v,r), i]
-    del psiL
-    T = T.reshape(dy, dx, d2).transpose(0, 2, 1).reshape(dy * d2, dx)        # [(v,i), r]
-    LX = X.left_gram.transpose(1, 0, 2, 3).reshape(dx, dx, na * na)           # [q, r, (c,d)]
-    S = np.matmul(T, LX).reshape(D, d2 * na * na)                             # [(q,v), (i,c,d)]
-    del T
-    L2 = (Vh @ S).reshape(d2, d2, na, na).transpose(1, 0, 2, 3)
-    del S
-    # actions: phi_X(a) (x) 1 and 1 (x) psi_Y(c), compressed by V
-    PV = np.matmul(X.left_action.reshape(na * na, dx, dx), V.reshape(dx, dy * d2))
-    Phi2 = np.matmul(Vh, PV.reshape(na * na, D, d2)).reshape(na, na, d2, d2)
-    del PV
-    PV = np.matmul(Y.right_action.reshape(nc * nc, 1, dy, dy), V.reshape(dx, dy, d2))
-    Psi2 = np.matmul(Vh, PV.reshape(nc * nc, D, d2)).reshape(nc, nc, d2, d2)
-    return HilbertBimodule(X.A, Y.B, d2, np.ascontiguousarray(G2), Phi2, Psi2,
-                           np.ascontiguousarray(L2),
+    def to_v(left, right, batch, factors):
+        # left @ T_J @ right, T_J block diagonal with blocks P_l (x) Q_l
+        stack = np.empty(batch + (d2, d2), dtype=complex)
+        for (WX, WY, _, r), (P, Q) in zip(blocks, factors):
+            m, k = WX.shape[1], WY.shape[1]
+            stack[..., r:r + m * k, :] = _kron_rows(P, Q, right[r:r + m * k].reshape(m, k, d2))
+        return np.matmul(left, stack)
+
+    # right Gram over C: gamma_l (x) (y_j|y_j')_C
+    GY = Y.right_gram.transpose(2, 3, 0, 1)
+    G2 = to_v(M.conj().T, M, (nc, nc), [(WX.conj().T @ X.right_gram[:, :, b, b] @ WX,
+                                         WY.conj().T @ GY @ WY) for WX, WY, b, _ in blocks])
+    G2 = np.ascontiguousarray(G2.transpose(2, 3, 0, 1))
+    # left Gram over A, linear in the first leg: _A(w_i|w_i') (x) beta_l
+    LX = X.left_gram.transpose(2, 3, 0, 1)
+    L2 = to_v(M.T, M.conj(), (na, na), [(WX.T @ LX @ WX.conj(),
+                                         WY.T @ Y.left_gram[:, :, b, b] @ WY.conj())
+                                        for WX, WY, b, _ in blocks])
+    L2 = np.ascontiguousarray(L2.transpose(2, 3, 0, 1))
+    # actions: phi_X(a) (x) 1 and 1 (x) psi_Y(c)
+    Minv = np.linalg.inv(M)
+    Phi2 = to_v(Minv, M, (na, na), [(WX.conj().T @ X.left_action @ WX, None)
+                                     for WX, _, _, _ in blocks])
+    Psi2 = to_v(Minv, M, (nc, nc), [(None, WY.conj().T @ Y.right_action @ WY)
+                                     for _, WY, _, _ in blocks])
+    return HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2,
                            meta={"tensor": {"V": V, "dims": (dx, dy)}})
 
 

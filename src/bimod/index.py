@@ -299,7 +299,7 @@ class LeftInnerExtension:
         self.frame = frame if frame is not None else tight_frame(X)
         U = self.frame.coords
         # _A(T u_i | u_i) summed: precontract the frame into the left Gram
-        self._pair = np.einsum("mq,pqab->mpab", U.conj(), X.left_gram)
+        self._pair = np.tensordot(U.conj(), X.left_gram, axes=([1], [1]))
 
     def apply_matrix(self, T: np.ndarray) -> np.ndarray:
         """F(T), embedded in M_{N_A}; T may be a stack (s, d, d)."""

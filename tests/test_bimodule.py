@@ -3,6 +3,7 @@ import pytest
 
 from bimod import (
     ContractError,
+    HilbertBimodule,
     MultiMatrixAlgebra,
     StructureError,
     amplify,
@@ -22,6 +23,7 @@ from bimod.bimodule import _act_first, _act_second, bimodule_map_residual
 from helpers import (
     corpus,
     dense_tensor,
+    eigh_tensor,
     four_cycle_graph,
     random_bimodule,
     random_bimodule_family,
@@ -50,6 +52,20 @@ def test_gram_actions_match_einsum_reference():
     G = rng.standard_normal((5, 5, 3, 3)) + 1j * rng.standard_normal((5, 5, 3, 3))
     assert np.abs(_act_first(M, G) - np.einsum("rp,rqab->pqab", M, G)).max() <= 1e-13
     assert np.abs(_act_second(M, G) - np.einsum("sq,psab->pqab", M, G)).max() <= 1e-13
+
+
+def test_actions_commute_matches_broadcast_form():
+    # validate loops over the A units; the (U_A, U_B, d, d) broadcast of all
+    # commutators at once is the reference, and the residual is bitwise equal
+    X13 = random_bimodule(*ROUNDTRIP_13, seed=1)
+    mods = corpus() + [("roundtrip_13 (x) conj", tensor(X13, contragredient(X13)))]
+    for name, X in mods:
+        phis = np.einsum("uab,abij->uij", X.A.units_embedded(), X.left_action)
+        psis = np.einsum("uab,abij->uij", X.B.units_embedded(), X.right_action)
+        comm = phis[:, None] @ psis[None] - psis[None] @ phis[:, None]
+        ref = float(np.abs(comm).max() / max(float(np.abs(phis).max()), 1e-300))
+        got = {c.name: c.residual for c in validate(X).checks}["actions_commute"]
+        assert got == ref, name
 
 
 def test_validate_flags_non_hermitian_gram():
@@ -273,9 +289,91 @@ def test_tensor_unit_object():
         assert bimodule_map_residual(W, Z, X) < 1e-10, name
 
 
-# the d = 13 and d = 24 shapes of the conjugate round trip
+# the d = 13, 18 and 24 shapes of the conjugate round trip, and a d = 45 shape
 ROUNDTRIP_13 = ([2, 1, 1], [2, 1, 1], [[1, 1, 0], [1, 1, 1], [0, 1, 2]])
+ROUNDTRIP_18 = ([2, 1, 1], [2, 1, 1], [[2, 1, 0], [1, 1, 1], [0, 2, 2]])
 ROUNDTRIP_24 = ([2, 1, 1], [2, 1, 1], [[2, 1, 1], [2, 1, 1], [1, 2, 2]])
+SHAPE_45 = ([3, 2, 1], [3, 2, 1], [[2, 1, 1], [1, 1, 1], [1, 1, 1]])
+
+
+_ORACLE_MODULES = dict(corpus() + [
+    ("roundtrip_13", random_bimodule(*ROUNDTRIP_13, seed=1)),
+    ("roundtrip_18", random_bimodule(*ROUNDTRIP_18, seed=1)),
+    # block 1 of B acts with multiplicity zero, so X (x) Xbar skips it
+    ("zero_block", random_bimodule([2, 1], [1, 2], [[1, 0], [2, 0]], seed=3))])
+
+
+@pytest.mark.parametrize("order", ["X_Xbar", "Xbar_X"])
+@pytest.mark.parametrize("name", list(_ORACLE_MODULES))
+def test_tensor_matches_eigh_oracle(name, order):
+    # both orders pin the index order of the balanced map: with e_1s (x) e_s1
+    # in place of e_s1 (x) e_1s the projector is wrong on several modules
+    X = _ORACLE_MODULES[name]
+    a, b = (X, contragredient(X)) if order == "X_Xbar" else (contragredient(X), X)
+    Z, Ze = tensor(a, b), eigh_tensor(a, b)
+    V, Ve = Z.meta["tensor"]["V"], Ze.meta["tensor"]["V"]
+    assert Z.dim == Ze.dim and Z.meta["tensor"]["dims"] == (a.dim, b.dim)
+    assert np.abs(V.conj().T @ V - np.eye(Z.dim)).max() <= 1e-12
+    assert np.abs(V @ V.conj().T - Ve @ Ve.conj().T).max() <= 1e-12
+    W = Ve.conj().T @ V
+    assert np.abs(W.conj().T @ W - np.eye(Z.dim)).max() <= 1e-12
+    assert bimodule_map_residual(W, Z, Ze) <= 1e-10
+
+
+def test_tensor_without_kernel_keeps_identity_quotient():
+    count = 0
+    for name, X in corpus():
+        for a, b in ((X, contragredient(X)), (contragredient(X), X)):
+            Z, D = tensor(a, b), a.dim * b.dim
+            if Z.dim == D:
+                V = Z.meta["tensor"]["V"]
+                assert V.dtype == complex and np.array_equal(V, np.eye(D)), name
+                count += 1
+    assert count >= 6
+
+
+def test_tensor_takes_no_eigh_of_the_product_size(monkeypatch):
+    X = random_bimodule(*ROUNDTRIP_24, seed=0)
+    Xbar = contragredient(X)
+    D = Xbar.dim * X.dim
+    eigh = np.linalg.eigh
+
+    def guarded(a, *args, **kwargs):
+        if np.shape(a)[-1] == D:
+            raise AssertionError(f"eigh of side D = {D}")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", guarded)
+    Z = tensor(Xbar, X)
+    monkeypatch.undo()
+    Ze = eigh_tensor(Xbar, X)
+    V, Ve = Z.meta["tensor"]["V"], Ze.meta["tensor"]["V"]
+    assert Z.dim == Ze.dim < D
+    assert np.abs(V @ V.conj().T - Ve @ Ve.conj().T).max() <= 1e-12
+
+
+def test_tensor_memory_at_d45():
+    # the eigh route peaked at 6.1 times the returned tensors (328 MB)
+    import tracemalloc
+    X = random_bimodule(*SHAPE_45, seed=1)
+    Xbar = contragredient(X)
+    tracemalloc.start()
+    try:
+        Z = tensor(Xbar, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = sum(t.nbytes for t in (Z.right_gram, Z.left_gram, Z.left_action, Z.right_action))
+    assert Z.dim == 153
+    assert peak <= 2.5 * out, (peak, out)
+
+
+def test_tensor_rejects_non_integer_corner_rank():
+    X = dict(corpus())["random_112"]
+    bad = HilbertBimodule(X.A, X.B, X.dim, X.right_gram, X.left_action,
+                          1.3 * X.right_action, X.left_gram)
+    with pytest.raises(StructureError, match="not an integer"):
+        tensor(bad, contragredient(X))
 
 
 def test_tensor_matches_dense_oracle():

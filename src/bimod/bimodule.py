@@ -328,96 +328,188 @@ def _act_first(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return (M.T @ gram.reshape(len(gram), -1)).reshape(gram.shape)
 
 
-def _act_second(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """[p, q] = sum_s M[s, q] gram[p, s], as one matrix product."""
-    return np.tensordot(gram, M, axes=([1], [0])).transpose(0, 3, 1, 2)
+def _max_abs(arr: np.ndarray) -> float:
+    return float(np.abs(arr).max()) if arr.size else 0.0
+
+
+class _GramSupport:
+    """A (d, d, N, N) Gram tensor over an algebra, kept on its support.
+
+    The algebra's blocks are joined where the Gram has an entry between
+    them, and blocks on which it vanishes are left out.  The Gram is zero off
+    the union S of the squares C x C over the joined blocks C; S is closed
+    under (a, b) -> (b, a) and under products with matrix units, and after a
+    permutation the (dN, dN) matrix of the Gram is block diagonal over the
+    blocks.  ``live[t] = gram[:, :, a_t, b_t]`` over S, block by block and
+    row-major within a block, so an operator acts on either coordinate leg
+    by matrix products on |S| d^2 entries instead of N^2 d^2.
+    """
+
+    def __init__(self, gram: np.ndarray, alg: MultiMatrixAlgebra):
+        size = np.abs(gram).max(axis=(0, 1))
+        self.scale = max(float(size.max()), 1e-300)         # max |gram|
+        rows, cols = np.nonzero(size)
+        owner = [k for k, n in enumerate(alg.blocks) for _ in range(n)]
+        root = list(range(alg.num_blocks))          # union-find over the blocks
+
+        def find(k):
+            while root[k] != k:
+                k = root[k]
+            return k
+
+        for a, b in zip(rows.tolist(), cols.tolist()):
+            root[find(owner[a])] = find(owner[b])
+        live_roots = {find(owner[a]) for a in rows.tolist()}
+        members: dict[int, list[int]] = {}      # indices of each joined block
+        for k in range(alg.num_blocks):
+            if find(k) in live_roots:
+                s = alg.block_slice(k)
+                members.setdefault(find(k), []).extend(range(s.start, s.stop))
+        # per index: (offset of its block in live, block size, place in the block)
+        self.where: dict[int, tuple[int, int, int]] = {}
+        self.blocks: list[tuple[int, int]] = []
+        r, c, off = [], [], 0
+        for idx in members.values():
+            n = len(idx)
+            self.where.update((a, (off, n, i)) for i, a in enumerate(idx))
+            self.blocks.append((off, n))
+            r += [a for a in idx for _ in idx]
+            c += idx * n
+            off += n * n
+        self.live = gram.transpose(2, 3, 0, 1)[r, c]
+
+    def first(self, M: np.ndarray) -> np.ndarray:
+        """[t, p, q] = sum_r M[r, p] live[t, r, q]."""
+        return np.matmul(M.T, self.live)
+
+    def second(self, M: np.ndarray) -> np.ndarray:
+        """[t, p, q] = sum_s M[s, q] live[t, p, s]."""
+        return (self.live.reshape(-1, len(M)) @ M).reshape(self.live.shape)
+
+    def adjoint_residual(self, pairs) -> float:
+        """max |first(M) - second(N)| over the pairs (M, N)."""
+        err = 0.0
+        for M, N in pairs:
+            diff = self.first(M)
+            diff -= self.second(N)
+            err = max(err, _max_abs(diff))
+        return err
+
+    def hermitian_residual(self) -> float:
+        """max |conj(gram[q, p, b, a]) - gram[p, q, a, b]|."""
+        star = [o + j * n + i for o, n in self.blocks for i in range(n) for j in range(n)]
+        return _max_abs(self.live[star].conj().transpose(0, 2, 1) - self.live)
+
+    def psd_residual(self) -> float:
+        """Negativity of the (dN, dN) matrix [(p, a), (q, b)] -> gram[p, q, a, b]
+        relative to its top eigenvalue, from one ``eigvalsh`` per block.  The
+        indices left out carry eigenvalue 0, which leaves the residual as it is."""
+        d = self.live.shape[1]
+        lo = hi = 0.0
+        for o, n in self.blocks:
+            big = self.live[o:o + n * n].reshape(n, n, d, d).transpose(2, 0, 3, 1)
+            w = np.linalg.eigvalsh(hermitian_part(big.reshape(d * n, d * n)))
+            lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
+        return max(0.0, -lo) / max(hi, 1e-300)
+
+    def unit_product_residual(self, diff: np.ndarray, i: int, j: int,
+                              left: bool) -> float:
+        """max |diff - gram e_ij|, or |diff - e_ij gram| if ``left``, with diff
+        given on the support.  The product is a column or row copy:
+        (gram e_ij)[.., a, j] = gram[.., a, i] and
+        (e_ij gram)[.., i, b] = gram[.., j, b]."""
+        if i in self.where:          # else the Gram vanishes on the unit's block
+            o, n, pi = self.where[i]
+            pj = self.where[j][2]
+            if left:
+                diff[o + pi * n:o + pi * n + n] -= self.live[o + pj * n:o + pj * n + n]
+            else:
+                diff[o + pj:o + n * n:n] -= self.live[o + pi:o + n * n:n]
+        return _max_abs(diff)
+
+
+def _unit_images(alg: MultiMatrixAlgebra, action: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The action at every matrix unit of ``alg``, taken by indexing, and the
+    place in that stack of the unit at each embedded (row, col)."""
+    units = [(alg.block_slice(k).start + i, alg.block_slice(k).start + j)
+             for k, i, j in alg.unit_triples()]
+    rows, cols = zip(*units)
+    return action[list(rows), list(cols)], {rc: u for u, rc in enumerate(units)}
+
+
+def _product_residual(mats: np.ndarray, index: dict, anti: bool) -> float:
+    """max |m_u m_v - m_(uv)| over all pairs of matrix units (m_v m_u for an
+    antihomomorphism); ``index`` maps a unit's embedded (row, col) to u, and
+    e_u e_v is the unit at (row_u, col_v) when col_u == row_v, else zero."""
+    err = 0.0
+    for (ru, cu), u in index.items():
+        for (rv, cv), v in index.items():
+            expected = mats[index[ru, cv]] if cu == rv else 0.0
+            prod = mats[v] @ mats[u] if anti else mats[u] @ mats[v]
+            err = max(err, float(np.abs(prod - expected).max()))
+    return err
 
 
 def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
-    """Check every structural invariant; the report carries one line per check."""
+    """Check every structural invariant; the report carries one line per check.
+
+    Both sides of the adjointability and linearity checks vanish where the
+    Gram tensor does, so they are contracted on its support only (see
+    :class:`_GramSupport`); a product with a matrix unit is a slice of it.
+    """
     checks: list[CheckResult] = []
     d = X.dim
-    G, Phi, Psi = X.right_gram, X.left_action, X.right_action
 
     def add(name, residual, passed=None):
         residual = float(residual)
         checks.append(CheckResult(name, residual, residual <= tol if passed is None else passed))
 
-    scale = max(float(np.abs(G).max()), 1e-300)
-    add("right_gram_hermitian",
-        np.abs(G.conj().transpose(1, 0, 3, 2) - G).max() / scale)
-    big = _gram_big(G)
-    w = np.linalg.eigvalsh(hermitian_part(big))
-    add("right_gram_psd", max(0.0, -float(w.min())) / max(float(w.max()), 1e-300))
+    S = _GramSupport(X.right_gram, X.B)
+    add("right_gram_hermitian", S.hermitian_residual() / S.scale)
+    add("right_gram_psd", S.psd_residual())
     gw = np.linalg.eigvalsh(X.scalar_gram)
     add("right_gram_definite", 0.0,
         passed=float(gw.min()) > RANK_TOL * max(float(gw.max()), 1e-300))
 
-    units_A = X.A.units_embedded()
-    units_B = X.B.units_embedded()
-    phis = np.einsum("uab,abij->uij", units_A, Phi)
-    psis = np.einsum("uab,abij->uij", units_B, Psi)
+    phis, units_A = _unit_images(X.A, X.left_action)
+    psis, units_B = _unit_images(X.B, X.right_action)
     pscale = max(float(np.abs(phis).max()), 1e-300)
+    # the unit of the algebra is the sum of its diagonal matrix units
+    diag_A = [u for (r, c), u in units_A.items() if r == c]
+    diag_B = [u for (r, c), u in units_B.items() if r == c]
 
     # phi is a unital *-homomorphism, adjointable for the right inner product
-    prod_err = 0.0
-    triples = X.A.unit_triples()
-    adj_index = {t: triples.index((t[0], t[2], t[1])) for t in triples}
-    for u, (k, i, j) in enumerate(triples):
-        for v, (l, s, r) in enumerate(triples):
-            expected = phis[triples.index((k, i, r))] if (k == l and j == s) else 0.0
-            prod_err = max(prod_err, float(np.abs(phis[u] @ phis[v] - expected).max()))
-    add("left_action_homomorphism", prod_err / pscale)
-    add("left_action_unital", np.abs(X.phi(X.A.identity()) - np.eye(d)).max())
-    adj_err = 0.0
-    for u, trip in enumerate(triples):
-        lhs = _act_first(phis[u].conj(), G)
-        rhs = _act_second(phis[adj_index[trip]], G)
-        adj_err = max(adj_err, float(np.abs(lhs - rhs).max()))
-    add("left_action_adjointable", adj_err / scale)
+    add("left_action_homomorphism", _product_residual(phis, units_A, False) / pscale)
+    add("left_action_unital", np.abs(phis[diag_A].sum(axis=0) - np.eye(d)).max())
+    adj_err = S.adjoint_residual((phis[u].conj(), phis[units_A[c, r]])
+                                 for (r, c), u in units_A.items())
+    add("left_action_adjointable", adj_err / S.scale)
 
     # psi is a unital *-antihomomorphism and the right gram is B-linear
-    triples_B = X.B.unit_triples()
-    aprod_err = 0.0
-    for u, (k, i, j) in enumerate(triples_B):
-        for v, (l, s, r) in enumerate(triples_B):
-            expected = psis[triples_B.index((k, i, r))] if (k == l and j == s) else 0.0
-            aprod_err = max(aprod_err, float(np.abs(psis[v] @ psis[u] - expected).max()))
-    add("right_action_antihomomorphism", aprod_err / max(float(np.abs(psis).max()), 1e-300))
-    add("right_action_unital", np.abs(X.psi(X.B.identity()) - np.eye(d)).max())
-    lin_err = 0.0
-    for u in range(len(triples_B)):
-        lhs = _act_second(psis[u], G)
-        rhs = G @ units_B[u]
-        lin_err = max(lin_err, float(np.abs(lhs - rhs).max()))
-    add("right_gram_B_linear", lin_err / scale)
+    add("right_action_antihomomorphism", _product_residual(psis, units_B, True)
+        / max(float(np.abs(psis).max()), 1e-300))
+    add("right_action_unital", np.abs(psis[diag_B].sum(axis=0) - np.eye(d)).max())
+    lin_err = max(S.unit_product_residual(S.second(psis[u]), r, c, left=False)
+                  for (r, c), u in units_B.items())
+    add("right_gram_B_linear", lin_err / S.scale)
+    del S       # the right Gram's support is not needed past this point
 
     comm_err = max(float(np.abs(P @ psis - psis @ P).max()) for P in phis)
     add("actions_commute", comm_err / pscale)
 
     if X.left_gram is not None:
-        L = X.left_gram
-        lscale = max(float(np.abs(L).max()), 1e-300)
-        add("left_gram_hermitian",
-            np.abs(L.conj().transpose(1, 0, 3, 2) - L).max() / lscale)
-        bigl = _gram_big(L)
-        wl = np.linalg.eigvalsh(hermitian_part(bigl))
-        add("left_gram_psd", max(0.0, -float(wl.min())) / max(float(wl.max()), 1e-300))
+        S = _GramSupport(X.left_gram, X.A)
+        add("left_gram_hermitian", S.hermitian_residual() / S.scale)
+        add("left_gram_psd", S.psd_residual())
         glw = np.linalg.eigvalsh(X.scalar_left_gram)
         add("left_gram_definite", 0.0,
             passed=float(glw.min()) > RANK_TOL * max(float(glw.max()), 1e-300))
-        alin_err = 0.0
-        for u in range(len(triples)):
-            lhs = _act_first(phis[u], L)
-            rhs = units_A[u] @ L
-            alin_err = max(alin_err, float(np.abs(lhs - rhs).max()))
-        add("left_gram_A_linear", alin_err / lscale)
-        radj_err = 0.0
-        for u, trip in enumerate(triples_B):
-            lhs = _act_first(psis[u], L)
-            rhs = _act_second(psis[triples_B.index((trip[0], trip[2], trip[1]))].conj(), L)
-            radj_err = max(radj_err, float(np.abs(lhs - rhs).max()))
-        add("right_action_left_adjointable", radj_err / lscale)
+        alin_err = max(S.unit_product_residual(S.first(phis[u]), r, c, left=True)
+                       for (r, c), u in units_A.items())
+        add("left_gram_A_linear", alin_err / S.scale)
+        radj_err = S.adjoint_residual((psis[u], psis[units_B[c, r]].conj())
+                                      for (r, c), u in units_B.items())
+        add("right_action_left_adjointable", radj_err / S.scale)
 
     return ValidationReport(checks, tol)
 
@@ -739,10 +831,10 @@ def bimodule_map_residual(W: np.ndarray, X: HilbertBimodule,
     bimodule isomorphism (max residual over all structure tensors)."""
     W = np.asarray(W, dtype=complex)
     res = 0.0
-    pull_G = np.einsum("Pi,Qj,PQab->ijab", W.conj(), W, Y.right_gram)
+    pull_G = np.einsum("Pi,Qj,PQab->ijab", W.conj(), W, Y.right_gram, optimize=True)
     res = max(res, float(np.abs(pull_G - X.right_gram).max()))
     if X.left_gram is not None and Y.left_gram is not None:
-        pull_L = np.einsum("Pi,Qj,PQab->ijab", W, W.conj(), Y.left_gram)
+        pull_L = np.einsum("Pi,Qj,PQab->ijab", W, W.conj(), Y.left_gram, optimize=True)
         res = max(res, float(np.abs(pull_L - X.left_gram).max()))
     units_A = X.A.units_embedded()
     for u in units_A:

@@ -24,6 +24,7 @@ from bimod import (
     tight_frame,
     trace_weighted_expectation,
 )
+from bimod.bimodule import CheckResult, ValidationReport, _act_first, _gram_big
 from bimod.conjugation import VerifyReport, _product_coords, verify_conjugate
 from bimod.index import commutant_of
 from bimod.multimatrix import (
@@ -188,6 +189,108 @@ def dense_tensor(X: HilbertBimodule, Y: HilbertBimodule,
     Z = HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2,
                         meta={"tensor": {"V": V, "dims": (dx, dy)}})
     return Z
+
+
+# The body of ``bimod.validate`` before it went to the support of the Gram
+# tensors, kept as a test-only oracle: every adjointability and linearity
+# check contracts the whole (d, d, N, N) Gram per matrix unit, the products
+# with matrix units are batched N x N matmuls, and each positivity check is
+# one ``eigvalsh`` of the (dN, dN) matrix.
+
+
+def _act_second(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """[p, q] = sum_s M[s, q] gram[p, s], as one matrix product."""
+    return np.tensordot(gram, M, axes=([1], [0])).transpose(0, 3, 1, 2)
+
+
+def unit_loop_validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
+    """Reference ``validate``: the same checks, names, order and residuals,
+    contracted on all N^2 algebra entries with one matrix-unit product per unit."""
+    checks: list[CheckResult] = []
+    d = X.dim
+    G, Phi, Psi = X.right_gram, X.left_action, X.right_action
+
+    def add(name, residual, passed=None):
+        residual = float(residual)
+        checks.append(CheckResult(name, residual, residual <= tol if passed is None else passed))
+
+    scale = max(float(np.abs(G).max()), 1e-300)
+    add("right_gram_hermitian",
+        np.abs(G.conj().transpose(1, 0, 3, 2) - G).max() / scale)
+    big = _gram_big(G)
+    w = np.linalg.eigvalsh(hermitian_part(big))
+    add("right_gram_psd", max(0.0, -float(w.min())) / max(float(w.max()), 1e-300))
+    gw = np.linalg.eigvalsh(X.scalar_gram)
+    add("right_gram_definite", 0.0,
+        passed=float(gw.min()) > RANK_TOL * max(float(gw.max()), 1e-300))
+
+    units_A = X.A.units_embedded()
+    units_B = X.B.units_embedded()
+    phis = np.einsum("uab,abij->uij", units_A, Phi)
+    psis = np.einsum("uab,abij->uij", units_B, Psi)
+    pscale = max(float(np.abs(phis).max()), 1e-300)
+
+    # phi is a unital *-homomorphism, adjointable for the right inner product
+    prod_err = 0.0
+    triples = X.A.unit_triples()
+    adj_index = {t: triples.index((t[0], t[2], t[1])) for t in triples}
+    for u, (k, i, j) in enumerate(triples):
+        for v, (l, s, r) in enumerate(triples):
+            expected = phis[triples.index((k, i, r))] if (k == l and j == s) else 0.0
+            prod_err = max(prod_err, float(np.abs(phis[u] @ phis[v] - expected).max()))
+    add("left_action_homomorphism", prod_err / pscale)
+    add("left_action_unital", np.abs(X.phi(X.A.identity()) - np.eye(d)).max())
+    adj_err = 0.0
+    for u, trip in enumerate(triples):
+        lhs = _act_first(phis[u].conj(), G)
+        rhs = _act_second(phis[adj_index[trip]], G)
+        adj_err = max(adj_err, float(np.abs(lhs - rhs).max()))
+    add("left_action_adjointable", adj_err / scale)
+
+    # psi is a unital *-antihomomorphism and the right gram is B-linear
+    triples_B = X.B.unit_triples()
+    aprod_err = 0.0
+    for u, (k, i, j) in enumerate(triples_B):
+        for v, (l, s, r) in enumerate(triples_B):
+            expected = psis[triples_B.index((k, i, r))] if (k == l and j == s) else 0.0
+            aprod_err = max(aprod_err, float(np.abs(psis[v] @ psis[u] - expected).max()))
+    add("right_action_antihomomorphism", aprod_err / max(float(np.abs(psis).max()), 1e-300))
+    add("right_action_unital", np.abs(X.psi(X.B.identity()) - np.eye(d)).max())
+    lin_err = 0.0
+    for u in range(len(triples_B)):
+        lhs = _act_second(psis[u], G)
+        rhs = G @ units_B[u]
+        lin_err = max(lin_err, float(np.abs(lhs - rhs).max()))
+    add("right_gram_B_linear", lin_err / scale)
+
+    comm_err = max(float(np.abs(P @ psis - psis @ P).max()) for P in phis)
+    add("actions_commute", comm_err / pscale)
+
+    if X.left_gram is not None:
+        L = X.left_gram
+        lscale = max(float(np.abs(L).max()), 1e-300)
+        add("left_gram_hermitian",
+            np.abs(L.conj().transpose(1, 0, 3, 2) - L).max() / lscale)
+        bigl = _gram_big(L)
+        wl = np.linalg.eigvalsh(hermitian_part(bigl))
+        add("left_gram_psd", max(0.0, -float(wl.min())) / max(float(wl.max()), 1e-300))
+        glw = np.linalg.eigvalsh(X.scalar_left_gram)
+        add("left_gram_definite", 0.0,
+            passed=float(glw.min()) > RANK_TOL * max(float(glw.max()), 1e-300))
+        alin_err = 0.0
+        for u in range(len(triples)):
+            lhs = _act_first(phis[u], L)
+            rhs = units_A[u] @ L
+            alin_err = max(alin_err, float(np.abs(lhs - rhs).max()))
+        add("left_gram_A_linear", alin_err / lscale)
+        radj_err = 0.0
+        for u, trip in enumerate(triples_B):
+            lhs = _act_first(psis[u], L)
+            rhs = _act_second(psis[triples_B.index((trip[0], trip[2], trip[1]))].conj(), L)
+            radj_err = max(radj_err, float(np.abs(lhs - rhs).max()))
+        add("right_action_left_adjointable", radj_err / lscale)
+
+    return ValidationReport(checks, tol)
 
 
 # The body of ``bimod.tensor`` before it went through the blocks of the

@@ -18,9 +18,10 @@ from bimod import (
     tight_frame,
     validate,
 )
-from bimod.bimodule import _act_first, _act_second, bimodule_map_residual
+from bimod.bimodule import _GramSupport, _act_first, bimodule_map_residual
 
 from helpers import (
+    _act_second,
     corpus,
     dense_tensor,
     eigh_tensor,
@@ -28,6 +29,7 @@ from helpers import (
     random_bimodule,
     random_bimodule_family,
     random_posdef,
+    unit_loop_validate,
 )
 from bimod import from_weight_graph, GraphSpec
 
@@ -85,6 +87,89 @@ def test_validate_rejects_degenerate_gram():
     bad = type(X)(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
     rep = validate(bad)
     assert any(c.name == "right_gram_definite" and not c.passed for c in rep.checks)
+
+
+def _off_block_entry():
+    # one right-Gram entry between blocks 0 and 1 of B, without its mirror:
+    # the support is not block diagonal, so the two blocks join, and the Gram
+    # is neither hermitian nor B-linear
+    X = random_bimodule(*ROUNDTRIP_13, seed=1)
+    G = X.right_gram.copy()
+    G[0, 1, 2, 0] = 0.3
+    return HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+
+
+def _broken_b_linearity():
+    # (x|y)' = c (x|y) c with c positive and not central in B: hermitian,
+    # positive and phi-adjointable, but not B-linear
+    X = random_bimodule(*ROUNDTRIP_13, seed=1)
+    c = np.diag([1.0, 2.0, 1.0, 1.0])
+    G = np.einsum("ab,pqbc,cd->pqad", c, X.right_gram, c)
+    return HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+
+
+def _non_psd_in_one_block():
+    # the right Gram negated on the last block of B only
+    X = random_bimodule(*ROUNDTRIP_13, seed=1)
+    G = X.right_gram.copy()
+    G[:, :, 3, 3] *= -1.0
+    return HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+
+
+def _validate_oracle_modules():
+    mods = corpus() + [(f"roundtrip_{X.dim}", X) for X in (
+        random_bimodule(*shape, seed=1) for shape in (ROUNDTRIP_13, ROUNDTRIP_18, ROUNDTRIP_24))]
+    for name, X in list(mods):
+        Xbar = contragredient(X)
+        mods += [(f"{name} (x) conj", tensor(X, Xbar)), (f"conj (x) {name}", tensor(Xbar, X))]
+    # block 1 of B acts with multiplicity zero: its indices are off the support
+    zero_block = random_bimodule([2, 1], [1, 2], [[1, 0], [2, 0]], seed=3)
+    zero = mods[0][1]
+    zero_gram = HilbertBimodule(zero.A, zero.B, zero.dim, 0 * zero.right_gram,
+                                zero.left_action, zero.right_action, 0 * zero.left_gram)
+    return mods + [("zero_block", zero_block), ("zero_gram", zero_gram),
+                   ("off_block_entry", _off_block_entry()),
+                   ("broken_b_linearity", _broken_b_linearity()),
+                   ("non_psd_in_one_block", _non_psd_in_one_block())]
+
+
+def test_validate_matches_unit_loop_oracle():
+    for name, X in _validate_oracle_modules():
+        got, ref = validate(X), unit_loop_validate(X)
+        assert [c.name for c in got.checks] == [c.name for c in ref.checks], name
+        assert [c.passed for c in got.checks] == [c.passed for c in ref.checks], name
+        for c, r in zip(got.checks, ref.checks):
+            assert abs(c.residual - r.residual) <= 1e-14, (name, c.name, c.residual, r.residual)
+
+
+def test_validate_oracle_cases_fail_where_built_to():
+    def failed(X):
+        return {c.name for c in validate(X).failures()}
+
+    X = _off_block_entry()
+    assert X.B.blocks == (2, 1, 1)
+    assert [n for _, n in _GramSupport(X.right_gram, X.B).blocks] == [3, 1]
+    assert [n for _, n in _GramSupport(_broken_b_linearity().right_gram, X.B).blocks] == [2, 1, 1]
+    assert {"right_gram_hermitian", "right_gram_B_linear"} <= failed(X)
+    assert failed(_broken_b_linearity()) == {"right_gram_B_linear"}
+    # negated on a central block, the scalar trace form is indefinite too
+    assert failed(_non_psd_in_one_block()) == {"right_gram_psd", "right_gram_definite"}
+
+
+def test_validate_memory_below_the_module():
+    # the unit-loop route peaked at 1.7 times the four structure tensors
+    import tracemalloc
+    X = random_bimodule(*ROUNDTRIP_24, seed=1)
+    Z = tensor(X, contragredient(X))
+    out = sum(t.nbytes for t in (Z.right_gram, Z.left_gram, Z.left_action, Z.right_action))
+    tracemalloc.start()
+    try:
+        rep = validate(Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Z.dim == 99 and rep.passed
+    assert peak <= out, (peak, out)
 
 
 # -- Gram half-product formula -------------------------------------------------

@@ -72,8 +72,8 @@ def test_parse_spec_errors(fixtures):
         parse_spec(fixtures["not_json"])
 
 
-def test_exit_codes_per_command(fixtures):
-    cases = [
+def _one_request_per_command(fixtures):
+    return [
         ("validate", [fixtures["hilbert"]]),
         ("index", [fixtures["hilbert"]]),
         ("conjugate", [fixtures["hilbert"]]),
@@ -87,11 +87,28 @@ def test_exit_codes_per_command(fixtures):
         ("expectation", [fixtures["expectation"]]),
         ("hilbert", [fixtures["hilbert"]]),
     ]
-    for command, inputs in cases:
+
+
+def test_exit_codes_per_command(fixtures):
+    for command, inputs in _one_request_per_command(fixtures):
         status, report = _run(command, inputs)
         assert status == 0, (command, report.get("error"), report.get("results"))
         assert report["passed"] is True
         assert report["schema"] == "bimod-report/4"
+
+
+def test_json_output_matches_the_double_sanitized_report(fixtures, monkeypatch, tmp_path):
+    # main writes run()'s report as it is: its results are sanitized already,
+    # and sort_keys orders the keys as a second _sanitize walk would
+    cases = _one_request_per_command(fixtures)
+    assert sorted(c for c, _ in cases) == sorted(cli.COMMANDS)
+    out = tmp_path / "report.json"
+    for command, inputs in cases:
+        status, report = _run(command, inputs)
+        expected = json.dumps(cli._sanitize(report), indent=2, sort_keys=True) + "\n"
+        monkeypatch.setattr(cli, "run", lambda req: (status, report))
+        assert main([command, *inputs, "--out", str(out)]) == status
+        assert out.read_text() == expected, command
 
 
 def test_index_values(fixtures):

@@ -170,9 +170,9 @@ class HilbertBimodule:
         return float(np.linalg.norm(self.op_rep(T), 2))
 
     def op_adjoint(self, T: np.ndarray) -> np.ndarray:
-        """Adjoint with respect to the right inner product."""
+        """Adjoint with respect to the right inner product; T may be a stack."""
         sq, isq = self._g_half()
-        return isq @ (sq @ np.asarray(T, dtype=complex) @ isq).conj().T @ sq
+        return isq @ np.conj(np.swapaxes(sq @ np.asarray(T, dtype=complex) @ isq, -1, -2)) @ sq
 
     def left_op_adjoint(self, T: np.ndarray) -> np.ndarray:
         """Adjoint with respect to the left inner product."""
@@ -547,24 +547,6 @@ def frame_operator(X: HilbertBimodule, vectors) -> np.ndarray:
     vecs = np.array([_coords(X, v) for v in vectors]).reshape(-1, X.dim)
     M = np.tensordot(vecs.T @ vecs.conj(), X.right_gram, axes=([1], [0]))  # [j, q, a, b]
     return np.tensordot(X.right_action, M, axes=([0, 1, 3], [2, 3, 0]))
-
-
-def random_compact(X: HilbertBimodule, rng: np.random.Generator,
-                   terms: int = 3) -> np.ndarray:
-    """A random element of K(X_B): a short sum of rank-one operators."""
-    T = np.zeros((X.dim, X.dim), dtype=complex)
-    for _ in range(terms):
-        x = rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim)
-        y = rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim)
-        T += X.rank_one(x, y)
-    return T
-
-
-def random_compact_positive(X: HilbertBimodule, rng: np.random.Generator,
-                            terms: int = 3) -> np.ndarray:
-    """A random positive element T* T of K(X_B)."""
-    T = random_compact(X, rng, terms)
-    return X.op_adjoint(T) @ T
 
 
 def tight_frame(X: HilbertBimodule, spanning=None,

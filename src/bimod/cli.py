@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multimatrix import ToolkitError, random_element
+from .multimatrix import ToolkitError
 from .bimodule import HilbertBimodule, contragredient, tensor, validate
 from .index import (
     basic_construction,
@@ -42,6 +42,7 @@ from .conjugation import (
     verify_conjugate,
 )
 from .constructors import (
+    _expectation_module,
     expectation_cp_gap,
     from_expectation,
     from_weight_graph,
@@ -111,7 +112,7 @@ def _as_bimodule(kind: str, parsed) -> HilbertBimodule:
     if kind == "graph":
         return from_weight_graph(parsed).bimodule
     if kind == "expectation":
-        return from_expectation(parsed)[0]
+        return _expectation_module(parsed)
     raise ParseError(f"command needs a bimodule-like input, got kind '{kind}'")
 
 
@@ -186,30 +187,16 @@ def _cmd_mindim(req: CommandRequest):
 def _cmd_basic(req: CommandRequest):
     _, X = _read_module(req.inputs[0])
     bco = basic_construction(X)
-    rng = np.random.default_rng(req.seed)
     bc = best_constants(X, seed=req.seed)
     lam = 1.0 / bc.lambda_prime_hat
-    idem = cond = 0.0
-    pp_min = np.inf
-    from .bimodule import random_compact_positive
-    for _ in range(20):
-        T = random_compact_positive(X, rng)
-        e1 = bco.phi_expectation(T)
-        idem = max(idem, X.op_norm(bco.phi_expectation(e1) - e1))
-        resid = lam * X.op_rep(X.phi(bco.F.apply(T))) - X.op_rep(T)
-        pp_min = min(pp_min, float(np.linalg.eigvalsh(
-            0.5 * (resid + resid.conj().T)).min()))
-        a = random_element(X.A, rng)
-        pa = bco.p * a
-        cond = max(cond, X.op_norm(bco.phi_expectation(X.phi(a)) - X.phi(pa)))
+    checks = bco.sampled_checks(lam, np.random.default_rng(req.seed))
     cp_ok, choi_min = bco.as_cp_map().is_completely_positive()
     scale = 1 + bco.F.index_element().norm()
-    passed = (idem <= req.tol * scale and cond <= req.tol * scale
-              and cp_ok and pp_min >= -1e-8 * scale)
-    return passed, {"idempotency_residual": idem, "conditional_residual": cond,
-                    "choi_min": choi_min, "completely_positive": cp_ok,
-                    "pp_inequality_min_eig": pp_min, "lambda_used": lam,
-                    "constants_exact": bc.exact}
+    passed = (checks["idempotency_residual"] <= req.tol * scale
+              and checks["conditional_residual"] <= req.tol * scale
+              and cp_ok and checks["pp_inequality_min_eig"] >= -1e-8 * scale)
+    return passed, {**checks, "choi_min": choi_min, "completely_positive": cp_ok,
+                    "lambda_used": lam, "constants_exact": bc.exact}
 
 
 def _cmd_fibers(req: CommandRequest):

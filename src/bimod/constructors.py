@@ -103,13 +103,20 @@ class Inclusion:
 
     def embed(self, a: AlgebraElement) -> AlgebraElement:
         """iota(a) as an element of B."""
-        out = self.B.zero()
+        return self.B.from_embedded(self.embed_stack(a.embed()[None])[0])
+
+    def embed_stack(self, a: np.ndarray) -> np.ndarray:
+        """iota of each matrix of a stack (s, N_A, N_A) of embedded elements
+        of A, as embedded elements of B (s, N_B, N_B): every copy of A-block
+        j in B-block k receives block j."""
+        out = np.zeros(a.shape[:-2] + (self.B.rep_dim, self.B.rep_dim), dtype=complex)
         for k in range(self.B.num_blocks):
+            start = self.B.block_slice(k).start
             for j in range(self.A.num_blocks):
-                m = self.A.blocks[j]
+                src, m = self.A.block_slice(j), self.A.blocks[j]
                 for c in range(self.multiplicity[k, j]):
-                    off = self.copy_offset(k, j, c)
-                    out.blocks[k][off:off + m, off:off + m] = a.blocks[j]
+                    off = start + self.copy_offset(k, j, c)
+                    out[..., off:off + m, off:off + m] = a[..., src, src]
         return out
 
 
@@ -135,10 +142,16 @@ class ExpectationSpec:
         return self.inclusion.B
 
     def apply(self, b: AlgebraElement) -> AlgebraElement:
-        emb = np.zeros((self.A.rep_dim, self.A.rep_dim), dtype=complex)
-        for k, img in enumerate(self.images):
-            emb += np.einsum("rs,rsab->ab", b.blocks[k], img)
-        return self.A.from_embedded(emb)
+        return self.A.from_embedded(self.apply_stack(b.embed()[None])[0])
+
+    def apply_stack(self, b: np.ndarray) -> np.ndarray:
+        """E of each matrix of a stack (s, N_B, N_B) of embedded elements of
+        B (entries off the blocks of B are ignored), as embedded elements of
+        A (s, N_A, N_A): one contraction per block of B."""
+        out = sum(np.einsum("xrs,rsab->xab", b[:, s, s], img)
+                  for s, img in zip(map(self.B.block_slice, range(self.B.num_blocks)),
+                                    self.images))
+        return self.A.block_part(out)
 
     def as_cp_map(self) -> CPMap:
         return CPMap(self.B, [img.copy() for img in self.images], target=self.A)
@@ -150,39 +163,29 @@ class ExpectationSpec:
         return dict(self._cache["check", tol])
 
     def _check(self, tol: float) -> dict:
-        A, B = self.A, self.B
-        one = self.apply(B.identity())
-        unital = (one - A.identity()).norm()
-        idem = 0.0
-        for j in range(A.num_blocks):
-            for i in range(A.blocks[j]):
-                for jj in range(A.blocks[j]):
-                    a = A.unit(j, i, jj)
-                    idem = max(idem, (self.apply(self.inclusion.embed(a)) - a).norm())
-        bimod = 0.0
-        rng = np.random.default_rng(11)
-        from .multimatrix import random_element
-        for _ in range(6):
-            a1, a2 = random_element(A, rng), random_element(A, rng)
-            b = random_element(B, rng)
-            lhs = self.apply(self.inclusion.embed(a1) * b * self.inclusion.embed(a2))
-            rhs = a1 * self.apply(b) * a2
-            bimod = max(bimod, (lhs - rhs).norm())
-        # faithfulness through the kernel of the sesquilinear form tr E(u* v)
-        units = B.units_embedded()
-        nb = len(units)
-        K = np.zeros((nb, nb), dtype=complex)
-        triples = B.unit_triples()
-        for u in range(nb):
-            for v in range(nb):
-                ku, iu, ju = triples[u]
-                kv, iv, jv = triples[v]
-                if ku != kv:
-                    continue
-                prod = B.zero()
-                if iu == iv:
-                    prod.blocks[ku][ju, jv] = 1.0   # (E_iu_ju)* E_iv_jv
-                K[u, v] = np.trace(self.apply(prod).embed())
+        A, B, iota = self.A, self.B, self.inclusion.embed_stack
+        units = A.units_embedded()
+        # six seeded samples a1, a2 in A, b in B, drawn in that order
+        wa, wb = 2 * A.linear_dim, 2 * B.linear_dim
+        z = np.random.default_rng(11).standard_normal((6, 2 * wa + wb))
+        a1, a2 = A.embedded_from_normals(z[:, :wa]), A.embedded_from_normals(z[:, wa:2 * wa])
+        b = B.embedded_from_normals(z[:, 2 * wa:])
+        # the stacks are block diagonal, so the spectral norm of each matrix
+        # is the operator norm of its element of A
+        unital, idem, bimod = (float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()) for diff in (
+            self.apply_stack(B.identity_embedded()[None]) - np.eye(A.rep_dim),
+            self.apply_stack(iota(units)) - units,
+            self.apply_stack(iota(a1) @ b @ iota(a2)) - a1 @ self.apply_stack(b) @ a2))
+        # faithfulness through the kernel of the sesquilinear form
+        # K[u, v] = tr E(u* v) on the units: (E^k_ij)* E^k_i'j' = delta_ii' E^k_jj',
+        # so block k of K is 1 (x) [tr E(E^k_jj')]
+        traces = np.trace(self.apply_stack(B.units_embedded()), axis1=1, axis2=2)
+        per_block = np.split(traces, np.cumsum([n * n for n in B.blocks])[:-1])
+        K = np.zeros((B.linear_dim, B.linear_dim), dtype=complex)
+        start = 0
+        for n, t in zip(B.blocks, per_block):
+            K[start:start + n * n, start:start + n * n] = np.kron(np.eye(n), t.reshape(n, n))
+            start += n * n
         faithful = float(np.linalg.eigvalsh(hermitian_part(K)).min()) > tol
         ok = unital <= tol and idem <= tol and bimod <= 1e-7 and faithful
         return {"passed": bool(ok), "unital": unital, "idempotent": idem,
@@ -240,12 +243,11 @@ def _expectation_module(spec: ExpectationSpec) -> HilbertBimodule:
     A, B, inc = spec.A, spec.B, spec.inclusion
     # X = B over itself with (x|y)_A = E(x* y) and the right action through iota
     I = identity_bimodule(B)
-    GX = np.array([[spec.apply(B.from_embedded(g)).embed() for g in row]
-                   for row in I.right_gram])
-    Psi = np.zeros((A.rep_dim, A.rep_dim, I.dim, I.dim), dtype=complex)
-    for j, i, ii in A.unit_triples():
-        sl = A.block_slice(j)
-        Psi[sl.start + i, sl.start + ii] = I.psi(inc.embed(A.unit(j, i, ii)))
+    d, na = I.dim, A.rep_dim
+    GX = spec.apply_stack(I.right_gram.reshape(d * d, B.rep_dim, B.rep_dim)).reshape(d, d, na, na)
+    # Psi[p, q] = psi(iota(e_pq)); iota is zero on the e_pq off the blocks of A
+    iota = inc.embed_stack(np.eye(na * na).reshape(na * na, na, na))
+    Psi = np.tensordot(iota, I.right_action, axes=([1, 2], [0, 1])).reshape(na, na, d, d)
     spec._cache["module"] = HilbertBimodule(B, A, I.dim, GX, I.left_action, Psi, I.left_gram)
     return spec._cache["module"]
 
@@ -276,13 +278,11 @@ def quasi_basis(spec: ExpectationSpec) -> tuple[np.ndarray, AlgebraElement]:
 def _unit_images(spec: ExpectationSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per block k of B: the embedded units E^k_rs and their images
     iota(E(E^k_rs)), both stacked with shape (n_k, n_k, N_B, N_B)."""
-    B, inc = spec.B, spec.inclusion
-    own, iota = [], []
-    for k, n in enumerate(B.blocks):
-        units = [[B.unit(k, r, s) for s in range(n)] for r in range(n)]
-        own.append(np.array([[u.embed() for u in row] for row in units]))
-        iota.append(np.array([[inc.embed(spec.apply(u)).embed() for u in row]
-                              for row in units]))
+    B, N = spec.B, spec.B.rep_dim
+    units = np.split(B.units_embedded(), np.cumsum([n * n for n in B.blocks])[:-1])
+    own = [u.reshape(n, n, N, N) for u, n in zip(units, B.blocks)]
+    iota = [spec.inclusion.embed_stack(spec.apply_stack(u)).reshape(n, n, N, N)
+            for u, n in zip(units, B.blocks)]
     return own, iota
 
 

@@ -403,11 +403,46 @@ class BestConstants:
 
 def _norm_ratio_batch(X: HilbertBimodule, vecs: np.ndarray) -> np.ndarray:
     """||_A(x|x)|| / ||(x|x)_B|| for each row x of ``vecs``."""
-    num = np.einsum("sp,sq,pqab->sab", vecs, vecs.conj(), X.left_gram, optimize=True)
-    den = np.einsum("sp,sq,pqab->sab", vecs.conj(), vecs, X.right_gram, optimize=True)
-    top = np.linalg.eigvalsh(0.5 * (num + np.conj(np.swapaxes(num, 1, 2))))[:, -1]
-    bot = np.linalg.eigvalsh(0.5 * (den + np.conj(np.swapaxes(den, 1, 2))))[:, -1]
+    num = np.einsum("sq,sqab->sab", vecs.conj(), np.tensordot(vecs, X.left_gram, axes=([1], [0])))
+    den = np.einsum("sq,sqab->sab", vecs, np.tensordot(vecs.conj(), X.right_gram, axes=([1], [0])))
+    top = np.linalg.eigvalsh(hermitian_part(num))[:, -1]
+    bot = np.linalg.eigvalsh(hermitian_part(den))[:, -1]
     return np.real(top) / np.maximum(np.real(bot), 1e-300)
+
+
+def _ascent_setup(X: HilbertBimodule):
+    """(units of L(X_B), F, F on those units, block ranks r_l = min(M_l, n_l))."""
+    alg = module_operator_algebra(X)
+    F = extend_left_inner(X)
+    cp = _operator_cp_map(X, F.apply_matrix, target=X.A, alg=alg)
+    ranks = [min(m, n) for m, n in zip(alg.algebra.blocks, alg.multiplicities)]
+    return alg, F, cp, ranks
+
+
+def _lockstep_ascent(imgs: list[np.ndarray], ranks: list[int],
+                     xi: np.ndarray) -> tuple[np.ndarray, list]:
+    """The two-step ascent of ``_largest_ratio`` from every row of ``xi``
+    (unit vectors, (s, N_A)) at once.  Each round stacks C_l, the Ky Fan
+    projections and F(P) over the starts still rising; a start leaves the
+    stack once its value stops rising.  Returns the value of each start and
+    its projections (one V_l per block), as the per-start loop would."""
+    value = np.full(len(xi), -np.inf)
+    found = [None] * len(xi)
+    live = np.arange(len(xi))
+    for _ in range(200):
+        C = [np.einsum("sa,ijab,sb->sji", xi.conj(), img, xi) for img in imgs]
+        vs = [np.linalg.eigh(hermitian_part(c))[1][..., -r:] for c, r in zip(C, ranks)]
+        FP = sum(np.einsum("sij,ijab->sab", V @ np.conj(np.swapaxes(V, -1, -2)), img)
+                 for V, img in zip(vs, imgs))
+        w, v = np.linalg.eigh(hermitian_part(FP))
+        rising = w[:, -1] > value[live]
+        for t in np.flatnonzero(rising):
+            found[live[t]] = [V[t] for V in vs]
+        value[live[rising]] = w[rising, -1]
+        live, xi = live[rising], v[rising, :, -1]
+        if not len(live):
+            break
+    return value, found
 
 
 def _largest_ratio(X: HilbertBimodule, seed: int,
@@ -419,30 +454,24 @@ def _largest_ratio(X: HilbertBimodule, seed: int,
     and projections P.  From each seeded xi two exact steps alternate while
     the value rises: P_l spans the top r_l eigenvectors of C^T, C[i, j] =
     xi* F(u_l(i, j)) xi (Ky Fan), then xi is the top eigenvector of F(P).
-    Bound: min(||F(1)||, max_k sum_l KyFan_{r_l}(Choi block l cut to A-block
-    k)).  Vector: g^{-1/2} sum_lti V_l[i, t] u_l(i, 0) c_t with V_l spanning
-    P_l, c_t an orthonormal basis of ran u_l(0, 0): theta_{x,x} = P.
+    The starts run in lockstep (``_lockstep_ascent``); the first start with
+    the largest value wins.  Bound and vector: ``_ratio_bound``,
+    ``_attaining_vector``.
     """
-    alg = module_operator_algebra(X)
-    F = extend_left_inner(X)
-    cp = _operator_cp_map(X, F.apply_matrix, target=X.A, alg=alg)
-    imgs = cp.unit_images       # F(u_l(i, j)), embedded in M_{N_A}
-    ranks = [min(m, n) for m, n in zip(alg.algebra.blocks, alg.multiplicities)]
+    alg, F, cp, ranks = _ascent_setup(X)
+    z = np.random.default_rng(seed).standard_normal((starts, 2, X.A.rep_dim))
+    xi = z[:, 0] + 1j * z[:, 1]         # the draws of one start after another
+    value, found = _lockstep_ascent(cp.unit_images, ranks,
+                                    xi / np.linalg.norm(xi, axis=1, keepdims=True))
+    best = int(np.argmax(value))
+    return (float(value[best]), _ratio_bound(X, F, cp, ranks),
+            _attaining_vector(X, alg, found[best]))
+
+
+def _ratio_bound(X: HilbertBimodule, F: LeftInnerExtension, cp: CPMap,
+                 ranks: list[int]) -> float:
+    """min(||F(1)||, max_k sum_l KyFan_{r_l}(Choi block l cut to A-block k))."""
     na = X.A.rep_dim
-    best, rng = -np.inf, np.random.default_rng(seed)
-    for _ in range(starts):
-        xi = rng.standard_normal(na) + 1j * rng.standard_normal(na)
-        value, xi = -np.inf, xi / np.linalg.norm(xi)
-        for _ in range(200):
-            C = [np.einsum("a,ijab,b->ji", xi.conj(), img, xi) for img in imgs]
-            vs = [np.linalg.eigh(hermitian_part(c))[1][:, -r:] for c, r in zip(C, ranks)]
-            FP = sum(np.einsum("ij,ijab->ab", V @ V.conj().T, img) for V, img in zip(vs, imgs))
-            w, v = np.linalg.eigh(hermitian_part(FP))
-            if w[-1] <= value:
-                break
-            value, xi, found = float(w[-1]), v[:, -1], vs
-        if value > best:
-            best, best_v = value, found
     kyfan = np.zeros(X.A.num_blocks)
     for c, r in zip(cp.choi_blocks(), ranks):
         m = len(c) // na
@@ -450,11 +479,18 @@ def _largest_ratio(X: HilbertBimodule, seed: int,
             s = X.A.block_slice(k)
             blk = c.reshape(m, na, m, na)[:, s, :, s].reshape(m * (s.stop - s.start), -1)
             kyfan[k] += np.linalg.eigvalsh(hermitian_part(blk))[-r:].sum()
+    return min(F.index_element().norm(), float(kyfan.max()))
+
+
+def _attaining_vector(X: HilbertBimodule, alg: StarAlgebraDecomposition,
+                      vs: list[np.ndarray]) -> np.ndarray:
+    """g^{-1/2} sum_lti V_l[i, t] u_l(i, 0) c_t with V_l spanning P_l and c_t
+    an orthonormal basis of ran u_l(0, 0): theta_{x,x} = P."""
     y = np.zeros(X.dim, dtype=complex)
-    for u, V in zip(alg.units, best_v):
+    for u, V in zip(alg.units, vs):
         w, v = np.linalg.eigh(hermitian_part(u[0, 0]))
         y += np.einsum("it,iab,bt->a", V, u[:, 0], v[:, w > 0.5][:, :V.shape[1]])
-    return best, min(F.index_element().norm(), float(kyfan.max())), X._g_half()[1] @ y
+    return X._g_half()[1] @ y
 
 
 def best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
@@ -468,8 +504,8 @@ def best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
         raise ContractError("zero module")
     lam, lam_up, x = _largest_ratio(X, seed)
     inv, inv_up, xbar = _largest_ratio(contragredient(X), seed)
-    for vec, value in ((x, lam), (xbar.conj(), 1.0 / inv)):
-        ratio = float(_norm_ratio_batch(X, vec[None, :])[0])
+    ratios = _norm_ratio_batch(X, np.array([x, xbar.conj()]))
+    for ratio, value in zip(ratios, (lam, 1.0 / inv)):
         if abs(ratio - value) > 1e-10 * value:
             raise StructureError(f"attaining vector gives ratio {ratio:.12g}, not {value:.12g}")
     return BestConstants(lambda_hat=lam, lambda_prime_hat=1.0 / inv,
@@ -482,6 +518,9 @@ def index_report(X: HilbertBimodule, seed: int = 0) -> IndexReport:
 
 
 # -- Jones basic construction -----------------------------------------------------
+
+
+BASIC_SAMPLES = 20
 
 
 @dataclass
@@ -505,6 +544,46 @@ class BasicConstruction:
         """phi.E as a map on the matrix units of L(X_B)."""
         X = self.bimodule
         return _operator_cp_map(X, lambda T: X.op_rep(self.phi_expectation(T)))
+
+    def sampled_checks(self, lam: float, rng: np.random.Generator) -> dict:
+        """The sampled checks of the basic construction, on BASIC_SAMPLES
+        pairs (T, a) of a random positive compact T and a random a in A
+        (``_basic_samples``), evaluated as one stack:
+
+        * ``idempotency_residual``: max ||phi E(phi E(T)) - phi E(T)||;
+        * ``conditional_residual``: max ||phi E(phi(a)) - phi(p a)||;
+        * ``pp_inequality_min_eig``: the least eigenvalue of
+          lam phi(F(T)) - T, the Pimsner-Popa bound, over the samples.
+        """
+        X, samples = self.bimodule, BASIC_SAMPLES
+        T, a = _basic_samples(X, rng, samples)
+        e = self.phi_expectation(np.concatenate([T, X.phi(a)]))
+        diffs = np.concatenate([self.phi_expectation(e[:samples]) - e[:samples],
+                                e[samples:] - X.phi(self.p.embed() @ a)])
+        norms = np.linalg.norm(X.op_rep(diffs), 2, axis=(-2, -1))
+        resid = lam * X.op_rep(X.phi(X.A.block_part(self.F.apply_matrix(T)))) - X.op_rep(T)
+        return {"idempotency_residual": float(norms[:samples].max()),
+                "conditional_residual": float(norms[samples:].max()),
+                "pp_inequality_min_eig": float(np.linalg.eigvalsh(hermitian_part(resid)).min())}
+
+
+def _basic_samples(X: HilbertBimodule, rng: np.random.Generator,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` samples for the basic-construction checks from one draw of
+    normals.  Each sample takes, in this order, three rank-one terms x, y
+    (re x, im x, re y, im y) and then ``random_element(X.A, rng)``'s draws.
+    Returns the positive compacts T* T (count, d, d), T the sum of the three
+    theta_{x,y}, and the elements of A embedded (count, N_A, N_A)."""
+    d, terms = X.dim, 3
+    z = rng.standard_normal((count, 4 * terms * d + 2 * X.A.linear_dim))
+    v = z[:, :4 * terms * d].reshape(count, terms, 4, d)    # per term: re x, im x, re y, im y
+    x, y = v[:, :, 0] + 1j * v[:, :, 1], v[:, :, 2] + 1j * v[:, :, 3]
+    # theta_{x,y}[i, q] = sum_ab (x.e_ab)_i (y|e_q)_ab, summed over the terms
+    xb = np.tensordot(x, X.right_action, axes=([2], [3]))            # (c, t, a, b, i)
+    yz = np.tensordot(y.conj(), X.right_gram, axes=([2], [0]))       # (c, t, q, a, b)
+    T = (np.moveaxis(xb, 4, 1).reshape(count, d, -1)
+         @ np.moveaxis(yz, 2, 4).reshape(count, -1, d))
+    return X.op_adjoint(T) @ T, X.A.embedded_from_normals(z[:, 4 * terms * d:])
 
 
 def basic_construction(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> BasicConstruction:

@@ -45,7 +45,8 @@ def _as_complex(mat) -> np.ndarray:
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    """(M + M*) / 2, of each matrix in a stack (..., n, n)."""
+    return 0.5 * (mat + mat.swapaxes(-1, -2).conj())
 
 
 class MultiMatrixAlgebra:
@@ -122,6 +123,27 @@ class MultiMatrixAlgebra:
             raise StructureError(
                 f"embedded shape {mat.shape} does not match rep dimension {self.rep_dim}")
         return AlgebraElement(self, [mat[s, s].copy() for s in self._slices])
+
+    def block_part(self, mats: np.ndarray) -> np.ndarray:
+        """The block-diagonal part of each matrix of a stack (..., N, N): what
+        ``from_embedded`` keeps, embedded again."""
+        mats = _as_complex(mats)
+        out = np.zeros_like(mats)
+        for s in self._slices:
+            out[..., s, s] = mats[..., s, s]
+        return out
+
+    def embedded_from_normals(self, z: np.ndarray) -> np.ndarray:
+        """The embedded stack (s, N, N) of the elements that ``random_element``
+        makes from the normals in the rows of z (s, 2 * linear_dim): per block,
+        the n x n real parts, then the n x n imaginary parts."""
+        out = np.zeros((len(z), self.rep_dim, self.rep_dim), dtype=complex)
+        start = 0
+        for n, s in zip(self.blocks, self._slices):
+            re, im = z[:, start:start + n * n], z[:, start + n * n:start + 2 * n * n]
+            out[:, s, s] = (re + 1j * im).reshape(-1, n, n)
+            start += 2 * n * n
+        return out
 
     def units_embedded(self) -> np.ndarray:
         """All matrix units, embedded; shape (linear_dim, N, N)."""

@@ -48,6 +48,21 @@ def _integer(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _numbers(obj, what: str) -> np.ndarray:
+    """A number or nested list of numbers as a float array, read once.
+
+    Strings (also numeric ones), booleans, nulls and integers too large for
+    a machine integer are refused: their array has no integer or float
+    dtype.  numpy still promotes a boolean mixed into a list of numbers."""
+    try:
+        arr = np.asarray(obj)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"cannot read {what}: {exc}") from exc
+    if arr.dtype.kind not in "fiu":
+        raise ParseError(f"{what} must hold numbers, got {arr.dtype.name} entries")
+    return arr.astype(float, copy=False)
+
+
 def _complex_array(obj, shape: tuple, what: str) -> np.ndarray:
     """A nested list of all [re, im] pairs or all reals as a complex array.
 
@@ -55,10 +70,7 @@ def _complex_array(obj, shape: tuple, what: str) -> np.ndarray:
     data.  Pairs become complex numbers by a view of the float array, with
     no arithmetic, so values are bitwise those :func:`_pairs` wrote.
     """
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"cannot read {what}: {exc}") from exc
+    arr = _numbers(obj, what)
     pairs = arr.ndim == len(shape) + 1 and arr.shape[-1] == 2
     got = arr.shape[:-1] if pairs else arr.shape
     if len(got) != len(shape) or any(n is not None and n != g for n, g in zip(shape, got)):
@@ -178,6 +190,8 @@ def decode_graph(obj) -> GraphSpec:
     for e in obj["edges"]:
         if not isinstance(e, list) or len(e) != 3:
             raise ParseError(f"edge {e} must be [source, range, weight]")
+        if isinstance(e[2], bool) or not isinstance(e[2], (int, float)):
+            raise ParseError(f"weight of edge {e} must be a number")
         w = _finite(_convert(float, e[2], f"weight of edge {e}"), f"edge {e}")
         edges.append((str(e[0]), str(e[1]), w))
     try:
@@ -198,8 +212,7 @@ def decode_expectation(obj) -> ExpectationSpec:
     mult = _convert(lambda rows: np.array([[_integer(m, "multiplicity", 0) for m in row]
                                            for row in rows], dtype=int),
                     ab["multiplicity"], "multiplicity")
-    weights = _finite(_convert(lambda v: np.asarray(v, dtype=float), obj["E_weights"],
-                               "E_weights"), "E_weights")
+    weights = _finite(_numbers(obj["E_weights"], "E_weights"), "E_weights")
     if weights.shape != mult.shape:
         raise ParseError(f"E_weights has shape {weights.shape}, multiplicity {mult.shape}")
     try:

@@ -14,6 +14,7 @@ from bimod import (
     Inclusion,
     MultiMatrixAlgebra,
     column_bimodule,
+    contragredient,
     from_hilbert_space,
     from_expectation,
     from_weight_graph,
@@ -26,7 +27,16 @@ from bimod import (
 )
 from bimod.bimodule import CheckResult, ValidationReport, _act_first, _gram_big
 from bimod.conjugation import VerifyReport, _product_coords, verify_conjugate
-from bimod.index import commutant_of
+from bimod.constructors import ExpectationSpec
+from bimod.index import (
+    BASIC_SAMPLES,
+    BasicConstruction,
+    BestConstants,
+    _ascent_setup,
+    _attaining_vector,
+    _ratio_bound,
+    commutant_of,
+)
 from bimod.multimatrix import (
     RANK_TOL,
     AlgebraElement,
@@ -701,6 +711,126 @@ def descent_best_constants(X: HilbertBimodule, seed: int = 0, samples: int = 100
     return hi, lo
 
 
+def sequential_largest_ratio(X: HilbertBimodule, seed: int,
+                             starts: int = 5) -> tuple[float, float, np.ndarray]:
+    """``_largest_ratio`` with its starts run one after another: the route
+    that the lockstep ascent replaced, kept as its oracle.  Same draws, same
+    two steps, same tie rule (the first start with the largest value)."""
+    alg, F, cp, ranks = _ascent_setup(X)
+    imgs = cp.unit_images
+    na = X.A.rep_dim
+    best, rng = -np.inf, np.random.default_rng(seed)
+    for _ in range(starts):
+        xi = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+        value, xi = -np.inf, xi / np.linalg.norm(xi)
+        for _ in range(200):
+            C = [np.einsum("a,ijab,b->ji", xi.conj(), img, xi) for img in imgs]
+            vs = [np.linalg.eigh(hermitian_part(c))[1][:, -r:] for c, r in zip(C, ranks)]
+            FP = sum(np.einsum("ij,ijab->ab", V @ V.conj().T, img) for V, img in zip(vs, imgs))
+            w, v = np.linalg.eigh(hermitian_part(FP))
+            if w[-1] <= value:
+                break
+            value, xi, found = float(w[-1]), v[:, -1], vs
+        if value > best:
+            best, best_v = value, found
+    return best, _ratio_bound(X, F, cp, ranks), _attaining_vector(X, alg, best_v)
+
+
+def sequential_best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
+    """``best_constants`` through :func:`sequential_largest_ratio`."""
+    lam, lam_up, _ = sequential_largest_ratio(X, seed)
+    inv, inv_up, _ = sequential_largest_ratio(contragredient(X), seed)
+    return BestConstants(lambda_hat=lam, lambda_prime_hat=1.0 / inv,
+                         lambda_upper=lam_up, lambda_prime_lower=1.0 / inv_up)
+
+
+def loop_basic_checks(bco: BasicConstruction, lam: float, rng: np.random.Generator) -> dict:
+    """The sampled checks of ``BasicConstruction.sampled_checks`` one sample
+    at a time: the loop that the stacked checks replaced, kept as their
+    oracle.  Each sample draws a positive compact T, then an element a."""
+    from bimod.multimatrix import random_element
+    X = bco.bimodule
+    idem = cond = 0.0
+    pp_min = np.inf
+    for _ in range(BASIC_SAMPLES):
+        T = random_compact_positive(X, rng)
+        e1 = bco.phi_expectation(T)
+        idem = max(idem, X.op_norm(bco.phi_expectation(e1) - e1))
+        resid = lam * X.op_rep(X.phi(bco.F.apply(T))) - X.op_rep(T)
+        pp_min = min(pp_min, float(np.linalg.eigvalsh(
+            0.5 * (resid + resid.conj().T)).min()))
+        a = random_element(X.A, rng)
+        pa = bco.p * a
+        cond = max(cond, X.op_norm(bco.phi_expectation(X.phi(a)) - X.phi(pa)))
+    return {"idempotency_residual": idem, "conditional_residual": cond,
+            "pp_inequality_min_eig": pp_min}
+
+
+def per_element_apply(spec: ExpectationSpec, b: AlgebraElement) -> AlgebraElement:
+    """E(b) one element at a time, the route that the stacked
+    ``ExpectationSpec.apply_stack`` replaced."""
+    emb = np.zeros((spec.A.rep_dim, spec.A.rep_dim), dtype=complex)
+    for k, img in enumerate(spec.images):
+        emb += np.einsum("rs,rsab->ab", b.blocks[k], img)
+    return spec.A.from_embedded(emb)
+
+
+def per_element_iota(inc: Inclusion, a: AlgebraElement) -> AlgebraElement:
+    """iota(a) copy by copy, the route of the stacked ``Inclusion.embed_stack``."""
+    out = inc.B.zero()
+    for k in range(inc.B.num_blocks):
+        for j in range(inc.A.num_blocks):
+            m = inc.A.blocks[j]
+            for c in range(inc.multiplicity[k, j]):
+                off = inc.copy_offset(k, j, c)
+                out.blocks[k][off:off + m, off:off + m] = a.blocks[j]
+    return out
+
+
+def per_element_check(spec: ExpectationSpec, tol: float = 1e-9) -> dict:
+    """``ExpectationSpec.check`` one element at a time: the oracle of the
+    stacked check (same units, same six seeded samples, same Gram K)."""
+    from bimod.multimatrix import random_element
+    A, B = spec.A, spec.B
+
+    def E(b):
+        return per_element_apply(spec, b)
+
+    def iota(a):
+        return per_element_iota(spec.inclusion, a)
+
+    unital = (E(B.identity()) - A.identity()).norm()
+    idem = 0.0
+    for j in range(A.num_blocks):
+        for i in range(A.blocks[j]):
+            for jj in range(A.blocks[j]):
+                a = A.unit(j, i, jj)
+                idem = max(idem, (E(iota(a)) - a).norm())
+    bimod = 0.0
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        a1, a2 = random_element(A, rng), random_element(A, rng)
+        b = random_element(B, rng)
+        bimod = max(bimod, (E(iota(a1) * b * iota(a2)) - a1 * E(b) * a2).norm())
+    nb = B.linear_dim
+    K = np.zeros((nb, nb), dtype=complex)
+    triples = B.unit_triples()
+    for u in range(nb):
+        for v in range(nb):
+            ku, iu, ju = triples[u]
+            kv, iv, jv = triples[v]
+            if ku != kv:
+                continue
+            prod = B.zero()
+            if iu == iv:
+                prod.blocks[ku][ju, jv] = 1.0   # (E_iu_ju)* E_iv_jv
+            K[u, v] = np.trace(E(prod).embed())
+    faithful = float(np.linalg.eigvalsh(hermitian_part(K)).min()) > tol
+    ok = unital <= tol and idem <= tol and bimod <= 1e-7 and faithful
+    return {"passed": bool(ok), "unital": unital, "idempotent": idem,
+            "bimodule": bimod, "faithful": bool(faithful)}
+
+
 def span_distance(U: np.ndarray, V: np.ndarray) -> float:
     """Max-abs distance between the orthogonal projections onto the spans of
     two orthonormal stacks of matrices; inf when their dimensions differ."""
@@ -815,9 +945,27 @@ def corpus():
     return entries
 
 
+def random_compact(X: HilbertBimodule, rng: np.random.Generator,
+                   terms: int = 3) -> np.ndarray:
+    """A random element of K(X_B): a short sum of rank-one operators."""
+    T = np.zeros((X.dim, X.dim), dtype=complex)
+    for _ in range(terms):
+        x = rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim)
+        y = rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim)
+        T += X.rank_one(x, y)
+    return T
+
+
+def random_compact_positive(X: HilbertBimodule, rng: np.random.Generator,
+                            terms: int = 3) -> np.ndarray:
+    """A random positive element T* T of K(X_B), one at a time: the sampler
+    whose draws ``bimod.index._basic_samples`` makes as one stack."""
+    T = random_compact(X, rng, terms)
+    return X.op_adjoint(T) @ T
+
+
 def random_positive_operator(X: HilbertBimodule, rng: np.random.Generator) -> np.ndarray:
     """Random positive element of K(X_B) (not just any PSD matrix)."""
-    from bimod.bimodule import random_compact_positive
     return random_compact_positive(X, rng)
 
 

@@ -27,7 +27,7 @@ from bimod import (
     tensor_conjugate,
     tight_frame,
 )
-from bimod.bimodule import frame_operator, random_compact_positive
+from bimod.bimodule import frame_operator
 from bimod.cli import CommandRequest, run
 
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     diag_expectation_m2,
     random_bimodule,
     random_bimodule_family,
+    random_compact_positive,
     random_graph,
     random_posdef,
 )

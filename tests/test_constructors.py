@@ -13,6 +13,7 @@ from bimod import (
     from_expectation,
     from_hilbert_space,
     from_weight_graph,
+    identity_bimodule,
     minimal_cp_multiplier,
     quasi_basis,
     right_index,
@@ -20,12 +21,16 @@ from bimod import (
     trace_weighted_expectation,
     validate,
 )
+from bimod.constructors import _expectation_module, _unit_images
 from bimod.multimatrix import random_element
 
 from helpers import (
     bidirected_cycle_graph,
     diag_expectation_m2,
     four_cycle_graph,
+    per_element_apply,
+    per_element_check,
+    per_element_iota,
     random_graph,
     random_posdef,
     star_graph,
@@ -220,6 +225,58 @@ def test_expectation_faithfulness_check():
     # zero weight would make E non-faithful and is rejected upstream
     E = diag_expectation_m2()
     assert E.check()["faithful"]
+
+
+def _oracle_specs():
+    """The corpus expectations, the benchmark's weighted two-block one, and
+    an inclusion with two A-blocks copied into blocks of B of size 3 and 2."""
+    weighted = trace_weighted_expectation(
+        Inclusion(MultiMatrixAlgebra([2]), MultiMatrixAlgebra([2, 2]), [[1], [1]]),
+        [[0.3], [0.7]])
+    mixed = trace_weighted_expectation(
+        Inclusion(MultiMatrixAlgebra([1, 1]), MultiMatrixAlgebra([3, 2]), [[2, 1], [1, 1]]),
+        [[0.2, 0.5], [0.6, 0.5]])
+    return [("expectation_M2", diag_expectation_m2()),
+            ("expectation_2block", two_block_expectation()),
+            ("weighted_2block", weighted), ("mixed_3_2", mixed)]
+
+
+_SPECS = [pytest.param(spec, id=name) for name, spec in _oracle_specs()]
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_stacked_expectation_check_matches_per_element_oracle(spec):
+    got, ref = spec._check(1e-9), per_element_check(spec)
+    assert (got["passed"], got["faithful"]) == (ref["passed"], ref["faithful"]) == (True, True)
+    for field in ("unital", "idempotent", "bimodule"):
+        assert abs(got[field] - ref[field]) <= 1e-12, field
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+def test_stacked_apply_and_iota_match_the_per_element_routes(spec):
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        b, a = random_element(spec.B, rng), random_element(spec.A, rng)
+        assert np.abs(spec.apply(b).embed() - per_element_apply(spec, b).embed()).max() <= 1e-14
+        assert np.array_equal(spec.inclusion.embed(a).embed(),
+                              per_element_iota(spec.inclusion, a).embed())
+    # unit inputs: the images and the module's tensors are bitwise those of
+    # the per-element routes
+    A, B = spec.A, spec.B
+    X, I = _expectation_module(spec), identity_bimodule(B)
+    units = [B.from_embedded(u) for u in B.units_embedded()]
+    gram = np.array([[per_element_apply(spec, u.adjoint() * v).embed() for v in units]
+                     for u in units])
+    assert np.array_equal(X.right_gram, gram)
+    for (j, i, ii) in A.unit_triples():
+        p, q = A.block_slice(j).start + i, A.block_slice(j).start + ii
+        ref = I.psi(per_element_iota(spec.inclusion, A.unit(j, i, ii)))
+        assert np.array_equal(X.right_action[p, q], ref)
+    for k, img in enumerate(_unit_images(spec)[1]):
+        n = B.blocks[k]
+        ref = [[per_element_iota(spec.inclusion, per_element_apply(spec, B.unit(k, r, t))).embed()
+                for t in range(n)] for r in range(n)]
+        assert np.array_equal(img, np.array(ref))
 
 
 # -- weighted graphs ---------------------------------------------------------------

@@ -26,8 +26,12 @@ from bimod import (
     right_index,
     tight_frame,
 )
+from bimod import index
 from bimod.cli import CommandRequest, run
 from bimod.index import (
+    BASIC_SAMPLES,
+    BasicConstruction,
+    _basic_samples,
     _largest_ratio,
     _operator_cp_map,
     commutant_of,
@@ -43,11 +47,16 @@ from helpers import (
     diag_expectation_m2,
     four_cycle_graph,
     kron_commutant,
+    loop_basic_checks,
     random_bimodule,
     random_bimodule_family,
+    random_compact,
+    random_compact_positive,
     random_posdef,
     random_positive_operator,
     relative_commutant_of_right_action,
+    sequential_best_constants,
+    sequential_largest_ratio,
     span_distance,
     two_block_expectation,
     well_conditioned,
@@ -90,7 +99,6 @@ def test_extension_trace_formula():
 
 
 def test_extension_bilinear_and_frame_independent():
-    from bimod.bimodule import random_compact
     rng = np.random.default_rng(3)
     for X in random_bimodule_family(3, seed=19):
         F = extend_left_inner(X)
@@ -311,6 +319,71 @@ def test_descent_oracle_never_beats_the_ascent(X):
     bc = best_constants(X, seed=0)
     assert lam <= bc.lambda_hat * (1 + 1e-12)
     assert lam_prime >= bc.lambda_prime_hat * (1 - 1e-12)
+
+
+def _oracle_modules():
+    """The 12 corpus modules, ladder d = 13 and 18, round-trip d = 18 and 24."""
+    shaped = [random_bimodule(*shape, seed=0)
+              for shape in _LADDER_SHAPES + _ROUNDTRIP_SHAPES[1:]]
+    return corpus() + [(f"d{X.dim}_{'ladder' if i < 2 else 'roundtrip'}", X)
+                       for i, X in enumerate(shaped)]
+
+
+_ORACLE_MODULES = _oracle_modules()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in _ORACLE_MODULES])
+def test_lockstep_ascent_matches_sequential_oracle(X, seed):
+    got, ref = best_constants(X, seed=seed), sequential_best_constants(X, seed=seed)
+    for field in ("lambda_hat", "lambda_prime_hat"):
+        assert abs(getattr(got, field) - getattr(ref, field)) <= 1e-14 * getattr(ref, field)
+    assert (got.lambda_upper, got.lambda_prime_lower) == (ref.lambda_upper, ref.lambda_prime_lower)
+    assert got.exact == ref.exact
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in _ORACLE_MODULES])
+def test_stacked_basic_matches_loop_oracle(X, seed, tmp_path, monkeypatch):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(encode_bimodule(X)))
+    request = CommandRequest(command="basic", inputs=[str(path)], seed=seed)
+    status, report = run(request)
+    monkeypatch.setattr(BasicConstruction, "sampled_checks", loop_basic_checks)
+    monkeypatch.setattr(index, "_largest_ratio", sequential_largest_ratio)
+    ref_status, ref_report = run(request)
+    assert (status, report["passed"]) == (ref_status, ref_report["passed"]) == (0, True)
+    got, ref = report["results"], ref_report["results"]
+    assert got["constants_exact"] == ref["constants_exact"]
+    assert abs(got["lambda_used"] - ref["lambda_used"]) <= 1e-14 * ref["lambda_used"]
+    # the Pimsner-Popa eigenvalue can be large (about 2e3 at d = 24), so each
+    # field is compared at the scale of the check plus its own size
+    scale = 1 + basic_construction(X).F.index_element().norm()
+    for field in ("idempotency_residual", "conditional_residual", "pp_inequality_min_eig"):
+        assert abs(got[field] - ref[field]) <= 1e-12 * (scale + abs(ref[field])), field
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stacked_sampler_draws_what_the_loop_draws(seed):
+    X = _ORACLE_MODULES[-3][1]                  # ladder d = 18
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    T, a = _basic_samples(X, rng, BASIC_SAMPLES)
+    for t, emb in zip(T, a):
+        ref_T = random_compact_positive(X, ref_rng)
+        assert np.abs(t - ref_T).max() <= 1e-12 * np.abs(ref_T).max()
+        assert np.array_equal(emb, random_element(X.A, ref_rng).embed())
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["hilbert_random3", "expectation_2block", "random_112"])
+def test_halved_lambda_fails_pimsner_popa_on_both_routes(name):
+    X = dict(corpus())[name]
+    bco = basic_construction(X)
+    lam = 0.5 / best_constants(X, seed=0).lambda_prime_hat
+    scale = 1 + bco.F.index_element().norm()
+    for route in (bco.sampled_checks, lambda *args: loop_basic_checks(bco, *args)):
+        checks = route(lam, np.random.default_rng(0))
+        assert checks["pp_inequality_min_eig"] < -1e-8 * scale
 
 
 # -- index element operator -----------------------------------------------------------

@@ -1,13 +1,20 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bimod import cli
-from bimod.serde import _complex_array, _pairs, decode_bimodule, encode_bimodule
+from bimod import build_conjugate, cli
+from bimod.serde import (
+    _complex_array,
+    _pairs,
+    decode_bimodule,
+    encode_bimodule,
+    encode_vector,
+)
 from helpers import corpus, random_bimodule, reference_decode_bimodule, reference_encode_bimodule
 
 # the round-trip shapes of the benchmark: d = 13, 18, 24
@@ -78,3 +85,119 @@ def test_one_replaced_value_never_exits_three(tmp_path_factory, path, value):
     file.write_text(json.dumps(obj))
     status, report = cli.run(cli.CommandRequest("validate", [str(file)]))
     assert status in (0, 1, 2), report["error"]
+
+
+# -- every input kind, through every command that reads it -------------------------
+
+_X112 = dict(corpus())["random_112"]
+_SOLUTION_OF_112 = build_conjugate(_X112)
+_KIND_FILES = {
+    "graph": {"kind": "graph", "vertices": ["a", "b", "c"],
+              "edges": [["a", "b", 1.0], ["b", "c", 2.0], ["c", "a", 0.5], ["a", "c", 1.5]]},
+    "expectation": {"kind": "expectation", "B": {"blocks": [2, 2]},
+                    "A_blocks": {"blocks": [2], "multiplicity": [[1], [1]]},
+                    "E_weights": [[0.25], [0.75]]},
+    "hilbert": {"kind": "hilbert", "n": 2,
+                "T": [[[2.0, 0.0], [0.5, 0.5]], [[0.5, -0.5], [1.0, 0.0]]]},
+    "solution": {"kind": "solution", "R": encode_vector(_SOLUTION_OF_112.R),
+                 "Rbar": encode_vector(_SOLUTION_OF_112.Rbar)},
+}
+_MODULE_COMMANDS = ["validate", "index", "conjugate", "verify", "mindim", "basic", "fibers",
+                    "morita", "tensor"]
+_KIND_COMMANDS = {"graph": _MODULE_COMMANDS + ["graph"],
+                  "expectation": _MODULE_COMMANDS + ["expectation"],
+                  "hilbert": _MODULE_COMMANDS + ["hilbert"],
+                  "solution": ["verify"]}
+
+
+def _inputs(command: str, kind: str, mutated, base) -> list[str]:
+    """The inputs of ``command`` with the mutated file in the place of its
+    kind: a solution is verified against random_112, a module against the
+    solution of random_112, and tensor pairs a module with itself."""
+    if kind == "solution":
+        return [str(base / "random_112.json"), str(mutated)]
+    if command == "verify":
+        return [str(mutated), str(base / "solution_112.json")]
+    if command == "tensor":
+        return [str(mutated), str(mutated)]
+    return [str(mutated)]
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_FILES))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_replaced_value_never_exits_three_in_any_kind(tmp_path_factory, kind, data):
+    base = tmp_path_factory.getbasetemp()
+    (base / "random_112.json").write_text(json.dumps(_MODULE))
+    (base / "solution_112.json").write_text(json.dumps(_KIND_FILES["solution"]))
+    obj = copy.deepcopy(_KIND_FILES[kind])
+    path = data.draw(st.sampled_from(list(_paths(obj))), label="path")
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(_json_values, label="value")
+    command = data.draw(st.sampled_from(_KIND_COMMANDS[kind]), label="command")
+    mutated = base / f"mutated_{kind}.json"
+    mutated.write_text(json.dumps(obj))
+    status, report = cli.run(cli.CommandRequest(command, _inputs(command, kind, mutated, base)))
+    assert status in (0, 1, 2), (command, report["error"])
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_FILES))
+def test_unmutated_kind_files_pass_their_commands(tmp_path, kind):
+    # the property test above starts from files that every command accepts
+    (tmp_path / "random_112.json").write_text(json.dumps(_MODULE))
+    (tmp_path / "solution_112.json").write_text(json.dumps(_KIND_FILES["solution"]))
+    file = tmp_path / f"{kind}.json"
+    file.write_text(json.dumps(_KIND_FILES[kind]))
+    for command in _KIND_COMMANDS[kind]:
+        if command == "verify" and kind != "solution":
+            continue        # the solution belongs to random_112
+        status, report = cli.run(cli.CommandRequest(command,
+                                                    _inputs(command, kind, file, tmp_path)))
+        # B-A bimodules of an expectation do not tensor with themselves
+        assert status == 0 or "middle algebras differ" in report.get("error", ""), \
+            (command, report)
+
+
+# -- strict numbers -------------------------------------------------------------------
+
+
+def _random_112_with(edit) -> dict:
+    obj = copy.deepcopy(_MODULE)
+    edit(obj)
+    return obj
+
+
+_NON_NUMBERS = [
+    ("numeric_string_pair", _random_112_with(
+        lambda o: o["left_action"][0][0][0][0].__setitem__(0, ["1", "0"])), "left_action block 0"),
+    ("boolean_block", _random_112_with(
+        lambda o: o["left_action"].__setitem__(1, np.ones((1, 1, 4, 4, 2), bool).tolist())),
+     "left_action block 1"),
+    ("null_gram_block", _random_112_with(
+        lambda o: o["right_gram"][0][0]["blocks"].__setitem__(0, [[[None, None]] * 2] * 2)),
+     "right_gram block 0"),
+    ("numeric_string_T", {"kind": "hilbert", "n": 2, "T": [["1", "0"], ["0", "2"]]}, "T"),
+    ("boolean_T", {"kind": "hilbert", "n": 2, "T": [[True, False], [False, True]]}, "T"),
+    ("numeric_string_weights", {**_KIND_FILES["expectation"], "E_weights": [["0.5"], ["0.5"]]},
+     "E_weights"),
+    ("boolean_edge_weight", {**_KIND_FILES["graph"],
+                             "edges": [["a", "b", True]] + _KIND_FILES["graph"]["edges"][1:]},
+     "weight of edge"),
+    ("numeric_string_R", {**_KIND_FILES["solution"], "R": ["1", "0"]}, "R"),
+]
+
+
+@pytest.mark.parametrize("name, obj, field", [pytest.param(*case, id=case[0])
+                                               for case in _NON_NUMBERS])
+def test_non_numbers_exit_two_naming_the_field(tmp_path, name, obj, field):
+    file = tmp_path / f"{name}.json"
+    file.write_text(json.dumps(obj))
+    kind = obj["kind"]
+    command = {"bimodule": "validate", "solution": "verify"}.get(kind, kind)
+    inputs = _inputs(command, kind, file, tmp_path)
+    (tmp_path / "random_112.json").write_text(json.dumps(_MODULE))
+    status, report = cli.run(cli.CommandRequest(command, inputs))
+    assert status == 2 and field in report["error"], report
+    assert "must hold numbers" in report["error"] or kind == "graph", report

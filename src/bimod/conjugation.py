@@ -187,21 +187,24 @@ class VerifyReport:
                 "intertwine_Rbar": self.intertwine_Rbar}
 
 
+_INTERTWINE_TOL = 1e-6
+
+
 def verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
-                     tol: float = 1e-8, intertwine_tol: float = 1e-6) -> VerifyReport:
+                     tol: float = 1e-8) -> VerifyReport:
     """Evaluate both conjugate-equation residuals for a candidate pair.
 
     ``R`` and ``Rbar`` are product coordinates in Y (x) X and X (x) Y (see
     ``ConjugateSolution``), as matrices or flattened row-major.  Candidates
-    that fail to intertwine the unit actions are rejected: they are not
-    morphisms from the units in the first place.
+    that fail to intertwine the unit actions beyond ``_INTERTWINE_TOL`` are
+    rejected: they are not morphisms from the units in the first place.
     """
     r_full = _product_coords(R, Y, X, "R")
     rbar_full = _product_coords(Rbar, X, Y, "Rbar")
     norm_r, norm_rbar = float(_norm(Y, X, r_full)), float(_norm(X, Y, rbar_full))
     int_R = _intertwiner_residual(Y, X, r_full, norm_r)
     int_Rbar = _intertwiner_residual(X, Y, rbar_full, norm_rbar)
-    if max(int_R, int_Rbar) > intertwine_tol:
+    if max(int_R, int_Rbar) > _INTERTWINE_TOL:
         raise ContractError(
             f"candidate does not intertwine the unit actions "
             f"(residuals {int_R:.3g}, {int_Rbar:.3g})")
@@ -211,8 +214,7 @@ def verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
 
 
 def build_conjugate(X: HilbertBimodule, right_frame: FrameSet | None = None,
-                    left_frame: FrameSet | None = None,
-                    tol: float = 1e-8) -> ConjugateSolution:
+                    left_frame: FrameSet | None = None) -> ConjugateSolution:
     """Solve the conjugate equations with Y = the contragredient of X:
     Rbar = sum_i u_i (x) conj(u_i) over a right tight frame, R = sum_j
     conj(v_j) (x) v_j over a left tight frame."""
@@ -227,7 +229,7 @@ def build_conjugate(X: HilbertBimodule, right_frame: FrameSet | None = None,
     U, V = right_frame.coords, left_frame.coords
     R = np.einsum("jp,jq->pq", V.conj(), V)
     Rbar = np.einsum("ip,iq->pq", U, U.conj())
-    rep = verify_conjugate(X, Y, R, Rbar, tol=tol)
+    rep = verify_conjugate(X, Y, R, Rbar)
     return ConjugateSolution(X, Y, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)
 
 
@@ -241,15 +243,14 @@ def _left_pairing(X: HilbertBimodule, Y: HilbertBimodule, rbar: np.ndarray) -> n
                         axes=([1], [1])).transpose(0, 3, 1, 2)
 
 
-def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
-                         tol: float = 1e-8) -> np.ndarray:
+def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar) -> np.ndarray:
     """Left Gram tensor induced by a verified solution:
     _A(e_p|e_q) = Rbar* (theta^r_{e_p,e_q} (x) 1_Y) Rbar.
 
     The returned tensor makes X bi-Hilbertian of finite index; feeding the
     solution produced by ``build_conjugate`` recovers the original left Gram.
     """
-    verify_conjugate(X, Y, R, Rbar, tol=tol)
+    verify_conjugate(X, Y, R, Rbar)
     L = _left_pairing(X, Y, _product_coords(Rbar, X, Y, "Rbar"))
     # clean Hermitian symmetry of the result
     return 0.5 * (L + L.conj().transpose(1, 0, 3, 2))
@@ -503,8 +504,7 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
 # -- composing conjugates over a tensor product ---------------------------------------
 
 
-def tensor_conjugate(sol_X: ConjugateSolution, sol_Y: ConjugateSolution,
-                     tol: float = 1e-7) -> ConjugateSolution:
+def tensor_conjugate(sol_X: ConjugateSolution, sol_Y: ConjugateSolution) -> ConjugateSolution:
     """Conjugate solution for X (x) Y with conjugate Ybar (x) Xbar, assembled
     from the two factor solutions by inserting each R into the middle leg."""
     X, x_conj = sol_X.X, sol_X.Y
@@ -522,5 +522,5 @@ def tensor_conjugate(sol_X: ConjugateSolution, sol_Y: ConjugateSolution,
     Rbar_full = np.einsum("pq,uv->puvq", sol_X.Rbar, sol_Y.Rbar).reshape(
         X.dim * Y.dim, y_conj.dim * x_conj.dim)
     Rbar = VZ.conj().T @ Rbar_full @ VW.conj()
-    rep = verify_conjugate(Z, W, R, Rbar, tol=tol)
+    rep = verify_conjugate(Z, W, R, Rbar)
     return ConjugateSolution(Z, W, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)

@@ -156,11 +156,11 @@ class ExpectationSpec:
     def as_cp_map(self) -> CPMap:
         return CPMap(self.B, [img.copy() for img in self.images], target=self.A)
 
-    def check(self, tol: float = 1e-9) -> dict:
+    def check(self) -> dict:
         """Invariants: unital, idempotent onto A, bimodule property, faithful."""
-        if ("check", tol) not in self._cache:
-            self._cache["check", tol] = self._check(tol)
-        return dict(self._cache["check", tol])
+        if "check" not in self._cache:
+            self._cache["check"] = self._check(1e-9)
+        return dict(self._cache["check"])
 
     def _check(self, tol: float) -> dict:
         A, B, iota = self.A, self.B, self.inclusion.embed_stack

@@ -3,23 +3,24 @@ index elements and numerical indices, best norm-equivalence constants, the
 Jones basic construction, and the fiber decomposition of the relative
 commutant.
 
-Commutants come from the averaging projection
-P(T) = sum_k (1/n_k) sum_ij act(e^k_ij) T act(e^k_ji), which is idempotent
-onto the commutant of a unital homomorphism or anti-homomorphism act; for
-the relative commutant P is composed over the left and right actions.  Its
-range is sampled on a few seeded Gaussian matrices.  Two independent checks
-certify the result: the sampled rank must equal sum Lambda^2, where the
-integers Lambda are the multiplicities read from the traces of the
-central-projection images, and every basis element must commute with every
-unit image.
+Commutants are read off the actions, with no seed and no search
+(``commutant_of``).  For a unital *-homomorphism rho of (+)_k M_{n_k} the
+space splits as (+)_k C^{n_k} (x) C^{M_k}, and the commutant is
+(+)_k M_{M_k} with matrix units lifted from an orthonormal basis W_k of
+ran rho(e^k_11) by rho(e^k_s1).  Further commuting actions restrict to
+W_k^* act W_k and are read the same way, level by level.  Three checks
+certify the result: the rank of each rho(e^k_11) must equal the
+multiplicity read from the traces of the central-projection images, the
+units must satisfy their relations, and every unit image must commute with
+every unit.  L(X_B) is the commutant of the right action alone
+(``module_operator_algebra``), and the relative commutant that of both
+actions, taken in the standard-involution picture (``X.op_rep``).
 
 At finite dimension the compacts K(X_B) coincide with all adjointable
 B-linear maps, so the extension map serves simultaneously as the norm and
 strict extensions; maps are checked for complete positivity through Choi
-blocks over matrix units of their source algebra.  For L(X_B) those units
-are read off the right action itself (X_B = (+)_l C^{M_l} (x) C^{n_l}), with
-no seed and no search; see ``module_operator_algebra``.  The best constants
-are bracketed on the same units (``best_constants``).
+blocks over the matrix units of L(X_B).  The best constants are bracketed
+on the same units (``best_constants``).
 """
 
 from __future__ import annotations
@@ -52,25 +53,9 @@ from .bimodule import (
 # -- commutants and concrete operator algebras ---------------------------------
 
 
-_COMMUTANT_SEED = 20110331     # fixed, so that seeded reports stay byte-identical
-_OVERSAMPLE = 4
-
-
 def _unit_image_blocks(alg: MultiMatrixAlgebra, act: np.ndarray) -> list[np.ndarray]:
     """Per block k of ``alg``: the images act[e^k_ij], shape (n_k, n_k, d, d)."""
     return [act[alg.block_slice(k), alg.block_slice(k)] for k in range(alg.num_blocks)]
-
-
-def _average(units: list[np.ndarray], T: np.ndarray) -> np.ndarray:
-    """P(T) = sum_k (1/n_k) sum_ij act[e^k_ij] T act[e^k_ji] on a stack T
-    (s, d, d).  For a unital homomorphism or anti-homomorphism act, P is
-    idempotent onto the commutant of its image."""
-    out = np.zeros_like(T)
-    for L in units:
-        n = len(L)
-        for i in range(n):      # one row of units at a time: (n, s, d, d) scratch
-            out += (L[i][:, None] @ T @ L[:, i][:, None]).sum(axis=0) / n
-    return out
 
 
 def _multiplicities(pairs, dim: int) -> np.ndarray:
@@ -97,102 +82,121 @@ def _multiplicities(pairs, dim: int) -> np.ndarray:
     return lam.reshape([alg.num_blocks for alg, _ in pairs])
 
 
-def commutant_of(mats, dim: int) -> np.ndarray:
-    """Orthonormal basis (stack (m, dim, dim)) of all dim x dim matrices that
-    commute with the actions in ``mats``.
+def _commutant_columns(pairs, dim: int) -> list[np.ndarray]:
+    """Per block of the commutant: columns K (dim, Lambda, multiplicity) with
+    units u(i, j) = sum_t K[:, i, t] K[:, j, t]^*.
 
-    ``mats`` is a sequence of (MultiMatrixAlgebra, action tensor
-    (N, N, dim, dim)) pairs, each a unital homomorphism or anti-homomorphism
-    with commuting images.  The basis is the range of the composed averaging
-    projections, sampled on m + 4 Gaussian matrices.  The dimension m is read
-    beforehand as sum Lambda^2 over the multiplicities (``_multiplicities``);
-    the sampled rank must equal it, and every basis element must commute with
-    every unit image, or StructureError is raised.
-    """
-    pairs = [(alg, np.asarray(act, dtype=complex)) for alg, act in mats]
-    m = int(np.sum(np.square(_multiplicities(pairs, dim))))
-    units = [_unit_image_blocks(alg, act) for alg, act in pairs]
-    rng = np.random.default_rng(_COMMUTANT_SEED)
-    shape = (m + _OVERSAMPLE, dim, dim)
-    T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for blocks in units:
-        T = _average(blocks, T)
-    _, s, vh = np.linalg.svd(T.reshape(len(T), dim * dim), full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    if rank != m:
-        raise StructureError(f"averaging projection has rank {rank}, "
-                             f"the multiplicities give {m}")
-    basis = vh[:m].reshape(m, dim, dim)
-    images = np.concatenate([L.reshape(-1, dim, dim) for blocks in units for L in blocks])
-    scale = max(float(np.linalg.norm(K, 2)) for K in images)
-    res = max(float(np.linalg.norm(K @ basis - basis @ K, axis=(1, 2)).max())
-              for K in images)
-    if res > 2 * RANK_TOL * scale:
-        raise StructureError(f"commutant basis fails to commute (residual {res:.3g})")
-    return basis
-
-
-def relative_commutant(X: HilbertBimodule) -> np.ndarray:
-    """Matrices commuting with the left A-action and the right B-action
-    (automatically adjointable at finite dimension); stack of shape (m, d, d)."""
-    return commutant_of([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
+    The first action rho splits C^dim as (+)_k C^{n_k} (x) C^{M_k}: with W_k
+    an orthonormal basis of ran rho(e^k_11), the isometries rho(e^k_s1) W_k
+    carry the units of M_{M_k}.  The further actions commute with rho, so
+    W_k^* act W_k is an action on C^{M_k}, whose units are read the same way
+    and lifted through rho(e^k_s1) W_k.  The rank of each rho(e^k_11) must
+    equal the multiplicity M_k read from the traces, or StructureError."""
+    (alg, act), rest = pairs[0], pairs[1:]
+    lam = _multiplicities([(alg, act)], dim)
+    out = []
+    for k, L in enumerate(_unit_image_blocks(alg, act)):
+        w, v = np.linalg.eigh(hermitian_part(L[0, 0]))
+        W = v[:, w > 0.5]
+        if W.shape[1] != lam[k]:
+            raise StructureError(f"the image of e^{k}_11 has rank {W.shape[1]}, "
+                                 f"the multiplicity is {lam[k]}")
+        if not lam[k]:
+            continue
+        V = L[:, 0] @ W                                   # rho(e^k_s1) W, (n_k, dim, M_k)
+        if not rest:
+            out.append(V.transpose(1, 2, 0))
+            continue
+        inner = [(a, W.conj().T @ b @ W) for a, b in rest]
+        out += [np.tensordot(V, K, axes=([2], [0])).transpose(1, 2, 0, 3)
+                .reshape(dim, K.shape[1], -1) for K in _commutant_columns(inner, int(lam[k]))]
+    return out
 
 
 _UNIT_TOL = 1e-8
 
 
+def commutant_of(mats, dim: int) -> StarAlgebraDecomposition:
+    """The commutant of the actions in ``mats`` as a multimatrix algebra with
+    explicit matrix units (``_commutant_columns``).
+
+    ``mats`` is a sequence of (MultiMatrixAlgebra, action tensor
+    (N, N, dim, dim)) pairs, each a unital *-homomorphism with commuting
+    images.  The columns of all blocks must form a unitary Q, which is the
+    full set of unit relations u_ij u_ka = delta_jk u_ia and sum u_ii = 1;
+    and in the basis Q every unit image must be (+)_b 1_{Lambda_b} (x) R_b,
+    so that it commutes with every unit.  Either failure raises
+    StructureError.  With the ranks matched to the multiplicities at every
+    level, the units span sum Lambda^2 dimensions, all of the commutant.
+    """
+    pairs = [(alg, np.asarray(act, dtype=complex)) for alg, act in mats]
+    cols = _commutant_columns(pairs, dim)
+    Q = np.concatenate([K.reshape(dim, -1) for K in cols], axis=1)
+    res = float(np.abs(Q.conj().T @ Q - np.eye(dim)).max())
+    images = Q.conj().T @ np.concatenate(
+        [L.reshape(-1, dim, dim) for alg, act in pairs for L in _unit_image_blocks(alg, act)]) @ Q
+    expected = np.zeros_like(images)
+    start = 0
+    for K in cols:
+        lam, width = K.shape[1], K.shape[1] * K.shape[2]
+        s = slice(start, start + width)
+        blk = images[:, s, s].reshape(-1, lam, K.shape[2], lam, K.shape[2])
+        R = np.einsum("siuiv->suv", blk) / lam
+        expected[:, s, s] = np.einsum("ij,suv->siujv", np.eye(lam), R).reshape(-1, width, width)
+        start += width
+    res = max(res, float(np.abs(images - expected).max()))
+    if res > _UNIT_TOL:
+        raise StructureError(f"matrix units of the commutant fail their relations or do not "
+                             f"commute with the actions (residual {res:.3g})")
+    units = [np.tensordot(K, K.conj(), axes=([2], [2])).transpose(1, 3, 0, 2) for K in cols]
+    return StarAlgebraDecomposition(MultiMatrixAlgebra([K.shape[1] for K in cols]), units,
+                                    [K.shape[2] for K in cols], dim)
+
+
+def _op_rep_action(X: HilbertBimodule, alg: MultiMatrixAlgebra, act: np.ndarray) -> np.ndarray:
+    """op_rep of the unit images of each block of ``alg``; zero between blocks."""
+    out = np.zeros(act.shape, dtype=complex)
+    for k in range(alg.num_blocks):
+        s = alg.block_slice(k)
+        out[s, s] = X.op_rep(act[s, s])
+    return out
+
+
+def _psi_hat(X: HilbertBimodule) -> tuple[MultiMatrixAlgebra, np.ndarray]:
+    """e_ij -> psi_hat(e_ji), psi_hat = op_rep.psi: the right action in the
+    standard-involution picture with its unit indices transposed, a unital
+    *-homomorphism of B^op (whose blocks are those of B)."""
+    return X.B, _op_rep_action(X, X.B, X.right_action).swapaxes(0, 1)
+
+
+def relative_commutant(X: HilbertBimodule) -> np.ndarray:
+    """Matrices commuting with the left A-action and the right B-action
+    (automatically adjointable at finite dimension); orthonormal stack of
+    shape (m, d, d).  It is spanned by the units of the commutant of
+    phi_hat = op_rep.phi and ``_psi_hat``, mapped back with op_unrep."""
+    d = X.dim
+    dec = commutant_of([(X.A, _op_rep_action(X, X.A, X.left_action)), _psi_hat(X)], d)
+    units = X.op_unrep(np.concatenate([u.reshape(-1, d, d) for u in dec.units]))
+    return np.linalg.qr(units.reshape(len(units), -1).T)[0].T.reshape(-1, d, d)
+
+
 def module_operator_algebra(X: HilbertBimodule) -> StarAlgebraDecomposition:
     """L(X_B) = K(X_B) presented as a multimatrix algebra, with matrix units
-    read off the right action.
+    read off the right action: the commutant of ``_psi_hat`` (``commutant_of``
+    with one action).
 
     The units live in the standard-involution picture obtained by
     conjugating with the square root of the scalar Gram form (use
-    ``X.op_rep`` / ``X.op_unrep`` to translate).  There psi_hat = op_rep.psi
-    is a *-anti-representation, and X_B = (+)_l C^{M_l} (x) C^{n_l} with n_l
-    the size of block l of B.  With E_l = psi_hat(e^l_11), W_l an
-    orthonormal basis of its range and J_s = psi_hat(e^l_1s), block l of
-    L(X_B) is M_{M_l} with multiplicity n_l and units
-    u_l(i, j) = sum_s (J_s W_l)_i (J_s W_l)_j^*.
-
-    Three checks raise StructureError: rank E_l must equal the multiplicity
-    M_l read from the traces (``_multiplicities``); the columns (J_s W_l)_i
-    of all blocks must form a unitary Q, which is the full set of unit
-    relations u_ij u_ka = delta_jk u_ia and sum u_ii = 1; and in the basis Q
-    every psi_hat(e^l_rs) must act as 1_{M_l} (x) e_sr on block l, so that it
-    commutes with every unit e_ij (x) 1_{n_l}.  Since sum M_l^2 is the
-    dimension of the commutant of psi(B), the units then span all of L(X_B).
+    ``X.op_rep`` / ``X.op_unrep`` to translate).  There X_B = (+)_l C^{M_l}
+    (x) C^{n_l} with n_l the size of block l of B.  With E_l =
+    psi_hat(e^l_11), W_l an orthonormal basis of its range and J_s =
+    psi_hat(e^l_1s), block l of L(X_B) is M_{M_l} with multiplicity n_l and
+    units u_l(i, j) = sum_s (J_s W_l)_i (J_s W_l)_j^*; blocks with M_l = 0
+    are left out.  The three checks of ``commutant_of`` (rank E_l = M_l,
+    the unit relations, psi_hat(B) commuting with the units) raise
+    StructureError.
     """
-    d = X.dim
-    lam = _multiplicities([(X.B, X.right_action)], d)
-    hats, cols = [], []
-    for l, L in enumerate(_unit_image_blocks(X.B, X.right_action)):
-        J = X.op_rep(L)                                   # psi_hat(e^l_rs), (n, n, d, d)
-        w, v = np.linalg.eigh(hermitian_part(J[0, 0]))
-        W = v[:, w > 0.5]
-        if W.shape[1] != lam[l]:
-            raise StructureError(f"psi(e^{l}_11) has rank {W.shape[1]}, "
-                                 f"the multiplicity is {lam[l]}")
-        hats.append(J)
-        cols.append((J[0] @ W).transpose(1, 2, 0))        # [:, i, s] = (J_s W)_i
-    Q = np.concatenate([K.reshape(d, -1) for K in cols], axis=1)
-    res = float(np.abs(Q.conj().T @ Q - np.eye(d)).max())
-    start = 0
-    for J, K in zip(hats, cols):
-        # psi_hat(e_rs) (J_t W)_i = delta_rt (J_s W)_i; zero on the other blocks
-        expected = np.zeros(J.shape, dtype=complex)
-        n, width = len(J), K.shape[1] * K.shape[2]
-        expected[:, :, :, start:start + width] = np.einsum(
-            "rt,ais->rsait", np.eye(n), K).reshape(n, n, d, width)
-        res = max(res, float(np.abs(J @ Q - expected).max()))
-        start += width
-    if res > _UNIT_TOL:
-        raise StructureError(f"matrix units of L(X_B) fail their relations or do not "
-                             f"commute with the right action (residual {res:.3g})")
-    keep = [l for l in range(X.B.num_blocks) if lam[l] > 0]
-    units = [np.tensordot(cols[l], cols[l].conj(), axes=([2], [2])).transpose(1, 3, 0, 2)
-             for l in keep]
-    return StarAlgebraDecomposition(MultiMatrixAlgebra([int(lam[l]) for l in keep]), units,
-                                    [X.B.blocks[l] for l in keep], d)
+    return commutant_of([_psi_hat(X)], X.dim)
 
 
 # -- completely positive maps ---------------------------------------------------
@@ -393,9 +397,6 @@ class BestConstants:
         """Both brackets closed to 1e-12 relative."""
         hi, lo = self.lambda_upper, self.lambda_prime_lower
         return hi - self.lambda_hat <= 1e-12 * hi and self.lambda_prime_hat - lo <= 1e-12 * lo
-
-    def as_tuple(self) -> tuple[float, float]:
-        return self.lambda_hat, self.lambda_prime_hat
 
     def as_dict(self) -> dict:
         return {**asdict(self), "constants_exact": self.exact}
@@ -617,7 +618,7 @@ class FiberReport:
     commutant_dim: int
     lambda_prime: float
     left_adjoint_residual: float
-    constants_exact: bool | None = None    # None when lambda' was given
+    constants_exact: bool
 
     @property
     def passed(self) -> bool:
@@ -633,21 +634,20 @@ class FiberReport:
                             "within_bound": f.within_bound} for f in self.fibers]}
 
 
-def fiber_decomposition(X: HilbertBimodule, lambda_prime: float | None = None,
-                        seed: int = 0) -> FiberReport:
+def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     """Fibers of the bundle of bimodule endomorphisms over the centre of A.
 
     The relative commutant is cut by the images of the minimal central
     projections of A; each fiber dimension is checked against the square of
-    the integer part of r-ind / lambda', by default at the lower end of the
+    the integer part of r-ind / lambda', with lambda' at the lower end of the
     bracket of ``best_constants``, which never gives a smaller bound than
     the exact lambda'.  The same commutant is verified to be closed under
     the left-inner-product adjoint.
     """
     X._need_left()
     comm = relative_commutant(X)
-    bc = best_constants(X, seed=seed) if lambda_prime is None else None
-    lambda_prime = bc.lambda_prime_lower if bc else lambda_prime
+    bc = best_constants(X, seed=seed)
+    lambda_prime = bc.lambda_prime_lower
     rep = right_index(X)
     fibers = []
     for k in range(X.A.num_blocks):
@@ -666,7 +666,7 @@ def fiber_decomposition(X: HilbertBimodule, lambda_prime: float | None = None,
     res = float(np.abs(flat @ coeff - adj).max())
     return FiberReport(fibers=fibers, commutant_dim=len(comm),
                        lambda_prime=lambda_prime, left_adjoint_residual=res,
-                       constants_exact=bc.exact if bc else None)
+                       constants_exact=bc.exact)
 
 
 # -- invertibility trichotomy -------------------------------------------------------

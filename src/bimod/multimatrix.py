@@ -230,11 +230,6 @@ class AlgebraElement:
         return f"AlgebraElement({self.algebra.blocks}, norm={self.norm():.6g})"
 
 
-def element_distance(x: AlgebraElement, y: AlgebraElement) -> float:
-    """Operator-norm distance between two elements."""
-    return operator_norm(x - y)
-
-
 # -- scalar functions ---------------------------------------------------------
 
 

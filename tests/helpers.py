@@ -19,6 +19,7 @@ from bimod import (
     from_expectation,
     from_weight_graph,
     identity_bimodule,
+    module_operator_algebra,
     relative_commutant,
     tensor,
     tensor_lift,
@@ -34,8 +35,9 @@ from bimod.index import (
     BestConstants,
     _ascent_setup,
     _attaining_vector,
+    _multiplicities,
     _ratio_bound,
-    commutant_of,
+    _unit_image_blocks,
 )
 from bimod.multimatrix import (
     RANK_TOL,
@@ -133,8 +135,73 @@ def random_bimodule(A_blocks, B_blocks, mult, seed: int = 0,
 
 
 def relative_commutant_of_right_action(X: HilbertBimodule) -> np.ndarray:
-    """Basis of K(X_B) = L(X_B): all matrices commuting with the right action."""
-    return commutant_of([(X.B, X.right_action)], X.dim)
+    """Basis of K(X_B) = L(X_B), all matrices commuting with the right
+    action: the units of ``module_operator_algebra`` in coordinates,
+    orthonormalized."""
+    units = np.concatenate([u.reshape(-1, X.dim, X.dim) for u in module_operator_algebra(X).units])
+    flat = X.op_unrep(units).reshape(len(units), -1)
+    return np.linalg.qr(flat.T)[0].T.reshape(-1, X.dim, X.dim)
+
+
+# The seeded averaging projection that ``bimod.commutant_of`` sampled before
+# it read matrix units off the actions, kept verbatim as a test-only oracle.
+# It takes the actions in coordinates, homomorphisms or anti-homomorphisms.
+
+_COMMUTANT_SEED = 20110331     # fixed, so that seeded reports stay byte-identical
+_OVERSAMPLE = 4
+
+
+def _average(units: list[np.ndarray], T: np.ndarray) -> np.ndarray:
+    """P(T) = sum_k (1/n_k) sum_ij act[e^k_ij] T act[e^k_ji] on a stack T
+    (s, d, d).  For a unital homomorphism or anti-homomorphism act, P is
+    idempotent onto the commutant of its image."""
+    out = np.zeros_like(T)
+    for L in units:
+        n = len(L)
+        for i in range(n):      # one row of units at a time: (n, s, d, d) scratch
+            out += (L[i][:, None] @ T @ L[:, i][:, None]).sum(axis=0) / n
+    return out
+
+
+def averaging_commutant(mats, dim: int) -> np.ndarray:
+    """Orthonormal basis (stack (m, dim, dim)) of all dim x dim matrices that
+    commute with the actions in ``mats``.
+
+    ``mats`` is a sequence of (MultiMatrixAlgebra, action tensor
+    (N, N, dim, dim)) pairs, each a unital homomorphism or anti-homomorphism
+    with commuting images.  The basis is the range of the composed averaging
+    projections, sampled on m + 4 Gaussian matrices.  The dimension m is read
+    beforehand as sum Lambda^2 over the multiplicities (``_multiplicities``);
+    the sampled rank must equal it, and every basis element must commute with
+    every unit image, or StructureError is raised.
+    """
+    pairs = [(alg, np.asarray(act, dtype=complex)) for alg, act in mats]
+    m = int(np.sum(np.square(_multiplicities(pairs, dim))))
+    units = [_unit_image_blocks(alg, act) for alg, act in pairs]
+    rng = np.random.default_rng(_COMMUTANT_SEED)
+    shape = (m + _OVERSAMPLE, dim, dim)
+    T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for blocks in units:
+        T = _average(blocks, T)
+    _, s, vh = np.linalg.svd(T.reshape(len(T), dim * dim), full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * s[0]))
+    if rank != m:
+        raise StructureError(f"averaging projection has rank {rank}, "
+                             f"the multiplicities give {m}")
+    basis = vh[:m].reshape(m, dim, dim)
+    images = np.concatenate([L.reshape(-1, dim, dim) for blocks in units for L in blocks])
+    scale = max(float(np.linalg.norm(K, 2)) for K in images)
+    res = max(float(np.linalg.norm(K @ basis - basis @ K, axis=(1, 2)).max())
+              for K in images)
+    if res > 2 * RANK_TOL * scale:
+        raise StructureError(f"commutant basis fails to commute (residual {res:.3g})")
+    return basis
+
+
+def averaging_relative_commutant(X: HilbertBimodule) -> np.ndarray:
+    """The relative commutant through the averaging oracle, on the actions
+    in coordinates."""
+    return averaging_commutant([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
 
 
 def kron_commutant(X: HilbertBimodule, left: bool = True) -> np.ndarray:
@@ -833,11 +900,15 @@ def per_element_check(spec: ExpectationSpec, tol: float = 1e-9) -> dict:
 
 def span_distance(U: np.ndarray, V: np.ndarray) -> float:
     """Max-abs distance between the orthogonal projections onto the spans of
-    two orthonormal stacks of matrices; inf when their dimensions differ."""
+    two orthonormal stacks of matrices; inf when their dimensions differ.
+    The d^2 x d^2 difference is formed 512 rows at a time."""
     if len(U) != len(V):
         return np.inf
+    if not len(U):
+        return 0.0
     u, v = U.reshape(len(U), -1), V.reshape(len(V), -1)
-    return float(np.abs(u.T @ u.conj() - v.T @ v.conj()).max()) if len(u) else 0.0
+    rows, cols = np.concatenate([u, v]).T, np.concatenate([u.conj(), -v.conj()])
+    return max(float(np.abs(rows[i:i + 512] @ cols).max()) for i in range(0, len(rows), 512))
 
 
 def random_graph(seed: int, max_vertices: int = 12, extra_edges: int = 6) -> GraphSpec:

@@ -41,6 +41,7 @@ from bimod.serde import encode_bimodule
 
 from helpers import (
     _RANDOM_SHAPES,
+    averaging_relative_commutant,
     corpus,
     degenerate_action_bimodule,
     descent_best_constants,
@@ -262,6 +263,7 @@ _ROUNDTRIP_SHAPES = [([2, 1, 1], [2, 1, 1], [[1, 1, 0], [1, 1, 1], [0, 1, 2]]),
                      ([2, 1, 1], [2, 1, 1], [[2, 1, 0], [1, 1, 1], [0, 2, 2]]),
                      ([2, 1, 1], [2, 1, 1], [[2, 1, 1], [2, 1, 1], [1, 2, 2]])]
 _D45_SHAPE = ([3, 2, 1], [3, 2, 1], [[2, 1, 1], [1, 1, 1], [1, 1, 1]])
+_D80_SHAPE = ([3, 2, 1], [3, 2, 1], [[4, 2, 1], [2, 2, 1], [1, 1, 2]])
 
 
 def _shape_modules():
@@ -520,19 +522,55 @@ def test_fibers_bound_on_random_modules():
 
 # -- the commutant routine ------------------------------------------------------------
 
+# a B block acting with multiplicity zero has no block of L(X_B)
+_ZERO_BLOCK = pytest.param(random_bimodule([2, 1], [1, 2], [[1, 0], [2, 0]], seed=3),
+                           id="zero_block")
+
+
 def _commutant_cases():
     cases = [pytest.param(X, id=name) for name, X in corpus()]
-    for i, (a, b, m) in enumerate(_LADDER_SHAPES):
-        X = random_bimodule(a, b, m, seed=41 + i)
-        cases.append(pytest.param(X, id=f"ladder_d{X.dim}"))
-    return cases
+    for tag, shapes, seed in (("ladder", _LADDER_SHAPES, 41),
+                              ("roundtrip", _ROUNDTRIP_SHAPES, 51)):
+        for i, (a, b, m) in enumerate(shapes):
+            X = random_bimodule(a, b, m, seed=seed + i)
+            cases.append(pytest.param(X, id=f"{tag}_d{X.dim}"))
+    return cases + [_ZERO_BLOCK]
 
 
 @pytest.mark.parametrize("X", _commutant_cases())
 def test_commutant_spans_match_kronecker_oracle(X):
-    assert span_distance(relative_commutant(X), kron_commutant(X)) <= 1e-10
+    comm = relative_commutant(X)
+    assert span_distance(comm, kron_commutant(X)) <= 1e-10
+    lam = index._multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
+    assert len(comm) == int(np.sum(np.square(lam)))
     assert span_distance(relative_commutant_of_right_action(X),
                          kron_commutant(X, left=False)) <= 1e-10
+
+
+# the Kronecker system at d = 45 has 56,700 x 2,025 complex entries (1.8 GB),
+# so the largest modules are checked against the averaging oracle instead
+@pytest.mark.parametrize("shape", [_D45_SHAPE, _D80_SHAPE], ids=["d45", "d80"])
+def test_commutant_matches_averaging_oracle(shape):
+    X = random_bimodule(*shape, seed=1)
+    assert span_distance(relative_commutant(X), averaging_relative_commutant(X)) <= 1e-10
+
+
+def test_commutant_path_draws_no_random_numbers(monkeypatch):
+    X = random_bimodule(*_LADDER_SHAPES[0], seed=4)
+    bc = best_constants(X, seed=0)
+    ref = fiber_decomposition(X).as_dict()
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a random generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    # the seeded ascent starts of best_constants are the only draws of
+    # fiber_decomposition; its result stands in for it
+    monkeypatch.setattr(index, "best_constants", lambda X, seed=0: bc)
+    commutant_of([(X.A, index._op_rep_action(X, X.A, X.left_action)), index._psi_hat(X)], X.dim)
+    relative_commutant(X)
+    module_operator_algebra(X)
+    assert fiber_decomposition(X).as_dict() == ref
 
 
 def test_commutant_dimension_is_sum_of_squared_multiplicities():
@@ -544,13 +582,13 @@ def test_commutant_dimension_is_sum_of_squared_multiplicities():
 @pytest.mark.parametrize("tamper", ["off_diagonal_unit", "scaled_diagonal_unit"])
 def test_commutant_rejects_broken_homomorphism(tamper):
     X = random_bimodule([2, 1], [2, 1], [[1, 1], [2, 3]], seed=4)
-    act = X.left_action.copy()
+    act = index._op_rep_action(X, X.A, X.left_action)     # phi_hat, a *-homomorphism
     if tamper == "off_diagonal_unit":
         act[0, 1] = np.random.default_rng(0).standard_normal((X.dim, X.dim))
     else:
         act[0, 0] *= 1.5
     with pytest.raises(StructureError):
-        commutant_of([(X.A, act), (X.B, X.right_action)], X.dim)
+        commutant_of([(X.A, act), index._psi_hat(X)], X.dim)
 
 
 # -- the matrix units of L(X_B) and trichotomy -------------------------------------
@@ -561,15 +599,10 @@ def _choi_min(cp):
     return cp.choi_min_eig(), scale
 
 
-# a B block acting with multiplicity zero has no block of L(X_B)
-_ZERO_BLOCK = pytest.param(random_bimodule([2, 1], [1, 2], [[1, 0], [2, 0]], seed=3),
-                           id="zero_block")
-
-
-@pytest.mark.parametrize("X", _commutant_cases() + [_ZERO_BLOCK])
+@pytest.mark.parametrize("X", _commutant_cases())
 def test_module_operator_algebra_matches_recognizer(X):
     dec = module_operator_algebra(X)
-    hat = np.array([X.op_rep(b) for b in relative_commutant_of_right_action(X)])
+    hat = np.array([X.op_rep(b) for b in kron_commutant(X, left=False)])
     ref = decompose_star_algebra(hat)
     assert sorted(zip(dec.algebra.blocks, dec.multiplicities)) == \
         sorted(zip(ref.algebra.blocks, ref.multiplicities))

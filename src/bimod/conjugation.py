@@ -327,6 +327,13 @@ class MinDimResult:
         return self.certificate_residual <= CERTIFICATE_TOL
 
 
+def _trace_left_gram(X: HilbertBimodule) -> np.ndarray:
+    """The left Gram L0 fixed by Tr_A(a _A(x|y)) = Tr_B((y|a x)_B) with
+    unnormalized block traces: L0[p, q][b, a] = sum_r phi(e_ab)[r, p]
+    tr (e_q|e_r)_B."""
+    return np.einsum("abrp,qrcc->pqba", X.left_action, X.right_gram, optimize=True)
+
+
 def _perron_weights(lam: np.ndarray) -> np.ndarray:
     """c[k, l] = v_l / u_k where Lambda_kl > 0, with u, v the Perron vectors
     of the connected component of Lambda's bipartite graph holding (k, l):
@@ -365,8 +372,7 @@ def min_dimension(X: HilbertBimodule) -> MinDimResult:
     X._need_left()
     lam = _multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
     dim_hat = float(np.linalg.norm(lam, 2))
-    # L0[p, q][b, a] = sum_r phi(e_ab)[r, p] tr (e_q|e_r)_B
-    L0 = np.einsum("abrp,qrcc->pqba", X.left_action, X.right_gram, optimize=True)
+    L0 = _trace_left_gram(X)
     phis = np.array([X.phi(z) for z in center_decompose(X.A)])
     psis = np.array([X.psi(z) for z in center_decompose(X.B)])
     C = np.einsum("kl,kij,ljm->im", _perron_weights(lam), phis, psis)
@@ -456,39 +462,32 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     """Decide whether X can carry a left inner product making it a strong
     Morita equivalence: both index elements become identities.
 
-    Tests the candidate _A(x|y) = phi^{-1}(theta^r_{x,y}), which exists iff
-    the left action fills all of K(X_B); cross-checks the minimal dimension
-    when X or the candidate carries a left inner product (it must be 1 for
-    an equivalence).
+    Both structural conditions are read off the integer multiplicity matrix
+    Lambda of the two actions.  X = (+)_kl C^{a_k} (x) C^{Lambda_kl} (x)
+    C^{n_l}, so the right inner product is full iff every column of Lambda
+    is nonzero, and phi(A) = K(X_B) = (+)_l M_{sum_k a_k Lambda_kl} iff
+    every column sum is at most 1 and every row has at most one nonzero
+    entry.  Then the candidate _A(x|y) = phi^{-1}(theta^r_{x,y}) is the
+    trace-compatible left Gram L0 of ``min_dimension``: Tr theta_{x,y} =
+    sum_l n_l tr_l (y|x)_B and Tr phi(e^k_11) = n_l for the block l that k
+    fills.  The candidate is validated and its index elements compared with
+    the identities; the minimal dimension is cross-checked when X or the
+    candidate carries a left inner product (it must be 1 for an
+    equivalence).
     """
-    d = X.dim
-    # fullness of the right inner product
-    span = X.right_gram.reshape(d * d, -1)
-    right_full = int(np.linalg.matrix_rank(span, tol=1e-9)) == X.B.linear_dim
-    # phi(A) = K(X_B): compare dim phi(A) with dim L(X_B) = sum M_l^2, the M_l
-    # the multiplicities of the right action
-    phis = np.array([X.phi(u) for u in X.A.units_embedded()])
-    dim_kx = int(np.sum(np.square(_multiplicities([(X.B, X.right_action)], d))))
-    dim_phi = int(np.linalg.matrix_rank(phis.reshape(len(phis), -1), tol=1e-9))
-    surjective = dim_phi == dim_kx
+    lam = _multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
+    right_full = bool(lam.any(axis=0).all())
+    surjective = bool((lam.sum(axis=0) <= 1).all() and ((lam > 0).sum(axis=1) <= 1).all())
 
     candidate_valid = False
     res_r = res_l = np.inf
     if surjective:
-        flat = phis.reshape(len(phis), -1).T
-        # column (p, q) is theta_{e_p,e_q}[i, r] = sum_ab psi(e_ab)[i, p] (e_q|e_r)_B[a, b]
-        thetas = np.tensordot(X.right_action, X.right_gram, axes=([0, 1], [2, 3]))
-        thetas = thetas.transpose(0, 3, 1, 2).reshape(d * d, d * d)
-        coeff, *_ = np.linalg.lstsq(flat, thetas, rcond=None)
-        if np.abs(flat @ coeff - thetas).max() <= 1e-8:
-            L = np.tensordot(coeff, X.A.units_embedded(), axes=([0], [0])).reshape(
-                d, d, X.A.rep_dim, X.A.rep_dim)
-            cand = X.with_left_gram(L)
-            if validate(cand, tol=1e-7).passed:
-                candidate_valid = True
-                idx = right_index(cand)
-                res_r = (idx.r_ind - X.A.identity()).norm()
-                res_l = (idx.l_ind - X.B.identity()).norm()
+        cand = X.with_left_gram(_trace_left_gram(X))
+        if validate(cand, tol=1e-7).passed:
+            candidate_valid = True
+            idx = right_index(cand)
+            res_r = (idx.r_ind - X.A.identity()).norm()
+            res_l = (idx.l_ind - X.B.identity()).norm()
     is_morita = candidate_valid and res_r <= tol and res_l <= tol and right_full
     target = X if X.is_bihilbertian else (cand if candidate_valid else None)
     min_dim = min_dimension(target).dim_hat if target is not None else None

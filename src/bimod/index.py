@@ -637,28 +637,27 @@ class FiberReport:
 def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     """Fibers of the bundle of bimodule endomorphisms over the centre of A.
 
-    The relative commutant is cut by the images of the minimal central
-    projections of A; each fiber dimension is checked against the square of
-    the integer part of r-ind / lambda', with lambda' at the lower end of the
-    bracket of ``best_constants``, which never gives a smaller bound than
-    the exact lambda'.  The same commutant is verified to be closed under
-    the left-inner-product adjoint.
+    The relative commutant is (+)_kl M_{Lambda_kl}, with Lambda the integer
+    multiplicity matrix of the two actions, so the fiber over block k of A
+    has dimension sum_l Lambda_kl^2 (``relative_commutant`` checks each of
+    its corner ranks against Lambda).  Each is checked against the square of
+    the integer part of r-ind / lambda', with lambda' at the lower end of
+    the bracket of ``best_constants``, which never gives a smaller bound
+    than the exact lambda'.  The same commutant is verified to be closed
+    under the left-inner-product adjoint.
     """
     X._need_left()
     comm = relative_commutant(X)
     bc = best_constants(X, seed=seed)
     lambda_prime = bc.lambda_prime_lower
-    rep = right_index(X)
+    r_ind = extend_left_inner(X).index_element()
+    lam = _multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
     fibers = []
     for k in range(X.A.num_blocks):
-        z = X.A.zero()
-        z.blocks[k] = np.eye(X.A.blocks[k])
-        pz = X.phi(z)
-        cut = np.einsum("ij,mjk->mik", pz, comm)
-        dim = int(np.linalg.matrix_rank(cut.reshape(len(comm), -1), tol=1e-9))
-        c_k = float(np.real(np.trace(rep.r_ind.blocks[k])) / X.A.blocks[k])
+        c_k = float(np.real(np.trace(r_ind.blocks[k])) / X.A.blocks[k])
         bound = int(np.floor(c_k / lambda_prime + 1e-9)) ** 2
-        fibers.append(Fiber(block=k, dimension=dim, index_value=c_k, bound=bound))
+        fibers.append(Fiber(block=k, dimension=int(np.sum(np.square(lam[k]))),
+                            index_value=c_k, bound=bound))
     # closure of the commutant under the left adjoint
     flat = comm.reshape(len(comm), -1).T
     adj = np.array([X.left_op_adjoint(M) for M in comm]).reshape(len(comm), -1).T

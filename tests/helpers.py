@@ -25,9 +25,16 @@ from bimod import (
     tensor_lift,
     tight_frame,
     trace_weighted_expectation,
+    validate,
 )
 from bimod.bimodule import CheckResult, ValidationReport, _act_first, _gram_big
-from bimod.conjugation import VerifyReport, _product_coords, verify_conjugate
+from bimod.conjugation import (
+    MoritaReport,
+    VerifyReport,
+    _product_coords,
+    min_dimension,
+    verify_conjugate,
+)
 from bimod.constructors import ExpectationSpec
 from bimod.index import (
     BASIC_SAMPLES,
@@ -38,6 +45,7 @@ from bimod.index import (
     _multiplicities,
     _ratio_bound,
     _unit_image_blocks,
+    right_index,
 )
 from bimod.multimatrix import (
     RANK_TOL,
@@ -898,6 +906,67 @@ def per_element_check(spec: ExpectationSpec, tol: float = 1e-9) -> dict:
             "bimodule": bimod, "faithful": bool(faithful)}
 
 
+# The rank searches and the least-squares candidate that ``morita_check`` and
+# ``fiber_decomposition`` ran before they read the multiplicity matrix Lambda,
+# kept verbatim as test-only oracles.
+
+
+def rank_morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
+    """``morita_check`` by numerical ranks and a d^2 x d^2 least squares."""
+    d = X.dim
+    # fullness of the right inner product
+    span = X.right_gram.reshape(d * d, -1)
+    right_full = int(np.linalg.matrix_rank(span, tol=1e-9)) == X.B.linear_dim
+    # phi(A) = K(X_B): compare dim phi(A) with dim L(X_B) = sum M_l^2, the M_l
+    # the multiplicities of the right action
+    phis = np.array([X.phi(u) for u in X.A.units_embedded()])
+    dim_kx = int(np.sum(np.square(_multiplicities([(X.B, X.right_action)], d))))
+    dim_phi = int(np.linalg.matrix_rank(phis.reshape(len(phis), -1), tol=1e-9))
+    surjective = dim_phi == dim_kx
+
+    candidate_valid = False
+    res_r = res_l = np.inf
+    if surjective:
+        flat = phis.reshape(len(phis), -1).T
+        # column (p, q) is theta_{e_p,e_q}[i, r] = sum_ab psi(e_ab)[i, p] (e_q|e_r)_B[a, b]
+        thetas = np.tensordot(X.right_action, X.right_gram, axes=([0, 1], [2, 3]))
+        thetas = thetas.transpose(0, 3, 1, 2).reshape(d * d, d * d)
+        coeff, *_ = np.linalg.lstsq(flat, thetas, rcond=None)
+        if np.abs(flat @ coeff - thetas).max() <= 1e-8:
+            L = np.tensordot(coeff, X.A.units_embedded(), axes=([0], [0])).reshape(
+                d, d, X.A.rep_dim, X.A.rep_dim)
+            cand = X.with_left_gram(L)
+            if validate(cand, tol=1e-7).passed:
+                candidate_valid = True
+                idx = right_index(cand)
+                res_r = (idx.r_ind - X.A.identity()).norm()
+                res_l = (idx.l_ind - X.B.identity()).norm()
+    is_morita = candidate_valid and res_r <= tol and res_l <= tol and right_full
+    target = X if X.is_bihilbertian else (cand if candidate_valid else None)
+    min_dim = min_dimension(target).dim_hat if target is not None else None
+    agree = min_dim is None or is_morita == (abs(min_dim - 1.0) <= 1e-9)
+    return MoritaReport(is_morita=is_morita, right_full=right_full,
+                        action_surjective=surjective,
+                        candidate_valid=candidate_valid,
+                        r_ind_identity_residual=float(res_r),
+                        l_ind_identity_residual=float(res_l),
+                        min_dim=min_dim, conditions_agree=agree)
+
+
+def rank_fiber_dimensions(X: HilbertBimodule) -> list[int]:
+    """Fiber dimensions of ``fiber_decomposition`` as the ranks of the cuts of
+    the relative commutant by the images of the central projections of A."""
+    comm = relative_commutant(X)
+    dims = []
+    for k in range(X.A.num_blocks):
+        z = X.A.zero()
+        z.blocks[k] = np.eye(X.A.blocks[k])
+        pz = X.phi(z)
+        cut = np.einsum("ij,mjk->mik", pz, comm)
+        dims.append(int(np.linalg.matrix_rank(cut.reshape(len(comm), -1), tol=1e-9)))
+    return dims
+
+
 def span_distance(U: np.ndarray, V: np.ndarray) -> float:
     """Max-abs distance between the orthogonal projections onto the spans of
     two orthonormal stacks of matrices; inf when their dimensions differ.
@@ -953,6 +1022,13 @@ def degenerate_action_bimodule() -> HilbertBimodule:
     Phi[0, 0] = np.eye(d)
     Psi = np.eye(d, dtype=complex).reshape(1, 1, d, d)
     return HilbertBimodule(A, C, d, G, Phi, Psi, L)
+
+
+def zero_block_bimodule() -> HilbertBimodule:
+    """A [2, 1]-[1, 2] module whose second B block acts with multiplicity
+    zero: a zero column of Lambda, so L(X_B) has no block for it and the
+    right inner product is not full."""
+    return random_bimodule([2, 1], [1, 2], [[1, 0], [2, 0]], seed=3)
 
 
 def four_cycle_graph() -> GraphSpec:

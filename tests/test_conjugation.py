@@ -5,11 +5,13 @@ from bimod import (
     ContractError,
     HilbertBimodule,
     MultiMatrixAlgebra,
+    amplify,
     build_conjugate,
     column_bimodule,
     conjugate_pair_identities,
     contragredient,
     cp_characterization,
+    fiber_decomposition,
     from_expectation,
     from_hilbert_space,
     from_weight_graph,
@@ -30,6 +32,7 @@ from bimod.conjugation import _equation_map
 from helpers import (
     bidirected_cycle_graph,
     corpus,
+    degenerate_action_bimodule,
     descent_min_dimension,
     diag_expectation_m2,
     einsum_conjugate_pair_identities,
@@ -40,6 +43,8 @@ from helpers import (
     random_bimodule,
     random_bimodule_family,
     random_posdef,
+    rank_morita_check,
+    zero_block_bimodule,
 )
 
 
@@ -536,6 +541,46 @@ def test_morita_works_without_left_gram():
     stripped = type(X)(X.A, X.B, X.dim, X.right_gram, X.left_action, X.right_action)
     rep = morita_check(stripped)
     assert rep.is_morita
+
+
+def _morita_oracle_cases():
+    X = column_bimodule(2)
+    stripped = type(X)(X.A, X.B, X.dim, X.right_gram, X.left_action, X.right_action)
+    cases = corpus() + [
+        ("column3", column_bimodule(3)),
+        ("column2_stripped", stripped),
+        ("identity_21", identity_bimodule(MultiMatrixAlgebra([2, 1]))),
+        ("zero_block", zero_block_bimodule()),                 # a zero column of Lambda
+        ("degenerate_action", degenerate_action_bimodule()),   # a zero row
+        ("permuted", random_bimodule([2, 1], [1, 2], [[0, 1], [1, 0]], seed=4)),
+        ("ladder_d13", random_bimodule([2, 1], [2, 1], [[1, 1], [2, 3]], seed=0)),
+        ("amplified_321", amplify(identity_bimodule(MultiMatrixAlgebra([3, 2, 1])), 2)),
+    ]
+    return [pytest.param(X, id=name) for name, X in cases]
+
+
+@pytest.mark.parametrize("X", _morita_oracle_cases())
+def test_morita_from_multiplicities_matches_rank_oracle(X):
+    got, ref = morita_check(X), rank_morita_check(X)
+    for field in ("is_morita", "right_full", "action_surjective", "candidate_valid",
+                  "min_dim", "conditions_agree"):
+        assert getattr(got, field) == getattr(ref, field), field
+    for field in ("r_ind_identity_residual", "l_ind_identity_residual"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert a == b if np.isinf(b) else abs(a - b) <= 1e-12, field
+
+
+def test_morita_and_fibers_run_no_rank_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numerical search ran")
+
+    modules = [X for _, X in corpus()]
+    expected = [morita_check(X).as_dict() for X in modules]
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    for X in modules:
+        fiber_decomposition(X)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert [morita_check(X).as_dict() for X in modules] == expected
 
 
 # -- composing conjugates ------------------------------------------------------------

@@ -70,10 +70,10 @@ class HilbertBimodule:
             if left_gram.shape != (d, d, na, na):
                 raise StructureError(f"left_gram shape {left_gram.shape} != {(d, d, na, na)}")
         self.A, self.B, self.dim = A, B, d
-        self.right_gram = right_gram
-        self.left_action = left_action
-        self.right_action = right_action
-        self.left_gram = left_gram
+        # read-only views, so that no user of X can change it under ``_cache``
+        self.right_gram, self.left_action, self.right_action, self.left_gram = (
+            None if a is None else _read_only(a)
+            for a in (right_gram, left_action, right_action, left_gram))
         self.meta = dict(meta or {})
         self._cache: dict = {}
 
@@ -133,28 +133,26 @@ class HilbertBimodule:
 
     # -- scalar trace forms and the module-operator calculus -------------------
 
+    def _cached(self, key: str, build: Callable):
+        """``build()``, once per module; the value must not refer to the module."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     @property
     def scalar_gram(self) -> np.ndarray:
-        if "g" not in self._cache:
-            self._cache["g"] = hermitian_part(np.einsum("pqaa->pq", self.right_gram))
-        return self._cache["g"]
+        return self._cached("g", lambda: hermitian_part(np.einsum("pqaa->pq", self.right_gram)))
 
     @property
     def scalar_left_gram(self) -> np.ndarray:
         self._need_left()
-        if "gl" not in self._cache:
-            self._cache["gl"] = hermitian_part(np.einsum("pqaa->pq", self.left_gram).T)
-        return self._cache["gl"]
+        return self._cached("gl", lambda: hermitian_part(np.einsum("pqaa->pq", self.left_gram).T))
 
     def _g_half(self):
-        if "gh" not in self._cache:
-            self._cache["gh"] = _psd_sqrt_and_inv(self.scalar_gram)
-        return self._cache["gh"]
+        return self._cached("gh", lambda: _psd_sqrt_and_inv(self.scalar_gram))
 
     def _gl_half(self):
-        if "glh" not in self._cache:
-            self._cache["glh"] = _psd_sqrt_and_inv(self.scalar_left_gram)
-        return self._cache["glh"]
+        return self._cached("glh", lambda: _psd_sqrt_and_inv(self.scalar_left_gram))
 
     def op_rep(self, T: np.ndarray) -> np.ndarray:
         """g^(1/2) T g^(-1/2): the standard-involution picture of L(X_B)."""
@@ -226,6 +224,12 @@ class HilbertBimodule:
                 f"dim={self.dim})")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def _coords(X: HilbertBimodule, x) -> np.ndarray:
     if isinstance(x, ModuleVector):
         return x.coords
@@ -276,10 +280,6 @@ class FrameSet:
     bimodule: HilbertBimodule
     coords: np.ndarray          # shape (m, d)
     residual: float
-
-    @property
-    def vectors(self) -> list[ModuleVector]:
-        return [ModuleVector(self.bimodule, c) for c in self.coords]
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -553,23 +553,24 @@ def tight_frame(X: HilbertBimodule, spanning=None,
                 rank_tol: float = RANK_TOL) -> FrameSet:
     """Normalized tight frame: S^(-1/2) applied to a spanning set.
 
-    The default spanning set is the coordinate basis, which always spans.
-    A singular frame operator means the right inner product is degenerate on
-    a complement and is rejected.
+    The default spanning set is the coordinate basis, which always spans;
+    that frame (at the default ``rank_tol``) is built once per module and
+    its coordinates are read-only.  A singular frame operator means the
+    right inner product is degenerate on a complement and is rejected.
     """
-    if spanning is None:
-        spanning = np.eye(X.dim, dtype=complex)
-    vecs = np.array([_coords(X, v) for v in spanning])
-    S = frame_operator(X, vecs)
-    spec = X.op_spectrum(S)
-    if spec.min() <= rank_tol * max(spec.max(), 1e-300):
-        raise StructureError(
-            "frame operator is singular: the spanning set does not generate "
-            "a module with definite inner product")
-    S_isqrt = X.op_function(S, lambda t: 1.0 / np.sqrt(t))
-    out = vecs @ S_isqrt.T
-    resid = X.op_norm(frame_operator(X, out) - np.eye(X.dim))
-    return FrameSet(X, out, resid)
+    def build():
+        vecs = (np.eye(X.dim, dtype=complex) if spanning is None
+                else np.array([_coords(X, v) for v in spanning]))
+        S = frame_operator(X, vecs)
+        spec = X.op_spectrum(S)
+        if spec.min() <= rank_tol * max(spec.max(), 1e-300):
+            raise StructureError(
+                "frame operator is singular: the spanning set does not generate "
+                "a module with definite inner product")
+        out = _read_only(vecs @ X.op_function(S, lambda t: 1.0 / np.sqrt(t)).T)
+        return out, X.op_norm(frame_operator(X, out) - np.eye(X.dim))
+    default = spanning is None and rank_tol == RANK_TOL
+    return FrameSet(X, *(X._cached("frame", build) if default else build()))
 
 
 def left_tight_frame(X: HilbertBimodule, spanning=None) -> FrameSet:
@@ -579,8 +580,7 @@ def left_tight_frame(X: HilbertBimodule, spanning=None) -> FrameSet:
     the returned coordinates are vectors of X itself and the residual is
     measured on X-bar.
     """
-    Xbar = contragredient(X)
-    fr = tight_frame(Xbar, spanning=None if spanning is None else np.conj(spanning))
+    fr = tight_frame(contragredient(X), spanning=None if spanning is None else np.conj(spanning))
     return FrameSet(X, fr.coords.conj(), fr.residual)
 
 
@@ -604,15 +604,14 @@ def generalized_basis_step(X: HilbertBimodule, mu) -> tuple[FrameSet, ModuleOper
 
 def contragredient(X: HilbertBimodule) -> HilbertBimodule:
     """The conjugate B-A bimodule: b.xbar = (x b*)bar, xbar.a = (a* x)bar,
-    with the two Gram tensors exchanged."""
+    with the two Gram tensors exchanged (shared, as both are read-only).
+    Built once per module; it holds no reference back to X."""
     X._need_left()
-    new_left_action = X.right_action.transpose(1, 0, 2, 3).conj()
-    new_right_action = X.left_action.transpose(1, 0, 2, 3).conj()
-    return HilbertBimodule(X.B, X.A, X.dim,
-                           right_gram=X.left_gram.copy(),
-                           left_action=new_left_action,
-                           right_action=new_right_action,
-                           left_gram=X.right_gram.copy())
+    return X._cached("bar", lambda: HilbertBimodule(
+        X.B, X.A, X.dim, right_gram=X.left_gram,
+        left_action=X.right_action.transpose(1, 0, 2, 3).conj(),
+        right_action=X.left_action.transpose(1, 0, 2, 3).conj(),
+        left_gram=X.right_gram))
 
 
 def identity_bimodule(alg: MultiMatrixAlgebra) -> HilbertBimodule:

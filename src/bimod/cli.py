@@ -7,17 +7,18 @@ Grammar::
           [--out PATH] [--format json|text]
 
 Exit status: 0 when every computed check passed, 1 when a computation ran but
-an invariant failed, 2 on input errors, 3 on an internal error (a fault of
-the toolkit, reported rather than raised).  Reports are single JSON
-documents with schema tag "bimod-report/4"; the wall-time field is the only
-nondeterministic entry for fixed inputs and seed.  ``--budget`` is accepted
-and ignored: it bounded the minimal-dimension search, which is now a closed
-form.
+an invariant failed, 2 on input errors (an input too large for the machine
+among them), 3 on an internal error (a fault of the toolkit, reported rather
+than raised).  Reports are single JSON documents with schema tag
+"bimod-report/4"; the wall-time field is the only nondeterministic entry for
+fixed inputs and seed.  ``--budget`` is accepted and ignored: it bounded the
+minimal-dimension search, which is now a closed form.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -180,7 +181,8 @@ def _cmd_verify(req: CommandRequest):
 def _cmd_mindim(req: CommandRequest):
     _, X = _read_module(req.inputs[0])
     res = min_dimension(X)
-    return res.certified, {"dim_hat": res.dim_hat, "multiplicity_matrix": res.multiplicities,
+    return res.certified, {"dim_hat": res.dim_hat,
+                           "multiplicity_matrix": res.multiplicities.tolist(),
                            "certificate_residual": res.certificate_residual}
 
 
@@ -236,8 +238,8 @@ def _cmd_graph(req: CommandRequest):
               and rep.c1 == rep.r_ind_closed.max()
               and rep.c2 == rep.l_ind_closed.max())
     return passed, {"dim": rep.bimodule.dim, "c1": rep.c1, "c2": rep.c2,
-                    "r_ind_closed": list(rep.r_ind_closed),
-                    "l_ind_closed": list(rep.l_ind_closed),
+                    "r_ind_closed": rep.r_ind_closed.tolist(),
+                    "l_ind_closed": rep.l_ind_closed.tolist(),
                     "engine_gap_right": dr, "engine_gap_left": dl,
                     "right_frame_residual": rep.right_frame_residual,
                     "left_frame_residual": rep.left_frame_residual}
@@ -301,24 +303,9 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    return obj
-
-
 def run(request: CommandRequest) -> tuple[int, dict]:
-    """Execute one request; returns (exit status, report)."""
+    """Execute one request; returns (exit status, report).  Each handler
+    returns JSON types only (no numpy scalars or arrays)."""
     t0 = time.perf_counter()
     report = {"schema": SCHEMA, "command": request.command,
               "seed": request.seed, "tolerance": request.tol}
@@ -331,10 +318,11 @@ def run(request: CommandRequest) -> tuple[int, dict]:
         report["inputs"] = [_digest(p) for p in request.inputs]
         passed, results = _HANDLERS[request.command](request)
         report["passed"] = bool(passed)
-        report["results"] = _sanitize(results)
+        report["results"] = results
         status = 0 if passed else 1
-    except (ToolkitError, FileNotFoundError) as exc:
-        report["error"] = str(exc)
+    except (ToolkitError, FileNotFoundError, MemoryError) as exc:
+        too_large = isinstance(exc, MemoryError)
+        report["error"] = f"input too large for this machine: {exc!r}" if too_large else str(exc)
         report["passed"] = False
         status = 2
     except Exception as exc:
@@ -352,7 +340,7 @@ def _render_text(report: dict, indent: int = 0) -> str:
         pad = "  " * depth
         if isinstance(obj, dict):
             lines.append(f"{pad}{key}:")
-            for k, v in obj.items():
+            for k, v in sorted(obj.items()):
                 walk(v, k, depth + 1)
         elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
             lines.append(f"{pad}{key}: [{len(obj)} entries]")
@@ -361,12 +349,14 @@ def _render_text(report: dict, indent: int = 0) -> str:
         else:
             lines.append(f"{pad}{key}: {obj}")
 
-    for k, v in report.items():
+    for k, v in sorted(report.items()):
         walk(v, k, 0)
     return "\n".join(lines) + "\n"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bimod",
         description="Numerical toolkit for finite-dimensional Hilbert bimodules, "
@@ -379,14 +369,16 @@ def main(argv=None) -> int:
                         help="ignored; kept so that older command lines still parse")
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     req = CommandRequest(command=args.command, inputs=args.inputs, tol=args.tol,
                          seed=args.seed, out=args.out, fmt=args.fmt)
     status, report = run(req)
-    # run() has sanitized the results already; the text form still relies on
-    # _sanitize for its key order, the JSON form sorts its keys itself
     payload = (json.dumps(report, indent=2, sort_keys=True) + "\n"
-               if req.fmt == "json" else _render_text(_sanitize(report)))
+               if req.fmt == "json" else _render_text(report))
     if req.out:
         with open(req.out, "w") as fh:
             fh.write(payload)

@@ -43,11 +43,11 @@ from .bimodule import (
 )
 from .index import (
     CPMap,
+    _extension_cp_map,
     _multiplicities,
     _multiplier_certificate,
-    _operator_cp_map,
-    extend_left_inner,
-    module_operator_algebra,
+    _operator_frames,
+    _phi_frame_map,
     right_index,
 )
 
@@ -406,30 +406,38 @@ class CPCharacterization:
                 "perturbed": self.perturbed}
 
 
+def _multiplier_cp_map(X: HilbertBimodule):
+    """c -> T -> psi(c) phi(F(T)) - T into L(X_B), both sides in the frame of
+    its units (``index._phi_frame_map``).  For central c, w.c = c_l w on
+    X.e^l_11, so psi(c) scales target block l by c_l = tr (w_1 | w_1.c)_B."""
+    phi_F = _phi_frame_map(X, _extension_cp_map(X))
+    alg = phi_F.source
+    ident = np.split(alg.units_embedded(), np.cumsum(np.square(alg.blocks))[:-1])
+    w1 = np.array([w[:, 0] for _, w in _operator_frames(X)]).T
+
+    def at(c: AlgebraElement) -> CPMap:
+        c_l = np.einsum("pl,pl->l", (X.scalar_gram @ w1).conj(), X.psi(c) @ w1)
+        return CPMap(alg, [np.repeat(c_l, alg.blocks)[:, None] * img - u.reshape(img.shape)
+                           for img, u in zip(phi_F.unit_images, ident)], target=alg)
+    return at
+
+
 def cp_characterization(X: HilbertBimodule, delta: float = 1e-3,
                         tol: float = 1e-8) -> CPCharacterization:
     """The left index element is the smallest central multiplier c for which
     T -> psi(c) phi(F(T)) - T is completely positive on K(X_B).
 
-    Checks the Choi blocks at c = l-ind and certifies minimality by scaling
-    each central coefficient in the support down by ``delta`` and requiring
-    the Choi matrix to leave the positive cone.
+    Checks the Choi blocks at c = l-ind (``_multiplier_cp_map``, blocks of
+    size M_l M_l') and certifies minimality by scaling each central
+    coefficient in the support down by ``delta`` and requiring the Choi
+    matrix to leave the positive cone.
     """
     X._need_left()
-    F = extend_left_inner(X)
     rep = right_index(X)
-    # in the op_rep picture the identity's unit images are the units themselves
-    alg = module_operator_algebra(X)
-    phi_F = _operator_cp_map(X, lambda T: X.op_rep(X.phi(F.apply_matrix(T))), alg=alg)
-
-    def choi_min(c: AlgebraElement) -> float:
-        psi_hat = X.op_rep(X.psi(c))
-        return CPMap(alg.algebra, [psi_hat @ img - u for img, u in
-                                   zip(phi_F.unit_images, alg.units)]).choi_min_eig()
-
+    at = _multiplier_cp_map(X)
     scale = 1.0 + rep.l_num
-    mn, perturbed, certified = _multiplier_certificate(choi_min, rep.l_ind, scale,
-                                                       delta, tol)
+    mn, perturbed, certified = _multiplier_certificate(lambda c: at(c).choi_min_eig(),
+                                                       rep.l_ind, scale, delta, tol)
     return CPCharacterization(choi_min_at_index=mn, passed_at_index=mn >= -tol * scale,
                               perturbed=perturbed, minimality_certified=certified,
                               tol=tol)

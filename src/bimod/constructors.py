@@ -19,6 +19,7 @@ from .multimatrix import (
 from .bimodule import (
     HilbertBimodule,
     contragredient,
+    frame_operator,
     identity_bimodule,
     tensor,
     tight_frame,
@@ -416,17 +417,10 @@ def from_weight_graph(g: GraphSpec) -> GraphReport:
     r_closed = W.sum(axis=1)
     l_closed = Winv.sum(axis=0)
     c1, c2 = float(r_closed.max()), float(l_closed.max())
-    from .bimodule import frame_operator
     right_res = X.op_norm(frame_operator(X, np.eye(d)) - np.eye(d))
-    Xbar = _graph_contragredient_frame(X, wts)
+    # {w^{-1/2} delta_e} as a left tight frame, a right one of the contragredient
+    Xbar = contragredient(X)
+    left_res = Xbar.op_norm(frame_operator(Xbar, np.diag(1.0 / np.sqrt(wts))) - np.eye(d))
     return GraphReport(bimodule=X, c1=c1, c2=c2, r_ind_closed=r_closed,
                        l_ind_closed=l_closed, right_frame_residual=right_res,
-                       left_frame_residual=Xbar)
-
-
-def _graph_contragredient_frame(X: HilbertBimodule, wts: np.ndarray) -> float:
-    """Residual of {w^{-1/2} delta_e} as a left tight frame."""
-    from .bimodule import contragredient, frame_operator
-    Xbar = contragredient(X)
-    vecs = np.diag(1.0 / np.sqrt(wts)).astype(complex)
-    return Xbar.op_norm(frame_operator(Xbar, vecs) - np.eye(X.dim))
+                       left_frame_residual=left_res)

@@ -116,20 +116,8 @@ def _commutant_columns(pairs, dim: int) -> list[np.ndarray]:
 _UNIT_TOL = 1e-8
 
 
-def commutant_of(mats, dim: int) -> StarAlgebraDecomposition:
-    """The commutant of the actions in ``mats`` as a multimatrix algebra with
-    explicit matrix units (``_commutant_columns``).
-
-    ``mats`` is a sequence of (MultiMatrixAlgebra, action tensor
-    (N, N, dim, dim)) pairs, each a unital *-homomorphism with commuting
-    images.  The columns of all blocks must form a unitary Q, which is the
-    full set of unit relations u_ij u_ka = delta_jk u_ia and sum u_ii = 1;
-    and in the basis Q every unit image must be (+)_b 1_{Lambda_b} (x) R_b,
-    so that it commutes with every unit.  Either failure raises
-    StructureError.  With the ranks matched to the multiplicities at every
-    level, the units span sum Lambda^2 dimensions, all of the commutant.
-    """
-    pairs = [(alg, np.asarray(act, dtype=complex)) for alg, act in mats]
+def _checked_columns(pairs, dim: int) -> list[np.ndarray]:
+    """``_commutant_columns`` of complex actions, after the checks of ``commutant_of``."""
     cols = _commutant_columns(pairs, dim)
     Q = np.concatenate([K.reshape(dim, -1) for K in cols], axis=1)
     res = float(np.abs(Q.conj().T @ Q - np.eye(dim)).max())
@@ -148,6 +136,23 @@ def commutant_of(mats, dim: int) -> StarAlgebraDecomposition:
     if res > _UNIT_TOL:
         raise StructureError(f"matrix units of the commutant fail their relations or do not "
                              f"commute with the actions (residual {res:.3g})")
+    return cols
+
+
+def commutant_of(mats, dim: int) -> StarAlgebraDecomposition:
+    """The commutant of the actions in ``mats`` as a multimatrix algebra with
+    explicit matrix units (``_commutant_columns``).
+
+    ``mats`` is a sequence of (MultiMatrixAlgebra, action tensor
+    (N, N, dim, dim)) pairs, each a unital *-homomorphism with commuting
+    images.  The columns of all blocks must form a unitary Q, which is the
+    full set of unit relations u_ij u_ka = delta_jk u_ia and sum u_ii = 1;
+    and in the basis Q every unit image must be (+)_b 1_{Lambda_b} (x) R_b,
+    so that it commutes with every unit.  Either failure raises
+    StructureError.  With the ranks matched to the multiplicities at every
+    level, the units span sum Lambda^2 dimensions, all of the commutant.
+    """
+    cols = _checked_columns([(alg, np.asarray(act, dtype=complex)) for alg, act in mats], dim)
     units = [np.tensordot(K, K.conj(), axes=([2], [2])).transpose(1, 3, 0, 2) for K in cols]
     return StarAlgebraDecomposition(MultiMatrixAlgebra([K.shape[1] for K in cols]), units,
                                     [K.shape[2] for K in cols], dim)
@@ -180,6 +185,16 @@ def relative_commutant(X: HilbertBimodule) -> np.ndarray:
     return np.linalg.qr(units.reshape(len(units), -1).T)[0].T.reshape(-1, d, d)
 
 
+def _operator_frames(X: HilbertBimodule) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per block l of L(X_B) (``module_operator_algebra``, built once per
+    module): the columns K (d, M_l, n_l) of its units, op_rep picture, and
+    w^l = g^(-1/2) K[:, :, 0].  K[:, :, 0] is an orthonormal basis of
+    ran psi_hat(e^l_11), so (w_i|w_j)_B = delta_ij e^l_11, u_l(i, j) =
+    theta_{w_i, w_j} and g^(-1/2) K[:, i, t] = w_i.e^l_1t."""
+    return X._cached("frames", lambda: [(K, X._g_half()[1] @ K[:, :, 0]) for K in
+                                        _checked_columns([_psi_hat(X)], X.dim)])
+
+
 def module_operator_algebra(X: HilbertBimodule) -> StarAlgebraDecomposition:
     """L(X_B) = K(X_B) presented as a multimatrix algebra, with matrix units
     read off the right action: the commutant of ``_psi_hat`` (``commutant_of``
@@ -205,12 +220,14 @@ def module_operator_algebra(X: HilbertBimodule) -> StarAlgebraDecomposition:
 @dataclass
 class CPMap:
     """A linear map between multimatrix algebras, stored as the images of the
-    source matrix units.
+    source matrix units; completely positive iff its Choi blocks are PSD.
 
     ``unit_images[l]`` has shape (m_l, m_l, t, t): the image of the (i, j)
-    unit of source block l, embedded in a faithful standard-involution
-    representation of the target (the block-diagonal embedding for an abstract
-    target, the Gram-conjugated picture for an operator-algebra target).
+    unit of source block l in a faithful standard-involution representation
+    of the target, its block-diagonal embedding when ``target`` is given.
+    L(X_B) is taken in the frame of its units u_l(i, j) = theta_{w_i, w_j}
+    (``_operator_frames``) on either side: T has the coordinates
+    tr (w_r | T w_s)_B in block l, as an element of (+)_l M_{M_l}.
     """
 
     source: MultiMatrixAlgebra
@@ -221,19 +238,17 @@ class CPMap:
         """Image (in the target representation) of an abstract source element."""
         if x.algebra != self.source:
             raise ContractError("element does not belong to the source algebra")
-        t = self.unit_images[0].shape[-1]
-        out = np.zeros((t, t), dtype=complex)
-        for l, img in enumerate(self.unit_images):
-            out += np.einsum("ij,ijab->ab", x.blocks[l], img)
-        return out
+        return sum(np.einsum("ij,ijab->ab", b, img) for b, img in zip(x.blocks, self.unit_images))
 
     def choi_blocks(self) -> list[np.ndarray]:
-        """One Choi matrix per source block: [Phi(E_ij)]_{ij} in M_{m_l}(target)."""
-        out = []
-        for img in self.unit_images:
-            m, _, t, _ = img.shape
-            out.append(img.transpose(0, 2, 1, 3).reshape(m * t, m * t))
-        return out
+        """The Choi matrix [Phi(E_ij)]_{ij} of each source block l, cut to
+        each block k of the target (the images are block diagonal there):
+        size m_l n_k, source-block major.  Without a target, one block of
+        size m_l t per source block."""
+        cuts = ([slice(None)] if self.target is None else
+                [self.target.block_slice(k) for k in range(self.target.num_blocks)])
+        cut = [img[:, :, s, s] for img in self.unit_images for s in cuts]
+        return [c.transpose(0, 2, 1, 3).reshape(c.shape[0] * c.shape[2], -1) for c in cut]
 
     def is_hermitian_preserving(self, tol: float = DEFAULT_TOL) -> bool:
         return all(np.abs(c - c.conj().T).max() <= tol * (1 + np.abs(c).max())
@@ -243,23 +258,34 @@ class CPMap:
         return self.is_completely_positive()[1]
 
     def is_completely_positive(self, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-        """(least Choi eigenvalue >= -tol (1 + largest Choi entry), that eigenvalue)."""
-        blocks = self.choi_blocks()
-        mn = min(float(np.linalg.eigvalsh(hermitian_part(c)).min()) for c in blocks)
-        scale = max(max(np.abs(c).max() for c in blocks), 1e-300)
-        return mn >= -tol * (1.0 + scale), mn
+        """(least Choi eigenvalue >= -tol (1 + s), that eigenvalue), with s the
+        largest |Choi eigenvalue|: a scale that no change of the source or
+        target bases moves."""
+        ends = np.array([np.linalg.eigvalsh(hermitian_part(c))[[0, -1]]
+                         for c in self.choi_blocks()])
+        mn = float(ends[:, 0].min())
+        return mn >= -tol * (1.0 + float(np.abs(ends).max())), mn
 
 
-def _operator_cp_map(X: HilbertBimodule, f, target: MultiMatrixAlgebra | None = None,
-                     alg: StarAlgebraDecomposition | None = None) -> CPMap:
-    """The map u -> f(op_unrep(u)) on the units u of L(X_B) (``alg``, built
-    from the right action when not given); ``f`` maps a stack (s, d, d) of
-    operators on X in coordinates to their images, once for all units."""
-    alg = alg if alg is not None else module_operator_algebra(X)
-    units = np.concatenate([u.reshape(-1, X.dim, X.dim) for u in alg.units])
-    images = np.split(f(X.op_unrep(units)), np.cumsum([len(u) ** 2 for u in alg.units])[:-1])
-    return CPMap(alg.algebra, [img.reshape(u.shape[:2] + img.shape[1:])
-                               for img, u in zip(images, alg.units)], target=target)
+def _extension_cp_map(X: HilbertBimodule) -> CPMap:
+    """F on the units of L(X_B), into A: F(theta_{x,y}) = _A(x|y), so the
+    images of block l are the left Gram [_A(w_i|w_j)]_ij of its w-frame."""
+    ws = [w for _, w in _operator_frames(X)]
+    grams = [np.tensordot(w.conj(), np.tensordot(w, X.left_gram, axes=([0], [0])),
+                          axes=([0], [1])).swapaxes(0, 1) for w in ws]
+    return CPMap(MultiMatrixAlgebra([w.shape[1] for w in ws]), grams, target=X.A)
+
+
+def _phi_frame_map(X: HilbertBimodule, cp: CPMap) -> CPMap:
+    """phi after a map ``cp`` from L(X_B) into A, as a map into L(X_B) in the
+    frame of its units: target block l holds tr (w_r | phi(a) w_s)_B, read
+    off the scalar Gram, so each Choi block is M_l' M_l."""
+    alg, na = cp.source, X.A.rep_dim
+    P = np.zeros((na, na, alg.rep_dim, alg.rep_dim), dtype=complex)
+    for s, (_, w) in zip(map(alg.block_slice, range(alg.num_blocks)), _operator_frames(X)):
+        P[:, :, s, s] = (X.scalar_gram @ w).conj().T @ X.left_action @ w
+    return CPMap(alg, [np.tensordot(img, P, axes=([2, 3], [0, 1])) for img in cp.unit_images],
+                 target=alg)
 
 
 def _multiplier_certificate(choi_min, c: AlgebraElement, scale: float, delta: float,
@@ -294,7 +320,8 @@ class LeftInnerExtension:
     T -> sum_i _A(T u_i | u_i) over a normalized tight frame {u_i}.
 
     The value is frame independent; ``as_cp_map`` presents the map on the
-    matrix units of L(X_B) for Choi-based positivity checks.
+    matrix units of L(X_B) for Choi-based positivity checks.  With the
+    default frame, the frame and its contraction are built once per module.
     """
 
     def __init__(self, X: HilbertBimodule, frame: FrameSet | None = None):
@@ -303,7 +330,8 @@ class LeftInnerExtension:
         self.frame = frame if frame is not None else tight_frame(X)
         U = self.frame.coords
         # _A(T u_i | u_i) summed: precontract the frame into the left Gram
-        self._pair = np.tensordot(U.conj(), X.left_gram, axes=([1], [1]))
+        pair = lambda: np.tensordot(U.conj(), X.left_gram, axes=([1], [1]))
+        self._pair = pair() if frame is not None else X._cached("F", pair)
 
     def apply_matrix(self, T: np.ndarray) -> np.ndarray:
         """F(T), embedded in M_{N_A}; T may be a stack (s, d, d)."""
@@ -318,8 +346,9 @@ class LeftInnerExtension:
         return self.apply(np.eye(self.bimodule.dim))
 
     def as_cp_map(self) -> CPMap:
-        """The map on the matrix units of L(X_B)."""
-        return _operator_cp_map(self.bimodule, self.apply_matrix, target=self.bimodule.A)
+        """The map on the matrix units u_l(i, j) = theta_{w_i, w_j} of L(X_B),
+        read off the left Gram (``_extension_cp_map``); it uses no frame."""
+        return _extension_cp_map(self.bimodule)
 
 
 def extend_left_inner(X: HilbertBimodule, frame: FrameSet | None = None) -> LeftInnerExtension:
@@ -359,24 +388,19 @@ def right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexReport:
     from a rank-tolerant spectral cut.
     """
     X._need_left()
-    F = extend_left_inner(X)
-    r_ind = F.index_element()
-    Xbar = contragredient(X)
-    Fbar = extend_left_inner(Xbar)
-    l_ind = Fbar.index_element()
+    r_ind = extend_left_inner(X).index_element()
+    l_ind = extend_left_inner(contragredient(X)).index_element()
     r_num, l_num = r_ind.norm(), l_ind.norm()
     p = support_projection(r_ind, rank_tol)
     q = support_projection(l_ind, rank_tol)
-    ind_mat = X.psi(l_ind) @ X.phi(r_ind)
-    return IndexReport(r_ind=r_ind, l_ind=l_ind, r_num=r_num, l_num=l_num,
-                       p=p, q=q, ind_x=ModuleOperator(X, ind_mat))
+    return IndexReport(r_ind=r_ind, l_ind=l_ind, r_num=r_num, l_num=l_num, p=p, q=q,
+                       ind_x=ModuleOperator(X, X.psi(l_ind) @ X.phi(r_ind)))
 
 
 def index_element(X: HilbertBimodule) -> ModuleOperator:
     """The operator psi(l-ind) phi(r-ind) on X; positive and central in the
     relative commutant."""
-    rep = right_index(X)
-    return rep.ind_x
+    return right_index(X).ind_x
 
 
 # -- best norm-equivalence constants ---------------------------------------------
@@ -411,13 +435,9 @@ def _norm_ratio_batch(X: HilbertBimodule, vecs: np.ndarray) -> np.ndarray:
     return np.real(top) / np.maximum(np.real(bot), 1e-300)
 
 
-def _ascent_setup(X: HilbertBimodule):
-    """(units of L(X_B), F, F on those units, block ranks r_l = min(M_l, n_l))."""
-    alg = module_operator_algebra(X)
-    F = extend_left_inner(X)
-    cp = _operator_cp_map(X, F.apply_matrix, target=X.A, alg=alg)
-    ranks = [min(m, n) for m, n in zip(alg.algebra.blocks, alg.multiplicities)]
-    return alg, F, cp, ranks
+def _ascent_setup(X: HilbertBimodule) -> tuple[CPMap, list[int]]:
+    """(F on the units of L(X_B), block ranks r_l = min(M_l, n_l))."""
+    return _extension_cp_map(X), [min(K.shape[1:]) for K, _ in _operator_frames(X)]
 
 
 def _lockstep_ascent(imgs: list[np.ndarray], ranks: list[int],
@@ -459,38 +479,33 @@ def _largest_ratio(X: HilbertBimodule, seed: int,
     the largest value wins.  Bound and vector: ``_ratio_bound``,
     ``_attaining_vector``.
     """
-    alg, F, cp, ranks = _ascent_setup(X)
+    cp, ranks = _ascent_setup(X)
     z = np.random.default_rng(seed).standard_normal((starts, 2, X.A.rep_dim))
     xi = z[:, 0] + 1j * z[:, 1]         # the draws of one start after another
     value, found = _lockstep_ascent(cp.unit_images, ranks,
                                     xi / np.linalg.norm(xi, axis=1, keepdims=True))
     best = int(np.argmax(value))
-    return (float(value[best]), _ratio_bound(X, F, cp, ranks),
-            _attaining_vector(X, alg, found[best]))
+    return float(value[best]), _ratio_bound(X, cp, ranks), _attaining_vector(X, found[best])
 
 
-def _ratio_bound(X: HilbertBimodule, F: LeftInnerExtension, cp: CPMap,
-                 ranks: list[int]) -> float:
-    """min(||F(1)||, max_k sum_l KyFan_{r_l}(Choi block l cut to A-block k))."""
-    na = X.A.rep_dim
+def _ratio_bound(X: HilbertBimodule, cp: CPMap, ranks: list[int]) -> float:
+    """min(||F(1)||, max_k sum_l KyFan_{r_l}(Choi block (l, k))), with F(1)
+    the sum of the diagonal unit images."""
     kyfan = np.zeros(X.A.num_blocks)
-    for c, r in zip(cp.choi_blocks(), ranks):
-        m = len(c) // na
+    blocks = iter(cp.choi_blocks())
+    for r in ranks:
         for k in range(X.A.num_blocks):
-            s = X.A.block_slice(k)
-            blk = c.reshape(m, na, m, na)[:, s, :, s].reshape(m * (s.stop - s.start), -1)
-            kyfan[k] += np.linalg.eigvalsh(hermitian_part(blk))[-r:].sum()
-    return min(F.index_element().norm(), float(kyfan.max()))
+            kyfan[k] += np.linalg.eigvalsh(hermitian_part(next(blocks)))[-r:].sum()
+    r_ind = X.A.from_embedded(cp.apply(cp.source.identity()))
+    return min(r_ind.norm(), float(kyfan.max()))
 
 
-def _attaining_vector(X: HilbertBimodule, alg: StarAlgebraDecomposition,
-                      vs: list[np.ndarray]) -> np.ndarray:
-    """g^{-1/2} sum_lti V_l[i, t] u_l(i, 0) c_t with V_l spanning P_l and c_t
-    an orthonormal basis of ran u_l(0, 0): theta_{x,x} = P."""
-    y = np.zeros(X.dim, dtype=complex)
-    for u, V in zip(alg.units, vs):
-        w, v = np.linalg.eigh(hermitian_part(u[0, 0]))
-        y += np.einsum("it,iab,bt->a", V, u[:, 0], v[:, w > 0.5][:, :V.shape[1]])
+def _attaining_vector(X: HilbertBimodule, vs: list[np.ndarray]) -> np.ndarray:
+    """sum_lit V_l[i, t] w^l_i.e^l_1t with V_l spanning P_l (r_l <= n_l
+    columns): theta_{w_i.e_1t, w_j.e_1t'} = delta_tt' u_l(i, j), so
+    theta_{x,x} = P."""
+    y = sum(np.einsum("ait,it->a", K[:, :, :V.shape[1]], V)
+            for (K, _), V in zip(_operator_frames(X), vs))
     return X._g_half()[1] @ y
 
 
@@ -542,9 +557,10 @@ class BasicConstruction:
         return self.bimodule.phi(self.z_prime.embed() @ self.F.apply_matrix(T))
 
     def as_cp_map(self) -> CPMap:
-        """phi.E as a map on the matrix units of L(X_B)."""
-        X = self.bimodule
-        return _operator_cp_map(X, lambda T: X.op_rep(self.phi_expectation(T)))
+        """phi.E on the matrix units of L(X_B), into L(X_B) in the frame of
+        the same units (``_phi_frame_map``): Choi blocks of size M_l M_l'."""
+        F, z = _extension_cp_map(self.bimodule), self.z_prime.embed()
+        return _phi_frame_map(self.bimodule, replace(F, unit_images=[z @ f for f in F.unit_images]))
 
     def sampled_checks(self, lam: float, rng: np.random.Generator) -> dict:
         """The sampled checks of the basic construction, on BASIC_SAMPLES
@@ -650,7 +666,8 @@ def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     comm = relative_commutant(X)
     bc = best_constants(X, seed=seed)
     lambda_prime = bc.lambda_prime_lower
-    r_ind = extend_left_inner(X).index_element()
+    F = _extension_cp_map(X)
+    r_ind = X.A.from_embedded(F.apply(F.source.identity()))
     lam = _multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
     fibers = []
     for k in range(X.A.num_blocks):

@@ -110,12 +110,6 @@ class MultiMatrixAlgebra:
             out[s, s] = x.blocks[k]
         return out
 
-    def embed_blocks(self, block_mats: Sequence) -> np.ndarray:
-        out = np.zeros((self.rep_dim, self.rep_dim), dtype=complex)
-        for k, s in enumerate(self._slices):
-            out[s, s] = _as_complex(block_mats[k])
-        return out
-
     def from_embedded(self, mat: np.ndarray) -> "AlgebraElement":
         """Read back an element from its block-diagonal representation."""
         mat = _as_complex(mat)
@@ -196,10 +190,6 @@ class AlgebraElement:
 
     def norm(self) -> float:
         return operator_norm(self)
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        dev = max(np.abs(b - b.conj().T).max() for b in self.blocks)
-        return dev <= tol * (1.0 + self.norm())
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)

@@ -15,6 +15,7 @@ from bimod import (
     MultiMatrixAlgebra,
     column_bimodule,
     contragredient,
+    extend_left_inner,
     from_hilbert_space,
     from_expectation,
     from_weight_graph,
@@ -40,6 +41,7 @@ from bimod.index import (
     BASIC_SAMPLES,
     BasicConstruction,
     BestConstants,
+    CPMap,
     _ascent_setup,
     _attaining_vector,
     _multiplicities,
@@ -51,6 +53,8 @@ from bimod.multimatrix import (
     RANK_TOL,
     AlgebraElement,
     ContractError,
+    MultiMatrixAlgebra,
+    StarAlgebraDecomposition,
     StructureError,
     hermitian_part,
 )
@@ -791,7 +795,7 @@ def sequential_largest_ratio(X: HilbertBimodule, seed: int,
     """``_largest_ratio`` with its starts run one after another: the route
     that the lockstep ascent replaced, kept as its oracle.  Same draws, same
     two steps, same tie rule (the first start with the largest value)."""
-    alg, F, cp, ranks = _ascent_setup(X)
+    cp, ranks = _ascent_setup(X)
     imgs = cp.unit_images
     na = X.A.rep_dim
     best, rng = -np.inf, np.random.default_rng(seed)
@@ -808,7 +812,81 @@ def sequential_largest_ratio(X: HilbertBimodule, seed: int,
             value, xi, found = float(w[-1]), v[:, -1], vs
         if value > best:
             best, best_v = value, found
-    return best, _ratio_bound(X, F, cp, ranks), _attaining_vector(X, alg, best_v)
+    return best, _ratio_bound(X, cp, ranks), _attaining_vector(X, best_v)
+
+
+def _operator_cp_map(X: HilbertBimodule, f, target: MultiMatrixAlgebra | None = None,
+                     alg: StarAlgebraDecomposition | None = None) -> CPMap:
+    """The map u -> f(op_unrep(u)) on the units u of L(X_B) (``alg``, built
+    from the right action when not given); ``f`` maps a stack (s, d, d) of
+    operators on X in coordinates to their images, once for all units.
+
+    The dense route that the Choi blocks in the w-frame of L(X_B) replaced,
+    kept as their oracle (with the three maps below)."""
+    alg = alg if alg is not None else module_operator_algebra(X)
+    units = np.concatenate([u.reshape(-1, X.dim, X.dim) for u in alg.units])
+    images = np.split(f(X.op_unrep(units)), np.cumsum([len(u) ** 2 for u in alg.units])[:-1])
+    return CPMap(alg.algebra, [img.reshape(u.shape[:2] + img.shape[1:])
+                               for img, u in zip(images, alg.units)], target=target)
+
+
+def dense_extension_cp_map(X: HilbertBimodule) -> CPMap:
+    """F on the units of L(X_B) through the tight frame and ``op_unrep``."""
+    return _operator_cp_map(X, extend_left_inner(X).apply_matrix, target=X.A)
+
+
+def dense_basic_cp_map(bco: BasicConstruction) -> CPMap:
+    """phi.E on the units of L(X_B), into M_d in the op_rep picture."""
+    X = bco.bimodule
+    return _operator_cp_map(X, lambda T: X.op_rep(bco.phi_expectation(T)))
+
+
+def dense_multiplier_cp_map(X: HilbertBimodule):
+    """c -> T -> psi(c) phi(F(T)) - T on the units of L(X_B), into M_d in the
+    op_rep picture, as ``cp_characterization`` evaluated it before the
+    w-frame."""
+    F = extend_left_inner(X)
+    alg = module_operator_algebra(X)
+    phi_F = _operator_cp_map(X, lambda T: X.op_rep(X.phi(F.apply_matrix(T))), alg=alg)
+
+    def at(c: AlgebraElement) -> CPMap:
+        psi_hat = X.op_rep(X.psi(c))
+        return CPMap(alg.algebra, [psi_hat @ img - u for img, u in
+                                   zip(phi_F.unit_images, alg.units)])
+
+    return at
+
+
+def choi_spectrum(cp: CPMap, mult=None) -> np.ndarray:
+    """All Choi eigenvalues of ``cp``, sorted; with ``mult``, those of the
+    blocks cut to target block k repeat mult[k] times (the multiplicities
+    that the frame of L(X_B) drops)."""
+    out = []
+    blocks = cp.choi_blocks()
+    per_source = len(blocks) // len(cp.unit_images)
+    for i, c in enumerate(blocks):
+        w = np.linalg.eigvalsh(hermitian_part(c))
+        out.append(w if mult is None else np.repeat(w, mult[i % per_source]))
+    return np.sort(np.concatenate(out))
+
+
+def sanitize(obj):
+    """The recursive walk that turned numpy scalars and arrays of a report
+    into JSON types and sorted its keys, before each handler returned JSON
+    types itself: kept as the oracle of the JSON output."""
+    if isinstance(obj, dict):
+        return {k: sanitize(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return sanitize(obj.tolist())
+    return obj
 
 
 def sequential_best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:

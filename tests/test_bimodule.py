@@ -1,8 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from bimod import (
     ContractError,
+    basic_construction,
+    best_constants,
+    build_conjugate,
+    cp_characterization,
+    fiber_decomposition,
     HilbertBimodule,
     MultiMatrixAlgebra,
     StructureError,
@@ -342,6 +350,42 @@ def test_contragredient_involution():
         assert np.abs(XX.left_gram - X.left_gram).max() < 1e-14
         assert np.abs(XX.left_action - X.left_action).max() < 1e-14
         assert np.abs(XX.right_action - X.right_action).max() < 1e-14
+
+
+def test_structure_tensors_and_the_default_frame_are_read_only():
+    # the per-module caches rely on it; the caller's own arrays stay writable
+    X = random_bimodule([2, 1], [2, 1], [[1, 1], [2, 3]], seed=4)
+    G = X.right_gram.copy()
+    Y = HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+    for arr in (Y.right_gram, Y.left_action, Y.right_action, Y.left_gram,
+                tight_frame(Y).coords, contragredient(Y).left_gram):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+    G[0, 0] = 7.0
+    assert Y.right_gram[0, 0, 0, 0] == 7.0
+
+
+def test_cached_frames_and_contragredient_keep_no_module_alive():
+    # the caches hold no reference back to their module, so a module is freed
+    # by reference counting alone once its last user lets go of it
+    X = random_bimodule([2, 1], [2, 1], [[1, 1], [2, 3]], seed=4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        best_constants(X)
+        right_index(X)
+        build_conjugate(X)
+        basic_construction(X).as_cp_map().is_completely_positive()
+        fiber_decomposition(X)
+        cp_characterization(X)
+        assert contragredient(X) is contragredient(X)
+        assert tight_frame(X).coords is tight_frame(X).coords
+        refs = [weakref.ref(X), weakref.ref(contragredient(X))]
+        del X
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_contragredient_swaps_indices():

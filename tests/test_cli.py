@@ -1,13 +1,16 @@
+import argparse
+import collections
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from bimod import SpectrumDomainError, build_conjugate, column_bimodule, from_hilbert_space
-from bimod import cli
+from bimod import HilbertBimodule, bimodule, cli, index
 from bimod.cli import CommandRequest, main, parse_spec, run
 from bimod.serde import ParseError, encode_bimodule, encode_vector
-from helpers import random_bimodule
+from helpers import corpus, random_bimodule, sanitize
 
 
 @pytest.fixture(scope="module")
@@ -98,17 +101,97 @@ def test_exit_codes_per_command(fixtures):
 
 
 def test_json_output_matches_the_double_sanitized_report(fixtures, monkeypatch, tmp_path):
-    # main writes run()'s report as it is: its results are sanitized already,
-    # and sort_keys orders the keys as a second _sanitize walk would
+    # main writes run()'s report as it is: its results hold JSON types only,
+    # and sort_keys orders the keys as the old sanitizing walk did
     cases = _one_request_per_command(fixtures)
     assert sorted(c for c, _ in cases) == sorted(cli.COMMANDS)
     out = tmp_path / "report.json"
     for command, inputs in cases:
         status, report = _run(command, inputs)
-        expected = json.dumps(cli._sanitize(report), indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(sanitize(report), indent=2, sort_keys=True) + "\n"
         monkeypatch.setattr(cli, "run", lambda req: (status, report))
         assert main([command, *inputs, "--out", str(out)]) == status
         assert out.read_text() == expected, command
+        assert main([command, *inputs, "--out", str(out), "--format", "text"]) == status
+        assert out.read_text() == cli._render_text(sanitize(report)), command
+
+
+def test_every_report_holds_json_types_only(fixtures):
+    native = (dict, list, str, int, float, bool, type(None))
+
+    def walk(obj, path):
+        assert type(obj) in native, (path, type(obj))
+        if isinstance(obj, (dict, list)):
+            for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+                walk(value, f"{path}.{key}")
+
+    for command, inputs in _one_request_per_command(fixtures):
+        walk(_run(command, inputs)[1], command)
+
+
+def test_memory_error_exits_2_as_too_large(fixtures, monkeypatch):
+    def exhausted(req):
+        raise MemoryError("Unable to allocate 8.17 GiB")
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", exhausted)
+    status, report = _run("validate", [fixtures["hilbert"]])
+    assert status == 2 and report["passed"] is False
+    assert report["error"].startswith("input too large for this machine")
+
+
+def test_parser_is_built_once(fixtures, tmp_path, monkeypatch):
+    out = str(tmp_path / "report.json")
+    main(["hilbert", fixtures["hilbert"], "--out", out])
+    built = []
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1))
+    for _ in range(3):
+        assert main(["hilbert", fixtures["hilbert"], "--out", out]) == 0
+    assert not built
+
+
+def _content(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("X", [random_bimodule([2, 1, 1], [2, 1, 1],
+                                               [[1, 1, 0], [1, 1, 1], [0, 1, 2]], seed=1),
+                               dict(corpus())["random_112"]], ids=["ladder_d13", "random_112"])
+def test_each_module_builds_its_frame_operator_algebra_and_contragredient_once(
+        X, tmp_path, monkeypatch):
+    # builds are counted by the work they do, per module content: frame_operator
+    # runs twice per tight frame, _commutant_columns once per L(X_B) on the
+    # right action psi_hat, and every contragredient is a new HilbertBimodule
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(encode_bimodule(X)))
+    frames, algebras, modules = (collections.Counter() for _ in range(3))
+    frame_operator, columns = bimodule.frame_operator, index._commutant_columns
+    init = HilbertBimodule.__init__
+
+    def counted_frame_operator(Y, vectors):
+        frames[_content(Y.right_gram, Y.left_action, Y.right_action)] += 1
+        return frame_operator(Y, vectors)
+
+    def counted_columns(pairs, dim):
+        if len(pairs) == 1 and dim == X.dim:
+            algebras[_content(pairs[0][1])] += 1
+        return columns(pairs, dim)
+
+    def counted_init(self, A, B, dim, right_gram, left_action, right_action, *args, **kw):
+        modules[_content(right_gram, left_action, right_action)] += 1
+        init(self, A, B, dim, right_gram, left_action, right_action, *args, **kw)
+
+    monkeypatch.setattr(bimodule, "frame_operator", counted_frame_operator)
+    monkeypatch.setattr(index, "_commutant_columns", counted_columns)
+    monkeypatch.setattr(HilbertBimodule, "__init__", counted_init)
+    for command in ("index", "basic", "fibers", "conjugate"):
+        for counter in (frames, algebras, modules):
+            counter.clear()
+        status, report = _run(command, [str(path)])
+        assert status == 0, (command, report.get("error"))
+        assert max(frames.values(), default=0) <= 2, (command, "tight frames", frames)
+        assert max(algebras.values(), default=0) <= 1, (command, "L(X_B)", algebras)
+        assert max(modules.values()) <= 1, (command, "modules", modules)
 
 
 def test_index_values(fixtures):

@@ -25,14 +25,13 @@ from bimod import (
     right_index,
     tight_frame,
 )
-from bimod import index
+from bimod import conjugation, index
 from bimod.cli import CommandRequest, run
 from bimod.index import (
     BASIC_SAMPLES,
     BasicConstruction,
     _basic_samples,
     _largest_ratio,
-    _operator_cp_map,
     commutant_of,
 )
 from bimod.multimatrix import StructureError, random_element
@@ -40,8 +39,13 @@ from bimod.serde import encode_bimodule
 
 from helpers import (
     _RANDOM_SHAPES,
+    _operator_cp_map,
     averaging_relative_commutant,
+    choi_spectrum,
     corpus,
+    dense_basic_cp_map,
+    dense_extension_cp_map,
+    dense_multiplier_cp_map,
     degenerate_action_bimodule,
     descent_best_constants,
     diag_expectation_m2,
@@ -589,6 +593,70 @@ def test_commutant_rejects_broken_homomorphism(tamper):
 def _choi_min(cp):
     scale = max(float(np.abs(c).max()) for c in cp.choi_blocks())
     return cp.choi_min_eig(), scale
+
+
+def _frame_cases():
+    cases = [pytest.param(X, id=name) for name, X in corpus()]
+    cases += [pytest.param(random_bimodule(*shape, seed=1), id=f"ladder_{i}")
+              for i, shape in enumerate(_LADDER_SHAPES)]
+    return cases + [pytest.param(zero_block_bimodule(), id="zero_block"),
+                    pytest.param(random_bimodule(*_D45_SHAPE, seed=1), id="d45")]
+
+
+def _assert_same_spectrum(got, ref, what, scale=None):
+    assert got.shape == ref.shape, what
+    scale = scale or max(float(np.abs(ref).max()), 1e-300)
+    assert np.abs(got - ref).max() <= 1e-12 * scale, (what, np.abs(got - ref).max() / scale)
+
+
+@pytest.mark.parametrize("X", _frame_cases())
+def test_frame_choi_blocks_match_the_dense_route(X):
+    # the Choi blocks in the w-frame of L(X_B) have the spectra of the dense
+    # route through op_unrep, less the multiplicities n_l of the frame's blocks
+    mult = [K.shape[2] for K, _ in index._operator_frames(X)]
+    bco = basic_construction(X)
+    at, dense_at = conjugation._multiplier_cp_map(X), dense_multiplier_cp_map(X)
+    rep = right_index(X)
+    shrunk = rep.l_ind.copy()
+    shrunk.blocks[0] = 0.999 * shrunk.blocks[0]
+    # the multiplier map vanishes at l-ind on some modules: its scale is that
+    # of cp_characterization's tolerance
+    pairs = [("F", extend_left_inner(X).as_cp_map(), None, dense_extension_cp_map(X), None),
+             ("phi E", bco.as_cp_map(), mult, dense_basic_cp_map(bco), None),
+             ("psi(l-ind) phi F - id", at(rep.l_ind), mult, dense_at(rep.l_ind), 1 + rep.l_num),
+             ("psi(c) phi F - id, c below l-ind", at(shrunk), mult, dense_at(shrunk),
+              1 + rep.l_num)]
+    for what, got, m, ref, scale in pairs:
+        _assert_same_spectrum(choi_spectrum(got, m), choi_spectrum(ref), what, scale)
+        assert got.is_completely_positive()[0] == ref.is_completely_positive()[0], what
+    # phi E has one Choi block per pair of blocks of L(X_B), of size M_l M_l'
+    cp = bco.as_cp_map()
+    assert [len(c) for c in cp.choi_blocks()] == [a * b for a in cp.source.blocks
+                                                   for b in cp.source.blocks]
+
+
+@pytest.mark.parametrize("X", _frame_cases())
+def test_best_constants_match_the_dense_route(X, monkeypatch):
+    got = best_constants(X)
+    monkeypatch.setattr(index, "_extension_cp_map", dense_extension_cp_map)
+    ref = best_constants(X)
+    for field in ("lambda_hat", "lambda_prime_hat", "lambda_upper", "lambda_prime_lower"):
+        assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-12, abs=0)
+    assert got.exact == ref.exact
+
+
+def test_units_of_operator_algebra_are_rank_ones_of_the_frame():
+    # u_l(i, j) = theta_{w_i, w_j}, and g^(-1/2) K[:, i, t] = w_i.e^l_1t
+    X = random_bimodule(*_LADDER_SHAPES[0], seed=1)
+    dec = module_operator_algebra(X)
+    for (K, w), u, b in zip(index._operator_frames(X), dec.units, (0, 2)):
+        for i in range(w.shape[1]):
+            for j in range(w.shape[1]):
+                theta = X.rank_one(w[:, i], w[:, j])
+                assert np.abs(X.op_unrep(u[i, j]) - theta).max() <= 1e-12
+            for t in range(K.shape[2]):
+                lift = X._g_half()[1] @ K[:, i, t]
+                assert np.abs(lift - X.right_action[b, b + t] @ w[:, i]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("X", _commutant_cases())

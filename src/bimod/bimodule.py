@@ -675,16 +675,22 @@ def amplify(X: HilbertBimodule, n: int) -> HilbertBimodule:
     return HilbertBimodule(A2, X.B, d2, G2, Phi2, Psi2, L2)
 
 
-def _corner_range(act: np.ndarray, b: int, what: str) -> np.ndarray:
-    """Orthonormal columns spanning the range of the idempotent act[b, b];
-    its rank is read from the trace."""
-    E = act[b, b]
-    t = float(np.trace(E).real)
-    rank = int(round(t))
-    if abs(t - rank) > 1e-6:
-        raise StructureError(f"{what} of the unit at ({b}, {b}) has trace {t:.6g}, "
-                             "not an integer: the action is not a homomorphism")
-    return np.linalg.svd(E)[0][:, :rank] if rank else E[:, :0]
+def _corner_ranges(X: HilbertBimodule, left: bool) -> list[np.ndarray]:
+    """Orthonormal columns spanning the range of the idempotent phi_X(e^l_11)
+    (left) or psi_X(e^l_11), for every block l of A or B, built once per
+    module; each rank is read from the trace."""
+    alg, act, what = (X.A, X.left_action, "phi") if left else (X.B, X.right_action, "psi")
+
+    def corner(b):
+        E = act[b, b]
+        t = float(np.trace(E).real)
+        rank = int(round(t))
+        if abs(t - rank) > 1e-6:
+            raise StructureError(f"{what} of the unit at ({b}, {b}) has trace {t:.6g}, "
+                                 "not an integer: the action is not a homomorphism")
+        return np.linalg.svd(E)[0][:, :rank] if rank else E[:, :0]
+    return X._cached(what + "_corners", lambda: [corner(alg.block_slice(l).start)
+                                                 for l in range(alg.num_blocks)])
 
 
 def _kron_rows(P, Q, R: np.ndarray) -> np.ndarray:
@@ -712,7 +718,8 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule,
     The quotient splits over the blocks l of B:
     X (x)_B Y = (+)_l X.e^l_11 (x) e^l_11.Y, of dimension d_2 = sum_l M_l K_l,
     with M_l = rank psi_X(e^l_11) and K_l = rank phi_Y(e^l_11).  With W_X,l and
-    W_Y,l orthonormal bases of those ranges, the balanced map
+    W_Y,l orthonormal bases of those ranges (``_corner_ranges``, built once
+    per module), the balanced map
     J = (+)_l (W_X,l^* (x) W_Y,l^*) sum_s psi_X(e^l_s1) (x) phi_Y(e^l_1s)
     (d_2 x D, D = d_X d_Y) has the kernel of the right Gram as its kernel, so
     one thin QR J^* = V R gives V (the identity where J is square).  In the J
@@ -735,10 +742,9 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule,
     na, nc = X.A.rep_dim, Y.B.rep_dim
     # the empty first row block keeps a zero product (no block on both sides) defined
     blocks, rows, start = [], [np.zeros((0, D), dtype=complex)], 0
+    psi_X, phi_Y = _corner_ranges(X, left=False), _corner_ranges(Y, left=True)
     for l, n in enumerate(X.B.blocks):
-        b = X.B.block_slice(l).start
-        WX = _corner_range(X.right_action, b, "psi_X")
-        WY = _corner_range(Y.left_action, b, "phi_Y")
+        b, WX, WY = X.B.block_slice(l).start, psi_X[l], phi_Y[l]
         m, k = WX.shape[1], WY.shape[1]
         if m == 0 or k == 0:
             continue

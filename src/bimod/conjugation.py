@@ -7,7 +7,9 @@ product, contracted from the factor tensors by two routines and no tensor
 bimodule: ``_inner`` gives (r|s) (norms, R*R, intertwiner residuals) and
 ``_pair`` gives (r | e_t (x) f_u) for all basis vectors (the equation maps,
 the recovered left Gram and the pair identities, which are exhaustive on the
-basis).
+basis).  Both run through the corners of B: for a, b in block l,
+phi_Y(e_ab) = [phi_Y(e_a1) U_l] [U_l^* phi_Y(e_1b)] with U_l a basis of
+ran phi_Y(e_11), so no term holds more than O(d^2 N^2) elements.
 
 Convention: in the two equations the tensor product is applied before the
 composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).
@@ -35,6 +37,7 @@ from .bimodule import (
     FrameSet,
     HilbertBimodule,
     _act_first,
+    _corner_ranges,
     contragredient,
     left_tight_frame,
     tensor,
@@ -55,43 +58,68 @@ from .index import (
 # -- vectors of a tensor product in product coordinates -------------------------
 
 
-def _phi_leg(X: HilbertBimodule, Y: HilbertBimodule, s: np.ndarray) -> np.ndarray:
-    """[..., (q, a, b), w] = sum_v phi_Y(e_ab)[w, v] s[..., q, v]."""
-    dx, dy, nb = X.dim, Y.dim, X.B.rep_dim
-    return (s @ Y.left_action.reshape(nb * nb * dy, dy).T).reshape(
-        s.shape[:-2] + (dx * nb * nb, dy))
+def _gram_blocks(X: HilbertBimodule) -> list[np.ndarray]:
+    """G_l[(p, a), (q, b)] = (e_p|e_q)_B[a, b] for a, b in block l of B, once per module."""
+    return X._cached("gram_blocks", lambda: [
+        X.right_gram[:, :, s, s].transpose(0, 2, 1, 3).reshape(X.dim * n, X.dim * n)
+        for s, n in zip(map(X.B.block_slice, range(X.B.num_blocks)), X.B.blocks)])
+
+
+def _corner_factors(Y: HilbertBimodule) -> list:
+    """(l, F, H, T1) for the blocks l of A with K_l > 0, once per module:
+    F[(a, k), w] = (phi_Y(e_a1) U_l)[w, k], H[(b, k), u] = (U_l^* phi_Y(e_1b))[k, u]
+    (U_l from ``_corner_ranges``), so phi_Y(e_ab) = F_a H_b, and
+    T1[(u', a), (k, c, c')] = sum_w F_a[w, k] (f_u'|f_w)_C[c, c'] (d_Y^2 N_C^2 in all)."""
+    def build():
+        dy, nc, out = Y.dim, Y.B.rep_dim, []
+        for l, (U, n) in enumerate(zip(_corner_ranges(Y, left=True), Y.A.blocks)):
+            b, k = Y.A.block_slice(l).start, U.shape[1]
+            F = (Y.left_action[b:b + n, b] @ U).transpose(0, 2, 1).reshape(n * k, dy)
+            H = (U.conj().T @ Y.left_action[b, b:b + n]).reshape(n * k, dy)
+            T1 = (F @ Y.right_gram.reshape(dy, dy, nc * nc)).reshape(dy * n, k * nc * nc)
+            if k:
+                out.append((l, F, H, T1))
+        return out
+    return Y._cached("corner_factors", build)
 
 
 def _peel(X: HilbertBimodule, Y: HilbertBimodule, s: np.ndarray) -> np.ndarray:
-    """m[p, w]: coordinates in Y of the vectors m_p = sum_{q,v}
-    phi_Y((e_p|e_q)_B) f_v s[q, v], so that (e_p (x) f | s)_C = (f | m_p)_C."""
-    return X.right_gram.reshape(X.dim, -1) @ _phi_leg(X, Y, s)
+    """m[..., p, w]: coordinates in Y of the vectors m_p = sum_{q,v}
+    phi_Y((e_p|e_q)_B) f_v s[..., q, v], so that (e_p (x) f | s)_C =
+    (f | m_p)_C.  Per block of B: s H^T, the Gram block, then F."""
+    dx, lead = X.dim, s.shape[:-2]
+    m = np.zeros(lead + (dx, Y.dim), dtype=complex)
+    for l, F, H, _ in _corner_factors(Y):
+        G = _gram_blocks(X)[l]
+        t = (s @ H.T).reshape(lead + (G.shape[0], -1))
+        m += (G @ t).reshape(lead + (dx, -1)) @ F
+    return m
 
 
 def _inner(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray,
            s: np.ndarray) -> np.ndarray:
     """(r|s)_C in X (x)_B Y, embedded in M_{N_C}, for product coordinates r, s
-    of one shape (..., d_X, d_Y).  (e_p (x) f_u | e_q (x) f_v)_C =
-    (f_u | phi_Y((e_p|e_q)_B) f_v)_C, contracted in O(d^3 N^2)."""
-    dx, dy, nc = X.dim, Y.dim, Y.B.rep_dim
-    lead = s.shape[:-2]
-    # [..., u, (q, a, b)] = sum_p conj(r[..., p, u]) (e_p|e_q)_B[a, b]
-    r_g = np.swapaxes(r.conj(), -1, -2) @ X.right_gram.reshape(dx, -1)
-    k = (r_g @ _phi_leg(X, Y, s)).reshape(lead + (dy * dy,))
+    of one shape (..., d_X, d_Y): sum_{p,u} conj(r[p, u]) (f_u | m_p)_C with
+    m = ``_peel(s)``, in O(d^3 N^2)."""
+    dy, nc, lead = Y.dim, Y.B.rep_dim, s.shape[:-2]
+    k = (np.swapaxes(r.conj(), -1, -2) @ _peel(X, Y, s)).reshape(lead + (dy * dy,))
     return (k @ Y.right_gram.reshape(dy * dy, nc * nc)).reshape(lead + (nc, nc))
 
 
 def _pair(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
     """[t, u] = (r | e_t (x) f_u)_C in X (x)_B Y, embedded in M_{N_C}, for r
-    (d_X, d_Y).  conj(r) meets G_X, then phi_Y, then G_Y: at most d_X d_Y^3
-    elements are held at once."""
-    dx, dy, nb, nc = X.dim, Y.dim, X.B.rep_dim, Y.B.rep_dim
-    # [(u', t, a, b)] = sum_p conj(r[p, u']) (e_p|e_t)_B[a, b]
-    r_g = r.conj().T @ X.right_gram.reshape(dx, dx * nb * nb)
-    # [(u', t), (w, u)] = sum_ab r_g[u', t, a, b] phi_Y(e_ab)[w, u]
-    k = r_g.reshape(dy * dx, nb * nb) @ Y.left_action.reshape(nb * nb, dy * dy)
-    k = k.reshape(dy, dx, dy, dy).transpose(1, 3, 0, 2).reshape(dx * dy, dy * dy)
-    return (k @ Y.right_gram.reshape(dy * dy, nc * nc)).reshape(dx, dy, nc, nc)
+    (d_X, d_Y).  Per block of B, conj(r) meets the Gram block, then T1, then H
+    (``_corner_factors``): no term exceeds d_X d_Y N^2 elements, N the largest rep_dim."""
+    dx, dy, nc = X.dim, Y.dim, Y.B.rep_dim
+    out = np.zeros((dx * nc * nc, dy), dtype=complex)
+    for l, _, H, T1 in _corner_factors(Y):
+        n = X.B.blocks[l]
+        # [(u', a), (t, b)] = sum_p conj(r[p, u']) (e_p|e_t)_B[a, b]
+        r_g = (r.conj().T @ _gram_blocks(X)[l].reshape(dx, -1)).reshape(dy * n, dx * n)
+        # [t, (c, c'), (b, k)] = sum_{u', a} r_g[(u', a), (t, b)] T1[(u', a), (k, c, c')]
+        m = (r_g.T @ T1).reshape(dx, n, -1, nc * nc).transpose(0, 3, 1, 2)
+        out += m.reshape(dx * nc * nc, -1) @ H
+    return out.reshape(dx, nc * nc, dy).transpose(0, 2, 1).reshape(dx, dy, nc, nc)
 
 
 def _norm(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
@@ -520,14 +548,14 @@ def tensor_conjugate(sol_X: ConjugateSolution, sol_Y: ConjugateSolution) -> Conj
         raise ContractError("middle algebras of the two solutions differ")
     Z = tensor(X, Y)
     W = tensor(y_conj, x_conj)
-    VW, VZ = W.meta["tensor"]["V"], Z.meta["tensor"]["V"]
-    # R = (1 (x) R_X (x) 1) R_Y  in  (Ybar (x) Xbar) (x) (X (x) Y)
-    R_full = np.einsum("ab,cd->acdb", sol_Y.R, sol_X.R).reshape(
-        y_conj.dim * x_conj.dim, X.dim * Y.dim)
-    R = VW.conj().T @ R_full @ VZ.conj()
-    # Rbar = (1 (x) Rbar_Y (x) 1) Rbar_X  in  (X (x) Y) (x) (Ybar (x) Xbar)
-    Rbar_full = np.einsum("pq,uv->puvq", sol_X.Rbar, sol_Y.Rbar).reshape(
-        X.dim * Y.dim, y_conj.dim * x_conj.dim)
-    Rbar = VZ.conj().T @ Rbar_full @ VW.conj()
+    # conjugated quotient isometries [first leg, second leg, quotient], met one leg at a time
+    VW = W.meta["tensor"]["V"].conj().reshape(y_conj.dim, x_conj.dim, W.dim)
+    VZ = Z.meta["tensor"]["V"].conj().reshape(X.dim, Y.dim, Z.dim)
+    # R = (1 (x) R_X (x) 1) R_Y: R_Y[a, b] R_X[c, d] at (a, c), (d, b)
+    R = np.tensordot(np.tensordot(np.tensordot(VW, sol_Y.R, axes=([0], [0])),
+                                  sol_X.R, axes=([0], [0])), VZ, axes=([2, 1], [0, 1]))
+    # Rbar = (1 (x) Rbar_Y (x) 1) Rbar_X: Rbar_X[p, q] Rbar_Y[u, v] at (p, u), (v, q)
+    Rbar = np.tensordot(np.tensordot(np.tensordot(VZ, sol_X.Rbar, axes=([0], [0])),
+                                     sol_Y.Rbar, axes=([0], [0])), VW, axes=([2, 1], [0, 1]))
     rep = verify_conjugate(Z, W, R, Rbar)
     return ConjugateSolution(Z, W, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)

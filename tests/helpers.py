@@ -453,6 +453,50 @@ def eigh_tensor(X: HilbertBimodule, Y: HilbertBimodule,
                            meta={"tensor": {"V": V, "dims": (dx, dy)}})
 
 
+# The product pairings of ``bimod.conjugation`` before they went through the
+# corners of B, kept as test-only oracles: phi_Y enters whole, so ``dense_pair``
+# holds d_X d_Y^3 elements twice.
+
+
+def _phi_leg(X: HilbertBimodule, Y: HilbertBimodule, s: np.ndarray) -> np.ndarray:
+    """[..., (q, a, b), w] = sum_v phi_Y(e_ab)[w, v] s[..., q, v]."""
+    dx, dy, nb = X.dim, Y.dim, X.B.rep_dim
+    return (s @ Y.left_action.reshape(nb * nb * dy, dy).T).reshape(
+        s.shape[:-2] + (dx * nb * nb, dy))
+
+
+def dense_peel(X: HilbertBimodule, Y: HilbertBimodule, s: np.ndarray) -> np.ndarray:
+    """m[p, w]: coordinates in Y of the vectors m_p = sum_{q,v}
+    phi_Y((e_p|e_q)_B) f_v s[q, v], so that (e_p (x) f | s)_C = (f | m_p)_C."""
+    return X.right_gram.reshape(X.dim, -1) @ _phi_leg(X, Y, s)
+
+
+def dense_inner(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray,
+                s: np.ndarray) -> np.ndarray:
+    """(r|s)_C in X (x)_B Y, embedded in M_{N_C}, for product coordinates r, s
+    of one shape (..., d_X, d_Y).  (e_p (x) f_u | e_q (x) f_v)_C =
+    (f_u | phi_Y((e_p|e_q)_B) f_v)_C, contracted in O(d^3 N^2)."""
+    dx, dy, nc = X.dim, Y.dim, Y.B.rep_dim
+    lead = s.shape[:-2]
+    # [..., u, (q, a, b)] = sum_p conj(r[..., p, u]) (e_p|e_q)_B[a, b]
+    r_g = np.swapaxes(r.conj(), -1, -2) @ X.right_gram.reshape(dx, -1)
+    k = (r_g @ _phi_leg(X, Y, s)).reshape(lead + (dy * dy,))
+    return (k @ Y.right_gram.reshape(dy * dy, nc * nc)).reshape(lead + (nc, nc))
+
+
+def dense_pair(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
+    """[t, u] = (r | e_t (x) f_u)_C in X (x)_B Y, embedded in M_{N_C}, for r
+    (d_X, d_Y).  conj(r) meets G_X, then phi_Y, then G_Y: at most d_X d_Y^3
+    elements are held at once."""
+    dx, dy, nb, nc = X.dim, Y.dim, X.B.rep_dim, Y.B.rep_dim
+    # [(u', t, a, b)] = sum_p conj(r[p, u']) (e_p|e_t)_B[a, b]
+    r_g = r.conj().T @ X.right_gram.reshape(dx, dx * nb * nb)
+    # [(u', t), (w, u)] = sum_ab r_g[u', t, a, b] phi_Y(e_ab)[w, u]
+    k = r_g.reshape(dy * dx, nb * nb) @ Y.left_action.reshape(nb * nb, dy * dy)
+    k = k.reshape(dy, dx, dy, dy).transpose(1, 3, 0, 2).reshape(dx * dy, dy * dy)
+    return (k @ Y.right_gram.reshape(dy * dy, nc * nc)).reshape(dx, dy, nc, nc)
+
+
 # The einsum chains that ``bimod.conjugation`` used for the equation maps,
 # the recovered left Gram and the pair identities before they went through
 # ``_inner``/``_pair``, kept as test-only oracles.  The identities are

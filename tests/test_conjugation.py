@@ -27,12 +27,15 @@ from bimod import (
     tensor_push,
     verify_conjugate,
 )
-from bimod.conjugation import _equation_map
+from bimod.conjugation import _equation_map, _inner, _pair, _peel
 
 from helpers import (
     bidirected_cycle_graph,
     corpus,
     degenerate_action_bimodule,
+    dense_inner,
+    dense_pair,
+    dense_peel,
     descent_min_dimension,
     diag_expectation_m2,
     einsum_conjugate_pair_identities,
@@ -230,6 +233,61 @@ def test_verify_conjugate_peak_memory_at_d24():
         tracemalloc.stop()
     assert X.dim == 24 and rep.passed
     assert peak < 13.5e6, peak
+
+
+_SHAPE_24 = ([2, 1, 1], [2, 1, 1], [[2, 1, 1], [2, 1, 1], [1, 2, 2]])
+_SHAPE_45 = ([3, 2, 1], [3, 2, 1], [[2, 1, 1], [1, 1, 1], [1, 1, 1]])
+
+
+def _corner_oracle_cases():
+    cases = [pytest.param(lambda X=X: X, id=name) for name, X in corpus()]
+    shapes = [("roundtrip_13", _ROUNDTRIP[0]), ("roundtrip_18", _ROUNDTRIP[1]),
+              ("roundtrip_24", _SHAPE_24), ("d45", _SHAPE_45)]
+    cases += [pytest.param(lambda shape=shape: random_bimodule(*shape, seed=1), id=name)
+              for name, shape in shapes]
+    # block 1 of B acts on X with multiplicity zero: K_l = 0 there in X (x) Xbar
+    return cases + [pytest.param(zero_block_bimodule, id="zero_block")]
+
+
+@pytest.mark.parametrize("order", ["X_Xbar", "Xbar_X"])
+@pytest.mark.parametrize("make", _corner_oracle_cases())
+def test_corner_pairings_match_dense_oracle(make, order):
+    X = make()
+    a, b = (X, contragredient(X)) if order == "X_Xbar" else (contragredient(X), X)
+    rng = np.random.default_rng(a.dim)
+    r = rng.standard_normal((a.dim, b.dim)) + 1j * rng.standard_normal((a.dim, b.dim))
+    s = rng.standard_normal((3, a.dim, b.dim)) + 1j * rng.standard_normal((3, a.dim, b.dim))
+    for got, ref in ((_pair(a, b, r), dense_pair(a, b, r)),
+                     (_peel(a, b, s), dense_peel(a, b, s)),
+                     (_inner(a, b, r, s), dense_inner(a, b, r, s))):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _traced_peak(f):
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_and_verify_peak_memory_at_d45():
+    # the dense pairing held two d_X d_Y^3 arrays: 134-136 MB here
+    X = random_bimodule(*_SHAPE_45, seed=1)
+    sol, peak_build = _traced_peak(lambda: build_conjugate(X))
+    X = random_bimodule(*_SHAPE_45, seed=1)     # fresh, with nothing cached
+    rep, peak_verify = _traced_peak(lambda: verify_conjugate(X, contragredient(X), sol.R, sol.Rbar))
+    assert X.dim == 45 and rep.passed
+    assert peak_build <= 20e6 and peak_verify <= 20e6, (peak_build, peak_verify)
+
+
+def test_tensor_conjugate_at_the_153_dim_product():
+    X = random_bimodule(*_SHAPE_45, seed=1)
+    sol = tensor_conjugate(build_conjugate(X), build_conjugate(contragredient(X)))
+    assert sol.X.dim == 153
+    assert sol.residual_1 <= 1e-10 and sol.residual_2 <= 1e-10
 
 
 @pytest.mark.parametrize("k", [1, 8])

@@ -675,6 +675,16 @@ def amplify(X: HilbertBimodule, n: int) -> HilbertBimodule:
     return HilbertBimodule(A2, X.B, d2, G2, Phi2, Psi2, L2)
 
 
+def _corner_rank(act: np.ndarray, b: int, what: str) -> int:
+    """The rank of the idempotent act[b, b], read from its trace."""
+    t = float(np.trace(act[b, b]).real)
+    rank = int(round(t))
+    if abs(t - rank) > 1e-6:
+        raise StructureError(f"{what} of the unit at ({b}, {b}) has trace {t:.6g}, "
+                             "not an integer: the action is not a homomorphism")
+    return rank
+
+
 def _corner_ranges(X: HilbertBimodule, left: bool) -> list[np.ndarray]:
     """Orthonormal columns spanning the range of the idempotent phi_X(e^l_11)
     (left) or psi_X(e^l_11), for every block l of A or B, built once per
@@ -682,12 +692,7 @@ def _corner_ranges(X: HilbertBimodule, left: bool) -> list[np.ndarray]:
     alg, act, what = (X.A, X.left_action, "phi") if left else (X.B, X.right_action, "psi")
 
     def corner(b):
-        E = act[b, b]
-        t = float(np.trace(E).real)
-        rank = int(round(t))
-        if abs(t - rank) > 1e-6:
-            raise StructureError(f"{what} of the unit at ({b}, {b}) has trace {t:.6g}, "
-                                 "not an integer: the action is not a homomorphism")
+        E, rank = act[b, b], _corner_rank(act, b, what)
         return np.linalg.svd(E)[0][:, :rank] if rank else E[:, :0]
     return X._cached(what + "_corners", lambda: [corner(alg.block_slice(l).start)
                                                  for l in range(alg.num_blocks)])

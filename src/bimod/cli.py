@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import sys
@@ -73,6 +74,10 @@ def parse_spec(path: str, check: bool = True):
     ``check`` runs the structural validator on bimodule payloads so that a
     malformed module is rejected before any computation.
     """
+    # a fresh parse tree holds no cycles, yet a full collection during the
+    # parse would walk all of it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -80,6 +85,9 @@ def parse_spec(path: str, check: bool = True):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{path} is missing the top-level 'kind' field")
     kind = obj["kind"]

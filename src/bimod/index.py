@@ -45,6 +45,7 @@ from .bimodule import (
     FrameSet,
     HilbertBimodule,
     ModuleOperator,
+    _corner_rank,
     contragredient,
     tight_frame,
 )
@@ -380,16 +381,55 @@ class IndexReport:
         return out
 
 
+def _dual_basis_sum(alg: MultiMatrixAlgebra, gram: np.ndarray, action: np.ndarray,
+                    other_gram: np.ndarray, mirror: bool = False) -> np.ndarray:
+    """sum_p <e_p|v_p>, the other inner product (``other_gram``, linear in
+    its first argument) over the dual basis v_p of the coordinate basis for
+    the Gram tensor ``gram`` over ``alg``; embedded, with no frame built.
+
+    For block l of ``alg`` (size n), G_l[(p, a), (q, b)] = (e_p|e_q)[a, b]
+    is the Gram matrix of the vectors e_p.e^l_a1, which span X.e^l_11, of
+    complex dimension M_l = tr act(e^l_11).  With G_l^+ its inverse on the
+    top M_l eigenpairs, v_p = sum_q e_q.c_qp with c_qp[b, a] = G_l^+[(q, b),
+    (p, a)] gives sum_p theta_{e_p, v_p} = 1.  ``action`` is the right
+    action b -> x.b; with ``mirror`` it is phi of X and the sum is that of
+    the contragredient, whose right action xbar.a = (a* x)bar has the
+    tensor conj(phi[b, a])."""
+    d, what = gram.shape[0], "phi" if mirror else "psi"
+    V = np.zeros((d, d), dtype=complex)
+    for l in range(alg.num_blocks):
+        s = alg.block_slice(l)
+        n, rank = s.stop - s.start, _corner_rank(action, s.start, what)
+        if not rank:
+            continue
+        w, u = np.linalg.eigh(hermitian_part(
+            gram[:, :, s, s].transpose(0, 2, 1, 3).reshape(d * n, d * n)))
+        if rank > len(w) or w[-rank] <= RANK_TOL * max(w[-1], 1e-300):
+            raise StructureError(f"the Gram block {l} has rank below tr {what}(e^{l}_11) = "
+                                 f"{rank}: the inner product is degenerate")
+        w, u = w[-rank:], u[:, -rank:]
+        Gp = ((u / w) @ u.conj().T).reshape(d, n, d, n)          # [q, b, p, a]
+        R = action[s, s].swapaxes(0, 1).conj() if mirror else action[s, s]
+        # V[i, p] = sum_{a, q, b} (e_q.e_ba)_i G_l^+[(q, b), (p, a)]
+        V += (R.transpose(2, 1, 3, 0).reshape(d, -1)
+              @ Gp.transpose(3, 0, 1, 2).reshape(-1, d))
+    return np.tensordot(V.conj(), other_gram, axes=([0, 1], [1, 0]))
+
+
 def right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexReport:
     """Index elements and numerical indices of a bi-Hilbertian bimodule.
 
-    The right element is the frame sum of left inner products; the left half
-    is the same computation on the contragredient.  Support projections come
+    r-ind = F(1) = sum_p _A(e_p|v_p) over the dual basis {v_p} of the
+    coordinate basis for the right Gram (``_dual_basis_sum``), and l-ind
+    is the same sum for the left Gram, taken on X's own tensors: no frame
+    and no contragredient is built or cached.  Support projections come
     from a rank-tolerant spectral cut.
     """
     X._need_left()
-    r_ind = extend_left_inner(X).index_element()
-    l_ind = extend_left_inner(contragredient(X)).index_element()
+    r_ind = X.A.from_embedded(_dual_basis_sum(X.B, X.right_gram, X.right_action,
+                                              X.left_gram))
+    l_ind = X.B.from_embedded(_dual_basis_sum(X.A, X.left_gram, X.left_action,
+                                              X.right_gram, mirror=True))
     r_num, l_num = r_ind.norm(), l_ind.norm()
     p = support_projection(r_ind, rank_tol)
     q = support_projection(l_ind, rank_tol)

@@ -28,7 +28,13 @@ from bimod import (
     trace_weighted_expectation,
     validate,
 )
-from bimod.bimodule import CheckResult, ValidationReport, _act_first, _gram_big
+from bimod.bimodule import (
+    CheckResult,
+    ModuleOperator,
+    ValidationReport,
+    _act_first,
+    _gram_big,
+)
 from bimod.conjugation import (
     MoritaReport,
     VerifyReport,
@@ -42,6 +48,7 @@ from bimod.index import (
     BasicConstruction,
     BestConstants,
     CPMap,
+    IndexReport,
     _ascent_setup,
     _attaining_vector,
     _multiplicities,
@@ -57,6 +64,7 @@ from bimod.multimatrix import (
     StarAlgebraDecomposition,
     StructureError,
     hermitian_part,
+    support_projection,
 )
 from bimod.serde import ParseError
 
@@ -899,6 +907,26 @@ def dense_multiplier_cp_map(X: HilbertBimodule):
                                    zip(phi_F.unit_images, alg.units)])
 
     return at
+
+
+def frame_right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexReport:
+    """Index elements and numerical indices of a bi-Hilbertian bimodule.
+
+    The right element is the frame sum of left inner products; the left half
+    is the same computation on the contragredient.  Support projections come
+    from a rank-tolerant spectral cut.
+
+    The tight-frame route that ``right_index`` replaced with the dual basis
+    of the Gram, kept as its oracle.
+    """
+    X._need_left()
+    r_ind = extend_left_inner(X).index_element()
+    l_ind = extend_left_inner(contragredient(X)).index_element()
+    r_num, l_num = r_ind.norm(), l_ind.norm()
+    p = support_projection(r_ind, rank_tol)
+    q = support_projection(l_ind, rank_tol)
+    return IndexReport(r_ind=r_ind, l_ind=l_ind, r_num=r_num, l_num=l_num, p=p, q=q,
+                       ind_x=ModuleOperator(X, X.psi(l_ind) @ X.phi(r_ind)))
 
 
 def choi_spectrum(cp: CPMap, mult=None) -> np.ndarray:

@@ -1,12 +1,14 @@
 import argparse
 import collections
+import gc
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from bimod import SpectrumDomainError, build_conjugate, column_bimodule, from_hilbert_space
+from bimod import (SpectrumDomainError, build_conjugate, column_bimodule, contragredient,
+                   from_hilbert_space)
 from bimod import HilbertBimodule, bimodule, cli, index
 from bimod.cli import CommandRequest, main, parse_spec, run
 from bimod.serde import ParseError, encode_bimodule, encode_vector
@@ -192,6 +194,54 @@ def test_each_module_builds_its_frame_operator_algebra_and_contragredient_once(
         assert max(frames.values(), default=0) <= 2, (command, "tight frames", frames)
         assert max(algebras.values(), default=0) <= 1, (command, "L(X_B)", algebras)
         assert max(modules.values()) <= 1, (command, "modules", modules)
+
+
+@pytest.mark.parametrize("X", [random_bimodule([2, 1, 1], [2, 1, 1],
+                                               [[1, 1, 0], [1, 1, 1], [0, 1, 2]], seed=1),
+                               dict(corpus())["random_112"]], ids=["ladder_d13", "random_112"])
+def test_index_and_tensor_build_no_tight_frame(X, tmp_path, monkeypatch):
+    # the index elements come from the dual basis of the Gram: no frame
+    # operator runs, on X, on its contragredient or on the product
+    paths = []
+    for name, Y in (("X", X), ("Xbar", contragredient(X))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(encode_bimodule(Y)))
+    frames = collections.Counter()
+    frame_operator = bimodule.frame_operator
+
+    def counted_frame_operator(Y, vectors):
+        frames[_content(Y.right_gram, Y.left_action, Y.right_action)] += 1
+        return frame_operator(Y, vectors)
+
+    monkeypatch.setattr(bimodule, "frame_operator", counted_frame_operator)
+    for command, inputs in (("index", paths[:1]), ("tensor", paths)):
+        frames.clear()
+        status, report = _run(command, [str(p) for p in inputs])
+        assert status == 0, (command, report.get("error"))
+        assert sum(frames.values()) == 0, (command, frames)
+
+
+def test_parse_spec_pauses_the_collector_and_restores_it(fixtures, monkeypatch):
+    during = []
+    load = json.load
+
+    def recording_load(fh):
+        during.append(gc.isenabled())
+        return load(fh)
+
+    monkeypatch.setattr(json, "load", recording_load)
+    enabled = gc.isenabled()
+    try:
+        for on in (True, False):
+            gc.enable() if on else gc.disable()
+            assert parse_spec(fixtures["hilbert"])[0] == "hilbert"
+            assert gc.isenabled() is on
+            status, report = _run("hilbert", [fixtures["not_json"]])
+            assert status == 2 and "not valid JSON" in report["error"]
+            assert gc.isenabled() is on
+    finally:
+        gc.enable() if enabled else gc.disable()
+    assert len(during) == 4 and not any(during)
 
 
 def test_index_values(fixtures):

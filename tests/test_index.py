@@ -23,9 +23,10 @@ from bimod import (
     module_operator_algebra,
     relative_commutant,
     right_index,
+    tensor,
     tight_frame,
 )
-from bimod import conjugation, index
+from bimod import bimodule, conjugation, index
 from bimod.cli import CommandRequest, run
 from bimod.index import (
     BASIC_SAMPLES,
@@ -49,6 +50,7 @@ from helpers import (
     degenerate_action_bimodule,
     descent_best_constants,
     diag_expectation_m2,
+    frame_right_index,
     kron_commutant,
     loop_basic_checks,
     random_bimodule,
@@ -516,6 +518,92 @@ def test_fibers_bound_on_random_modules():
         rep = fiber_decomposition(X)
         assert rep.passed
         assert rep.left_adjoint_residual < 1e-7
+
+
+# -- index elements from the dual basis of the Gram -----------------------------------
+
+
+def _with_conjugate(X):
+    """The product X (x) conj(X)."""
+    return tensor(X, contragredient(X))
+
+
+def _dual_basis_cases():
+    cases = [pytest.param(X, id=name) for name, X in corpus()]
+    cases.append(pytest.param(zero_block_bimodule(), id="zero_block"))
+    for tag, shapes in (("roundtrip", _ROUNDTRIP_SHAPES), ("ladder", _LADDER_SHAPES)):
+        for shape in shapes:
+            X = random_bimodule(*shape, seed=1)
+            cases.append(pytest.param(X, id=f"{tag}_d{X.dim}"))
+    for shape in _ROUNDTRIP_SHAPES[:2]:
+        Z = _with_conjugate(random_bimodule(*shape, seed=1))
+        cases.append(pytest.param(Z, id=f"product_d{Z.dim}"))
+    return cases + [pytest.param(random_bimodule(*_D45_SHAPE, seed=1), id="d45")]
+
+
+@pytest.mark.parametrize("X", _dual_basis_cases())
+def test_index_elements_match_the_frame_route(X):
+    got, ref = right_index(X), frame_right_index(X)
+    for what, num in (("r_ind", ref.r_num), ("l_ind", ref.l_num)):
+        gap = (getattr(got, what) - getattr(ref, what)).norm()
+        assert gap <= 1e-12 * num, (what, gap / num)
+    assert abs(got.r_num - ref.r_num) <= 1e-12 * ref.r_num
+    assert abs(got.l_num - ref.l_num) <= 1e-12 * ref.l_num
+    for what in ("p", "q"):
+        assert (getattr(got, what) - getattr(ref, what)).norm() <= 1e-12, what
+
+
+@pytest.mark.parametrize("shape, product, dim, peak_mb, kept_mb",
+                         [(_D80_SHAPE, False, 80, 8, 2), (_D45_SHAPE, True, 153, 25, 5)],
+                         ids=["d80", "product_d153"])
+def test_right_index_memory(shape, product, dim, peak_mb, kept_mb):
+    # the tight frames of X and its contragredient peaked at 22.3 MB at
+    # d = 80 and 81.5 MB on the 153-dim product X (x) conj(X) of the d = 45
+    # module, and stayed cached on the module (15.1 and 55 MB)
+    import tracemalloc
+    X = random_bimodule(*shape, seed=1)
+    X = _with_conjugate(X) if product else X
+    tracemalloc.start()
+    try:
+        rep = right_index(X)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.dim == dim and rep.r_num > 0
+    assert peak <= peak_mb * 2 ** 20, peak
+    assert kept <= kept_mb * 2 ** 20, kept
+
+
+def test_right_index_builds_no_frame_and_no_contragredient(monkeypatch):
+    X = random_bimodule(*_ROUNDTRIP_SHAPES[0], seed=1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a frame or a contragredient was built")
+
+    for module in (index, bimodule):
+        for name in ("tight_frame", "frame_operator", "contragredient"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    rep = right_index(X)
+    # only the scalar Gram and its square roots, behind ind_x's adjoint
+    assert rep.r_num > 0 and set(X._cache) <= {"g", "gh"}, set(X._cache)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_right_index_rejects_a_rank_deficient_gram_block(side):
+    # built directly, not through validate: the Gram of block 1 (at embedded
+    # position 2) loses its smallest nonzero eigenvalue, so the Gram block of
+    # the dual basis has rank below tr act(e^1_11)
+    X = random_bimodule(*_ROUNDTRIP_SHAPES[0], seed=1)
+    gram = (X.right_gram if side == "right" else X.left_gram).copy()
+    act = X.right_action if side == "right" else X.left_action
+    rank = int(round(np.trace(act[2, 2]).real))
+    w, v = np.linalg.eigh(gram[:, :, 2, 2])
+    gram[:, :, 2, 2] -= w[-rank] * np.outer(v[:, -rank], v[:, -rank].conj())
+    Y = (HilbertBimodule(X.A, X.B, X.dim, gram, X.left_action, X.right_action, X.left_gram)
+         if side == "right" else X.with_left_gram(gram))
+    with pytest.raises(StructureError, match="rank below"):
+        right_index(Y)
 
 
 # -- the commutant routine ------------------------------------------------------------

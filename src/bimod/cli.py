@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .multimatrix import ToolkitError
 from .bimodule import HilbertBimodule, contragredient, tensor, validate
@@ -68,37 +69,37 @@ class CommandRequest:
     fmt: str = "json"
 
 
-def parse_spec(path: str, check: bool = True):
-    """Read a self-describing input file; returns (kind, parsed object).
+def _read_json(path: str):
+    """The JSON document in ``path``, read as bytes once and parsed by orjson.
 
-    ``check`` runs the structural validator on bimodule payloads so that a
-    malformed module is rejected before any computation.
+    A text orjson refuses (NaN or Infinity literals, numbers beyond the
+    double range, other non-strict JSON) is parsed again by :mod:`json`, so
+    that the decoders can still name the field that holds the bad value.
     """
-    # a fresh parse tree holds no cycles, yet a full collection during the
-    # parse would walk all of it
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
-    finally:
-        if collecting:
-            gc.enable()
+
+
+def _decode(path: str, obj):
+    """(kind, decoded object) of a parsed input file."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{path} is missing the top-level 'kind' field")
     kind = obj["kind"]
     if kind == "bimodule":
-        X = serde.decode_bimodule(obj)
-        if check:
-            rep = validate(X)
-            if not rep.passed:
-                fails = ", ".join(f"{c.name}={c.residual:.3g}" for c in rep.failures())
-                raise ParseError(f"{path} fails validation: {fails}")
-        return kind, X
+        return kind, serde.decode_bimodule(obj)
     if kind == "graph":
         return kind, serde.decode_graph(obj)
     if kind == "expectation":
@@ -113,6 +114,31 @@ def parse_spec(path: str, check: bool = True):
         return kind, {"R": serde.decode_vector(obj["R"], "R"),
                       "Rbar": serde.decode_vector(obj["Rbar"], "Rbar")}
     raise ParseError(f"unknown kind '{kind}' in {path}")
+
+
+def parse_spec(path: str, check: bool = True):
+    """Read a self-describing input file; returns (kind, parsed object).
+
+    ``check`` runs the structural validator on bimodule payloads so that a
+    malformed module is rejected before any computation.
+    """
+    # A parse tree holds no cycles, yet a collection while it lives walks all
+    # of it: a full one during the parse, a young one during the decode.  So
+    # the collector stays off from the read until the decoded arrays have
+    # replaced the tree, which is freed when _decode returns.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        kind, parsed = _decode(path, _read_json(path))
+    finally:
+        if collecting:
+            gc.enable()
+    if kind == "bimodule" and check:
+        rep = validate(parsed)
+        if not rep.passed:
+            fails = ", ".join(f"{c.name}={c.residual:.3g}" for c in rep.failures())
+            raise ParseError(f"{path} fails validation: {fails}")
+    return kind, parsed
 
 
 def _as_bimodule(kind: str, parsed) -> HilbertBimodule:

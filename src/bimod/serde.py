@@ -51,9 +51,12 @@ def _integer(value, what: str, least: int) -> int:
 def _numbers(obj, what: str) -> np.ndarray:
     """A number or nested list of numbers as a float array, read once.
 
-    Strings (also numeric ones), booleans, nulls and integers too large for
-    a machine integer are refused: their array has no integer or float
-    dtype.  numpy still promotes a boolean mixed into a list of numbers."""
+    Strings (also numeric ones), booleans, nulls and integers beyond the
+    double range are refused: their array has no integer or float dtype.
+    The file parser reads an integer literal outside the 64-bit range as the
+    nearest double, so only a literal too large for any double reaches here
+    as a Python integer.  numpy still promotes a boolean mixed into a list
+    of numbers."""
     try:
         arr = np.asarray(obj)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -9,7 +9,7 @@ import pytest
 
 from bimod import (SpectrumDomainError, build_conjugate, column_bimodule, contragredient,
                    from_hilbert_space)
-from bimod import HilbertBimodule, bimodule, cli, index
+from bimod import HilbertBimodule, bimodule, cli, index, serde
 from bimod.cli import CommandRequest, main, parse_spec, run
 from bimod.serde import ParseError, encode_bimodule, encode_vector
 from helpers import corpus, random_bimodule, sanitize
@@ -222,26 +222,34 @@ def test_index_and_tensor_build_no_tight_frame(X, tmp_path, monkeypatch):
 
 
 def test_parse_spec_pauses_the_collector_and_restores_it(fixtures, monkeypatch):
-    during = []
-    load = json.load
+    # the collector is off for the parse tree's whole life: while the file is
+    # read and parsed and while it is decoded, and back in the caller's state
+    # after a good file and after malformed JSON
+    during = collections.defaultdict(list)
+    read_json, decode_bimodule = cli._read_json, serde.decode_bimodule
 
-    def recording_load(fh):
-        during.append(gc.isenabled())
-        return load(fh)
+    def recording_read_json(path):
+        during["read"].append(gc.isenabled())
+        return read_json(path)
 
-    monkeypatch.setattr(json, "load", recording_load)
+    def recording_decode_bimodule(obj):
+        during["decode"].append(gc.isenabled())
+        return decode_bimodule(obj)
+
+    monkeypatch.setattr(cli, "_read_json", recording_read_json)
+    monkeypatch.setattr(serde, "decode_bimodule", recording_decode_bimodule)
     enabled = gc.isenabled()
     try:
         for on in (True, False):
             gc.enable() if on else gc.disable()
-            assert parse_spec(fixtures["hilbert"])[0] == "hilbert"
+            assert parse_spec(fixtures["mn"])[0] == "bimodule"
             assert gc.isenabled() is on
             status, report = _run("hilbert", [fixtures["not_json"]])
             assert status == 2 and "not valid JSON" in report["error"]
             assert gc.isenabled() is on
     finally:
         gc.enable() if enabled else gc.disable()
-    assert len(during) == 4 and not any(during)
+    assert during == {"read": [False] * 4, "decode": [False] * 2}
 
 
 def test_index_values(fixtures):
@@ -424,15 +432,30 @@ _MALFORMED = {
     "dim_overflow": (json.dumps(_random_112(lambda m: m.update(dim="DIM"))).replace(
         '"DIM"', "1e400"), "dim"),
     "T_400_digit_integer": ({"kind": "hilbert", "n": 2, "T": [[10**400, 0], [0, 2]]}, "T"),
+    "string_not_utf8": (b'{"kind": "hilbert", "n": 2, "T": [[1, 0], [0, 2]], "note": "\xe9\xff"}',
+                        "not valid UTF-8 JSON"),
 }
 
 
 @pytest.mark.parametrize("spec, field", list(_MALFORMED.values()), ids=list(_MALFORMED))
 def test_malformed_values_exit_two(spec, field, tmp_path):
     path, out = tmp_path / "input.json", tmp_path / "report.json"
-    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     assert main(["validate", str(path), "--out", str(out)]) == 2
     assert field in json.loads(out.read_text())["error"]
+
+
+def test_integers_beyond_64_bits_read_as_the_nearest_double(tmp_path):
+    # orjson reads an integer literal outside the 64-bit range as the nearest
+    # double; one beyond the double range is still refused, naming the field
+    # (T_400_digit_integer above).  The weight T is the left Gram of C^n.
+    path = tmp_path / "hilbert_T.json"
+    path.write_text(json.dumps({"kind": "hilbert", "n": 2, "T": [[10**20, 0], [0, 2]]}))
+    kind, X = parse_spec(str(path))
+    assert kind == "hilbert" and X.left_gram[0, 0, 0, 0] == 1e20
 
 
 def test_validation_failure_exits_one(fixtures, tmp_path):

@@ -1,7 +1,9 @@
 import copy
 import json
+import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +25,13 @@ ROUNDTRIP_SHAPES = [
     ([2, 1, 1], [2, 1, 1], [[2, 1, 0], [1, 1, 1], [0, 2, 2]]),
     ([2, 1, 1], [2, 1, 1], [[2, 1, 1], [2, 1, 1], [1, 2, 2]]),
 ]
+# and of its commutant ladder: d = 13, 18
+LADDER_SHAPES = [([2, 1], [2, 1], [[1, 1], [2, 3]]),
+                 ([2, 1], [2, 1], [[2, 2], [2, 2]])]
 TENSORS = ("right_gram", "left_action", "right_action", "left_gram")
-MODULES = corpus() + [(f"roundtrip_d{X.dim}", X) for X in
-                      (random_bimodule(*shape, seed=1) for shape in ROUNDTRIP_SHAPES)]
+MODULES = corpus() + [(f"{tag}_d{X.dim}", X)
+                      for tag, shapes in (("roundtrip", ROUNDTRIP_SHAPES), ("ladder", LADDER_SHAPES))
+                      for X in (random_bimodule(*shape, seed=1) for shape in shapes)]
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -33,16 +39,63 @@ def _bitwise_equal(a, b) -> bool:
 
 
 @pytest.mark.parametrize("name, X", MODULES, ids=[name for name, _ in MODULES])
-def test_block_codec_matches_per_scalar_reference(name, X):
+def test_block_codec_matches_per_scalar_reference(name, X, tmp_path):
+    # the block decoder on json's parse, and parse_spec on orjson's, give
+    # bitwise the tensors of the per-scalar reference decoder
     text = json.dumps(encode_bimodule(X))
     assert text == json.dumps(reference_encode_bimodule(X))
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
     obj = json.loads(text)
     new, old = decode_bimodule(obj), reference_decode_bimodule(obj)
-    assert new.dim == old.dim and new.A == old.A and new.B == old.B
-    for field in TENSORS:
-        a, b = getattr(new, field), getattr(old, field)
-        assert (a is None) == (b is None), field
-        assert a is None or _bitwise_equal(a, b), field
+    kind, parsed = cli.parse_spec(str(path), check=False)
+    assert kind == "bimodule"
+    for got in (new, parsed):
+        assert got.dim == old.dim and got.A == old.A and got.B == old.B
+        for field in TENSORS:
+            a, b = getattr(got, field), getattr(old, field)
+            assert (a is None) == (b is None), field
+            assert a is None or _bitwise_equal(a, b), field
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_hard_doubles = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    _SMALLEST_NORMAL, 2.225073858507201e-308, 0.1, 1e23, 9007199254740993.0])
+_hard_texts = st.sampled_from([
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "4.9406564584124654e-324",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623158e308",
+    "1.7976931348623159e308", "9007199254740993", "9007199254740993.0",
+    "1.00000000000000011102230246251565404236316680908203125", "-0", "-0.0", "0e-400"])
+
+
+def _decimal(digits: int):
+    """Texts -d.ddd...e±x with a ``digits``-digit mantissa, exponents to ±330."""
+    return st.builds(lambda sign, m, e: f"{sign}{str(m)[0]}.{str(m)[1:]}e{e}",
+                     st.sampled_from(["", "-"]),
+                     st.integers(10 ** (digits - 1), 10 ** digits - 1),
+                     st.integers(-330, 330))
+
+
+_number_texts = st.one_of(
+    _hard_texts, _decimal(17), _decimal(25),
+    st.one_of(_hard_doubles, st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(-_SMALLEST_NORMAL, _SMALLEST_NORMAL)).map(repr))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_number_texts, min_size=1, max_size=40))
+def test_orjson_reads_every_double_as_json_does(texts):
+    # bitwise the same doubles; a text json reads as an infinity orjson refuses
+    # (the parse then falls back to json, whose reading the decoders refuse)
+    want = [float(json.loads(t)) for t in texts]
+    doc = "[" + ", ".join(texts) + "]"
+    if any(np.isinf(want)):
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(doc)
+        return
+    got = [float(v) for v in orjson.loads(doc)]
+    assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want), texts
 
 
 _finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False)

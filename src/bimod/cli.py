@@ -22,6 +22,7 @@ import functools
 import gc
 import hashlib
 import json
+import reprlib
 import sys
 import time
 from dataclasses import dataclass
@@ -113,7 +114,7 @@ def _decode(path: str, obj):
             raise ParseError(f"{path} must carry 'R' and 'Rbar' coordinates")
         return kind, {"R": serde.decode_vector(obj["R"], "R"),
                       "Rbar": serde.decode_vector(obj["Rbar"], "Rbar")}
-    raise ParseError(f"unknown kind '{kind}' in {path}")
+    raise ParseError(f"unknown kind {reprlib.repr(kind)} in {path}")
 
 
 def parse_spec(path: str, check: bool = True):

@@ -45,12 +45,11 @@ from .bimodule import (
     validate,
 )
 from .index import (
-    CPMap,
     _extension_cp_map,
     _multiplicities,
-    _multiplier_certificate,
     _operator_frames,
     _phi_frame_map,
+    least_multipliers,
     right_index,
 )
 
@@ -421,54 +420,39 @@ def min_dimension(X: HilbertBimodule) -> MinDimResult:
 
 @dataclass
 class CPCharacterization:
-    choi_min_at_index: float
+    least_multiplier: list[float]
+    range_residual: list[float]
     passed_at_index: bool
-    perturbed: list[dict]
     minimality_certified: bool
     tol: float
 
     def as_dict(self) -> dict:
-        return {"choi_min_at_index": self.choi_min_at_index,
+        return {"least_multiplier": self.least_multiplier,
+                "range_residual": self.range_residual,
                 "passed_at_index": self.passed_at_index,
-                "minimality_certified": self.minimality_certified,
-                "perturbed": self.perturbed}
+                "minimality_certified": self.minimality_certified}
 
 
-def _multiplier_cp_map(X: HilbertBimodule):
-    """c -> T -> psi(c) phi(F(T)) - T into L(X_B), both sides in the frame of
-    its units (``index._phi_frame_map``).  For central c, w.c = c_l w on
-    X.e^l_11, so psi(c) scales target block l by c_l = tr (w_1 | w_1.c)_B."""
-    phi_F = _phi_frame_map(X, _extension_cp_map(X))
-    alg = phi_F.source
-    ident = np.split(alg.units_embedded(), np.cumsum(np.square(alg.blocks))[:-1])
-    w1 = np.array([w[:, 0] for _, w in _operator_frames(X)]).T
-
-    def at(c: AlgebraElement) -> CPMap:
-        c_l = np.einsum("pl,pl->l", (X.scalar_gram @ w1).conj(), X.psi(c) @ w1)
-        return CPMap(alg, [np.repeat(c_l, alg.blocks)[:, None] * img - u.reshape(img.shape)
-                           for img, u in zip(phi_F.unit_images, ident)], target=alg)
-    return at
-
-
-def cp_characterization(X: HilbertBimodule, delta: float = 1e-3,
-                        tol: float = 1e-8) -> CPCharacterization:
+def cp_characterization(X: HilbertBimodule, tol: float = 1e-8) -> CPCharacterization:
     """The left index element is the smallest central multiplier c for which
     T -> psi(c) phi(F(T)) - T is completely positive on K(X_B).
 
-    Checks the Choi blocks at c = l-ind (``_multiplier_cp_map``, blocks of
-    size M_l M_l') and certifies minimality by scaling each central
-    coefficient in the support down by ``delta`` and requiring the Choi
-    matrix to leave the positive cone.
+    In the frame of the units of L(X_B) (``index._phi_frame_map``) psi(c)
+    scales block l by c_l = tr (w_1 | w_1.c)_B, as w.c = c_l w on X.e^l_11,
+    so the least multiplier c_l* of phi F is taken in closed form
+    (``least_multipliers``) and compared with the l-ind of ``right_index``:
+    it passes at l-ind when phi F is completely positive, 1 lies in the
+    range of each diagonal Choi block and c_l* <= c_l (1 + tol), and
+    minimality is certified when c_l* >= c_l (1 - tol).
     """
     X._need_left()
-    rep = right_index(X)
-    at = _multiplier_cp_map(X)
-    scale = 1.0 + rep.l_num
-    mn, perturbed, certified = _multiplier_certificate(lambda c: at(c).choi_min_eig(),
-                                                       rep.l_ind, scale, delta, tol)
-    return CPCharacterization(choi_min_at_index=mn, passed_at_index=mn >= -tol * scale,
-                              perturbed=perturbed, minimality_certified=certified,
-                              tol=tol)
+    w1 = np.array([w[:, 0] for _, w in _operator_frames(X)]).T
+    c = np.einsum("pl,pl->l", (X.scalar_gram @ w1).conj(), X.psi(right_index(X).l_ind) @ w1).real
+    cp_ok, least, residual = least_multipliers(_phi_frame_map(X, _extension_cp_map(X)))
+    return CPCharacterization(
+        least_multiplier=least.tolist(), range_residual=residual.tolist(),
+        passed_at_index=bool(cp_ok and (residual <= tol).all() and (least <= c * (1 + tol)).all()),
+        minimality_certified=bool((least >= c * (1 - tol)).all()), tol=tol)
 
 
 # -- Morita equivalence ---------------------------------------------------------------

@@ -24,7 +24,7 @@ from .bimodule import (
     tensor,
     tight_frame,
 )
-from .index import CPMap, _multiplier_certificate
+from .index import CPMap, least_multipliers
 
 
 # -- weighted Hilbert spaces -----------------------------------------------------
@@ -276,62 +276,50 @@ def quasi_basis(spec: ExpectationSpec) -> tuple[np.ndarray, AlgebraElement]:
     return fr.coords, B.from_embedded(ind)
 
 
-def _unit_images(spec: ExpectationSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per block k of B: the embedded units E^k_rs and their images
-    iota(E(E^k_rs)), both stacked with shape (n_k, n_k, N_B, N_B)."""
+def _iota_e(spec: ExpectationSpec) -> CPMap:
+    """iota.E as an endomorphism of B: the images iota(E(E^k_rs)) of the units
+    of each block k, stacked with shape (n_k, n_k, N_B, N_B)."""
     B, N = spec.B, spec.B.rep_dim
     units = np.split(B.units_embedded(), np.cumsum([n * n for n in B.blocks])[:-1])
-    own = [u.reshape(n, n, N, N) for u, n in zip(units, B.blocks)]
-    iota = [spec.inclusion.embed_stack(spec.apply_stack(u)).reshape(n, n, N, N)
-            for u, n in zip(units, B.blocks)]
-    return own, iota
+    return CPMap(B, [spec.inclusion.embed_stack(spec.apply_stack(u)).reshape(n, n, N, N)
+                     for u, n in zip(units, B.blocks)], target=B)
 
 
 def expectation_cp_gap(spec: ExpectationSpec, tol: float = 1e-9) -> float:
     """The Pimsner-Popa constant: the largest c such that E - c*id is
     completely positive, in closed form.
 
-    On B-block k the Choi matrix of id is the rank-one w w* with
-    w = sum_r e_r (x) e_{off_k + r}, so E - c*id is completely positive iff
-    c <= 1 / (w* C_k^+ w) for every k, where C_k is the Choi block of
-    iota.E; the bound is 0 when w leaves the range of C_k.  ``tol`` is the
-    relative eigenvalue cut that defines that range.
+    E - c id is completely positive iff 1/c id.E - id is, so the gap is
+    1 / max_k c_k* with c_k* the least multiplier of iota.E on block k of B
+    (``least_multipliers``), and 0 when vec 1 leaves the range of a diagonal
+    Choi block.  ``tol`` is the relative eigenvalue cut that defines that
+    range.
     """
-    B = spec.B
-    iota_e = CPMap(B, _unit_images(spec)[1])
-    if iota_e.choi_min_eig() < -1e-12:
+    cp_ok, least, residual = least_multipliers(_iota_e(spec), tol)
+    if not cp_ok:
         raise ContractError("expectation is not even positive")
-    gap = np.inf
-    for k, choi in enumerate(iota_e.choi_blocks()):
-        n, N = B.blocks[k], B.rep_dim
-        w_k = np.zeros(n * N)
-        w_k[np.arange(n) * (N + 1) + B.block_slice(k).start] = 1.0
-        evals, evecs = np.linalg.eigh(hermitian_part(choi))
-        keep = evals > tol * evals.max()
-        weight = np.abs(evecs[:, keep].conj().T @ w_k) ** 2
-        if n - weight.sum() > tol * n:
-            return 0.0
-        gap = min(gap, 1.0 / float(np.sum(weight / evals[keep])))
-    return gap
+    if (residual > tol).any():
+        return 0.0
+    return 1.0 / float(least.max())
 
 
-def minimal_cp_multiplier(spec: ExpectationSpec, delta: float = 1e-3) -> dict:
-    """Certify that the index element of E is the smallest central c with
-    c E - id completely positive: the Choi blocks are PSD at c and leave the
-    cone when any central coefficient is scaled by 1 - delta."""
-    B = spec.B
+def minimal_cp_multiplier(spec: ExpectationSpec) -> dict:
+    """Certify that the index element of E (``quasi_basis``) is the smallest
+    central c with c E - id completely positive: per block k of B, the least
+    multiplier c_k* of iota.E (``least_multipliers``) against the index
+    element's coefficient c_k.  It passes at the index element when iota.E
+    is completely positive, vec 1 lies in the range of each diagonal Choi
+    block and c_k* <= c_k (1 + 1e-8); minimality is certified when
+    c_k* >= c_k (1 - 1e-8)."""
+    tol = 1e-8
     _, ind = quasi_basis(spec)
-    own, iota = _unit_images(spec)
-
-    def choi_min(c: AlgebraElement) -> float:
-        c_emb = c.embed()
-        return CPMap(B, [c_emb @ i - o for i, o in zip(iota, own)]).choi_min_eig()
-
-    scale = 1.0 + ind.norm()
-    base, perturbed, certified = _multiplier_certificate(choi_min, ind, scale, delta, 1e-9)
-    return {"index_element": ind, "choi_min_at_index": base,
-            "passed_at_index": base >= -1e-8 * scale,
-            "minimality_certified": certified, "perturbed": perturbed}
+    c = np.array([np.trace(b).real / len(b) for b in ind.blocks])
+    cp_ok, least, residual = least_multipliers(_iota_e(spec))
+    return {"index_element": ind, "least_multiplier": least.tolist(),
+            "range_residual": residual.tolist(),
+            "passed_at_index": bool(cp_ok and (residual <= tol).all()
+                                    and (least <= c * (1 + tol)).all()),
+            "minimality_certified": bool((least >= c * (1 - tol)).all())}
 
 
 # -- weighted graphs ----------------------------------------------------------------

@@ -21,6 +21,14 @@ B-linear maps, so the extension map serves simultaneously as the norm and
 strict extensions; maps are checked for complete positivity through Choi
 blocks over the matrix units of L(X_B).  The best constants are bracketed
 on the same units (``best_constants``).
+
+The least central c for which T -> c Phi(T) - T stays completely positive,
+Phi a completely positive endomorphism, is taken in closed form
+(``least_multipliers``): Choi block (l, l') of that map is c_l' C_ll' -
+delta_ll' Omega_l Omega_l^*, with C the Choi matrix of Phi and Omega_l =
+vec 1.  By the pseudo-inverse Schur test (Albert, SIAM J. Appl. Math.,
+1969), c_l C_ll >= Omega_l Omega_l^* iff Omega_l lies in ran C_ll and c_l
+>= c_l* = Omega_l^* C_ll^+ Omega_l.  No multiplier is searched.
 """
 
 from __future__ import annotations
@@ -255,9 +263,6 @@ class CPMap:
         return all(np.abs(c - c.conj().T).max() <= tol * (1 + np.abs(c).max())
                    for c in self.choi_blocks())
 
-    def choi_min_eig(self) -> float:
-        return self.is_completely_positive()[1]
-
     def is_completely_positive(self, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
         """(least Choi eigenvalue >= -tol (1 + s), that eigenvalue), with s the
         largest |Choi eigenvalue|: a scale that no change of the source or
@@ -289,28 +294,24 @@ def _phi_frame_map(X: HilbertBimodule, cp: CPMap) -> CPMap:
                  target=alg)
 
 
-def _multiplier_certificate(choi_min, c: AlgebraElement, scale: float, delta: float,
-                            tol: float) -> tuple[float, list[dict], bool]:
-    """Certificate that the central element c is the smallest multiplier
-    keeping a map completely positive.
-
-    ``choi_min`` returns the least Choi eigenvalue of the map at a multiplier.
-    Each nonzero central block of c is scaled by 1 - delta in turn, and the
-    Choi matrix must then leave the positive cone (fall below -tol * scale).
-    Returns the Choi minimum at c, one record per perturbed block, and
-    whether every perturbation left the cone.
+def least_multipliers(cp: CPMap, tol: float = 1e-9) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Per block l of an endomorphism Phi = ``cp`` of a multimatrix algebra
+    (its target is its source): the least c_l* = Omega_l^* C_ll^+ Omega_l
+    with T -> c Phi(T) - T completely positive (module docstring).  One
+    ``eigh`` of each diagonal Choi block C_ll, cut at ``tol`` times its
+    largest eigenvalue, gives C_ll^+ and its range.  Returns (Phi completely
+    positive, which keeps the off-diagonal blocks c_l' C_ll' PSD; c_l*; the
+    range residual (m_l - ||P_ran Omega_l||^2) / m_l).
     """
-    base = choi_min(c)
-    cut = RANK_TOL * max(c.norm(), 1e-300)
-    perturbed = []
-    for k, blk in enumerate(c.blocks):
-        if float(np.real(np.trace(blk)) / len(blk)) <= cut:
-            continue
-        c2 = c.copy()
-        c2.blocks[k] = (1.0 - delta) * c2.blocks[k]
-        mn = choi_min(c2)
-        perturbed.append({"block": k, "choi_min": mn, "non_psd": mn < -tol * scale})
-    return base, perturbed, all(p["non_psd"] for p in perturbed)
+    blocks = cp.choi_blocks()[::cp.source.num_blocks + 1]
+    least, residual = [], []
+    for m, choi in zip(cp.source.blocks, blocks):
+        w, v = np.linalg.eigh(hermitian_part(choi))
+        keep = w > tol * w[-1]
+        weight = np.abs(v[::m + 1, keep].sum(axis=0)) ** 2     # |v_i^* Omega_l|^2
+        least.append(float(np.sum(weight / w[keep])))
+        residual.append(float(m - weight.sum()) / m)
+    return cp.is_completely_positive()[0], np.array(least), np.array(residual)
 
 
 # -- the extension of the left inner product -----------------------------------

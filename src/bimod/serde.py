@@ -13,6 +13,8 @@ field and block.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 from .multimatrix import AlgebraElement, MultiMatrixAlgebra, StructureError
@@ -44,7 +46,7 @@ def _integer(value, what: str, least: int) -> int:
     Bools, fractions, non-finite values and non-numbers are refused."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and not value.is_integer()) or value < least):
-        raise ParseError(f"{what} must be an integer >= {least}, got {value!r}")
+        raise ParseError(f"{what} must be an integer >= {least}, got {reprlib.repr(value)}")
     return int(value)
 
 

@@ -21,6 +21,7 @@ from bimod import (
     from_weight_graph,
     identity_bimodule,
     module_operator_algebra,
+    quasi_basis,
     relative_commutant,
     tensor,
     tensor_lift,
@@ -42,7 +43,7 @@ from bimod.conjugation import (
     min_dimension,
     verify_conjugate,
 )
-from bimod.constructors import ExpectationSpec
+from bimod.constructors import ExpectationSpec, _iota_e
 from bimod.index import (
     BASIC_SAMPLES,
     BasicConstruction,
@@ -51,7 +52,10 @@ from bimod.index import (
     IndexReport,
     _ascent_setup,
     _attaining_vector,
+    _extension_cp_map,
     _multiplicities,
+    _operator_frames,
+    _phi_frame_map,
     _ratio_bound,
     _unit_image_blocks,
     right_index,
@@ -893,20 +897,86 @@ def dense_basic_cp_map(bco: BasicConstruction) -> CPMap:
     return _operator_cp_map(X, lambda T: X.op_rep(bco.phi_expectation(T)))
 
 
-def dense_multiplier_cp_map(X: HilbertBimodule):
-    """c -> T -> psi(c) phi(F(T)) - T on the units of L(X_B), into M_d in the
-    op_rep picture, as ``cp_characterization`` evaluated it before the
-    w-frame."""
-    F = extend_left_inner(X)
-    alg = module_operator_algebra(X)
-    phi_F = _operator_cp_map(X, lambda T: X.op_rep(X.phi(F.apply_matrix(T))), alg=alg)
+def _multiplier_certificate(choi_min, c: AlgebraElement, scale: float, delta: float,
+                            tol: float) -> tuple[float, list[dict], bool]:
+    """Certificate that the central element c is the smallest multiplier
+    keeping a map completely positive.
+
+    ``choi_min`` returns the least Choi eigenvalue of the map at a multiplier.
+    Each nonzero central block of c is scaled by 1 - delta in turn, and the
+    Choi matrix must then leave the positive cone (fall below -tol * scale).
+    Returns the Choi minimum at c, one record per perturbed block, and
+    whether every perturbation left the cone.
+
+    The search that ``index.least_multipliers`` replaced with the closed
+    form, kept as its oracle (with the two maps below).
+    """
+    base = choi_min(c)
+    cut = RANK_TOL * max(c.norm(), 1e-300)
+    perturbed = []
+    for k, blk in enumerate(c.blocks):
+        if float(np.real(np.trace(blk)) / len(blk)) <= cut:
+            continue
+        c2 = c.copy()
+        c2.blocks[k] = (1.0 - delta) * c2.blocks[k]
+        mn = choi_min(c2)
+        perturbed.append({"block": k, "choi_min": mn, "non_psd": mn < -tol * scale})
+    return base, perturbed, all(p["non_psd"] for p in perturbed)
+
+
+def frame_multiplier_cp_map(X: HilbertBimodule):
+    """c -> T -> psi(c) phi(F(T)) - T into L(X_B), both sides in the frame of
+    its units (``index._phi_frame_map``).  For central c, w.c = c_l w on
+    X.e^l_11, so psi(c) scales target block l by c_l = tr (w_1 | w_1.c)_B."""
+    phi_F = _phi_frame_map(X, _extension_cp_map(X))
+    alg = phi_F.source
+    ident = np.split(alg.units_embedded(), np.cumsum(np.square(alg.blocks))[:-1])
+    w1 = np.array([w[:, 0] for _, w in _operator_frames(X)]).T
 
     def at(c: AlgebraElement) -> CPMap:
-        psi_hat = X.op_rep(X.psi(c))
-        return CPMap(alg.algebra, [psi_hat @ img - u for img, u in
-                                   zip(phi_F.unit_images, alg.units)])
-
+        c_l = np.einsum("pl,pl->l", (X.scalar_gram @ w1).conj(), X.psi(c) @ w1)
+        return CPMap(alg, [np.repeat(c_l, alg.blocks)[:, None] * img - u.reshape(img.shape)
+                           for img, u in zip(phi_F.unit_images, ident)], target=alg)
     return at
+
+
+def l_ind_coefficients(X: HilbertBimodule) -> np.ndarray:
+    """The scalar of the central l-ind of ``right_index`` on each block of B
+    that X reaches (tr psi(e^l_11) > 0), the blocks of L(X_B) in order."""
+    l_ind = right_index(X).l_ind
+    reached = np.flatnonzero(_multiplicities([(X.B, X.right_action)], X.dim))
+    return np.array([np.trace(l_ind.blocks[k]).real / X.B.blocks[k] for k in reached])
+
+
+def delta_cp_characterization(X: HilbertBimodule, delta: float = 1e-3,
+                              tol: float = 1e-8) -> dict:
+    """The verdicts of ``cp_characterization`` by the delta search: the Choi
+    blocks of ``frame_multiplier_cp_map`` at l-ind, and each central
+    coefficient scaled down by ``delta``."""
+    rep = right_index(X)
+    at = frame_multiplier_cp_map(X)
+    scale = 1.0 + rep.l_num
+    mn, _, certified = _multiplier_certificate(lambda c: at(c).is_completely_positive()[1],
+                                               rep.l_ind, scale, delta, tol)
+    return {"passed_at_index": mn >= -tol * scale, "minimality_certified": certified}
+
+
+def delta_minimal_cp_multiplier(spec: ExpectationSpec, delta: float = 1e-3) -> dict:
+    """The verdicts of ``minimal_cp_multiplier`` by the delta search on the
+    Choi blocks of c E - id, at the index element of ``quasi_basis``."""
+    B, N = spec.B, spec.B.rep_dim
+    _, ind = quasi_basis(spec)
+    units = np.split(B.units_embedded(), np.cumsum([n * n for n in B.blocks])[:-1])
+    own = [u.reshape(n, n, N, N) for u, n in zip(units, B.blocks)]
+    iota = _iota_e(spec).unit_images
+
+    def choi_min(c: AlgebraElement) -> float:
+        c_emb = c.embed()
+        return CPMap(B, [c_emb @ i - o for i, o in zip(iota, own)]).is_completely_positive()[1]
+
+    scale = 1.0 + ind.norm()
+    base, _, certified = _multiplier_certificate(choi_min, ind, scale, delta, 1e-9)
+    return {"passed_at_index": base >= -1e-8 * scale, "minimality_certified": certified}
 
 
 def frame_right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexReport:

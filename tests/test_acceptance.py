@@ -119,7 +119,7 @@ def test_c04_left_inner_round_trip():
 
 def test_c05_smallest_multiplier_and_gap():
     spec = diag_expectation_m2()
-    cert = minimal_cp_multiplier(spec, delta=1e-3)
+    cert = minimal_cp_multiplier(spec)
     ind = cert["index_element"]
     two = (ind - 2.0 * spec.B.identity()).norm() < 1e-10
     gap = expectation_cp_gap(spec, tol=1e-9)

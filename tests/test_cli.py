@@ -2,7 +2,10 @@ import argparse
 import collections
 import gc
 import hashlib
+import importlib
 import json
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -505,3 +508,14 @@ def test_main_text_format(fixtures, capsys):
     assert status == 0
     captured = capsys.readouterr().out
     assert "passed: True" in captured
+
+
+def test_every_traced_benchmark_hook_is_a_callable_of_its_layer():
+    # the traced benchmark run wraps bimod.<layer>.<name> for each entry of
+    # bench/spans.LAYERS: a renamed function fails here, not in that run
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    layers = runpy.run_path(str(path), run_name="bench_spans")["LAYERS"]
+    for layer, names in layers.items():
+        module = importlib.import_module(f"bimod.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"bimod.{layer}.{name}"

@@ -21,11 +21,13 @@ from bimod import (
     trace_weighted_expectation,
     validate,
 )
-from bimod.constructors import _expectation_module, _unit_images
+from bimod import constructors
+from bimod.constructors import _expectation_module, _iota_e
 from bimod.multimatrix import random_element
 
 from helpers import (
     bidirected_cycle_graph,
+    delta_minimal_cp_multiplier,
     diag_expectation_m2,
     four_cycle_graph,
     per_element_apply,
@@ -165,6 +167,37 @@ def test_expectation_pimsner_popa_norm_bound():
             assert spec.apply(b).norm() >= gap * b.norm() - 1e-10
 
 
+def _expectation_specs():
+    out = [pytest.param(diag_expectation_m2(), id="diag_m2"),
+           pytest.param(two_block_expectation(), id="two_block")]
+    for i, (b_blocks, a_blocks, mult, weights, _) in enumerate(PIMSNER_POPA_CASES):
+        inc = Inclusion(MultiMatrixAlgebra(a_blocks), MultiMatrixAlgebra(b_blocks), mult)
+        out.append(pytest.param(trace_weighted_expectation(inc, weights), id=f"pp{i}"))
+    return out
+
+
+@pytest.mark.parametrize("spec", _expectation_specs())
+def test_least_multipliers_are_the_index_element(spec, monkeypatch):
+    # c_k* of iota.E is the coefficient of the quasi-basis index element on
+    # block k of B, the gap is 1 / max_k c_k*, and the verdicts are those of
+    # the delta search on the Choi blocks of c E - id
+    _, ind = quasi_basis(spec)
+    c = np.array([np.trace(b).real / len(b) for b in ind.blocks])
+    got = minimal_cp_multiplier(spec)
+    assert np.abs(np.array(got["least_multiplier"]) - c).max() <= 1e-12 * c.max()
+    assert max(got["range_residual"]) <= 1e-12
+    assert abs(expectation_cp_gap(spec) - 1.0 / c.max()) <= 1e-12 / c.max()
+    ref = delta_minimal_cp_multiplier(spec)
+    assert got["passed_at_index"] and got["minimality_certified"]
+    assert (got["passed_at_index"], got["minimality_certified"]) == \
+        (ref["passed_at_index"], ref["minimality_certified"])
+    # one block of the index element scaled by 0.999 fails at the index
+    shrunk = ind.copy()
+    shrunk.blocks[0] = 0.999 * shrunk.blocks[0]
+    monkeypatch.setattr(constructors, "quasi_basis", lambda spec: (None, shrunk))
+    assert not minimal_cp_multiplier(spec)["passed_at_index"]
+
+
 def test_expectation_tensor_matches_direct():
     # Z = Y (x)_B X is isomorphic to the direct A-A structure on B with
     # inner products E(x* y) and E(x y*), via y (x) x -> y x
@@ -272,7 +305,7 @@ def test_stacked_apply_and_iota_match_the_per_element_routes(spec):
         p, q = A.block_slice(j).start + i, A.block_slice(j).start + ii
         ref = I.psi(per_element_iota(spec.inclusion, A.unit(j, i, ii)))
         assert np.array_equal(X.right_action[p, q], ref)
-    for k, img in enumerate(_unit_images(spec)[1]):
+    for k, img in enumerate(_iota_e(spec).unit_images):
         n = B.blocks[k]
         ref = [[per_element_iota(spec.inclusion, per_element_apply(spec, B.unit(k, r, t))).embed()
                 for t in range(n)] for r in range(n)]

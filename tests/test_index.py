@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,13 +21,14 @@ from bimod import (
     identity_bimodule,
     index_element,
     invertibility_trichotomy,
+    minimal_cp_multiplier,
     module_operator_algebra,
     relative_commutant,
     right_index,
     tensor,
     tight_frame,
 )
-from bimod import bimodule, conjugation, index
+from bimod import bimodule, conjugation, constructors, index
 from bimod.cli import CommandRequest, run
 from bimod.index import (
     BASIC_SAMPLES,
@@ -46,12 +48,14 @@ from helpers import (
     corpus,
     dense_basic_cp_map,
     dense_extension_cp_map,
-    dense_multiplier_cp_map,
     degenerate_action_bimodule,
+    delta_cp_characterization,
     descent_best_constants,
     diag_expectation_m2,
+    frame_multiplier_cp_map,
     frame_right_index,
     kron_commutant,
+    l_ind_coefficients,
     loop_basic_checks,
     random_bimodule,
     random_bimodule_family,
@@ -680,7 +684,7 @@ def test_commutant_rejects_broken_homomorphism(tamper):
 
 def _choi_min(cp):
     scale = max(float(np.abs(c).max()) for c in cp.choi_blocks())
-    return cp.choi_min_eig(), scale
+    return cp.is_completely_positive()[1], scale
 
 
 def _frame_cases():
@@ -691,9 +695,9 @@ def _frame_cases():
                     pytest.param(random_bimodule(*_D45_SHAPE, seed=1), id="d45")]
 
 
-def _assert_same_spectrum(got, ref, what, scale=None):
+def _assert_same_spectrum(got, ref, what):
     assert got.shape == ref.shape, what
-    scale = scale or max(float(np.abs(ref).max()), 1e-300)
+    scale = max(float(np.abs(ref).max()), 1e-300)
     assert np.abs(got - ref).max() <= 1e-12 * scale, (what, np.abs(got - ref).max() / scale)
 
 
@@ -703,24 +707,51 @@ def test_frame_choi_blocks_match_the_dense_route(X):
     # route through op_unrep, less the multiplicities n_l of the frame's blocks
     mult = [K.shape[2] for K, _ in index._operator_frames(X)]
     bco = basic_construction(X)
-    at, dense_at = conjugation._multiplier_cp_map(X), dense_multiplier_cp_map(X)
-    rep = right_index(X)
-    shrunk = rep.l_ind.copy()
-    shrunk.blocks[0] = 0.999 * shrunk.blocks[0]
-    # the multiplier map vanishes at l-ind on some modules: its scale is that
-    # of cp_characterization's tolerance
-    pairs = [("F", extend_left_inner(X).as_cp_map(), None, dense_extension_cp_map(X), None),
-             ("phi E", bco.as_cp_map(), mult, dense_basic_cp_map(bco), None),
-             ("psi(l-ind) phi F - id", at(rep.l_ind), mult, dense_at(rep.l_ind), 1 + rep.l_num),
-             ("psi(c) phi F - id, c below l-ind", at(shrunk), mult, dense_at(shrunk),
-              1 + rep.l_num)]
-    for what, got, m, ref, scale in pairs:
-        _assert_same_spectrum(choi_spectrum(got, m), choi_spectrum(ref), what, scale)
+    pairs = [("F", extend_left_inner(X).as_cp_map(), None, dense_extension_cp_map(X)),
+             ("phi E", bco.as_cp_map(), mult, dense_basic_cp_map(bco))]
+    for what, got, m, ref in pairs:
+        _assert_same_spectrum(choi_spectrum(got, m), choi_spectrum(ref), what)
         assert got.is_completely_positive()[0] == ref.is_completely_positive()[0], what
     # phi E has one Choi block per pair of blocks of L(X_B), of size M_l M_l'
     cp = bco.as_cp_map()
     assert [len(c) for c in cp.choi_blocks()] == [a * b for a in cp.source.blocks
                                                    for b in cp.source.blocks]
+
+
+@pytest.mark.parametrize("X", _frame_cases())
+def test_least_multipliers_are_l_ind(X, monkeypatch):
+    # c_l* of phi F is the coefficient of l-ind on each block of B that X
+    # reaches (the blocks of L(X_B)), read off right_index's dual basis, and
+    # the verdicts are those of the delta search on the Choi blocks
+    rep, c = right_index(X), l_ind_coefficients(X)
+    got = cp_characterization(X)
+    assert np.abs(np.array(got.least_multiplier) - c).max() <= 1e-12 * c.max()
+    assert max(got.range_residual) <= 1e-12
+    ref = delta_cp_characterization(X)
+    assert got.passed_at_index and got.minimality_certified
+    assert (got.passed_at_index, got.minimality_certified) == \
+        (ref["passed_at_index"], ref["minimality_certified"])
+    # one block of l-ind scaled by 0.999 leaves the cone, by either route
+    shrunk = rep.l_ind.copy()
+    shrunk.blocks[0] = 0.999 * shrunk.blocks[0]
+    assert frame_multiplier_cp_map(X)(shrunk).is_completely_positive()[1] < -1e-8 * (1 + rep.l_num)
+    monkeypatch.setattr(conjugation, "right_index", lambda X: replace(rep, l_ind=shrunk))
+    low = cp_characterization(X)
+    assert not low.passed_at_index and low.minimality_certified
+
+
+def test_least_multipliers_on_a_range_miss(monkeypatch):
+    # conjugation by the trace-zero unitary U = [[0, 1], [1, 0]] is
+    # completely positive with Choi matrix rank one along (1 (x) U) vec 1,
+    # which is orthogonal to vec 1: no multiplier makes c Phi - id CP
+    B, U = MultiMatrixAlgebra([2]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    units = B.units_embedded().reshape(2, 2, 2, 2)
+    cp = index.CPMap(B, [U @ units @ U], target=B)
+    cp_ok, _, residual = index.least_multipliers(cp)
+    assert cp_ok and abs(residual[0] - 1.0) <= 1e-12
+    monkeypatch.setattr(constructors, "_iota_e", lambda spec: cp)
+    assert expectation_cp_gap(diag_expectation_m2()) == 0.0
+    assert not minimal_cp_multiplier(diag_expectation_m2())["passed_at_index"]
 
 
 @pytest.mark.parametrize("X", _frame_cases())

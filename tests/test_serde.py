@@ -140,6 +140,18 @@ def test_one_replaced_value_never_exits_three(tmp_path_factory, path, value):
     assert status in (0, 1, 2), report["error"]
 
 
+@pytest.mark.parametrize("field", ["n", "kind"])
+def test_a_value_nested_3000_deep_exits_two(tmp_path, field):
+    # the messages that name the bad value stay bounded: a full repr of the
+    # nested list would exceed the recursion limit
+    deep = "[" * 3000 + "1" + "]" * 3000
+    fields = {"kind": '"hilbert"', "n": "2", "T": "[[1, 0], [0, 2]]", field: deep}
+    file = tmp_path / "deep.json"
+    file.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+    status, report = cli.run(cli.CommandRequest("hilbert", [str(file)]))
+    assert status == 2, report["error"]
+
+
 # -- every input kind, through every command that reads it -------------------------
 
 _X112 = dict(corpus())["random_112"]

@@ -10,6 +10,12 @@ A bimodule fixes a complex coordinate basis e_1..e_d.  Structure tensors:
   (a, b) of A); phi(x) acts on coordinate columns.
 * ``right_action``      analogous for psi(b): x -> x.b.
 
+An inner product takes values in its algebra, a direct sum of matrix blocks,
+so no Gram entry gram[p, q, a, b] has a and b in two different blocks: the
+constructor refuses one beyond round-off (``OFF_BLOCK_TOL``), and everything
+downstream reads a Gram on the blocks only.  ``validate`` checks the actions
+on the generators e^k_i1, e^k_1i of the algebras.
+
 Operator norms in L(X_B) are evaluated through the scalar trace form of the
 right Gram tensor: g[p,q] = tr (e_p|e_q)_B.  Conjugating by g^{1/2} is an
 injective *-homomorphism into M_d with the standard involution, so C*-norms,
@@ -19,8 +25,10 @@ Hermitian linear algebra there.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +41,10 @@ from .multimatrix import (
     StructureError,
     hermitian_part,
 )
+
+# the largest entry between two blocks of an algebra that a Gram tensor over
+# it may carry, relative to its largest entry: round-off, not an inner product
+OFF_BLOCK_TOL = 1e-12
 
 
 def _psd_sqrt_and_inv(mat: np.ndarray, rank_tol: float = RANK_TOL):
@@ -69,6 +81,8 @@ class HilbertBimodule:
             left_gram = np.asarray(left_gram, dtype=complex)
             if left_gram.shape != (d, d, na, na):
                 raise StructureError(f"left_gram shape {left_gram.shape} != {(d, d, na, na)}")
+            _check_block_diagonal(left_gram, A, "left_gram")
+        _check_block_diagonal(right_gram, B, "right_gram")
         self.A, self.B, self.dim = A, B, d
         # read-only views, so that no user of X can change it under ``_cache``
         self.right_gram, self.left_action, self.right_action, self.left_gram = (
@@ -323,6 +337,16 @@ def _gram_big(gram: np.ndarray) -> np.ndarray:
     return gram.transpose(0, 2, 1, 3).reshape(d * n, d * n)
 
 
+def _diagonal_blocks(gram: np.ndarray, alg: MultiMatrixAlgebra):
+    """The blocks G_l[(p, a), (q, b)] = gram[p, q, a, b], a and b in block l of
+    ``alg``, of a (d, d, N, N) Gram tensor, made one at a time: the Gram is the
+    direct sum of these (d n_l)-square matrices as an element of M_d(alg)."""
+    d = len(gram)
+    for l, n in enumerate(alg.blocks):
+        s = alg.block_slice(l)
+        yield gram[:, :, s, s].transpose(0, 2, 1, 3).reshape(d * n, d * n)
+
+
 def _act_first(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """[p, q] = sum_r M[r, p] gram[r, q], as one matrix product."""
     return (M.T @ gram.reshape(len(gram), -1)).reshape(gram.shape)
@@ -332,51 +356,57 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-class _GramSupport:
-    """A (d, d, N, N) Gram tensor over an algebra, kept on its support.
+@functools.lru_cache(maxsize=64)
+def _unit_layout(blocks: tuple[int, ...]) -> SimpleNamespace:
+    """Index arrays of the matrix units e^k_ij of an algebra, in ``unit_triples``
+    order, once per tuple of block sizes: ``place`` (offset of the block, its
+    size, i, j), the embedded ``rows`` and ``cols``, ``star`` (the unit e_ji of
+    each e_ij), ``diag`` (the e_ii), ``col_gens`` and ``row_gens`` (e^k_i1 and
+    e^k_1i at each embedded index s_k + i) and ``gens`` (both, each once)."""
+    offsets = np.cumsum((0,) + tuple(n * n for n in blocks)).tolist()
+    place = [(o, n, i, j) for o, n in zip(offsets, blocks) for i in range(n) for j in range(n)]
+    o, n, i, j = np.array(place, dtype=np.intp).T
+    first = np.repeat(np.cumsum((0,) + blocks[:-1]), [m * m for m in blocks])
+    return SimpleNamespace(place=place, rows=first + i, cols=first + j, star=o + j * n + i,
+                           diag=np.flatnonzero(i == j), col_gens=np.flatnonzero(j == 0),
+                           row_gens=np.flatnonzero(i == 0), gens=np.flatnonzero(i * j == 0))
 
-    The algebra's blocks are joined where the Gram has an entry between
-    them, and blocks on which it vanishes are left out.  The Gram is zero off
-    the union S of the squares C x C over the joined blocks C; S is closed
-    under (a, b) -> (b, a) and under products with matrix units, and after a
-    permutation the (dN, dN) matrix of the Gram is block diagonal over the
-    blocks.  ``live[t] = gram[:, :, a_t, b_t]`` over S, block by block and
-    row-major within a block, so an operator acts on either coordinate leg
-    by matrix products on |S| d^2 entries instead of N^2 d^2.
+
+def _unit_images(alg: MultiMatrixAlgebra, tensor: np.ndarray) -> np.ndarray:
+    """``tensor[a, b]`` at every matrix unit (a, b) of ``alg``, taken by indexing."""
+    L = _unit_layout(alg.blocks)
+    return tensor[L.rows, L.cols]
+
+
+def _check_block_diagonal(gram: np.ndarray, alg: MultiMatrixAlgebra, what: str) -> None:
+    """Refuse a Gram tensor with an entry between two blocks of ``alg`` beyond
+    round-off.  Sizes are the largest real or imaginary part at each (a, b),
+    reduced over the two views: N x N arrays, nothing of the tensor's size."""
+    if alg.num_blocks == 1 or not gram.size:
+        return
+    size = np.max([np.maximum(part.max(axis=(0, 1)), -part.min(axis=(0, 1)))
+                   for part in (gram.real, gram.imag)], axis=0)
+    owner = np.repeat(np.arange(alg.num_blocks), alg.blocks)
+    off, top = float(size[owner[:, None] != owner].max()), float(size.max())
+    if off > OFF_BLOCK_TOL * top:
+        raise StructureError(
+            f"{what} has an entry of size {off:.3g} ({off / top:.3g} of its largest) between "
+            f"two blocks of the algebra {alg.blocks}: an inner product takes values in it")
+
+
+class _GramSupport:
+    """A (d, d, N, N) Gram tensor over an algebra, kept on the algebra's blocks.
+
+    The constructor refuses entries between two blocks, so the Gram lives at
+    the matrix units: ``live[u] = gram[:, :, a_u, b_u]``, indexed as
+    ``_unit_images`` takes the actions.  An operator acts on either leg by
+    matrix products on U d^2 entries (U = sum n_k^2) instead of N^2 d^2.
     """
 
     def __init__(self, gram: np.ndarray, alg: MultiMatrixAlgebra):
-        size = np.abs(gram).max(axis=(0, 1))
-        self.scale = max(float(size.max()), 1e-300)         # max |gram|
-        rows, cols = np.nonzero(size)
-        owner = [k for k, n in enumerate(alg.blocks) for _ in range(n)]
-        root = list(range(alg.num_blocks))          # union-find over the blocks
-
-        def find(k):
-            while root[k] != k:
-                k = root[k]
-            return k
-
-        for a, b in zip(rows.tolist(), cols.tolist()):
-            root[find(owner[a])] = find(owner[b])
-        live_roots = {find(owner[a]) for a in rows.tolist()}
-        members: dict[int, list[int]] = {}      # indices of each joined block
-        for k in range(alg.num_blocks):
-            if find(k) in live_roots:
-                s = alg.block_slice(k)
-                members.setdefault(find(k), []).extend(range(s.start, s.stop))
-        # per index: (offset of its block in live, block size, place in the block)
-        self.where: dict[int, tuple[int, int, int]] = {}
-        self.blocks: list[tuple[int, int]] = []
-        r, c, off = [], [], 0
-        for idx in members.values():
-            n = len(idx)
-            self.where.update((a, (off, n, i)) for i, a in enumerate(idx))
-            self.blocks.append((off, n))
-            r += [a for a in idx for _ in idx]
-            c += idx * n
-            off += n * n
-        self.live = gram.transpose(2, 3, 0, 1)[r, c]
+        self.gram, self.alg, self.layout = gram, alg, _unit_layout(alg.blocks)
+        self.live = _unit_images(alg, gram.transpose(2, 3, 0, 1))
+        self.scale = max(_max_abs(self.live), 1e-300)       # max |gram|
 
     def first(self, M: np.ndarray) -> np.ndarray:
         """[t, p, q] = sum_r M[r, p] live[t, r, q]."""
@@ -397,68 +427,64 @@ class _GramSupport:
 
     def hermitian_residual(self) -> float:
         """max |conj(gram[q, p, b, a]) - gram[p, q, a, b]|."""
-        star = [o + j * n + i for o, n in self.blocks for i in range(n) for j in range(n)]
-        return _max_abs(self.live[star].conj().transpose(0, 2, 1) - self.live)
+        return _max_abs(self.live[self.layout.star].conj().transpose(0, 2, 1) - self.live)
 
     def psd_residual(self) -> float:
         """Negativity of the (dN, dN) matrix [(p, a), (q, b)] -> gram[p, q, a, b]
-        relative to its top eigenvalue, from one ``eigvalsh`` per block.  The
-        indices left out carry eigenvalue 0, which leaves the residual as it is."""
-        d = self.live.shape[1]
+        relative to its top eigenvalue, from one ``eigvalsh`` per block."""
         lo = hi = 0.0
-        for o, n in self.blocks:
-            big = self.live[o:o + n * n].reshape(n, n, d, d).transpose(2, 0, 3, 1)
-            w = np.linalg.eigvalsh(hermitian_part(big.reshape(d * n, d * n)))
+        for big in _diagonal_blocks(self.gram, self.alg):
+            w = np.linalg.eigvalsh(hermitian_part(big))
             lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
         return max(0.0, -lo) / max(hi, 1e-300)
 
-    def unit_product_residual(self, diff: np.ndarray, i: int, j: int,
-                              left: bool) -> float:
-        """max |diff - gram e_ij|, or |diff - e_ij gram| if ``left``, with diff
-        given on the support.  The product is a column or row copy:
-        (gram e_ij)[.., a, j] = gram[.., a, i] and
+    def unit_product_residual(self, diff: np.ndarray, u: int, left: bool) -> float:
+        """max |diff - gram e_ij|, or |diff - e_ij gram| if ``left``, for the unit
+        u = e_ij and diff given on the blocks.  The product is a column or row
+        copy: (gram e_ij)[.., a, j] = gram[.., a, i] and
         (e_ij gram)[.., i, b] = gram[.., j, b]."""
-        if i in self.where:          # else the Gram vanishes on the unit's block
-            o, n, pi = self.where[i]
-            pj = self.where[j][2]
-            if left:
-                diff[o + pi * n:o + pi * n + n] -= self.live[o + pj * n:o + pj * n + n]
-            else:
-                diff[o + pj:o + n * n:n] -= self.live[o + pi:o + n * n:n]
+        o, n, i, j = self.layout.place[u]
+        if left:
+            diff[o + i * n:o + i * n + n] -= self.live[o + j * n:o + j * n + n]
+        else:
+            diff[o + j:o + n * n:n] -= self.live[o + i:o + n * n:n]
         return _max_abs(diff)
 
 
-def _unit_images(alg: MultiMatrixAlgebra, action: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The action at every matrix unit of ``alg``, taken by indexing, and the
-    place in that stack of the unit at each embedded (row, col)."""
-    units = [(alg.block_slice(k).start + i, alg.block_slice(k).start + j)
-             for k, i, j in alg.unit_triples()]
-    rows, cols = zip(*units)
-    return action[list(rows), list(cols)], {rc: u for u, rc in enumerate(units)}
-
-
-def _product_residual(mats: np.ndarray, index: dict, anti: bool) -> float:
-    """max |m_u m_v - m_(uv)| over all pairs of matrix units (m_v m_u for an
-    antihomomorphism); ``index`` maps a unit's embedded (row, col) to u, and
-    e_u e_v is the unit at (row_u, col_v) when col_u == row_v, else zero."""
+def _generator_residual(mats: np.ndarray, L: SimpleNamespace, anti: bool) -> float:
+    """How far the unit images ``mats`` are from a homomorphism, or with
+    ``anti`` from an antihomomorphism (e_ij -> m(e_ji) a homomorphism).  With
+    f_i = m(e^k_i1), g_j = m(e^k_1j): max |f_i g_j - m(e^k_ij)| within each
+    block and |g_j f_l - delta_jl m(e^k_11)| over all pairs of generators,
+    across blocks too.  These pair identities imply all the others, as
+    m(e_ij) m(e_rs) = f_i (g_j f_r) g_s."""
+    F = mats[L.row_gens if anti else L.col_gens]      # f at each embedded index
     err = 0.0
-    for (ru, cu), u in index.items():
-        for (rv, cv), v in index.items():
-            expected = mats[index[ru, cv]] if cu == rv else 0.0
-            prod = mats[v] @ mats[u] if anti else mats[u] @ mats[v]
-            err = max(err, float(np.abs(prod - expected).max()))
+    for a, u in enumerate(L.col_gens):
+        o, n, i, _ = L.place[u]
+        # the g_j and the m(e_ij) of the block: its first row and its row i,
+        # or columns if anti
+        g = mats[o:o + n * n:n] if anti else mats[o:o + n]
+        row = mats[o + i:o + n * n:n] if anti else mats[o + i * n:o + i * n + n]
+        err = max(err, _max_abs(F[a] @ g - row))
+        prod = g[i] @ F
+        prod[a] -= F[a - i]                     # f_1 = m(e_11) of the block
+        err = max(err, _max_abs(prod))
     return err
 
 
 def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     """Check every structural invariant; the report carries one line per check.
 
-    Both sides of the adjointability and linearity checks vanish where the
-    Gram tensor does, so they are contracted on its support only (see
-    :class:`_GramSupport`); a product with a matrix unit is a slice of it.
+    Each Gram is read at the matrix units of its algebra, as it is block
+    diagonal (:class:`_GramSupport`).  The identities of the actions are
+    checked on the generators e^k_i1 and e^k_1i, which imply them on every
+    unit once the (anti)homomorphism lines hold: adjointability on the
+    e_i1, linearity and commutation on the e_i1 and the e_1i.
     """
     checks: list[CheckResult] = []
     d = X.dim
+    LA, LB = _unit_layout(X.A.blocks), _unit_layout(X.B.blocks)
 
     def add(name, residual, passed=None):
         residual = float(residual)
@@ -471,31 +497,27 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     add("right_gram_definite", 0.0,
         passed=float(gw.min()) > RANK_TOL * max(float(gw.max()), 1e-300))
 
-    phis, units_A = _unit_images(X.A, X.left_action)
-    psis, units_B = _unit_images(X.B, X.right_action)
+    phis = _unit_images(X.A, X.left_action)
+    psis = _unit_images(X.B, X.right_action)
     pscale = max(float(np.abs(phis).max()), 1e-300)
-    # the unit of the algebra is the sum of its diagonal matrix units
-    diag_A = [u for (r, c), u in units_A.items() if r == c]
-    diag_B = [u for (r, c), u in units_B.items() if r == c]
 
     # phi is a unital *-homomorphism, adjointable for the right inner product
-    add("left_action_homomorphism", _product_residual(phis, units_A, False) / pscale)
-    add("left_action_unital", np.abs(phis[diag_A].sum(axis=0) - np.eye(d)).max())
-    adj_err = S.adjoint_residual((phis[u].conj(), phis[units_A[c, r]])
-                                 for (r, c), u in units_A.items())
+    add("left_action_homomorphism", _generator_residual(phis, LA, False) / pscale)
+    add("left_action_unital", np.abs(phis[LA.diag].sum(axis=0) - np.eye(d)).max())
+    adj_err = S.adjoint_residual((phis[u].conj(), phis[LA.star[u]]) for u in LA.col_gens)
     add("left_action_adjointable", adj_err / S.scale)
 
     # psi is a unital *-antihomomorphism and the right gram is B-linear
-    add("right_action_antihomomorphism", _product_residual(psis, units_B, True)
+    add("right_action_antihomomorphism", _generator_residual(psis, LB, True)
         / max(float(np.abs(psis).max()), 1e-300))
-    add("right_action_unital", np.abs(psis[diag_B].sum(axis=0) - np.eye(d)).max())
-    lin_err = max(S.unit_product_residual(S.second(psis[u]), r, c, left=False)
-                  for (r, c), u in units_B.items())
+    add("right_action_unital", np.abs(psis[LB.diag].sum(axis=0) - np.eye(d)).max())
+    lin_err = max(S.unit_product_residual(S.second(psis[u]), u, left=False) for u in LB.gens)
     add("right_gram_B_linear", lin_err / S.scale)
-    del S       # the right Gram's support is not needed past this point
+    del S       # the right Gram's blocks are not needed past this point
 
-    comm_err = max(float(np.abs(P @ psis - psis @ P).max()) for P in phis)
-    add("actions_commute", comm_err / pscale)
+    Q = psis[LB.gens]
+    add("actions_commute", max(_max_abs(phis[u] @ Q - Q @ phis[u]) for u in LA.gens) / pscale)
+    del Q
 
     if X.left_gram is not None:
         S = _GramSupport(X.left_gram, X.A)
@@ -504,11 +526,10 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
         glw = np.linalg.eigvalsh(X.scalar_left_gram)
         add("left_gram_definite", 0.0,
             passed=float(glw.min()) > RANK_TOL * max(float(glw.max()), 1e-300))
-        alin_err = max(S.unit_product_residual(S.first(phis[u]), r, c, left=True)
-                       for (r, c), u in units_A.items())
+        alin_err = max(S.unit_product_residual(S.first(phis[u]), u, left=True)
+                       for u in LA.gens)
         add("left_gram_A_linear", alin_err / S.scale)
-        radj_err = S.adjoint_residual((psis[u], psis[units_B[c, r]].conj())
-                                      for (r, c), u in units_B.items())
+        radj_err = S.adjoint_residual((psis[u], psis[LB.star[u]].conj()) for u in LB.col_gens)
         add("right_action_left_adjointable", radj_err / S.scale)
 
     return ValidationReport(checks, tol)
@@ -617,20 +638,12 @@ def contragredient(X: HilbertBimodule) -> HilbertBimodule:
 def identity_bimodule(alg: MultiMatrixAlgebra) -> HilbertBimodule:
     """The algebra over itself: (x|y) = x* y on the right, x y* on the left."""
     units = alg.units_embedded()
-    d = alg.linear_dim
     G = np.einsum("pba,qbc->pqac", units.conj(), units)
     L = np.einsum("pab,qcb->pqac", units, units.conj())
-    Phi = np.zeros((alg.rep_dim, alg.rep_dim, d, d), dtype=complex)
-    Psi = np.zeros_like(Phi)
-    for a in range(alg.rep_dim):
-        for b in range(alg.rep_dim):
-            E = np.zeros((alg.rep_dim, alg.rep_dim), dtype=complex)
-            E[a, b] = 1.0
-            left = np.einsum("ij,qjk->qik", E, units)
-            right = np.einsum("qij,jk->qik", units, E)
-            Phi[a, b] = np.einsum("pji,qji->pq", units.conj(), left)
-            Psi[a, b] = np.einsum("pji,qji->pq", units.conj(), right)
-    return HilbertBimodule(alg, alg, d, G, Phi, Psi, L)
+    # coordinates of e_ab u_q and u_q e_ab on the orthonormal units u_p
+    Phi = np.einsum("pai,qbi->abpq", units.conj(), units)
+    Psi = np.einsum("pjb,qja->abpq", units.conj(), units)
+    return HilbertBimodule(alg, alg, alg.linear_dim, G, Phi, Psi, L)
 
 
 def amplify(X: HilbertBimodule, n: int) -> HilbertBimodule:
@@ -639,39 +652,23 @@ def amplify(X: HilbertBimodule, n: int) -> HilbertBimodule:
     if n < 1:
         raise ContractError("amplification order must be >= 1")
     X._need_left()
-    if n == 1:
-        return HilbertBimodule(X.A, X.B, X.dim, X.right_gram.copy(),
-                               X.left_action.copy(), X.right_action.copy(),
-                               X.left_gram.copy())
     A2 = MultiMatrixAlgebra([n * m for m in X.A.blocks])
-    d, na, nb = X.dim, X.A.rep_dim, X.B.rep_dim
-    d2, na2 = n * d, A2.rep_dim
-
-    def up(k, c, i):
-        # position of copy c of row i of block k inside the amplified block
-        return A2.block_slice(k).start + c * X.A.blocks[k] + i
-
+    d, nb, d2, na2 = X.dim, X.B.rep_dim, n * X.dim, A2.rep_dim
     G2 = np.zeros((d2, d2, nb, nb), dtype=complex)
-    for c in range(n):
-        G2[c * d:(c + 1) * d, c * d:(c + 1) * d] = X.right_gram
-    L2 = np.zeros((d2, d2, na2, na2), dtype=complex)
-    Phi2 = np.zeros((na2, na2, d2, d2), dtype=complex)
-    for k in range(X.A.num_blocks):
-        s = X.A.block_slice(k)
-        for c in range(n):
-            for cp in range(n):
-                rows = np.arange(s.start, s.stop)
-                big_rows = np.array([up(k, c, i - s.start) for i in rows])
-                big_cols = np.array([up(k, cp, i - s.start) for i in rows])
-                L2[np.ix_(np.arange(c * d, (c + 1) * d),
-                          np.arange(cp * d, (cp + 1) * d),
-                          big_rows, big_cols)] = X.left_gram[:, :, s, s]
-                Phi2[np.ix_(big_rows, big_cols,
-                            np.arange(c * d, (c + 1) * d),
-                            np.arange(cp * d, (cp + 1) * d))] = X.left_action[s, s]
     Psi2 = np.zeros((nb, nb, d2, d2), dtype=complex)
     for c in range(n):
+        G2[c * d:(c + 1) * d, c * d:(c + 1) * d] = X.right_gram
         Psi2[:, :, c * d:(c + 1) * d, c * d:(c + 1) * d] = X.right_action
+    L2 = np.zeros((d2, d2, na2, na2), dtype=complex)
+    Phi2 = np.zeros((na2, na2, d2, d2), dtype=complex)
+    for k, m in enumerate(X.A.blocks):
+        s, t = X.A.block_slice(k), A2.block_slice(k).start
+        for c in range(n):
+            for cp in range(n):
+                # copy c of the rows and copy cp of the columns of block k
+                rows, cols = slice(t + c * m, t + c * m + m), slice(t + cp * m, t + cp * m + m)
+                L2[c * d:(c + 1) * d, cp * d:(cp + 1) * d, rows, cols] = X.left_gram[:, :, s, s]
+                Phi2[rows, cols, c * d:(c + 1) * d, cp * d:(cp + 1) * d] = X.left_action[s, s]
     return HilbertBimodule(A2, X.B, d2, G2, Phi2, Psi2, L2)
 
 
@@ -828,10 +825,7 @@ def bimodule_map_residual(W: np.ndarray, X: HilbertBimodule,
     if X.left_gram is not None and Y.left_gram is not None:
         pull_L = np.einsum("Pi,Qj,PQab->ijab", W, W.conj(), Y.left_gram, optimize=True)
         res = max(res, float(np.abs(pull_L - X.left_gram).max()))
-    units_A = X.A.units_embedded()
-    for u in units_A:
-        res = max(res, float(np.abs(W @ X.phi(u) - Y.phi(u) @ W).max()))
-    units_B = X.B.units_embedded()
-    for u in units_B:
-        res = max(res, float(np.abs(W @ X.psi(u) - Y.psi(u) @ W).max()))
+    for alg, act_x, act_y in ((X.A, X.left_action, Y.left_action),
+                              (X.B, X.right_action, Y.right_action)):
+        res = max(res, _max_abs(W @ _unit_images(alg, act_x) - _unit_images(alg, act_y) @ W))
     return res

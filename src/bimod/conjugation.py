@@ -38,6 +38,7 @@ from .bimodule import (
     HilbertBimodule,
     _act_first,
     _corner_ranges,
+    _diagonal_blocks,
     contragredient,
     left_tight_frame,
     tensor,
@@ -58,10 +59,9 @@ from .index import (
 
 
 def _gram_blocks(X: HilbertBimodule) -> list[np.ndarray]:
-    """G_l[(p, a), (q, b)] = (e_p|e_q)_B[a, b] for a, b in block l of B, once per module."""
-    return X._cached("gram_blocks", lambda: [
-        X.right_gram[:, :, s, s].transpose(0, 2, 1, 3).reshape(X.dim * n, X.dim * n)
-        for s, n in zip(map(X.B.block_slice, range(X.B.num_blocks)), X.B.blocks)])
+    """G_l[(p, a), (q, b)] = (e_p|e_q)_B[a, b] for a, b in block l of B
+    (``_diagonal_blocks``), once per module."""
+    return X._cached("gram_blocks", lambda: list(_diagonal_blocks(X.right_gram, X.B)))
 
 
 def _corner_factors(Y: HilbertBimodule) -> list:

@@ -54,6 +54,7 @@ from .bimodule import (
     HilbertBimodule,
     ModuleOperator,
     _corner_rank,
+    _diagonal_blocks,
     contragredient,
     tight_frame,
 )
@@ -398,13 +399,12 @@ def _dual_basis_sum(alg: MultiMatrixAlgebra, gram: np.ndarray, action: np.ndarra
     tensor conj(phi[b, a])."""
     d, what = gram.shape[0], "phi" if mirror else "psi"
     V = np.zeros((d, d), dtype=complex)
-    for l in range(alg.num_blocks):
+    for l, G in enumerate(_diagonal_blocks(gram, alg)):
         s = alg.block_slice(l)
         n, rank = s.stop - s.start, _corner_rank(action, s.start, what)
         if not rank:
             continue
-        w, u = np.linalg.eigh(hermitian_part(
-            gram[:, :, s, s].transpose(0, 2, 1, 3).reshape(d * n, d * n)))
+        w, u = np.linalg.eigh(hermitian_part(G))
         if rank > len(w) or w[-rank] <= RANK_TOL * max(w[-1], 1e-300):
             raise StructureError(f"the Gram block {l} has rank below tr {what}(e^{l}_11) = "
                                  f"{rank}: the inner product is degenerate")

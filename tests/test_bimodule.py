@@ -26,7 +26,7 @@ from bimod import (
     tight_frame,
     validate,
 )
-from bimod.bimodule import _GramSupport, _act_first, bimodule_map_residual
+from bimod.bimodule import OFF_BLOCK_TOL, _act_first, bimodule_map_residual
 
 from helpers import (
     _act_second,
@@ -65,8 +65,9 @@ def test_gram_actions_match_einsum_reference():
 
 
 def test_actions_commute_matches_broadcast_form():
-    # validate loops over the A units; the (U_A, U_B, d, d) broadcast of all
-    # commutators at once is the reference, and the residual is bitwise equal
+    # validate commutes the generators e^k_i1, e^k_1i of A with those of B;
+    # the (U_A, U_B, d, d) broadcast of all commutators at once is the
+    # reference: the residual is the max over a subset of its terms
     X13 = random_bimodule(*ROUNDTRIP_13, seed=1)
     mods = corpus() + [("roundtrip_13 (x) conj", tensor(X13, contragredient(X13)))]
     for name, X in mods:
@@ -74,8 +75,9 @@ def test_actions_commute_matches_broadcast_form():
         psis = np.einsum("uab,abij->uij", X.B.units_embedded(), X.right_action)
         comm = phis[:, None] @ psis[None] - psis[None] @ phis[:, None]
         ref = float(np.abs(comm).max() / max(float(np.abs(phis).max()), 1e-300))
-        got = {c.name: c.residual for c in validate(X).checks}["actions_commute"]
-        assert got == ref, name
+        got = {c.name: c for c in validate(X).checks}["actions_commute"]
+        assert got.residual <= ref + 1e-15, name
+        assert got.passed == (ref <= 1e-8), name
 
 
 def test_validate_flags_non_hermitian_gram():
@@ -97,14 +99,48 @@ def test_validate_rejects_degenerate_gram():
     assert any(c.name == "right_gram_definite" and not c.passed for c in rep.checks)
 
 
-def _off_block_entry():
-    # one right-Gram entry between blocks 0 and 1 of B, without its mirror:
-    # the support is not block diagonal, so the two blocks join, and the Gram
-    # is neither hermitian nor B-linear
+def _m2_valued(side):
+    # d = 2 over C (+) C with (e_p|e_q) = e_pq in M_2: positive, hermitian,
+    # linear and adjointable, but not valued in C (+) C.  As the left Gram,
+    # A and B swap
+    CC, C = MultiMatrixAlgebra([1, 1]), MultiMatrixAlgebra([1])
+    E = np.eye(2, dtype=complex)
+    units = np.einsum("pa,qb->pqab", E, E)                # [p, q] = e_pq
+    proj = np.einsum("ai,bi,aj->abij", E, E, E)           # the action of e_aa is e_aa
+    one, scalar = E.reshape(1, 1, 2, 2), E.reshape(2, 2, 1, 1)
+    if side == "right":
+        return C, CC, 2, units, one, proj, scalar
+    return CC, C, 2, scalar, proj, one, units
+
+
+def test_gram_off_the_block_diagonal_is_refused_at_construction():
+    for side in ("right", "left"):
+        with pytest.raises(StructureError, match=f"{side}_gram has an entry of size 1 "):
+            HilbertBimodule(*_m2_valued(side))
+    # one right-Gram entry between blocks 0 and 1 of B, without its mirror
     X = random_bimodule(*ROUNDTRIP_13, seed=1)
+    assert X.B.blocks == (2, 1, 1)
     G = X.right_gram.copy()
     G[0, 1, 2, 0] = 0.3
-    return HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+    with pytest.raises(StructureError, match="right_gram .* between two blocks"):
+        HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+    # the bound is relative to the largest entry: round-off passes, and the
+    # same entry is refused beside a Gram a thousand times smaller
+    top = np.abs(X.right_gram).max()
+    G[0, 1, 2, 0] = 0.5 * OFF_BLOCK_TOL * top
+    HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+    small = 1e-3 * X.right_gram
+    small[0, 1, 2, 0] = G[0, 1, 2, 0]
+    with pytest.raises(StructureError, match="right_gram"):
+        HilbertBimodule(X.A, X.B, X.dim, small, X.left_action, X.right_action, X.left_gram)
+    G[0, 1, 2, 0] = 0.0
+    G[0, 1, 3, 2] = 1j * 2 * OFF_BLOCK_TOL * top           # in the imaginary part too
+    with pytest.raises(StructureError, match="right_gram"):
+        HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+    L = X.left_gram.copy()
+    L[1, 0, 3, 1] = 0.1
+    with pytest.raises(StructureError, match="left_gram"):
+        X.with_left_gram(L)
 
 
 def _broken_b_linearity():
@@ -124,21 +160,64 @@ def _non_psd_in_one_block():
     return HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
 
 
+def _cross_block_overlap():
+    # phi(e^1_11) += 1e-3 phi(e^0_11): the images of two blocks of A overlap.
+    # The change is self-adjoint and commutes with psi, so it shows in the
+    # homomorphism, the unit and the left Gram's A-linearity
+    X = random_bimodule(*ROUNDTRIP_13, seed=1)
+    Phi = X.left_action.copy()
+    Phi[2, 2] += 1e-3 * Phi[0, 0]
+    return HilbertBimodule(X.A, X.B, X.dim, X.right_gram, Phi, X.right_action, X.left_gram)
+
+
+def _non_generator_unit():
+    # phi(e^0_22) (1-based), the one unit of A that is not an e_i1 or an
+    # e_1j, moved by a self-adjoint change that commutes with psi.  Of the
+    # generator identities only f_2 g_2 = phi(e_22) sees it.  The module is
+    # right Hilbert: a left Gram is definite, so it would see any change of a
+    # unit in the oracle's A-linearity line, which runs over every unit
+    X = random_bimodule(*ROUNDTRIP_13, seed=1)
+    Phi = X.left_action.copy()
+    Phi[1, 1] += 1e-3 * Phi[2, 2]
+    return HilbertBimodule(X.A, X.B, X.dim, X.right_gram, Phi, X.right_action)
+
+
+def _psi_across_blocks():
+    # psi(e^2) becomes the idempotent P_2 + 1e-3 P_2 Y P_1 (P_l = psi(e^l),
+    # the units of the two one-dimensional blocks of B): each block is still
+    # an antihomomorphism, but psi(e^2) psi(e^1) = 1e-3 P_2 Y P_1 is not zero
+    X = random_bimodule(*ROUNDTRIP_13, seed=1)
+    Psi = X.right_action.copy()
+    Y = np.random.default_rng(0).standard_normal((X.dim, X.dim))
+    Psi[3, 3] += 1e-3 * Psi[3, 3] @ Y @ Psi[2, 2]
+    return HilbertBimodule(X.A, X.B, X.dim, X.right_gram, X.left_action, Psi, X.left_gram)
+
+
 def _validate_oracle_modules():
     mods = corpus() + [(f"roundtrip_{X.dim}", X) for X in (
         random_bimodule(*shape, seed=1) for shape in (ROUNDTRIP_13, ROUNDTRIP_18, ROUNDTRIP_24))]
     for name, X in list(mods):
         Xbar = contragredient(X)
         mods += [(f"{name} (x) conj", tensor(X, Xbar)), (f"conj (x) {name}", tensor(Xbar, X))]
-    # block 1 of B acts with multiplicity zero: its indices are off the support
+    # block 1 of B acts with multiplicity zero: its Gram block vanishes
     zero_block = random_bimodule([2, 1], [1, 2], [[1, 0], [2, 0]], seed=3)
     zero = mods[0][1]
     zero_gram = HilbertBimodule(zero.A, zero.B, zero.dim, 0 * zero.right_gram,
                                 zero.left_action, zero.right_action, 0 * zero.left_gram)
     return mods + [("zero_block", zero_block), ("zero_gram", zero_gram),
-                   ("off_block_entry", _off_block_entry()),
                    ("broken_b_linearity", _broken_b_linearity()),
-                   ("non_psd_in_one_block", _non_psd_in_one_block())]
+                   ("non_psd_in_one_block", _non_psd_in_one_block()),
+                   ("cross_block_overlap", _cross_block_overlap()),
+                   ("non_generator_unit", _non_generator_unit()),
+                   ("psi_across_blocks", _psi_across_blocks())]
+
+
+# the lines that validate takes on the generators of the algebras: each
+# residual is the max over a subset of the oracle's terms
+GENERATOR_LINES = {"left_action_homomorphism", "left_action_adjointable",
+                   "right_action_antihomomorphism", "right_gram_B_linear",
+                   "actions_commute", "left_gram_A_linear",
+                   "right_action_left_adjointable"}
 
 
 def test_validate_matches_unit_loop_oracle():
@@ -147,21 +226,26 @@ def test_validate_matches_unit_loop_oracle():
         assert [c.name for c in got.checks] == [c.name for c in ref.checks], name
         assert [c.passed for c in got.checks] == [c.passed for c in ref.checks], name
         for c, r in zip(got.checks, ref.checks):
-            assert abs(c.residual - r.residual) <= 1e-14, (name, c.name, c.residual, r.residual)
+            if c.name in GENERATOR_LINES:
+                # 1e-15 of slack for batched products
+                assert c.residual <= r.residual + 1e-15, (name, c.name, c.residual, r.residual)
+            else:
+                assert abs(c.residual - r.residual) <= 1e-14, (name, c.name, c.residual, r.residual)
 
 
 def test_validate_oracle_cases_fail_where_built_to():
     def failed(X):
-        return {c.name for c in validate(X).failures()}
+        got = {c.name for c in validate(X).failures()}
+        assert got == {c.name for c in unit_loop_validate(X).failures()}
+        return got
 
-    X = _off_block_entry()
-    assert X.B.blocks == (2, 1, 1)
-    assert [n for _, n in _GramSupport(X.right_gram, X.B).blocks] == [3, 1]
-    assert [n for _, n in _GramSupport(_broken_b_linearity().right_gram, X.B).blocks] == [2, 1, 1]
-    assert {"right_gram_hermitian", "right_gram_B_linear"} <= failed(X)
     assert failed(_broken_b_linearity()) == {"right_gram_B_linear"}
     # negated on a central block, the scalar trace form is indefinite too
     assert failed(_non_psd_in_one_block()) == {"right_gram_psd", "right_gram_definite"}
+    assert failed(_cross_block_overlap()) == {
+        "left_action_homomorphism", "left_action_unital", "left_gram_A_linear"}
+    assert failed(_non_generator_unit()) == {"left_action_homomorphism", "left_action_unital"}
+    assert "right_action_antihomomorphism" in failed(_psi_across_blocks())
 
 
 def test_validate_memory_below_the_module():
@@ -178,6 +262,15 @@ def test_validate_memory_below_the_module():
         tracemalloc.stop()
     assert Z.dim == 99 and rep.passed
     assert peak <= out, (peak, out)
+    # the constructor's check of the block diagonal reduces to N x N sizes
+    tracemalloc.start()
+    try:
+        HilbertBimodule(Z.A, Z.B, Z.dim, Z.right_gram, Z.left_action, Z.right_action,
+                        Z.left_gram)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out / 10, (peak, out)
 
 
 # -- Gram half-product formula -------------------------------------------------

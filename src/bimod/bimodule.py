@@ -480,7 +480,9 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     diagonal (:class:`_GramSupport`).  The identities of the actions are
     checked on the generators e^k_i1 and e^k_1i, which imply them on every
     unit once the (anti)homomorphism lines hold: adjointability on the
-    e_i1, linearity and commutation on the e_i1 and the e_1i.
+    e_i1, linearity and commutation on the e_i1 and the e_1i.  Once one of
+    those lines fails, the later ones, still on generators, can miss a broken
+    unit that is not a generator; ``passed`` is false either way.
     """
     checks: list[CheckResult] = []
     d = X.dim
@@ -695,123 +697,85 @@ def _corner_ranges(X: HilbertBimodule, left: bool) -> list[np.ndarray]:
                                                  for l in range(alg.num_blocks)])
 
 
-def _kron_rows(P, Q, R: np.ndarray) -> np.ndarray:
-    """(P (x) Q) R for R of shape (m, k, n), returned with shape (..., m k, n):
-    P acts on the m leg and Q on the k leg, their leading batch axes
-    broadcast, and None stands for the identity."""
-    m, k, n = R.shape
-    if Q is not None:
-        R = np.matmul(Q[..., None, :, :], R)
-    R = R.reshape(R.shape[:-3] + (m, k * n))
-    if P is not None:
-        R = np.matmul(P, R)
-    return R.reshape(R.shape[:-2] + (m * k, n))
+def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Batched Kronecker product: [..., (i, j), (i', j')] = P[..., i, i'] Q[..., j, j']."""
+    m, k = P.shape[-1], Q.shape[-1]
+    out = P[..., :, None, :, None] * Q[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * k, m * k))
 
 
-def tensor(X: HilbertBimodule, Y: HilbertBimodule,
-           rank_tol: float = RANK_TOL) -> HilbertBimodule:
+def tensor(X: HilbertBimodule, Y: HilbertBimodule) -> HilbertBimodule:
     """Interior tensor product X (x)_B Y of an A-B and a B-C bimodule.
 
-    The algebraic tensor basis e_p (x) f_u is reduced by the kernel of the
-    right Gram tensor (vectors of seminorm zero); the quotient isometry V is
-    kept in ``meta["tensor"]`` for lifting vectors back to product
-    coordinates.
-
-    The quotient splits over the blocks l of B:
+    The product splits over the blocks l of B:
     X (x)_B Y = (+)_l X.e^l_11 (x) e^l_11.Y, of dimension d_2 = sum_l M_l K_l,
-    with M_l = rank psi_X(e^l_11) and K_l = rank phi_Y(e^l_11).  With W_X,l and
-    W_Y,l orthonormal bases of those ranges (``_corner_ranges``, built once
-    per module), the balanced map
-    J = (+)_l (W_X,l^* (x) W_Y,l^*) sum_s psi_X(e^l_s1) (x) phi_Y(e^l_1s)
-    (d_2 x D, D = d_X d_Y) has the kernel of the right Gram as its kernel, so
-    one thin QR J^* = V R gives V (the identity where J is square).  In the J
-    basis w_i (x) y_j the structure tensors are block diagonal over l, with
-    Kronecker blocks: right Gram gamma_l (x) (y_j|y_j')_C, gamma_l the scalar
-    corner of (w_i|w_i')_B; left Gram _A(w_i|w_i') (x) beta_l, beta_l the
-    scalar corner of _B(y_j|y_j'); actions (W_X,l^* phi_X(a) W_X,l) (x) 1 and
-    1 (x) (W_Y,l^* psi_Y(c) W_Y,l).  The J coordinates of V's columns are
-    M = J V, so each tensor moves to V coordinates by one product with M and
-    one with M^*, M^T or M^(-1).  Cost O(D d_2^2 + d_2^3 N^2), N the largest
-    algebra representation; no D x D array is formed unless d_2 = D.
+    with M_l = rank psi_X(e^l_11) and K_l = rank phi_Y(e^l_11).  Its
+    coordinates are those of the basis b_(l,i,j) = w_i (x) y_j, l-major, with
+    w_i and y_j the orthonormal columns of W_X,l and W_Y,l spanning those
+    ranges (``_corner_ranges``); it is not orthonormal across blocks l.  The
+    structure tensors are block diagonal over l, with Kronecker blocks: right
+    Gram gamma_l (x) (y_j|y_j')_C, gamma_l the scalar corner of (w_i|w_i')_B;
+    left Gram _A(w_i|w_i') (x) beta_l, beta_l the scalar corner of
+    _B(y_j|y_j'); actions (W_X,l^* phi_X(a) W_X,l) (x) 1 and
+    1 (x) (W_Y,l^* psi_Y(c) W_Y,l).  ``meta["tensor"]`` keeps, on the
+    product coordinates e_p (x) f_u (row-major in (p, u), D = d_X d_Y),
+    ``lift`` = (+)_l W_X,l (x) W_Y,l (D x d_2), which writes b_(l,i,j) there,
+    and the balanced map ``push`` = (+)_l (W_X,l^* (x) W_Y,l^*) sum_s
+    psi_X(e^l_s1) (x) phi_Y(e^l_1s) (d_2 x D), which takes them to their
+    class: push lift = 1, and push annihilates the product's null vectors.
+    Cost O(D d_2 + d_2^2 N^2), N the largest algebra representation.
     """
     if X.B != Y.A:
-        raise ContractError(
-            f"middle algebras differ: {X.B.blocks} vs {Y.A.blocks}")
+        raise ContractError(f"middle algebras differ: {X.B.blocks} vs {Y.A.blocks}")
     X._need_left()
     Y._need_left()
-    dx, dy = X.dim, Y.dim
-    D = dx * dy
-    na, nc = X.A.rep_dim, Y.B.rep_dim
-    # the empty first row block keeps a zero product (no block on both sides) defined
-    blocks, rows, start = [], [np.zeros((0, D), dtype=complex)], 0
+    D, na, nc = X.dim * Y.dim, X.A.rep_dim, Y.B.rep_dim
     psi_X, phi_Y = _corner_ranges(X, left=False), _corner_ranges(Y, left=True)
+    d2 = sum(WX.shape[1] * WY.shape[1] for WX, WY in zip(psi_X, phi_Y))
+    lift, push = np.empty((D, d2), dtype=complex), np.empty((d2, D), dtype=complex)
+    G2, L2 = (np.zeros((d2, d2, n, n), dtype=complex) for n in (nc, na))
+    Phi2, Psi2 = (np.zeros((n, n, d2, d2), dtype=complex) for n in (na, nc))
+    # the Gram blocks are built algebra-major, then moved to the tensors' layout
+    GY, LX = Y.right_gram.transpose(2, 3, 0, 1), X.left_gram.transpose(2, 3, 0, 1)
+    r = slice(0, 0)
     for l, n in enumerate(X.B.blocks):
         b, WX, WY = X.B.block_slice(l).start, psi_X[l], phi_Y[l]
         m, k = WX.shape[1], WY.shape[1]
-        if m == 0 or k == 0:
-            continue
+        r = slice(r.stop, r.stop + m * k)
         # [s, i, p] = (W_X^* psi_X(e_s1))[i, p], [s, j, u] = (W_Y^* phi_Y(e_1s))[j, u]
         JX = WX.conj().T @ X.right_action[b:b + n, b]
         JY = WY.conj().T @ Y.left_action[b, b:b + n]
-        rows.append(np.tensordot(JX, JY, axes=([0], [0])).transpose(0, 2, 1, 3).reshape(m * k, D))
-        blocks.append((WX, WY, b, start))     # rows start:start + m k of J
-        start += m * k
-    J = np.concatenate(rows)
-    del rows
-    d2 = len(J)
-    V, R = np.linalg.qr(J.conj().T)
-    diag = np.abs(np.diag(R))
-    if d2 and diag.min() <= rank_tol * diag.max():
-        raise StructureError(f"the balanced map has rank below {d2} (|R_kk| down to "
-                             f"{diag.min():.3g}): the actions are not homomorphisms")
-    if d2 == D:
-        V = np.eye(D, dtype=complex)
-    M = J @ V       # J coordinates of the columns of V
-    del J, R
-
-    def to_v(left, right, batch, factors):
-        # left @ T_J @ right, T_J block diagonal with blocks P_l (x) Q_l
-        stack = np.empty(batch + (d2, d2), dtype=complex)
-        for (WX, WY, _, r), (P, Q) in zip(blocks, factors):
-            m, k = WX.shape[1], WY.shape[1]
-            stack[..., r:r + m * k, :] = _kron_rows(P, Q, right[r:r + m * k].reshape(m, k, d2))
-        return np.matmul(left, stack)
-
-    # right Gram over C: gamma_l (x) (y_j|y_j')_C
-    GY = Y.right_gram.transpose(2, 3, 0, 1)
-    G2 = to_v(M.conj().T, M, (nc, nc), [(WX.conj().T @ X.right_gram[:, :, b, b] @ WX,
-                                         WY.conj().T @ GY @ WY) for WX, WY, b, _ in blocks])
-    G2 = np.ascontiguousarray(G2.transpose(2, 3, 0, 1))
-    # left Gram over A, linear in the first leg: _A(w_i|w_i') (x) beta_l
-    LX = X.left_gram.transpose(2, 3, 0, 1)
-    L2 = to_v(M.T, M.conj(), (na, na), [(WX.T @ LX @ WX.conj(),
-                                         WY.T @ Y.left_gram[:, :, b, b] @ WY.conj())
-                                        for WX, WY, b, _ in blocks])
-    L2 = np.ascontiguousarray(L2.transpose(2, 3, 0, 1))
-    # actions: phi_X(a) (x) 1 and 1 (x) psi_Y(c)
-    Minv = np.linalg.inv(M)
-    Phi2 = to_v(Minv, M, (na, na), [(WX.conj().T @ X.left_action @ WX, None)
-                                     for WX, _, _, _ in blocks])
-    Psi2 = to_v(Minv, M, (nc, nc), [(None, WY.conj().T @ Y.right_action @ WY)
-                                     for _, WY, _, _ in blocks])
+        push[r] = np.tensordot(JX, JY, axes=([0], [0])).transpose(0, 2, 1, 3).reshape(m * k, D)
+        lift[:, r] = np.kron(WX, WY)
+        # right Gram over C: gamma_l (x) (y_j|y_j')_C
+        G2[r, r] = _kron(WX.conj().T @ X.right_gram[:, :, b, b] @ WX,
+                         WY.conj().T @ GY @ WY).transpose(2, 3, 0, 1)
+        # left Gram over A, linear in the first leg: _A(w_i|w_i') (x) beta_l
+        L2[r, r] = _kron(WX.T @ LX @ WX.conj(),
+                         WY.T @ Y.left_gram[:, :, b, b] @ WY.conj()).transpose(2, 3, 0, 1)
+        # actions: phi_X(a) (x) 1 and 1 (x) psi_Y(c)
+        Phi2[:, :, r, r] = _kron(WX.conj().T @ X.left_action @ WX, np.eye(k))
+        Psi2[:, :, r, r] = _kron(np.eye(m), WY.conj().T @ Y.right_action @ WY)
     return HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2,
-                           meta={"tensor": {"V": V, "dims": (dx, dy)}})
+                           meta={"tensor": {"lift": lift, "push": push, "dims": (X.dim, Y.dim)}})
 
 
 def tensor_lift(Z: HilbertBimodule, vec) -> np.ndarray:
-    """Quotient coordinates of a tensor bimodule -> product coordinates."""
+    """Coordinates of a tensor bimodule, on the basis w_i (x) y_j of
+    ``tensor``, -> product coordinates (``lift``); ``tensor_push`` undoes it."""
     info = Z.meta.get("tensor")
     if info is None:
         raise ContractError("bimodule was not produced by tensor()")
-    return info["V"] @ _coords(Z, vec)
+    return info["lift"] @ _coords(Z, vec)
 
 
 def tensor_push(Z: HilbertBimodule, vec_full: np.ndarray) -> np.ndarray:
-    """Product coordinates -> quotient coordinates of a tensor bimodule."""
+    """Product coordinates -> coordinates of their class in a tensor bimodule
+    (``push``): it undoes ``tensor_lift`` and sends the null vectors to zero."""
     info = Z.meta.get("tensor")
     if info is None:
         raise ContractError("bimodule was not produced by tensor()")
-    return info["V"].conj().T @ np.asarray(vec_full, dtype=complex).reshape(-1)
+    return info["push"] @ np.asarray(vec_full, dtype=complex).reshape(-1)
 
 
 def bimodule_map_residual(W: np.ndarray, X: HilbertBimodule,

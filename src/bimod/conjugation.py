@@ -532,14 +532,14 @@ def tensor_conjugate(sol_X: ConjugateSolution, sol_Y: ConjugateSolution) -> Conj
         raise ContractError("middle algebras of the two solutions differ")
     Z = tensor(X, Y)
     W = tensor(y_conj, x_conj)
-    # conjugated quotient isometries [first leg, second leg, quotient], met one leg at a time
-    VW = W.meta["tensor"]["V"].conj().reshape(y_conj.dim, x_conj.dim, W.dim)
-    VZ = Z.meta["tensor"]["V"].conj().reshape(X.dim, Y.dim, Z.dim)
+    # balanced maps [first leg, second leg, product class], met one leg at a time
+    PW = W.meta["tensor"]["push"].T.reshape(y_conj.dim, x_conj.dim, W.dim)
+    PZ = Z.meta["tensor"]["push"].T.reshape(X.dim, Y.dim, Z.dim)
     # R = (1 (x) R_X (x) 1) R_Y: R_Y[a, b] R_X[c, d] at (a, c), (d, b)
-    R = np.tensordot(np.tensordot(np.tensordot(VW, sol_Y.R, axes=([0], [0])),
-                                  sol_X.R, axes=([0], [0])), VZ, axes=([2, 1], [0, 1]))
+    R = np.tensordot(np.tensordot(np.tensordot(PW, sol_Y.R, axes=([0], [0])),
+                                  sol_X.R, axes=([0], [0])), PZ, axes=([2, 1], [0, 1]))
     # Rbar = (1 (x) Rbar_Y (x) 1) Rbar_X: Rbar_X[p, q] Rbar_Y[u, v] at (p, u), (v, q)
-    Rbar = np.tensordot(np.tensordot(np.tensordot(VZ, sol_X.Rbar, axes=([0], [0])),
-                                     sol_Y.Rbar, axes=([0], [0])), VW, axes=([2, 1], [0, 1]))
+    Rbar = np.tensordot(np.tensordot(np.tensordot(PZ, sol_X.Rbar, axes=([0], [0])),
+                                     sol_Y.Rbar, axes=([0], [0])), PW, axes=([2, 1], [0, 1]))
     rep = verify_conjugate(Z, W, R, Rbar)
     return ConjugateSolution(Z, W, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)

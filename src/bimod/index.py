@@ -268,10 +268,15 @@ class CPMap:
         """(least Choi eigenvalue >= -tol (1 + s), that eigenvalue), with s the
         largest |Choi eigenvalue|: a scale that no change of the source or
         target bases moves."""
-        ends = np.array([np.linalg.eigvalsh(hermitian_part(c))[[0, -1]]
-                         for c in self.choi_blocks()])
-        mn = float(ends[:, 0].min())
-        return mn >= -tol * (1.0 + float(np.abs(ends).max())), mn
+        return _cp_verdict([np.linalg.eigvalsh(hermitian_part(c))[[0, -1]]
+                            for c in self.choi_blocks()], tol)
+
+
+def _cp_verdict(ends, tol: float) -> tuple[bool, float]:
+    """``CPMap.is_completely_positive`` from each Choi block's (least, largest) eigenvalue."""
+    ends = np.array(ends)
+    mn = float(ends[:, 0].min())
+    return mn >= -tol * (1.0 + float(np.abs(ends).max())), mn
 
 
 def _extension_cp_map(X: HilbertBimodule) -> CPMap:
@@ -300,19 +305,23 @@ def least_multipliers(cp: CPMap, tol: float = 1e-9) -> tuple[bool, np.ndarray, n
     (its target is its source): the least c_l* = Omega_l^* C_ll^+ Omega_l
     with T -> c Phi(T) - T completely positive (module docstring).  One
     ``eigh`` of each diagonal Choi block C_ll, cut at ``tol`` times its
-    largest eigenvalue, gives C_ll^+ and its range.  Returns (Phi completely
-    positive, which keeps the off-diagonal blocks c_l' C_ll' PSD; c_l*; the
-    range residual (m_l - ||P_ran Omega_l||^2) / m_l).
+    largest eigenvalue, gives C_ll^+, its range and its spectrum for the
+    verdict.  Returns (Phi completely positive, which keeps the off-diagonal
+    blocks c_l' C_ll' PSD; c_l*; the range residual (m_l - ||P_ran Omega_l||^2) / m_l).
     """
-    blocks = cp.choi_blocks()[::cp.source.num_blocks + 1]
-    least, residual = [], []
-    for m, choi in zip(cp.source.blocks, blocks):
+    least, residual, ends = [], [], []
+    for t, choi in enumerate(cp.choi_blocks()):
+        if t % (cp.source.num_blocks + 1):     # off the diagonal
+            ends.append(np.linalg.eigvalsh(hermitian_part(choi))[[0, -1]])
+            continue
+        m = cp.source.blocks[t // cp.source.num_blocks]
         w, v = np.linalg.eigh(hermitian_part(choi))
+        ends.append(w[[0, -1]])
         keep = w > tol * w[-1]
         weight = np.abs(v[::m + 1, keep].sum(axis=0)) ** 2     # |v_i^* Omega_l|^2
         least.append(float(np.sum(weight / w[keep])))
         residual.append(float(m - weight.sum()) / m)
-    return cp.is_completely_positive()[0], np.array(least), np.array(residual)
+    return _cp_verdict(ends, DEFAULT_TOL)[0], np.array(least), np.array(residual)
 
 
 # -- the extension of the left inner product -----------------------------------

@@ -254,7 +254,8 @@ def kron_commutant(X: HilbertBimodule, left: bool = True) -> np.ndarray:
 def dense_tensor(X: HilbertBimodule, Y: HilbertBimodule,
                  rank_tol: float = RANK_TOL) -> HilbertBimodule:
     """Reference interior tensor product X (x)_B Y through the dense
-    pre-quotient Gram and action tensors."""
+    pre-quotient Gram and action tensors, in the coordinates of the quotient
+    isometry V (``meta["tensor"]``: ``lift`` = V, ``push`` = V^*)."""
     if X.B != Y.A:
         raise ContractError(
             f"middle algebras differ: {X.B.blocks} vs {Y.A.blocks}")
@@ -288,7 +289,7 @@ def dense_tensor(X: HilbertBimodule, Y: HilbertBimodule,
     Phi2 = np.einsum("Pi,abPQ,Qj->abij", V.conj(), PhiT, V, optimize=True)
     Psi2 = np.einsum("Pi,abPQ,Qj->abij", V.conj(), PsiT, V, optimize=True)
     Z = HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2,
-                        meta={"tensor": {"V": V, "dims": (dx, dy)}})
+                        meta={"tensor": {"lift": V, "push": V.conj().T, "dims": (dx, dy)}})
     return Z
 
 
@@ -405,8 +406,7 @@ def eigh_tensor(X: HilbertBimodule, Y: HilbertBimodule,
 
     The algebraic tensor basis e_p (x) f_u is reduced by the kernel of the
     right Gram tensor (vectors of seminorm zero); the quotient isometry V is
-    kept in ``meta["tensor"]`` for lifting vectors back to product
-    coordinates.
+    kept in ``meta["tensor"]`` as ``lift`` and its adjoint as ``push``.
 
     The quotient is found first, from the D x D scalar trace form of the
     right Gram (D = d_X d_Y), and the four structure tensors are then
@@ -462,7 +462,7 @@ def eigh_tensor(X: HilbertBimodule, Y: HilbertBimodule,
     Psi2 = np.matmul(Vh, PV.reshape(nc * nc, D, d2)).reshape(nc, nc, d2, d2)
     return HilbertBimodule(X.A, Y.B, d2, np.ascontiguousarray(G2), Phi2, Psi2,
                            np.ascontiguousarray(L2),
-                           meta={"tensor": {"V": V, "dims": (dx, dy)}})
+                           meta={"tensor": {"lift": V, "push": V.conj().T, "dims": (dx, dy)}})
 
 
 # The product pairings of ``bimod.conjugation`` before they went through the
@@ -1010,6 +1010,31 @@ def choi_spectrum(cp: CPMap, mult=None) -> np.ndarray:
         w = np.linalg.eigvalsh(hermitian_part(c))
         out.append(w if mult is None else np.repeat(w, mult[i % per_source]))
     return np.sort(np.concatenate(out))
+
+
+def assert_least_multipliers_factorize_once(cp: CPMap, monkeypatch) -> None:
+    """``index.least_multipliers(cp)`` runs one ``eigh`` per diagonal Choi
+    block, ``eigvalsh`` on the off-diagonal blocks only, and reaches the
+    verdict and least eigenvalue of ``cp.is_completely_positive()``."""
+    from bimod import index
+    calls, seen = {"eigh": [], "eigvalsh": []}, []
+
+    def counted(name, f):
+        return lambda a, *args, **kwargs: calls[name].append(np.shape(a)) or f(a, *args, **kwargs)
+
+    verdict = index._cp_verdict
+    with monkeypatch.context() as mp:
+        for name in calls:
+            mp.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        mp.setattr(index, "_cp_verdict", lambda ends, tol: seen.append(verdict(ends, tol)) or seen[-1])
+        cp_ok = index.least_multipliers(cp)[0]
+    K, blocks = cp.source.num_blocks, cp.choi_blocks()
+    assert calls["eigh"] == [c.shape for c in blocks[::K + 1]]
+    assert calls["eigvalsh"] == [c.shape for t, c in enumerate(blocks) if t % (K + 1)]
+    ref_ok, ref_mn = cp.is_completely_positive()
+    (ok, mn), = seen
+    scale = max(float(np.abs(np.linalg.eigvalsh(hermitian_part(c))).max()) for c in blocks)
+    assert ok == cp_ok == ref_ok and abs(mn - ref_mn) <= 1e-12 * (1 + scale), (mn, ref_mn)
 
 
 def sanitize(obj):

@@ -507,7 +507,7 @@ def test_tensor_unit_object():
         for p in range(X.dim):
             for q in range(IB.dim):
                 Wfull[:, p * IB.dim + q] = X.psi(units[q]) @ np.eye(X.dim)[p]
-        W = Wfull @ Z.meta["tensor"]["V"]
+        W = Wfull @ Z.meta["tensor"]["lift"]
         assert bimodule_map_residual(W, Z, X) < 1e-10, name
 
 
@@ -533,28 +533,29 @@ def test_tensor_matches_eigh_oracle(name, order):
     X = _ORACLE_MODULES[name]
     a, b = (X, contragredient(X)) if order == "X_Xbar" else (contragredient(X), X)
     Z, Ze = tensor(a, b), eigh_tensor(a, b)
-    V, Ve = Z.meta["tensor"]["V"], Ze.meta["tensor"]["V"]
+    lift, push, Ve = Z.meta["tensor"]["lift"], Z.meta["tensor"]["push"], Ze.meta["tensor"]["lift"]
+    D = a.dim * b.dim
     assert Z.dim == Ze.dim and Z.meta["tensor"]["dims"] == (a.dim, b.dim)
-    assert np.abs(V.conj().T @ V - np.eye(Z.dim)).max() <= 1e-12
-    assert np.abs(V @ V.conj().T - Ve @ Ve.conj().T).max() <= 1e-12
-    W = Ve.conj().T @ V
-    assert np.abs(W.conj().T @ W - np.eye(Z.dim)).max() <= 1e-12
-    assert bimodule_map_residual(W, Z, Ze) <= 1e-10
+    # push undoes lift and sends the null vectors (orthogonal to the oracle's isometry) to zero
+    assert np.abs(push @ lift - np.eye(Z.dim)).max() <= 1e-12
+    assert np.abs(push @ (np.eye(D) - Ve @ Ve.conj().T)).max() <= 1e-12
+    assert bimodule_map_residual(Ve.conj().T @ lift, Z, Ze) <= 1e-10
 
 
-def test_tensor_without_kernel_keeps_identity_quotient():
+def test_tensor_without_kernel_lift_inverts_push():
     count = 0
     for name, X in corpus():
         for a, b in ((X, contragredient(X)), (contragredient(X), X)):
             Z, D = tensor(a, b), a.dim * b.dim
             if Z.dim == D:
-                V = Z.meta["tensor"]["V"]
-                assert V.dtype == complex and np.array_equal(V, np.eye(D)), name
+                info = Z.meta["tensor"]
+                assert np.abs(info["lift"] @ info["push"] - np.eye(D)).max() <= 1e-12, name
                 count += 1
     assert count >= 6
 
 
 def test_tensor_takes_no_eigh_of_the_product_size(monkeypatch):
+    # nor any QR or inverse: the product stays in the basis it is built in
     X = random_bimodule(*ROUNDTRIP_24, seed=0)
     Xbar = contragredient(X)
     D = Xbar.dim * X.dim
@@ -565,13 +566,20 @@ def test_tensor_takes_no_eigh_of_the_product_size(monkeypatch):
             raise AssertionError(f"eigh of side D = {D}")
         return eigh(a, *args, **kwargs)
 
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} in tensor")
+        return call
+
     monkeypatch.setattr(np.linalg, "eigh", guarded)
+    monkeypatch.setattr(np.linalg, "qr", refused("qr"))
+    monkeypatch.setattr(np.linalg, "inv", refused("inv"))
     Z = tensor(Xbar, X)
     monkeypatch.undo()
     Ze = eigh_tensor(Xbar, X)
-    V, Ve = Z.meta["tensor"]["V"], Ze.meta["tensor"]["V"]
+    push, Ve = Z.meta["tensor"]["push"], Ze.meta["tensor"]["lift"]
     assert Z.dim == Ze.dim < D
-    assert np.abs(V @ V.conj().T - Ve @ Ve.conj().T).max() <= 1e-12
+    assert np.abs(push @ (np.eye(D) - Ve @ Ve.conj().T)).max() <= 1e-12
 
 
 def test_tensor_memory_at_d45():
@@ -607,9 +615,10 @@ def test_tensor_matches_dense_oracle():
         for a, b in ((X, Xbar), (Xbar, X)):
             Z, Zd = tensor(a, b), dense_tensor(a, b)
             assert Z.dim == Zd.dim, name
-            # quotient coordinates of Z -> those of the oracle
-            W = Zd.meta["tensor"]["V"].conj().T @ Z.meta["tensor"]["V"]
-            assert np.abs(W.conj().T @ W - np.eye(Z.dim)).max() <= 1e-10, name
+            # coordinates of Z -> quotient coordinates of the oracle, and back
+            info, ref = Z.meta["tensor"], Zd.meta["tensor"]
+            W = ref["push"] @ info["lift"]
+            assert np.abs(info["push"] @ ref["lift"] @ W - np.eye(Z.dim)).max() <= 1e-10, name
             assert bimodule_map_residual(W, Z, Zd) <= 1e-10, name
         # the solution pushed into the oracle's quotient verifies there
         sol = build_conjugate(X)

@@ -26,6 +26,7 @@ from bimod.constructors import _expectation_module, _iota_e
 from bimod.multimatrix import random_element
 
 from helpers import (
+    assert_least_multipliers_factorize_once,
     bidirected_cycle_graph,
     delta_minimal_cp_multiplier,
     diag_expectation_m2,
@@ -181,6 +182,7 @@ def test_least_multipliers_are_the_index_element(spec, monkeypatch):
     # c_k* of iota.E is the coefficient of the quasi-basis index element on
     # block k of B, the gap is 1 / max_k c_k*, and the verdicts are those of
     # the delta search on the Choi blocks of c E - id
+    assert_least_multipliers_factorize_once(_iota_e(spec), monkeypatch)
     _, ind = quasi_basis(spec)
     c = np.array([np.trace(b).real / len(b) for b in ind.blocks])
     got = minimal_cp_multiplier(spec)
@@ -233,13 +235,13 @@ def test_expectation_tensor_matches_direct():
     Z_direct = HilbertBimodule(A, A, d, GD, act, act_r, LD)
     assert validate(Z_direct).passed
     # multiplication map on the product basis of Y (x) X, pushed to Z coords
-    V = Z.meta["tensor"]["V"]
+    lift = Z.meta["tensor"]["lift"]
     Wfull = np.zeros((d, d * d), dtype=complex)
     for p in range(d):
         for q in range(d):
             prod = units[p].conj().T @ units[q]
             Wfull[:, p * d + q] = np.einsum("rji,ji->r", units.conj(), prod)
-    W = Wfull @ V
+    W = Wfull @ lift
     assert bimodule_map_residual(W, Z, Z_direct) < 1e-9
 
 

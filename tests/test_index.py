@@ -43,6 +43,7 @@ from bimod.serde import encode_bimodule
 from helpers import (
     _RANDOM_SHAPES,
     _operator_cp_map,
+    assert_least_multipliers_factorize_once,
     averaging_relative_commutant,
     choi_spectrum,
     corpus,
@@ -723,6 +724,8 @@ def test_least_multipliers_are_l_ind(X, monkeypatch):
     # c_l* of phi F is the coefficient of l-ind on each block of B that X
     # reaches (the blocks of L(X_B)), read off right_index's dual basis, and
     # the verdicts are those of the delta search on the Choi blocks
+    assert_least_multipliers_factorize_once(
+        index._phi_frame_map(X, index._extension_cp_map(X)), monkeypatch)
     rep, c = right_index(X), l_ind_coefficients(X)
     got = cp_characterization(X)
     assert np.abs(np.array(got.least_multiplier) - c).max() <= 1e-12 * c.max()

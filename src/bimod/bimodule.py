@@ -11,10 +11,17 @@ A bimodule fixes a complex coordinate basis e_1..e_d.  Structure tensors:
 * ``right_action``      analogous for psi(b): x -> x.b.
 
 An inner product takes values in its algebra, a direct sum of matrix blocks,
-so no Gram entry gram[p, q, a, b] has a and b in two different blocks: the
-constructor refuses one beyond round-off (``OFF_BLOCK_TOL``), and everything
-downstream reads a Gram on the blocks only.  ``validate`` checks the actions
-on the generators e^k_i1, e^k_1i of the algebras.
+so no Gram entry gram[p, q, a, b] has a and b in two different blocks, and an
+action has no image there, as no matrix unit sits at such an (a, b).  So a
+bimodule stores each tensor as its values at the matrix units e_u of its
+algebra, one (U, d, d) stack in ``_unit_layout`` order, U = sum n_k^2 of the
+N^2 embedded positions: ``right_stack[u][p, q] = (e_p|e_q)_B`` at e_u,
+``left_stack`` likewise over A, ``phis[u] = phi(e_u)`` and ``psis[u] =
+psi(e_u)``.  The dense constructor refuses a Gram entry between two blocks
+beyond round-off (``OFF_BLOCK_TOL``) and slices the stacks out; the four
+dense tensors above are read-only properties, assembled from the stacks on
+each access, and the package itself reads the stacks.  ``validate`` checks
+the actions on the generators e^k_i1, e^k_1i of the algebras.
 
 Operator norms in L(X_B) are evaluated through the scalar trace form of the
 right Gram tensor: g[p,q] = tr (e_p|e_q)_B.  Conjugating by g^{1/2} is an
@@ -61,88 +68,93 @@ def _psd_sqrt_and_inv(mat: np.ndarray, rank_tol: float = RANK_TOL):
 
 class HilbertBimodule:
     """A finite-dimensional A-B bimodule with right (and optional left) Gram
-    tensors.  Immutable after construction."""
+    tensors, stored at the matrix units of its algebras (module docstring).
+    Immutable after construction.
+
+    The arguments are the dense tensors, or with ``units`` the four stacks,
+    taken as they are: a stack holds nothing between two blocks, so it needs
+    no check of that."""
 
     def __init__(self, A: MultiMatrixAlgebra, B: MultiMatrixAlgebra, dim: int,
                  right_gram: np.ndarray, left_action: np.ndarray,
                  right_action: np.ndarray, left_gram: np.ndarray | None = None,
-                 meta: dict | None = None):
-        d, na, nb = int(dim), A.rep_dim, B.rep_dim
-        right_gram = np.asarray(right_gram, dtype=complex)
-        left_action = np.asarray(left_action, dtype=complex)
-        right_action = np.asarray(right_action, dtype=complex)
-        if right_gram.shape != (d, d, nb, nb):
-            raise StructureError(f"right_gram shape {right_gram.shape} != {(d, d, nb, nb)}")
-        if left_action.shape != (na, na, d, d):
-            raise StructureError(f"left_action shape {left_action.shape} != {(na, na, d, d)}")
-        if right_action.shape != (nb, nb, d, d):
-            raise StructureError(f"right_action shape {right_action.shape} != {(nb, nb, d, d)}")
-        if left_gram is not None:
-            left_gram = np.asarray(left_gram, dtype=complex)
-            if left_gram.shape != (d, d, na, na):
-                raise StructureError(f"left_gram shape {left_gram.shape} != {(d, d, na, na)}")
-            _check_block_diagonal(left_gram, A, "left_gram")
-        _check_block_diagonal(right_gram, B, "right_gram")
+                 meta: dict | None = None, *, units: bool = False):
+        d = int(dim)
+        if not units:
+            left_action = _action_units(left_action, A, d, "left_action")
+            right_action = _action_units(right_action, B, d, "right_action")
+            if left_gram is not None:
+                left_gram = _gram_units(left_gram, A, d, "left_gram")
+            right_gram = _gram_units(right_gram, B, d, "right_gram")
         self.A, self.B, self.dim = A, B, d
-        # read-only views, so that no user of X can change it under ``_cache``
-        self.right_gram, self.left_action, self.right_action, self.left_gram = (
+        # read-only, so that no user of X can change it under ``_cache``
+        self.right_stack, self.phis, self.psis, self.left_stack = (
             None if a is None else _read_only(a)
             for a in (right_gram, left_action, right_action, left_gram))
         self.meta = dict(meta or {})
         self._cache: dict = {}
 
+    # -- the dense tensors, assembled on each access ------------------------------
+
+    @property
+    def right_gram(self) -> np.ndarray:
+        return _assemble(self.right_stack, self.B, gram=True)
+
+    @property
+    def left_gram(self) -> np.ndarray | None:
+        return None if self.left_stack is None else _assemble(self.left_stack, self.A, gram=True)
+
+    @property
+    def left_action(self) -> np.ndarray:
+        return _assemble(self.phis, self.A, gram=False)
+
+    @property
+    def right_action(self) -> np.ndarray:
+        return _assemble(self.psis, self.B, gram=False)
+
     # -- basic structure -------------------------------------------------------
 
     @property
     def is_bihilbertian(self) -> bool:
-        return self.left_gram is not None
+        return self.left_stack is not None
 
     def phi(self, a) -> np.ndarray:
         """Matrix of the left action of a (AlgebraElement, or embedded; may be a stack)."""
-        a_emb = a.embed() if isinstance(a, AlgebraElement) else np.asarray(a, dtype=complex)
-        return np.tensordot(a_emb, self.left_action, axes=([-2, -1], [0, 1]))
+        return np.tensordot(_unit_values(a, self.A), self.phis, axes=1)
 
     def psi(self, b) -> np.ndarray:
-        """Matrix of the right action x -> x.b."""
-        b_emb = b.embed() if isinstance(b, AlgebraElement) else np.asarray(b, dtype=complex)
-        return np.einsum("ab,abij->ij", b_emb, self.right_action)
+        """Matrix of the right action x -> x.b (AlgebraElement, or embedded; may be a stack)."""
+        return np.tensordot(_unit_values(b, self.B), self.psis, axes=1)
 
     def right_inner(self, x, y) -> AlgebraElement:
         """(x|y)_B for coordinate vectors; conjugate-linear in x."""
         x, y = _coords(self, x), _coords(self, y)
-        emb = np.einsum("p,q,pqab->ab", x.conj(), y, self.right_gram)
-        return self.B.from_embedded(emb)
+        return _element(self.B, x.conj() @ self.right_stack @ y)
 
     def left_inner(self, x, y) -> AlgebraElement:
         """_A(x|y) for coordinate vectors; linear in x."""
         self._need_left()
         x, y = _coords(self, x), _coords(self, y)
-        emb = np.einsum("p,q,pqab->ab", x, y.conj(), self.left_gram)
-        return self.A.from_embedded(emb)
+        return _element(self.A, x @ self.left_stack @ y.conj())
 
     def vector_norm(self, x) -> float:
         """||x|| = ||(x|x)_B||^(1/2)."""
         x = _coords(self, x)
-        emb = np.einsum("p,q,pqab->ab", x.conj(), x, self.right_gram)
-        top = float(np.linalg.eigvalsh(hermitian_part(emb)).max())
-        return float(np.sqrt(max(top, 0.0)))
+        return _sqrt_top(_element(self.B, x.conj() @ self.right_stack @ x))
 
     def left_vector_norm(self, x) -> float:
         self._need_left()
         x = _coords(self, x)
-        emb = np.einsum("p,q,pqab->ab", x, x.conj(), self.left_gram)
-        top = float(np.linalg.eigvalsh(hermitian_part(emb)).max())
-        return float(np.sqrt(max(top, 0.0)))
+        return _sqrt_top(_element(self.A, x @ self.left_stack @ x.conj()))
 
     def rank_one(self, x, y) -> np.ndarray:
         """Matrix of z -> x (y|z)_B."""
         x, y = _coords(self, x), _coords(self, y)
-        xb = np.tensordot(self.right_action, x, axes=([3], [0]))      # [a, b, i] = (x.e_ab)_i
-        yz = np.tensordot(y.conj(), self.right_gram, axes=([0], [0]))  # [q, a, b] = (y|e_q)_B
-        return np.tensordot(xb, yz, axes=([0, 1], [1, 2]))
+        # [u, i] = (x.e_u)_i and [u, q] = (y|e_q)_B at e_u
+        return (self.psis @ x).T @ (y.conj() @ self.right_stack)
 
     def _need_left(self) -> None:
-        if self.left_gram is None:
+        if self.left_stack is None:
             raise ContractError("operation requires a left inner product (left_gram)")
 
     # -- scalar trace forms and the module-operator calculus -------------------
@@ -155,12 +167,12 @@ class HilbertBimodule:
 
     @property
     def scalar_gram(self) -> np.ndarray:
-        return self._cached("g", lambda: hermitian_part(np.einsum("pqaa->pq", self.right_gram)))
+        return self._cached("g", lambda: hermitian_part(_trace(self.right_stack, self.B)))
 
     @property
     def scalar_left_gram(self) -> np.ndarray:
         self._need_left()
-        return self._cached("gl", lambda: hermitian_part(np.einsum("pqaa->pq", self.left_gram).T))
+        return self._cached("gl", lambda: hermitian_part(_trace(self.left_stack, self.A).T))
 
     def _g_half(self):
         return self._cached("gh", lambda: _psd_sqrt_and_inv(self.scalar_gram))
@@ -228,9 +240,13 @@ class HilbertBimodule:
     # -- derived bimodules ------------------------------------------------------
 
     def with_left_gram(self, left_gram: np.ndarray) -> "HilbertBimodule":
-        return HilbertBimodule(self.A, self.B, self.dim, self.right_gram,
-                               self.left_action, self.right_action,
-                               np.asarray(left_gram, dtype=complex))
+        """X with the dense left Gram ``left_gram``, checked as the constructor checks it."""
+        return self.with_left_stack(_gram_units(left_gram, self.A, self.dim, "left_gram"))
+
+    def with_left_stack(self, left_stack: np.ndarray) -> "HilbertBimodule":
+        """X with the left Gram given at the matrix units of A."""
+        return HilbertBimodule(self.A, self.B, self.dim, self.right_stack, self.phis,
+                               self.psis, left_stack, units=True)
 
     def __repr__(self) -> str:
         tag = "bi-Hilbertian" if self.is_bihilbertian else "right Hilbert"
@@ -242,6 +258,77 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
     return view
+
+
+def _action_units(action, alg: MultiMatrixAlgebra, d: int, what: str) -> np.ndarray:
+    """A dense (N, N, d, d) action tensor -> its images at the matrix units."""
+    action = np.asarray(action, dtype=complex)
+    n = alg.rep_dim
+    if action.shape != (n, n, d, d):
+        raise StructureError(f"{what} shape {action.shape} != {(n, n, d, d)}")
+    return _unit_images(alg, action)
+
+
+def _gram_units(gram, alg: MultiMatrixAlgebra, d: int, what: str) -> np.ndarray:
+    """A dense (d, d, N, N) Gram tensor -> its values at the matrix units,
+    after refusing an entry between two blocks (``_check_block_diagonal``)."""
+    gram = np.asarray(gram, dtype=complex)
+    n = alg.rep_dim
+    if gram.shape != (d, d, n, n):
+        raise StructureError(f"{what} shape {gram.shape} != {(d, d, n, n)}")
+    _check_block_diagonal(gram, alg, what)
+    return _unit_images(alg, gram.transpose(2, 3, 0, 1))
+
+
+def _assemble(stack: np.ndarray, alg: MultiMatrixAlgebra, gram: bool) -> np.ndarray:
+    """The dense tensor of a stack at the matrix units of ``alg``, zero
+    between blocks and read-only: (d, d, N, N) for a Gram, (N, N, d, d) for
+    an action."""
+    dense = _embed(stack.transpose(1, 2, 0), alg)
+    return _read_only(dense if gram else np.ascontiguousarray(dense.transpose(2, 3, 0, 1)))
+
+
+def _embed(vals: np.ndarray, alg: MultiMatrixAlgebra) -> np.ndarray:
+    """Values (..., U) at the matrix units of ``alg`` -> the embedded (..., N, N)."""
+    L, n = _unit_layout(alg.blocks), alg.rep_dim
+    out = np.zeros(vals.shape[:-1] + (n, n), dtype=complex)
+    out[..., L.rows, L.cols] = vals
+    return out
+
+
+def _unit_values(x, alg: MultiMatrixAlgebra) -> np.ndarray:
+    """The entries (..., U) of x at the matrix units of ``alg``: x an
+    AlgebraElement, or embedded (..., N, N), whose entries between blocks
+    no action sees."""
+    if isinstance(x, AlgebraElement):
+        return np.concatenate([b.reshape(-1) for b in x.blocks])
+    L = _unit_layout(alg.blocks)
+    return np.asarray(x, dtype=complex)[..., L.rows, L.cols]
+
+
+def _element(alg: MultiMatrixAlgebra, vals: np.ndarray) -> AlgebraElement:
+    """The element of ``alg`` with the values ``vals`` (U,) at its matrix units."""
+    starts = _unit_layout(alg.blocks).starts
+    return AlgebraElement(alg, [vals[o:o + n * n].reshape(n, n)
+                                for o, n in zip(starts, alg.blocks)])
+
+
+def _sqrt_top(x: AlgebraElement) -> float:
+    """The square root of the largest eigenvalue of the Hermitian part of x, floored at 0."""
+    top = max(float(np.linalg.eigvalsh(hermitian_part(b)).max()) for b in x.blocks)
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def _trace(stack: np.ndarray, alg: MultiMatrixAlgebra) -> np.ndarray:
+    """sum_a gram[p, q, a, a] of a Gram stack: its scalar trace form, unsymmetrized."""
+    return stack[_unit_layout(alg.blocks).diag].sum(axis=0)
+
+
+def _unit_blocks(stack: np.ndarray, alg: MultiMatrixAlgebra) -> list[np.ndarray]:
+    """Per block k of ``alg``, the part (n_k, n_k, ...) of a stack at its units e^k_ij."""
+    starts = _unit_layout(alg.blocks).starts
+    return [stack[o:o + n * n].reshape((n, n) + stack.shape[1:])
+            for o, n in zip(starts, alg.blocks)]
 
 
 def _coords(X: HilbertBimodule, x) -> np.ndarray:
@@ -337,19 +424,12 @@ def _gram_big(gram: np.ndarray) -> np.ndarray:
     return gram.transpose(0, 2, 1, 3).reshape(d * n, d * n)
 
 
-def _diagonal_blocks(gram: np.ndarray, alg: MultiMatrixAlgebra):
-    """The blocks G_l[(p, a), (q, b)] = gram[p, q, a, b], a and b in block l of
-    ``alg``, of a (d, d, N, N) Gram tensor, made one at a time: the Gram is the
-    direct sum of these (d n_l)-square matrices as an element of M_d(alg)."""
-    d = len(gram)
-    for l, n in enumerate(alg.blocks):
-        s = alg.block_slice(l)
-        yield gram[:, :, s, s].transpose(0, 2, 1, 3).reshape(d * n, d * n)
-
-
-def _act_first(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """[p, q] = sum_r M[r, p] gram[r, q], as one matrix product."""
-    return (M.T @ gram.reshape(len(gram), -1)).reshape(gram.shape)
+def _gram_matrix(part: np.ndarray) -> np.ndarray:
+    """G[(p, a), (q, b)] = gram[p, q, a, b] from the part (n, n, d, d) of a
+    Gram stack at the units of one block (``_unit_blocks``): the Gram is the
+    direct sum of these (d n)-square matrices as an element of M_d(alg)."""
+    n, _, d, _ = part.shape
+    return part.transpose(2, 0, 3, 1).reshape(d * n, d * n)
 
 
 def _max_abs(arr: np.ndarray) -> float:
@@ -360,22 +440,24 @@ def _max_abs(arr: np.ndarray) -> float:
 def _unit_layout(blocks: tuple[int, ...]) -> SimpleNamespace:
     """Index arrays of the matrix units e^k_ij of an algebra, in ``unit_triples``
     order, once per tuple of block sizes: ``place`` (offset of the block, its
-    size, i, j), the embedded ``rows`` and ``cols``, ``star`` (the unit e_ji of
-    each e_ij), ``diag`` (the e_ii), ``col_gens`` and ``row_gens`` (e^k_i1 and
-    e^k_1i at each embedded index s_k + i) and ``gens`` (both, each once)."""
+    size, i, j), ``starts`` (the offset of each block), the embedded ``rows``
+    and ``cols``, ``star`` (the unit e_ji of each e_ij), ``diag`` (the e_ii),
+    ``col_gens`` and ``row_gens`` (e^k_i1 and e^k_1i at each embedded index
+    s_k + i) and ``gens`` (both, each once)."""
     offsets = np.cumsum((0,) + tuple(n * n for n in blocks)).tolist()
     place = [(o, n, i, j) for o, n in zip(offsets, blocks) for i in range(n) for j in range(n)]
     o, n, i, j = np.array(place, dtype=np.intp).T
     first = np.repeat(np.cumsum((0,) + blocks[:-1]), [m * m for m in blocks])
-    return SimpleNamespace(place=place, rows=first + i, cols=first + j, star=o + j * n + i,
-                           diag=np.flatnonzero(i == j), col_gens=np.flatnonzero(j == 0),
-                           row_gens=np.flatnonzero(i == 0), gens=np.flatnonzero(i * j == 0))
+    return SimpleNamespace(place=place, starts=offsets[:-1], rows=first + i, cols=first + j,
+                           star=o + j * n + i, diag=np.flatnonzero(i == j),
+                           col_gens=np.flatnonzero(j == 0), row_gens=np.flatnonzero(i == 0),
+                           gens=np.flatnonzero(i * j == 0))
 
 
 def _unit_images(alg: MultiMatrixAlgebra, tensor: np.ndarray) -> np.ndarray:
     """``tensor[a, b]`` at every matrix unit (a, b) of ``alg``, taken by indexing."""
     L = _unit_layout(alg.blocks)
-    return tensor[L.rows, L.cols]
+    return np.ascontiguousarray(tensor[L.rows, L.cols])
 
 
 def _check_block_diagonal(gram: np.ndarray, alg: MultiMatrixAlgebra, what: str) -> None:
@@ -395,18 +477,13 @@ def _check_block_diagonal(gram: np.ndarray, alg: MultiMatrixAlgebra, what: str) 
 
 
 class _GramSupport:
-    """A (d, d, N, N) Gram tensor over an algebra, kept on the algebra's blocks.
+    """The checks of a Gram stack ``live[u] = gram[:, :, a_u, b_u]`` over an
+    algebra (``HilbertBimodule``): an operator acts on either leg by matrix
+    products on its U d^2 entries (U = sum n_k^2)."""
 
-    The constructor refuses entries between two blocks, so the Gram lives at
-    the matrix units: ``live[u] = gram[:, :, a_u, b_u]``, indexed as
-    ``_unit_images`` takes the actions.  An operator acts on either leg by
-    matrix products on U d^2 entries (U = sum n_k^2) instead of N^2 d^2.
-    """
-
-    def __init__(self, gram: np.ndarray, alg: MultiMatrixAlgebra):
-        self.gram, self.alg, self.layout = gram, alg, _unit_layout(alg.blocks)
-        self.live = _unit_images(alg, gram.transpose(2, 3, 0, 1))
-        self.scale = max(_max_abs(self.live), 1e-300)       # max |gram|
+    def __init__(self, live: np.ndarray, alg: MultiMatrixAlgebra):
+        self.live, self.alg, self.layout = live, alg, _unit_layout(alg.blocks)
+        self.scale = max(_max_abs(live), 1e-300)       # max |gram|
 
     def first(self, M: np.ndarray) -> np.ndarray:
         """[t, p, q] = sum_r M[r, p] live[t, r, q]."""
@@ -433,8 +510,8 @@ class _GramSupport:
         """Negativity of the (dN, dN) matrix [(p, a), (q, b)] -> gram[p, q, a, b]
         relative to its top eigenvalue, from one ``eigvalsh`` per block."""
         lo = hi = 0.0
-        for big in _diagonal_blocks(self.gram, self.alg):
-            w = np.linalg.eigvalsh(hermitian_part(big))
+        for part in _unit_blocks(self.live, self.alg):
+            w = np.linalg.eigvalsh(hermitian_part(_gram_matrix(part)))
             lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
         return max(0.0, -lo) / max(hi, 1e-300)
 
@@ -476,8 +553,8 @@ def _generator_residual(mats: np.ndarray, L: SimpleNamespace, anti: bool) -> flo
 def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     """Check every structural invariant; the report carries one line per check.
 
-    Each Gram is read at the matrix units of its algebra, as it is block
-    diagonal (:class:`_GramSupport`).  The identities of the actions are
+    Each Gram is read at the matrix units of its algebra, where the module
+    keeps it (:class:`_GramSupport`).  The identities of the actions are
     checked on the generators e^k_i1 and e^k_1i, which imply them on every
     unit once the (anti)homomorphism lines hold: adjointability on the
     e_i1, linearity and commutation on the e_i1 and the e_1i.  Once one of
@@ -492,15 +569,14 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
         residual = float(residual)
         checks.append(CheckResult(name, residual, residual <= tol if passed is None else passed))
 
-    S = _GramSupport(X.right_gram, X.B)
+    S = _GramSupport(X.right_stack, X.B)
     add("right_gram_hermitian", S.hermitian_residual() / S.scale)
     add("right_gram_psd", S.psd_residual())
     gw = np.linalg.eigvalsh(X.scalar_gram)
     add("right_gram_definite", 0.0,
         passed=float(gw.min()) > RANK_TOL * max(float(gw.max()), 1e-300))
 
-    phis = _unit_images(X.A, X.left_action)
-    psis = _unit_images(X.B, X.right_action)
+    phis, psis = X.phis, X.psis
     pscale = max(float(np.abs(phis).max()), 1e-300)
 
     # phi is a unital *-homomorphism, adjointable for the right inner product
@@ -515,14 +591,13 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     add("right_action_unital", np.abs(psis[LB.diag].sum(axis=0) - np.eye(d)).max())
     lin_err = max(S.unit_product_residual(S.second(psis[u]), u, left=False) for u in LB.gens)
     add("right_gram_B_linear", lin_err / S.scale)
-    del S       # the right Gram's blocks are not needed past this point
 
     Q = psis[LB.gens]
     add("actions_commute", max(_max_abs(phis[u] @ Q - Q @ phis[u]) for u in LA.gens) / pscale)
     del Q
 
-    if X.left_gram is not None:
-        S = _GramSupport(X.left_gram, X.A)
+    if X.left_stack is not None:
+        S = _GramSupport(X.left_stack, X.A)
         add("left_gram_hermitian", S.hermitian_residual() / S.scale)
         add("left_gram_psd", S.psd_residual())
         glw = np.linalg.eigvalsh(X.scalar_left_gram)
@@ -548,15 +623,10 @@ def rank_one_sum_norm(X: HilbertBimodule, xs, ys) -> float:
         raise ContractError(f"lists have lengths {len(xs)} != {len(ys)}")
     if not xs:
         return 0.0
-    n, nb = len(xs), X.B.rep_dim
-    P = np.empty((n, n, nb, nb), dtype=complex)
-    Q = np.empty((n, n, nb, nb), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            P[i, j] = np.einsum("p,q,pqab->ab", xs[i].conj(), xs[j], X.right_gram)
-            Q[i, j] = np.einsum("p,q,pqab->ab", ys[i].conj(), ys[j], X.right_gram)
-    Pb, Qb = _gram_big(P), _gram_big(Q)
-    return float(np.linalg.norm(_psd_half(Pb) @ _psd_half(Qb), 2))
+    # the Gram matrices [(x_i|x_j)_B]_ij and [(y_i|y_j)_B]_ij in M_n(B)
+    P, Q = (_gram_big(_embed(np.einsum("ip,upq,jq->iju", v.conj(), X.right_stack, v), X.B))
+            for v in (np.array(xs), np.array(ys)))
+    return float(np.linalg.norm(_psd_half(P) @ _psd_half(Q), 2))
 
 
 def _psd_half(mat: np.ndarray) -> np.ndarray:
@@ -566,10 +636,10 @@ def _psd_half(mat: np.ndarray) -> np.ndarray:
 
 def frame_operator(X: HilbertBimodule, vectors) -> np.ndarray:
     """sum_v theta^r_{v,v} in one contraction: with P = sum_v v v^*, the
-    matrices M_ab = P^T G_ab give S = sum_ab psi(e_ab) M_ab."""
+    matrices M_u = P^T G_u at the units give S = sum_u psi(e_u) M_u."""
     vecs = np.array([_coords(X, v) for v in vectors]).reshape(-1, X.dim)
-    M = np.tensordot(vecs.T @ vecs.conj(), X.right_gram, axes=([1], [0]))  # [j, q, a, b]
-    return np.tensordot(X.right_action, M, axes=([0, 1, 3], [2, 3, 0]))
+    M = np.matmul(vecs.T @ vecs.conj(), X.right_stack)                   # [u, j, q]
+    return X.psis.transpose(1, 0, 2).reshape(X.dim, -1) @ M.reshape(-1, X.dim)
 
 
 def tight_frame(X: HilbertBimodule, spanning=None,
@@ -627,14 +697,14 @@ def generalized_basis_step(X: HilbertBimodule, mu) -> tuple[FrameSet, ModuleOper
 
 def contragredient(X: HilbertBimodule) -> HilbertBimodule:
     """The conjugate B-A bimodule: b.xbar = (x b*)bar, xbar.a = (a* x)bar,
-    with the two Gram tensors exchanged (shared, as both are read-only).
-    Built once per module; it holds no reference back to X."""
+    so e_ij acts on either side by the conjugate image of e_ji, with the two
+    Gram stacks exchanged (shared, as both are read-only).  Built once per
+    module; it holds no reference back to X."""
     X._need_left()
+    star_a, star_b = _unit_layout(X.A.blocks).star, _unit_layout(X.B.blocks).star
     return X._cached("bar", lambda: HilbertBimodule(
-        X.B, X.A, X.dim, right_gram=X.left_gram,
-        left_action=X.right_action.transpose(1, 0, 2, 3).conj(),
-        right_action=X.left_action.transpose(1, 0, 2, 3).conj(),
-        left_gram=X.right_gram))
+        X.B, X.A, X.dim, X.left_stack, X.psis[star_b].conj(), X.phis[star_a].conj(),
+        X.right_stack, units=True))
 
 
 def identity_bimodule(alg: MultiMatrixAlgebra) -> HilbertBimodule:
@@ -656,11 +726,12 @@ def amplify(X: HilbertBimodule, n: int) -> HilbertBimodule:
     X._need_left()
     A2 = MultiMatrixAlgebra([n * m for m in X.A.blocks])
     d, nb, d2, na2 = X.dim, X.B.rep_dim, n * X.dim, A2.rep_dim
+    G, L, Phi, Psi = X.right_gram, X.left_gram, X.left_action, X.right_action
     G2 = np.zeros((d2, d2, nb, nb), dtype=complex)
     Psi2 = np.zeros((nb, nb, d2, d2), dtype=complex)
     for c in range(n):
-        G2[c * d:(c + 1) * d, c * d:(c + 1) * d] = X.right_gram
-        Psi2[:, :, c * d:(c + 1) * d, c * d:(c + 1) * d] = X.right_action
+        G2[c * d:(c + 1) * d, c * d:(c + 1) * d] = G
+        Psi2[:, :, c * d:(c + 1) * d, c * d:(c + 1) * d] = Psi
     L2 = np.zeros((d2, d2, na2, na2), dtype=complex)
     Phi2 = np.zeros((na2, na2, d2, d2), dtype=complex)
     for k, m in enumerate(X.A.blocks):
@@ -669,14 +740,15 @@ def amplify(X: HilbertBimodule, n: int) -> HilbertBimodule:
             for cp in range(n):
                 # copy c of the rows and copy cp of the columns of block k
                 rows, cols = slice(t + c * m, t + c * m + m), slice(t + cp * m, t + cp * m + m)
-                L2[c * d:(c + 1) * d, cp * d:(cp + 1) * d, rows, cols] = X.left_gram[:, :, s, s]
-                Phi2[rows, cols, c * d:(c + 1) * d, cp * d:(cp + 1) * d] = X.left_action[s, s]
+                L2[c * d:(c + 1) * d, cp * d:(cp + 1) * d, rows, cols] = L[:, :, s, s]
+                Phi2[rows, cols, c * d:(c + 1) * d, cp * d:(cp + 1) * d] = Phi[s, s]
     return HilbertBimodule(A2, X.B, d2, G2, Phi2, Psi2, L2)
 
 
-def _corner_rank(act: np.ndarray, b: int, what: str) -> int:
-    """The rank of the idempotent act[b, b], read from its trace."""
-    t = float(np.trace(act[b, b]).real)
+def _corner_rank(E: np.ndarray, b: int, what: str) -> int:
+    """The rank of the idempotent E, the image of the unit at (b, b), read
+    from its trace."""
+    t = float(np.trace(E).real)
     rank = int(round(t))
     if abs(t - rank) > 1e-6:
         raise StructureError(f"{what} of the unit at ({b}, {b}) has trace {t:.6g}, "
@@ -688,13 +760,13 @@ def _corner_ranges(X: HilbertBimodule, left: bool) -> list[np.ndarray]:
     """Orthonormal columns spanning the range of the idempotent phi_X(e^l_11)
     (left) or psi_X(e^l_11), for every block l of A or B, built once per
     module; each rank is read from the trace."""
-    alg, act, what = (X.A, X.left_action, "phi") if left else (X.B, X.right_action, "psi")
+    alg, stack, what = (X.A, X.phis, "phi") if left else (X.B, X.psis, "psi")
 
-    def corner(b):
-        E, rank = act[b, b], _corner_rank(act, b, what)
+    def corner(l, o):
+        E, rank = stack[o], _corner_rank(stack[o], alg.block_slice(l).start, what)
         return np.linalg.svd(E)[0][:, :rank] if rank else E[:, :0]
-    return X._cached(what + "_corners", lambda: [corner(alg.block_slice(l).start)
-                                                 for l in range(alg.num_blocks)])
+    return X._cached(what + "_corners", lambda: [
+        corner(l, o) for l, o in enumerate(_unit_layout(alg.blocks).starts)])
 
 
 def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -713,83 +785,87 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule) -> HilbertBimodule:
     coordinates are those of the basis b_(l,i,j) = w_i (x) y_j, l-major, with
     w_i and y_j the orthonormal columns of W_X,l and W_Y,l spanning those
     ranges (``_corner_ranges``); it is not orthonormal across blocks l.  The
-    structure tensors are block diagonal over l, with Kronecker blocks: right
+    structure tensors are block diagonal over l, with Kronecker blocks,
+    written straight into the product's stacks at the matrix units: right
     Gram gamma_l (x) (y_j|y_j')_C, gamma_l the scalar corner of (w_i|w_i')_B;
     left Gram _A(w_i|w_i') (x) beta_l, beta_l the scalar corner of
     _B(y_j|y_j'); actions (W_X,l^* phi_X(a) W_X,l) (x) 1 and
-    1 (x) (W_Y,l^* psi_Y(c) W_Y,l).  ``meta["tensor"]`` keeps, on the
-    product coordinates e_p (x) f_u (row-major in (p, u), D = d_X d_Y),
-    ``lift`` = (+)_l W_X,l (x) W_Y,l (D x d_2), which writes b_(l,i,j) there,
-    and the balanced map ``push`` = (+)_l (W_X,l^* (x) W_Y,l^*) sum_s
-    psi_X(e^l_s1) (x) phi_Y(e^l_1s) (d_2 x D), which takes them to their
-    class: push lift = 1, and push annihilates the product's null vectors.
-    Cost O(D d_2 + d_2^2 N^2), N the largest algebra representation.
+    1 (x) (W_Y,l^* psi_Y(c) W_Y,l).  ``meta["tensor"]`` keeps, per block l,
+    the factors (W_X,l, W_Y,l, JX_l, JY_l), with JX_l[s] = W_X,l^*
+    psi_X(e^l_s1) and JY_l[s] = W_Y,l^* phi_Y(e^l_1s).  On the product
+    coordinates e_p (x) f_u (row-major in (p, u), D = d_X d_Y) they give
+    ``lift`` = (+)_l W_X,l (x) W_Y,l (``tensor_lift``), which writes
+    b_(l,i,j) there, and the balanced map ``push`` = (+)_l sum_s JX_l[s] (x)
+    JY_l[s] (``tensor_push``), which takes them to their class: push lift = 1,
+    and push annihilates the product's null vectors.  No D x d_2 array is
+    stored.  Cost O(d_2^2 U), U the number of matrix units of A and C.
     """
     if X.B != Y.A:
         raise ContractError(f"middle algebras differ: {X.B.blocks} vs {Y.A.blocks}")
     X._need_left()
     Y._need_left()
-    D, na, nc = X.dim * Y.dim, X.A.rep_dim, Y.B.rep_dim
     psi_X, phi_Y = _corner_ranges(X, left=False), _corner_ranges(Y, left=True)
     d2 = sum(WX.shape[1] * WY.shape[1] for WX, WY in zip(psi_X, phi_Y))
-    lift, push = np.empty((D, d2), dtype=complex), np.empty((d2, D), dtype=complex)
-    G2, L2 = (np.zeros((d2, d2, n, n), dtype=complex) for n in (nc, na))
-    Phi2, Psi2 = (np.zeros((n, n, d2, d2), dtype=complex) for n in (na, nc))
-    # the Gram blocks are built algebra-major, then moved to the tensors' layout
-    GY, LX = Y.right_gram.transpose(2, 3, 0, 1), X.left_gram.transpose(2, 3, 0, 1)
-    r = slice(0, 0)
-    for l, n in enumerate(X.B.blocks):
-        b, WX, WY = X.B.block_slice(l).start, psi_X[l], phi_Y[l]
+    G2, Psi2 = (np.zeros((len(Y.psis), d2, d2), dtype=complex) for _ in range(2))
+    L2, Phi2 = (np.zeros((len(X.phis), d2, d2), dtype=complex) for _ in range(2))
+    blocks, r = [], slice(0, 0)
+    for o, n, WX, WY in zip(_unit_layout(X.B.blocks).starts, X.B.blocks, psi_X, phi_Y):
         m, k = WX.shape[1], WY.shape[1]
         r = slice(r.stop, r.stop + m * k)
-        # [s, i, p] = (W_X^* psi_X(e_s1))[i, p], [s, j, u] = (W_Y^* phi_Y(e_1s))[j, u]
-        JX = WX.conj().T @ X.right_action[b:b + n, b]
-        JY = WY.conj().T @ Y.left_action[b, b:b + n]
-        push[r] = np.tensordot(JX, JY, axes=([0], [0])).transpose(0, 2, 1, 3).reshape(m * k, D)
-        lift[:, r] = np.kron(WX, WY)
+        # JX[s] = W_X^* psi_X(e_s1) and JY[s] = W_Y^* phi_Y(e_1s), at the units o + s n and o + s
+        blocks.append((WX, WY, WX.conj().T @ X.psis[o:o + n * n:n], WY.conj().T @ Y.phis[o:o + n]))
         # right Gram over C: gamma_l (x) (y_j|y_j')_C
-        G2[r, r] = _kron(WX.conj().T @ X.right_gram[:, :, b, b] @ WX,
-                         WY.conj().T @ GY @ WY).transpose(2, 3, 0, 1)
+        G2[:, r, r] = _kron(WX.conj().T @ X.right_stack[o] @ WX, WY.conj().T @ Y.right_stack @ WY)
         # left Gram over A, linear in the first leg: _A(w_i|w_i') (x) beta_l
-        L2[r, r] = _kron(WX.T @ LX @ WX.conj(),
-                         WY.T @ Y.left_gram[:, :, b, b] @ WY.conj()).transpose(2, 3, 0, 1)
+        L2[:, r, r] = _kron(WX.T @ X.left_stack @ WX.conj(), WY.T @ Y.left_stack[o] @ WY.conj())
         # actions: phi_X(a) (x) 1 and 1 (x) psi_Y(c)
-        Phi2[:, :, r, r] = _kron(WX.conj().T @ X.left_action @ WX, np.eye(k))
-        Psi2[:, :, r, r] = _kron(np.eye(m), WY.conj().T @ Y.right_action @ WY)
-    return HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2,
-                           meta={"tensor": {"lift": lift, "push": push, "dims": (X.dim, Y.dim)}})
+        Phi2[:, r, r] = _kron(WX.conj().T @ X.phis @ WX, np.eye(k))
+        Psi2[:, r, r] = _kron(np.eye(m), WY.conj().T @ Y.psis @ WY)
+    return HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2, units=True,
+                           meta={"tensor": {"blocks": blocks, "dims": (X.dim, Y.dim)}})
+
+
+def _tensor_info(Z: HilbertBimodule) -> dict:
+    """``meta["tensor"]`` of a tensor bimodule: its per-block factors and dims."""
+    info = Z.meta.get("tensor")
+    if info is None:
+        raise ContractError("bimodule was not produced by tensor()")
+    return info
 
 
 def tensor_lift(Z: HilbertBimodule, vec) -> np.ndarray:
     """Coordinates of a tensor bimodule, on the basis w_i (x) y_j of
-    ``tensor``, -> product coordinates (``lift``); ``tensor_push`` undoes it."""
-    info = Z.meta.get("tensor")
-    if info is None:
-        raise ContractError("bimodule was not produced by tensor()")
-    return info["lift"] @ _coords(Z, vec)
+    ``tensor``, -> product coordinates (``lift``), block by block:
+    (W_X,l (x) W_Y,l) vec(V) = vec(W_X,l V W_Y,l^T).  ``tensor_push`` undoes it."""
+    info, v, start = _tensor_info(Z), _coords(Z, vec), 0
+    out = np.zeros(info["dims"], dtype=complex)
+    for WX, WY, _, _ in info["blocks"]:
+        m, k = WX.shape[1], WY.shape[1]
+        out += WX @ v[start:start + m * k].reshape(m, k) @ WY.T
+        start += m * k
+    return out.reshape(-1)
 
 
 def tensor_push(Z: HilbertBimodule, vec_full: np.ndarray) -> np.ndarray:
     """Product coordinates -> coordinates of their class in a tensor bimodule
-    (``push``): it undoes ``tensor_lift`` and sends the null vectors to zero."""
-    info = Z.meta.get("tensor")
-    if info is None:
-        raise ContractError("bimodule was not produced by tensor()")
-    return info["push"] @ np.asarray(vec_full, dtype=complex).reshape(-1)
+    (``push``), block by block: sum_s JX_l[s] F JY_l[s]^T for F the product
+    coordinates as a d_X x d_Y matrix.  It undoes ``tensor_lift`` and sends
+    the null vectors to zero."""
+    info = _tensor_info(Z)
+    F = np.asarray(vec_full, dtype=complex).reshape(info["dims"])
+    return np.concatenate([(JX @ F @ JY.swapaxes(1, 2)).sum(axis=0).reshape(-1)
+                           for _, _, JX, JY in info["blocks"]])
 
 
 def bimodule_map_residual(W: np.ndarray, X: HilbertBimodule,
                           Y: HilbertBimodule) -> float:
     """How far the linear map W: X -> Y is from a bi-inner-product-preserving
-    bimodule isomorphism (max residual over all structure tensors)."""
+    bimodule isomorphism (max residual over all structure tensors, compared
+    at the matrix units)."""
     W = np.asarray(W, dtype=complex)
-    res = 0.0
-    pull_G = np.einsum("Pi,Qj,PQab->ijab", W.conj(), W, Y.right_gram, optimize=True)
-    res = max(res, float(np.abs(pull_G - X.right_gram).max()))
-    if X.left_gram is not None and Y.left_gram is not None:
-        pull_L = np.einsum("Pi,Qj,PQab->ijab", W, W.conj(), Y.left_gram, optimize=True)
-        res = max(res, float(np.abs(pull_L - X.left_gram).max()))
-    for alg, act_x, act_y in ((X.A, X.left_action, Y.left_action),
-                              (X.B, X.right_action, Y.right_action)):
-        res = max(res, _max_abs(W @ _unit_images(alg, act_x) - _unit_images(alg, act_y) @ W))
+    res = _max_abs(W.conj().T @ Y.right_stack @ W - X.right_stack)
+    if X.is_bihilbertian and Y.is_bihilbertian:
+        res = max(res, _max_abs(W.T @ Y.left_stack @ W.conj() - X.left_stack))
+    for act_x, act_y in ((X.phis, Y.phis), (X.psis, Y.psis)):
+        res = max(res, _max_abs(W @ act_x - act_y @ W))
     return res

@@ -310,7 +310,7 @@ def _cmd_hilbert(req: CommandRequest):
     if kind != "hilbert":
         raise ParseError("hilbert command expects a hilbert file")
     X = parsed
-    T = X.left_gram[:, :, 0, 0].T
+    T = X.left_stack[0].T          # _C(e_p|e_q) at the one unit of C, transposed
     idx = right_index(X)
     tr, tri = float(np.real(np.trace(T))), float(np.real(np.trace(np.linalg.inv(T))))
     eigs = np.linalg.eigvalsh(T)

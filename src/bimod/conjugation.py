@@ -9,7 +9,9 @@ bimodule: ``_inner`` gives (r|s) (norms, R*R, intertwiner residuals) and
 the recovered left Gram and the pair identities, which are exhaustive on the
 basis).  Both run through the corners of B: for a, b in block l,
 phi_Y(e_ab) = [phi_Y(e_a1) U_l] [U_l^* phi_Y(e_1b)] with U_l a basis of
-ran phi_Y(e_11), so no term holds more than O(d^2 N^2) elements.
+ran phi_Y(e_11), so no term holds more than O(d^2 U) elements, and both read
+the Gram stacks of the modules (``HilbertBimodule``): a value in C is given
+at its matrix units, U of them.
 
 Convention: in the two equations the tensor product is applied before the
 composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).
@@ -36,9 +38,12 @@ from .multimatrix import (
 from .bimodule import (
     FrameSet,
     HilbertBimodule,
-    _act_first,
     _corner_ranges,
-    _diagonal_blocks,
+    _embed,
+    _gram_matrix,
+    _trace,
+    _unit_blocks,
+    _unit_layout,
     contragredient,
     left_tight_frame,
     tensor,
@@ -58,24 +63,20 @@ from .index import (
 # -- vectors of a tensor product in product coordinates -------------------------
 
 
-def _gram_blocks(X: HilbertBimodule) -> list[np.ndarray]:
-    """G_l[(p, a), (q, b)] = (e_p|e_q)_B[a, b] for a, b in block l of B
-    (``_diagonal_blocks``), once per module."""
-    return X._cached("gram_blocks", lambda: list(_diagonal_blocks(X.right_gram, X.B)))
-
-
 def _corner_factors(Y: HilbertBimodule) -> list:
     """(l, F, H, T1) for the blocks l of A with K_l > 0, once per module:
     F[(a, k), w] = (phi_Y(e_a1) U_l)[w, k], H[(b, k), u] = (U_l^* phi_Y(e_1b))[k, u]
     (U_l from ``_corner_ranges``), so phi_Y(e_ab) = F_a H_b, and
-    T1[(u', a), (k, c, c')] = sum_w F_a[w, k] (f_u'|f_w)_C[c, c'] (d_Y^2 N_C^2 in all)."""
+    T1[(u', a), (k, c)] = sum_w F_a[w, k] (f_u'|f_w)_C at the unit c of C
+    (d_Y^2 U_C in all)."""
     def build():
-        dy, nc, out = Y.dim, Y.B.rep_dim, []
-        for l, (U, n) in enumerate(zip(_corner_ranges(Y, left=True), Y.A.blocks)):
-            b, k = Y.A.block_slice(l).start, U.shape[1]
-            F = (Y.left_action[b:b + n, b] @ U).transpose(0, 2, 1).reshape(n * k, dy)
-            H = (U.conj().T @ Y.left_action[b, b:b + n]).reshape(n * k, dy)
-            T1 = (F @ Y.right_gram.reshape(dy, dy, nc * nc)).reshape(dy * n, k * nc * nc)
+        dy, out = Y.dim, []
+        starts = _unit_layout(Y.A.blocks).starts
+        for l, (U, o, n) in enumerate(zip(_corner_ranges(Y, left=True), starts, Y.A.blocks)):
+            k = U.shape[1]
+            F = (Y.phis[o:o + n * n:n] @ U).transpose(0, 2, 1).reshape(n * k, dy)
+            H = (U.conj().T @ Y.phis[o:o + n]).reshape(n * k, dy)
+            T1 = (F @ Y.right_stack.transpose(1, 2, 0)).reshape(dy * n, -1)
             if k:
                 out.append((l, F, H, T1))
         return out
@@ -88,8 +89,9 @@ def _peel(X: HilbertBimodule, Y: HilbertBimodule, s: np.ndarray) -> np.ndarray:
     (f | m_p)_C.  Per block of B: s H^T, the Gram block, then F."""
     dx, lead = X.dim, s.shape[:-2]
     m = np.zeros(lead + (dx, Y.dim), dtype=complex)
+    parts = _unit_blocks(X.right_stack, X.B)
     for l, F, H, _ in _corner_factors(Y):
-        G = _gram_blocks(X)[l]
+        G = _gram_matrix(parts[l])
         t = (s @ H.T).reshape(lead + (G.shape[0], -1))
         m += (G @ t).reshape(lead + (dx, -1)) @ F
     return m
@@ -99,26 +101,28 @@ def _inner(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray,
            s: np.ndarray) -> np.ndarray:
     """(r|s)_C in X (x)_B Y, embedded in M_{N_C}, for product coordinates r, s
     of one shape (..., d_X, d_Y): sum_{p,u} conj(r[p, u]) (f_u | m_p)_C with
-    m = ``_peel(s)``, in O(d^3 N^2)."""
-    dy, nc, lead = Y.dim, Y.B.rep_dim, s.shape[:-2]
+    m = ``_peel(s)``, in O(d^3 U)."""
+    dy, lead = Y.dim, s.shape[:-2]
     k = (np.swapaxes(r.conj(), -1, -2) @ _peel(X, Y, s)).reshape(lead + (dy * dy,))
-    return (k @ Y.right_gram.reshape(dy * dy, nc * nc)).reshape(lead + (nc, nc))
+    return _embed(k @ Y.right_stack.reshape(len(Y.right_stack), -1).T, Y.B)
 
 
 def _pair(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
-    """[t, u] = (r | e_t (x) f_u)_C in X (x)_B Y, embedded in M_{N_C}, for r
+    """[t, u, c] = (r | e_t (x) f_u)_C at the unit c of C, in X (x)_B Y, for r
     (d_X, d_Y).  Per block of B, conj(r) meets the Gram block, then T1, then H
-    (``_corner_factors``): no term exceeds d_X d_Y N^2 elements, N the largest rep_dim."""
-    dx, dy, nc = X.dim, Y.dim, Y.B.rep_dim
-    out = np.zeros((dx * nc * nc, dy), dtype=complex)
+    (``_corner_factors``): no term exceeds d_X d_Y U elements, U the largest
+    number of matrix units."""
+    dx, dy, uc = X.dim, Y.dim, len(Y.right_stack)
+    out = np.zeros((dx * uc, dy), dtype=complex)
+    parts = _unit_blocks(X.right_stack, X.B)
     for l, _, H, T1 in _corner_factors(Y):
         n = X.B.blocks[l]
         # [(u', a), (t, b)] = sum_p conj(r[p, u']) (e_p|e_t)_B[a, b]
-        r_g = (r.conj().T @ _gram_blocks(X)[l].reshape(dx, -1)).reshape(dy * n, dx * n)
-        # [t, (c, c'), (b, k)] = sum_{u', a} r_g[(u', a), (t, b)] T1[(u', a), (k, c, c')]
-        m = (r_g.T @ T1).reshape(dx, n, -1, nc * nc).transpose(0, 3, 1, 2)
-        out += m.reshape(dx * nc * nc, -1) @ H
-    return out.reshape(dx, nc * nc, dy).transpose(0, 2, 1).reshape(dx, dy, nc, nc)
+        r_g = (r.conj().T @ parts[l]).transpose(2, 0, 3, 1).reshape(dy * n, dx * n)
+        # [t, c, (b, k)] = sum_{u', a} r_g[(u', a), (t, b)] T1[(u', a), (k, c)]
+        m = (r_g.T @ T1).reshape(dx, n, -1, uc).transpose(0, 3, 1, 2)
+        out += m.reshape(dx * uc, -1) @ H
+    return out.reshape(dx, uc, dy).transpose(0, 2, 1)
 
 
 def _norm(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
@@ -142,9 +146,7 @@ def _intertwiner_residual(X: HilbertBimodule, Y: HilbertBimodule,
                           r: np.ndarray, norm: float) -> float:
     """max over the units c of ||phi_X(c) r - r psi_Y(c)^T|| / ||r||: how far r
     in the C-C bimodule X (x) Y is from intertwining the unit actions."""
-    units = X.A.units_embedded()
-    psi = np.tensordot(units, Y.right_action, axes=([1, 2], [0, 1]))
-    diff = X.phi(units) @ r - r @ np.swapaxes(psi, -1, -2)
+    diff = X.phis @ r - r @ np.swapaxes(Y.psis, -1, -2)
     return float(_norm(X, Y, diff).max()) / max(norm, 1e-300)
 
 
@@ -189,8 +191,8 @@ def _equation_map(X: HilbertBimodule, Y: HilbertBimodule,
     """x -> (Rbar* (x) 1_X)(x (x) R) as a matrix on X: E[i, t] = sum_{u,s}
     R[u, s] phi_X((Rbar | e_t (x) f_u)_A)[i, s].  With X and Y swapped (and
     R, Rbar) it is the map of the second equation, on Y."""
-    # [u, a, b, i] = sum_s R[u, s] phi_X(e_ab)[i, s]
-    r_phi = np.tensordot(r, X.left_action, axes=([1], [3]))
+    # [u, c, i] = sum_s R[u, s] phi_X(e_c)[i, s], c the units of A
+    r_phi = np.tensordot(r, X.phis, axes=([1], [2]))
     return (_pair(X, Y, rbar).reshape(X.dim, -1) @ r_phi.reshape(-1, X.dim)).T
 
 
@@ -265,9 +267,9 @@ def build_conjugate(X: HilbertBimodule, right_frame: FrameSet | None = None,
 
 def _left_pairing(X: HilbertBimodule, Y: HilbertBimodule, rbar: np.ndarray) -> np.ndarray:
     """[p, q] = Rbar* (theta_{e_p,e_q} (x) 1_Y) Rbar = sum_u (Rbar | e_p (x) f_u)_A
-    m_q[u], with m_q = V(e_q-bar) the coordinates of ``_peel``."""
-    return np.tensordot(_pair(X, Y, rbar), _peel(X, Y, rbar),
-                        axes=([1], [1])).transpose(0, 3, 1, 2)
+    m_q[u], with m_q = V(e_q-bar) the coordinates of ``_peel``; embedded."""
+    return _embed(np.tensordot(_pair(X, Y, rbar), _peel(X, Y, rbar),
+                               axes=([1], [1])).transpose(0, 2, 1), Y.B)
 
 
 def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar) -> np.ndarray:
@@ -294,10 +296,11 @@ def conjugate_pair_identities(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
     basis pairs (e_p, e_q) and the matrix entries of the values."""
     r_full = _product_coords(R, Y, X, "R")
     rbar_full = _product_coords(Rbar, X, Y, "Rbar")
-    # [p, q] = R*(V e_p-bar (x) e_q) = sum_u m_p[u] (R | f_u (x) e_q)_B
+    # [p, q, c] = R*(V e_p-bar (x) e_q) = sum_u m_p[u] (R | f_u (x) e_q)_B at the unit c
     right = np.tensordot(_peel(X, Y, rbar_full), _pair(Y, X, r_full), axes=([1], [0]))
     left = _left_pairing(X, Y, rbar_full)
-    return {"right_identity_residual": float(np.abs(right - X.right_gram).max()),
+    return {"right_identity_residual":
+            float(np.abs(right - X.right_stack.transpose(1, 2, 0)).max()),
             "left_identity_residual": float(np.abs(left - np.asarray(left_gram)).max())}
 
 
@@ -311,10 +314,9 @@ def rescale_left(X: HilbertBimodule, Q: np.ndarray,
     inner product)."""
     X._need_left()
     Q = np.asarray(Q, dtype=complex)
-    units = [X.phi(u) for u in X.A.units_embedded()]
-    units += [X.psi(u) for u in X.B.units_embedded()]
+    units = np.concatenate([X.phis, X.psis])
     scale = max(float(np.abs(Q).max()), 1e-300)
-    comm_res = max(float(np.abs(Q @ u - u @ Q).max()) for u in units) / scale
+    comm_res = float(np.abs(Q @ units - units @ Q).max()) / scale
     if comm_res > tol:
         raise ContractError(f"Q is not in the relative commutant (residual {comm_res:.3g})")
     Qh = X.left_op_rep(Q)
@@ -324,8 +326,8 @@ def rescale_left(X: HilbertBimodule, Q: np.ndarray,
     w = np.linalg.eigvalsh(hermitian_part(Qh))
     if w.min() <= RANK_TOL * max(float(w.max()), 1e-300):
         raise ContractError("Q is not positive invertible")
-    L2 = _act_first(Q, X.left_gram)
-    return X.with_left_gram(L2)
+    # [u, p, q] = sum_r Q[r, p] left_stack[u, r, q]
+    return X.with_left_stack(Q.T @ X.left_stack)
 
 
 # -- minimal dimension --------------------------------------------------------------
@@ -356,9 +358,10 @@ class MinDimResult:
 
 def _trace_left_gram(X: HilbertBimodule) -> np.ndarray:
     """The left Gram L0 fixed by Tr_A(a _A(x|y)) = Tr_B((y|a x)_B) with
-    unnormalized block traces: L0[p, q][b, a] = sum_r phi(e_ab)[r, p]
-    tr (e_q|e_r)_B."""
-    return np.einsum("abrp,qrcc->pqba", X.left_action, X.right_gram, optimize=True)
+    unnormalized block traces, as a stack over A: L0[p, q][b, a] =
+    sum_r phi(e_ab)[r, p] tr (e_q|e_r)_B."""
+    phi_star = np.swapaxes(X.phis[_unit_layout(X.A.blocks).star], 1, 2)   # phi(e_ab)^T at e_ba
+    return phi_star @ _trace(X.right_stack, X.B).T
 
 
 def _perron_weights(lam: np.ndarray) -> np.ndarray:
@@ -399,13 +402,12 @@ def min_dimension(X: HilbertBimodule) -> MinDimResult:
     X._need_left()
     lam = _multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
     dim_hat = float(np.linalg.norm(lam, 2))
-    L0 = _trace_left_gram(X)
     phis = np.array([X.phi(z) for z in center_decompose(X.A)])
     psis = np.array([X.psi(z) for z in center_decompose(X.B)])
     C = np.einsum("kl,kij,ljm->im", _perron_weights(lam), phis, psis)
-    L_star = _act_first(C, L0)
+    L_star = C.T @ _trace_left_gram(X)          # C L0, as a stack over A
     # a rescaling Q multiplies the scalar form tr _A(e_p|e_q) by Q^T on the left
-    Q_star = np.linalg.solve(X.scalar_left_gram, np.einsum("pqaa->qp", L_star))
+    Q_star = np.linalg.solve(X.scalar_left_gram, _trace(L_star, X.A).T)
     X_star = rescale_left(X, Q_star)
     residual = np.inf
     if validate(X_star).passed:
@@ -502,7 +504,7 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     candidate_valid = False
     res_r = res_l = np.inf
     if surjective:
-        cand = X.with_left_gram(_trace_left_gram(X))
+        cand = X.with_left_stack(_trace_left_gram(X))
         if validate(cand, tol=1e-7).passed:
             candidate_valid = True
             idx = right_index(cand)
@@ -523,23 +525,34 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
 # -- composing conjugates over a tensor product ---------------------------------------
 
 
+def _pushed_pair(Z: HilbertBimodule, W: HilbertBimodule, P: np.ndarray,
+                 Q: np.ndarray) -> np.ndarray:
+    """[g, c] = sum push_Z[g, (p, u)] P[p, q] Q[u, v] push_W[c, (v, q)] for
+    tensor bimodules Z and W (``tensor``), block by block of both: with
+    push = (+)_l sum_s JX_l[s] (x) JY_l[s], entry ((i, j), (i', j')) of block
+    (l, l') is sum_{s,t} (JX_l[s] P JY_l'[t]^T)[i, j'] (JY_l[s] Q JX_l'[t]^T)[j, i'],
+    so nothing of the size of either product's coordinates is formed."""
+    zb, wb = Z.meta["tensor"]["blocks"], W.meta["tensor"]["blocks"]
+    return np.block([[np.einsum("stiJ,stjI->ijIJ",
+                                (JXZ @ P)[:, None] @ JYW.swapaxes(1, 2),
+                                (JYZ @ Q)[:, None] @ JXW.swapaxes(1, 2)).reshape(
+                          JXZ.shape[1] * JYZ.shape[1], JXW.shape[1] * JYW.shape[1])
+                      for _, _, JXW, JYW in wb] for _, _, JXZ, JYZ in zb])
+
+
 def tensor_conjugate(sol_X: ConjugateSolution, sol_Y: ConjugateSolution) -> ConjugateSolution:
     """Conjugate solution for X (x) Y with conjugate Ybar (x) Xbar, assembled
-    from the two factor solutions by inserting each R into the middle leg."""
+    from the two factor solutions by inserting each R into the middle leg and
+    pushing the result into both tensor bimodules (``_pushed_pair``)."""
     X, x_conj = sol_X.X, sol_X.Y
     Y, y_conj = sol_Y.X, sol_Y.Y
     if X.B != Y.A:
         raise ContractError("middle algebras of the two solutions differ")
     Z = tensor(X, Y)
     W = tensor(y_conj, x_conj)
-    # balanced maps [first leg, second leg, product class], met one leg at a time
-    PW = W.meta["tensor"]["push"].T.reshape(y_conj.dim, x_conj.dim, W.dim)
-    PZ = Z.meta["tensor"]["push"].T.reshape(X.dim, Y.dim, Z.dim)
     # R = (1 (x) R_X (x) 1) R_Y: R_Y[a, b] R_X[c, d] at (a, c), (d, b)
-    R = np.tensordot(np.tensordot(np.tensordot(PW, sol_Y.R, axes=([0], [0])),
-                                  sol_X.R, axes=([0], [0])), PZ, axes=([2, 1], [0, 1]))
+    R = _pushed_pair(Z, W, sol_X.R.T, sol_Y.R.T).T
     # Rbar = (1 (x) Rbar_Y (x) 1) Rbar_X: Rbar_X[p, q] Rbar_Y[u, v] at (p, u), (v, q)
-    Rbar = np.tensordot(np.tensordot(np.tensordot(PZ, sol_X.Rbar, axes=([0], [0])),
-                                     sol_Y.Rbar, axes=([0], [0])), PW, axes=([2, 1], [0, 1]))
+    Rbar = _pushed_pair(Z, W, sol_X.Rbar, sol_Y.Rbar)
     rep = verify_conjugate(Z, W, R, Rbar)
     return ConjugateSolution(Z, W, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)

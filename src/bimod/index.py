@@ -54,7 +54,11 @@ from .bimodule import (
     HilbertBimodule,
     ModuleOperator,
     _corner_rank,
-    _diagonal_blocks,
+    _element,
+    _embed,
+    _gram_matrix,
+    _unit_blocks,
+    _unit_layout,
     contragredient,
     tight_frame,
 )
@@ -283,8 +287,8 @@ def _extension_cp_map(X: HilbertBimodule) -> CPMap:
     """F on the units of L(X_B), into A: F(theta_{x,y}) = _A(x|y), so the
     images of block l are the left Gram [_A(w_i|w_j)]_ij of its w-frame."""
     ws = [w for _, w in _operator_frames(X)]
-    grams = [np.tensordot(w.conj(), np.tensordot(w, X.left_gram, axes=([0], [0])),
-                          axes=([0], [1])).swapaxes(0, 1) for w in ws]
+    # [i, j] = _A(w_i|w_j) = w_i^T L w_j^* at each unit of A, embedded
+    grams = [_embed((w.T @ X.left_stack @ w.conj()).transpose(1, 2, 0), X.A) for w in ws]
     return CPMap(MultiMatrixAlgebra([w.shape[1] for w in ws]), grams, target=X.A)
 
 
@@ -292,12 +296,12 @@ def _phi_frame_map(X: HilbertBimodule, cp: CPMap) -> CPMap:
     """phi after a map ``cp`` from L(X_B) into A, as a map into L(X_B) in the
     frame of its units: target block l holds tr (w_r | phi(a) w_s)_B, read
     off the scalar Gram, so each Choi block is M_l' M_l."""
-    alg, na = cp.source, X.A.rep_dim
-    P = np.zeros((na, na, alg.rep_dim, alg.rep_dim), dtype=complex)
+    alg, L = cp.source, _unit_layout(X.A.blocks)
+    P = np.zeros((len(X.phis), alg.rep_dim, alg.rep_dim), dtype=complex)
     for s, (_, w) in zip(map(alg.block_slice, range(alg.num_blocks)), _operator_frames(X)):
-        P[:, :, s, s] = (X.scalar_gram @ w).conj().T @ X.left_action @ w
-    return CPMap(alg, [np.tensordot(img, P, axes=([2, 3], [0, 1])) for img in cp.unit_images],
-                 target=alg)
+        P[:, s, s] = (X.scalar_gram @ w).conj().T @ X.phis @ w
+    return CPMap(alg, [np.tensordot(img[:, :, L.rows, L.cols], P, axes=1)
+                       for img in cp.unit_images], target=alg)
 
 
 def least_multipliers(cp: CPMap, tol: float = 1e-9) -> tuple[bool, np.ndarray, np.ndarray]:
@@ -341,14 +345,15 @@ class LeftInnerExtension:
         self.bimodule = X
         self.frame = frame if frame is not None else tight_frame(X)
         U = self.frame.coords
-        # _A(T u_i | u_i) summed: precontract the frame into the left Gram
-        pair = lambda: np.tensordot(U.conj(), X.left_gram, axes=([1], [1]))
+        # _A(T u_i | u_i) summed: precontract the frame into the left Gram,
+        # [i, p, c] = sum_q conj(u_i[q]) _A(e_p|e_q) at the unit c of A
+        pair = lambda: np.tensordot(U.conj(), X.left_stack, axes=([1], [2])).transpose(0, 2, 1)
         self._pair = pair() if frame is not None else X._cached("F", pair)
 
     def apply_matrix(self, T: np.ndarray) -> np.ndarray:
         """F(T), embedded in M_{N_A}; T may be a stack (s, d, d)."""
         TU = self.frame.coords @ np.swapaxes(np.asarray(T, dtype=complex), -1, -2)
-        return np.tensordot(TU, self._pair, axes=([-2, -1], [0, 1]))
+        return _embed(np.tensordot(TU, self._pair, axes=([-2, -1], [0, 1])), self.bimodule.A)
 
     def apply(self, T: np.ndarray) -> AlgebraElement:
         return self.bimodule.A.from_embedded(self.apply_matrix(T))
@@ -396,7 +401,9 @@ def _dual_basis_sum(alg: MultiMatrixAlgebra, gram: np.ndarray, action: np.ndarra
                     other_gram: np.ndarray, mirror: bool = False) -> np.ndarray:
     """sum_p <e_p|v_p>, the other inner product (``other_gram``, linear in
     its first argument) over the dual basis v_p of the coordinate basis for
-    the Gram tensor ``gram`` over ``alg``; embedded, with no frame built.
+    the Gram ``gram`` over ``alg``, with no frame built.  The Grams and the
+    action are stacks at the matrix units (``HilbertBimodule``), and so is
+    the result, at the units of the other algebra.
 
     For block l of ``alg`` (size n), G_l[(p, a), (q, b)] = (e_p|e_q)[a, b]
     is the Gram matrix of the vectors e_p.e^l_a1, which span X.e^l_11, of
@@ -406,24 +413,23 @@ def _dual_basis_sum(alg: MultiMatrixAlgebra, gram: np.ndarray, action: np.ndarra
     action b -> x.b; with ``mirror`` it is phi of X and the sum is that of
     the contragredient, whose right action xbar.a = (a* x)bar has the
     tensor conj(phi[b, a])."""
-    d, what = gram.shape[0], "phi" if mirror else "psi"
+    d, what = gram.shape[-1], "phi" if mirror else "psi"
     V = np.zeros((d, d), dtype=complex)
-    for l, G in enumerate(_diagonal_blocks(gram, alg)):
-        s = alg.block_slice(l)
-        n, rank = s.stop - s.start, _corner_rank(action, s.start, what)
+    for l, (part, act) in enumerate(zip(_unit_blocks(gram, alg), _unit_blocks(action, alg))):
+        n, rank = len(part), _corner_rank(act[0, 0], alg.block_slice(l).start, what)
         if not rank:
             continue
-        w, u = np.linalg.eigh(hermitian_part(G))
+        w, u = np.linalg.eigh(hermitian_part(_gram_matrix(part)))
         if rank > len(w) or w[-rank] <= RANK_TOL * max(w[-1], 1e-300):
             raise StructureError(f"the Gram block {l} has rank below tr {what}(e^{l}_11) = "
                                  f"{rank}: the inner product is degenerate")
         w, u = w[-rank:], u[:, -rank:]
         Gp = ((u / w) @ u.conj().T).reshape(d, n, d, n)          # [q, b, p, a]
-        R = action[s, s].swapaxes(0, 1).conj() if mirror else action[s, s]
+        R = act.swapaxes(0, 1).conj() if mirror else act
         # V[i, p] = sum_{a, q, b} (e_q.e_ba)_i G_l^+[(q, b), (p, a)]
         V += (R.transpose(2, 1, 3, 0).reshape(d, -1)
               @ Gp.transpose(3, 0, 1, 2).reshape(-1, d))
-    return np.tensordot(V.conj(), other_gram, axes=([0, 1], [1, 0]))
+    return np.tensordot(other_gram, V.conj(), axes=([1, 2], [1, 0]))
 
 
 def right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexReport:
@@ -436,10 +442,9 @@ def right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexReport:
     from a rank-tolerant spectral cut.
     """
     X._need_left()
-    r_ind = X.A.from_embedded(_dual_basis_sum(X.B, X.right_gram, X.right_action,
-                                              X.left_gram))
-    l_ind = X.B.from_embedded(_dual_basis_sum(X.A, X.left_gram, X.left_action,
-                                              X.right_gram, mirror=True))
+    r_ind = _element(X.A, _dual_basis_sum(X.B, X.right_stack, X.psis, X.left_stack))
+    l_ind = _element(X.B, _dual_basis_sum(X.A, X.left_stack, X.phis, X.right_stack,
+                                          mirror=True))
     r_num, l_num = r_ind.norm(), l_ind.norm()
     p = support_projection(r_ind, rank_tol)
     q = support_projection(l_ind, rank_tol)
@@ -478,8 +483,8 @@ class BestConstants:
 
 def _norm_ratio_batch(X: HilbertBimodule, vecs: np.ndarray) -> np.ndarray:
     """||_A(x|x)|| / ||(x|x)_B|| for each row x of ``vecs``."""
-    num = np.einsum("sq,sqab->sab", vecs.conj(), np.tensordot(vecs, X.left_gram, axes=([1], [0])))
-    den = np.einsum("sq,sqab->sab", vecs, np.tensordot(vecs.conj(), X.right_gram, axes=([1], [0])))
+    num = _embed(np.einsum("sp,upq,sq->su", vecs, X.left_stack, vecs.conj()), X.A)
+    den = _embed(np.einsum("sp,upq,sq->su", vecs.conj(), X.right_stack, vecs), X.B)
     top = np.linalg.eigvalsh(hermitian_part(num))[:, -1]
     bot = np.linalg.eigvalsh(hermitian_part(den))[:, -1]
     return np.real(top) / np.maximum(np.real(bot), 1e-300)
@@ -645,11 +650,10 @@ def _basic_samples(X: HilbertBimodule, rng: np.random.Generator,
     z = rng.standard_normal((count, 4 * terms * d + 2 * X.A.linear_dim))
     v = z[:, :4 * terms * d].reshape(count, terms, 4, d)    # per term: re x, im x, re y, im y
     x, y = v[:, :, 0] + 1j * v[:, :, 1], v[:, :, 2] + 1j * v[:, :, 3]
-    # theta_{x,y}[i, q] = sum_ab (x.e_ab)_i (y|e_q)_ab, summed over the terms
-    xb = np.tensordot(x, X.right_action, axes=([2], [3]))            # (c, t, a, b, i)
-    yz = np.tensordot(y.conj(), X.right_gram, axes=([2], [0]))       # (c, t, q, a, b)
-    T = (np.moveaxis(xb, 4, 1).reshape(count, d, -1)
-         @ np.moveaxis(yz, 2, 4).reshape(count, -1, d))
+    # theta_{x,y}[i, q] = sum_u (x.e_u)_i (y|e_q)_B at e_u, summed over the terms
+    xb = np.tensordot(x, X.psis, axes=([2], [2]))                    # (c, t, u, i)
+    yz = np.tensordot(y.conj(), X.right_stack, axes=([2], [1]))      # (c, t, u, q)
+    T = np.moveaxis(xb, 3, 1).reshape(count, d, -1) @ yz.reshape(count, -1, d)
     return X.op_adjoint(T) @ T, X.A.embedded_from_normals(z[:, 4 * terms * d:])
 
 
@@ -742,8 +746,7 @@ def invertibility_trichotomy(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> 
     """Three independently evaluated conditions that must agree: full left
     inner product, invertible right index element, injective left action."""
     X._need_left()
-    d, na = X.dim, X.A.rep_dim
-    span = X.left_gram.reshape(d * d, na * na)
+    span = X.left_stack.reshape(len(X.left_stack), -1).T
     full_rank = int(np.linalg.matrix_rank(span, tol=1e-9))
     # compare with the dimension of the block-diagonal subspace of M_{N_A}
     alg_dim = X.A.linear_dim
@@ -752,8 +755,7 @@ def invertibility_trichotomy(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> 
     spec_min = min(float(np.linalg.eigvalsh(hermitian_part(b)).min())
                    for b in rep.r_ind.blocks)
     invertible = spec_min > rank_tol * max(rep.r_num, 1e-300)
-    phis = np.array([X.phi(u) for u in X.A.units_embedded()])
-    injective = int(np.linalg.matrix_rank(phis.reshape(len(phis), -1), tol=1e-9)) == alg_dim
+    injective = int(np.linalg.matrix_rank(X.phis.reshape(len(X.phis), -1), tol=1e-9)) == alg_dim
     return {"left_inner_full": bool(left_full),
             "r_ind_invertible": bool(invertible),
             "phi_injective": bool(injective),

@@ -4,9 +4,11 @@ Complex scalars are written as [re, im] pairs; on input each array holds all
 pairs or all reals.  An algebra element is {"blocks": [block, ...]}, each
 block an n x n nested list.  Input files name their "kind" at the top level.
 
-Arrays are read by ``_complex_array`` and written by ``_pairs`` whole, Gram
-tensors and actions one algebra block at a time.  Shapes, finite entries and
-integer fields (``_integer``) are checked before anything sized by a declared
+Arrays are read by ``_leaves`` (``_complex_array`` for a whole array) and
+written by ``_pairs`` whole, Gram tensors and actions one algebra block at a
+time, straight from and into the stacks a bimodule keeps at the matrix units
+of its algebras (``HilbertBimodule``).  Shapes, finite entries and integer
+fields (``_integer``) are checked before anything sized by a declared
 dimension is allocated; malformed input raises :class:`ParseError` naming the
 field and block.
 """
@@ -14,11 +16,13 @@ field and block.
 from __future__ import annotations
 
 import reprlib
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .multimatrix import AlgebraElement, MultiMatrixAlgebra, StructureError
-from .bimodule import HilbertBimodule
+from .bimodule import HilbertBimodule, _unit_blocks
 from .constructors import ExpectationSpec, GraphSpec, Inclusion, trace_weighted_expectation
 
 
@@ -68,22 +72,40 @@ def _numbers(obj, what: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _complex_array(obj, shape: tuple, what: str) -> np.ndarray:
-    """A nested list of all [re, im] pairs or all reals as a complex array.
+def _leaves(level: list, shape: tuple, what: str) -> np.ndarray:
+    """The entries of ``level``, each a nested list of the declared ``shape``
+    (a None entry takes its length from the data) of all [re, im] pairs or
+    all reals, as one complex array (len(level),) + shape.
 
-    ``shape`` is the declared shape; a None entry takes its length from the
-    data.  Pairs become complex numbers by a view of the float array, with
-    no arithmetic, so values are bitwise those :func:`_pairs` wrote.
+    Each level of nesting is checked whole, every entry a list of one length,
+    and chained into the next, so the leaves are read as one flat list.
+    Pairs become complex numbers by a view of the float array, with no
+    arithmetic, so values are bitwise those :func:`_pairs` wrote.
     """
-    arr = _numbers(obj, what)
-    pairs = arr.ndim == len(shape) + 1 and arr.shape[-1] == 2
-    got = arr.shape[:-1] if pairs else arr.shape
-    if len(got) != len(shape) or any(n is not None and n != g for n, g in zip(shape, got)):
-        want = " x ".join("n" if n is None else str(n) for n in shape)
-        raise ParseError(f"{what} must be a {want} array of [re, im] pairs or of reals, "
-                         f"got shape {arr.shape}")
+    got = [len(level)]
+    for n in shape:
+        lengths = set(map(len, level)) if set(map(type, level)) == {list} else set()
+        if len(lengths) != 1 or n not in (None, *lengths):
+            want = " x ".join("n" if n is None else str(n) for n in shape)
+            raise ParseError(f"{what} must be a {want} array of [re, im] pairs or of reals")
+        got.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    kinds = set(map(type, level))
+    pairs = list in kinds
+    if pairs:
+        if kinds != {list} or set(map(len, level)) != {2}:
+            raise ParseError(f"{what} must hold all [re, im] pairs or all reals")
+        level = list(chain.from_iterable(level))
+    arr = _numbers(level, what)
+    if arr.ndim != 1:
+        raise ParseError(f"{what} must hold all [re, im] pairs or all reals")
     _finite(arr, what)
-    return arr.view(complex)[..., 0] if pairs else arr.astype(complex)
+    return (arr.view(complex) if pairs else arr.astype(complex)).reshape(got)
+
+
+def _complex_array(obj, shape: tuple, what: str) -> np.ndarray:
+    """A nested list of the declared ``shape`` (``_leaves``) as a complex array."""
+    return _leaves([obj], shape, what)[0]
 
 
 def _pairs(arr) -> list:
@@ -110,60 +132,60 @@ def encode_element(x: AlgebraElement) -> dict:
     return {"blocks": [_pairs(b) for b in x.blocks]}
 
 
-def _element_blocks(alg: MultiMatrixAlgebra, obj, what: str) -> list:
-    """The still-encoded block list of an element, checked for its length."""
-    if (not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list)
-            or len(obj["blocks"]) != alg.num_blocks):
-        raise ParseError(f"{what} must be an object with a 'blocks' list of "
-                         f"{alg.num_blocks} blocks")
-    return obj["blocks"]
-
-
-def _encode_action(action: np.ndarray, alg: MultiMatrixAlgebra) -> list:
-    """(N, N, d, d) action tensor -> per-block matrix-unit images."""
-    return [_pairs(action[s, s]) for s in map(alg.block_slice, range(alg.num_blocks))]
+def _encode_action(stack: np.ndarray, alg: MultiMatrixAlgebra) -> list:
+    """Action images at the matrix units -> per-block matrix-unit images."""
+    return [_pairs(part) for part in _unit_blocks(stack, alg)]
 
 
 def _decode_action(obj, alg: MultiMatrixAlgebra, d: int, what: str) -> np.ndarray:
+    """Per-block matrix-unit images -> the action's stack at the matrix units."""
     if not isinstance(obj, list) or len(obj) != alg.num_blocks:
         raise ParseError(f"{what} must list matrix-unit images for each block")
-    blocks = [_complex_array(b, (n, n, d, d), f"{what} block {k}")
-              for k, (b, n) in enumerate(zip(obj, alg.blocks))]
-    action = np.zeros((alg.rep_dim, alg.rep_dim, d, d), dtype=complex)
-    for s, b in zip(map(alg.block_slice, range(alg.num_blocks)), blocks):
-        action[s, s] = b
-    return action
+    return np.concatenate([_leaves([b], (n, n, d, d), f"{what} block {k}").reshape(-1, d, d)
+                           for k, (b, n) in enumerate(zip(obj, alg.blocks))])
 
 
-def _encode_gram(gram: np.ndarray, alg: MultiMatrixAlgebra) -> list:
-    """(d, d, N, N) Gram tensor -> d x d array of elements."""
-    d = gram.shape[0]
-    blocks = [_pairs(gram[:, :, s, s]) for s in map(alg.block_slice, range(alg.num_blocks))]
+def _encode_gram(stack: np.ndarray, alg: MultiMatrixAlgebra) -> list:
+    """A Gram stack at the matrix units -> d x d array of elements."""
+    d = stack.shape[-1]
+    blocks = [_pairs(part.transpose(2, 3, 0, 1)) for part in _unit_blocks(stack, alg)]
     return [[{"blocks": [b[p][q] for b in blocks]} for q in range(d)] for p in range(d)]
 
 
 def _decode_gram(obj, alg: MultiMatrixAlgebra, d: int, what: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != d or any(
-            not isinstance(row, list) or len(row) != d for row in obj):
+    """A d x d array of elements -> the Gram's stack at the matrix units.  The
+    rows and cells are checked in bulk; only a bad cell is looked for."""
+    if not (isinstance(obj, list) and len(obj) == d and set(map(type, obj)) == {list}
+            and set(map(len, obj)) == {d}):
         raise ParseError(f"{what} must be a dim x dim = {d} x {d} array of elements")
-    cells = [[_element_blocks(alg, e, f"{what}[{p}][{q}]") for q, e in enumerate(row)]
-             for p, row in enumerate(obj)]
-    blocks = [_complex_array([[c[k] for c in row] for row in cells], (d, d, n, n),
-                             f"{what} block {k}") for k, n in enumerate(alg.blocks)]
-    gram = np.zeros((d, d, alg.rep_dim, alg.rep_dim), dtype=complex)
-    for s, b in zip(map(alg.block_slice, range(alg.num_blocks)), blocks):
-        gram[:, :, s, s] = b
-    return gram
+    cells = list(chain.from_iterable(obj))
+    blocks = None
+    if set(map(type, cells)) == {dict}:
+        try:
+            blocks = list(map(itemgetter("blocks"), cells))
+        except KeyError:
+            pass
+    if (blocks is None or set(map(type, blocks)) != {list}
+            or set(map(len, blocks)) != {alg.num_blocks}):
+        bad = next(i for i, c in enumerate(cells) if not (
+            isinstance(c, dict) and isinstance(c.get("blocks"), list)
+            and len(c["blocks"]) == alg.num_blocks))
+        raise ParseError(f"{what}[{bad // d}][{bad % d}] must be an object with a 'blocks' "
+                         f"list of {alg.num_blocks} blocks")
+    # block k of every cell, (p, q) row-major, -> [units of block k, p, q]
+    return np.concatenate([
+        _leaves(list(map(itemgetter(k), blocks)), (n, n), f"{what} block {k}")
+        .reshape(d, d, n * n).transpose(2, 0, 1) for k, n in enumerate(alg.blocks)])
 
 
 def encode_bimodule(X: HilbertBimodule) -> dict:
     out = {"kind": "bimodule",
            "A": encode_algebra(X.A), "B": encode_algebra(X.B), "dim": X.dim,
-           "right_gram": _encode_gram(X.right_gram, X.B),
-           "left_action": _encode_action(X.left_action, X.A),
-           "right_action": _encode_action(X.right_action, X.B)}
-    if X.left_gram is not None:
-        out["left_gram"] = _encode_gram(X.left_gram, X.A)
+           "right_gram": _encode_gram(X.right_stack, X.B),
+           "left_action": _encode_action(X.phis, X.A),
+           "right_action": _encode_action(X.psis, X.B)}
+    if X.left_stack is not None:
+        out["left_gram"] = _encode_gram(X.left_stack, X.A)
     return out
 
 
@@ -180,10 +202,9 @@ def decode_bimodule(obj) -> HilbertBimodule:
     left_gram = None
     if obj.get("left_gram") is not None:
         left_gram = _decode_gram(obj["left_gram"], A, d, "left_gram")
-    try:
-        return HilbertBimodule(A, B, d, right_gram, left_action, right_action, left_gram)
-    except StructureError as exc:
-        raise ParseError(str(exc)) from exc
+    # the stacks hold nothing between blocks, so the constructor has nothing to refuse
+    return HilbertBimodule(A, B, d, right_gram, left_action, right_action, left_gram,
+                           units=True)
 
 
 def decode_graph(obj) -> GraphSpec:

@@ -25,6 +25,7 @@ from bimod import (
     relative_commutant,
     tensor,
     tensor_lift,
+    tensor_push,
     tight_frame,
     trace_weighted_expectation,
     validate,
@@ -33,7 +34,6 @@ from bimod.bimodule import (
     CheckResult,
     ModuleOperator,
     ValidationReport,
-    _act_first,
     _gram_big,
 )
 from bimod.conjugation import (
@@ -255,7 +255,8 @@ def dense_tensor(X: HilbertBimodule, Y: HilbertBimodule,
                  rank_tol: float = RANK_TOL) -> HilbertBimodule:
     """Reference interior tensor product X (x)_B Y through the dense
     pre-quotient Gram and action tensors, in the coordinates of the quotient
-    isometry V (``meta["tensor"]``: ``lift`` = V, ``push`` = V^*)."""
+    isometry V (``meta["oracle_tensor"]``: ``lift`` = V, ``push`` = V^*;
+    ``lift_matrix`` and ``push_matrix`` read them)."""
     if X.B != Y.A:
         raise ContractError(
             f"middle algebras differ: {X.B.blocks} vs {Y.A.blocks}")
@@ -289,7 +290,7 @@ def dense_tensor(X: HilbertBimodule, Y: HilbertBimodule,
     Phi2 = np.einsum("Pi,abPQ,Qj->abij", V.conj(), PhiT, V, optimize=True)
     Psi2 = np.einsum("Pi,abPQ,Qj->abij", V.conj(), PsiT, V, optimize=True)
     Z = HilbertBimodule(X.A, Y.B, d2, G2, Phi2, Psi2, L2,
-                        meta={"tensor": {"lift": V, "push": V.conj().T, "dims": (dx, dy)}})
+                        meta={"oracle_tensor": {"lift": V, "push": V.conj().T}})
     return Z
 
 
@@ -298,6 +299,11 @@ def dense_tensor(X: HilbertBimodule, Y: HilbertBimodule,
 # check contracts the whole (d, d, N, N) Gram per matrix unit, the products
 # with matrix units are batched N x N matmuls, and each positivity check is
 # one ``eigvalsh`` of the (dN, dN) matrix.
+
+
+def _act_first(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """[p, q] = sum_r M[r, p] gram[r, q], as one matrix product."""
+    return (M.T @ gram.reshape(len(gram), -1)).reshape(gram.shape)
 
 
 def _act_second(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -406,7 +412,7 @@ def eigh_tensor(X: HilbertBimodule, Y: HilbertBimodule,
 
     The algebraic tensor basis e_p (x) f_u is reduced by the kernel of the
     right Gram tensor (vectors of seminorm zero); the quotient isometry V is
-    kept in ``meta["tensor"]`` as ``lift`` and its adjoint as ``push``.
+    kept in ``meta["oracle_tensor"]`` as ``lift`` and its adjoint as ``push``.
 
     The quotient is found first, from the D x D scalar trace form of the
     right Gram (D = d_X d_Y), and the four structure tensors are then
@@ -462,7 +468,23 @@ def eigh_tensor(X: HilbertBimodule, Y: HilbertBimodule,
     Psi2 = np.matmul(Vh, PV.reshape(nc * nc, D, d2)).reshape(nc, nc, d2, d2)
     return HilbertBimodule(X.A, Y.B, d2, np.ascontiguousarray(G2), Phi2, Psi2,
                            np.ascontiguousarray(L2),
-                           meta={"tensor": {"lift": V, "push": V.conj().T, "dims": (dx, dy)}})
+                           meta={"oracle_tensor": {"lift": V, "push": V.conj().T}})
+
+
+def lift_matrix(Z: HilbertBimodule) -> np.ndarray:
+    """The D x d_2 matrix of ``lift`` of a tensor bimodule: an oracle's stored
+    isometry, or ``tensor_lift`` applied to each basis vector."""
+    if "oracle_tensor" in Z.meta:
+        return Z.meta["oracle_tensor"]["lift"]
+    return np.array([tensor_lift(Z, e) for e in np.eye(Z.dim)]).T
+
+
+def push_matrix(Z: HilbertBimodule) -> np.ndarray:
+    """The d_2 x D matrix of ``push`` of a tensor bimodule, as ``lift_matrix``."""
+    if "oracle_tensor" in Z.meta:
+        return Z.meta["oracle_tensor"]["push"]
+    D = int(np.prod(Z.meta["tensor"]["dims"]))
+    return np.array([tensor_push(Z, e) for e in np.eye(D)]).T
 
 
 # The product pairings of ``bimod.conjugation`` before they went through the
@@ -618,8 +640,8 @@ def quotient_verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
         raise ContractError(
             f"candidate does not intertwine the unit actions "
             f"(residuals {int_R:.3g}, {int_Rbar:.3g})")
-    r_full = tensor_lift(ZR, R).reshape(Y.dim, X.dim)
-    rbar_full = tensor_lift(ZRbar, Rbar).reshape(X.dim, Y.dim)
+    r_full = (lift_matrix(ZR) @ R).reshape(Y.dim, X.dim)
+    rbar_full = (lift_matrix(ZRbar) @ Rbar).reshape(X.dim, Y.dim)
     E1, E2 = einsum_equation_maps(X, Y, r_full, rbar_full)
     res1 = X.op_norm(E1 - np.eye(X.dim))
     res2 = Y.op_norm(E2 - np.eye(Y.dim))
@@ -1470,6 +1492,16 @@ def reference_encode_bimodule(X: HilbertBimodule) -> dict:
 
 
 def reference_decode_bimodule(obj) -> HilbertBimodule:
+    A, B, d, tensors = reference_decode_tensors(obj)
+    try:
+        return HilbertBimodule(A, B, d, *tensors)
+    except StructureError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def reference_decode_tensors(obj) -> tuple:
+    """(A, B, dim, [right_gram, left_action, right_action, left_gram]): the
+    dense tensors of a bimodule file, read one scalar at a time."""
     for key in ("A", "B", "dim", "right_gram", "left_action", "right_action"):
         if key not in obj:
             raise ParseError(f"bimodule file is missing '{key}'")
@@ -1485,7 +1517,4 @@ def reference_decode_bimodule(obj) -> HilbertBimodule:
     left_gram = None
     if obj.get("left_gram") is not None:
         left_gram = _reference_decode_gram(obj["left_gram"], A, d, "left_gram")
-    try:
-        return HilbertBimodule(A, B, d, right_gram, left_action, right_action, left_gram)
-    except StructureError as exc:
-        raise ParseError(str(exc)) from exc
+    return A, B, d, [right_gram, left_action, right_action, left_gram]

@@ -26,14 +26,17 @@ from bimod import (
     tight_frame,
     validate,
 )
-from bimod.bimodule import OFF_BLOCK_TOL, _act_first, bimodule_map_residual
+from bimod.bimodule import OFF_BLOCK_TOL, bimodule_map_residual
 
 from helpers import (
+    _act_first,
     _act_second,
     corpus,
     dense_tensor,
     eigh_tensor,
     four_cycle_graph,
+    lift_matrix,
+    push_matrix,
     random_bimodule,
     random_bimodule_family,
     random_posdef,
@@ -262,15 +265,17 @@ def test_validate_memory_below_the_module():
         tracemalloc.stop()
     assert Z.dim == 99 and rep.passed
     assert peak <= out, (peak, out)
-    # the constructor's check of the block diagonal reduces to N x N sizes
+    # the constructor's check of the block diagonal reduces to N x N sizes:
+    # past the stacks it slices out, it holds a tenth of the dense tensors
+    dense = (Z.right_gram, Z.left_action, Z.right_action, Z.left_gram)
+    stacks = sum(t.nbytes for t in (Z.right_stack, Z.left_stack, Z.phis, Z.psis))
     tracemalloc.start()
     try:
-        HilbertBimodule(Z.A, Z.B, Z.dim, Z.right_gram, Z.left_action, Z.right_action,
-                        Z.left_gram)
+        HilbertBimodule(Z.A, Z.B, Z.dim, *dense)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < out / 10, (peak, out)
+    assert peak < stacks + out / 10, (peak, stacks, out)
 
 
 # -- Gram half-product formula -------------------------------------------------
@@ -446,16 +451,19 @@ def test_contragredient_involution():
 
 
 def test_structure_tensors_and_the_default_frame_are_read_only():
-    # the per-module caches rely on it; the caller's own arrays stay writable
+    # the per-module caches rely on it; the caller's own arrays stay writable,
+    # and the module, which keeps its own stacks at the matrix units, does not
+    # see a later change to them
     X = random_bimodule([2, 1], [2, 1], [[1, 1], [2, 3]], seed=4)
     G = X.right_gram.copy()
     Y = HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
     for arr in (Y.right_gram, Y.left_action, Y.right_action, Y.left_gram,
+                Y.right_stack, Y.left_stack, Y.phis, Y.psis,
                 tight_frame(Y).coords, contragredient(Y).left_gram):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0
     G[0, 0] = 7.0
-    assert Y.right_gram[0, 0, 0, 0] == 7.0
+    assert Y.right_gram[0, 0, 0, 0] == X.right_gram[0, 0, 0, 0] != 7.0
 
 
 def test_cached_frames_and_contragredient_keep_no_module_alive():
@@ -507,7 +515,7 @@ def test_tensor_unit_object():
         for p in range(X.dim):
             for q in range(IB.dim):
                 Wfull[:, p * IB.dim + q] = X.psi(units[q]) @ np.eye(X.dim)[p]
-        W = Wfull @ Z.meta["tensor"]["lift"]
+        W = Wfull @ lift_matrix(Z)
         assert bimodule_map_residual(W, Z, X) < 1e-10, name
 
 
@@ -533,7 +541,7 @@ def test_tensor_matches_eigh_oracle(name, order):
     X = _ORACLE_MODULES[name]
     a, b = (X, contragredient(X)) if order == "X_Xbar" else (contragredient(X), X)
     Z, Ze = tensor(a, b), eigh_tensor(a, b)
-    lift, push, Ve = Z.meta["tensor"]["lift"], Z.meta["tensor"]["push"], Ze.meta["tensor"]["lift"]
+    lift, push, Ve = lift_matrix(Z), push_matrix(Z), lift_matrix(Ze)
     D = a.dim * b.dim
     assert Z.dim == Ze.dim and Z.meta["tensor"]["dims"] == (a.dim, b.dim)
     # push undoes lift and sends the null vectors (orthogonal to the oracle's isometry) to zero
@@ -548,8 +556,7 @@ def test_tensor_without_kernel_lift_inverts_push():
         for a, b in ((X, contragredient(X)), (contragredient(X), X)):
             Z, D = tensor(a, b), a.dim * b.dim
             if Z.dim == D:
-                info = Z.meta["tensor"]
-                assert np.abs(info["lift"] @ info["push"] - np.eye(D)).max() <= 1e-12, name
+                assert np.abs(lift_matrix(Z) @ push_matrix(Z) - np.eye(D)).max() <= 1e-12, name
                 count += 1
     assert count >= 6
 
@@ -577,13 +584,14 @@ def test_tensor_takes_no_eigh_of_the_product_size(monkeypatch):
     Z = tensor(Xbar, X)
     monkeypatch.undo()
     Ze = eigh_tensor(Xbar, X)
-    push, Ve = Z.meta["tensor"]["push"], Ze.meta["tensor"]["lift"]
+    push, Ve = push_matrix(Z), lift_matrix(Ze)
     assert Z.dim == Ze.dim < D
     assert np.abs(push @ (np.eye(D) - Ve @ Ve.conj().T)).max() <= 1e-12
 
 
 def test_tensor_memory_at_d45():
-    # the eigh route peaked at 6.1 times the returned tensors (328 MB)
+    # the eigh route peaked at 6.1 times the returned dense tensors (328 MB);
+    # the bound is now taken against the stacks the product keeps
     import tracemalloc
     X = random_bimodule(*SHAPE_45, seed=1)
     Xbar = contragredient(X)
@@ -593,7 +601,7 @@ def test_tensor_memory_at_d45():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    out = sum(t.nbytes for t in (Z.right_gram, Z.left_gram, Z.left_action, Z.right_action))
+    out = sum(t.nbytes for t in (Z.right_stack, Z.left_stack, Z.phis, Z.psis))
     assert Z.dim == 153
     assert peak <= 2.5 * out, (peak, out)
 
@@ -607,7 +615,7 @@ def test_tensor_rejects_non_integer_corner_rank():
 
 
 def test_tensor_matches_dense_oracle():
-    from bimod import build_conjugate, tensor_push
+    from bimod import build_conjugate
     from helpers import quotient_verify_conjugate
     mods = corpus() + [("roundtrip_13", random_bimodule(*ROUNDTRIP_13, seed=1))]
     for name, X in mods:
@@ -616,14 +624,14 @@ def test_tensor_matches_dense_oracle():
             Z, Zd = tensor(a, b), dense_tensor(a, b)
             assert Z.dim == Zd.dim, name
             # coordinates of Z -> quotient coordinates of the oracle, and back
-            info, ref = Z.meta["tensor"], Zd.meta["tensor"]
-            W = ref["push"] @ info["lift"]
-            assert np.abs(info["push"] @ ref["lift"] @ W - np.eye(Z.dim)).max() <= 1e-10, name
+            W = push_matrix(Zd) @ lift_matrix(Z)
+            back = push_matrix(Z) @ lift_matrix(Zd) @ W
+            assert np.abs(back - np.eye(Z.dim)).max() <= 1e-10, name
             assert bimodule_map_residual(W, Z, Zd) <= 1e-10, name
         # the solution pushed into the oracle's quotient verifies there
         sol = build_conjugate(X)
         ZR, ZRbar = dense_tensor(Xbar, X), dense_tensor(X, Xbar)
-        R, Rbar = tensor_push(ZR, sol.R), tensor_push(ZRbar, sol.Rbar)
+        R, Rbar = push_matrix(ZR) @ sol.R.reshape(-1), push_matrix(ZRbar) @ sol.Rbar.reshape(-1)
         assert quotient_verify_conjugate(X, Xbar, R, Rbar, ZR=ZR, ZRbar=ZRbar).passed, name
 
 

@@ -224,6 +224,45 @@ def test_index_and_tensor_build_no_tight_frame(X, tmp_path, monkeypatch):
         assert sum(frames.values()) == 0, (command, frames)
 
 
+# the d = 13, 18 and 24 shapes of the conjugate round trip
+_ROUNDTRIP_SHAPES = [
+    ([2, 1, 1], [2, 1, 1], [[1, 1, 0], [1, 1, 1], [0, 1, 2]]),
+    ([2, 1, 1], [2, 1, 1], [[2, 1, 0], [1, 1, 1], [0, 2, 2]]),
+    ([2, 1, 1], [2, 1, 1], [[2, 1, 1], [2, 1, 1], [1, 2, 2]]),
+]
+
+
+@pytest.mark.parametrize("shape", _ROUNDTRIP_SHAPES, ids=["d13", "d18", "d24"])
+def test_tensor_conjugate_verify_validate_assemble_no_dense_tensor(shape, tmp_path, monkeypatch):
+    # every layer on these paths reads the stacks at the matrix units: no
+    # dense Gram or action tensor is assembled, for the round-trip module,
+    # its contragredient or their product
+    X = random_bimodule(*shape, seed=1)
+    Xbar = contragredient(X)
+    paths = {}
+    for name, Y in (("X", X), ("Xbar", Xbar), ("Z", bimodule.tensor(X, Xbar))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(encode_bimodule(Y)))
+    assembled = []
+
+    def refused(stack, alg, gram):
+        assembled.append((stack.shape, alg.blocks, gram))
+        raise AssertionError("a dense structure tensor was assembled")
+
+    monkeypatch.setattr(bimodule, "_assemble", refused)
+    requests = [("tensor", ["X", "Xbar"])]
+    for name in ("X", "Z"):
+        requests += [("validate", [name]), ("conjugate", [name]), ("verify", [name, "solution"])]
+    for command, names in requests:
+        if command == "verify":     # the solution written by the conjugate request before
+            paths["solution"] = tmp_path / "solution.json"
+            res = report["results"]
+            paths["solution"].write_text(json.dumps(
+                {"kind": "solution", "R": res["R"], "Rbar": res["Rbar"]}))
+        status, report = _run(command, [str(paths[name]) for name in names])
+        assert status == 0 and not assembled, (command, names, report.get("error"), assembled)
+
+
 def test_parse_spec_pauses_the_collector_and_restores_it(fixtures, monkeypatch):
     # the collector is off for the parse tree's whole life: while the file is
     # read and parsed and while it is decoded, and back in the caller's state

@@ -27,6 +27,7 @@ from bimod import (
     tensor_push,
     verify_conjugate,
 )
+from bimod.bimodule import _embed
 from bimod.conjugation import _equation_map, _inner, _pair, _peel
 
 from helpers import (
@@ -257,7 +258,8 @@ def test_corner_pairings_match_dense_oracle(make, order):
     rng = np.random.default_rng(a.dim)
     r = rng.standard_normal((a.dim, b.dim)) + 1j * rng.standard_normal((a.dim, b.dim))
     s = rng.standard_normal((3, a.dim, b.dim)) + 1j * rng.standard_normal((3, a.dim, b.dim))
-    for got, ref in ((_pair(a, b, r), dense_pair(a, b, r)),
+    # _pair gives its values at the matrix units of C, the oracle embedded
+    for got, ref in ((_embed(_pair(a, b, r), b.B), dense_pair(a, b, r)),
                      (_peel(a, b, s), dense_peel(a, b, s)),
                      (_inner(a, b, r, s), dense_inner(a, b, r, s))):
         assert got.shape == ref.shape

@@ -203,7 +203,8 @@ def test_least_multipliers_are_the_index_element(spec, monkeypatch):
 def test_expectation_tensor_matches_direct():
     # Z = Y (x)_B X is isomorphic to the direct A-A structure on B with
     # inner products E(x* y) and E(x y*), via y (x) x -> y x
-    from bimod.bimodule import HilbertBimodule, bimodule_map_residual, tensor_lift
+    from bimod.bimodule import HilbertBimodule, bimodule_map_residual
+    from helpers import lift_matrix
     E = diag_expectation_m2()
     X, Y, Z = from_expectation(E)
     assert Z.dim == X.dim       # B (x)_B B ~ B as a linear space
@@ -235,7 +236,7 @@ def test_expectation_tensor_matches_direct():
     Z_direct = HilbertBimodule(A, A, d, GD, act, act_r, LD)
     assert validate(Z_direct).passed
     # multiplication map on the product basis of Y (x) X, pushed to Z coords
-    lift = Z.meta["tensor"]["lift"]
+    lift = lift_matrix(Z)
     Wfull = np.zeros((d, d * d), dtype=complex)
     for p in range(d):
         for q in range(d):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bimod import build_conjugate, cli
+from bimod import HilbertBimodule, build_conjugate, cli
 from bimod.serde import (
     _complex_array,
     _pairs,
@@ -17,7 +17,7 @@ from bimod.serde import (
     encode_bimodule,
     encode_vector,
 )
-from helpers import corpus, random_bimodule, reference_decode_bimodule, reference_encode_bimodule
+from helpers import corpus, random_bimodule, reference_decode_tensors, reference_encode_bimodule
 
 # the round-trip shapes of the benchmark: d = 13, 18, 24
 ROUNDTRIP_SHAPES = [
@@ -41,21 +41,24 @@ def _bitwise_equal(a, b) -> bool:
 @pytest.mark.parametrize("name, X", MODULES, ids=[name for name, _ in MODULES])
 def test_block_codec_matches_per_scalar_reference(name, X, tmp_path):
     # the block decoder on json's parse, and parse_spec on orjson's, give
-    # bitwise the tensors of the per-scalar reference decoder
+    # bitwise the tensors of the per-scalar reference decoder; and the dense
+    # properties, assembled from the stacks at the matrix units, give back
+    # bitwise the dense tensors that decoder passes to the constructor
     text = json.dumps(encode_bimodule(X))
     assert text == json.dumps(reference_encode_bimodule(X))
     path = tmp_path / f"{name}.json"
     path.write_text(text)
     obj = json.loads(text)
-    new, old = decode_bimodule(obj), reference_decode_bimodule(obj)
+    A, B, d, inputs = reference_decode_tensors(obj)
+    new, old = decode_bimodule(obj), HilbertBimodule(A, B, d, *inputs)
     kind, parsed = cli.parse_spec(str(path), check=False)
     assert kind == "bimodule"
-    for got in (new, parsed):
+    for got in (new, parsed, old):
         assert got.dim == old.dim and got.A == old.A and got.B == old.B
-        for field in TENSORS:
-            a, b = getattr(got, field), getattr(old, field)
-            assert (a is None) == (b is None), field
-            assert a is None or _bitwise_equal(a, b), field
+        for field, want in zip(TENSORS, inputs):
+            a = getattr(got, field)
+            assert (a is None) == (want is None), field
+            assert a is None or _bitwise_equal(a, want), field
 
 
 _SMALLEST_NORMAL = 2.2250738585072014e-308

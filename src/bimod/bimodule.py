@@ -477,12 +477,13 @@ def _check_block_diagonal(gram: np.ndarray, alg: MultiMatrixAlgebra, what: str) 
 
 
 class _GramSupport:
-    """The checks of a Gram stack ``live[u] = gram[:, :, a_u, b_u]`` over an
-    algebra (``HilbertBimodule``): an operator acts on either leg by matrix
-    products on its U d^2 entries (U = sum n_k^2)."""
+    """The algebra-valued checks of a Gram stack ``live[u] = gram[:, :, a_u,
+    b_u]``: an operator acts on either leg by matrix products on its U d^2
+    entries (U = sum n_k^2).  Positivity and adjointability are read off
+    the scalar trace form (``validate``)."""
 
     def __init__(self, live: np.ndarray, alg: MultiMatrixAlgebra):
-        self.live, self.alg, self.layout = live, alg, _unit_layout(alg.blocks)
+        self.live, self.layout = live, _unit_layout(alg.blocks)
         self.scale = max(_max_abs(live), 1e-300)       # max |gram|
 
     def first(self, M: np.ndarray) -> np.ndarray:
@@ -493,27 +494,9 @@ class _GramSupport:
         """[t, p, q] = sum_s M[s, q] live[t, p, s]."""
         return (self.live.reshape(-1, len(M)) @ M).reshape(self.live.shape)
 
-    def adjoint_residual(self, pairs) -> float:
-        """max |first(M) - second(N)| over the pairs (M, N)."""
-        err = 0.0
-        for M, N in pairs:
-            diff = self.first(M)
-            diff -= self.second(N)
-            err = max(err, _max_abs(diff))
-        return err
-
     def hermitian_residual(self) -> float:
         """max |conj(gram[q, p, b, a]) - gram[p, q, a, b]|."""
         return _max_abs(self.live[self.layout.star].conj().transpose(0, 2, 1) - self.live)
-
-    def psd_residual(self) -> float:
-        """Negativity of the (dN, dN) matrix [(p, a), (q, b)] -> gram[p, q, a, b]
-        relative to its top eigenvalue, from one ``eigvalsh`` per block."""
-        lo = hi = 0.0
-        for part in _unit_blocks(self.live, self.alg):
-            w = np.linalg.eigvalsh(hermitian_part(_gram_matrix(part)))
-            lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
-        return max(0.0, -lo) / max(hi, 1e-300)
 
     def unit_product_residual(self, diff: np.ndarray, u: int, left: bool) -> float:
         """max |diff - gram e_ij|, or |diff - e_ij gram| if ``left``, for the unit
@@ -550,16 +533,30 @@ def _generator_residual(mats: np.ndarray, L: SimpleNamespace, anti: bool) -> flo
     return err
 
 
+def _form_adjoint_residual(F: np.ndarray, mats: np.ndarray, L: SimpleNamespace) -> float:
+    """max |m(e_u)^H F - F m(e_u*)| / max |F| over the generators e_u = e^k_i1."""
+    err = max(_max_abs(mats[u].conj().T @ F - F @ mats[L.star[u]]) for u in L.col_gens)
+    return err / max(_max_abs(F), 1e-300)
+
+
 def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     """Check every structural invariant; the report carries one line per check.
 
     Each Gram is read at the matrix units of its algebra, where the module
-    keeps it (:class:`_GramSupport`).  The identities of the actions are
-    checked on the generators e^k_i1 and e^k_1i, which imply them on every
-    unit once the (anti)homomorphism lines hold: adjointability on the
-    e_i1, linearity and commutation on the e_i1 and the e_1i.  Once one of
-    those lines fails, the later ones, still on generators, can miss a broken
-    unit that is not a generator; ``passed`` is false either way.
+    keeps it (:class:`_GramSupport`).  Positivity and adjointability are
+    read off the faithful scalar trace form <x, y> = tr (x|y)_B,
+    ``X.scalar_gram`` (``X.scalar_left_gram`` over A): its spectrum, and
+    phi(e_u)^H G = G phi(e_u*), d x d per generator.  Once the Hermitian,
+    linearity and ``actions_commute`` lines pass, they hold there iff they
+    hold for the B-valued Gram, as tr(b*(x|x)_B b) = <x.b, x.b> and tr is
+    faithful.  The identities of the actions are checked on the generators
+    e^k_i1 and e^k_1i, which imply them on every unit once the
+    (anti)homomorphism lines hold: adjointability on the e_i1, linearity and
+    commutation on the e_i1 and the e_1i.  Two caveats, ``passed`` false
+    either way: once one of those lines fails, the later ones can miss a
+    broken unit that is not a generator; and once a linearity line or
+    ``actions_commute`` fails, the scalar psd and adjointable lines can pass
+    where the B-valued Gram fails them.
     """
     checks: list[CheckResult] = []
     d = X.dim
@@ -569,12 +566,15 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
         residual = float(residual)
         checks.append(CheckResult(name, residual, residual <= tol if passed is None else passed))
 
+    def add_form_spectrum(side, form):
+        w = np.linalg.eigvalsh(form)                    # ascending
+        top = max(float(w[-1]), 1e-300)
+        add(f"{side}_gram_psd", max(0.0, -float(w[0])) / top)
+        add(f"{side}_gram_definite", 0.0, passed=float(w[0]) > RANK_TOL * top)
+
     S = _GramSupport(X.right_stack, X.B)
     add("right_gram_hermitian", S.hermitian_residual() / S.scale)
-    add("right_gram_psd", S.psd_residual())
-    gw = np.linalg.eigvalsh(X.scalar_gram)
-    add("right_gram_definite", 0.0,
-        passed=float(gw.min()) > RANK_TOL * max(float(gw.max()), 1e-300))
+    add_form_spectrum("right", X.scalar_gram)
 
     phis, psis = X.phis, X.psis
     pscale = max(float(np.abs(phis).max()), 1e-300)
@@ -582,8 +582,7 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     # phi is a unital *-homomorphism, adjointable for the right inner product
     add("left_action_homomorphism", _generator_residual(phis, LA, False) / pscale)
     add("left_action_unital", np.abs(phis[LA.diag].sum(axis=0) - np.eye(d)).max())
-    adj_err = S.adjoint_residual((phis[u].conj(), phis[LA.star[u]]) for u in LA.col_gens)
-    add("left_action_adjointable", adj_err / S.scale)
+    add("left_action_adjointable", _form_adjoint_residual(X.scalar_gram, phis, LA))
 
     # psi is a unital *-antihomomorphism and the right gram is B-linear
     add("right_action_antihomomorphism", _generator_residual(psis, LB, True)
@@ -599,15 +598,12 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     if X.left_stack is not None:
         S = _GramSupport(X.left_stack, X.A)
         add("left_gram_hermitian", S.hermitian_residual() / S.scale)
-        add("left_gram_psd", S.psd_residual())
-        glw = np.linalg.eigvalsh(X.scalar_left_gram)
-        add("left_gram_definite", 0.0,
-            passed=float(glw.min()) > RANK_TOL * max(float(glw.max()), 1e-300))
+        add_form_spectrum("left", X.scalar_left_gram)
         alin_err = max(S.unit_product_residual(S.first(phis[u]), u, left=True)
                        for u in LA.gens)
         add("left_gram_A_linear", alin_err / S.scale)
-        radj_err = S.adjoint_residual((psis[u], psis[LB.star[u]].conj()) for u in LB.col_gens)
-        add("right_action_left_adjointable", radj_err / S.scale)
+        # H psi(e_u) = psi(e_u*)^H H, conjugate-transposed
+        add("right_action_left_adjointable", _form_adjoint_residual(X.scalar_left_gram, psis, LB))
 
     return ValidationReport(checks, tol)
 

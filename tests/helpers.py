@@ -312,8 +312,10 @@ def _act_second(M: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def unit_loop_validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
-    """Reference ``validate``: the same checks, names, order and residuals,
-    contracted on all N^2 algebra entries with one matrix-unit product per unit."""
+    """Reference ``validate``: the same checks, names and order, contracted
+    on all N^2 algebra entries with one matrix-unit product per unit.  The
+    psd and adjointable lines are taken on the algebra-valued Grams, where
+    ``validate`` reads the scalar trace forms (``scalar_form_lines``)."""
     checks: list[CheckResult] = []
     d = X.dim
     G, Phi, Psi = X.right_gram, X.left_action, X.right_action
@@ -399,6 +401,35 @@ def unit_loop_validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationRepor
         add("right_action_left_adjointable", radj_err / lscale)
 
     return ValidationReport(checks, tol)
+
+
+def scalar_form_lines(X: HilbertBimodule) -> dict[str, float]:
+    """The four lines ``validate`` reads off the scalar trace forms, computed
+    densely: each form summed from the dense Gram, its full spectrum, and
+    adjointability on every matrix unit, not only on the generators."""
+    def psd(form):
+        w = np.linalg.eigvalsh(form)
+        return max(0.0, -float(w.min())) / max(float(w.max()), 1e-300)
+
+    def adjoints(alg, action):
+        mats = np.einsum("uab,abij->uij", alg.units_embedded(), action)
+        triples = alg.unit_triples()
+        return mats, mats[[triples.index((k, j, i)) for k, i, j in triples]]
+
+    G = hermitian_part(np.einsum("pqaa->pq", X.right_gram))
+    phis, phi_stars = adjoints(X.A, X.left_action)
+    lines = {"right_gram_psd": psd(G),
+             "left_action_adjointable": max(
+                 float(np.abs(P.conj().T @ G - G @ Ps).max()) for P, Ps in zip(phis, phi_stars))
+             / max(float(np.abs(G).max()), 1e-300)}
+    if X.left_gram is not None:
+        H = hermitian_part(np.einsum("pqaa->qp", X.left_gram))
+        psis, psi_stars = adjoints(X.B, X.right_action)
+        lines["left_gram_psd"] = psd(H)
+        lines["right_action_left_adjointable"] = max(
+            float(np.abs(H @ P - Ps.conj().T @ H).max()) for P, Ps in zip(psis, psi_stars)) \
+            / max(float(np.abs(H).max()), 1e-300)
+    return lines
 
 
 # The body of ``bimod.tensor`` before it went through the blocks of the

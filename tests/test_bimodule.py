@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bimod import (
     ContractError,
@@ -40,6 +42,7 @@ from helpers import (
     random_bimodule,
     random_bimodule_family,
     random_posdef,
+    scalar_form_lines,
     unit_loop_validate,
 )
 from bimod import from_weight_graph, GraphSpec
@@ -58,8 +61,8 @@ def test_validate_corpus():
 
 
 def test_gram_actions_match_einsum_reference():
-    # validate's adjointability and linearity checks contract one operator
-    # into a Gram index; the einsum forms are the reference
+    # the unit-loop oracle's adjointability and linearity checks contract one
+    # operator into a Gram index; the einsum forms are the reference
     rng = np.random.default_rng(0)
     M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     G = rng.standard_normal((5, 5, 3, 3)) + 1j * rng.standard_normal((5, 5, 3, 3))
@@ -196,6 +199,21 @@ def _psi_across_blocks():
     return HilbertBimodule(X.A, X.B, X.dim, X.right_gram, X.left_action, Psi, X.left_gram)
 
 
+def _gram_off_the_trace():
+    # eps K at the unit e_12 of B and eps K^H at e_21, eps = 5 max |G|: still
+    # Hermitian, but not B-linear, and the B-valued Gram is not PSD.  The
+    # trace does not see those units, so the scalar form is unchanged
+    X = random_bimodule(*ROUNDTRIP_13, seed=1)
+    assert X.B.blocks == (2, 1, 1)
+    G = X.right_gram.copy()
+    rng = np.random.default_rng(0)
+    K = rng.standard_normal((X.dim, X.dim)) + 1j * rng.standard_normal((X.dim, X.dim))
+    eps = 5 * np.abs(G).max() / np.abs(K).max()
+    G[:, :, 0, 1] += eps * K
+    G[:, :, 1, 0] += eps * K.conj().T
+    return HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+
+
 def _validate_oracle_modules():
     mods = corpus() + [(f"roundtrip_{X.dim}", X) for X in (
         random_bimodule(*shape, seed=1) for shape in (ROUNDTRIP_13, ROUNDTRIP_18, ROUNDTRIP_24))]
@@ -212,24 +230,34 @@ def _validate_oracle_modules():
                    ("non_psd_in_one_block", _non_psd_in_one_block()),
                    ("cross_block_overlap", _cross_block_overlap()),
                    ("non_generator_unit", _non_generator_unit()),
-                   ("psi_across_blocks", _psi_across_blocks())]
+                   ("psi_across_blocks", _psi_across_blocks()),
+                   ("gram_off_the_trace", _gram_off_the_trace())]
 
 
 # the lines that validate takes on the generators of the algebras: each
 # residual is the max over a subset of the oracle's terms
-GENERATOR_LINES = {"left_action_homomorphism", "left_action_adjointable",
-                   "right_action_antihomomorphism", "right_gram_B_linear",
-                   "actions_commute", "left_gram_A_linear",
-                   "right_action_left_adjointable"}
+GENERATOR_LINES = {"left_action_homomorphism", "right_action_antihomomorphism",
+                   "right_gram_B_linear", "actions_commute", "left_gram_A_linear"}
+# the lines that validate reads off the scalar trace forms; their oracle is
+# scalar_form_lines, and their verdicts are unit_loop_validate's wherever
+# the linearity lines and actions_commute pass
+SCALAR_FORM_LINES = {"right_gram_psd", "left_action_adjointable",
+                     "left_gram_psd", "right_action_left_adjointable"}
 
 
 def test_validate_matches_unit_loop_oracle():
     for name, X in _validate_oracle_modules():
-        got, ref = validate(X), unit_loop_validate(X)
+        got, ref, dense = validate(X), unit_loop_validate(X), scalar_form_lines(X)
         assert [c.name for c in got.checks] == [c.name for c in ref.checks], name
-        assert [c.passed for c in got.checks] == [c.passed for c in ref.checks], name
+        if name != "gram_off_the_trace":       # built to differ: the next test
+            assert [c.passed for c in got.checks] == [c.passed for c in ref.checks], name
         for c, r in zip(got.checks, ref.checks):
-            if c.name in GENERATOR_LINES:
+            if c.name.endswith("_psd"):
+                assert abs(c.residual - dense[c.name]) <= 1e-14, (name, c.name, c.residual)
+            elif c.name in SCALAR_FORM_LINES:
+                # the generators are a subset of the units
+                assert c.residual <= dense[c.name] + 1e-15, (name, c.name, c.residual)
+            elif c.name in GENERATOR_LINES:
                 # 1e-15 of slack for batched products
                 assert c.residual <= r.residual + 1e-15, (name, c.name, c.residual, r.residual)
             else:
@@ -249,6 +277,14 @@ def test_validate_oracle_cases_fail_where_built_to():
         "left_action_homomorphism", "left_action_unital", "left_gram_A_linear"}
     assert failed(_non_generator_unit()) == {"left_action_homomorphism", "left_action_unital"}
     assert "right_action_antihomomorphism" in failed(_psi_across_blocks())
+    # not B-linear: the scalar form passes the psd and adjointable lines that
+    # the B-valued Gram fails, and passed is false either way
+    X = _gram_off_the_trace()
+    rep = validate(X)
+    assert not rep.passed
+    assert {c.name for c in rep.failures()} == {"right_gram_B_linear"}
+    assert {c.name for c in unit_loop_validate(X).failures()} == {
+        "right_gram_B_linear", "right_gram_psd", "left_action_adjointable"}
 
 
 def test_validate_memory_below_the_module():
@@ -276,6 +312,54 @@ def test_validate_memory_below_the_module():
     finally:
         tracemalloc.stop()
     assert peak < stacks + out / 10, (peak, stacks, out)
+
+
+def test_validate_solves_no_eigenproblem_beyond_the_module_size(monkeypatch):
+    # the B-valued positivity route took one eigvalsh per (d n_l)-square
+    # Gram block, 198 on this product; the scalar forms are d x d
+    X = random_bimodule(*ROUNDTRIP_24, seed=1)
+    Z = tensor(X, contragredient(X))
+    sides = []
+    for name in ("eigvalsh", "eigh"):
+        def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            sides.append(np.shape(a)[-1])
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    rep = validate(Z)
+    monkeypatch.undo()
+    assert Z.dim == 99 and rep.passed
+    assert sides and max(sides) <= Z.dim, sides
+
+
+@st.composite
+def _small_shapes(draw):
+    """(A blocks, B blocks, Lambda), at most 3 blocks a side and Lambda
+    entries at most 2, of a module of dimension d <= 30 whose product with
+    its contragredient has dimension at most 60."""
+    a = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    b = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    lam = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=len(b), max_size=len(b)),
+                                 min_size=len(a), max_size=len(a))))
+    ranks = np.array(a) @ lam                  # M_l = rank psi(e^l_11)
+    assume(0 < ranks @ b <= 30 and ranks @ ranks <= 60)
+    return a, b, lam.tolist()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_small_shapes(), st.integers(0, 2**16))
+def test_validate_verdicts_match_the_oracle_on_random_shapes(shape, seed):
+    X = random_bimodule(*shape, seed=seed)
+    for Y in (X, tensor(X, contragredient(X))):
+        got, ref = validate(Y), unit_loop_validate(Y)
+        assert got.passed, [(c.name, c.residual) for c in got.failures()]
+        assert [(c.name, c.passed) for c in got.checks] == [(c.name, c.passed) for c in ref.checks]
+    # the right Gram negated on one central block of B that the module reaches
+    l = int(np.flatnonzero(np.array(shape[0]) @ np.array(shape[2]))[0])
+    G = X.right_gram.copy()
+    G[:, :, X.B.block_slice(l), X.B.block_slice(l)] *= -1.0
+    Y = HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
+    for rep in (validate(Y), unit_loop_validate(Y)):
+        assert "right_gram_psd" in {c.name for c in rep.failures()}
 
 
 # -- Gram half-product formula -------------------------------------------------

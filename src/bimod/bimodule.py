@@ -640,26 +640,30 @@ def frame_operator(X: HilbertBimodule, vectors) -> np.ndarray:
 
 def tight_frame(X: HilbertBimodule, spanning=None,
                 rank_tol: float = RANK_TOL) -> FrameSet:
-    """Normalized tight frame: S^(-1/2) applied to a spanning set.
+    """Normalized tight frame.
 
-    The default spanning set is the coordinate basis, which always spans;
-    that frame (at the default ``rank_tol``) is built once per module and
-    its coordinates are read-only.  A singular frame operator means the
-    right inner product is degenerate on a complement and is rejected.
+    Without a spanning set it is the w-frame of ``_w_frames``, its M_l
+    vectors w^l_i block by block, built once per module with read-only
+    coordinates.  A given spanning set is taken to S^(-1/2) of it, S its
+    frame operator; ``rank_tol`` applies to that route only, where a
+    singular S means the right inner product is degenerate on a complement
+    and is rejected.
     """
-    def build():
-        vecs = (np.eye(X.dim, dtype=complex) if spanning is None
-                else np.array([_coords(X, v) for v in spanning]))
-        S = frame_operator(X, vecs)
-        spec = X.op_spectrum(S)
-        if spec.min() <= rank_tol * max(spec.max(), 1e-300):
-            raise StructureError(
-                "frame operator is singular: the spanning set does not generate "
-                "a module with definite inner product")
-        out = _read_only(vecs @ X.op_function(S, lambda t: 1.0 / np.sqrt(t)).T)
-        return out, X.op_norm(frame_operator(X, out) - np.eye(X.dim))
-    default = spanning is None and rank_tol == RANK_TOL
-    return FrameSet(X, *(X._cached("frame", build) if default else build()))
+    if spanning is None:
+        def build():
+            out = _read_only(np.array([v for _, w in _w_frames(X) for v in w.T],
+                                      dtype=complex).reshape(-1, X.dim))
+            return out, X.op_norm(frame_operator(X, out) - np.eye(X.dim))
+        return FrameSet(X, *X._cached("frame", build))
+    vecs = np.array([_coords(X, v) for v in spanning])
+    S = frame_operator(X, vecs)
+    spec = X.op_spectrum(S)
+    if spec.min() <= rank_tol * max(spec.max(), 1e-300):
+        raise StructureError(
+            "frame operator is singular: the spanning set does not generate "
+            "a module with definite inner product")
+    out = vecs @ X.op_function(S, lambda t: 1.0 / np.sqrt(t)).T
+    return FrameSet(X, out, X.op_norm(frame_operator(X, out) - np.eye(X.dim)))
 
 
 def left_tight_frame(X: HilbertBimodule, spanning=None) -> FrameSet:
@@ -716,29 +720,21 @@ def identity_bimodule(alg: MultiMatrixAlgebra) -> HilbertBimodule:
 
 def amplify(X: HilbertBimodule, n: int) -> HilbertBimodule:
     """Column amplification: the direct sum of n copies of X as an
-    M_n(A)-B bimodule."""
+    M_n(A)-B bimodule, built at the matrix units.  Copy c holds the
+    coordinates c d .. c d + d - 1; B acts on each copy, so its stacks are
+    1_n (x) its own, and the unit e^k_(c i),(c' j) of M_n(A) acts, and pairs
+    on the left, as E_cc' (x) e^k_ij."""
     if n < 1:
         raise ContractError("amplification order must be >= 1")
     X._need_left()
-    A2 = MultiMatrixAlgebra([n * m for m in X.A.blocks])
-    d, nb, d2, na2 = X.dim, X.B.rep_dim, n * X.dim, A2.rep_dim
-    G, L, Phi, Psi = X.right_gram, X.left_gram, X.left_action, X.right_action
-    G2 = np.zeros((d2, d2, nb, nb), dtype=complex)
-    Psi2 = np.zeros((nb, nb, d2, d2), dtype=complex)
-    for c in range(n):
-        G2[c * d:(c + 1) * d, c * d:(c + 1) * d] = G
-        Psi2[:, :, c * d:(c + 1) * d, c * d:(c + 1) * d] = Psi
-    L2 = np.zeros((d2, d2, na2, na2), dtype=complex)
-    Phi2 = np.zeros((na2, na2, d2, d2), dtype=complex)
-    for k, m in enumerate(X.A.blocks):
-        s, t = X.A.block_slice(k), A2.block_slice(k).start
-        for c in range(n):
-            for cp in range(n):
-                # copy c of the rows and copy cp of the columns of block k
-                rows, cols = slice(t + c * m, t + c * m + m), slice(t + cp * m, t + cp * m + m)
-                L2[c * d:(c + 1) * d, cp * d:(cp + 1) * d, rows, cols] = L[:, :, s, s]
-                Phi2[rows, cols, c * d:(c + 1) * d, cp * d:(cp + 1) * d] = Phi[s, s]
-    return HilbertBimodule(A2, X.B, d2, G2, Phi2, Psi2, L2)
+    E = np.eye(n * n).reshape(n, n, n, n)[:, None, :, None]     # E_cc' at [c, :, c', :]
+
+    def spread(stack):
+        return np.concatenate([_kron(E, part[None, :, None, :]).reshape(-1, n * X.dim, n * X.dim)
+                               for part in _unit_blocks(stack, X.A)])
+    return HilbertBimodule(MultiMatrixAlgebra([n * m for m in X.A.blocks]), X.B, n * X.dim,
+                           _kron(np.eye(n), X.right_stack), spread(X.phis),
+                           _kron(np.eye(n), X.psis), spread(X.left_stack), units=True)
 
 
 def _corner_rank(E: np.ndarray, b: int, what: str) -> int:
@@ -763,6 +759,23 @@ def _corner_ranges(X: HilbertBimodule, left: bool) -> list[np.ndarray]:
         return np.linalg.svd(E)[0][:, :rank] if rank else E[:, :0]
     return X._cached(what + "_corners", lambda: [
         corner(l, o) for l, o in enumerate(_unit_layout(alg.blocks).starts)])
+
+
+def _w_frames(X: HilbertBimodule) -> list[tuple[int, np.ndarray]]:
+    """The frame of L(X_B), built once per module: per block l of B with
+    M_l = rank psi(e^l_11) > 0, (l, w^l) with w^l = W_l gamma_l^(-1/2), W_l
+    the orthonormal columns of ``_corner_ranges`` and gamma_l = W_l^*
+    (e_p|e_q)_B[e^l_11] W_l the scalar corner that ``tensor`` reads.  So
+    (w_i|w_j)_B = delta_ij e^l_11, theta_{w_i, w_j} = u_l(i, j) are the
+    matrix units of L(X_B) = (+)_l M_{M_l}, and the sum_l M_l vectors w^l_i
+    form a normalized tight frame.  A singular gamma_l raises
+    StructureError."""
+    def build():
+        starts = _unit_layout(X.B.blocks).starts
+        return [(l, _read_only(W @ _psd_sqrt_and_inv(W.conj().T @ X.right_stack[o] @ W)[1]))
+                for l, (W, o) in enumerate(zip(_corner_ranges(X, left=False), starts))
+                if W.shape[1]]
+    return X._cached("w", build)
 
 
 def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

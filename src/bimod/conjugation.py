@@ -44,6 +44,7 @@ from .bimodule import (
     _trace,
     _unit_blocks,
     _unit_layout,
+    _w_frames,
     contragredient,
     left_tight_frame,
     tensor,
@@ -53,7 +54,6 @@ from .bimodule import (
 from .index import (
     _extension_cp_map,
     _multiplicities,
-    _operator_frames,
     _phi_frame_map,
     least_multipliers,
     right_index,
@@ -400,7 +400,7 @@ def min_dimension(X: HilbertBimodule) -> MinDimResult:
     r_num l_num there with ||Lambda||_2^2.
     """
     X._need_left()
-    lam = _multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
+    lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
     dim_hat = float(np.linalg.norm(lam, 2))
     phis = np.array([X.phi(z) for z in center_decompose(X.A)])
     psis = np.array([X.psi(z) for z in center_decompose(X.B)])
@@ -448,7 +448,7 @@ def cp_characterization(X: HilbertBimodule, tol: float = 1e-8) -> CPCharacteriza
     minimality is certified when c_l* >= c_l (1 - tol).
     """
     X._need_left()
-    w1 = np.array([w[:, 0] for _, w in _operator_frames(X)]).T
+    w1 = np.array([w[:, 0] for _, w in _w_frames(X)]).T
     c = np.einsum("pl,pl->l", (X.scalar_gram @ w1).conj(), X.psi(right_index(X).l_ind) @ w1).real
     cp_ok, least, residual = least_multipliers(_phi_frame_map(X, _extension_cp_map(X)))
     return CPCharacterization(
@@ -497,7 +497,7 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     candidate carries a left inner product (it must be 1 for an
     equivalence).
     """
-    lam = _multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
+    lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
     right_full = bool(lam.any(axis=0).all())
     surjective = bool((lam.sum(axis=0) <= 1).all() and ((lam > 0).sum(axis=1) <= 1).all())
 

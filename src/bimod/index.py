@@ -58,7 +58,9 @@ from .bimodule import (
     _embed,
     _gram_matrix,
     _unit_blocks,
+    _unit_images,
     _unit_layout,
+    _w_frames,
     contragredient,
     tight_frame,
 )
@@ -67,23 +69,18 @@ from .bimodule import (
 # -- commutants and concrete operator algebras ---------------------------------
 
 
-def _unit_image_blocks(alg: MultiMatrixAlgebra, act: np.ndarray) -> list[np.ndarray]:
-    """Per block k of ``alg``: the images act[e^k_ij], shape (n_k, n_k, d, d)."""
-    return [act[alg.block_slice(k), alg.block_slice(k)] for k in range(alg.num_blocks)]
-
-
 def _multiplicities(pairs, dim: int) -> np.ndarray:
     """Integer multiplicities Lambda of the joint central blocks, one axis per
-    pair: the trace of the product of the central-projection images over the
-    pairs divided by the product of the block sizes.  That is the
-    multiplicity of the irreducible block, so an integer for a unital
-    (anti-)homomorphism.  For the two actions of X it is the K_A x K_B
+    pair (algebra, images (U, dim, dim) at its matrix units): the trace of
+    the product of the central-projection images over the pairs divided by
+    the product of the block sizes.  That is the multiplicity of the
+    irreducible block, so an integer for a unital (anti-)homomorphism.  For the two actions of X it is the K_A x K_B
     matrix (K the number of blocks) whose relative commutant is
     (+)_kl M_{Lambda_kl}."""
     terms = [(1, np.eye(dim, dtype=complex))]
     for alg, act in pairs:
         centre = [(n, np.einsum("iiab->ab", L))
-                  for n, L in zip(alg.blocks, _unit_image_blocks(alg, act))]
+                  for n, L in zip(alg.blocks, _unit_blocks(act, alg))]
         terms = [(den * n, M @ Z) for den, M in terms for n, Z in centre]
     lam = np.array([np.trace(M).real / den for den, M in terms])
     if np.abs(lam - np.round(lam)).max() > 1e-6:
@@ -97,8 +94,9 @@ def _multiplicities(pairs, dim: int) -> np.ndarray:
 
 
 def _commutant_columns(pairs, dim: int) -> list[np.ndarray]:
-    """Per block of the commutant: columns K (dim, Lambda, multiplicity) with
-    units u(i, j) = sum_t K[:, i, t] K[:, j, t]^*.
+    """Per block of the commutant of the actions ``pairs`` (algebra, images
+    (U, dim, dim) at its matrix units): columns K (dim, Lambda, multiplicity)
+    with units u(i, j) = sum_t K[:, i, t] K[:, j, t]^*.
 
     The first action rho splits C^dim as (+)_k C^{n_k} (x) C^{M_k}: with W_k
     an orthonormal basis of ran rho(e^k_11), the isometries rho(e^k_s1) W_k
@@ -109,7 +107,7 @@ def _commutant_columns(pairs, dim: int) -> list[np.ndarray]:
     (alg, act), rest = pairs[0], pairs[1:]
     lam = _multiplicities([(alg, act)], dim)
     out = []
-    for k, L in enumerate(_unit_image_blocks(alg, act)):
+    for k, L in enumerate(_unit_blocks(act, alg)):
         w, v = np.linalg.eigh(hermitian_part(L[0, 0]))
         W = v[:, w > 0.5]
         if W.shape[1] != lam[k]:
@@ -130,13 +128,13 @@ def _commutant_columns(pairs, dim: int) -> list[np.ndarray]:
 _UNIT_TOL = 1e-8
 
 
-def _checked_columns(pairs, dim: int) -> list[np.ndarray]:
-    """``_commutant_columns`` of complex actions, after the checks of ``commutant_of``."""
+def _commutant(pairs, dim: int) -> StarAlgebraDecomposition:
+    """``commutant_of`` for actions given at the matrix units, (algebra,
+    images (U, dim, dim)) pairs, after its checks."""
     cols = _commutant_columns(pairs, dim)
     Q = np.concatenate([K.reshape(dim, -1) for K in cols], axis=1)
     res = float(np.abs(Q.conj().T @ Q - np.eye(dim)).max())
-    images = Q.conj().T @ np.concatenate(
-        [L.reshape(-1, dim, dim) for alg, act in pairs for L in _unit_image_blocks(alg, act)]) @ Q
+    images = Q.conj().T @ np.concatenate([act for _, act in pairs]) @ Q
     expected = np.zeros_like(images)
     start = 0
     for K in cols:
@@ -150,7 +148,9 @@ def _checked_columns(pairs, dim: int) -> list[np.ndarray]:
     if res > _UNIT_TOL:
         raise StructureError(f"matrix units of the commutant fail their relations or do not "
                              f"commute with the actions (residual {res:.3g})")
-    return cols
+    units = [np.tensordot(K, K.conj(), axes=([2], [2])).transpose(1, 3, 0, 2) for K in cols]
+    return StarAlgebraDecomposition(MultiMatrixAlgebra([K.shape[1] for K in cols]), units,
+                                    [K.shape[2] for K in cols], dim)
 
 
 def commutant_of(mats, dim: int) -> StarAlgebraDecomposition:
@@ -159,33 +159,23 @@ def commutant_of(mats, dim: int) -> StarAlgebraDecomposition:
 
     ``mats`` is a sequence of (MultiMatrixAlgebra, action tensor
     (N, N, dim, dim)) pairs, each a unital *-homomorphism with commuting
-    images.  The columns of all blocks must form a unitary Q, which is the
-    full set of unit relations u_ij u_ka = delta_jk u_ia and sum u_ii = 1;
-    and in the basis Q every unit image must be (+)_b 1_{Lambda_b} (x) R_b,
-    so that it commutes with every unit.  Either failure raises
-    StructureError.  With the ranks matched to the multiplicities at every
-    level, the units span sum Lambda^2 dimensions, all of the commutant.
+    images; each tensor is read at the matrix units of its algebra.  The
+    columns of all blocks must form a unitary Q, which is the full set of
+    unit relations u_ij u_ka = delta_jk u_ia and sum u_ii = 1; and in the
+    basis Q every unit image must be (+)_b 1_{Lambda_b} (x) R_b, so that it
+    commutes with every unit.  Either failure raises StructureError.  With
+    the ranks matched to the multiplicities at every level, the units span
+    sum Lambda^2 dimensions, all of the commutant.
     """
-    cols = _checked_columns([(alg, np.asarray(act, dtype=complex)) for alg, act in mats], dim)
-    units = [np.tensordot(K, K.conj(), axes=([2], [2])).transpose(1, 3, 0, 2) for K in cols]
-    return StarAlgebraDecomposition(MultiMatrixAlgebra([K.shape[1] for K in cols]), units,
-                                    [K.shape[2] for K in cols], dim)
-
-
-def _op_rep_action(X: HilbertBimodule, alg: MultiMatrixAlgebra, act: np.ndarray) -> np.ndarray:
-    """op_rep of the unit images of each block of ``alg``; zero between blocks."""
-    out = np.zeros(act.shape, dtype=complex)
-    for k in range(alg.num_blocks):
-        s = alg.block_slice(k)
-        out[s, s] = X.op_rep(act[s, s])
-    return out
+    return _commutant([(alg, _unit_images(alg, np.asarray(act, dtype=complex)))
+                       for alg, act in mats], dim)
 
 
 def _psi_hat(X: HilbertBimodule) -> tuple[MultiMatrixAlgebra, np.ndarray]:
     """e_ij -> psi_hat(e_ji), psi_hat = op_rep.psi: the right action in the
     standard-involution picture with its unit indices transposed, a unital
-    *-homomorphism of B^op (whose blocks are those of B)."""
-    return X.B, _op_rep_action(X, X.B, X.right_action).swapaxes(0, 1)
+    *-homomorphism of B^op (whose blocks are those of B), at its units."""
+    return X.B, X.op_rep(X.psis)[_unit_layout(X.B.blocks).star]
 
 
 def relative_commutant(X: HilbertBimodule) -> np.ndarray:
@@ -194,25 +184,16 @@ def relative_commutant(X: HilbertBimodule) -> np.ndarray:
     shape (m, d, d).  It is spanned by the units of the commutant of
     phi_hat = op_rep.phi and ``_psi_hat``, mapped back with op_unrep."""
     d = X.dim
-    dec = commutant_of([(X.A, _op_rep_action(X, X.A, X.left_action)), _psi_hat(X)], d)
+    dec = _commutant([(X.A, X.op_rep(X.phis)), _psi_hat(X)], d)
     units = X.op_unrep(np.concatenate([u.reshape(-1, d, d) for u in dec.units]))
     return np.linalg.qr(units.reshape(len(units), -1).T)[0].T.reshape(-1, d, d)
-
-
-def _operator_frames(X: HilbertBimodule) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per block l of L(X_B) (``module_operator_algebra``, built once per
-    module): the columns K (d, M_l, n_l) of its units, op_rep picture, and
-    w^l = g^(-1/2) K[:, :, 0].  K[:, :, 0] is an orthonormal basis of
-    ran psi_hat(e^l_11), so (w_i|w_j)_B = delta_ij e^l_11, u_l(i, j) =
-    theta_{w_i, w_j} and g^(-1/2) K[:, i, t] = w_i.e^l_1t."""
-    return X._cached("frames", lambda: [(K, X._g_half()[1] @ K[:, :, 0]) for K in
-                                        _checked_columns([_psi_hat(X)], X.dim)])
 
 
 def module_operator_algebra(X: HilbertBimodule) -> StarAlgebraDecomposition:
     """L(X_B) = K(X_B) presented as a multimatrix algebra, with matrix units
     read off the right action: the commutant of ``_psi_hat`` (``commutant_of``
-    with one action).
+    with one action).  The package reads L(X_B) through the rank-ones of
+    ``bimodule._w_frames``, these units up to a unitary of each block.
 
     The units live in the standard-involution picture obtained by
     conjugating with the square root of the scalar Gram form (use
@@ -225,7 +206,7 @@ def module_operator_algebra(X: HilbertBimodule) -> StarAlgebraDecomposition:
     the unit relations, psi_hat(B) commuting with the units) raise
     StructureError.
     """
-    return commutant_of([_psi_hat(X)], X.dim)
+    return _commutant([_psi_hat(X)], X.dim)
 
 
 # -- completely positive maps ---------------------------------------------------
@@ -240,7 +221,7 @@ class CPMap:
     unit of source block l in a faithful standard-involution representation
     of the target, its block-diagonal embedding when ``target`` is given.
     L(X_B) is taken in the frame of its units u_l(i, j) = theta_{w_i, w_j}
-    (``_operator_frames``) on either side: T has the coordinates
+    (``bimodule._w_frames``) on either side: T has the coordinates
     tr (w_r | T w_s)_B in block l, as an element of (+)_l M_{M_l}.
     """
 
@@ -286,7 +267,7 @@ def _cp_verdict(ends, tol: float) -> tuple[bool, float]:
 def _extension_cp_map(X: HilbertBimodule) -> CPMap:
     """F on the units of L(X_B), into A: F(theta_{x,y}) = _A(x|y), so the
     images of block l are the left Gram [_A(w_i|w_j)]_ij of its w-frame."""
-    ws = [w for _, w in _operator_frames(X)]
+    ws = [w for _, w in _w_frames(X)]
     # [i, j] = _A(w_i|w_j) = w_i^T L w_j^* at each unit of A, embedded
     grams = [_embed((w.T @ X.left_stack @ w.conj()).transpose(1, 2, 0), X.A) for w in ws]
     return CPMap(MultiMatrixAlgebra([w.shape[1] for w in ws]), grams, target=X.A)
@@ -298,7 +279,7 @@ def _phi_frame_map(X: HilbertBimodule, cp: CPMap) -> CPMap:
     off the scalar Gram, so each Choi block is M_l' M_l."""
     alg, L = cp.source, _unit_layout(X.A.blocks)
     P = np.zeros((len(X.phis), alg.rep_dim, alg.rep_dim), dtype=complex)
-    for s, (_, w) in zip(map(alg.block_slice, range(alg.num_blocks)), _operator_frames(X)):
+    for s, (_, w) in zip(map(alg.block_slice, range(alg.num_blocks)), _w_frames(X)):
         P[:, s, s] = (X.scalar_gram @ w).conj().T @ X.phis @ w
     return CPMap(alg, [np.tensordot(img[:, :, L.rows, L.cols], P, axes=1)
                        for img in cp.unit_images], target=alg)
@@ -336,8 +317,9 @@ class LeftInnerExtension:
     T -> sum_i _A(T u_i | u_i) over a normalized tight frame {u_i}.
 
     The value is frame independent; ``as_cp_map`` presents the map on the
-    matrix units of L(X_B) for Choi-based positivity checks.  With the
-    default frame, the frame and its contraction are built once per module.
+    matrix units of L(X_B) for Choi-based positivity checks.  The default
+    frame is the w-frame of ``tight_frame``; it and its contraction are
+    built once per module.
     """
 
     def __init__(self, X: HilbertBimodule, frame: FrameSet | None = None):
@@ -492,7 +474,7 @@ def _norm_ratio_batch(X: HilbertBimodule, vecs: np.ndarray) -> np.ndarray:
 
 def _ascent_setup(X: HilbertBimodule) -> tuple[CPMap, list[int]]:
     """(F on the units of L(X_B), block ranks r_l = min(M_l, n_l))."""
-    return _extension_cp_map(X), [min(K.shape[1:]) for K, _ in _operator_frames(X)]
+    return _extension_cp_map(X), [min(w.shape[1], X.B.blocks[l]) for l, w in _w_frames(X)]
 
 
 def _lockstep_ascent(imgs: list[np.ndarray], ranks: list[int],
@@ -558,10 +540,10 @@ def _ratio_bound(X: HilbertBimodule, cp: CPMap, ranks: list[int]) -> float:
 def _attaining_vector(X: HilbertBimodule, vs: list[np.ndarray]) -> np.ndarray:
     """sum_lit V_l[i, t] w^l_i.e^l_1t with V_l spanning P_l (r_l <= n_l
     columns): theta_{w_i.e_1t, w_j.e_1t'} = delta_tt' u_l(i, j), so
-    theta_{x,x} = P."""
-    y = sum(np.einsum("ait,it->a", K[:, :, :V.shape[1]], V)
-            for (K, _), V in zip(_operator_frames(X), vs))
-    return X._g_half()[1] @ y
+    theta_{x,x} = P.  x.e^l_1t is psi(e^l_1t) x, at the unit s_l + t."""
+    starts = _unit_layout(X.B.blocks).starts
+    return sum(np.einsum("tab,bt->a", X.psis[starts[l]:starts[l] + V.shape[1]], w @ V)
+               for (l, w), V in zip(_w_frames(X), vs))
 
 
 def best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
@@ -722,7 +704,7 @@ def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     lambda_prime = bc.lambda_prime_lower
     F = _extension_cp_map(X)
     r_ind = X.A.from_embedded(F.apply(F.source.identity()))
-    lam = _multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
+    lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
     fibers = []
     for k in range(X.A.num_blocks):
         c_k = float(np.real(np.trace(r_ind.blocks[k])) / X.A.blocks[k])

@@ -35,6 +35,9 @@ from bimod.bimodule import (
     ModuleOperator,
     ValidationReport,
     _gram_big,
+    _unit_blocks,
+    _unit_images,
+    _w_frames,
 )
 from bimod.conjugation import (
     MoritaReport,
@@ -54,10 +57,8 @@ from bimod.index import (
     _attaining_vector,
     _extension_cp_map,
     _multiplicities,
-    _operator_frames,
     _phi_frame_map,
     _ratio_bound,
-    _unit_image_blocks,
     right_index,
 )
 from bimod.multimatrix import (
@@ -199,9 +200,9 @@ def averaging_commutant(mats, dim: int) -> np.ndarray:
     the sampled rank must equal it, and every basis element must commute with
     every unit image, or StructureError is raised.
     """
-    pairs = [(alg, np.asarray(act, dtype=complex)) for alg, act in mats]
+    pairs = [(alg, _unit_images(alg, np.asarray(act, dtype=complex))) for alg, act in mats]
     m = int(np.sum(np.square(_multiplicities(pairs, dim))))
-    units = [_unit_image_blocks(alg, act) for alg, act in pairs]
+    units = [_unit_blocks(act, alg) for alg, act in pairs]
     rng = np.random.default_rng(_COMMUTANT_SEED)
     shape = (m + _OVERSAMPLE, dim, dim)
     T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -736,7 +737,7 @@ def descent_min_dimension(X: HilbertBimodule, seed: int = 0, restarts: int = 8,
     X._need_left()
     basis, gl_sq, gl_isq = _rescaling_directions(X)
     nparams = len(basis)
-    U = tight_frame(X).coords
+    U = tight_frame(X, spanning=np.eye(X.dim)).coords
     psi_bar = X.left_action.transpose(1, 0, 2, 3).conj()   # right action of X-bar
     d = X.dim
     evals = 0
@@ -926,22 +927,31 @@ def sequential_largest_ratio(X: HilbertBimodule, seed: int,
 
 def _operator_cp_map(X: HilbertBimodule, f, target: MultiMatrixAlgebra | None = None,
                      alg: StarAlgebraDecomposition | None = None) -> CPMap:
-    """The map u -> f(op_unrep(u)) on the units u of L(X_B) (``alg``, built
-    from the right action when not given); ``f`` maps a stack (s, d, d) of
-    operators on X in coordinates to their images, once for all units.
+    """The map u -> f(u) on the units u of L(X_B): the rank-ones
+    theta_{w_i, w_j} over the w-frame of each block (``X.rank_one``), or the
+    units of ``alg`` (op_rep picture) mapped back with op_unrep.  ``f`` maps
+    a stack (s, d, d) of operators on X in coordinates to their images, once
+    for all units.
 
     The dense route that the Choi blocks in the w-frame of L(X_B) replaced,
     kept as their oracle (with the three maps below)."""
-    alg = alg if alg is not None else module_operator_algebra(X)
-    units = np.concatenate([u.reshape(-1, X.dim, X.dim) for u in alg.units])
-    images = np.split(f(X.op_unrep(units)), np.cumsum([len(u) ** 2 for u in alg.units])[:-1])
-    return CPMap(alg.algebra, [img.reshape(u.shape[:2] + img.shape[1:])
-                               for img, u in zip(images, alg.units)], target=target)
+    if alg is None:
+        ws = [w for _, w in _w_frames(X)]
+        source = MultiMatrixAlgebra([w.shape[1] for w in ws])
+        units = [np.array([[X.rank_one(a, b) for b in w.T] for a in w.T]) for w in ws]
+    else:
+        source, units = alg.algebra, [X.op_unrep(u) for u in alg.units]
+    flat = np.concatenate([u.reshape(-1, X.dim, X.dim) for u in units])
+    images = np.split(f(flat), np.cumsum([len(u) ** 2 for u in units])[:-1])
+    return CPMap(source, [img.reshape(u.shape[:2] + img.shape[1:])
+                          for img, u in zip(images, units)], target=target)
 
 
 def dense_extension_cp_map(X: HilbertBimodule) -> CPMap:
-    """F on the units of L(X_B) through the tight frame and ``op_unrep``."""
-    return _operator_cp_map(X, extend_left_inner(X).apply_matrix, target=X.A)
+    """F on the units of L(X_B) through the S^(-1/2) tight frame of the
+    coordinate basis."""
+    F = extend_left_inner(X, tight_frame(X, spanning=np.eye(X.dim)))
+    return _operator_cp_map(X, F.apply_matrix, target=X.A)
 
 
 def dense_basic_cp_map(bco: BasicConstruction) -> CPMap:
@@ -984,7 +994,7 @@ def frame_multiplier_cp_map(X: HilbertBimodule):
     phi_F = _phi_frame_map(X, _extension_cp_map(X))
     alg = phi_F.source
     ident = np.split(alg.units_embedded(), np.cumsum(np.square(alg.blocks))[:-1])
-    w1 = np.array([w[:, 0] for _, w in _operator_frames(X)]).T
+    w1 = np.array([w[:, 0] for _, w in _w_frames(X)]).T
 
     def at(c: AlgebraElement) -> CPMap:
         c_l = np.einsum("pl,pl->l", (X.scalar_gram @ w1).conj(), X.psi(c) @ w1)
@@ -997,7 +1007,7 @@ def l_ind_coefficients(X: HilbertBimodule) -> np.ndarray:
     """The scalar of the central l-ind of ``right_index`` on each block of B
     that X reaches (tr psi(e^l_11) > 0), the blocks of L(X_B) in order."""
     l_ind = right_index(X).l_ind
-    reached = np.flatnonzero(_multiplicities([(X.B, X.right_action)], X.dim))
+    reached = np.flatnonzero(_multiplicities([(X.B, X.psis)], X.dim))
     return np.array([np.trace(l_ind.blocks[k]).real / X.B.blocks[k] for k in reached])
 
 
@@ -1040,11 +1050,12 @@ def frame_right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexRe
     from a rank-tolerant spectral cut.
 
     The tight-frame route that ``right_index`` replaced with the dual basis
-    of the Gram, kept as its oracle.
+    of the Gram, kept as its oracle, on the S^(-1/2) frames of the
+    coordinate bases.
     """
     X._need_left()
-    r_ind = extend_left_inner(X).index_element()
-    l_ind = extend_left_inner(contragredient(X)).index_element()
+    r_ind, l_ind = (extend_left_inner(Y, tight_frame(Y, spanning=np.eye(Y.dim))).index_element()
+                    for Y in (X, contragredient(X)))
     r_num, l_num = r_ind.norm(), l_ind.norm()
     p = support_projection(r_ind, rank_tol)
     q = support_projection(l_ind, rank_tol)
@@ -1218,7 +1229,7 @@ def rank_morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     # phi(A) = K(X_B): compare dim phi(A) with dim L(X_B) = sum M_l^2, the M_l
     # the multiplicities of the right action
     phis = np.array([X.phi(u) for u in X.A.units_embedded()])
-    dim_kx = int(np.sum(np.square(_multiplicities([(X.B, X.right_action)], d))))
+    dim_kx = int(np.sum(np.square(_multiplicities([(X.B, X.psis)], d))))
     dim_phi = int(np.linalg.matrix_rank(phis.reshape(len(phis), -1), tol=1e-9))
     surjective = dim_phi == dim_kx
 

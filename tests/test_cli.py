@@ -165,8 +165,10 @@ def _content(*arrays) -> str:
 def test_each_module_builds_its_frame_operator_algebra_and_contragredient_once(
         X, tmp_path, monkeypatch):
     # builds are counted by the work they do, per module content: frame_operator
-    # runs twice per tight frame, _commutant_columns once per L(X_B) on the
-    # right action psi_hat, and every contragredient is a new HilbertBimodule
+    # runs once per frame, for its residual, _commutant_columns once per L(X_B)
+    # on the right action psi_hat, which none of these commands builds (the
+    # frame of L(X_B) is read off the corners of psi), and every contragredient
+    # is a new HilbertBimodule
     path = tmp_path / "X.json"
     path.write_text(json.dumps(encode_bimodule(X)))
     frames, algebras, modules = (collections.Counter() for _ in range(3))
@@ -194,8 +196,8 @@ def test_each_module_builds_its_frame_operator_algebra_and_contragredient_once(
             counter.clear()
         status, report = _run(command, [str(path)])
         assert status == 0, (command, report.get("error"))
-        assert max(frames.values(), default=0) <= 2, (command, "tight frames", frames)
-        assert max(algebras.values(), default=0) <= 1, (command, "L(X_B)", algebras)
+        assert max(frames.values(), default=0) <= 1, (command, "tight frames", frames)
+        assert not algebras, (command, "L(X_B)", algebras)
         assert max(modules.values()) <= 1, (command, "modules", modules)
 
 
@@ -261,6 +263,27 @@ def test_tensor_conjugate_verify_validate_assemble_no_dense_tensor(shape, tmp_pa
                 {"kind": "solution", "R": res["R"], "Rbar": res["Rbar"]}))
         status, report = _run(command, [str(paths[name]) for name in names])
         assert status == 0 and not assembled, (command, names, report.get("error"), assembled)
+
+
+# the d = 13 and 18 shapes of the commutant ladder
+_LADDER_SHAPES = [([2, 1], [2, 1], [[1, 1], [2, 3]]), ([2, 1], [2, 1], [[2, 2], [2, 2]])]
+
+
+@pytest.mark.parametrize("shape", _LADDER_SHAPES, ids=["d13", "d18"])
+def test_ladder_commands_and_index_assemble_no_dense_tensor(shape, tmp_path, monkeypatch):
+    # the commands of the commutant ladder, and index, read the stacks too
+    path = tmp_path / "X.json"
+    path.write_text(json.dumps(encode_bimodule(random_bimodule(*shape, seed=1))))
+    assembled = []
+
+    def refused(stack, alg, gram):
+        assembled.append((stack.shape, alg.blocks, gram))
+        raise AssertionError("a dense structure tensor was assembled")
+
+    monkeypatch.setattr(bimodule, "_assemble", refused)
+    for command in ("fibers", "basic", "mindim", "morita", "index"):
+        status, report = _run(command, [str(path)])
+        assert status == 0 and not assembled, (command, report.get("error"), assembled)
 
 
 def test_parse_spec_pauses_the_collector_and_restores_it(fixtures, monkeypatch):

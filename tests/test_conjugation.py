@@ -292,6 +292,37 @@ def test_tensor_conjugate_at_the_153_dim_product():
     assert sol.residual_1 <= 1e-10 and sol.residual_2 <= 1e-10
 
 
+def _frame_route_cases():
+    X45 = random_bimodule(*_SHAPE_45, seed=1)
+    cases = [pytest.param(X, id=name) for name, X in corpus()]
+    for shape in ([2, 1], [2, 1], [[1, 1], [2, 3]]), ([2, 1], [2, 1], [[2, 2], [2, 2]]):
+        X = random_bimodule(*shape, seed=1)
+        cases.append(pytest.param(X, id=f"ladder_d{X.dim}"))
+    return cases + [pytest.param(X45, id="d45"),
+                    pytest.param(tensor(X45, contragredient(X45)), id="product_d153")]
+
+
+@pytest.mark.parametrize("X", _frame_route_cases())
+def test_w_frame_solution_matches_the_tight_frame_route(X):
+    # build_conjugate over the w-frames of X and Xbar against the S^(-1/2)
+    # frames of the coordinate bases: the same pairings with every basis
+    # vector, both residuals at round-off, and R*R and Rbar*Rbar against the
+    # dual basis of right_index, as F(1) over the w-frame is
+    from bimod import extend_left_inner, left_tight_frame, tight_frame
+    sol, eye = build_conjugate(X), np.eye(X.dim)
+    ref = build_conjugate(X, tight_frame(X, spanning=eye), left_tight_frame(X, spanning=eye))
+    Y = sol.Y
+    for got, want in ((_pair(X, Y, sol.Rbar), _pair(X, Y, ref.Rbar)),
+                      (_pair(Y, X, sol.R), _pair(Y, X, ref.R))):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert max(sol.residual_1, sol.residual_2) <= 1e-12
+    idx = right_index(X)
+    for got, want, num in ((sol.R_star_R, idx.l_ind, idx.l_num),
+                           (sol.Rbar_star_Rbar, idx.r_ind, idx.r_num),
+                           (extend_left_inner(X).index_element(), idx.r_ind, idx.r_num)):
+        assert (got - want).norm() <= 1e-12 * num
+
+
 @pytest.mark.parametrize("k", [1, 8])
 def test_solution_survives_last_bit_change_of_gram(k):
     # random_112's products have a kernel; quotient coordinates followed the

@@ -626,11 +626,18 @@ def _commutant_cases():
     return cases + [_ZERO_BLOCK]
 
 
+def _hat_actions(X):
+    """phi_hat = op_rep.phi and ``index._psi_hat`` as the dense action
+    tensors that ``commutant_of`` takes, writable."""
+    return [(alg, bimodule._assemble(stack, alg, gram=False).copy())
+            for alg, stack in ((X.A, X.op_rep(X.phis)), index._psi_hat(X))]
+
+
 @pytest.mark.parametrize("X", _commutant_cases())
 def test_commutant_spans_match_kronecker_oracle(X):
     comm = relative_commutant(X)
     assert span_distance(comm, kron_commutant(X)) <= 1e-10
-    lam = index._multiplicities([(X.A, X.left_action), (X.B, X.right_action)], X.dim)
+    lam = index._multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
     assert len(comm) == int(np.sum(np.square(lam)))
     assert span_distance(relative_commutant_of_right_action(X),
                          kron_commutant(X, left=False)) <= 1e-10
@@ -656,7 +663,7 @@ def test_commutant_path_draws_no_random_numbers(monkeypatch):
     # the seeded ascent starts of best_constants are the only draws of
     # fiber_decomposition; its result stands in for it
     monkeypatch.setattr(index, "best_constants", lambda X, seed=0: bc)
-    commutant_of([(X.A, index._op_rep_action(X, X.A, X.left_action)), index._psi_hat(X)], X.dim)
+    commutant_of(_hat_actions(X), X.dim)
     relative_commutant(X)
     module_operator_algebra(X)
     assert fiber_decomposition(X).as_dict() == ref
@@ -671,13 +678,13 @@ def test_commutant_dimension_is_sum_of_squared_multiplicities():
 @pytest.mark.parametrize("tamper", ["off_diagonal_unit", "scaled_diagonal_unit"])
 def test_commutant_rejects_broken_homomorphism(tamper):
     X = random_bimodule([2, 1], [2, 1], [[1, 1], [2, 3]], seed=4)
-    act = index._op_rep_action(X, X.A, X.left_action)     # phi_hat, a *-homomorphism
+    (_, act), psi_hat = _hat_actions(X)     # phi_hat, a *-homomorphism
     if tamper == "off_diagonal_unit":
         act[0, 1] = np.random.default_rng(0).standard_normal((X.dim, X.dim))
     else:
         act[0, 0] *= 1.5
     with pytest.raises(StructureError):
-        commutant_of([(X.A, act), index._psi_hat(X)], X.dim)
+        commutant_of([(X.A, act), psi_hat], X.dim)
 
 
 # -- the matrix units of L(X_B) and trichotomy -------------------------------------
@@ -706,7 +713,7 @@ def _assert_same_spectrum(got, ref, what):
 def test_frame_choi_blocks_match_the_dense_route(X):
     # the Choi blocks in the w-frame of L(X_B) have the spectra of the dense
     # route through op_unrep, less the multiplicities n_l of the frame's blocks
-    mult = [K.shape[2] for K, _ in index._operator_frames(X)]
+    mult = [X.B.blocks[l] for l, _ in bimodule._w_frames(X)]
     bco = basic_construction(X)
     pairs = [("F", extend_left_inner(X).as_cp_map(), None, dense_extension_cp_map(X)),
              ("phi E", bco.as_cp_map(), mult, dense_basic_cp_map(bco))]
@@ -767,18 +774,47 @@ def test_best_constants_match_the_dense_route(X, monkeypatch):
     assert got.exact == ref.exact
 
 
-def test_units_of_operator_algebra_are_rank_ones_of_the_frame():
-    # u_l(i, j) = theta_{w_i, w_j}, and g^(-1/2) K[:, i, t] = w_i.e^l_1t
-    X = random_bimodule(*_LADDER_SHAPES[0], seed=1)
+def _w_frame_cases():
+    cases = _frame_cases()
+    Z = _with_conjugate(random_bimodule(*_D45_SHAPE, seed=1))
+    return cases + [pytest.param(Z, id=f"product_d{Z.dim}")]
+
+
+@pytest.mark.parametrize("X", _w_frame_cases())
+def test_rank_ones_of_the_w_frame_are_the_units_of_operator_algebra(X):
+    # theta_{w_i, w_j} over the w-frame of each block: the unit relations,
+    # which hold iff (w_i|w_j)_B = delta_ij e^l_11; one system per block of
+    # module_operator_algebra, of its size M_l; the sum of the diagonal ones
+    # is 1; and each block's rank-ones span that block of the oracle's units
+    # (taken where the units fit in memory, d <= 45)
+    frames = bimodule._w_frames(X)
+    starts = bimodule._unit_layout(X.B.blocks).starts
+    for l, w in frames:
+        gram = w.conj().T @ X.right_stack @ w          # [u, i, j] = (w_i|w_j)_B at e_u
+        expected = np.zeros_like(gram)
+        expected[starts[l]] = np.eye(w.shape[1])
+        assert np.abs(gram - expected).max() <= 1e-12, l
+    ones = np.concatenate([w.T for _, w in frames])
+    assert X.op_norm(bimodule.frame_operator(X, ones) - np.eye(X.dim)) <= 1e-12
+    if X.dim > 45:
+        lam = index._multiplicities([(X.B, X.psis)], X.dim)
+        assert [w.shape[1] for _, w in frames] == [m for m in lam if m]
+        return
     dec = module_operator_algebra(X)
-    for (K, w), u, b in zip(index._operator_frames(X), dec.units, (0, 2)):
-        for i in range(w.shape[1]):
-            for j in range(w.shape[1]):
-                theta = X.rank_one(w[:, i], w[:, j])
-                assert np.abs(X.op_unrep(u[i, j]) - theta).max() <= 1e-12
-            for t in range(K.shape[2]):
-                lift = X._g_half()[1] @ K[:, i, t]
-                assert np.abs(lift - X.right_action[b, b + t] @ w[:, i]).max() <= 1e-12
+    assert [w.shape[1] for _, w in frames] == list(dec.algebra.blocks)
+    for (l, w), u in zip(frames, dec.units):
+        theta = np.array([[X.rank_one(a, b) for b in w.T] for a in w.T])
+        m = w.shape[1]
+        scale = max(np.abs(theta).max(), 1.0)
+        for i in range(m):          # theta_ij theta_kl = delta_jk theta_il
+            rel = np.einsum("jab,klbc->jklac", theta[i], theta)
+            rel -= np.einsum("jk,lac->jklac", np.eye(m), theta[i])
+            assert np.abs(rel).max() <= 1e-12 * scale, (l, i)
+        # the oracle's units in coordinates are combinations of the rank-ones
+        flat, ref = theta.reshape(m * m, -1).T, X.op_unrep(u).reshape(m * m, -1).T
+        coeff = np.linalg.lstsq(flat, ref, rcond=None)[0]
+        assert np.abs(flat @ coeff - ref).max() <= 1e-12 * np.abs(ref).max(), l
+        assert np.linalg.matrix_rank(coeff) == m * m
 
 
 @pytest.mark.parametrize("X", _commutant_cases())

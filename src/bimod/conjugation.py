@@ -54,7 +54,6 @@ from .bimodule import (
 from .index import (
     _extension_cp_map,
     _multiplicities,
-    _phi_frame_map,
     least_multipliers,
     right_index,
 )
@@ -439,18 +438,21 @@ def cp_characterization(X: HilbertBimodule, tol: float = 1e-8) -> CPCharacteriza
     """The left index element is the smallest central multiplier c for which
     T -> psi(c) phi(F(T)) - T is completely positive on K(X_B).
 
-    In the frame of the units of L(X_B) (``index._phi_frame_map``) psi(c)
-    scales block l by c_l = tr (w_1 | w_1.c)_B, as w.c = c_l w on X.e^l_11,
-    so the least multiplier c_l* of phi F is taken in closed form
-    (``least_multipliers``) and compared with the l-ind of ``right_index``:
+    In the frame of the units of L(X_B) psi(c) scales block l by c_l = tr
+    (w_1 | w_1.c)_B, as w.c = c_l w on X.e^l_11, so the least multiplier
+    c_l* of phi F is taken in closed form from the Choi blocks of F and phi
+    in that frame (``least_multipliers``, with no phi F formed) and
+    compared with the l-ind of ``right_index``:
     it passes at l-ind when phi F is completely positive, 1 lies in the
     range of each diagonal Choi block and c_l* <= c_l (1 + tol), and
     minimality is certified when c_l* >= c_l (1 - tol).
     """
     X._need_left()
-    w1 = np.array([w[:, 0] for _, w in _w_frames(X)]).T
+    ws = [w for _, w in _w_frames(X)]
+    w1, w = np.array([v[:, 0] for v in ws]).T, np.concatenate(ws, axis=1)
     c = np.einsum("pl,pl->l", (X.scalar_gram @ w1).conj(), X.psi(right_index(X).l_ind) @ w1).real
-    cp_ok, least, residual = least_multipliers(_phi_frame_map(X, _extension_cp_map(X)))
+    phi = (X.scalar_gram @ w).conj().T @ X.phis @ w         # tr (w_r | phi(e_u) w_s)_B
+    cp_ok, least, residual = least_multipliers(_extension_cp_map(X), phi)
     return CPCharacterization(
         least_multiplier=least.tolist(), range_residual=residual.tolist(),
         passed_at_index=bool(cp_ok and (residual <= tol).all() and (least <= c * (1 + tol)).all()),

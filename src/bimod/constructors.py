@@ -18,6 +18,7 @@ from .multimatrix import (
 )
 from .bimodule import (
     HilbertBimodule,
+    _unit_values,
     contragredient,
     frame_operator,
     identity_bimodule,
@@ -155,6 +156,7 @@ class ExpectationSpec:
         return self.A.block_part(out)
 
     def as_cp_map(self) -> CPMap:
+        """E on the matrix units of B, into A."""
         return CPMap(self.B, [img.copy() for img in self.images], target=self.A)
 
     def check(self) -> dict:
@@ -235,21 +237,21 @@ def trace_weighted_expectation(inclusion: Inclusion,
 def _expectation_module(spec: ExpectationSpec) -> HilbertBimodule:
     """X = B as a B-A bimodule with the E-twisted right inner product, after
     checking that E is a faithful conditional expectation; built once per
-    spec."""
+    spec, at the matrix units."""
     if "module" in spec._cache:
         return spec._cache["module"]
     chk = spec.check()
     if not chk["passed"]:
         raise ContractError(f"not a faithful conditional expectation: {chk}")
-    A, B, inc = spec.A, spec.B, spec.inclusion
-    # X = B over itself with (x|y)_A = E(x* y) and the right action through iota
-    I = identity_bimodule(B)
-    d, na = I.dim, A.rep_dim
-    GX = spec.apply_stack(I.right_gram.reshape(d * d, B.rep_dim, B.rep_dim)).reshape(d, d, na, na)
-    # Psi[p, q] = psi(iota(e_pq)); iota is zero on the e_pq off the blocks of A
-    iota = inc.embed_stack(np.eye(na * na).reshape(na * na, na, na))
-    Psi = np.tensordot(iota, I.right_action, axes=([1, 2], [0, 1])).reshape(na, na, d, d)
-    spec._cache["module"] = HilbertBimodule(B, A, I.dim, GX, I.left_action, Psi, I.left_gram)
+    A, B, I = spec.A, spec.B, identity_bimodule(spec.B)
+    # X = B over itself with (x|y)_A = E((x|y)_B) and x.a = x iota(a): E at
+    # the units of B and iota at those of A, each read at the other's units
+    E = np.concatenate([img.reshape(-1, A.rep_dim, A.rep_dim) for img in spec.images])
+    GX = np.tensordot(_unit_values(E, A), I.right_stack, axes=([0], [0]))
+    iota = spec.inclusion.embed_stack(A.units_embedded())
+    Psi = np.tensordot(_unit_values(iota, B), I.psis, axes=1)
+    spec._cache["module"] = HilbertBimodule(B, A, I.dim, GX, I.phis, Psi, I.left_stack,
+                                            units=True)
     return spec._cache["module"]
 
 
@@ -267,22 +269,14 @@ def quasi_basis(spec: ExpectationSpec) -> tuple[np.ndarray, AlgebraElement]:
     index element sum_i u_i u_i* in B, produced from a normalized tight frame
     of B as a right A-module."""
     fr = tight_frame(_expectation_module(spec))
-    B = spec.B
-    units = B.units_embedded()
-    ind = np.zeros((B.rep_dim, B.rep_dim), dtype=complex)
-    for u in fr.coords:
-        mat = np.einsum("p,pij->ij", u, units)
-        ind += mat @ mat.conj().T
-    return fr.coords, B.from_embedded(ind)
+    u = np.tensordot(fr.coords, spec.B.units_embedded(), axes=1)       # the u_i, embedded
+    return fr.coords, spec.B.from_embedded(np.einsum("sij,skj->ik", u, u.conj()))
 
 
-def _iota_e(spec: ExpectationSpec) -> CPMap:
-    """iota.E as an endomorphism of B: the images iota(E(E^k_rs)) of the units
-    of each block k, stacked with shape (n_k, n_k, N_B, N_B)."""
-    B, N = spec.B, spec.B.rep_dim
-    units = np.split(B.units_embedded(), np.cumsum([n * n for n in B.blocks])[:-1])
-    return CPMap(B, [spec.inclusion.embed_stack(spec.apply_stack(u)).reshape(n, n, N, N)
-                     for u, n in zip(units, B.blocks)], target=B)
+def _cp_pair(spec: ExpectationSpec) -> tuple[CPMap, np.ndarray]:
+    """E into A and iota back, at the units of A (U_A, N_B, N_B): the pair of
+    ``least_multipliers``; iota is the right action of ``_expectation_module``."""
+    return spec.as_cp_map(), spec.inclusion.embed_stack(spec.A.units_embedded())
 
 
 def expectation_cp_gap(spec: ExpectationSpec, tol: float = 1e-9) -> float:
@@ -290,12 +284,13 @@ def expectation_cp_gap(spec: ExpectationSpec, tol: float = 1e-9) -> float:
     completely positive, in closed form.
 
     E - c id is completely positive iff 1/c id.E - id is, so the gap is
-    1 / max_k c_k* with c_k* the least multiplier of iota.E on block k of B
-    (``least_multipliers``), and 0 when vec 1 leaves the range of a diagonal
-    Choi block.  ``tol`` is the relative eigenvalue cut that defines that
-    range.
+    1 / max_k c_k* with c_k* the least multiplier of iota.E on block k of B,
+    read off the Choi blocks of E and iota (``least_multipliers``, with no
+    iota.E formed), and 0 when vec 1 leaves the range of a diagonal Choi
+    block of iota.E.  ``tol`` is the relative eigenvalue cut that defines
+    that range.
     """
-    cp_ok, least, residual = least_multipliers(_iota_e(spec), tol)
+    cp_ok, least, residual = least_multipliers(*_cp_pair(spec), tol)
     if not cp_ok:
         raise ContractError("expectation is not even positive")
     if (residual > tol).any():
@@ -306,15 +301,15 @@ def expectation_cp_gap(spec: ExpectationSpec, tol: float = 1e-9) -> float:
 def minimal_cp_multiplier(spec: ExpectationSpec) -> dict:
     """Certify that the index element of E (``quasi_basis``) is the smallest
     central c with c E - id completely positive: per block k of B, the least
-    multiplier c_k* of iota.E (``least_multipliers``) against the index
-    element's coefficient c_k.  It passes at the index element when iota.E
-    is completely positive, vec 1 lies in the range of each diagonal Choi
-    block and c_k* <= c_k (1 + 1e-8); minimality is certified when
-    c_k* >= c_k (1 - 1e-8)."""
+    multiplier c_k* of iota.E (``least_multipliers`` on E and iota, with no
+    iota.E formed) against the index element's coefficient c_k.  It passes
+    at the index element when iota.E is completely positive, vec 1 lies in
+    the range of each diagonal Choi block and c_k* <= c_k (1 + 1e-8);
+    minimality is certified when c_k* >= c_k (1 - 1e-8)."""
     tol = 1e-8
     _, ind = quasi_basis(spec)
     c = np.array([np.trace(b).real / len(b) for b in ind.blocks])
-    cp_ok, least, residual = least_multipliers(_iota_e(spec))
+    cp_ok, least, residual = least_multipliers(*_cp_pair(spec))
     return {"index_element": ind, "least_multiplier": least.tolist(),
             "range_residual": residual.tolist(),
             "passed_at_index": bool(cp_ok and (residual <= tol).all()

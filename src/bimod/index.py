@@ -23,12 +23,14 @@ blocks over the matrix units of L(X_B).  The best constants are bracketed
 on the same units (``best_constants``).
 
 The least central c for which T -> c Phi(T) - T stays completely positive,
-Phi a completely positive endomorphism, is taken in closed form
-(``least_multipliers``): Choi block (l, l') of that map is c_l' C_ll' -
-delta_ll' Omega_l Omega_l^*, with C the Choi matrix of Phi and Omega_l =
-vec 1.  By the pseudo-inverse Schur test (Albert, SIAM J. Appl. Math.,
-1969), c_l C_ll >= Omega_l Omega_l^* iff Omega_l lies in ran C_ll and c_l
->= c_l* = Omega_l^* C_ll^+ Omega_l.  No multiplier is searched.
+Phi = hom.cp with cp completely positive into A and hom a unital
+*-homomorphism back, is taken in closed form (``least_multipliers``): Choi
+block (l, l') of that map is c_l' C_ll' - delta_ll' Omega_l Omega_l^*, with
+C the Choi matrix of Phi and Omega_l = vec 1.  By the pseudo-inverse Schur
+test (Albert, SIAM J. Appl. Math., 1969), c_l C_ll >= Omega_l Omega_l^*
+iff Omega_l lies in ran C_ll and c_l >= c_l* = Omega_l^* C_ll^+ Omega_l.
+No multiplier is searched and Phi is not formed: C_ll is read off the
+Choi blocks of cp, of size m_l a_k.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .multimatrix import (
     support_projection,
 )
 from .bimodule import (
-    FrameSet,
     HilbertBimodule,
     ModuleOperator,
     _corner_rank,
@@ -220,9 +221,8 @@ class CPMap:
     ``unit_images[l]`` has shape (m_l, m_l, t, t): the image of the (i, j)
     unit of source block l in a faithful standard-involution representation
     of the target, its block-diagonal embedding when ``target`` is given.
-    L(X_B) is taken in the frame of its units u_l(i, j) = theta_{w_i, w_j}
-    (``bimodule._w_frames``) on either side: T has the coordinates
-    tr (w_r | T w_s)_B in block l, as an element of (+)_l M_{M_l}.
+    L(X_B) is a source only, in the frame of its units u_l(i, j) =
+    theta_{w_i, w_j} (``bimodule._w_frames``), so each Choi block is m_l a_k.
     """
 
     source: MultiMatrixAlgebra
@@ -273,39 +273,35 @@ def _extension_cp_map(X: HilbertBimodule) -> CPMap:
     return CPMap(MultiMatrixAlgebra([w.shape[1] for w in ws]), grams, target=X.A)
 
 
-def _phi_frame_map(X: HilbertBimodule, cp: CPMap) -> CPMap:
-    """phi after a map ``cp`` from L(X_B) into A, as a map into L(X_B) in the
-    frame of its units: target block l holds tr (w_r | phi(a) w_s)_B, read
-    off the scalar Gram, so each Choi block is M_l' M_l."""
-    alg, L = cp.source, _unit_layout(X.A.blocks)
-    P = np.zeros((len(X.phis), alg.rep_dim, alg.rep_dim), dtype=complex)
-    for s, (_, w) in zip(map(alg.block_slice, range(alg.num_blocks)), _w_frames(X)):
-        P[:, s, s] = (X.scalar_gram @ w).conj().T @ X.phis @ w
-    return CPMap(alg, [np.tensordot(img[:, :, L.rows, L.cols], P, axes=1)
-                       for img in cp.unit_images], target=alg)
-
-
-def least_multipliers(cp: CPMap, tol: float = 1e-9) -> tuple[bool, np.ndarray, np.ndarray]:
-    """Per block l of an endomorphism Phi = ``cp`` of a multimatrix algebra
-    (its target is its source): the least c_l* = Omega_l^* C_ll^+ Omega_l
-    with T -> c Phi(T) - T completely positive (module docstring).  One
-    ``eigh`` of each diagonal Choi block C_ll, cut at ``tol`` times its
-    largest eigenvalue, gives C_ll^+, its range and its spectrum for the
-    verdict.  Returns (Phi completely positive, which keeps the off-diagonal
-    blocks c_l' C_ll' PSD; c_l*; the range residual (m_l - ||P_ran Omega_l||^2) / m_l).
-    """
-    least, residual, ends = [], [], []
-    for t, choi in enumerate(cp.choi_blocks()):
-        if t % (cp.source.num_blocks + 1):     # off the diagonal
-            ends.append(np.linalg.eigvalsh(hermitian_part(choi))[[0, -1]])
-            continue
-        m = cp.source.blocks[t // cp.source.num_blocks]
-        w, v = np.linalg.eigh(hermitian_part(choi))
-        ends.append(w[[0, -1]])
-        keep = w > tol * w[-1]
-        weight = np.abs(v[::m + 1, keep].sum(axis=0)) ** 2     # |v_i^* Omega_l|^2
-        least.append(float(np.sum(weight / w[keep])))
-        residual.append(float(m - weight.sum()) / m)
+def least_multipliers(cp: CPMap, hom: np.ndarray,
+                      tol: float = 1e-9) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(hom.cp completely positive, c_l*, range residuals) per block l of S
+    (module docstring): ``cp`` maps S = (+)_l M_{m_l} into A, and ``hom``,
+    its images (U_A, N_S, N_S) at the units of A, is a unital
+    *-homomorphism back.  Up to a unitary C_ll = (+)_k C_lk (x) 1, over the
+    k that hom takes into block l, and Omega_l Omega_l^* cut to k is
+    Q_kl[(i, s), (j, r)] = hom(e^k_rs)[j, i]; so c_l* = sum_k tr C_lk^+
+    Q_kl, each Choi block C_lk of ``cp`` cut at ``tol`` times the largest of
+    their eigenvalues, and the residual is sum_k tr (1 - P_lk) Q_kl / m_l.
+    One ``eigh`` per (l, k) with hom(e^k_11) != 0 also gives the verdict."""
+    S, images = cp.source, _unit_blocks(hom, cp.target)
+    chois, least, residual, ends = iter(cp.choi_blocks()), [], [], []
+    for l, m in enumerate(S.blocks):
+        s, terms = S.block_slice(l), []
+        for h, choi in zip(images, chois):                      # C_lk, k in order
+            if np.trace(h[0, 0]).real > 0.5:                     # hom(e^k_11) != 0
+                w, v = np.linalg.eigh(hermitian_part(choi))
+                ends.append(w[[0, -1]])
+                Q = h[:, :, s, s].transpose(3, 1, 2, 0).reshape(len(w), -1)
+                if np.trace(Q).real > 0.5:                       # hom reaches block l
+                    terms.append((w, v, Q))
+        top, c, miss = max(w[-1] for w, _, _ in terms), 0.0, 0.0
+        for w, v, Q in terms:
+            keep = w > tol * top
+            q = np.einsum("ji,ji->i", v[:, keep].conj(), Q @ v[:, keep]).real   # v_i^* Q v_i
+            c, miss = c + np.sum(q / w[keep]), miss + np.trace(Q).real - q.sum()
+        least.append(float(c))
+        residual.append(float(miss) / m)
     return _cp_verdict(ends, DEFAULT_TOL)[0], np.array(least), np.array(residual)
 
 
@@ -314,23 +310,22 @@ def least_multipliers(cp: CPMap, tol: float = 1e-9) -> tuple[bool, np.ndarray, n
 
 class LeftInnerExtension:
     """The positive A-bilinear extension of the left inner product to K(X_B):
-    T -> sum_i _A(T u_i | u_i) over a normalized tight frame {u_i}.
+    T -> sum_i _A(T u_i | u_i) over the w-frame {u_i} of ``tight_frame``.
 
     The value is frame independent; ``as_cp_map`` presents the map on the
-    matrix units of L(X_B) for Choi-based positivity checks.  The default
-    frame is the w-frame of ``tight_frame``; it and its contraction are
-    built once per module.
+    matrix units of L(X_B) for Choi-based positivity checks.  The frame and
+    its contraction are built once per module.
     """
 
-    def __init__(self, X: HilbertBimodule, frame: FrameSet | None = None):
+    def __init__(self, X: HilbertBimodule):
         X._need_left()
         self.bimodule = X
-        self.frame = frame if frame is not None else tight_frame(X)
+        self.frame = tight_frame(X)
         U = self.frame.coords
         # _A(T u_i | u_i) summed: precontract the frame into the left Gram,
         # [i, p, c] = sum_q conj(u_i[q]) _A(e_p|e_q) at the unit c of A
-        pair = lambda: np.tensordot(U.conj(), X.left_stack, axes=([1], [2])).transpose(0, 2, 1)
-        self._pair = pair() if frame is not None else X._cached("F", pair)
+        self._pair = X._cached("F", lambda: np.tensordot(
+            U.conj(), X.left_stack, axes=([1], [2])).transpose(0, 2, 1))
 
     def apply_matrix(self, T: np.ndarray) -> np.ndarray:
         """F(T), embedded in M_{N_A}; T may be a stack (s, d, d)."""
@@ -350,9 +345,9 @@ class LeftInnerExtension:
         return _extension_cp_map(self.bimodule)
 
 
-def extend_left_inner(X: HilbertBimodule, frame: FrameSet | None = None) -> LeftInnerExtension:
+def extend_left_inner(X: HilbertBimodule) -> LeftInnerExtension:
     """Extend the left inner product to a positive A-bilinear map on K(X_B)."""
-    return LeftInnerExtension(X, frame)
+    return LeftInnerExtension(X)
 
 
 # -- index reports ---------------------------------------------------------------
@@ -594,10 +589,16 @@ class BasicConstruction:
         return self.bimodule.phi(self.z_prime.embed() @ self.F.apply_matrix(T))
 
     def as_cp_map(self) -> CPMap:
-        """phi.E on the matrix units of L(X_B), into L(X_B) in the frame of
-        the same units (``_phi_frame_map``): Choi blocks of size M_l M_l'."""
-        F, z = _extension_cp_map(self.bimodule), self.z_prime.embed()
-        return _phi_frame_map(self.bimodule, replace(F, unit_images=[z @ f for f in F.unit_images]))
+        """E = z' F on the units of L(X_B), into pA: the blocks k with p_k != 0,
+        where phi is injective.  (1 (x) phi) takes the Choi blocks of E (M_l
+        a_k) to those of phi.E up to a unitary and multiplicities, so both
+        have the same verdict, least eigenvalue and scale."""
+        A, F, kept = self.bimodule.A, _extension_cp_map(self.bimodule), [
+            k for k, b in enumerate(self.p.blocks) if np.trace(b).real > 0.5]
+        rows = np.r_[tuple(A.block_slice(k) for k in kept)]
+        z = self.z_prime.embed()[np.ix_(rows, rows)]
+        return CPMap(F.source, [z @ f[:, :, rows[:, None], rows] for f in F.unit_images],
+                     target=MultiMatrixAlgebra([A.blocks[k] for k in kept]))
 
     def sampled_checks(self, lam: float, rng: np.random.Generator) -> dict:
         """The sampled checks of the basic construction, on BASIC_SAMPLES

@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from bimod import (
     GraphSpec,
@@ -15,7 +17,6 @@ from bimod import (
     MultiMatrixAlgebra,
     column_bimodule,
     contragredient,
-    extend_left_inner,
     from_hilbert_space,
     from_expectation,
     from_weight_graph,
@@ -34,9 +35,11 @@ from bimod.bimodule import (
     CheckResult,
     ModuleOperator,
     ValidationReport,
+    _embed,
     _gram_big,
     _unit_blocks,
     _unit_images,
+    _unit_layout,
     _w_frames,
 )
 from bimod.conjugation import (
@@ -46,7 +49,7 @@ from bimod.conjugation import (
     min_dimension,
     verify_conjugate,
 )
-from bimod.constructors import ExpectationSpec, _iota_e
+from bimod.constructors import ExpectationSpec
 from bimod.index import (
     BASIC_SAMPLES,
     BasicConstruction,
@@ -55,9 +58,9 @@ from bimod.index import (
     IndexReport,
     _ascent_setup,
     _attaining_vector,
+    _cp_verdict,
     _extension_cp_map,
     _multiplicities,
-    _phi_frame_map,
     _ratio_bound,
     right_index,
 )
@@ -947,11 +950,25 @@ def _operator_cp_map(X: HilbertBimodule, f, target: MultiMatrixAlgebra | None = 
                           for img, u in zip(images, units)], target=target)
 
 
+def frame_extension(X: HilbertBimodule, frame):
+    """T -> sum_i _A(T u_i | u_i) over the tight frame {u_i} of ``frame``,
+    embedded in M_{N_A}; T may be a stack (s, d, d).  The extension of the
+    left inner product by its definition, on any frame: the oracle of the
+    frame independence of ``extend_left_inner``, which takes the w-frame."""
+    U = frame.coords
+
+    def apply(T: np.ndarray) -> np.ndarray:
+        TU = np.einsum("...pq,iq->...ip", np.asarray(T, dtype=complex), U)   # T u_i
+        # _A(x|y) = x^T L y^* at each unit of A
+        return _embed(np.einsum("...ip,cpq,iq->...c", TU, X.left_stack, U.conj()), X.A)
+    return apply
+
+
 def dense_extension_cp_map(X: HilbertBimodule) -> CPMap:
     """F on the units of L(X_B) through the S^(-1/2) tight frame of the
     coordinate basis."""
-    F = extend_left_inner(X, tight_frame(X, spanning=np.eye(X.dim)))
-    return _operator_cp_map(X, F.apply_matrix, target=X.A)
+    F = frame_extension(X, tight_frame(X, spanning=np.eye(X.dim)))
+    return _operator_cp_map(X, F, target=X.A)
 
 
 def dense_basic_cp_map(bco: BasicConstruction) -> CPMap:
@@ -987,11 +1004,65 @@ def _multiplier_certificate(choi_min, c: AlgebraElement, scale: float, delta: fl
     return base, perturbed, all(p["non_psd"] for p in perturbed)
 
 
+def phi_frame_map(X: HilbertBimodule, cp: CPMap) -> CPMap:
+    """phi after a map ``cp`` from L(X_B) into A, as a map into L(X_B) in the
+    frame of its units: target block l holds tr (w_r | phi(a) w_s)_B, read
+    off the scalar Gram, so each Choi block is M_l' M_l.
+
+    The composite that ``index.least_multipliers`` no longer forms, kept as
+    its oracle (with ``iota_e``)."""
+    alg, L, P = cp.source, _unit_layout(X.A.blocks), phi_frame(X)
+    return CPMap(alg, [np.tensordot(img[:, :, L.rows, L.cols], P, axes=1)
+                       for img in cp.unit_images], target=alg)
+
+
+def phi_frame(X: HilbertBimodule) -> np.ndarray:
+    """phi at the units of A into L(X_B) in the frame of its units, block by
+    block: (U_A, sum M_l, sum M_l), [u, r, s] = tr (w_r | phi(e_u) w_s)_B in
+    block l and exact zeros between blocks: the homomorphism back of
+    ``cp_characterization``, which reads it in two products whose entries
+    between blocks are zero up to round-off."""
+    alg = MultiMatrixAlgebra([w.shape[1] for _, w in _w_frames(X)])
+    P = np.zeros((len(X.phis), alg.rep_dim, alg.rep_dim), dtype=complex)
+    for s, (_, w) in zip(map(alg.block_slice, range(alg.num_blocks)), _w_frames(X)):
+        P[:, s, s] = (X.scalar_gram @ w).conj().T @ X.phis @ w
+    return P
+
+
+def iota_e(spec: ExpectationSpec) -> CPMap:
+    """iota.E as an endomorphism of B: the images iota(E(E^k_rs)) of the units
+    of each block k, stacked with shape (n_k, n_k, N_B, N_B)."""
+    B, N = spec.B, spec.B.rep_dim
+    units = np.split(B.units_embedded(), np.cumsum([n * n for n in B.blocks])[:-1])
+    return CPMap(B, [spec.inclusion.embed_stack(spec.apply_stack(u)).reshape(n, n, N, N)
+                     for u, n in zip(units, B.blocks)], target=B)
+
+
+def composite_least_multipliers(cp: CPMap, tol: float = 1e-9) -> tuple[bool, np.ndarray, np.ndarray]:
+    """``index.least_multipliers`` on the composite endomorphism Phi = ``cp``
+    (``phi_frame_map`` or ``iota_e``) itself: one ``eigh`` of each diagonal
+    Choi block C_ll, cut at ``tol`` times its largest eigenvalue, and
+    ``eigvalsh`` of the others for the verdict."""
+    least, residual, ends = [], [], []
+    for t, choi in enumerate(cp.choi_blocks()):
+        if t % (cp.source.num_blocks + 1):     # off the diagonal
+            ends.append(np.linalg.eigvalsh(hermitian_part(choi))[[0, -1]])
+            continue
+        m = cp.source.blocks[t // cp.source.num_blocks]
+        w, v = np.linalg.eigh(hermitian_part(choi))
+        ends.append(w[[0, -1]])
+        keep = w > tol * w[-1]
+        weight = np.abs(v[::m + 1, keep].sum(axis=0)) ** 2     # |v_i^* Omega_l|^2
+        least.append(float(np.sum(weight / w[keep])))
+        residual.append(float(m - weight.sum()) / m)
+    return _cp_verdict(ends, 1e-9)[0], np.array(least), np.array(residual)
+
+
 def frame_multiplier_cp_map(X: HilbertBimodule):
     """c -> T -> psi(c) phi(F(T)) - T into L(X_B), both sides in the frame of
-    its units (``index._phi_frame_map``).  For central c, w.c = c_l w on
+    its units (``phi_frame_map``).  For central c, w.c = c_l w on
     X.e^l_11, so psi(c) scales target block l by c_l = tr (w_1 | w_1.c)_B."""
-    phi_F = _phi_frame_map(X, _extension_cp_map(X))
+    phi_F = phi_frame_map(X, _extension_cp_map(X))
     alg = phi_F.source
     ident = np.split(alg.units_embedded(), np.cumsum(np.square(alg.blocks))[:-1])
     w1 = np.array([w[:, 0] for _, w in _w_frames(X)]).T
@@ -1031,7 +1102,7 @@ def delta_minimal_cp_multiplier(spec: ExpectationSpec, delta: float = 1e-3) -> d
     _, ind = quasi_basis(spec)
     units = np.split(B.units_embedded(), np.cumsum([n * n for n in B.blocks])[:-1])
     own = [u.reshape(n, n, N, N) for u, n in zip(units, B.blocks)]
-    iota = _iota_e(spec).unit_images
+    iota = iota_e(spec).unit_images
 
     def choi_min(c: AlgebraElement) -> float:
         c_emb = c.embed()
@@ -1054,8 +1125,8 @@ def frame_right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexRe
     coordinate bases.
     """
     X._need_left()
-    r_ind, l_ind = (extend_left_inner(Y, tight_frame(Y, spanning=np.eye(Y.dim))).index_element()
-                    for Y in (X, contragredient(X)))
+    r_ind, l_ind = (Y.A.from_embedded(frame_extension(Y, tight_frame(Y, spanning=np.eye(Y.dim)))(
+                        np.eye(Y.dim))) for Y in (X, contragredient(X)))
     r_num, l_num = r_ind.norm(), l_ind.norm()
     p = support_projection(r_ind, rank_tol)
     q = support_projection(l_ind, rank_tol)
@@ -1076,10 +1147,23 @@ def choi_spectrum(cp: CPMap, mult=None) -> np.ndarray:
     return np.sort(np.concatenate(out))
 
 
-def assert_least_multipliers_factorize_once(cp: CPMap, monkeypatch) -> None:
-    """``index.least_multipliers(cp)`` runs one ``eigh`` per diagonal Choi
-    block, ``eigvalsh`` on the off-diagonal blocks only, and reaches the
-    verdict and least eigenvalue of ``cp.is_completely_positive()``."""
+def assert_matches_composite(got: tuple, composite: CPMap) -> None:
+    """(verdict, c_l*, range residuals) of ``index.least_multipliers`` are
+    those of ``composite_least_multipliers`` on the composite hom.cp: the
+    same verdict, c_l* to 1e-12 relative and the residuals to 1e-12."""
+    ok, least, residual = composite_least_multipliers(composite)
+    assert got[0] == ok
+    assert np.abs(got[1] - least).max() <= 1e-12 * np.abs(least).max(), (got[1], least)
+    assert np.abs(got[2] - residual).max() <= 1e-12, (got[2], residual)
+
+
+def assert_least_multipliers_factorize_once(cp: CPMap, hom: np.ndarray, composite: CPMap,
+                                            monkeypatch) -> None:
+    """``index.least_multipliers(cp, hom)`` runs one ``eigh`` per Choi block
+    (l, k) of ``cp`` with hom(e^k_11) != 0 and no ``eigvalsh``; it reaches
+    the verdict and least eigenvalue of ``composite.is_completely_positive()``
+    on the composite hom.cp (``phi_frame_map`` or ``iota_e``), and its
+    c_l* and residuals (``assert_matches_composite``)."""
     from bimod import index
     calls, seen = {"eigh": [], "eigvalsh": []}, []
 
@@ -1091,14 +1175,17 @@ def assert_least_multipliers_factorize_once(cp: CPMap, monkeypatch) -> None:
         for name in calls:
             mp.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
         mp.setattr(index, "_cp_verdict", lambda ends, tol: seen.append(verdict(ends, tol)) or seen[-1])
-        cp_ok = index.least_multipliers(cp)[0]
-    K, blocks = cp.source.num_blocks, cp.choi_blocks()
-    assert calls["eigh"] == [c.shape for c in blocks[::K + 1]]
-    assert calls["eigvalsh"] == [c.shape for t, c in enumerate(blocks) if t % (K + 1)]
-    ref_ok, ref_mn = cp.is_completely_positive()
+        got = index.least_multipliers(cp, hom)
+    reached = [np.trace(h[0, 0]).real > 0.5 for h in _unit_blocks(hom, cp.target)]
+    blocks = cp.choi_blocks()
+    assert calls["eigh"] == [c.shape for t, c in enumerate(blocks) if reached[t % len(reached)]]
+    assert not calls["eigvalsh"]
+    ref_ok, ref_mn = composite.is_completely_positive()
     (ok, mn), = seen
-    scale = max(float(np.abs(np.linalg.eigvalsh(hermitian_part(c))).max()) for c in blocks)
-    assert ok == cp_ok == ref_ok and abs(mn - ref_mn) <= 1e-12 * (1 + scale), (mn, ref_mn)
+    scale = max(float(np.abs(np.linalg.eigvalsh(hermitian_part(c))).max())
+                for c in composite.choi_blocks())
+    assert ok == ref_ok and abs(mn - ref_mn) <= 1e-12 * (1 + scale), (mn, ref_mn)
+    assert_matches_composite(got, composite)
 
 
 def sanitize(obj):
@@ -1340,6 +1427,14 @@ def zero_block_bimodule() -> HilbertBimodule:
     return random_bimodule([2, 1], [1, 2], [[1, 0], [2, 0]], seed=3)
 
 
+def zero_row_bimodule() -> HilbertBimodule:
+    """A [1, 1]-[1] module whose second A block acts as zero: a zero row of
+    Lambda, so r-ind and p vanish there and phi is not injective.  E's Choi
+    blocks at that block are zero, so a CP test of E that kept it would
+    read a least eigenvalue of 0 where phi.E reads 1."""
+    return random_bimodule([1, 1], [1], [[1], [0]], seed=4)
+
+
 def four_cycle_graph() -> GraphSpec:
     vs = ["a", "b", "c", "d"]
     return GraphSpec(vs, [(vs[i], vs[(i + 1) % 4], 1.0) for i in range(4)])
@@ -1359,6 +1454,20 @@ def star_graph(m: int) -> GraphSpec:
     edges = [("hub", f"leaf{i}", 1.0 / m) for i in range(m)]
     edges += [(f"leaf{i}", "hub", 1.0) for i in range(m)]
     return GraphSpec(vs, edges)
+
+
+@st.composite
+def small_shapes(draw):
+    """(A blocks, B blocks, Lambda), at most 3 blocks a side and Lambda
+    entries at most 2, of a module of dimension d <= 30 whose product with
+    its contragredient has dimension at most 60."""
+    a = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    b = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    lam = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=len(b), max_size=len(b)),
+                                 min_size=len(a), max_size=len(a))))
+    ranks = np.array(a) @ lam                  # M_l = rank psi(e^l_11)
+    assume(0 < ranks @ b <= 30 and ranks @ ranks <= 60)
+    return a, b, lam.tolist()
 
 
 _RANDOM_SHAPES = [

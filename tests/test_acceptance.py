@@ -13,7 +13,6 @@ from bimod import (
     build_conjugate,
     column_bimodule,
     expectation_cp_gap,
-    extend_left_inner,
     fiber_decomposition,
     from_hilbert_space,
     from_weight_graph,
@@ -267,15 +266,15 @@ def test_c12_generalized_basis_step():
 
 
 def test_c13_basis_independence():
-    from helpers import well_conditioned
+    from helpers import frame_extension, well_conditioned
     rng = np.random.default_rng(113)
     worst = 0.0
     for name, X in corpus():
         rep = right_index(X)
         for _ in range(2):
             W = well_conditioned(X.dim, rng)
-            F = extend_left_inner(X, tight_frame(X, spanning=W))
-            alt = F.index_element()
+            F = frame_extension(X, tight_frame(X, spanning=W))
+            alt = X.A.from_embedded(F(np.eye(X.dim)))
             worst = max(worst,
                         max(np.abs(a - b).max() for a, b in zip(alt.blocks,
                                                                 rep.r_ind.blocks))

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimod import (
@@ -43,6 +43,7 @@ from helpers import (
     random_bimodule_family,
     random_posdef,
     scalar_form_lines,
+    small_shapes,
     unit_loop_validate,
 )
 from bimod import from_weight_graph, GraphSpec
@@ -331,22 +332,8 @@ def test_validate_solves_no_eigenproblem_beyond_the_module_size(monkeypatch):
     assert sides and max(sides) <= Z.dim, sides
 
 
-@st.composite
-def _small_shapes(draw):
-    """(A blocks, B blocks, Lambda), at most 3 blocks a side and Lambda
-    entries at most 2, of a module of dimension d <= 30 whose product with
-    its contragredient has dimension at most 60."""
-    a = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    b = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    lam = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=len(b), max_size=len(b)),
-                                 min_size=len(a), max_size=len(a))))
-    ranks = np.array(a) @ lam                  # M_l = rank psi(e^l_11)
-    assume(0 < ranks @ b <= 30 and ranks @ ranks <= 60)
-    return a, b, lam.tolist()
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(_small_shapes(), st.integers(0, 2**16))
+@given(small_shapes(), st.integers(0, 2**16))
 def test_validate_verdicts_match_the_oracle_on_random_shapes(shape, seed):
     X = random_bimodule(*shape, seed=seed)
     for Y in (X, tensor(X, contragredient(X))):

@@ -15,7 +15,8 @@ from bimod import (SpectrumDomainError, build_conjugate, column_bimodule, contra
 from bimod import HilbertBimodule, bimodule, cli, index, serde
 from bimod.cli import CommandRequest, main, parse_spec, run
 from bimod.serde import ParseError, encode_bimodule, encode_vector
-from helpers import corpus, random_bimodule, sanitize
+from helpers import (corpus, diag_expectation_m2, random_bimodule, sanitize,
+                     two_block_expectation)
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +285,38 @@ def test_ladder_commands_and_index_assemble_no_dense_tensor(shape, tmp_path, mon
     for command in ("fibers", "basic", "mindim", "morita", "index"):
         status, report = _run(command, [str(path)])
         assert status == 0 and not assembled, (command, report.get("error"), assembled)
+
+
+# diag_expectation_m2 and two_block_expectation as expectation files
+_EXPECTATION_FILES = {
+    "diag_m2": (diag_expectation_m2, {
+        "kind": "expectation", "B": {"blocks": [2]},
+        "A_blocks": {"blocks": [1, 1], "multiplicity": [[1, 1]]}, "E_weights": [[1.0, 1.0]]}),
+    "two_block": (two_block_expectation, {
+        "kind": "expectation", "B": {"blocks": [2, 2]},
+        "A_blocks": {"blocks": [2], "multiplicity": [[1], [1]]}, "E_weights": [[0.5], [0.5]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPECTATION_FILES))
+def test_expectation_assembles_no_dense_tensor(name, tmp_path, monkeypatch):
+    # the expectation's module is built at the matrix units, and nothing the
+    # command runs on it, its contragredient or their product assembles a
+    # dense tensor
+    build, obj = _EXPECTATION_FILES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    spec = parse_spec(str(path))[1]
+    assert all(np.array_equal(a, b) for a, b in zip(spec.images, build().images))
+    assembled = []
+
+    def refused(stack, alg, gram):
+        assembled.append((stack.shape, alg.blocks, gram))
+        raise AssertionError("a dense structure tensor was assembled")
+
+    monkeypatch.setattr(bimodule, "_assemble", refused)
+    status, report = _run("expectation", [str(path)])
+    assert status == 0 and not assembled, (report.get("error"), assembled)
 
 
 def test_parse_spec_pauses_the_collector_and_restores_it(fixtures, monkeypatch):

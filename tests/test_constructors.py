@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bimod import (
     ContractError,
@@ -22,15 +24,18 @@ from bimod import (
     validate,
 )
 from bimod import constructors
-from bimod.constructors import _expectation_module, _iota_e
+from bimod.constructors import _cp_pair, _expectation_module
+from bimod.index import least_multipliers
 from bimod.multimatrix import random_element
 
 from helpers import (
     assert_least_multipliers_factorize_once,
+    assert_matches_composite,
     bidirected_cycle_graph,
     delta_minimal_cp_multiplier,
     diag_expectation_m2,
     four_cycle_graph,
+    iota_e,
     per_element_apply,
     per_element_check,
     per_element_iota,
@@ -182,7 +187,7 @@ def test_least_multipliers_are_the_index_element(spec, monkeypatch):
     # c_k* of iota.E is the coefficient of the quasi-basis index element on
     # block k of B, the gap is 1 / max_k c_k*, and the verdicts are those of
     # the delta search on the Choi blocks of c E - id
-    assert_least_multipliers_factorize_once(_iota_e(spec), monkeypatch)
+    assert_least_multipliers_factorize_once(*_cp_pair(spec), iota_e(spec), monkeypatch)
     _, ind = quasi_basis(spec)
     c = np.array([np.trace(b).real / len(b) for b in ind.blocks])
     got = minimal_cp_multiplier(spec)
@@ -198,6 +203,42 @@ def test_least_multipliers_are_the_index_element(spec, monkeypatch):
     shrunk.blocks[0] = 0.999 * shrunk.blocks[0]
     monkeypatch.setattr(constructors, "quasi_basis", lambda spec: (None, shrunk))
     assert not minimal_cp_multiplier(spec)["passed_at_index"]
+
+
+@st.composite
+def _weighted_expectations(draw):
+    """trace_weighted_expectation of a random unital inclusion: at most 3
+    blocks of A of size at most 3, at most 3 blocks of B, multiplicities at
+    most 2, B of linear dimension at most 24 (the dimension of its module),
+    and positive weights normalized to a unital expectation."""
+    a = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rows = draw(st.integers(1, 3))
+    mult = np.array(draw(st.lists(st.lists(st.integers(0, 2), min_size=len(a), max_size=len(a)),
+                                  min_size=rows, max_size=rows)))
+    assume((mult.sum(axis=0) > 0).all() and (mult.sum(axis=1) > 0).all())
+    assume(np.square(mult @ a).sum() <= 24)
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=mult.size,
+                                 max_size=mult.size))).reshape(mult.shape) * (mult > 0)
+    inc = Inclusion(MultiMatrixAlgebra(a), MultiMatrixAlgebra((mult @ a).tolist()), mult)
+    return trace_weighted_expectation(inc, raw / np.einsum("kj,kj->j", raw, mult))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_weighted_expectations())
+def test_expectation_multipliers_match_the_composite_oracle(spec):
+    # c_k*, the range residuals and the verdict from the blocks of E and
+    # iota are those of the composite iota.E, and so are the gap and the
+    # certificate built on them
+    got, ref = least_multipliers(*_cp_pair(spec)), iota_e(spec)
+    assert_matches_composite(got, ref)
+    assert got[0] and max(got[2]) <= 1e-12
+    gap = expectation_cp_gap(spec)
+    assert abs(gap - 1.0 / max(got[1])) <= 1e-12 * gap
+    _, ind = quasi_basis(spec)
+    c = np.array([np.trace(b).real / len(b) for b in ind.blocks])
+    cert = minimal_cp_multiplier(spec)
+    assert np.abs(np.array(cert["least_multiplier"]) - c).max() <= 1e-12 * c.max()
+    assert cert["passed_at_index"] and cert["minimality_certified"]
 
 
 def test_expectation_tensor_matches_direct():
@@ -308,7 +349,7 @@ def test_stacked_apply_and_iota_match_the_per_element_routes(spec):
         p, q = A.block_slice(j).start + i, A.block_slice(j).start + ii
         ref = I.psi(per_element_iota(spec.inclusion, A.unit(j, i, ii)))
         assert np.array_equal(X.right_action[p, q], ref)
-    for k, img in enumerate(_iota_e(spec).unit_images):
+    for k, img in enumerate(iota_e(spec).unit_images):
         n = B.blocks[k]
         ref = [[per_element_iota(spec.inclusion, per_element_apply(spec, B.unit(k, r, t))).embed()
                 for t in range(n)] for r in range(n)]

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimod import (
     HilbertBimodule,
@@ -44,8 +46,10 @@ from helpers import (
     _RANDOM_SHAPES,
     _operator_cp_map,
     assert_least_multipliers_factorize_once,
+    assert_matches_composite,
     averaging_relative_commutant,
     choi_spectrum,
+    composite_least_multipliers,
     corpus,
     dense_basic_cp_map,
     dense_extension_cp_map,
@@ -53,11 +57,14 @@ from helpers import (
     delta_cp_characterization,
     descent_best_constants,
     diag_expectation_m2,
+    frame_extension,
     frame_multiplier_cp_map,
     frame_right_index,
     kron_commutant,
     l_ind_coefficients,
     loop_basic_checks,
+    phi_frame,
+    phi_frame_map,
     random_bimodule,
     random_bimodule_family,
     random_compact,
@@ -68,10 +75,12 @@ from helpers import (
     relative_commutant_of_right_action,
     sequential_best_constants,
     sequential_largest_ratio,
+    small_shapes,
     span_distance,
     two_block_expectation,
     well_conditioned,
     zero_block_bimodule,
+    zero_row_bimodule,
 )
 
 
@@ -122,10 +131,10 @@ def test_extension_bilinear_and_frame_independent():
         lhs2 = F.apply(T @ X.phi(a))
         rhs2 = F.apply(T) * a
         assert (lhs2 - rhs2).norm() < 1e-9 * (1 + rhs2.norm())
-        # second frame from a gauged spanning set
+        # the frame sum over a second frame, from a gauged spanning set
         W = well_conditioned(X.dim, rng)
-        F2 = extend_left_inner(X, tight_frame(X, spanning=W))
-        assert (F.apply(T) - F2.apply(T)).norm() <= 1e-8 * (1 + F.apply(T).norm())
+        alt = X.A.from_embedded(frame_extension(X, tight_frame(X, spanning=W))(T))
+        assert (F.apply(T) - alt).norm() <= 1e-8 * (1 + F.apply(T).norm())
 
 
 def test_extension_is_completely_positive():
@@ -195,8 +204,8 @@ def test_right_index_centrality_and_frame_independence():
             assert np.abs(r_mat @ ae - ae @ r_mat).max() <= 1e-9 * (1 + a.norm()) * (1 + rep.r_num), name
         for trial in range(2):
             W = well_conditioned(X.dim, rng)
-            F = extend_left_inner(X, tight_frame(X, spanning=W))
-            alt = F.index_element()
+            F = frame_extension(X, tight_frame(X, spanning=W))
+            alt = X.A.from_embedded(F(np.eye(X.dim)))
             assert (alt - rep.r_ind).norm() <= 1e-8 * (1 + rep.r_num), name
 
 
@@ -700,6 +709,7 @@ def _frame_cases():
     cases += [pytest.param(random_bimodule(*shape, seed=1), id=f"ladder_{i}")
               for i, shape in enumerate(_LADDER_SHAPES)]
     return cases + [pytest.param(zero_block_bimodule(), id="zero_block"),
+                    pytest.param(zero_row_bimodule(), id="zero_row"),
                     pytest.param(random_bimodule(*_D45_SHAPE, seed=1), id="d45")]
 
 
@@ -709,21 +719,27 @@ def _assert_same_spectrum(got, ref, what):
     assert np.abs(got - ref).max() <= 1e-12 * scale, (what, np.abs(got - ref).max() / scale)
 
 
+def _assert_basic_cp_matches_the_dense_route(bco):
+    # E = z'F into pA has the verdict and least Choi eigenvalue of the dense
+    # phi.E, whose Choi blocks are M_l d; its own are M_l a_k over the
+    # blocks k of A where phi is injective (nonzero rows of Lambda)
+    X, E, dense = bco.bimodule, bco.as_cp_map(), dense_basic_cp_map(bco)
+    (ok, mn), (ref_ok, ref_mn) = E.is_completely_positive(), dense.is_completely_positive()
+    scale = float(np.abs(choi_spectrum(dense)).max())
+    assert ok == ref_ok and abs(mn - ref_mn) <= 1e-12 * (1 + scale), (mn, ref_mn)
+    lam = index._multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
+    kept = [a for a, row in zip(X.A.blocks, lam) if row.any()]
+    assert [len(c) for c in E.choi_blocks()] == [m * a for m in E.source.blocks for a in kept]
+
+
 @pytest.mark.parametrize("X", _frame_cases())
 def test_frame_choi_blocks_match_the_dense_route(X):
-    # the Choi blocks in the w-frame of L(X_B) have the spectra of the dense
-    # route through op_unrep, less the multiplicities n_l of the frame's blocks
-    mult = [X.B.blocks[l] for l, _ in bimodule._w_frames(X)]
-    bco = basic_construction(X)
-    pairs = [("F", extend_left_inner(X).as_cp_map(), None, dense_extension_cp_map(X)),
-             ("phi E", bco.as_cp_map(), mult, dense_basic_cp_map(bco))]
-    for what, got, m, ref in pairs:
-        _assert_same_spectrum(choi_spectrum(got, m), choi_spectrum(ref), what)
-        assert got.is_completely_positive()[0] == ref.is_completely_positive()[0], what
-    # phi E has one Choi block per pair of blocks of L(X_B), of size M_l M_l'
-    cp = bco.as_cp_map()
-    assert [len(c) for c in cp.choi_blocks()] == [a * b for a in cp.source.blocks
-                                                   for b in cp.source.blocks]
+    # the Choi blocks of F in the w-frame of L(X_B) have the spectra of the
+    # dense route through op_unrep
+    got, ref = extend_left_inner(X).as_cp_map(), dense_extension_cp_map(X)
+    _assert_same_spectrum(choi_spectrum(got), choi_spectrum(ref), "F")
+    assert got.is_completely_positive()[0] == ref.is_completely_positive()[0]
+    _assert_basic_cp_matches_the_dense_route(basic_construction(X))
 
 
 @pytest.mark.parametrize("X", _frame_cases())
@@ -731,8 +747,9 @@ def test_least_multipliers_are_l_ind(X, monkeypatch):
     # c_l* of phi F is the coefficient of l-ind on each block of B that X
     # reaches (the blocks of L(X_B)), read off right_index's dual basis, and
     # the verdicts are those of the delta search on the Choi blocks
-    assert_least_multipliers_factorize_once(
-        index._phi_frame_map(X, index._extension_cp_map(X)), monkeypatch)
+    cp = index._extension_cp_map(X)
+    assert_least_multipliers_factorize_once(cp, phi_frame(X), phi_frame_map(X, cp),
+                                            monkeypatch)
     rep, c = right_index(X), l_ind_coefficients(X)
     got = cp_characterization(X)
     assert np.abs(np.array(got.least_multiplier) - c).max() <= 1e-12 * c.max()
@@ -753,15 +770,50 @@ def test_least_multipliers_are_l_ind(X, monkeypatch):
 def test_least_multipliers_on_a_range_miss(monkeypatch):
     # conjugation by the trace-zero unitary U = [[0, 1], [1, 0]] is
     # completely positive with Choi matrix rank one along (1 (x) U) vec 1,
-    # which is orthogonal to vec 1: no multiplier makes c Phi - id CP
+    # which is orthogonal to vec 1: no multiplier makes c Phi - id CP.  As
+    # the pair (Ad U, the identity of M_2), for the module and for E
     B, U = MultiMatrixAlgebra([2]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    units = B.units_embedded().reshape(2, 2, 2, 2)
-    cp = index.CPMap(B, [U @ units @ U], target=B)
-    cp_ok, _, residual = index.least_multipliers(cp)
-    assert cp_ok and abs(residual[0] - 1.0) <= 1e-12
-    monkeypatch.setattr(constructors, "_iota_e", lambda spec: cp)
+    units = B.units_embedded()
+    cp = index.CPMap(B, [U @ units.reshape(2, 2, 2, 2) @ U], target=B)
+    got = index.least_multipliers(cp, units)
+    assert got[0] and abs(got[2][0] - 1.0) <= 1e-12
+    assert_matches_composite(got, cp)
+    monkeypatch.setattr(constructors, "_cp_pair", lambda spec: (cp, units))
     assert expectation_cp_gap(diag_expectation_m2()) == 0.0
     assert not minimal_cp_multiplier(diag_expectation_m2())["passed_at_index"]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(small_shapes(), st.integers(0, 2**16))
+def test_cp_tests_match_the_composite_oracles_on_random_shapes(shape, seed):
+    # c_l*, the range residuals and the verdict of phi F from the blocks of F
+    # and phi are those of the composite; E's verdict and least Choi
+    # eigenvalue are those of the dense phi.E
+    X = random_bimodule(*shape, seed=seed)
+    cp = index._extension_cp_map(X)
+    assert_matches_composite(index.least_multipliers(cp, phi_frame(X)),
+                             phi_frame_map(X, cp))
+    _assert_basic_cp_matches_the_dense_route(basic_construction(X))
+
+
+def test_cp_tests_on_the_product_form_choi_blocks_of_side_90(monkeypatch):
+    # on X (x) conj(X) of the d = 45 module (dim 153) the largest Choi block
+    # of the basic CP check and of cp_characterization is max_lk M_l a_k = 90,
+    # where phi.E and phi.F have blocks of side M_l M_l' = 900
+    Z = _with_conjugate(random_bimodule(*_D45_SHAPE, seed=1))
+    sides, choi = [], index.CPMap.choi_blocks
+
+    def spy(self):
+        blocks = choi(self)
+        sides.extend(len(c) for c in blocks)
+        return blocks
+
+    monkeypatch.setattr(index.CPMap, "choi_blocks", spy)
+    assert basic_construction(Z).as_cp_map().is_completely_positive()[0]
+    rep = cp_characterization(Z)
+    assert Z.dim == 153 and rep.passed_at_index and rep.minimality_certified
+    top = max(w.shape[1] for _, w in bimodule._w_frames(Z)) * max(Z.A.blocks)
+    assert max(sides) == top == 90, sides
 
 
 @pytest.mark.parametrize("X", _frame_cases())

@@ -128,7 +128,7 @@ class ExpectationSpec:
 
     ``images[k]`` has shape (n_k, n_k, N_A, N_A): the image in A (embedded)
     of the (r, s) unit of B-block k.  A spec is not modified after
-    construction, so its check and its bimodule are computed once and kept.
+    construction, so its check, bimodule and least multipliers are computed once.
     """
 
     inclusion: Inclusion
@@ -164,6 +164,12 @@ class ExpectationSpec:
         if "check" not in self._cache:
             self._cache["check"] = self._check(1e-9)
         return dict(self._cache["check"])
+
+    def _multipliers(self, tol: float) -> tuple:
+        """``least_multipliers`` on ``_cp_pair``, once per ``tol``."""
+        if ("multipliers", tol) not in self._cache:
+            self._cache["multipliers", tol] = least_multipliers(*_cp_pair(self), tol)
+        return self._cache["multipliers", tol]
 
     def _check(self, tol: float) -> dict:
         A, B, iota = self.A, self.B, self.inclusion.embed_stack
@@ -290,7 +296,7 @@ def expectation_cp_gap(spec: ExpectationSpec, tol: float = 1e-9) -> float:
     block of iota.E.  ``tol`` is the relative eigenvalue cut that defines
     that range.
     """
-    cp_ok, least, residual = least_multipliers(*_cp_pair(spec), tol)
+    cp_ok, least, residual = spec._multipliers(tol)
     if not cp_ok:
         raise ContractError("expectation is not even positive")
     if (residual > tol).any():
@@ -309,7 +315,7 @@ def minimal_cp_multiplier(spec: ExpectationSpec) -> dict:
     tol = 1e-8
     _, ind = quasi_basis(spec)
     c = np.array([np.trace(b).real / len(b) for b in ind.blocks])
-    cp_ok, least, residual = least_multipliers(*_cp_pair(spec))
+    cp_ok, least, residual = spec._multipliers(1e-9)
     return {"index_element": ind, "least_multiplier": least.tolist(),
             "range_residual": residual.tolist(),
             "passed_at_index": bool(cp_ok and (residual <= tol).all()

@@ -9,12 +9,16 @@ space splits as (+)_k C^{n_k} (x) C^{M_k}, and the commutant is
 (+)_k M_{M_k} with matrix units lifted from an orthonormal basis W_k of
 ran rho(e^k_11) by rho(e^k_s1).  Further commuting actions restrict to
 W_k^* act W_k and are read the same way, level by level.  Three checks
-certify the result: the rank of each rho(e^k_11) must equal the
-multiplicity read from the traces of the central-projection images, the
-units must satisfy their relations, and every unit image must commute with
-every unit.  L(X_B) is the commutant of the right action alone
-(``module_operator_algebra``), and the relative commutant that of both
-actions, taken in the standard-involution picture (``X.op_rep``).
+certify the result: the rank of each rho(e^k_11) is the multiplicity read
+from the traces of the central-projection images, the unit columns form a
+unitary Q, and in that basis every unit image has the form (+)_b 1 (x) R_b
+of the algebra G the actions generate.  L(X_B) is the commutant of the
+right action alone (``module_operator_algebra``), and the relative
+commutant C that of both, in the standard-involution picture
+(``X.op_rep``).  There the left-inner-product adjoint is u -> H^-1 u^* H,
+H = g^(-1/2) g_l g^(-1/2) with g, g_l the scalar Gram forms; as C = G' is
+closed under u^*, it is closed under the left adjoint iff H G H^-1 = G,
+which the same block form tests (``fiber_decomposition``).
 
 At finite dimension the compacts K(X_B) coincide with all adjointable
 B-linear maps, so the extension map serves simultaneously as the norm and
@@ -129,26 +133,34 @@ def _commutant_columns(pairs, dim: int) -> list[np.ndarray]:
 _UNIT_TOL = 1e-8
 
 
-def _commutant(pairs, dim: int) -> StarAlgebraDecomposition:
-    """``commutant_of`` for actions given at the matrix units, (algebra,
-    images (U, dim, dim)) pairs, after its checks."""
-    cols = _commutant_columns(pairs, dim)
-    Q = np.concatenate([K.reshape(dim, -1) for K in cols], axis=1)
-    res = float(np.abs(Q.conj().T @ Q - np.eye(dim)).max())
-    images = Q.conj().T @ np.concatenate([act for _, act in pairs]) @ Q
-    expected = np.zeros_like(images)
-    start = 0
+def _block_form_residual(cols, mats: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """Max-abs distance of left^* M right from (+)_b 1_{Lambda_b} (x) R_b (R_b
+    the mean of its diagonal blocks) over the stack ``mats``: for left = right
+    = Q zero iff each M lies in the algebra G the actions generate, the
+    commutant of ``cols``; for H Q and H^-1 Q (H Hermitian) iff H M H^-1 does."""
+    images, start = left.conj().T @ mats @ right, 0
     for K in cols:
-        lam, width = K.shape[1], K.shape[1] * K.shape[2]
-        s = slice(start, start + width)
-        blk = images[:, s, s].reshape(-1, lam, K.shape[2], lam, K.shape[2])
-        R = np.einsum("siuiv->suv", blk) / lam
-        expected[:, s, s] = np.einsum("ij,suv->siujv", np.eye(lam), R).reshape(-1, width, width)
-        start += width
-    res = max(res, float(np.abs(images - expected).max()))
+        lam, mult = K.shape[1:]
+        s, start = slice(start, start + lam * mult), start + lam * mult
+        R = np.einsum("siuiv->suv", images[:, s, s].reshape(-1, lam, mult, lam, mult)) / lam
+        images[:, s, s] -= np.einsum("ij,suv->siujv", np.eye(lam), R).reshape(images[:, s, s].shape)
+    return float(np.abs(images).max())
+
+
+def _checked_columns(pairs, dim: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """``_commutant_columns``, their unitary Q and the stacked images, after the checks."""
+    cols, mats = _commutant_columns(pairs, dim), np.concatenate([act for _, act in pairs])
+    Q = np.concatenate([K.reshape(dim, -1) for K in cols], axis=1)
+    res = max(np.abs(Q.conj().T @ Q - np.eye(dim)).max(), _block_form_residual(cols, mats, Q, Q))
     if res > _UNIT_TOL:
         raise StructureError(f"matrix units of the commutant fail their relations or do not "
                              f"commute with the actions (residual {res:.3g})")
+    return cols, Q, mats
+
+
+def _commutant(pairs, dim: int) -> StarAlgebraDecomposition:
+    """``commutant_of`` on (algebra, unit images (U, dim, dim)) pairs, after its checks."""
+    cols = _checked_columns(pairs, dim)[0]
     units = [np.tensordot(K, K.conj(), axes=([2], [2])).transpose(1, 3, 0, 2) for K in cols]
     return StarAlgebraDecomposition(MultiMatrixAlgebra([K.shape[1] for K in cols]), units,
                                     [K.shape[2] for K in cols], dim)
@@ -690,36 +702,30 @@ class FiberReport:
 def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     """Fibers of the bundle of bimodule endomorphisms over the centre of A.
 
-    The relative commutant is (+)_kl M_{Lambda_kl}, with Lambda the integer
+    The relative commutant C is (+)_kl M_{Lambda_kl}, Lambda the integer
     multiplicity matrix of the two actions, so the fiber over block k of A
-    has dimension sum_l Lambda_kl^2 (``relative_commutant`` checks each of
-    its corner ranks against Lambda).  Each is checked against the square of
+    has dimension sum_l Lambda_kl^2.  Each is checked against the square of
     the integer part of r-ind / lambda', with lambda' at the lower end of
     the bracket of ``best_constants``, which never gives a smaller bound
-    than the exact lambda'.  The same commutant is verified to be closed
-    under the left-inner-product adjoint.
+    than the exact lambda'.  C is closed under the left adjoint u -> H^-1
+    u^* H iff H G H^-1 = G, G the algebra the actions generate (module
+    docstring): ``left_adjoint_residual`` is the distance of H M H^-1 from
+    G over the unit images M of the actions.
     """
     X._need_left()
-    comm = relative_commutant(X)
+    cols, Q, mats = _checked_columns([(X.A, X.op_rep(X.phis)), _psi_hat(X)], X.dim)
     bc = best_constants(X, seed=seed)
-    lambda_prime = bc.lambda_prime_lower
     F = _extension_cp_map(X)
     r_ind = X.A.from_embedded(F.apply(F.source.identity()))
     lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
-    fibers = []
-    for k in range(X.A.num_blocks):
-        c_k = float(np.real(np.trace(r_ind.blocks[k])) / X.A.blocks[k])
-        bound = int(np.floor(c_k / lambda_prime + 1e-9)) ** 2
-        fibers.append(Fiber(block=k, dimension=int(np.sum(np.square(lam[k]))),
-                            index_value=c_k, bound=bound))
-    # closure of the commutant under the left adjoint
-    flat = comm.reshape(len(comm), -1).T
-    adj = np.array([X.left_op_adjoint(M) for M in comm]).reshape(len(comm), -1).T
-    coeff, *_ = np.linalg.lstsq(flat, adj, rcond=None)
-    res = float(np.abs(flat @ coeff - adj).max())
-    return FiberReport(fibers=fibers, commutant_dim=len(comm),
-                       lambda_prime=lambda_prime, left_adjoint_residual=res,
-                       constants_exact=bc.exact)
+    fibers = [Fiber(block=k, dimension=int(np.sum(np.square(lam[k]))), index_value=c_k,
+                    bound=int(np.floor(c_k / bc.lambda_prime_lower + 1e-9)) ** 2)
+              for k, c_k in enumerate(float(np.real(np.trace(b)) / len(b)) for b in r_ind.blocks)]
+    (sq, isq), (_, lisq) = X._g_half(), X._gl_half()
+    H, H_inv = isq @ X.scalar_left_gram @ isq, sq @ lisq @ lisq @ sq
+    return FiberReport(fibers=fibers, commutant_dim=int(np.sum(np.square(lam))),
+                       lambda_prime=bc.lambda_prime_lower, constants_exact=bc.exact,
+                       left_adjoint_residual=_block_form_residual(cols, mats, H @ Q, H_inv @ Q))
 
 
 # -- invertibility trichotomy -------------------------------------------------------

@@ -1304,7 +1304,8 @@ def per_element_check(spec: ExpectationSpec, tol: float = 1e-9) -> dict:
 
 # The rank searches and the least-squares candidate that ``morita_check`` and
 # ``fiber_decomposition`` ran before they read the multiplicity matrix Lambda,
-# kept verbatim as test-only oracles.
+# and the least-squares closure check of ``fiber_decomposition``, kept
+# verbatim as test-only oracles.
 
 
 def rank_morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
@@ -1361,6 +1362,17 @@ def rank_fiber_dimensions(X: HilbertBimodule) -> list[int]:
         cut = np.einsum("ij,mjk->mik", pz, comm)
         dims.append(int(np.linalg.matrix_rank(cut.reshape(len(comm), -1), tol=1e-9)))
     return dims
+
+
+def lstsq_left_adjoint_residual(X: HilbertBimodule) -> float:
+    """``left_adjoint_residual`` of ``fiber_decomposition`` by least squares:
+    the left adjoint of each member of the orthonormal relative commutant,
+    fitted in the span of the commutant (a (d^2, sum Lambda^2) system)."""
+    comm = relative_commutant(X)
+    flat = comm.reshape(len(comm), -1).T
+    adj = np.array([X.left_op_adjoint(M) for M in comm]).reshape(len(comm), -1).T
+    coeff, *_ = np.linalg.lstsq(flat, adj, rcond=None)
+    return float(np.abs(flat @ coeff - adj).max())
 
 
 def span_distance(U: np.ndarray, V: np.ndarray) -> float:

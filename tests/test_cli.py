@@ -12,7 +12,7 @@ import pytest
 
 from bimod import (SpectrumDomainError, build_conjugate, column_bimodule, contragredient,
                    from_hilbert_space)
-from bimod import HilbertBimodule, bimodule, cli, index, serde
+from bimod import HilbertBimodule, bimodule, cli, constructors, index, serde
 from bimod.cli import CommandRequest, main, parse_spec, run
 from bimod.serde import ParseError, encode_bimodule, encode_vector
 from helpers import (corpus, diag_expectation_m2, random_bimodule, sanitize,
@@ -317,6 +317,23 @@ def test_expectation_assembles_no_dense_tensor(name, tmp_path, monkeypatch):
     monkeypatch.setattr(bimodule, "_assemble", refused)
     status, report = _run("expectation", [str(path)])
     assert status == 0 and not assembled, (report.get("error"), assembled)
+
+
+@pytest.mark.parametrize("name", sorted(_EXPECTATION_FILES))
+def test_expectation_runs_least_multipliers_once(name, tmp_path, monkeypatch):
+    # the gap and the certificate read one set of least multipliers of
+    # (E, iota), kept with the spec
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_EXPECTATION_FILES[name][1]))
+    calls, least_multipliers = [], constructors.least_multipliers
+
+    def counted(*args):
+        calls.append(args)
+        return least_multipliers(*args)
+
+    monkeypatch.setattr(constructors, "least_multipliers", counted)
+    status, report = _run("expectation", [str(path)])
+    assert status == 0 and len(calls) == 1, (report.get("error"), len(calls))
 
 
 def test_parse_spec_pauses_the_collector_and_restores_it(fixtures, monkeypatch):

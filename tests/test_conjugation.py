@@ -27,6 +27,7 @@ from bimod import (
     tensor_push,
     verify_conjugate,
 )
+from bimod import index
 from bimod.bimodule import _embed
 from bimod.conjugation import _equation_map, _inner, _pair, _peel
 
@@ -668,9 +669,15 @@ def test_morita_and_fibers_run_no_rank_search(monkeypatch):
     modules = [X for _, X in corpus()]
     expected = [morita_check(X).as_dict() for X in modules]
     monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
-    for X in modules:
-        fiber_decomposition(X)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    with monkeypatch.context() as m:
+        # the closure under the left adjoint is read off the commutant's
+        # columns: no dense units, no orthonormal basis, no adjoint per unit
+        m.setattr(np.linalg, "qr", refuse)
+        m.setattr(index, "relative_commutant", refuse)
+        m.setattr(HilbertBimodule, "left_op_adjoint", refuse)
+        for X in modules:
+            fiber_decomposition(X)
     assert [morita_check(X).as_dict() for X in modules] == expected
 
 

@@ -63,6 +63,7 @@ from helpers import (
     kron_commutant,
     l_ind_coefficients,
     loop_basic_checks,
+    lstsq_left_adjoint_residual,
     phi_frame,
     phi_frame_map,
     random_bimodule,
@@ -525,6 +526,37 @@ def test_fibers_graph_matches_direct_commutant(X):
     assert [f.dimension for f in fib.fibers] == rank_fiber_dimensions(X)
     assert fib.passed
     assert fib.left_adjoint_residual < 1e-8
+
+
+def _closure_cases():
+    return [pytest.param(X, id=name) for name, X in corpus()] + [
+        pytest.param(zero_block_bimodule(), id="zero_block"),
+        pytest.param(random_bimodule(*_LADDER_SHAPES[0], seed=0), id="ladder_d13"),
+        pytest.param(random_bimodule(*_LADDER_SHAPES[1], seed=0), id="ladder_d18"),
+        pytest.param(random_bimodule(*_D45_SHAPE, seed=1), id="d45")]
+
+
+@pytest.mark.parametrize("X", _closure_cases())
+def test_left_adjoint_closure_matches_the_lstsq_oracle(X, monkeypatch):
+    # the block form of H A H^-1 in the commutant's columns and the
+    # least-squares fit of the left adjoints in the commutant's span
+    rep = fiber_decomposition(X)
+    assert rep.left_adjoint_residual <= 1e-12 and lstsq_left_adjoint_residual(X) <= 1e-12
+    # the left Gram of S x, S = 1 + 1e-3 N, is not A-linear and leaves psi
+    # without a left adjoint: both routes flag it, except on a commutant of
+    # the scalars or of all of M_d, which every involution leaves in place
+    z = np.random.default_rng(0).standard_normal((2, X.dim, X.dim))
+    S = np.eye(X.dim) + 1e-3 * (z[0] + 1j * z[1])
+    Y = X.with_left_stack(S.T @ X.left_stack @ S.conj())
+    bc = best_constants(X, seed=0)
+    # best_constants raises on such a Y (its attaining vectors disagree);
+    # X's constants stand in for it
+    monkeypatch.setattr(index, "best_constants", lambda X, seed=0: bc)
+    got, ref = fiber_decomposition(Y).left_adjoint_residual, lstsq_left_adjoint_residual(Y)
+    if 1 < rep.commutant_dim < X.dim ** 2:
+        assert got > 1e-4 and ref > 1e-4, (got, ref)
+    else:
+        assert got <= 1e-12 and ref <= 1e-12, (got, ref)
 
 
 def test_fibers_bound_on_random_modules():

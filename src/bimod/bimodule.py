@@ -702,8 +702,12 @@ def contragredient(X: HilbertBimodule) -> HilbertBimodule:
     module; it holds no reference back to X."""
     X._need_left()
     star_a, star_b = _unit_layout(X.A.blocks).star, _unit_layout(X.B.blocks).star
+
+    def conj_at(stack, star):
+        out = stack[star]                       # a copy, conjugated in place
+        return np.conjugate(out, out=out)
     return X._cached("bar", lambda: HilbertBimodule(
-        X.B, X.A, X.dim, X.left_stack, X.psis[star_b].conj(), X.phis[star_a].conj(),
+        X.B, X.A, X.dim, X.left_stack, conj_at(X.psis, star_b), conj_at(X.phis, star_a),
         X.right_stack, units=True))
 
 

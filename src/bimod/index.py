@@ -61,13 +61,11 @@ from .bimodule import (
     _corner_rank,
     _element,
     _embed,
-    _gram_matrix,
     _unit_blocks,
     _unit_images,
     _unit_layout,
     _w_frames,
     contragredient,
-    tight_frame,
 )
 
 
@@ -322,18 +320,19 @@ def least_multipliers(cp: CPMap, hom: np.ndarray,
 
 class LeftInnerExtension:
     """The positive A-bilinear extension of the left inner product to K(X_B):
-    T -> sum_i _A(T u_i | u_i) over the w-frame {u_i} of ``tight_frame``.
+    T -> sum_i _A(T u_i | u_i) over the w-frame {u_i} of ``_w_frames``,
+    block by block.
 
     The value is frame independent; ``as_cp_map`` presents the map on the
-    matrix units of L(X_B) for Choi-based positivity checks.  The frame and
-    its contraction are built once per module.
+    matrix units of L(X_B) for Choi-based positivity checks.  The frame's
+    contraction is built once per module.
     """
 
     def __init__(self, X: HilbertBimodule):
         X._need_left()
         self.bimodule = X
-        self.frame = tight_frame(X)
-        U = self.frame.coords
+        self._frame = U = np.array([v for _, w in _w_frames(X) for v in w.T],
+                                   dtype=complex).reshape(-1, X.dim)
         # _A(T u_i | u_i) summed: precontract the frame into the left Gram,
         # [i, p, c] = sum_q conj(u_i[q]) _A(e_p|e_q) at the unit c of A
         self._pair = X._cached("F", lambda: np.tensordot(
@@ -341,7 +340,7 @@ class LeftInnerExtension:
 
     def apply_matrix(self, T: np.ndarray) -> np.ndarray:
         """F(T), embedded in M_{N_A}; T may be a stack (s, d, d)."""
-        TU = self.frame.coords @ np.swapaxes(np.asarray(T, dtype=complex), -1, -2)
+        TU = self._frame @ np.swapaxes(np.asarray(T, dtype=complex), -1, -2)
         return _embed(np.tensordot(TU, self._pair, axes=([-2, -1], [0, 1])), self.bimodule.A)
 
     def apply(self, T: np.ndarray) -> AlgebraElement:
@@ -386,54 +385,50 @@ class IndexReport:
         return out
 
 
-def _dual_basis_sum(alg: MultiMatrixAlgebra, gram: np.ndarray, action: np.ndarray,
-                    other_gram: np.ndarray, mirror: bool = False) -> np.ndarray:
-    """sum_p <e_p|v_p>, the other inner product (``other_gram``, linear in
-    its first argument) over the dual basis v_p of the coordinate basis for
-    the Gram ``gram`` over ``alg``, with no frame built.  The Grams and the
-    action are stacks at the matrix units (``HilbertBimodule``), and so is
-    the result, at the units of the other algebra.
+def _dual_basis_sum(alg: MultiMatrixAlgebra, gram: np.ndarray, corners: np.ndarray,
+                    other_gram: np.ndarray, what: str) -> np.ndarray:
+    """sum_i <u_i|v_i>, the other inner product (``other_gram``, linear in
+    its first argument) over a quasi-basis {u_i, v_i} for the Gram ``gram``
+    over ``alg``, with no frame built.  The Grams are stacks at the matrix
+    units (``HilbertBimodule``), and so is the result, at the units of the
+    other algebra; ``corners`` (K, d, d) are the idempotents E_l by which
+    the units e^l_11 of ``alg`` act, named ``what`` in messages.
 
-    For block l of ``alg`` (size n), G_l[(p, a), (q, b)] = (e_p|e_q)[a, b]
-    is the Gram matrix of the vectors e_p.e^l_a1, which span X.e^l_11, of
-    complex dimension M_l = tr act(e^l_11).  With G_l^+ its inverse on the
-    top M_l eigenpairs, v_p = sum_q e_q.c_qp with c_qp[b, a] = G_l^+[(q, b),
-    (p, a)] gives sum_p theta_{e_p, v_p} = 1.  ``action`` is the right
-    action b -> x.b; with ``mirror`` it is phi of X and the sum is that of
-    the contragredient, whose right action xbar.a = (a* x)bar has the
-    tensor conj(phi[b, a])."""
-    d, what = gram.shape[-1], "phi" if mirror else "psi"
-    V = np.zeros((d, d), dtype=complex)
-    for l, (part, act) in enumerate(zip(_unit_blocks(gram, alg), _unit_blocks(action, alg))):
-        n, rank = len(part), _corner_rank(act[0, 0], alg.block_slice(l).start, what)
+    For block l the vectors x_p = E_l e_p span X.e^l_11, of complex
+    dimension M_l = tr E_l, and their Gram is the d x d matrix G_l = gram at
+    e^l_11.  With G_l^+ its inverse on the top M_l eigenpairs, sum_pq
+    theta_{x_p, x_q} G_l^+[p, q] is the unit of L(X_B) on X.e^l_11, so the
+    sum is sum_pq <e_p|e_q> Z[p, q] with Z = sum_l E_l G_l^+ E_l^*."""
+    d = gram.shape[-1]
+    Z = np.zeros((d, d), dtype=complex)
+    for l, (o, E) in enumerate(zip(_unit_layout(alg.blocks).starts, corners)):
+        rank = _corner_rank(E, alg.block_slice(l).start, what)
         if not rank:
             continue
-        w, u = np.linalg.eigh(hermitian_part(_gram_matrix(part)))
+        w, u = np.linalg.eigh(hermitian_part(gram[o]))
         if rank > len(w) or w[-rank] <= RANK_TOL * max(w[-1], 1e-300):
-            raise StructureError(f"the Gram block {l} has rank below tr {what}(e^{l}_11) = "
+            raise StructureError(f"the Gram at e^{l}_11 has rank below tr {what}(e^{l}_11) = "
                                  f"{rank}: the inner product is degenerate")
-        w, u = w[-rank:], u[:, -rank:]
-        Gp = ((u / w) @ u.conj().T).reshape(d, n, d, n)          # [q, b, p, a]
-        R = act.swapaxes(0, 1).conj() if mirror else act
-        # V[i, p] = sum_{a, q, b} (e_q.e_ba)_i G_l^+[(q, b), (p, a)]
-        V += (R.transpose(2, 1, 3, 0).reshape(d, -1)
-              @ Gp.transpose(3, 0, 1, 2).reshape(-1, d))
-    return np.tensordot(other_gram, V.conj(), axes=([1, 2], [1, 0]))
+        Eu = E @ u[:, -rank:]
+        Z += (Eu / w[-rank:]) @ Eu.conj().T
+    return np.tensordot(other_gram, Z, axes=([1, 2], [0, 1]))
 
 
 def right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexReport:
     """Index elements and numerical indices of a bi-Hilbertian bimodule.
 
-    r-ind = F(1) = sum_p _A(e_p|v_p) over the dual basis {v_p} of the
-    coordinate basis for the right Gram (``_dual_basis_sum``), and l-ind
-    is the same sum for the left Gram, taken on X's own tensors: no frame
+    r-ind = F(1) = sum_i _A(u_i|v_i) over a quasi-basis read off the d x d
+    right Gram at each e^l_11 of B (``_dual_basis_sum``), and l-ind is the
+    same sum for the contragredient, whose right Gram is the left Gram and
+    whose corners are conj phi(e^k_11), taken on X's own tensors: no frame
     and no contragredient is built or cached.  Support projections come
     from a rank-tolerant spectral cut.
     """
     X._need_left()
-    r_ind = _element(X.A, _dual_basis_sum(X.B, X.right_stack, X.psis, X.left_stack))
-    l_ind = _element(X.B, _dual_basis_sum(X.A, X.left_stack, X.phis, X.right_stack,
-                                          mirror=True))
+    a11, b11 = (_unit_layout(alg.blocks).starts for alg in (X.A, X.B))
+    r_ind = _element(X.A, _dual_basis_sum(X.B, X.right_stack, X.psis[b11], X.left_stack, "psi"))
+    l_ind = _element(X.B, _dual_basis_sum(X.A, X.left_stack, X.phis[a11].conj(),
+                                          X.right_stack, "phi"))
     r_num, l_num = r_ind.norm(), l_ind.norm()
     p = support_projection(r_ind, rank_tol)
     q = support_projection(l_ind, rank_tol)

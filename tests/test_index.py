@@ -600,12 +600,12 @@ def test_index_elements_match_the_frame_route(X):
 
 
 @pytest.mark.parametrize("shape, product, dim, peak_mb, kept_mb",
-                         [(_D80_SHAPE, False, 80, 8, 2), (_D45_SHAPE, True, 153, 25, 5)],
+                         [(_D80_SHAPE, False, 80, 2, 1), (_D45_SHAPE, True, 153, 6, 3)],
                          ids=["d80", "product_d153"])
 def test_right_index_memory(shape, product, dim, peak_mb, kept_mb):
-    # the tight frames of X and its contragredient peaked at 22.3 MB at
-    # d = 80 and 81.5 MB on the 153-dim product X (x) conj(X) of the d = 45
-    # module, and stayed cached on the module (15.1 and 55 MB)
+    # the dual basis read off the (d n_l)-square Gram blocks peaked at 4.6 MB
+    # at d = 80 and 16.8 MB on the 153-dim product X (x) conj(X) of the d = 45
+    # module; the d x d Grams at the e^l_11 peak at 0.8 and 2.9 MB
     import tracemalloc
     X = random_bimodule(*shape, seed=1)
     X = _with_conjugate(X) if product else X
@@ -618,6 +618,40 @@ def test_right_index_memory(shape, product, dim, peak_mb, kept_mb):
     assert X.dim == dim and rep.r_num > 0
     assert peak <= peak_mb * 2 ** 20, peak
     assert kept <= kept_mb * 2 ** 20, kept
+
+
+def test_right_index_solves_no_eigenproblem_beyond_the_module_size(monkeypatch):
+    # the dual basis of the (d n_l)-square Gram blocks took an eigh of side
+    # 198 on this product; the Grams at the e^l_11 are d x d
+    Z = _with_conjugate(random_bimodule(*_ROUNDTRIP_SHAPES[2], seed=1))
+    sides = []
+    for name in ("eigvalsh", "eigh"):
+        def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            sides.append(np.shape(a)[-1])
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    rep = right_index(Z)
+    monkeypatch.undo()
+    assert Z.dim == 99 and rep.r_num > 0
+    assert sides and max(sides) <= Z.dim, sides
+
+
+def test_basic_construction_builds_no_tight_frame(monkeypatch):
+    # F reads its frame off the corners of psi (``_w_frames``): the w-frame's
+    # residual, a frame operator on X, is never formed
+    X = random_bimodule(*_ROUNDTRIP_SHAPES[0], seed=1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a tight frame or a frame operator was built")
+
+    for module in (index, bimodule):
+        for name in ("tight_frame", "frame_operator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    bco = basic_construction(X)
+    checks = bco.sampled_checks(1.0, np.random.default_rng(0))
+    ok, _ = bco.as_cp_map().is_completely_positive()
+    assert ok and max(checks["idempotency_residual"], checks["conditional_residual"]) <= 1e-8
 
 
 def test_right_index_builds_no_frame_and_no_contragredient(monkeypatch):
@@ -635,19 +669,27 @@ def test_right_index_builds_no_frame_and_no_contragredient(monkeypatch):
     assert rep.r_num > 0 and set(X._cache) <= {"g", "gh"}, set(X._cache)
 
 
-@pytest.mark.parametrize("side", ["right", "left"])
-def test_right_index_rejects_a_rank_deficient_gram_block(side):
-    # built directly, not through validate: the Gram of block 1 (at embedded
-    # position 2) loses its smallest nonzero eigenvalue, so the Gram block of
-    # the dual basis has rank below tr act(e^1_11)
+@pytest.mark.parametrize("side, fault", [
+    pytest.param("right", "rank", id="right"), pytest.param("left", "rank", id="left"),
+    pytest.param("right", "trace", id="right_trace_above_d"),
+    pytest.param("left", "trace", id="left_trace_above_d")])
+def test_right_index_rejects_a_rank_deficient_gram_block(side, fault):
+    # built directly, not through validate.  "rank": the Gram at e^1_11 (at
+    # embedded position 2) loses its smallest nonzero eigenvalue, so it has
+    # rank below tr act(e^1_11).  "trace": act(e^1_11) has trace d + 1, more
+    # eigenpairs than the d x d Gram has, which is StructureError, not IndexError
     X = random_bimodule(*_ROUNDTRIP_SHAPES[0], seed=1)
     gram = (X.right_gram if side == "right" else X.left_gram).copy()
-    act = X.right_action if side == "right" else X.left_action
-    rank = int(round(np.trace(act[2, 2]).real))
-    w, v = np.linalg.eigh(gram[:, :, 2, 2])
-    gram[:, :, 2, 2] -= w[-rank] * np.outer(v[:, -rank], v[:, -rank].conj())
-    Y = (HilbertBimodule(X.A, X.B, X.dim, gram, X.left_action, X.right_action, X.left_gram)
-         if side == "right" else X.with_left_gram(gram))
+    act = (X.right_action if side == "right" else X.left_action).copy()
+    if fault == "rank":
+        rank = int(round(np.trace(act[2, 2]).real))
+        w, v = np.linalg.eigh(gram[:, :, 2, 2])
+        gram[:, :, 2, 2] -= w[-rank] * np.outer(v[:, -rank], v[:, -rank].conj())
+    else:
+        act[2, 2] = (X.dim + 1) / X.dim * np.eye(X.dim)
+    Y = (HilbertBimodule(X.A, X.B, X.dim, gram, X.left_action, act, X.left_gram)
+         if side == "right" else HilbertBimodule(X.A, X.B, X.dim, X.right_gram, act,
+                                                 X.right_action, gram))
     with pytest.raises(StructureError, match="rank below"):
         right_index(Y)
 

@@ -399,7 +399,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("inputs", nargs="+", help="1-2 input files")
     parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="seeds the sampled checks of basic")
     parser.add_argument("--budget", type=int, default=None,
                         help="ignored; kept so that older command lines still parse")
     parser.add_argument("--out", default=None)

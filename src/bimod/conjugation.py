@@ -383,6 +383,16 @@ def _perron_weights(lam: np.ndarray) -> np.ndarray:
     return c * (lam > 0)
 
 
+def _rescaling_centre(X: HilbertBimodule, lam: np.ndarray) -> np.ndarray:
+    """C = sum_kl w_kl phi(z_k) psi(z_l), w = ``_perron_weights``(lam): one
+    d x d product per linked pair (k, l)."""
+    phis = [X.phi(z) for z in center_decompose(X.A)]
+    psis = [X.psi(z) for z in center_decompose(X.B)]
+    w = _perron_weights(lam)
+    return sum((w[k, l] * phis[k] @ psis[l] for k, l in zip(*np.nonzero(w))),
+               np.zeros((X.dim, X.dim), dtype=complex))
+
+
 def min_dimension(X: HilbertBimodule) -> MinDimResult:
     """Minimal dimension of X over all left rescalings: ||Lambda||_2, the
     largest singular value of the integer multiplicity matrix Lambda
@@ -401,10 +411,7 @@ def min_dimension(X: HilbertBimodule) -> MinDimResult:
     X._need_left()
     lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
     dim_hat = float(np.linalg.norm(lam, 2))
-    phis = np.array([X.phi(z) for z in center_decompose(X.A)])
-    psis = np.array([X.psi(z) for z in center_decompose(X.B)])
-    C = np.einsum("kl,kij,ljm->im", _perron_weights(lam), phis, psis)
-    L_star = C.T @ _trace_left_gram(X)          # C L0, as a stack over A
+    L_star = _rescaling_centre(X, lam).T @ _trace_left_gram(X)      # C L0, as a stack over A
     # a rescaling Q multiplies the scalar form tr _A(e_p|e_q) by Q^T on the left
     Q_star = np.linalg.solve(X.scalar_left_gram, _trace(L_star, X.A).T)
     X_star = rescale_left(X, Q_star)

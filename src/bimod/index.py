@@ -23,8 +23,9 @@ which the same block form tests (``fiber_decomposition``).
 At finite dimension the compacts K(X_B) coincide with all adjointable
 B-linear maps, so the extension map serves simultaneously as the norm and
 strict extensions; maps are checked for complete positivity through Choi
-blocks over the matrix units of L(X_B).  The best constants are bracketed
-on the same units (``best_constants``).
+blocks over the matrix units of L(X_B).  The best constants are read in
+closed form on the same units, one Ky Fan sum per block of A
+(``best_constants``).
 
 The least central c for which T -> c Phi(T) - T stays completely positive,
 Phi = hom.cp with cp completely positive into A and hom a unital
@@ -474,69 +475,36 @@ def _norm_ratio_batch(X: HilbertBimodule, vecs: np.ndarray) -> np.ndarray:
     return np.real(top) / np.maximum(np.real(bot), 1e-300)
 
 
-def _ascent_setup(X: HilbertBimodule) -> tuple[CPMap, list[int]]:
-    """(F on the units of L(X_B), block ranks r_l = min(M_l, n_l))."""
-    return _extension_cp_map(X), [min(w.shape[1], X.B.blocks[l]) for l, w in _w_frames(X)]
-
-
-def _lockstep_ascent(imgs: list[np.ndarray], ranks: list[int],
-                     xi: np.ndarray) -> tuple[np.ndarray, list]:
-    """The two-step ascent of ``_largest_ratio`` from every row of ``xi``
-    (unit vectors, (s, N_A)) at once.  Each round stacks C_l, the Ky Fan
-    projections and F(P) over the starts still rising; a start leaves the
-    stack once its value stops rising.  Returns the value of each start and
-    its projections (one V_l per block), as the per-start loop would."""
-    value = np.full(len(xi), -np.inf)
-    found = [None] * len(xi)
-    live = np.arange(len(xi))
-    for _ in range(200):
-        C = [np.einsum("sa,ijab,sb->sji", xi.conj(), img, xi) for img in imgs]
-        vs = [np.linalg.eigh(hermitian_part(c))[1][..., -r:] for c, r in zip(C, ranks)]
-        FP = sum(np.einsum("sij,ijab->sab", V @ np.conj(np.swapaxes(V, -1, -2)), img)
-                 for V, img in zip(vs, imgs))
-        w, v = np.linalg.eigh(hermitian_part(FP))
-        rising = w[:, -1] > value[live]
-        for t in np.flatnonzero(rising):
-            found[live[t]] = [V[t] for V in vs]
-        value[live[rising]] = w[rising, -1]
-        live, xi = live[rising], v[rising, :, -1]
-        if not len(live):
-            break
-    return value, found
-
-
-def _largest_ratio(X: HilbertBimodule, seed: int,
-                   starts: int = 5) -> tuple[float, float, np.ndarray]:
+def _largest_ratio(X: HilbertBimodule) -> tuple[float, float, np.ndarray]:
     """lambda of X as (attained value, upper bound, attaining vector).
 
     theta_{x,x} ranges over the positive P = (+)_l P_l u_l of block ranks
     r_l = min(M_l, n_l), so lambda is the largest xi* F(P) xi over unit xi
-    and projections P.  From each seeded xi two exact steps alternate while
-    the value rises: P_l spans the top r_l eigenvectors of C^T, C[i, j] =
-    xi* F(u_l(i, j)) xi (Ky Fan), then xi is the top eigenvector of F(P).
-    The starts run in lockstep (``_lockstep_ascent``); the first start with
-    the largest value wins.  Bound and vector: ``_ratio_bound``,
+    and such P.  As F(phi(u)^* T phi(u)) = u^* F(T) u for each unitary u of
+    A, and conjugation by phi(u) permutes those P, the largest value is the
+    same for every unit xi in block k of A.  At xi = e_{s_k}, the first row
+    of block k, it is sum_l KyFan_{r_l}(C_kl), C_kl[i, j] = F(u_l(i, j))[s_k,
+    s_k], attained at P_l spanning the top r_l eigenvectors of C_kl^T.  The
+    bound reads every entry of F's Choi blocks instead: block (l, k) is
+    h_kl (x) Omega Omega^* with |Omega|^2 = a_k, so lambda is also
+    max_k sum_l KyFan_{r_l}(Choi block (l, k)) / a_k.  Vector:
     ``_attaining_vector``.
     """
-    cp, ranks = _ascent_setup(X)
-    z = np.random.default_rng(seed).standard_normal((starts, 2, X.A.rep_dim))
-    xi = z[:, 0] + 1j * z[:, 1]         # the draws of one start after another
-    value, found = _lockstep_ascent(cp.unit_images, ranks,
-                                    xi / np.linalg.norm(xi, axis=1, keepdims=True))
-    best = int(np.argmax(value))
-    return float(value[best]), _ratio_bound(X, cp, ranks), _attaining_vector(X, found[best])
-
-
-def _ratio_bound(X: HilbertBimodule, cp: CPMap, ranks: list[int]) -> float:
-    """min(||F(1)||, max_k sum_l KyFan_{r_l}(Choi block (l, k))), with F(1)
-    the sum of the diagonal unit images."""
-    kyfan = np.zeros(X.A.num_blocks)
+    cp, A = _extension_cp_map(X), X.A
+    ranks = [min(w.shape[1], X.B.blocks[l]) for l, w in _w_frames(X)]
+    rows = [A.block_slice(k).start for k in range(A.num_blocks)]
+    value, found = np.zeros(A.num_blocks), []
+    for img, r in zip(cp.unit_images, ranks):
+        w, v = np.linalg.eigh(hermitian_part(img[:, :, rows, rows].T))     # C_kl^T, k-major
+        value += w[:, -r:].sum(axis=1)
+        found.append(v[..., -r:])
+    kyfan = np.zeros(A.num_blocks)
     blocks = iter(cp.choi_blocks())
     for r in ranks:
-        for k in range(X.A.num_blocks):
-            kyfan[k] += np.linalg.eigvalsh(hermitian_part(next(blocks)))[-r:].sum()
-    r_ind = X.A.from_embedded(cp.apply(cp.source.identity()))
-    return min(r_ind.norm(), float(kyfan.max()))
+        for k in range(A.num_blocks):
+            kyfan[k] += np.linalg.eigvalsh(hermitian_part(next(blocks)))[-r:].sum() / A.blocks[k]
+    best = int(np.argmax(value))
+    return float(value[best]), float(kyfan.max()), _attaining_vector(X, [V[best] for V in found])
 
 
 def _attaining_vector(X: HilbertBimodule, vs: list[np.ndarray]) -> np.ndarray:
@@ -550,15 +518,17 @@ def _attaining_vector(X: HilbertBimodule, vs: list[np.ndarray]) -> np.ndarray:
 
 def best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
     """lambda and lambda', each bracketed by an attained value and a bound
-    (``_largest_ratio``); lambda' = 1 / lambda(Xbar), as the contragredient
-    exchanges the two inner products.  Both attaining vectors (for lambda'
-    the conjugate of the Xbar one) are re-evaluated through the norm ratio
-    of X; a mismatch beyond 1e-10 relative raises StructureError."""
+    read apart (``_largest_ratio``); lambda' = 1 / lambda(Xbar), as the
+    contragredient exchanges the two inner products.  Both attaining
+    vectors (for lambda' the conjugate of the Xbar one) are re-evaluated
+    through the norm ratio of X; a mismatch beyond 1e-10 relative raises
+    StructureError.  No search and no random draw is involved: ``seed`` is
+    accepted and does not affect the constants."""
     X._need_left()
     if X.dim == 0:
         raise ContractError("zero module")
-    lam, lam_up, x = _largest_ratio(X, seed)
-    inv, inv_up, xbar = _largest_ratio(contragredient(X), seed)
+    lam, lam_up, x = _largest_ratio(X)
+    inv, inv_up, xbar = _largest_ratio(contragredient(X))
     ratios = _norm_ratio_batch(X, np.array([x, xbar.conj()]))
     for ratio, value in zip(ratios, (lam, 1.0 / inv)):
         if abs(ratio - value) > 1e-10 * value:
@@ -568,7 +538,8 @@ def best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
 
 
 def index_report(X: HilbertBimodule, seed: int = 0) -> IndexReport:
-    """Full report: indices plus the bracketed best constants."""
+    """Full report: indices plus the bracketed best constants (``seed`` does
+    not affect them)."""
     return replace(right_index(X), constants=best_constants(X, seed=seed))
 
 
@@ -700,12 +671,13 @@ def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     The relative commutant C is (+)_kl M_{Lambda_kl}, Lambda the integer
     multiplicity matrix of the two actions, so the fiber over block k of A
     has dimension sum_l Lambda_kl^2.  Each is checked against the square of
-    the integer part of r-ind / lambda', with lambda' at the lower end of
-    the bracket of ``best_constants``, which never gives a smaller bound
-    than the exact lambda'.  C is closed under the left adjoint u -> H^-1
-    u^* H iff H G H^-1 = G, G the algebra the actions generate (module
-    docstring): ``left_adjoint_residual`` is the distance of H M H^-1 from
-    G over the unit images M of the actions.
+    the integer part of r-ind / lambda', with lambda' the exact value read
+    in closed form by ``best_constants`` (the lower end of its bracket;
+    ``constants_exact`` says the two ends agree, and ``seed`` does not
+    affect it).  C is closed under the left adjoint u -> H^-1 u^* H iff
+    H G H^-1 = G, G the algebra the actions generate (module docstring):
+    ``left_adjoint_residual`` is the distance of H M H^-1 from G over the
+    unit images M of the actions.
     """
     X._need_left()
     cols, Q, mats = _checked_columns([(X.A, X.op_rep(X.phis)), _psi_hat(X)], X.dim)

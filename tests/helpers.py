@@ -53,15 +53,12 @@ from bimod.constructors import ExpectationSpec
 from bimod.index import (
     BASIC_SAMPLES,
     BasicConstruction,
-    BestConstants,
     CPMap,
     IndexReport,
-    _ascent_setup,
     _attaining_vector,
     _cp_verdict,
     _extension_cp_map,
     _multiplicities,
-    _ratio_bound,
     right_index,
 )
 from bimod.multimatrix import (
@@ -882,10 +879,10 @@ def _coordinate_descent(X: HilbertBimodule, x0: np.ndarray, sign: float,
 def descent_best_constants(X: HilbertBimodule, seed: int = 0, samples: int = 10000,
                            refine_steps: int = 400, top: int = 3) -> tuple[float, float]:
     """(lambda, lambda') estimated by seeded sampling plus coordinate-descent
-    refinement of the ``top`` best samples: the search that the exact ascent
-    of ``best_constants`` replaced, kept as an oracle.  Every evaluated ratio
-    is attained, so the first value is a lower bound for lambda and the
-    second an upper bound for lambda'."""
+    refinement of the ``top`` best samples: the search that the seeded ascent
+    (:func:`sequential_largest_ratio`) replaced, kept as an oracle.  Every
+    evaluated ratio is attained, so the first value is a lower bound for
+    lambda and the second an upper bound for lambda'."""
     X._need_left()
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((samples, X.dim)) + 1j * rng.standard_normal((samples, X.dim))
@@ -904,12 +901,15 @@ def descent_best_constants(X: HilbertBimodule, seed: int = 0, samples: int = 100
 
 
 def sequential_largest_ratio(X: HilbertBimodule, seed: int,
-                             starts: int = 5) -> tuple[float, float, np.ndarray]:
-    """``_largest_ratio`` with its starts run one after another: the route
-    that the lockstep ascent replaced, kept as its oracle.  Same draws, same
-    two steps, same tie rule (the first start with the largest value)."""
-    cp, ranks = _ascent_setup(X)
-    imgs = cp.unit_images
+                             starts: int = 5) -> tuple[float, np.ndarray]:
+    """(value, attaining vector) of the seeded ascent that the closed form of
+    ``best_constants`` replaced, kept as its oracle: from each of ``starts``
+    random unit xi in C^{N_A}, two exact steps alternate while the value
+    rises.  P_l spans the top r_l = min(M_l, n_l) eigenvectors of C^T,
+    C[i, j] = xi* F(u_l(i, j)) xi (Ky Fan), then xi is the top eigenvector
+    of F(P).  The value is attained, so it never exceeds lambda."""
+    imgs = _extension_cp_map(X).unit_images
+    ranks = [min(w.shape[1], X.B.blocks[l]) for l, w in _w_frames(X)]
     na = X.A.rep_dim
     best, rng = -np.inf, np.random.default_rng(seed)
     for _ in range(starts):
@@ -925,7 +925,7 @@ def sequential_largest_ratio(X: HilbertBimodule, seed: int,
             value, xi, found = float(w[-1]), v[:, -1], vs
         if value > best:
             best, best_v = value, found
-    return best, _ratio_bound(X, cp, ranks), _attaining_vector(X, best_v)
+    return best, _attaining_vector(X, best_v)
 
 
 def _operator_cp_map(X: HilbertBimodule, f, target: MultiMatrixAlgebra | None = None,
@@ -1207,12 +1207,11 @@ def sanitize(obj):
     return obj
 
 
-def sequential_best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
-    """``best_constants`` through :func:`sequential_largest_ratio`."""
-    lam, lam_up, _ = sequential_largest_ratio(X, seed)
-    inv, inv_up, _ = sequential_largest_ratio(contragredient(X), seed)
-    return BestConstants(lambda_hat=lam, lambda_prime_hat=1.0 / inv,
-                         lambda_upper=lam_up, lambda_prime_lower=1.0 / inv_up)
+def sequential_best_constants(X: HilbertBimodule, seed: int = 0) -> tuple[float, float]:
+    """(lambda, lambda') attained by :func:`sequential_largest_ratio` on X and
+    its contragredient: a lower bound for lambda, an upper one for lambda'."""
+    return (sequential_largest_ratio(X, seed)[0],
+            1.0 / sequential_largest_ratio(contragredient(X), seed)[0])
 
 
 def loop_basic_checks(bco: BasicConstruction, lam: float, rng: np.random.Generator) -> dict:

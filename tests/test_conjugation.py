@@ -29,7 +29,16 @@ from bimod import (
 )
 from bimod import index
 from bimod.bimodule import _embed
-from bimod.conjugation import _equation_map, _inner, _pair, _peel
+from bimod.conjugation import (
+    _equation_map,
+    _inner,
+    _pair,
+    _peel,
+    _perron_weights,
+    _rescaling_centre,
+)
+from bimod.index import _multiplicities
+from bimod.multimatrix import center_decompose
 
 from helpers import (
     bidirected_cycle_graph,
@@ -566,6 +575,17 @@ def test_min_dimension_is_spectral_norm_of_multiplicities(X, exact):
     rep = right_index(rescale_left(X, res.Q_star))
     assert abs(rep.r_num - exact) <= 1e-10 * exact
     assert abs(rep.l_num - exact) <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("X, exact", _min_dim_cases())
+def test_rescaling_centre_matches_the_einsum_oracle(X, exact):
+    # the three-operand einsum the pairwise products replaced
+    lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
+    phis = np.array([X.phi(z) for z in center_decompose(X.A)])
+    psis = np.array([X.psi(z) for z in center_decompose(X.B)])
+    ref = np.einsum("kl,kij,ljm->im", _perron_weights(lam), phis, psis)
+    got = _rescaling_centre(X, lam)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 # without the ladder shapes, where the descent takes about a second each

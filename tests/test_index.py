@@ -301,38 +301,87 @@ def _shape_cases():
     return [pytest.param(X, id=name) for name, X in _shape_modules()]
 
 
+def _family_cases():
+    return [pytest.param(X, id=f"family{i}")
+            for i, X in enumerate(random_bimodule_family(20, seed=5))]
+
+
 def _constant_cases():
-    cases = [pytest.param(X, True, id=name) for name, X in corpus()]
-    cases += [pytest.param(X, False, id=name) for name, X in _shape_modules()]
-    return cases + [pytest.param(random_bimodule(*_D45_SHAPE, seed=1), True, id="d45")]
+    X45 = random_bimodule(*_D45_SHAPE, seed=1)
+    return ([pytest.param(X, id=name) for name, X in corpus()] + _shape_cases()
+            + [pytest.param(X45, id="d45")] + _family_cases()
+            + [pytest.param(zero_block_bimodule(), id="zero_block"),
+               pytest.param(zero_row_bimodule(), id="zero_row"),
+               pytest.param(random_bimodule(*_D80_SHAPE, seed=1), id="d80"),
+               pytest.param(column_bimodule(20), id="col20"),
+               pytest.param(tensor(X45, contragredient(X45)), id="p153")])
 
 
-@pytest.mark.parametrize("X, closes", _constant_cases())
-def test_best_constants_bracket_and_attaining_vector(X, closes):
+@pytest.mark.parametrize("X", _constant_cases())
+def test_best_constants_bracket_and_attaining_vector(X):
     bc = best_constants(X, seed=0)
     assert bc.lambda_hat <= bc.lambda_upper * (1 + 1e-12)
     assert bc.lambda_prime_lower <= bc.lambda_prime_hat * (1 + 1e-12)
     assert bc.lambda_prime_hat <= bc.lambda_hat * (1 + 1e-12)
-    if closes:
-        assert bc.exact
+    assert bc.exact
     # the attaining vectors, evaluated through the two vector norms of X
     for Y, conj, expected in ((X, False, bc.lambda_hat),
                               (contragredient(X), True, bc.lambda_prime_hat)):
-        x = _largest_ratio(Y, 0)[2]
+        x = _largest_ratio(Y)[2]
         x = x.conj() if conj else x
         ratio = (X.left_vector_norm(x) / X.vector_norm(x)) ** 2
         assert abs(ratio - expected) <= 1e-10 * expected
 
 
+def test_best_constants_reach_the_maximum_the_ascent_missed(tmp_path):
+    # from seed 0 the two-step ascent stopped at 1.8980 on this module (d = 4);
+    # 200 Nelder-Mead starts and seeds 3 and 4 of the ascent reach 2.32997
+    X = list(random_bimodule_family(20, seed=5))[11]
+    assert best_constants(X).lambda_hat == pytest.approx(2.32996622274, abs=1e-10)
+    path = tmp_path / "family11.json"
+    path.write_text(json.dumps(encode_bimodule(X)))
+    status, report = run(CommandRequest(command="index", inputs=[str(path)]))
+    assert status == 0 and report["results"]["constants_exact"] is True
+    assert report["results"]["lambda_hat"] == pytest.approx(2.32996622274, abs=1e-10)
+
+
 @pytest.mark.parametrize("X", _shape_cases())
 def test_best_constants_default_starts_do_not_stall(X):
-    # one start can stop at a fixed point of the two steps below the maximum
-    # (conj(X) of the round-trip d = 13 module stops at 3.0954 against
-    # 3.1748); the default starts must reach what 200 starts reach
+    # one start of the ascent can stop at a fixed point of its two steps below
+    # the maximum (conj(X) of the round-trip d = 13 module stops at 3.0954
+    # against 3.1748); the closed form must reach what 200 starts reach
     for Y in (X, contragredient(X)):
-        default = _largest_ratio(Y, 0)[0]
-        many = _largest_ratio(Y, 0, starts=200)[0]
-        assert abs(default - many) <= 1e-10 * many
+        closed = _largest_ratio(Y)[0]
+        many = sequential_largest_ratio(Y, 0, starts=200)[0]
+        assert abs(closed - many) <= 1e-10 * many
+
+
+@pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in corpus()]
+                         + _shape_cases()[::3] + _family_cases()[::4])
+def test_corner_ky_fan_sum_is_the_same_at_every_row_of_a_block(X):
+    # F(phi(u)^* T phi(u)) = u^* F(T) u makes the largest xi^* F(P) xi the
+    # same for every unit xi in block k: the Ky Fan sum of the corners at
+    # each row s of block k must not depend on s
+    for Y in (X, contragredient(X)):
+        imgs = index._extension_cp_map(Y).unit_images
+        ranks = [min(w.shape[1], Y.B.blocks[l]) for l, w in bimodule._w_frames(Y)]
+        for k in range(Y.A.num_blocks):
+            rows = range(Y.A.block_slice(k).start, Y.A.block_slice(k).stop)
+            sums = [sum(np.linalg.eigvalsh(img[:, :, s, s].T)[-r:].sum()
+                        for img, r in zip(imgs, ranks)) for s in rows]
+            assert np.ptp(sums) <= 1e-12 * (1 + max(sums)), (k, sums)
+
+
+@pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in corpus()]
+                         + _shape_cases() + _family_cases())
+def test_sequential_ascent_never_beats_the_closed_form(X):
+    # every value the seeded ascent reaches is attained, so it bounds lambda
+    # from below and lambda' from above
+    bc = best_constants(X)
+    for seed in range(5):
+        lam, lam_prime = sequential_best_constants(X, seed=seed)
+        assert lam <= bc.lambda_hat * (1 + 1e-12)
+        assert lam_prime >= bc.lambda_prime_hat * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in corpus()]
@@ -358,11 +407,19 @@ _ORACLE_MODULES = _oracle_modules()
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in _ORACLE_MODULES])
 def test_lockstep_ascent_matches_sequential_oracle(X, seed):
-    got, ref = best_constants(X, seed=seed), sequential_best_constants(X, seed=seed)
-    for field in ("lambda_hat", "lambda_prime_hat"):
-        assert abs(getattr(got, field) - getattr(ref, field)) <= 1e-14 * getattr(ref, field)
-    assert (got.lambda_upper, got.lambda_prime_lower) == (ref.lambda_upper, ref.lambda_prime_lower)
-    assert got.exact == ref.exact
+    # the closed form that replaced the lockstep ascent must match the
+    # sequential ascent from 200 starts at this seed; its 5 default starts can
+    # stop lower (d18_ladder at seed 1, by 21 %) but never above
+    got = best_constants(X, seed=seed)
+    assert got.exact
+    for Y, closed, flip in ((X, got.lambda_hat, False),
+                            (contragredient(X), got.lambda_prime_hat, True)):
+        ref = sequential_largest_ratio(Y, seed, starts=200)[0]
+        ref = 1.0 / ref if flip else ref
+        assert abs(closed - ref) <= 1e-14 * ref
+    lam, lam_prime = sequential_best_constants(X, seed=seed)
+    assert lam <= got.lambda_hat * (1 + 1e-14)
+    assert lam_prime >= got.lambda_prime_hat * (1 - 1e-14)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -373,7 +430,6 @@ def test_stacked_basic_matches_loop_oracle(X, seed, tmp_path, monkeypatch):
     request = CommandRequest(command="basic", inputs=[str(path)], seed=seed)
     status, report = run(request)
     monkeypatch.setattr(BasicConstruction, "sampled_checks", loop_basic_checks)
-    monkeypatch.setattr(index, "_largest_ratio", sequential_largest_ratio)
     ref_status, ref_report = run(request)
     assert (status, report["passed"]) == (ref_status, ref_report["passed"]) == (0, True)
     got, ref = report["results"], ref_report["results"]
@@ -566,6 +622,14 @@ def test_fibers_bound_on_random_modules():
         assert rep.left_adjoint_residual < 1e-7
 
 
+@pytest.mark.parametrize("X", [pytest.param(X, id=name) for name, X in corpus()]
+                         + _family_cases() + _shape_cases()[:4])
+def test_fibers_pass_with_the_exact_lambda_prime(X):
+    rep = fiber_decomposition(X)
+    assert rep.passed and rep.constants_exact
+    assert rep.lambda_prime == pytest.approx(best_constants(X).lambda_prime_hat, rel=1e-12)
+
+
 # -- index elements from the dual basis of the Gram -----------------------------------
 
 
@@ -736,20 +800,17 @@ def test_commutant_matches_averaging_oracle(shape):
 
 def test_commutant_path_draws_no_random_numbers(monkeypatch):
     X = random_bimodule(*_LADDER_SHAPES[0], seed=4)
-    bc = best_constants(X, seed=0)
-    ref = fiber_decomposition(X).as_dict()
+    ref, bc = fiber_decomposition(X).as_dict(), best_constants(X)
 
     def no_draws(*args, **kwargs):
         raise AssertionError("a random generator was built")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    # the seeded ascent starts of best_constants are the only draws of
-    # fiber_decomposition; its result stands in for it
-    monkeypatch.setattr(index, "best_constants", lambda X, seed=0: bc)
     commutant_of(_hat_actions(X), X.dim)
     relative_commutant(X)
     module_operator_algebra(X)
-    assert fiber_decomposition(X).as_dict() == ref
+    assert best_constants(X, seed=7) == bc
+    assert fiber_decomposition(X, seed=7).as_dict() == ref
 
 
 def test_commutant_dimension_is_sum_of_squared_multiplicities():

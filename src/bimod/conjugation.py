@@ -18,8 +18,9 @@ composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).
 
 The minimal dimension over left rescalings is taken in closed form: it is
 ||Lambda||_2, the spectral norm of the integer multiplicity matrix of the two
-actions.  It is certified by building the rescaling that attains it and
-evaluating the product of the numerical indices there; nothing is searched.
+actions.  ``min_dimension`` certifies it by building the rescaling that
+attains it and evaluating the product of the numerical indices there;
+``morita_check`` reads the value alone.  Nothing is searched.
 """
 
 from __future__ import annotations
@@ -477,7 +478,7 @@ class MoritaReport:
     candidate_valid: bool
     r_ind_identity_residual: float
     l_ind_identity_residual: float
-    min_dim: float | None
+    min_dim: float | None        # ||Lambda||_2, or None when no left inner product is at hand
     conditions_agree: bool
 
     def as_dict(self) -> dict:
@@ -502,9 +503,10 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     trace-compatible left Gram L0 of ``min_dimension``: Tr theta_{x,y} =
     sum_l n_l tr_l (y|x)_B and Tr phi(e^k_11) = n_l for the block l that k
     fills.  The candidate is validated and its index elements compared with
-    the identities; the minimal dimension is cross-checked when X or the
-    candidate carries a left inner product (it must be 1 for an
-    equivalence).
+    the identities.  When X or the candidate carries a left inner product,
+    ``min_dim`` is ||Lambda||_2, the minimal dimension of ``min_dimension``
+    read off the same Lambda with no certificate run, and it must be 1 for
+    an equivalence; otherwise it is None.
     """
     lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
     right_full = bool(lam.any(axis=0).all())
@@ -520,8 +522,7 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
             res_r = (idx.r_ind - X.A.identity()).norm()
             res_l = (idx.l_ind - X.B.identity()).norm()
     is_morita = candidate_valid and res_r <= tol and res_l <= tol and right_full
-    target = X if X.is_bihilbertian else (cand if candidate_valid else None)
-    min_dim = min_dimension(target).dim_hat if target is not None else None
+    min_dim = float(np.linalg.norm(lam, 2)) if X.is_bihilbertian or candidate_valid else None
     agree = min_dim is None or is_morita == (abs(min_dim - 1.0) <= 1e-9)
     return MoritaReport(is_morita=is_morita, right_full=right_full,
                         action_surjective=surjective,

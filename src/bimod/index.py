@@ -16,9 +16,9 @@ of the algebra G the actions generate.  L(X_B) is the commutant of the
 right action alone (``module_operator_algebra``), and the relative
 commutant C that of both, in the standard-involution picture
 (``X.op_rep``).  There the left-inner-product adjoint is u -> H^-1 u^* H,
-H = g^(-1/2) g_l g^(-1/2) with g, g_l the scalar Gram forms; as C = G' is
-closed under u^*, it is closed under the left adjoint iff H G H^-1 = G,
-which the same block form tests (``fiber_decomposition``).
+H = g^(-1/2) g_l g^(-1/2) with g, g_l the scalar Gram forms; as C is
+closed under u^*, it is closed under the left adjoint when H lies in C,
+that is when g^-1 g_l commutes with both actions (``fiber_decomposition``).
 
 At finite dimension the compacts K(X_B) coincide with all adjointable
 B-linear maps, so the extension map serves simultaneously as the norm and
@@ -62,6 +62,8 @@ from .bimodule import (
     _corner_rank,
     _element,
     _embed,
+    _max_abs,
+    _read_only,
     _unit_blocks,
     _unit_images,
     _unit_layout,
@@ -76,17 +78,17 @@ from .bimodule import (
 def _multiplicities(pairs, dim: int) -> np.ndarray:
     """Integer multiplicities Lambda of the joint central blocks, one axis per
     pair (algebra, images (U, dim, dim) at its matrix units): the trace of
-    the product of the central-projection images over the pairs divided by
-    the product of the block sizes.  That is the multiplicity of the
-    irreducible block, so an integer for a unital (anti-)homomorphism.  For the two actions of X it is the K_A x K_B
-    matrix (K the number of blocks) whose relative commutant is
-    (+)_kl M_{Lambda_kl}."""
+    the product of the central-projection images over the pairs (the last
+    pair's images enter only the trace) over the product of the block
+    sizes, an integer for unital (anti-)homomorphisms.  For the two actions
+    of X it is the K_A x K_B matrix of the relative commutant (+)_kl M_{Lambda_kl}."""
+    centres = [[(n, np.einsum("iiab->ab", L)) for n, L in zip(alg.blocks, _unit_blocks(act, alg))]
+               for alg, act in pairs]
     terms = [(1, np.eye(dim, dtype=complex))]
-    for alg, act in pairs:
-        centre = [(n, np.einsum("iiab->ab", L))
-                  for n, L in zip(alg.blocks, _unit_blocks(act, alg))]
+    for centre in centres[:-1]:
         terms = [(den * n, M @ Z) for den, M in terms for n, Z in centre]
-    lam = np.array([np.trace(M).real / den for den, M in terms])
+    terms = [(den * n, np.einsum("ab,ba->", M, Z).real) for den, M in terms for n, Z in centres[-1]]
+    lam = np.array([t / den for den, t in terms])
     if np.abs(lam - np.round(lam)).max() > 1e-6:
         raise StructureError(f"multiplicities {np.round(lam, 6).tolist()} are not integers: "
                              "the action is not a homomorphism")
@@ -129,15 +131,12 @@ def _commutant_columns(pairs, dim: int) -> list[np.ndarray]:
     return out
 
 
-_UNIT_TOL = 1e-8
-
-
-def _block_form_residual(cols, mats: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    """Max-abs distance of left^* M right from (+)_b 1_{Lambda_b} (x) R_b (R_b
-    the mean of its diagonal blocks) over the stack ``mats``: for left = right
-    = Q zero iff each M lies in the algebra G the actions generate, the
-    commutant of ``cols``; for H Q and H^-1 Q (H Hermitian) iff H M H^-1 does."""
-    images, start = left.conj().T @ mats @ right, 0
+def _block_form_residual(cols, mats: np.ndarray, Q: np.ndarray) -> float:
+    """Max-abs distance of Q^* M Q from (+)_b 1_{Lambda_b} (x) R_b (R_b the
+    mean of its diagonal blocks) over the stack ``mats``: for the unitary Q of
+    the columns ``cols``, zero iff each M lies in the algebra G the actions
+    generate, the commutant of ``cols``."""
+    images, start = Q.conj().T @ mats @ Q, 0
     for K in cols:
         lam, mult = K.shape[1:]
         s, start = slice(start, start + lam * mult), start + lam * mult
@@ -146,20 +145,15 @@ def _block_form_residual(cols, mats: np.ndarray, left: np.ndarray, right: np.nda
     return float(np.abs(images).max())
 
 
-def _checked_columns(pairs, dim: int) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """``_commutant_columns``, their unitary Q and the stacked images, after the checks."""
+def _commutant(pairs, dim: int) -> StarAlgebraDecomposition:
+    """``commutant_of`` on (algebra, unit images (U, dim, dim)) pairs: the
+    units of ``_commutant_columns``, after the checks of their unitary Q."""
     cols, mats = _commutant_columns(pairs, dim), np.concatenate([act for _, act in pairs])
     Q = np.concatenate([K.reshape(dim, -1) for K in cols], axis=1)
-    res = max(np.abs(Q.conj().T @ Q - np.eye(dim)).max(), _block_form_residual(cols, mats, Q, Q))
-    if res > _UNIT_TOL:
+    res = max(np.abs(Q.conj().T @ Q - np.eye(dim)).max(), _block_form_residual(cols, mats, Q))
+    if res > 1e-8:
         raise StructureError(f"matrix units of the commutant fail their relations or do not "
                              f"commute with the actions (residual {res:.3g})")
-    return cols, Q, mats
-
-
-def _commutant(pairs, dim: int) -> StarAlgebraDecomposition:
-    """``commutant_of`` on (algebra, unit images (U, dim, dim)) pairs, after its checks."""
-    cols = _checked_columns(pairs, dim)[0]
     units = [np.tensordot(K, K.conj(), axes=([2], [2])).transpose(1, 3, 0, 2) for K in cols]
     return StarAlgebraDecomposition(MultiMatrixAlgebra([K.shape[1] for K in cols]), units,
                                     [K.shape[2] for K in cols], dim)
@@ -277,11 +271,14 @@ def _cp_verdict(ends, tol: float) -> tuple[bool, float]:
 
 def _extension_cp_map(X: HilbertBimodule) -> CPMap:
     """F on the units of L(X_B), into A: F(theta_{x,y}) = _A(x|y), so the
-    images of block l are the left Gram [_A(w_i|w_j)]_ij of its w-frame."""
-    ws = [w for _, w in _w_frames(X)]
-    # [i, j] = _A(w_i|w_j) = w_i^T L w_j^* at each unit of A, embedded
-    grams = [_embed((w.T @ X.left_stack @ w.conj()).transpose(1, 2, 0), X.A) for w in ws]
-    return CPMap(MultiMatrixAlgebra([w.shape[1] for w in ws]), grams, target=X.A)
+    images of block l are the left Gram [_A(w_i|w_j)]_ij of its w-frame.
+    Built once per module, with read-only images and no reference to X."""
+    def build():
+        ws = [w for _, w in _w_frames(X)]
+        # [i, j] = _A(w_i|w_j) = w_i^T L w_j^* at each unit of A, embedded
+        return CPMap(MultiMatrixAlgebra([w.shape[1] for w in ws]), [_read_only(_embed(
+            (w.T @ X.left_stack @ w.conj()).transpose(1, 2, 0), X.A)) for w in ws], target=X.A)
+    return X._cached("F_units", build)
 
 
 def least_multipliers(cp: CPMap, hom: np.ndarray,
@@ -671,16 +668,16 @@ def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     The relative commutant C is (+)_kl M_{Lambda_kl}, Lambda the integer
     multiplicity matrix of the two actions, so the fiber over block k of A
     has dimension sum_l Lambda_kl^2.  Each is checked against the square of
-    the integer part of r-ind / lambda', with lambda' the exact value read
-    in closed form by ``best_constants`` (the lower end of its bracket;
-    ``constants_exact`` says the two ends agree, and ``seed`` does not
-    affect it).  C is closed under the left adjoint u -> H^-1 u^* H iff
-    H G H^-1 = G, G the algebra the actions generate (module docstring):
-    ``left_adjoint_residual`` is the distance of H M H^-1 from G over the
-    unit images M of the actions.
+    the integer part of r-ind / lambda', with r-ind = F(1) off the F that
+    ``best_constants`` builds and lambda' the lower end of its exact bracket
+    (``constants_exact``; ``seed`` does not affect it).  C is closed under
+    the left adjoint when H lies in C (module docstring), that is when T =
+    g^-1 g_l = op_unrep(H) commutes with both actions:
+    ``left_adjoint_residual`` is max |T m - m T| / max |T| over the
+    generator images m of phi and psi.  Where ``validate`` passes, phi and
+    psi have the same adjoints for both scalar forms, so it is round-off.
     """
     X._need_left()
-    cols, Q, mats = _checked_columns([(X.A, X.op_rep(X.phis)), _psi_hat(X)], X.dim)
     bc = best_constants(X, seed=seed)
     F = _extension_cp_map(X)
     r_ind = X.A.from_embedded(F.apply(F.source.identity()))
@@ -688,11 +685,12 @@ def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     fibers = [Fiber(block=k, dimension=int(np.sum(np.square(lam[k]))), index_value=c_k,
                     bound=int(np.floor(c_k / bc.lambda_prime_lower + 1e-9)) ** 2)
               for k, c_k in enumerate(float(np.real(np.trace(b)) / len(b)) for b in r_ind.blocks)]
-    (sq, isq), (_, lisq) = X._g_half(), X._gl_half()
-    H, H_inv = isq @ X.scalar_left_gram @ isq, sq @ lisq @ lisq @ sq
+    T = np.linalg.solve(X.scalar_gram, X.scalar_left_gram)
+    drift = max(_max_abs(T @ act[u] - act[u] @ T) for alg, act in ((X.A, X.phis), (X.B, X.psis))
+                for u in _unit_layout(alg.blocks).gens)
     return FiberReport(fibers=fibers, commutant_dim=int(np.sum(np.square(lam))),
                        lambda_prime=bc.lambda_prime_lower, constants_exact=bc.exact,
-                       left_adjoint_residual=_block_form_residual(cols, mats, H @ Q, H_inv @ Q))
+                       left_adjoint_residual=drift / max(_max_abs(T), 1e-300))
 
 
 # -- invertibility trichotomy -------------------------------------------------------

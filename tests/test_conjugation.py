@@ -27,7 +27,7 @@ from bimod import (
     tensor_push,
     verify_conjugate,
 )
-from bimod import index
+from bimod import conjugation, index
 from bimod.bimodule import _embed
 from bimod.conjugation import (
     _equation_map,
@@ -691,13 +691,19 @@ def test_morita_and_fibers_run_no_rank_search(monkeypatch):
     monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     with monkeypatch.context() as m:
-        # the closure under the left adjoint is read off the commutant's
-        # columns: no dense units, no orthonormal basis, no adjoint per unit
+        # the closure under the left adjoint is read off g^-1 g_l and the
+        # generators: no commutant columns, no block form, no dense units,
+        # no orthonormal basis, no adjoint per unit
         m.setattr(np.linalg, "qr", refuse)
         m.setattr(index, "relative_commutant", refuse)
+        m.setattr(index, "_commutant_columns", refuse)
+        m.setattr(index, "_block_form_residual", refuse)
         m.setattr(HilbertBimodule, "left_op_adjoint", refuse)
         for X in modules:
             fiber_decomposition(X)
+    # min_dim is ||Lambda||_2 of morita_check's own Lambda: no certificate
+    monkeypatch.setattr(conjugation, "min_dimension", refuse)
+    monkeypatch.setattr(conjugation, "rescale_left", refuse)
     assert [morita_check(X).as_dict() for X in modules] == expected
 
 

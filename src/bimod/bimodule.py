@@ -159,6 +159,10 @@ class HilbertBimodule:
 
     # -- scalar trace forms and the module-operator calculus -------------------
 
+    # the cached values that read only the right Gram and the actions (``with_left_stack``)
+    _RIGHT_KEYS = frozenset({"g", "gh", "phi_corners", "psi_corners", "w", "frame",
+                             "corner_factors", "right_lines"})
+
     def _cached(self, key: str, build: Callable):
         """``build()``, once per module; the value must not refer to the module."""
         if key not in self._cache:
@@ -244,9 +248,12 @@ class HilbertBimodule:
         return self.with_left_stack(_gram_units(left_gram, self.A, self.dim, "left_gram"))
 
     def with_left_stack(self, left_stack: np.ndarray) -> "HilbertBimodule":
-        """X with the left Gram given at the matrix units of A."""
-        return HilbertBimodule(self.A, self.B, self.dim, self.right_stack, self.phis,
-                               self.psis, left_stack, units=True)
+        """X with the left Gram given at the matrix units of A.  It shares X's
+        right Gram and actions, and X's values cached of them (``_RIGHT_KEYS``)."""
+        Y = HilbertBimodule(self.A, self.B, self.dim, self.right_stack, self.phis,
+                            self.psis, left_stack, units=True)
+        Y._cache.update((k, v) for k, v in self._cache.items() if k in self._RIGHT_KEYS)
+        return Y
 
     def __repr__(self) -> str:
         tag = "bi-Hilbertian" if self.is_bihilbertian else "right Hilbert"
@@ -539,6 +546,42 @@ def _form_adjoint_residual(F: np.ndarray, mats: np.ndarray, L: SimpleNamespace) 
     return err / max(_max_abs(F), 1e-300)
 
 
+def _spectrum_lines(side: str, form: np.ndarray) -> list[tuple]:
+    w = np.linalg.eigvalsh(form)                        # ascending
+    top = max(float(w[-1]), 1e-300)
+    return [(f"{side}_gram_psd", max(0.0, -float(w[0])) / top, None),
+            (f"{side}_gram_definite", 0.0, float(w[0]) > RANK_TOL * top)]
+
+
+def _right_lines(X: HilbertBimodule) -> tuple:
+    """The lines of ``validate`` that read only the right Gram and the
+    actions, each (name, residual, tol-free verdict or None)."""
+    d, LA, LB = X.dim, _unit_layout(X.A.blocks), _unit_layout(X.B.blocks)
+    S, phis, psis = _GramSupport(X.right_stack, X.B), X.phis, X.psis
+    pscale = max(float(np.abs(phis).max()), 1e-300)
+    lines = [("right_gram_hermitian", S.hermitian_residual() / S.scale, None),
+             *_spectrum_lines("right", X.scalar_gram)]
+
+    def add(name, residual):
+        lines.append((name, float(residual), None))
+
+    # phi is a unital *-homomorphism, adjointable for the right inner product
+    add("left_action_homomorphism", _generator_residual(phis, LA, False) / pscale)
+    add("left_action_unital", np.abs(phis[LA.diag].sum(axis=0) - np.eye(d)).max())
+    add("left_action_adjointable", _form_adjoint_residual(X.scalar_gram, phis, LA))
+
+    # psi is a unital *-antihomomorphism and the right gram is B-linear
+    add("right_action_antihomomorphism", _generator_residual(psis, LB, True)
+        / max(float(np.abs(psis).max()), 1e-300))
+    add("right_action_unital", np.abs(psis[LB.diag].sum(axis=0) - np.eye(d)).max())
+    lin_err = max(S.unit_product_residual(S.second(psis[u]), u, left=False) for u in LB.gens)
+    add("right_gram_B_linear", lin_err / S.scale)
+
+    Q = psis[LB.gens]
+    add("actions_commute", max(_max_abs(phis[u] @ Q - Q @ phis[u]) for u in LA.gens) / pscale)
+    return tuple(lines)
+
+
 def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     """Check every structural invariant; the report carries one line per check.
 
@@ -557,55 +600,24 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     broken unit that is not a generator; and once a linearity line or
     ``actions_commute`` fails, the scalar psd and adjointable lines can pass
     where the B-valued Gram fails them.
+
+    The 10 lines up to ``actions_commute`` read only the right Gram and the
+    actions: built once per set of those stacks, they are carried by
+    ``with_left_stack``, and each call applies its own ``tol`` to them.
     """
-    checks: list[CheckResult] = []
-    d = X.dim
-    LA, LB = _unit_layout(X.A.blocks), _unit_layout(X.B.blocks)
-
-    def add(name, residual, passed=None):
-        residual = float(residual)
-        checks.append(CheckResult(name, residual, residual <= tol if passed is None else passed))
-
-    def add_form_spectrum(side, form):
-        w = np.linalg.eigvalsh(form)                    # ascending
-        top = max(float(w[-1]), 1e-300)
-        add(f"{side}_gram_psd", max(0.0, -float(w[0])) / top)
-        add(f"{side}_gram_definite", 0.0, passed=float(w[0]) > RANK_TOL * top)
-
-    S = _GramSupport(X.right_stack, X.B)
-    add("right_gram_hermitian", S.hermitian_residual() / S.scale)
-    add_form_spectrum("right", X.scalar_gram)
-
-    phis, psis = X.phis, X.psis
-    pscale = max(float(np.abs(phis).max()), 1e-300)
-
-    # phi is a unital *-homomorphism, adjointable for the right inner product
-    add("left_action_homomorphism", _generator_residual(phis, LA, False) / pscale)
-    add("left_action_unital", np.abs(phis[LA.diag].sum(axis=0) - np.eye(d)).max())
-    add("left_action_adjointable", _form_adjoint_residual(X.scalar_gram, phis, LA))
-
-    # psi is a unital *-antihomomorphism and the right gram is B-linear
-    add("right_action_antihomomorphism", _generator_residual(psis, LB, True)
-        / max(float(np.abs(psis).max()), 1e-300))
-    add("right_action_unital", np.abs(psis[LB.diag].sum(axis=0) - np.eye(d)).max())
-    lin_err = max(S.unit_product_residual(S.second(psis[u]), u, left=False) for u in LB.gens)
-    add("right_gram_B_linear", lin_err / S.scale)
-
-    Q = psis[LB.gens]
-    add("actions_commute", max(_max_abs(phis[u] @ Q - Q @ phis[u]) for u in LA.gens) / pscale)
-    del Q
-
+    lines = X._cached("right_lines", lambda: _right_lines(X))
     if X.left_stack is not None:
-        S = _GramSupport(X.left_stack, X.A)
-        add("left_gram_hermitian", S.hermitian_residual() / S.scale)
-        add_form_spectrum("left", X.scalar_left_gram)
-        alin_err = max(S.unit_product_residual(S.first(phis[u]), u, left=True)
-                       for u in LA.gens)
-        add("left_gram_A_linear", alin_err / S.scale)
-        # H psi(e_u) = psi(e_u*)^H H, conjugate-transposed
-        add("right_action_left_adjointable", _form_adjoint_residual(X.scalar_left_gram, psis, LB))
-
-    return ValidationReport(checks, tol)
+        S, LB = _GramSupport(X.left_stack, X.A), _unit_layout(X.B.blocks)
+        alin_err = max(S.unit_product_residual(S.first(X.phis[u]), u, left=True)
+                       for u in S.layout.gens)
+        lines += (("left_gram_hermitian", S.hermitian_residual() / S.scale, None),
+                  *_spectrum_lines("left", X.scalar_left_gram),
+                  ("left_gram_A_linear", alin_err / S.scale, None),
+                  # H psi(e_u) = psi(e_u*)^H H, conjugate-transposed
+                  ("right_action_left_adjointable",
+                   _form_adjoint_residual(X.scalar_left_gram, X.psis, LB), None))
+    return ValidationReport([CheckResult(name, float(res), res <= tol if ok is None else ok)
+                             for name, res, ok in lines], tol)
 
 
 # -- frames, rank-one sums, generalized bases ----------------------------------

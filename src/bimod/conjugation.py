@@ -26,6 +26,7 @@ attains it and evaluating the product of the numerical indices there;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .bimodule import (
     _corner_ranges,
     _embed,
     _gram_matrix,
+    _max_abs,
     _trace,
     _unit_blocks,
     _unit_layout,
@@ -311,12 +313,12 @@ def rescale_left(X: HilbertBimodule, Q: np.ndarray,
                  tol: float = 1e-8) -> HilbertBimodule:
     """Replace the left inner product by _A(Q x | y) for Q positive invertible
     in the relative commutant (positivity taken with respect to the left
-    inner product)."""
+    inner product), checked one unit image at a time.  The result carries
+    X's values cached of its right half (``with_left_stack``)."""
     X._need_left()
     Q = np.asarray(Q, dtype=complex)
-    units = np.concatenate([X.phis, X.psis])
     scale = max(float(np.abs(Q).max()), 1e-300)
-    comm_res = float(np.abs(Q @ units - units @ Q).max()) / scale
+    comm_res = max(_max_abs(Q @ u - u @ Q) for u in chain(X.phis, X.psis)) / scale
     if comm_res > tol:
         raise ContractError(f"Q is not in the relative commutant (residual {comm_res:.3g})")
     Qh = X.left_op_rep(Q)
@@ -376,7 +378,7 @@ def _perron_weights(lam: np.ndarray) -> np.ndarray:
         link = (link @ link > 0).astype(int)
     label = link.argmax(axis=1)     # smallest vertex of each component
     c = np.zeros(lam.shape)
-    for comp in np.unique(label):
+    for comp in np.flatnonzero(label == np.arange(na + nb)):   # one root per component
         rows, cols = np.flatnonzero(label[:na] == comp), np.flatnonzero(label[na:] == comp)
         if len(rows) and len(cols):
             u, _, vh = np.linalg.svd(lam[np.ix_(rows, cols)])
@@ -407,7 +409,8 @@ def min_dimension(X: HilbertBimodule) -> MinDimResult:
     left Gram of X to C L0, read off the two scalar trace forms; the
     certificate rescales X by it (``rescale_left`` checks that Q_star is
     positive in the relative commutant), validates the result and compares
-    r_num l_num there with ||Lambda||_2^2.
+    r_num l_num there with ||Lambda||_2^2; after a ``validate`` of X, only
+    the 5 left lines of the rescaled module are computed.
     """
     X._need_left()
     lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)

@@ -4,14 +4,18 @@ import gc
 import hashlib
 import importlib
 import json
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from bimod import (SpectrumDomainError, build_conjugate, column_bimodule, contragredient,
                    from_hilbert_space)
+import bimod
 from bimod import HilbertBimodule, bimodule, cli, constructors, index, serde
 from bimod.cli import CommandRequest, main, parse_spec, run
 from bimod.serde import ParseError, encode_bimodule, encode_vector
@@ -604,6 +608,41 @@ def test_determinism_byte_identical(fixtures, tmp_path):
             report.pop("wall_time_ms")
             payloads.append(json.dumps(report, sort_keys=True).encode())
         assert payloads[0] == payloads[1], command
+
+
+def test_no_command_imports_numpy_ma(fixtures, tmp_path):
+    # one fresh interpreter runs every command, the module commands on a
+    # corpus file (tensor with its contragredient), and then looks for
+    # numpy.ma, which np.unique imports (11 ms, 1.2 MB)
+    X = dict(corpus())["random_112"]
+    sol = build_conjugate(X)
+    paths = {}
+    for name, obj in (("x", encode_bimodule(X)), ("x_bar", encode_bimodule(contragredient(X))),
+                      ("solution", {"kind": "solution", "R": encode_vector(sol.R),
+                                    "Rbar": encode_vector(sol.Rbar)})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    module = [str(paths["x"])]
+    argvs = [[command, *module] for command in
+             ("validate", "index", "conjugate", "mindim", "basic", "fibers", "morita")]
+    argvs += [["verify", *module, str(paths["solution"])],
+              ["tensor", *module, str(paths["x_bar"])],
+              ["graph", fixtures["graph"]], ["expectation", fixtures["expectation"]],
+              ["hilbert", fixtures["hilbert"]]]
+    assert sorted({argv[0] for argv in argvs}) == sorted(cli.COMMANDS)
+    script = ("import contextlib, io, json, sys\n"
+              "from bimod.cli import main\n"
+              "statuses = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        statuses.append(main(argv))\n"
+              "print(json.dumps([statuses, 'numpy.ma' in sys.modules]))\n")
+    src = str(pathlib.Path(bimod.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    statuses, imported = json.loads(out.stdout)
+    assert statuses == [0] * len(argvs) and not imported
 
 
 def test_main_writes_report(fixtures, tmp_path):

@@ -25,11 +25,13 @@ from bimod import (
     tensor,
     tensor_conjugate,
     tensor_push,
+    validate,
     verify_conjugate,
 )
-from bimod import conjugation, index
-from bimod.bimodule import _embed
+from bimod import bimodule, conjugation, index
+from bimod.bimodule import _corner_ranges, _embed, _w_frames, tight_frame
 from bimod.conjugation import (
+    _corner_factors,
     _equation_map,
     _inner,
     _pair,
@@ -487,7 +489,6 @@ def test_rescale_rejects_bad_q():
 
 
 def test_validate_after_rescale():
-    from bimod import validate
     X = random_bimodule([1], [1], [[2]], seed=65)
     comm = relative_commutant(X)
     rng = np.random.default_rng(4)
@@ -498,6 +499,127 @@ def test_validate_after_rescale():
     Q = X.left_op_unrep((v * np.exp(w)) @ v.conj().T)
     X2 = rescale_left(X, Q)
     assert validate(X2).passed
+
+
+# -- the right-half validate lines, carried by with_left_stack ------------------------
+
+_LADDER_SHAPES = [([2, 1], [2, 1], [[1, 1], [2, 3]]), ([2, 1], [2, 1], [[2, 2], [2, 2]])]
+_ROUNDTRIP_SHAPES = [([2, 1, 1], [2, 1, 1], [[1, 1, 0], [1, 1, 1], [0, 1, 2]]),
+                     ([2, 1, 1], [2, 1, 1], [[2, 1, 0], [1, 1, 1], [0, 2, 2]]),
+                     ([2, 1, 1], [2, 1, 1], [[2, 1, 1], [2, 1, 1], [1, 2, 2]])]
+
+
+def _carried_cases():
+    """Builders, so that every test starts from a module with an empty cache."""
+    cases = [(name, lambda name=name: dict(corpus())[name]) for name, _ in corpus()]
+    for tag, shapes in (("ladder", _LADDER_SHAPES), ("roundtrip", _ROUNDTRIP_SHAPES)):
+        cases += [(f"{tag}_{i}", lambda shape=shape, i=i: random_bimodule(*shape, seed=i))
+                  for i, shape in enumerate(shapes)]
+    cases.append(("zero_block", zero_block_bimodule))
+    return [pytest.param(make, id=name) for name, make in cases]
+
+
+def _fresh_copy(Y):
+    """Y rebuilt from copies of its four stacks: a module with nothing cached."""
+    stacks = (Y.right_stack, Y.phis, Y.psis, Y.left_stack)
+    return HilbertBimodule(Y.A, Y.B, Y.dim, *(np.array(s) for s in stacks), units=True)
+
+
+def _lines(rep):
+    return [(c.name, c.residual.hex(), c.passed) for c in rep.checks]
+
+
+def _count_generator_residuals(monkeypatch) -> list:
+    calls, real = [], bimodule._generator_residual
+    monkeypatch.setattr(bimodule, "_generator_residual",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("make", _carried_cases())
+def test_validate_of_a_rescaled_module_computes_only_its_left_lines(make, monkeypatch):
+    calls = _count_generator_residuals(monkeypatch)
+    Q = min_dimension(make()).Q_star
+    # a parent that never ran validate: all 15 lines, as a fresh module
+    X = make()
+    calls.clear()
+    cold = validate(rescale_left(X, Q))
+    assert len(calls) == 2
+    assert validate(X).passed
+    calls.clear()
+    X_star = rescale_left(X, Q)
+    got = validate(X_star)
+    assert calls == [], "a right-half line was computed again"
+    ref = validate(_fresh_copy(X_star))
+    assert len(got.checks) == 15 and _lines(got) == _lines(ref) == _lines(cold)
+
+
+@pytest.mark.parametrize("stack, unit", [("right_stack", 0), ("psis", 1), ("phis", 0)])
+def test_a_right_half_defect_still_fails_the_module_built_on_it(stack, unit):
+    X = random_bimodule(*_LADDER_SHAPES[0], seed=0)
+    stacks = {name: np.array(getattr(X, name)) for name in ("right_stack", "phis", "psis")}
+    stacks[stack][unit, 0, 1] += 1e-3
+    bad = HilbertBimodule(X.A, X.B, X.dim, stacks["right_stack"], stacks["phis"],
+                          stacks["psis"], X.left_stack, units=True)
+    failing = [c.name for c in validate(bad).failures()]
+    assert any(name in failing for name in (
+        "right_gram_hermitian", "right_action_antihomomorphism", "left_action_homomorphism"))
+    Y = bad.with_left_stack(2.0 * X.left_stack)
+    assert [c.name for c in validate(Y).failures()] == failing
+    assert _lines(validate(Y)) == _lines(validate(_fresh_copy(Y)))
+
+
+def test_each_validate_call_applies_its_own_tol_to_the_carried_lines():
+    X = random_bimodule(*_ROUNDTRIP_SHAPES[0], seed=1)
+    fresh = _fresh_copy(X)
+    strict = validate(X, tol=1e-30)
+    assert not strict.passed and _lines(strict) == _lines(validate(fresh, tol=1e-30))
+    loose = validate(X)
+    assert loose.passed and _lines(loose) == _lines(validate(fresh))
+    # and on the module that carries them
+    Y = X.with_left_stack(3.0 * X.left_stack)
+    assert _lines(validate(Y, tol=1e-30)) == _lines(validate(_fresh_copy(Y), tol=1e-30))
+    assert validate(Y).passed
+
+
+def _bitwise_equal(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_bitwise_equal, a, b))
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    return type(a) is type(b) and a == b
+
+
+def _build_right_keys(Y) -> None:
+    Y._g_half()
+    _corner_ranges(Y, left=True)
+    tight_frame(Y)
+    _corner_factors(Y)
+    validate(Y)
+
+
+@pytest.mark.parametrize("make", _carried_cases()[::4])
+def test_carried_values_equal_a_fresh_modules_own_builds(make):
+    X = make()
+    _build_right_keys(X)
+    assert HilbertBimodule._RIGHT_KEYS <= set(X._cache)
+    Y = X.with_left_stack(2.0 * X.left_stack)
+    assert set(Y._cache) == HilbertBimodule._RIGHT_KEYS
+    fresh = _fresh_copy(Y)
+    _build_right_keys(fresh)
+    for key in sorted(HilbertBimodule._RIGHT_KEYS):
+        assert _bitwise_equal(Y._cache[key], fresh._cache[key]), key
+    assert _w_frames(Y) is X._cache["w"]
+
+
+def test_morita_candidate_carries_the_right_half_lines(monkeypatch):
+    X = column_bimodule(20)
+    assert validate(X).passed
+    calls = _count_generator_residuals(monkeypatch)
+    rep = morita_check(X)
+    assert rep.is_morita and rep.candidate_valid and calls == []
 
 
 # -- minimal dimension ---------------------------------------------------------------
@@ -586,6 +708,45 @@ def test_rescaling_centre_matches_the_einsum_oracle(X, exact):
     ref = np.einsum("kl,kij,ljm->im", _perron_weights(lam), phis, psis)
     got = _rescaling_centre(X, lam)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _random_multiplicities(rng) -> np.ndarray:
+    """A Lambda with 2-4 connected components, a zero row and a zero column,
+    its rows and columns shuffled."""
+    blocks = [rng.integers(1, 4, size=rng.integers(1, 4, size=2))
+              for _ in range(rng.integers(2, 5))]
+    na, nb = sum(b.shape[0] for b in blocks) + 1, sum(b.shape[1] for b in blocks) + 1
+    lam, r, c = np.zeros((na, nb), dtype=int), 0, 0
+    for b in blocks:
+        lam[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return lam[rng.permutation(na)][:, rng.permutation(nb)]
+
+
+def test_perron_weights_match_the_unique_based_reference():
+    def reference(lam):
+        # the components from np.unique of the smallest-vertex labels
+        na, nb = lam.shape
+        link = np.eye(na + nb, dtype=int)
+        link[:na, na:], link[na:, :na] = lam > 0, (lam > 0).T
+        for _ in range(na + nb):
+            link = (link @ link > 0).astype(int)
+        label, c = link.argmax(axis=1), np.zeros(lam.shape)
+        for comp in np.unique(label):
+            rows, cols = np.flatnonzero(label[:na] == comp), np.flatnonzero(label[na:] == comp)
+            if len(rows) and len(cols):
+                u, _, vh = np.linalg.svd(lam[np.ix_(rows, cols)])
+                c[np.ix_(rows, cols)] = np.abs(vh[0])[None, :] / np.abs(u[:, 0])[:, None]
+        return c * (lam > 0)
+
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        lam = _random_multiplicities(rng)
+        assert not lam.any(axis=1).all() and not lam.any(axis=0).all()
+        got = _perron_weights(lam)
+        assert got.tobytes() == reference(lam).tobytes(), lam
+        # every linked pair (k, l) is weighted, and nothing else
+        assert (got > 0).sum() == (lam > 0).sum()
 
 
 # without the ladder shapes, where the descent takes about a second each

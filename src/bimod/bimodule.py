@@ -216,24 +216,23 @@ class HilbertBimodule:
         sq, isq = self._gl_half()
         return isq @ np.asarray(M, dtype=complex) @ sq
 
-    def op_spectrum(self, T: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Spectrum of a self-adjoint module operator."""
+    def _self_adjoint_rep(self, T: np.ndarray, tol: float) -> np.ndarray:
+        """The Hermitian part of ``op_rep(T)``, after refusing a T that is not self-adjoint."""
         M = self.op_rep(T)
         dev = float(np.abs(M - M.conj().T).max())
         if dev > tol * (1.0 + np.linalg.norm(M, 2)):
             raise ContractError(f"operator is not self-adjoint in L(X_B) (dev {dev:.3g})")
-        return np.linalg.eigvalsh(hermitian_part(M))
+        return hermitian_part(M)
+
+    def op_spectrum(self, T: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Spectrum of a self-adjoint module operator."""
+        return np.linalg.eigvalsh(self._self_adjoint_rep(T, tol))
 
     def op_function(self, T: np.ndarray, f: Callable,
                     tol: float = DEFAULT_TOL) -> np.ndarray:
         """f(T) for a self-adjoint module operator T."""
-        sq, isq = self._g_half()
-        M = sq @ np.asarray(T, dtype=complex) @ isq
-        dev = float(np.abs(M - M.conj().T).max())
-        if dev > tol * (1.0 + np.linalg.norm(M, 2)):
-            raise ContractError(f"operator is not self-adjoint in L(X_B) (dev {dev:.3g})")
-        w, v = np.linalg.eigh(hermitian_part(M))
-        return isq @ ((v * f(w)) @ v.conj().T) @ sq
+        w, v = np.linalg.eigh(self._self_adjoint_rep(T, tol))
+        return self.op_unrep((v * f(w)) @ v.conj().T)
 
     def op_is_positive(self, T: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
         M = hermitian_part(self.op_rep(T))
@@ -654,27 +653,22 @@ def tight_frame(X: HilbertBimodule, spanning=None,
                 rank_tol: float = RANK_TOL) -> FrameSet:
     """Normalized tight frame.
 
-    Without a spanning set it is the w-frame of ``_w_frames``, its M_l
-    vectors w^l_i block by block, built once per module with read-only
-    coordinates.  A given spanning set is taken to S^(-1/2) of it, S its
-    frame operator; ``rank_tol`` applies to that route only, where a
-    singular S means the right inner product is degenerate on a complement
-    and is rejected.
+    Without a spanning set it is the w-frame (``_frame_rows``).  A given
+    spanning set is taken to S^(-1/2) of it, S its frame operator;
+    ``rank_tol`` applies to that route only, where a singular S means the
+    right inner product is degenerate on a complement and is rejected.
     """
     if spanning is None:
-        def build():
-            out = _read_only(np.array([v for _, w in _w_frames(X) for v in w.T],
-                                      dtype=complex).reshape(-1, X.dim))
-            return out, X.op_norm(frame_operator(X, out) - np.eye(X.dim))
-        return FrameSet(X, *X._cached("frame", build))
-    vecs = np.array([_coords(X, v) for v in spanning])
-    S = frame_operator(X, vecs)
-    spec = X.op_spectrum(S)
-    if spec.min() <= rank_tol * max(spec.max(), 1e-300):
-        raise StructureError(
-            "frame operator is singular: the spanning set does not generate "
-            "a module with definite inner product")
-    out = vecs @ X.op_function(S, lambda t: 1.0 / np.sqrt(t)).T
+        out = _frame_rows(X)
+    else:
+        vecs = np.array([_coords(X, v) for v in spanning])
+        S = frame_operator(X, vecs)
+        spec = X.op_spectrum(S)
+        if spec.min() <= rank_tol * max(spec.max(), 1e-300):
+            raise StructureError(
+                "frame operator is singular: the spanning set does not generate "
+                "a module with definite inner product")
+        out = vecs @ X.op_function(S, lambda t: 1.0 / np.sqrt(t)).T
     return FrameSet(X, out, X.op_norm(frame_operator(X, out) - np.eye(X.dim)))
 
 
@@ -792,6 +786,13 @@ def _w_frames(X: HilbertBimodule) -> list[tuple[int, np.ndarray]]:
                 for l, (W, o) in enumerate(zip(_corner_ranges(X, left=False), starts))
                 if W.shape[1]]
     return X._cached("w", build)
+
+
+def _frame_rows(X: HilbertBimodule) -> np.ndarray:
+    """The w^l_i of ``_w_frames`` as the rows of one read-only (sum_l M_l, d)
+    array, built once per module: the tight frame that every command reads."""
+    return X._cached("frame", lambda: _read_only(np.array(
+        [v for _, w in _w_frames(X) for v in w.T], dtype=complex).reshape(-1, X.dim)))
 
 
 def _kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

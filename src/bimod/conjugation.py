@@ -38,10 +38,10 @@ from .multimatrix import (
     hermitian_part,
 )
 from .bimodule import (
-    FrameSet,
     HilbertBimodule,
     _corner_ranges,
     _embed,
+    _frame_rows,
     _gram_matrix,
     _max_abs,
     _trace,
@@ -49,9 +49,7 @@ from .bimodule import (
     _unit_layout,
     _w_frames,
     contragredient,
-    left_tight_frame,
     tensor,
-    tight_frame,
     validate,
 )
 from .index import (
@@ -244,22 +242,14 @@ def verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
     return VerifyReport(res1, res2, norm_r * norm_rbar, int_R, int_Rbar, tol)
 
 
-def build_conjugate(X: HilbertBimodule, right_frame: FrameSet | None = None,
-                    left_frame: FrameSet | None = None) -> ConjugateSolution:
-    """Solve the conjugate equations with Y = the contragredient of X:
-    Rbar = sum_i u_i (x) conj(u_i) over a right tight frame, R = sum_j
-    conj(v_j) (x) v_j over a left tight frame."""
+def build_conjugate(X: HilbertBimodule) -> ConjugateSolution:
+    """Solve the conjugate equations with Y = the contragredient of X: Rbar =
+    sum_i u_i (x) conj(u_i) over the w-frame of X (``_frame_rows``), and R
+    the same sum over that of Y, tight frames by construction; the
+    equations are evaluated by ``verify_conjugate``."""
     X._need_left()
-    if right_frame is None:
-        right_frame = tight_frame(X)
-    if left_frame is None:
-        left_frame = left_tight_frame(X)
-    if right_frame.residual > 1e-6 or left_frame.residual > 1e-6:
-        raise ContractError("frames are not tight enough to solve the equations")
     Y = contragredient(X)
-    U, V = right_frame.coords, left_frame.coords
-    R = np.einsum("jp,jq->pq", V.conj(), V)
-    Rbar = np.einsum("ip,iq->pq", U, U.conj())
+    R, Rbar = (np.einsum("ip,iq->pq", U, U.conj()) for U in (_frame_rows(Y), _frame_rows(X)))
     rep = verify_conjugate(X, Y, R, Rbar)
     return ConjugateSolution(X, Y, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)
 
@@ -313,12 +303,14 @@ def rescale_left(X: HilbertBimodule, Q: np.ndarray,
                  tol: float = 1e-8) -> HilbertBimodule:
     """Replace the left inner product by _A(Q x | y) for Q positive invertible
     in the relative commutant (positivity taken with respect to the left
-    inner product), checked one unit image at a time.  The result carries
-    X's values cached of its right half (``with_left_stack``)."""
+    inner product); commutation is checked on the generator images of phi
+    and psi, whose products give every unit.  The result carries X's values
+    cached of its right half (``with_left_stack``)."""
     X._need_left()
     Q = np.asarray(Q, dtype=complex)
     scale = max(float(np.abs(Q).max()), 1e-300)
-    comm_res = max(_max_abs(Q @ u - u @ Q) for u in chain(X.phis, X.psis)) / scale
+    gens = chain(X.phis[_unit_layout(X.A.blocks).gens], X.psis[_unit_layout(X.B.blocks).gens])
+    comm_res = max(_max_abs(Q @ u - u @ Q) for u in gens) / scale
     if comm_res > tol:
         raise ContractError(f"Q is not in the relative commutant (residual {comm_res:.3g})")
     Qh = X.left_op_rep(Q)
@@ -459,8 +451,7 @@ def cp_characterization(X: HilbertBimodule, tol: float = 1e-8) -> CPCharacteriza
     minimality is certified when c_l* >= c_l (1 - tol).
     """
     X._need_left()
-    ws = [w for _, w in _w_frames(X)]
-    w1, w = np.array([v[:, 0] for v in ws]).T, np.concatenate(ws, axis=1)
+    w1, w = np.array([v[:, 0] for _, v in _w_frames(X)]).T, _frame_rows(X).T
     c = np.einsum("pl,pl->l", (X.scalar_gram @ w1).conj(), X.psi(right_index(X).l_ind) @ w1).real
     phi = (X.scalar_gram @ w).conj().T @ X.phis @ w         # tr (w_r | phi(e_u) w_s)_B
     cp_ok, least, residual = least_multipliers(_extension_cp_map(X), phi)

@@ -18,12 +18,12 @@ from .multimatrix import (
 )
 from .bimodule import (
     HilbertBimodule,
+    _frame_rows,
     _unit_values,
     contragredient,
     frame_operator,
     identity_bimodule,
     tensor,
-    tight_frame,
 )
 from .index import CPMap, least_multipliers
 
@@ -272,11 +272,11 @@ def from_expectation(spec: ExpectationSpec):
 
 def quasi_basis(spec: ExpectationSpec) -> tuple[np.ndarray, AlgebraElement]:
     """A quasi-basis {u_i} for E (x = sum_i u_i E(u_i* x)) and the associated
-    index element sum_i u_i u_i* in B, produced from a normalized tight frame
-    of B as a right A-module."""
-    fr = tight_frame(_expectation_module(spec))
-    u = np.tensordot(fr.coords, spec.B.units_embedded(), axes=1)       # the u_i, embedded
-    return fr.coords, spec.B.from_embedded(np.einsum("sij,skj->ik", u, u.conj()))
+    index element sum_i u_i u_i* in B: the w-frame of B as a right A-module
+    (``_frame_rows``), a normalized tight frame by construction."""
+    coords = _frame_rows(_expectation_module(spec))
+    u = np.tensordot(coords, spec.B.units_embedded(), axes=1)          # the u_i, embedded
+    return coords, spec.B.from_embedded(np.einsum("sij,skj->ik", u, u.conj()))
 
 
 def _cp_pair(spec: ExpectationSpec) -> tuple[CPMap, np.ndarray]:

@@ -23,9 +23,10 @@ that is when g^-1 g_l commutes with both actions (``fiber_decomposition``).
 At finite dimension the compacts K(X_B) coincide with all adjointable
 B-linear maps, so the extension map serves simultaneously as the norm and
 strict extensions; maps are checked for complete positivity through Choi
-blocks over the matrix units of L(X_B).  The best constants are read in
-closed form on the same units, one Ky Fan sum per block of A
-(``best_constants``).
+blocks over the matrix units of L(X_B).  F is held only as its images
+there (``_extension_cp_map``), and r-ind = F(1) is read off them.  The
+best constants are read in closed form on the same units, one Ky Fan sum
+per block of A (``best_constants``).
 
 The least central c for which T -> c Phi(T) - T stays completely positive,
 Phi = hom.cp with cp completely positive into A and hom a unital
@@ -317,40 +318,37 @@ def least_multipliers(cp: CPMap, hom: np.ndarray,
 
 
 class LeftInnerExtension:
-    """The positive A-bilinear extension of the left inner product to K(X_B):
-    T -> sum_i _A(T u_i | u_i) over the w-frame {u_i} of ``_w_frames``,
-    block by block.
-
-    The value is frame independent; ``as_cp_map`` presents the map on the
-    matrix units of L(X_B) for Choi-based positivity checks.  The frame's
-    contraction is built once per module.
-    """
+    """The positive A-bilinear extension F of the left inner product to
+    K(X_B), F(theta_{x,y}) = _A(x|y), so T -> sum_i _A(T u_i | u_i) over
+    any normalized tight frame.  It holds only X and reads F off its
+    images at the units u_l(i, j) = theta_{w_i, w_j} of L(X_B) (``as_cp_map``)."""
 
     def __init__(self, X: HilbertBimodule):
         X._need_left()
         self.bimodule = X
-        self._frame = U = np.array([v for _, w in _w_frames(X) for v in w.T],
-                                   dtype=complex).reshape(-1, X.dim)
-        # _A(T u_i | u_i) summed: precontract the frame into the left Gram,
-        # [i, p, c] = sum_q conj(u_i[q]) _A(e_p|e_q) at the unit c of A
-        self._pair = X._cached("F", lambda: np.tensordot(
-            U.conj(), X.left_stack, axes=([1], [2])).transpose(0, 2, 1))
 
     def apply_matrix(self, T: np.ndarray) -> np.ndarray:
-        """F(T), embedded in M_{N_A}; T may be a stack (s, d, d)."""
-        TU = self._frame @ np.swapaxes(np.asarray(T, dtype=complex), -1, -2)
-        return _embed(np.tensordot(TU, self._pair, axes=([-2, -1], [0, 1])), self.bimodule.A)
+        """F(T), embedded in M_{N_A}; T must lie in L(X_B), and may be a stack
+        (s, d, d) of such T.  There T = sum_lij t_l(i, j) u_l(i, j) with
+        t_l(i, j) e^l_11 = (w_i|T w_j)_B, so F(T) = sum_lij t_l(i, j)
+        F(u_l(i, j)), with t_l = w^* G_l T w and G_l the right Gram at e^l_11."""
+        X, T = self.bimodule, np.asarray(T, dtype=complex)
+        starts = _unit_layout(X.B.blocks).starts
+        return sum(np.tensordot(w.conj().T @ X.right_stack[starts[l]] @ T @ w, img,
+                                axes=([-2, -1], [0, 1]))
+                   for (l, w), img in zip(_w_frames(X), self.as_cp_map().unit_images))
 
     def apply(self, T: np.ndarray) -> AlgebraElement:
         return self.bimodule.A.from_embedded(self.apply_matrix(T))
 
     def index_element(self) -> AlgebraElement:
-        """F(1) = sum_i _A(u_i|u_i), the right index element."""
-        return self.apply(np.eye(self.bimodule.dim))
+        """F(1) = sum_l sum_i _A(w_i|w_i), the right index element."""
+        cp = self.as_cp_map()
+        return self.bimodule.A.from_embedded(cp.apply(cp.source.identity()))
 
     def as_cp_map(self) -> CPMap:
-        """The map on the matrix units u_l(i, j) = theta_{w_i, w_j} of L(X_B),
-        read off the left Gram (``_extension_cp_map``); it uses no frame."""
+        """F on the matrix units u_l(i, j) = theta_{w_i, w_j} of L(X_B), read
+        off the left Gram (``_extension_cp_map``)."""
         return _extension_cp_map(self.bimodule)
 
 
@@ -591,7 +589,7 @@ class BasicConstruction:
         diffs = np.concatenate([self.phi_expectation(e[:samples]) - e[:samples],
                                 e[samples:] - X.phi(self.p.embed() @ a)])
         norms = np.linalg.norm(X.op_rep(diffs), 2, axis=(-2, -1))
-        resid = lam * X.op_rep(X.phi(X.A.block_part(self.F.apply_matrix(T)))) - X.op_rep(T)
+        resid = lam * X.op_rep(X.phi(self.F.apply_matrix(T))) - X.op_rep(T)
         return {"idempotency_residual": float(norms[:samples].max()),
                 "conditional_residual": float(norms[samples:].max()),
                 "pp_inequality_min_eig": float(np.linalg.eigvalsh(hermitian_part(resid)).min())}
@@ -679,8 +677,7 @@ def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     """
     X._need_left()
     bc = best_constants(X, seed=seed)
-    F = _extension_cp_map(X)
-    r_ind = X.A.from_embedded(F.apply(F.source.identity()))
+    r_ind = extend_left_inner(X).index_element()
     lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
     fibers = [Fiber(block=k, dimension=int(np.sum(np.square(lam[k]))), index_value=c_k,
                     bound=int(np.floor(c_k / bc.lambda_prime_lower + 1e-9)) ** 2)

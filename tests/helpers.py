@@ -964,6 +964,15 @@ def frame_extension(X: HilbertBimodule, frame):
     return apply
 
 
+def frame_solution(X: HilbertBimodule, right, left) -> tuple[np.ndarray, np.ndarray]:
+    """(R, Rbar) in product coordinates summed over any two frames (``FrameSet``):
+    Rbar = sum_i u_i (x) conj(u_i) over the right frame {u_i} and R = sum_j
+    conj(v_j) (x) v_j over the left frame {v_j}.  ``build_conjugate`` sums
+    the same over the w-frames of X and of its contragredient."""
+    U, V = right.coords, left.coords
+    return np.einsum("jp,jq->pq", V.conj(), V), np.einsum("ip,iq->pq", U, U.conj())
+
+
 def dense_extension_cp_map(X: HilbertBimodule) -> CPMap:
     """F on the units of L(X_B) through the S^(-1/2) tight frame of the
     coordinate basis."""

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -119,18 +121,18 @@ def test_rbar_gram_identity():
 
 def test_solution_frame_independence():
     from bimod import tight_frame, left_tight_frame
-    from helpers import well_conditioned
+    from helpers import frame_solution, well_conditioned
     rng = np.random.default_rng(1)
     X = random_bimodule([1, 1], [2], [[1], [1]], seed=53)
     sol1 = build_conjugate(X)
     W1, W2 = well_conditioned(X.dim, rng), well_conditioned(X.dim, rng)
     fr_r = tight_frame(X, spanning=W1)
     fr_l = left_tight_frame(X, spanning=W2)
-    sol2 = build_conjugate(X, right_frame=fr_r, left_frame=fr_l)
+    R2, Rbar2 = frame_solution(X, fr_r, fr_l)
     # product coordinates may differ by null vectors: compare in the quotients
     ZR, ZRbar = tensor(sol1.Y, X), tensor(X, sol1.Y)
-    assert np.abs(tensor_push(ZR, sol1.R - sol2.R)).max() < 1e-8
-    assert np.abs(tensor_push(ZRbar, sol1.Rbar - sol2.Rbar)).max() < 1e-8
+    assert np.abs(tensor_push(ZR, sol1.R - R2)).max() < 1e-8
+    assert np.abs(tensor_push(ZRbar, sol1.Rbar - Rbar2)).max() < 1e-8
 
 
 def test_verify_scaled_candidate_fails():
@@ -141,12 +143,18 @@ def test_verify_scaled_candidate_fails():
     assert rep.residual_1 == pytest.approx(1.0, abs=1e-10)
 
 
-def test_build_conjugate_rejects_loose_frames():
-    from bimod import FrameSet
+def test_verify_conjugate_fails_the_solution_of_a_loose_frame():
+    # the 0.5 1 frame sums 0.25 of each theta: Rbar is a quarter of the tight
+    # frame's, and both equation maps are 0.25 1
+    from bimod import FrameSet, left_tight_frame
+    from helpers import frame_solution
     X = from_hilbert_space(2, np.diag([1.0, 2.0]))
     loose = FrameSet(X, 0.5 * np.eye(2, dtype=complex), residual=0.75)
-    with pytest.raises(ContractError):
-        build_conjugate(X, right_frame=loose)
+    R, Rbar = frame_solution(X, loose, left_tight_frame(X))
+    rep = verify_conjugate(X, contragredient(X), R, Rbar)
+    assert not rep.passed
+    assert rep.residual_1 == pytest.approx(0.75, abs=1e-12)
+    assert rep.residual_2 == pytest.approx(0.75, abs=1e-12)
 
 
 def test_verify_rejects_non_intertwiner():
@@ -321,11 +329,13 @@ def test_w_frame_solution_matches_the_tight_frame_route(X):
     # vector, both residuals at round-off, and R*R and Rbar*Rbar against the
     # dual basis of right_index, as F(1) over the w-frame is
     from bimod import extend_left_inner, left_tight_frame, tight_frame
+    from helpers import frame_solution
     sol, eye = build_conjugate(X), np.eye(X.dim)
-    ref = build_conjugate(X, tight_frame(X, spanning=eye), left_tight_frame(X, spanning=eye))
+    ref_R, ref_Rbar = frame_solution(X, tight_frame(X, spanning=eye),
+                                     left_tight_frame(X, spanning=eye))
     Y = sol.Y
-    for got, want in ((_pair(X, Y, sol.Rbar), _pair(X, Y, ref.Rbar)),
-                      (_pair(Y, X, sol.R), _pair(Y, X, ref.R))):
+    for got, want in ((_pair(X, Y, sol.Rbar), _pair(X, Y, ref_Rbar)),
+                      (_pair(Y, X, sol.R), _pair(Y, X, ref_R))):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert max(sol.residual_1, sol.residual_2) <= 1e-12
     idx = right_index(X)
@@ -486,6 +496,21 @@ def test_rescale_rejects_bad_q():
     X2 = from_hilbert_space(2, np.diag([1.0, 2.0]))
     with pytest.raises(ContractError):
         rescale_left(X2, np.diag([1.0, -1.0]))           # not positive
+
+
+def test_rescale_refuses_q_that_fails_only_a_non_diagonal_generator():
+    # Q = phi(diag(1, 2)) in the 2 x 2 block of A commutes with every psi
+    # image and every phi(e_ii), but not with phi(e_21), a generator
+    X = random_bimodule([2, 1], [2], [[1], [1]], seed=7)
+    a = np.zeros((X.A.rep_dim, X.A.rep_dim))
+    a[0, 0], a[1, 1], a[2, 2] = 1.0, 2.0, 1.0
+    Q = X.phi(a)
+    L = bimodule._unit_layout(X.A.blocks)
+    assert max(np.abs(Q @ u - u @ Q).max() for u in chain(X.psis, X.phis[L.diag])) <= 1e-12
+    e21 = X.phis[L.starts[0] + 2]
+    assert np.abs(Q @ e21 - e21 @ Q).max() > 0.1
+    with pytest.raises(ContractError, match="relative commutant"):
+        rescale_left(X, Q)
 
 
 def test_validate_after_rescale():

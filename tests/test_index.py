@@ -724,6 +724,8 @@ def test_basic_construction_builds_no_tight_frame(monkeypatch):
     checks = bco.sampled_checks(1.0, np.random.default_rng(0))
     ok, _ = bco.as_cp_map().is_completely_positive()
     assert ok and max(checks["idempotency_residual"], checks["conditional_residual"]) <= 1e-8
+    # F is held once, as its Choi images: no contraction of a frame is cached
+    assert "F" not in X._cache and "F_units" in X._cache, set(X._cache)
 
 
 def test_right_index_builds_no_frame_and_no_contragredient(monkeypatch):
@@ -1080,6 +1082,28 @@ def test_no_command_path_reaches_the_recognizer(monkeypatch, tmp_path):
             # a patched recognizer would surface as an internal error (status 3)
             assert status == 0 and "error" not in report, (name, command, report)
         cp_characterization(X)
+
+
+def test_no_command_path_builds_a_frame_set(monkeypatch, tmp_path):
+    # every command reads the w-frame as built (``_frame_rows``): no FrameSet
+    # and no frame residual is formed on the way
+    def boom(*args, **kwargs):
+        raise AssertionError("a FrameSet was built")
+
+    for module in ("bimod", "bimod.bimodule", "bimod.conjugation", "bimod.constructors"):
+        for name in ("tight_frame", "left_tight_frame"):
+            monkeypatch.setattr(f"{module}.{name}", boom, raising=False)
+    requests = [("expectation", tmp_path / "expectation.json", {
+        "kind": "expectation", "B": {"blocks": [2]},
+        "A_blocks": {"blocks": [1, 1], "multiplicity": [[1, 1]]}, "E_weights": [[1.0, 1.0]]})]
+    for name, X in corpus():
+        requests += [(command, tmp_path / f"{name}.json", encode_bimodule(X)) for command in
+                     ("index", "conjugate", "basic", "fibers", "mindim", "morita", "validate")]
+    for command, path, spec in requests:
+        path.write_text(json.dumps(spec))
+        status, report = run(CommandRequest(command=command, inputs=[str(path)]))
+        # a patched frame builder would surface as an internal error (status 3)
+        assert status != 3 and "error" not in report, (path.stem, command, report)
 
 
 @pytest.mark.parametrize("tamper", ["scaled_e11", "trace_preserving"])

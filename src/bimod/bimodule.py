@@ -54,9 +54,9 @@ from .multimatrix import (
 OFF_BLOCK_TOL = 1e-12
 
 
-def _psd_sqrt_and_inv(mat: np.ndarray, rank_tol: float = RANK_TOL):
+def _psd_sqrt_and_inv(mat: np.ndarray):
     w, v = np.linalg.eigh(hermitian_part(mat))
-    cut = rank_tol * max(w.max(), 1e-300)
+    cut = RANK_TOL * max(w.max(), 1e-300)
     if w.min() <= cut:
         raise StructureError(
             f"scalar Gram form is singular (min eig {w.min():.3g}); "
@@ -649,14 +649,13 @@ def frame_operator(X: HilbertBimodule, vectors) -> np.ndarray:
     return X.psis.transpose(1, 0, 2).reshape(X.dim, -1) @ M.reshape(-1, X.dim)
 
 
-def tight_frame(X: HilbertBimodule, spanning=None,
-                rank_tol: float = RANK_TOL) -> FrameSet:
+def tight_frame(X: HilbertBimodule, spanning=None) -> FrameSet:
     """Normalized tight frame.
 
     Without a spanning set it is the w-frame (``_frame_rows``).  A given
-    spanning set is taken to S^(-1/2) of it, S its frame operator;
-    ``rank_tol`` applies to that route only, where a singular S means the
-    right inner product is degenerate on a complement and is rejected.
+    spanning set is taken to S^(-1/2) of it, S its frame operator; an S
+    whose spectrum reaches RANK_TOL times its top means the right inner
+    product is degenerate on a complement, and is rejected.
     """
     if spanning is None:
         out = _frame_rows(X)
@@ -664,7 +663,7 @@ def tight_frame(X: HilbertBimodule, spanning=None,
         vecs = np.array([_coords(X, v) for v in spanning])
         S = frame_operator(X, vecs)
         spec = X.op_spectrum(S)
-        if spec.min() <= rank_tol * max(spec.max(), 1e-300):
+        if spec.min() <= RANK_TOL * max(spec.max(), 1e-300):
             raise StructureError(
                 "frame operator is singular: the spanning set does not generate "
                 "a module with definite inner product")

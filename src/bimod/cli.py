@@ -47,6 +47,7 @@ from .conjugation import (
 )
 from .constructors import (
     _expectation_module,
+    _graph_bimodule,
     expectation_cp_gap,
     from_expectation,
     from_weight_graph,
@@ -146,7 +147,7 @@ def _as_bimodule(kind: str, parsed) -> HilbertBimodule:
     if kind == "bimodule" or kind == "hilbert":
         return parsed
     if kind == "graph":
-        return from_weight_graph(parsed).bimodule
+        return _graph_bimodule(parsed)[0]
     if kind == "expectation":
         return _expectation_module(parsed)
     raise ParseError(f"command needs a bimodule-like input, got kind '{kind}'")
@@ -169,7 +170,7 @@ def _cmd_validate(req: CommandRequest):
 
 def _cmd_index(req: CommandRequest):
     _, X = _read_module(req.inputs[0])
-    rep = index_report(X, seed=req.seed)
+    rep = index_report(X)
     units = X.A.units_embedded()
     r_mat = rep.r_ind.embed()
     central = max(float(np.abs(r_mat @ u - u @ r_mat).max()) for u in units)
@@ -224,11 +225,11 @@ def _cmd_mindim(req: CommandRequest):
 def _cmd_basic(req: CommandRequest):
     _, X = _read_module(req.inputs[0])
     bco = basic_construction(X)
-    bc = best_constants(X, seed=req.seed)
+    bc = best_constants(X)
     lam = 1.0 / bc.lambda_prime_hat
     checks = bco.sampled_checks(lam, np.random.default_rng(req.seed))
     cp_ok, choi_min = bco.as_cp_map().is_completely_positive()
-    scale = 1 + bco.F.index_element().norm()
+    scale = 1 + bco.r_ind.norm()
     passed = (checks["idempotency_residual"] <= req.tol * scale
               and checks["conditional_residual"] <= req.tol * scale
               and cp_ok and checks["pp_inequality_min_eig"] >= -1e-8 * scale)
@@ -238,7 +239,7 @@ def _cmd_basic(req: CommandRequest):
 
 def _cmd_fibers(req: CommandRequest):
     _, X = _read_module(req.inputs[0])
-    rep = fiber_decomposition(X, seed=req.seed)
+    rep = fiber_decomposition(X)
     return rep.passed, rep.as_dict()
 
 
@@ -285,15 +286,15 @@ def _cmd_expectation(req: CommandRequest):
     if kind != "expectation":
         raise ParseError("expectation command expects an expectation file")
     chk = parsed.check()
-    X, Y, Z = from_expectation(parsed)
-    idxX = right_index(X)
-    idxY = right_index(Y)
-    round_trip = (idxX.r_ind - idxY.l_ind).norm()
+    X, _, Z = from_expectation(parsed)
+    idx = right_index(X)
     gap = expectation_cp_gap(parsed)
     cert = minimal_cp_multiplier(parsed)
     ind = cert["index_element"]
-    l_identity = (idxX.l_ind - X.B.identity()).norm()
-    passed = (chk["passed"] and round_trip <= 1e-9 * (1 + idxX.r_num)
+    # Ind(E) = r-ind (Watatani): the quasi-basis sum against the dual-basis route
+    round_trip = (ind - idx.r_ind).norm()
+    l_identity = (idx.l_ind - X.B.identity()).norm()
+    passed = (chk["passed"] and round_trip <= 1e-9 * (1 + idx.r_num)
               and l_identity <= req.tol and cert["minimality_certified"]
               and cert["passed_at_index"])
     return passed, {"expectation_check": chk,
@@ -314,7 +315,7 @@ def _cmd_hilbert(req: CommandRequest):
     idx = right_index(X)
     tr, tri = float(np.real(np.trace(T))), float(np.real(np.trace(np.linalg.inv(T))))
     eigs = np.linalg.eigvalsh(T)
-    bc = best_constants(X, seed=req.seed)
+    bc = best_constants(X)
     passed = (abs(idx.r_num - tr) <= 1e-9 * (1 + tr)
               and abs(idx.l_num - tri) <= 1e-9 * (1 + tri)
               and abs(bc.lambda_prime_hat - eigs.min()) <= 1e-10 * (1 + eigs.min())

@@ -125,9 +125,8 @@ def _pair(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
     return out.reshape(dx, uc, dy).transpose(0, 2, 1)
 
 
-def _norm(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
-    """||r|| = ||(r|r)_C||^(1/2) in X (x)_B Y, for a stack r (..., d_X, d_Y)."""
-    emb = _inner(X, Y, r, r)
+def _norm(emb: np.ndarray) -> np.ndarray:
+    """||r|| = ||(r|r)_C||^(1/2) from (r|r)_C embedded (``_inner``), for a stack."""
     w = np.linalg.eigvalsh(0.5 * (emb + np.swapaxes(emb.conj(), -1, -2)))
     return np.sqrt(np.maximum(w[..., -1], 0.0))
 
@@ -147,7 +146,7 @@ def _intertwiner_residual(X: HilbertBimodule, Y: HilbertBimodule,
     """max over the units c of ||phi_X(c) r - r psi_Y(c)^T|| / ||r||: how far r
     in the C-C bimodule X (x) Y is from intertwining the unit actions."""
     diff = X.phis @ r - r @ np.swapaxes(Y.psis, -1, -2)
-    return float(_norm(X, Y, diff).max()) / max(norm, 1e-300)
+    return float(_norm(_inner(X, Y, diff, diff)).max()) / max(norm, 1e-300)
 
 
 # -- solutions of the conjugate equations ---------------------------------------
@@ -157,7 +156,7 @@ def _intertwiner_residual(X: HilbertBimodule, Y: HilbertBimodule,
 class ConjugateSolution:
     """A conjugate pair (Y, R, Rbar) for X in product coordinates: R[u, p] is
     the coefficient of f_u (x) e_p in Y (x)_A X, Rbar[p, u] that of
-    e_p (x) f_u in X (x)_B Y."""
+    e_p (x) f_u in X (x)_B Y.  The other fields are its ``VerifyReport``'s."""
 
     X: HilbertBimodule
     Y: HilbertBimodule
@@ -166,24 +165,26 @@ class ConjugateSolution:
     residual_1: float
     residual_2: float
     dim_rel: float
+    rr: np.ndarray
+    bb: np.ndarray
 
     @property
     def R_star_R(self) -> AlgebraElement:
         """R*R = (R|R)_B; l-ind for the solution of ``build_conjugate``."""
-        return self.X.B.from_embedded(_inner(self.Y, self.X, self.R, self.R))
+        return self.X.B.from_embedded(self.rr)
 
     @property
     def Rbar_star_Rbar(self) -> AlgebraElement:
         """Rbar*Rbar = (Rbar|Rbar)_A; r-ind for ``build_conjugate``."""
-        return self.X.A.from_embedded(_inner(self.X, self.Y, self.Rbar, self.Rbar))
+        return self.X.A.from_embedded(self.bb)
 
     @property
     def norm_R(self) -> float:
-        return float(_norm(self.Y, self.X, self.R))
+        return float(_norm(self.rr))
 
     @property
     def norm_Rbar(self) -> float:
-        return float(_norm(self.X, self.Y, self.Rbar))
+        return float(_norm(self.bb))
 
 
 def _equation_map(X: HilbertBimodule, Y: HilbertBimodule,
@@ -204,6 +205,8 @@ class VerifyReport:
     intertwine_R: float
     intertwine_Rbar: float
     tol: float
+    rr: np.ndarray               # (R|R)_B, embedded
+    bb: np.ndarray               # (Rbar|Rbar)_A, embedded
 
     @property
     def passed(self) -> bool:
@@ -230,7 +233,8 @@ def verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
     """
     r_full = _product_coords(R, Y, X, "R")
     rbar_full = _product_coords(Rbar, X, Y, "Rbar")
-    norm_r, norm_rbar = float(_norm(Y, X, r_full)), float(_norm(X, Y, rbar_full))
+    rr, bb = _inner(Y, X, r_full, r_full), _inner(X, Y, rbar_full, rbar_full)
+    norm_r, norm_rbar = float(_norm(rr)), float(_norm(bb))
     int_R = _intertwiner_residual(Y, X, r_full, norm_r)
     int_Rbar = _intertwiner_residual(X, Y, rbar_full, norm_rbar)
     if max(int_R, int_Rbar) > _INTERTWINE_TOL:
@@ -239,7 +243,7 @@ def verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
             f"(residuals {int_R:.3g}, {int_Rbar:.3g})")
     res1 = X.op_norm(_equation_map(X, Y, r_full, rbar_full) - np.eye(X.dim))
     res2 = Y.op_norm(_equation_map(Y, X, rbar_full, r_full) - np.eye(Y.dim))
-    return VerifyReport(res1, res2, norm_r * norm_rbar, int_R, int_Rbar, tol)
+    return VerifyReport(res1, res2, norm_r * norm_rbar, int_R, int_Rbar, tol, rr, bb)
 
 
 def build_conjugate(X: HilbertBimodule) -> ConjugateSolution:
@@ -251,7 +255,8 @@ def build_conjugate(X: HilbertBimodule) -> ConjugateSolution:
     Y = contragredient(X)
     R, Rbar = (np.einsum("ip,iq->pq", U, U.conj()) for U in (_frame_rows(Y), _frame_rows(X)))
     rep = verify_conjugate(X, Y, R, Rbar)
-    return ConjugateSolution(X, Y, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)
+    return ConjugateSolution(X, Y, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel,
+                             rep.rr, rep.bb)
 
 
 # -- recovering the left inner product ------------------------------------------
@@ -559,4 +564,5 @@ def tensor_conjugate(sol_X: ConjugateSolution, sol_Y: ConjugateSolution) -> Conj
     # Rbar = (1 (x) Rbar_Y (x) 1) Rbar_X: Rbar_X[p, q] Rbar_Y[u, v] at (p, u), (v, q)
     Rbar = _pushed_pair(Z, W, sol_X.Rbar, sol_Y.Rbar)
     rep = verify_conjugate(Z, W, R, Rbar)
-    return ConjugateSolution(Z, W, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel)
+    return ConjugateSolution(Z, W, R, Rbar, rep.residual_1, rep.residual_2, rep.dim_rel,
+                             rep.rr, rep.bb)

@@ -373,13 +373,10 @@ class GraphReport:
     left_frame_residual: float
 
 
-def from_weight_graph(g: GraphSpec) -> GraphReport:
-    """The edge bimodule of a weighted graph over the vertex algebra.
-
-    Edges are the coordinate basis; the right Gram is the sum over in-edges,
-    the left Gram weights out-edges by T.  The closed-form index elements are
-    the row sums of T and the column sums of 1/T.
-    """
+def _graph_bimodule(g: GraphSpec):
+    """(X, source, range, weight of each edge): the edge bimodule of a weighted graph
+    over the vertex algebra.  Edges are the coordinate basis; the right Gram is
+    the sum over in-edges, the left Gram weights out-edges by T."""
     nv = len(g.vertices)
     A = MultiMatrixAlgebra([1] * nv)
     idx = g.vertex_index
@@ -397,19 +394,21 @@ def from_weight_graph(g: GraphSpec) -> GraphReport:
     for v in range(nv):
         Phi[v, v] = np.diag((src == v).astype(complex))
         Psi[v, v] = np.diag((dst == v).astype(complex))
-    X = HilbertBimodule(A, A, d, G, Phi, Psi, L)
+    return HilbertBimodule(A, A, d, G, Phi, Psi, L), src, dst, wts
 
-    W = np.zeros((nv, nv))
-    Winv = np.zeros((nv, nv))
-    W[src, dst] = wts
-    Winv[src, dst] = 1.0 / wts
-    r_closed = W.sum(axis=1)
-    l_closed = Winv.sum(axis=0)
-    c1, c2 = float(r_closed.max()), float(l_closed.max())
-    right_res = X.op_norm(frame_operator(X, np.eye(d)) - np.eye(d))
+
+def from_weight_graph(g: GraphSpec) -> GraphReport:
+    """The edge bimodule of a weighted graph (``_graph_bimodule``), with its
+    closed-form index elements, the row sums of T and the column sums of
+    1/T, and the residuals of its two coordinate frames."""
+    X, src, dst, wts = _graph_bimodule(g)
+    W, one = np.zeros((2, len(g.vertices), len(g.vertices))), np.eye(X.dim)
+    W[0, src, dst], W[1, src, dst] = wts, 1.0 / wts
+    r_closed, l_closed = W[0].sum(axis=1), W[1].sum(axis=0)
+    right_res = X.op_norm(frame_operator(X, one) - one)
     # {w^{-1/2} delta_e} as a left tight frame, a right one of the contragredient
     Xbar = contragredient(X)
-    left_res = Xbar.op_norm(frame_operator(Xbar, np.diag(1.0 / np.sqrt(wts))) - np.eye(d))
-    return GraphReport(bimodule=X, c1=c1, c2=c2, r_ind_closed=r_closed,
-                       l_ind_closed=l_closed, right_frame_residual=right_res,
-                       left_frame_residual=left_res)
+    left_res = Xbar.op_norm(frame_operator(Xbar, np.diag(1.0 / np.sqrt(wts))) - one)
+    return GraphReport(bimodule=X, c1=float(r_closed.max()), c2=float(l_closed.max()),
+                       r_ind_closed=r_closed, l_ind_closed=l_closed,
+                       right_frame_residual=right_res, left_frame_residual=left_res)

@@ -366,16 +366,15 @@ class IndexReport:
     l_ind: AlgebraElement
     r_num: float
     l_num: float
-    p: AlgebraElement
-    q: AlgebraElement
-    ind_x: ModuleOperator
     constants: BestConstants | None = None
 
     def as_dict(self) -> dict:
+        """The report of ``bimod index``; p and q, the supports of r-ind and l-ind, are cut here."""
         from .serde import encode_element
         out = {"r_num": self.r_num, "l_num": self.l_num,
                "r_ind": encode_element(self.r_ind), "l_ind": encode_element(self.l_ind),
-               "p": encode_element(self.p), "q": encode_element(self.q)}
+               "p": encode_element(support_projection(self.r_ind)),
+               "q": encode_element(support_projection(self.l_ind))}
         if self.constants is not None:
             out.update(self.constants.as_dict())
         return out
@@ -410,32 +409,29 @@ def _dual_basis_sum(alg: MultiMatrixAlgebra, gram: np.ndarray, corners: np.ndarr
     return np.tensordot(other_gram, Z, axes=([1, 2], [0, 1]))
 
 
-def right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexReport:
+def right_index(X: HilbertBimodule) -> IndexReport:
     """Index elements and numerical indices of a bi-Hilbertian bimodule.
 
     r-ind = F(1) = sum_i _A(u_i|v_i) over a quasi-basis read off the d x d
     right Gram at each e^l_11 of B (``_dual_basis_sum``), and l-ind is the
     same sum for the contragredient, whose right Gram is the left Gram and
-    whose corners are conj phi(e^k_11), taken on X's own tensors: no frame
-    and no contragredient is built or cached.  Support projections come
-    from a rank-tolerant spectral cut.
+    whose corners are conj phi(e^k_11), taken on X's own tensors: no frame,
+    no contragredient and no support projection is built, and nothing is
+    cached on X.
     """
     X._need_left()
     a11, b11 = (_unit_layout(alg.blocks).starts for alg in (X.A, X.B))
     r_ind = _element(X.A, _dual_basis_sum(X.B, X.right_stack, X.psis[b11], X.left_stack, "psi"))
     l_ind = _element(X.B, _dual_basis_sum(X.A, X.left_stack, X.phis[a11].conj(),
                                           X.right_stack, "phi"))
-    r_num, l_num = r_ind.norm(), l_ind.norm()
-    p = support_projection(r_ind, rank_tol)
-    q = support_projection(l_ind, rank_tol)
-    return IndexReport(r_ind=r_ind, l_ind=l_ind, r_num=r_num, l_num=l_num, p=p, q=q,
-                       ind_x=ModuleOperator(X, X.psi(l_ind) @ X.phi(r_ind)))
+    return IndexReport(r_ind=r_ind, l_ind=l_ind, r_num=r_ind.norm(), l_num=l_ind.norm())
 
 
 def index_element(X: HilbertBimodule) -> ModuleOperator:
     """The operator psi(l-ind) phi(r-ind) on X; positive and central in the
     relative commutant."""
-    return right_index(X).ind_x
+    rep = right_index(X)
+    return ModuleOperator(X, X.psi(rep.l_ind) @ X.phi(rep.r_ind))
 
 
 # -- best norm-equivalence constants ---------------------------------------------
@@ -511,14 +507,13 @@ def _attaining_vector(X: HilbertBimodule, vs: list[np.ndarray]) -> np.ndarray:
                for (l, w), V in zip(_w_frames(X), vs))
 
 
-def best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
+def best_constants(X: HilbertBimodule) -> BestConstants:
     """lambda and lambda', each bracketed by an attained value and a bound
     read apart (``_largest_ratio``); lambda' = 1 / lambda(Xbar), as the
     contragredient exchanges the two inner products.  Both attaining
     vectors (for lambda' the conjugate of the Xbar one) are re-evaluated
     through the norm ratio of X; a mismatch beyond 1e-10 relative raises
-    StructureError.  No search and no random draw is involved: ``seed`` is
-    accepted and does not affect the constants."""
+    StructureError.  No search and no random draw is involved."""
     X._need_left()
     if X.dim == 0:
         raise ContractError("zero module")
@@ -532,10 +527,9 @@ def best_constants(X: HilbertBimodule, seed: int = 0) -> BestConstants:
                          lambda_upper=lam_up, lambda_prime_lower=1.0 / inv_up)
 
 
-def index_report(X: HilbertBimodule, seed: int = 0) -> IndexReport:
-    """Full report: indices plus the bracketed best constants (``seed`` does
-    not affect them)."""
-    return replace(right_index(X), constants=best_constants(X, seed=seed))
+def index_report(X: HilbertBimodule) -> IndexReport:
+    """Full report: indices plus the bracketed best constants."""
+    return replace(right_index(X), constants=best_constants(X))
 
 
 # -- Jones basic construction -----------------------------------------------------
@@ -546,10 +540,12 @@ BASIC_SAMPLES = 20
 
 @dataclass
 class BasicConstruction:
-    """The conditional expectation phi.E onto the left action, E = z' F."""
+    """The conditional expectation phi.E onto the left action, E = z' F,
+    with r-ind = F(1), its support p and z' its inverse there."""
 
     bimodule: HilbertBimodule
     F: LeftInnerExtension
+    r_ind: AlgebraElement
     p: AlgebraElement
     z_prime: AlgebraElement
 
@@ -585,11 +581,12 @@ class BasicConstruction:
         """
         X, samples = self.bimodule, BASIC_SAMPLES
         T, a = _basic_samples(X, rng, samples)
-        e = self.phi_expectation(np.concatenate([T, X.phi(a)]))
+        f = self.F.apply_matrix(np.concatenate([T, X.phi(a)]))    # F(T) and F(phi(a)), once
+        e = X.phi(self.z_prime.embed() @ f)
         diffs = np.concatenate([self.phi_expectation(e[:samples]) - e[:samples],
                                 e[samples:] - X.phi(self.p.embed() @ a)])
         norms = np.linalg.norm(X.op_rep(diffs), 2, axis=(-2, -1))
-        resid = lam * X.op_rep(X.phi(self.F.apply_matrix(T))) - X.op_rep(T)
+        resid = lam * X.op_rep(X.phi(f[:samples])) - X.op_rep(T)
         return {"idempotency_residual": float(norms[:samples].max()),
                 "conditional_residual": float(norms[samples:].max()),
                 "pp_inequality_min_eig": float(np.linalg.eigvalsh(hermitian_part(resid)).min())}
@@ -613,14 +610,12 @@ def _basic_samples(X: HilbertBimodule, rng: np.random.Generator,
     return X.op_adjoint(T) @ T, X.A.embedded_from_normals(z[:, 4 * terms * d:])
 
 
-def basic_construction(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> BasicConstruction:
+def basic_construction(X: HilbertBimodule) -> BasicConstruction:
     """E = z' F with z' the inverse of the right index element on its support;
     phi.E is a conditional expectation from K(X_B) onto phi(A)."""
     F = extend_left_inner(X)
     r_ind = F.index_element()
-    p = support_projection(r_ind, rank_tol)
-    z_prime = inverse_on_support(r_ind, rank_tol)
-    return BasicConstruction(X, F, p, z_prime)
+    return BasicConstruction(X, F, r_ind, support_projection(r_ind), inverse_on_support(r_ind))
 
 
 # -- fiber decomposition -----------------------------------------------------------
@@ -660,7 +655,7 @@ class FiberReport:
                             "within_bound": f.within_bound} for f in self.fibers]}
 
 
-def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
+def fiber_decomposition(X: HilbertBimodule) -> FiberReport:
     """Fibers of the bundle of bimodule endomorphisms over the centre of A.
 
     The relative commutant C is (+)_kl M_{Lambda_kl}, Lambda the integer
@@ -668,15 +663,15 @@ def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
     has dimension sum_l Lambda_kl^2.  Each is checked against the square of
     the integer part of r-ind / lambda', with r-ind = F(1) off the F that
     ``best_constants`` builds and lambda' the lower end of its exact bracket
-    (``constants_exact``; ``seed`` does not affect it).  C is closed under
-    the left adjoint when H lies in C (module docstring), that is when T =
-    g^-1 g_l = op_unrep(H) commutes with both actions:
+    (``constants_exact``).  C is closed under the left adjoint when H lies
+    in C (module docstring), that is when T = g^-1 g_l = op_unrep(H)
+    commutes with both actions:
     ``left_adjoint_residual`` is max |T m - m T| / max |T| over the
     generator images m of phi and psi.  Where ``validate`` passes, phi and
     psi have the same adjoints for both scalar forms, so it is round-off.
     """
     X._need_left()
-    bc = best_constants(X, seed=seed)
+    bc = best_constants(X)
     r_ind = extend_left_inner(X).index_element()
     lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
     fibers = [Fiber(block=k, dimension=int(np.sum(np.square(lam[k]))), index_value=c_k,
@@ -693,7 +688,7 @@ def fiber_decomposition(X: HilbertBimodule, seed: int = 0) -> FiberReport:
 # -- invertibility trichotomy -------------------------------------------------------
 
 
-def invertibility_trichotomy(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> dict:
+def invertibility_trichotomy(X: HilbertBimodule) -> dict:
     """Three independently evaluated conditions that must agree: full left
     inner product, invertible right index element, injective left action."""
     X._need_left()
@@ -705,7 +700,7 @@ def invertibility_trichotomy(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> 
     rep = right_index(X)
     spec_min = min(float(np.linalg.eigvalsh(hermitian_part(b)).min())
                    for b in rep.r_ind.blocks)
-    invertible = spec_min > rank_tol * max(rep.r_num, 1e-300)
+    invertible = spec_min > RANK_TOL * max(rep.r_num, 1e-300)
     injective = int(np.linalg.matrix_rank(X.phis.reshape(len(X.phis), -1), tol=1e-9)) == alg_dim
     return {"left_inner_full": bool(left_full),
             "r_ind_invertible": bool(invertible),

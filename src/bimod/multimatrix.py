@@ -331,16 +331,16 @@ def functional_calculus(x: AlgebraElement, f: ScalarFunction | Callable,
     return AlgebraElement(x.algebra, out)
 
 
-def support_projection(x: AlgebraElement, rank_tol: float = RANK_TOL) -> AlgebraElement:
+def support_projection(x: AlgebraElement) -> AlgebraElement:
     """Spectral projection of a positive element onto eigenvalues above
-    rank_tol * max eigenvalue."""
-    cut = rank_tol * max(operator_norm(x), 1e-300)
+    RANK_TOL * max eigenvalue."""
+    cut = RANK_TOL * max(operator_norm(x), 1e-300)
     return functional_calculus(x, lambda t: 1.0 if t > cut else 0.0)
 
 
-def inverse_on_support(x: AlgebraElement, rank_tol: float = RANK_TOL) -> AlgebraElement:
-    """Inverse of a positive element on its support, zero on the kernel."""
-    cut = rank_tol * max(operator_norm(x), 1e-300)
+def inverse_on_support(x: AlgebraElement) -> AlgebraElement:
+    """Inverse of a positive element on its support (``support_projection``), zero on the kernel."""
+    cut = RANK_TOL * max(operator_norm(x), 1e-300)
     return functional_calculus(x, lambda t: 1.0 / t if abs(t) > cut else 0.0)
 
 

@@ -33,7 +33,6 @@ from bimod import (
 )
 from bimod.bimodule import (
     CheckResult,
-    ModuleOperator,
     ValidationReport,
     _embed,
     _gram_big,
@@ -69,7 +68,6 @@ from bimod.multimatrix import (
     StarAlgebraDecomposition,
     StructureError,
     hermitian_part,
-    support_projection,
 )
 from bimod.serde import ParseError
 
@@ -678,7 +676,8 @@ def quotient_verify_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
     res1 = X.op_norm(E1 - np.eye(X.dim))
     res2 = Y.op_norm(E2 - np.eye(Y.dim))
     dim_rel = ZR.vector_norm(R) * ZRbar.vector_norm(Rbar)
-    return VerifyReport(res1, res2, dim_rel, int_R, int_Rbar, tol)
+    return VerifyReport(res1, res2, dim_rel, int_R, int_Rbar, tol,
+                        ZR.right_inner(R, R).embed(), ZRbar.right_inner(Rbar, Rbar).embed())
 
 
 # The multi-start descent that ``bimod.min_dimension`` used before it took
@@ -1122,12 +1121,11 @@ def delta_minimal_cp_multiplier(spec: ExpectationSpec, delta: float = 1e-3) -> d
     return {"passed_at_index": base >= -1e-8 * scale, "minimality_certified": certified}
 
 
-def frame_right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexReport:
+def frame_right_index(X: HilbertBimodule) -> IndexReport:
     """Index elements and numerical indices of a bi-Hilbertian bimodule.
 
     The right element is the frame sum of left inner products; the left half
-    is the same computation on the contragredient.  Support projections come
-    from a rank-tolerant spectral cut.
+    is the same computation on the contragredient.
 
     The tight-frame route that ``right_index`` replaced with the dual basis
     of the Gram, kept as its oracle, on the S^(-1/2) frames of the
@@ -1136,11 +1134,7 @@ def frame_right_index(X: HilbertBimodule, rank_tol: float = RANK_TOL) -> IndexRe
     X._need_left()
     r_ind, l_ind = (Y.A.from_embedded(frame_extension(Y, tight_frame(Y, spanning=np.eye(Y.dim)))(
                         np.eye(Y.dim))) for Y in (X, contragredient(X)))
-    r_num, l_num = r_ind.norm(), l_ind.norm()
-    p = support_projection(r_ind, rank_tol)
-    q = support_projection(l_ind, rank_tol)
-    return IndexReport(r_ind=r_ind, l_ind=l_ind, r_num=r_num, l_num=l_num, p=p, q=q,
-                       ind_x=ModuleOperator(X, X.psi(l_ind) @ X.phi(r_ind)))
+    return IndexReport(r_ind=r_ind, l_ind=l_ind, r_num=r_ind.norm(), l_num=l_ind.norm())
 
 
 def choi_spectrum(cp: CPMap, mult=None) -> np.ndarray:

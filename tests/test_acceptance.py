@@ -5,7 +5,6 @@ printing a single pass/fail line.  Run with ``pytest tests/test_acceptance.py -v
 import json
 
 import numpy as np
-import pytest
 
 from bimod import (
     best_constants,
@@ -26,7 +25,6 @@ from bimod import (
     tensor_conjugate,
     tight_frame,
 )
-from bimod.bimodule import frame_operator
 from bimod.cli import CommandRequest, run
 
 from helpers import (
@@ -202,7 +200,7 @@ def test_c10_basic_construction():
     cp_all = True
     for name, X in entries:
         bco = basic_construction(X)
-        lam = 1.0 / best_constants(X, seed=0).lambda_prime_hat
+        lam = 1.0 / best_constants(X).lambda_prime_hat
         scale = 1 + bco.F.index_element().norm()
         for _ in range(50):
             T = random_compact_positive(X, rng)

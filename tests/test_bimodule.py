@@ -41,7 +41,6 @@ from helpers import (
     push_matrix,
     random_bimodule,
     random_bimodule_family,
-    random_posdef,
     scalar_form_lines,
     small_shapes,
     unit_loop_validate,
@@ -454,7 +453,7 @@ def test_finite_sum_inequality_with_estimated_constant():
     from bimod import best_constants
     rng = np.random.default_rng(13)
     for X in random_bimodule_family(4, seed=23):
-        lam_p = best_constants(X, seed=0).lambda_prime_hat
+        lam_p = best_constants(X).lambda_prime_hat
         for _ in range(10):
             n = int(rng.integers(1, 5))
             xs = rng.standard_normal((n, X.dim)) + 1j * rng.standard_normal((n, X.dim))

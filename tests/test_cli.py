@@ -1,5 +1,6 @@
 import argparse
 import collections
+import functools
 import gc
 import hashlib
 import importlib
@@ -338,6 +339,78 @@ def test_expectation_runs_least_multipliers_once(name, tmp_path, monkeypatch):
     monkeypatch.setattr(constructors, "least_multipliers", counted)
     status, report = _run("expectation", [str(path)])
     assert status == 0 and len(calls) == 1, (report.get("error"), len(calls))
+
+
+@pytest.mark.parametrize("name", sorted(_EXPECTATION_FILES))
+def test_expectation_round_trip_compares_the_quasi_basis_route(name, tmp_path, monkeypatch):
+    # round_trip_residual compares Ind(E) = sum_i u_i u_i^* over the
+    # quasi-basis (the w-frame route) with r-ind of X (the dual-basis route):
+    # round-off on the file, and a shift of the quasi-basis element by
+    # 1e-6 * 1 fails the 1e-9 gate
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_EXPECTATION_FILES[name][1]))
+    status, report = _run("expectation", [str(path)])
+    assert status == 0 and report["results"]["round_trip_residual"] <= 1e-12, report
+    certify = cli.minimal_cp_multiplier
+
+    def shifted(spec):
+        cert = certify(spec)
+        return {**cert, "index_element": cert["index_element"] + 1e-6 * spec.B.identity()}
+
+    monkeypatch.setattr(cli, "minimal_cp_multiplier", shifted)
+    status, report = _run("expectation", [str(path)])
+    assert status == 1 and report["results"]["round_trip_residual"] > 1e-7, report
+
+
+def _counting(monkeypatch, targets) -> collections.Counter:
+    """Wrap each dotted name in ``targets`` (a function of a ``bimod`` module,
+    or a method of a class there) with a call counter keyed by its last part;
+    the bindings of one function in several modules share the count."""
+    counts = collections.Counter()
+    for target in targets:
+        owner, name = target.rsplit(".", 1)
+        original = getattr(functools.reduce(getattr, owner.split(".")[1:], bimod), name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(target, counted)
+    return counts
+
+
+def test_commands_compute_only_what_they_read(fixtures, monkeypatch):
+    # right_index cuts no support projection and caches nothing on X; index
+    # cuts p and q for its report and basic the support of r-ind; conjugate
+    # forms (r|r) four times (the two norms and the two intertwiner residuals)
+    # and reads R*R and Rbar*Rbar off them; basic applies F to T and phi(a)
+    # stacked and then to phi E(T), and reads F(1) once; expectation runs
+    # right_index once; tensor takes no square root of a Gram; and no module
+    # command on a graph file builds a frame operator
+    counts = _counting(monkeypatch, [
+        "bimod.index.support_projection", "bimod.conjugation._inner",
+        "bimod.index.LeftInnerExtension.apply_matrix",
+        "bimod.index.LeftInnerExtension.index_element",
+        "bimod.cli.right_index", "bimod.index.right_index", "bimod.conjugation.right_index",
+        "bimod.bimodule._psd_sqrt_and_inv",
+        "bimod.bimodule.frame_operator", "bimod.constructors.frame_operator"])
+    X = random_bimodule([2, 1], [2, 1], [[1, 1], [1, 1]], seed=1)
+    bimod.index.right_index(X)
+    assert counts == {"right_index": 1} and not X._cache, (counts, set(X._cache))
+    hilbert, graph = fixtures["hilbert"], fixtures["graph"]
+    basic = {"support_projection": 1, "apply_matrix": 2, "index_element": 1}
+    for command, inputs, want in [
+            ("index", [hilbert], {"support_projection": 2}),
+            ("conjugate", [hilbert], {"_inner": 4}),
+            ("basic", [hilbert], basic),
+            ("expectation", [fixtures["expectation"]], {"right_index": 1}),
+            ("tensor", [hilbert, hilbert], {"right_index": 1, "_psd_sqrt_and_inv": 0}),
+            ("index", [graph], {"frame_operator": 0}),
+            ("basic", [graph], {**basic, "frame_operator": 0})]:
+        counts.clear()
+        status, report = _run(command, inputs)
+        got = {name: counts[name] for name in want}
+        assert status == 0 and got == want, (command, inputs, got, report)
 
 
 def test_parse_spec_pauses_the_collector_and_restores_it(fixtures, monkeypatch):

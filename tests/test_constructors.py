@@ -19,7 +19,6 @@ from bimod import (
     minimal_cp_multiplier,
     quasi_basis,
     right_index,
-    tensor,
     trace_weighted_expectation,
     validate,
 )
@@ -68,7 +67,7 @@ def test_hilbert_space_rayleigh_constants():
     T = random_posdef(3, np.random.default_rng(0))
     X = from_hilbert_space(3, T)
     eigs = np.linalg.eigvalsh(T)
-    bc = best_constants(X, seed=0)
+    bc = best_constants(X)
     assert bc.lambda_prime_hat == pytest.approx(eigs.min(), abs=1e-7)
     assert bc.lambda_hat == pytest.approx(eigs.max(), abs=1e-7)
 
@@ -107,10 +106,14 @@ def test_expectation_diag_m2():
 
 
 def test_expectation_round_trip_identity():
+    # r-ind of X is l-ind of its contragredient, and Ind(E) = r-ind (Watatani):
+    # the quasi-basis sum sum_i u_i u_i^* (the w-frame route) matches r-ind
+    # read off the dual basis of the Gram
     for spec in (diag_expectation_m2(), two_block_expectation()):
         X, Y, _ = from_expectation(spec)
         repX, repY = right_index(X), right_index(Y)
         assert (repX.r_ind - repY.l_ind).norm() <= 1e-9 * (1 + repX.r_num)
+        assert (quasi_basis(spec)[1] - repX.r_ind).norm() <= 1e-12 * (1 + repX.r_num)
 
 
 def test_expectation_two_block():
@@ -408,7 +411,7 @@ def test_graph_constant_band():
     for seed in (3, 4):
         g = random_graph(seed, max_vertices=6, extra_edges=4)
         rep = from_weight_graph(g)
-        bc = best_constants(rep.bimodule, seed=0)
+        bc = best_constants(rep.bimodule)
         assert bc.lambda_prime_hat >= 1.0 / rep.c2 - 1e-7
         assert bc.lambda_hat <= rep.c1 + 1e-7
 

@@ -13,7 +13,7 @@ from bimod import (
     operator_norm,
     positivity_check,
 )
-from bimod.multimatrix import ScalarFunction, random_element, random_hermitian, random_positive
+from bimod.multimatrix import ScalarFunction, random_element, random_hermitian
 
 from helpers import random_posdef
 

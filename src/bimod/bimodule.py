@@ -490,7 +490,7 @@ class _GramSupport:
 
     def __init__(self, live: np.ndarray, alg: MultiMatrixAlgebra):
         self.live, self.layout = live, _unit_layout(alg.blocks)
-        self.scale = max(_max_abs(live), 1e-300)       # max |gram|
+        self.scale = _max_abs(live)       # max |gram|
 
     def first(self, M: np.ndarray) -> np.ndarray:
         """[t, p, q] = sum_r M[r, p] live[t, r, q]."""
@@ -498,7 +498,7 @@ class _GramSupport:
 
     def second(self, M: np.ndarray) -> np.ndarray:
         """[t, p, q] = sum_s M[s, q] live[t, p, s]."""
-        return (self.live.reshape(-1, len(M)) @ M).reshape(self.live.shape)
+        return np.matmul(self.live, M)
 
     def hermitian_residual(self) -> float:
         """max |conj(gram[q, p, b, a]) - gram[p, q, a, b]|."""
@@ -539,46 +539,101 @@ def _generator_residual(mats: np.ndarray, L: SimpleNamespace, anti: bool) -> flo
     return err
 
 
-def _form_adjoint_residual(F: np.ndarray, mats: np.ndarray, L: SimpleNamespace) -> float:
-    """max |m(e_u)^H F - F m(e_u*)| / max |F| over the generators e_u = e^k_i1."""
+def _form_adjoint_term(F: np.ndarray, mats: np.ndarray, L: SimpleNamespace) -> tuple:
+    """(max |m(e_u)^H F - F m(e_u*)| over the generators e_u = e^k_i1, max |F|)."""
     err = max(_max_abs(mats[u].conj().T @ F - F @ mats[L.star[u]]) for u in L.col_gens)
-    return err / max(_max_abs(F), 1e-300)
+    return err, _max_abs(F)
 
 
-def _spectrum_lines(side: str, form: np.ndarray) -> list[tuple]:
-    w = np.linalg.eigvalsh(form)                        # ascending
-    top = max(float(w[-1]), 1e-300)
-    return [(f"{side}_gram_psd", max(0.0, -float(w[0])) / top, None),
-            (f"{side}_gram_definite", 0.0, float(w[0]) > RANK_TOL * top)]
-
-
-def _right_lines(X: HilbertBimodule) -> tuple:
-    """The lines of ``validate`` that read only the right Gram and the
-    actions, each (name, residual, tol-free verdict or None)."""
+def _right_terms(X: HilbertBimodule) -> list[tuple]:
+    """The terms of the ``validate`` lines that read only the right Gram and
+    the actions, each (name, raw residual, scale) for ``_lines``."""
     d, LA, LB = X.dim, _unit_layout(X.A.blocks), _unit_layout(X.B.blocks)
     S, phis, psis = _GramSupport(X.right_stack, X.B), X.phis, X.psis
-    pscale = max(float(np.abs(phis).max()), 1e-300)
-    lines = [("right_gram_hermitian", S.hermitian_residual() / S.scale, None),
-             *_spectrum_lines("right", X.scalar_gram)]
-
-    def add(name, residual):
-        lines.append((name, float(residual), None))
-
-    # phi is a unital *-homomorphism, adjointable for the right inner product
-    add("left_action_homomorphism", _generator_residual(phis, LA, False) / pscale)
-    add("left_action_unital", np.abs(phis[LA.diag].sum(axis=0) - np.eye(d)).max())
-    add("left_action_adjointable", _form_adjoint_residual(X.scalar_gram, phis, LA))
-
-    # psi is a unital *-antihomomorphism and the right gram is B-linear
-    add("right_action_antihomomorphism", _generator_residual(psis, LB, True)
-        / max(float(np.abs(psis).max()), 1e-300))
-    add("right_action_unital", np.abs(psis[LB.diag].sum(axis=0) - np.eye(d)).max())
     lin_err = max(S.unit_product_residual(S.second(psis[u]), u, left=False) for u in LB.gens)
-    add("right_gram_B_linear", lin_err / S.scale)
+    Q, pscale = psis[LB.gens], _max_abs(phis)
+    return [
+        ("right_gram_hermitian", S.hermitian_residual(), S.scale),
+        _spectrum_term("right", X.scalar_gram),
+        # phi is a unital *-homomorphism, adjointable for the right inner product
+        ("left_action_homomorphism", _generator_residual(phis, LA, False), pscale),
+        ("left_action_unital", _max_abs(phis[LA.diag].sum(axis=0) - np.eye(d)), 1.0),
+        ("left_action_adjointable", *_form_adjoint_term(X.scalar_gram, phis, LA)),
+        # psi is a unital *-antihomomorphism and the right gram is B-linear
+        ("right_action_antihomomorphism", _generator_residual(psis, LB, True), _max_abs(psis)),
+        ("right_action_unital", _max_abs(psis[LB.diag].sum(axis=0) - np.eye(d)), 1.0),
+        ("right_gram_B_linear", lin_err, S.scale),
+        ("actions_commute", max(_max_abs(phis[u] @ Q - Q @ phis[u]) for u in LA.gens), pscale)]
 
-    Q = psis[LB.gens]
-    add("actions_commute", max(_max_abs(phis[u] @ Q - Q @ phis[u]) for u in LA.gens) / pscale)
+
+def _left_terms(X: HilbertBimodule) -> list[tuple]:
+    """The terms of the 5 ``validate`` lines that read the left Gram."""
+    S, LB = _GramSupport(X.left_stack, X.A), _unit_layout(X.B.blocks)
+    alin_err = max(S.unit_product_residual(S.first(X.phis[u]), u, left=True)
+                   for u in S.layout.gens)
+    return [("left_gram_hermitian", S.hermitian_residual(), S.scale),
+            _spectrum_term("left", X.scalar_left_gram),
+            ("left_gram_A_linear", alin_err, S.scale),
+            # H psi(e_u) = psi(e_u*)^H H, conjugate-transposed
+            ("right_action_left_adjointable", *_form_adjoint_term(X.scalar_left_gram, X.psis, LB))]
+
+
+def _spectrum_term(side: str, form: np.ndarray) -> tuple:
+    """(side, -least eigenvalue, largest eigenvalue) of a scalar trace form:
+    the psd and definite lines of that side (``_lines``)."""
+    w = np.linalg.eigvalsh(form)                        # ascending
+    return side, -float(w[0]), float(w[-1])
+
+
+def _lines(terms: list[list[tuple]]) -> tuple:
+    """The lines (name, residual, tol-free verdict or None) of the terms of
+    each direct summand (``_summands``).  Each raw residual and each scale
+    is the largest over the summands, as the module is zero between them:
+    so a line is its residual on the module, up to round-off, and the psd
+    and definite lines read its least and largest eigenvalue."""
+    lines = []
+    for group in zip(*terms):
+        name = group[0][0]
+        raw = max(t[1] for t in group)
+        scale = max(max(t[2] for t in group), 1e-300)
+        if name in ("right", "left"):
+            lines += [(f"{name}_gram_psd", max(0.0, raw) / scale, None),
+                      (f"{name}_gram_definite", 0.0, -raw > RANK_TOL * scale)]
+        else:
+            lines.append((name, raw / scale, None))
     return tuple(lines)
+
+
+# ``validate``'s cost per call that does not grow with d, in units of its d^3 cost
+_CALL_COST = 18 ** 3
+
+
+def _summands(X: HilbertBimodule) -> list[HilbertBimodule]:
+    """X as the direct sum of the modules on the ranges of coordinates
+    between which all four of its stacks are zero, when validating them one
+    by one costs less than validating X; otherwise [X].  ``tensor`` lays its
+    products out so, one range per block l of the middle algebra
+    (X e^l_11 (x) e^l_11 Y, whose sum is additive: Longo-Roberts).  A
+    summand's stacks are views of X's.  The ranges are looked for only when
+    d^3 > _CALL_COST, and used when sum_c (d_c^3 + _CALL_COST) < d^3 +
+    _CALL_COST."""
+    d = X.dim
+    if d ** 3 <= _CALL_COST:
+        return [X]
+    stacks = (X.right_stack, X.phis, X.psis, X.left_stack)
+    live = [s for s in stacks if s is not None]
+    if any(s[:, 0, -1].any() or s[:, -1, 0].any() for s in live):
+        return [X]                  # the first and last coordinates share a range
+    link = np.logical_or.reduce([s.any(axis=0) for s in live])
+    link |= link.T
+    # the farthest coordinate each one is linked to; a range ends where none before reaches past
+    reach = np.maximum.accumulate(d - 1 - np.argmax(link[:, ::-1], axis=1))
+    bounds = [0, *(np.flatnonzero(reach == np.arange(d)) + 1).tolist()]
+    sizes = np.diff(bounds)
+    if np.sum(sizes ** 3 + _CALL_COST) >= d ** 3 + _CALL_COST:
+        return [X]
+    return [HilbertBimodule(X.A, X.B, b - a, *(s if s is None else s[:, a:b, a:b] for s in stacks),
+                            units=True) for a, b in zip(bounds, bounds[1:])]
 
 
 def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
@@ -600,21 +655,16 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     ``actions_commute`` fails, the scalar psd and adjointable lines can pass
     where the B-valued Gram fails them.
 
+    A module that is a direct sum over ranges of its coordinates is checked
+    one summand at a time where that costs less (``_summands``, ``_lines``).
     The 10 lines up to ``actions_commute`` read only the right Gram and the
     actions: built once per set of those stacks, they are carried by
     ``with_left_stack``, and each call applies its own ``tol`` to them.
     """
-    lines = X._cached("right_lines", lambda: _right_lines(X))
+    parts = _summands(X)
+    lines = X._cached("right_lines", lambda: _lines([_right_terms(Y) for Y in parts]))
     if X.left_stack is not None:
-        S, LB = _GramSupport(X.left_stack, X.A), _unit_layout(X.B.blocks)
-        alin_err = max(S.unit_product_residual(S.first(X.phis[u]), u, left=True)
-                       for u in S.layout.gens)
-        lines += (("left_gram_hermitian", S.hermitian_residual() / S.scale, None),
-                  *_spectrum_lines("left", X.scalar_left_gram),
-                  ("left_gram_A_linear", alin_err / S.scale, None),
-                  # H psi(e_u) = psi(e_u*)^H H, conjugate-transposed
-                  ("right_action_left_adjointable",
-                   _form_adjoint_residual(X.scalar_left_gram, X.psis, LB), None))
+        lines += _lines([_left_terms(Y) for Y in parts])
     return ValidationReport([CheckResult(name, float(res), res <= tol if ok is None else ok)
                              for name, res, ok in lines], tol)
 

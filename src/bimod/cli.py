@@ -9,10 +9,13 @@ Grammar::
 Exit status: 0 when every computed check passed, 1 when a computation ran but
 an invariant failed, 2 on input errors (an input too large for the machine
 among them), 3 on an internal error (a fault of the toolkit, reported rather
-than raised).  Reports are single JSON documents with schema tag
-"bimod-report/4"; the wall-time field is the only nondeterministic entry for
-fixed inputs and seed.  ``--budget`` is accepted and ignored: it bounded the
-minimal-dimension search, which is now a closed form.
+than raised).  Reports are single strict JSON documents with schema tag
+"bimod-report/5", written by orjson with two-space indentation, sorted keys
+and one key per line; a value that does not exist (a residual of a check
+that did not run) is null, never a non-finite number.  The wall-time field
+is the only nondeterministic entry for fixed inputs and seed.  ``--budget``
+is accepted and ignored: it bounded the minimal-dimension search, which is
+now a closed form.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .constructors import (
 from . import serde
 from .serde import ParseError
 
-SCHEMA = "bimod-report/4"
+SCHEMA = "bimod-report/5"
 COMMANDS = ("validate", "index", "conjugate", "verify", "mindim", "basic",
             "fibers", "morita", "tensor", "graph", "expectation", "hilbert")
 
@@ -408,18 +411,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one key per line, so that a line-based filter can drop ``wall_time_ms``
+_JSON_LAYOUT = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     req = CommandRequest(command=args.command, inputs=args.inputs, tol=args.tol,
                          seed=args.seed, out=args.out, fmt=args.fmt)
     status, report = run(req)
-    payload = (json.dumps(report, indent=2, sort_keys=True) + "\n"
-               if req.fmt == "json" else _render_text(report))
+    payload = (orjson.dumps(report, option=_JSON_LAYOUT) if req.fmt == "json"
+               else _render_text(report).encode())
     if req.out:
-        with open(req.out, "w") as fh:
+        with open(req.out, "wb") as fh:
             fh.write(payload)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(payload.decode())
     return status
 
 

@@ -340,19 +340,20 @@ class MinDimResult:
     """The minimal dimension and its certificate.
 
     ``certificate_residual`` is |r_num l_num - dim_hat^2| / dim_hat^2 for X
-    rescaled by ``Q_star``, or inf when that rescaled module fails
-    validation.  ``evaluations`` counts objective evaluations (always one).
+    rescaled by ``Q_star``, or None when that rescaled module fails
+    validation, so that no index is read off it.  ``evaluations`` counts
+    objective evaluations (always one).
     """
 
     dim_hat: float
     Q_star: np.ndarray
     multiplicities: np.ndarray
-    certificate_residual: float
+    certificate_residual: float | None
     evaluations: int = 1
 
     @property
     def certified(self) -> bool:
-        return self.certificate_residual <= CERTIFICATE_TOL
+        return self.certificate_residual is not None and self.certificate_residual <= CERTIFICATE_TOL
 
 
 def _trace_left_gram(X: HilbertBimodule) -> np.ndarray:
@@ -416,12 +417,12 @@ def min_dimension(X: HilbertBimodule) -> MinDimResult:
     # a rescaling Q multiplies the scalar form tr _A(e_p|e_q) by Q^T on the left
     Q_star = np.linalg.solve(X.scalar_left_gram, _trace(L_star, X.A).T)
     X_star = rescale_left(X, Q_star)
-    residual = np.inf
+    residual = None
     if validate(X_star).passed:
         rep = right_index(X_star)
-        residual = abs(rep.r_num * rep.l_num - dim_hat ** 2) / dim_hat ** 2
+        residual = float(abs(rep.r_num * rep.l_num - dim_hat ** 2) / dim_hat ** 2)
     return MinDimResult(dim_hat=dim_hat, Q_star=Q_star, multiplicities=lam,
-                        certificate_residual=float(residual))
+                        certificate_residual=residual)
 
 
 # -- characterization of the index by complete positivity ---------------------------
@@ -475,8 +476,8 @@ class MoritaReport:
     right_full: bool
     action_surjective: bool
     candidate_valid: bool
-    r_ind_identity_residual: float
-    l_ind_identity_residual: float
+    r_ind_identity_residual: float | None    # None when no candidate was validated
+    l_ind_identity_residual: float | None
     min_dim: float | None        # ||Lambda||_2, or None when no left inner product is at hand
     conditions_agree: bool
 
@@ -502,7 +503,7 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     trace-compatible left Gram L0 of ``min_dimension``: Tr theta_{x,y} =
     sum_l n_l tr_l (y|x)_B and Tr phi(e^k_11) = n_l for the block l that k
     fills.  The candidate is validated and its index elements compared with
-    the identities.  When X or the candidate carries a left inner product,
+    the identities; with no valid candidate both residuals are None.  When X or the candidate carries a left inner product,
     ``min_dim`` is ||Lambda||_2, the minimal dimension of ``min_dimension``
     read off the same Lambda with no certificate run, and it must be 1 for
     an equivalence; otherwise it is None.
@@ -512,22 +513,21 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     surjective = bool((lam.sum(axis=0) <= 1).all() and ((lam > 0).sum(axis=1) <= 1).all())
 
     candidate_valid = False
-    res_r = res_l = np.inf
+    res_r = res_l = None
     if surjective:
         cand = X.with_left_stack(_trace_left_gram(X))
         if validate(cand, tol=1e-7).passed:
             candidate_valid = True
             idx = right_index(cand)
-            res_r = (idx.r_ind - X.A.identity()).norm()
-            res_l = (idx.l_ind - X.B.identity()).norm()
+            res_r = float((idx.r_ind - X.A.identity()).norm())
+            res_l = float((idx.l_ind - X.B.identity()).norm())
     is_morita = candidate_valid and res_r <= tol and res_l <= tol and right_full
     min_dim = float(np.linalg.norm(lam, 2)) if X.is_bihilbertian or candidate_valid else None
     agree = min_dim is None or is_morita == (abs(min_dim - 1.0) <= 1e-9)
     return MoritaReport(is_morita=is_morita, right_full=right_full,
                         action_surjective=surjective,
                         candidate_valid=candidate_valid,
-                        r_ind_identity_residual=float(res_r),
-                        l_ind_identity_residual=float(res_l),
+                        r_ind_identity_residual=res_r, l_ind_identity_residual=res_l,
                         min_dim=min_dim, conditions_agree=agree)
 
 

@@ -77,30 +77,37 @@ def _leaves(level: list, shape: tuple, what: str) -> np.ndarray:
     (a None entry takes its length from the data) of all [re, im] pairs or
     all reals, as one complex array (len(level),) + shape.
 
-    Each level of nesting is checked whole, every entry a list of one length,
-    and chained into the next, so the leaves are read as one flat list.
+    Each level of nesting takes one ``len`` pass, which must find one length
+    (a number there has none), and one flatten into the next, so the leaves
+    are read as one flat list.  Types are left to ``_numbers``: a string or
+    object of the right length flattens into strings, which it refuses.
     Pairs become complex numbers by a view of the float array, with no
     arithmetic, so values are bitwise those :func:`_pairs` wrote.
     """
     got = [len(level)]
     for n in shape:
-        lengths = set(map(len, level)) if set(map(type, level)) == {list} else set()
+        lengths = _lengths(level)
         if len(lengths) != 1 or n not in (None, *lengths):
             want = " x ".join("n" if n is None else str(n) for n in shape)
             raise ParseError(f"{what} must be a {want} array of [re, im] pairs or of reals")
         got.append(lengths.pop())
         level = list(chain.from_iterable(level))
-    kinds = set(map(type, level))
-    pairs = list in kinds
-    if pairs:
-        if kinds != {list} or set(map(len, level)) != {2}:
-            raise ParseError(f"{what} must hold all [re, im] pairs or all reals")
+    widths = _lengths(level)        # empty: reals, or a mix that _numbers refuses
+    if widths:
         level = list(chain.from_iterable(level))
     arr = _numbers(level, what)
-    if arr.ndim != 1:
+    if arr.ndim != 1 or widths and widths != {2}:
         raise ParseError(f"{what} must hold all [re, im] pairs or all reals")
     _finite(arr, what)
-    return (arr.view(complex) if pairs else arr.astype(complex)).reshape(got)
+    return (arr.view(complex) if widths else arr.astype(complex)).reshape(got)
+
+
+def _lengths(level: list) -> set:
+    """The set of lengths of the entries of ``level``; empty if one has none."""
+    try:
+        return set(map(len, level))
+    except TypeError:
+        return set()
 
 
 def _complex_array(obj, shape: tuple, what: str) -> np.ndarray:

@@ -1324,7 +1324,7 @@ def rank_morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     surjective = dim_phi == dim_kx
 
     candidate_valid = False
-    res_r = res_l = np.inf
+    res_r = res_l = None
     if surjective:
         flat = phis.reshape(len(phis), -1).T
         # column (p, q) is theta_{e_p,e_q}[i, r] = sum_ab psi(e_ab)[i, p] (e_q|e_r)_B[a, b]
@@ -1338,8 +1338,8 @@ def rank_morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
             if validate(cand, tol=1e-7).passed:
                 candidate_valid = True
                 idx = right_index(cand)
-                res_r = (idx.r_ind - X.A.identity()).norm()
-                res_l = (idx.l_ind - X.B.identity()).norm()
+                res_r = float((idx.r_ind - X.A.identity()).norm())
+                res_l = float((idx.l_ind - X.B.identity()).norm())
     is_morita = candidate_valid and res_r <= tol and res_l <= tol and right_full
     target = X if X.is_bihilbertian else (cand if candidate_valid else None)
     min_dim = min_dimension(target).dim_hat if target is not None else None
@@ -1347,8 +1347,7 @@ def rank_morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     return MoritaReport(is_morita=is_morita, right_full=right_full,
                         action_surjective=surjective,
                         candidate_valid=candidate_valid,
-                        r_ind_identity_residual=float(res_r),
-                        l_ind_identity_residual=float(res_l),
+                        r_ind_identity_residual=res_r, l_ind_identity_residual=res_l,
                         min_dim=min_dim, conditions_agree=agree)
 
 

@@ -28,7 +28,7 @@ from bimod import (
     tight_frame,
     validate,
 )
-from bimod.bimodule import OFF_BLOCK_TOL, bimodule_map_residual
+from bimod.bimodule import OFF_BLOCK_TOL, _summands, bimodule_map_residual
 
 from helpers import (
     _act_first,
@@ -346,6 +346,92 @@ def test_validate_verdicts_match_the_oracle_on_random_shapes(shape, seed):
     Y = HilbertBimodule(X.A, X.B, X.dim, G, X.left_action, X.right_action, X.left_gram)
     for rep in (validate(Y), unit_loop_validate(Y)):
         assert "right_gram_psd" in {c.name for c in rep.failures()}
+
+
+# -- validate per direct summand --------------------------------------------------
+
+# a d = 19 module whose product with its contragredient (d = 74) splits in two
+SPLIT_19 = ([3, 1], [2, 1], [[2, 1], [1, 2]])
+
+
+def _split_products():
+    """X (x)_B conj(X) for the round-trip shapes (d = 34, 59, 99) and SPLIT_19."""
+    return [tensor(X, contragredient(X)) for X in (
+        random_bimodule(*shape, seed=1) for shape in (ROUNDTRIP_13, ROUNDTRIP_18, ROUNDTRIP_24,
+                                                      SPLIT_19))]
+
+
+def _uncached(Z, right_stack=None):
+    """Z rebuilt on its stacks (or on ``right_stack``): nothing cached, no right lines."""
+    return HilbertBimodule(Z.A, Z.B, Z.dim, Z.right_stack if right_stack is None else right_stack,
+                           Z.phis, Z.psis, Z.left_stack, units=True)
+
+
+def test_validate_per_summand_matches_the_whole_module_and_the_oracle(monkeypatch):
+    # the products are direct sums over the blocks of B, one coordinate range
+    # each; split or whole, validate gives the same verdicts and the
+    # residuals of the unit-loop oracle
+    for Z in _split_products():
+        parts = _summands(Z)
+        assert len(parts) > 1 and sum(Y.dim for Y in parts) == Z.dim, [Y.dim for Y in parts]
+        split = validate(_uncached(Z))
+        with monkeypatch.context() as m:
+            m.setattr("bimod.bimodule._summands", lambda X: [X])
+            whole = validate(_uncached(Z))
+        ref = unit_loop_validate(Z)
+        assert split.passed
+        assert [(c.name, c.passed) for c in split.checks] == \
+            [(c.name, c.passed) for c in whole.checks]
+        for rep in (split, whole):
+            worst = max(abs(c.residual - r.residual) for c, r in zip(rep.checks, ref.checks))
+            assert worst <= 1e-13, (Z.dim, worst)
+
+
+def test_a_defect_inside_a_summand_or_between_two_fails_as_the_oracle_says(monkeypatch):
+    # one right-Gram entry moved without its mirror breaks Hermitian symmetry
+    # and B-linearity: inside the first summand the module still splits,
+    # between the two it no longer does.  Either way the lines match the
+    # whole-module route, and the oracles as test_validate_matches_unit_loop_oracle
+    # compares them: the scalar-form lines with scalar_form_lines, as
+    # B-linearity fails, and the others with unit_loop_validate
+    X = random_bimodule(*SPLIT_19, seed=1)
+    Z = tensor(X, contragredient(X))
+    assert [Y.dim for Y in _summands(Z)] == [49, 25]
+    for (p, q), parts in (((0, 1), 2), ((0, 60), 1)):
+        G = np.array(Z.right_stack)
+        G[0, p, q] += 1e-3 * np.abs(G).max()
+        Y = _uncached(Z, G)
+        assert len(_summands(Y)) == parts
+        got, ref, dense = validate(Y), unit_loop_validate(Y), scalar_form_lines(Y)
+        with monkeypatch.context() as m:
+            m.setattr("bimod.bimodule._summands", lambda X: [X])
+            whole = validate(_uncached(Y))
+        failing = {c.name for c in got.failures()}
+        assert {"right_gram_hermitian", "right_gram_B_linear"} <= failing
+        assert failing - SCALAR_FORM_LINES == {c.name for c in ref.failures()} - SCALAR_FORM_LINES
+        for c, w, r in zip(got.checks, whole.checks, ref.checks):
+            assert c.passed == w.passed and abs(c.residual - w.residual) <= 1e-13, (parts, c.name)
+            if c.name.endswith("_psd"):
+                assert abs(c.residual - dense[c.name]) <= 1e-14, (parts, c.name, c.residual)
+            elif c.name in SCALAR_FORM_LINES:
+                assert c.residual <= dense[c.name] + 1e-15, (parts, c.name, c.residual)
+            elif c.name in GENERATOR_LINES:
+                assert c.residual <= r.residual + 1e-15, (parts, c.name, c.residual, r.residual)
+            else:
+                assert abs(c.residual - r.residual) <= 1e-13, (parts, c.name, c.residual, r.residual)
+
+
+def test_no_corpus_module_or_product_splits(monkeypatch):
+    # the fixed cost of a validate call outweighs the d^3 cost it would save
+    # there: no module of the corpus, nor its products with its
+    # contragredient, is split
+    counts = []
+    monkeypatch.setattr("bimod.bimodule._summands",
+                        lambda X: counts.append(len(_summands(X))) or [X])
+    for _, X in corpus():
+        for Y in (X, tensor(X, contragredient(X)), tensor(contragredient(X), X)):
+            assert validate(Y).passed
+    assert len(counts) == 36 and set(counts) == {1}
 
 
 # -- Gram half-product formula -------------------------------------------------

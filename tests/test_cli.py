@@ -1,17 +1,21 @@
 import argparse
 import collections
+import contextlib
 import functools
 import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import pathlib
+import re
 import runpy
 import subprocess
 import sys
 
 import numpy as np
+import orjson
 import pytest
 
 from bimod import (SpectrumDomainError, build_conjugate, column_bimodule, contragredient,
@@ -108,23 +112,60 @@ def test_exit_codes_per_command(fixtures):
         status, report = _run(command, inputs)
         assert status == 0, (command, report.get("error"), report.get("results"))
         assert report["passed"] is True
-        assert report["schema"] == "bimod-report/4"
+        assert report["schema"] == "bimod-report/5"
+
+
+_JSON_LAYOUT = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
 
 
 def test_json_output_matches_the_double_sanitized_report(fixtures, monkeypatch, tmp_path):
     # main writes run()'s report as it is: its results hold JSON types only,
-    # and sort_keys orders the keys as the old sanitizing walk did
+    # and sorted keys order them as the old sanitizing walk did; json reads
+    # the bytes back as the report
     cases = _one_request_per_command(fixtures)
     assert sorted(c for c, _ in cases) == sorted(cli.COMMANDS)
     out = tmp_path / "report.json"
     for command, inputs in cases:
         status, report = _run(command, inputs)
-        expected = json.dumps(sanitize(report), indent=2, sort_keys=True) + "\n"
+        expected = orjson.dumps(sanitize(report), option=_JSON_LAYOUT)
         monkeypatch.setattr(cli, "run", lambda req: (status, report))
         assert main([command, *inputs, "--out", str(out)]) == status
-        assert out.read_text() == expected, command
+        assert out.read_bytes() == expected, command
+        assert json.loads(out.read_bytes()) == sanitize(report), command
         assert main([command, *inputs, "--out", str(out), "--format", "text"]) == status
         assert out.read_text() == cli._render_text(sanitize(report)), command
+
+
+# the benchmark's determinism check drops this line before comparing two reports
+_WALL_LINE = re.compile(rb'^\s*"wall_time_ms": .*\n', re.M)
+
+
+def test_two_runs_write_equal_bytes_but_the_wall_time_line(fixtures, tmp_path):
+    # one key per line: the wall time alone sits on its line, so dropping
+    # that line leaves byte-equal reports
+    for command, inputs in _one_request_per_command(fixtures):
+        bodies = []
+        for run_index in range(2):
+            out = tmp_path / f"{command}_{run_index}.json"
+            main([command, *inputs, "--out", str(out)])
+            text = out.read_bytes()
+            body = _WALL_LINE.sub(b"", text)
+            assert len(body) < len(text) and b"wall_time_ms" not in body, command
+            bodies.append(body)
+        assert bodies[0] == bodies[1], command
+
+
+def test_main_writes_to_a_text_stream_without_a_buffer(fixtures):
+    # without --out the report goes to sys.stdout as text
+    for fmt in ("json", "text"):
+        with contextlib.redirect_stdout(io.StringIO()) as stream:
+            assert main(["hilbert", fixtures["hilbert"], "--format", fmt]) == 0
+        text = stream.getvalue()
+        assert text.endswith("\n"), fmt
+        if fmt == "json":
+            assert json.loads(text)["results"]["trace"] == 3.0
+        else:
+            assert "passed: True" in text
 
 
 def test_every_report_holds_json_types_only(fixtures):
@@ -626,6 +667,15 @@ _MALFORMED = {
     "T_400_digit_integer": ({"kind": "hilbert", "n": 2, "T": [[10**400, 0], [0, 2]]}, "T"),
     "string_not_utf8": (b'{"kind": "hilbert", "n": 2, "T": [[1, 0], [0, 2]], "note": "\xe9\xff"}',
                         "not valid UTF-8 JSON"),
+    # values of the right length that are no pair or row: the decoder's len
+    # passes take them, and the leaf check refuses what they flatten into
+    "gram_string_pair": (_random_112(lambda m: _set(
+        m, ["right_gram", 0, 0, "blocks", 0, 0, 0], "ab")), "right_gram block 0"),
+    "left_action_object_row": (_random_112(lambda m: _set(
+        m, ["left_action", 0, 0, 0, 0], {str(i): [0.0, 0.0] for i in range(4)})),
+        "left_action block 0"),
+    "gram_nested_pair": (_random_112(lambda m: _set(
+        m, ["right_gram", 0, 0, "blocks", 0, 0, 0], [[1, 2], [3, 4]])), "right_gram block 0"),
 }
 
 

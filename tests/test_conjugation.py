@@ -865,7 +865,7 @@ def test_morita_from_multiplicities_matches_rank_oracle(X):
         assert getattr(got, field) == getattr(ref, field), field
     for field in ("r_ind_identity_residual", "l_ind_identity_residual"):
         a, b = getattr(got, field), getattr(ref, field)
-        assert a == b if np.isinf(b) else abs(a - b) <= 1e-12, field
+        assert a is b is None or abs(a - b) <= 1e-12, field
 
 
 def test_morita_and_fibers_run_no_rank_search(monkeypatch):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bimod import HilbertBimodule, build_conjugate, cli
+from bimod import HilbertBimodule, build_conjugate, cli, contragredient
 from bimod.serde import (
     _complex_array,
     _pairs,
@@ -226,6 +227,57 @@ def test_unmutated_kind_files_pass_their_commands(tmp_path, kind):
         # B-A bimodules of an expectation do not tensor with themselves
         assert status == 0 or "middle algebras differ" in report.get("error", ""), \
             (command, report)
+
+
+def _non_finite(obj, path="report"):
+    """The paths of the non-finite floats in a parsed report."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [path]
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    return [p for key, value in items for p in _non_finite(value, f"{path}.{key}")]
+
+
+def test_every_report_is_strict_json_with_no_non_finite_number(tmp_path, monkeypatch):
+    # every command on the corpus (tensor with the contragredient, verify
+    # with the solution that conjugate wrote) and on the kind files: orjson
+    # reads each written report, and neither it nor the report run() built
+    # holds a non-finite float, where morita and mindim once wrote Infinity
+    built, run = [], cli.run
+    monkeypatch.setattr(cli, "run", lambda req: built.append(run(req)) or built[-1])
+    (tmp_path / "random_112.json").write_text(json.dumps(_MODULE))
+    (tmp_path / "solution_112.json").write_text(json.dumps(_KIND_FILES["solution"]))
+    requests = []
+    for name, X in corpus():
+        paths = {}
+        for tag, Y in (("x", X), ("bar", contragredient(X) if X.is_bihilbertian else None)):
+            if Y is not None:
+                paths[tag] = tmp_path / f"{name}_{tag}.json"
+                paths[tag].write_text(json.dumps(encode_bimodule(Y)))
+        requests += [[command, str(paths["x"])] for command in _MODULE_COMMANDS
+                     if command not in ("verify", "tensor")]
+        requests.append(["tensor", str(paths["x"]), str(paths.get("bar", paths["x"]))])
+        requests.append(["verify", str(paths["x"]), f"solution of {name}"])
+    for kind, obj in _KIND_FILES.items():
+        file = tmp_path / f"{kind}.json"
+        file.write_text(json.dumps(obj))
+        requests += [[command, *_inputs(command, kind, file, tmp_path)]
+                     for command in _KIND_COMMANDS[kind]]
+    out, reports = tmp_path / "report.json", {}
+    for argv in requests:
+        if argv[-1].startswith("solution of "):
+            res = reports[("conjugate", argv[1])]["results"]
+            argv[-1] = str(tmp_path / "solution.json")
+            (tmp_path / "solution.json").write_text(json.dumps(
+                {"kind": "solution", "R": res["R"], "Rbar": res["Rbar"]}))
+        built.clear()
+        status = cli.main(argv + ["--out", str(out)])
+        report = orjson.loads(out.read_bytes())
+        reports[(argv[0], argv[1])] = report
+        assert status in (0, 1, 2), (argv, report)
+        assert not _non_finite(report) and not _non_finite(built[0][1]), (argv, report)
+    assert {r["schema"] for r in reports.values()} == {"bimod-report/5"}
+    assert any(r["command"] == "morita" and r["results"]["r_ind_identity_residual"] is None
+               for r in reports.values())
 
 
 # -- strict numbers -------------------------------------------------------------------

@@ -161,7 +161,7 @@ class HilbertBimodule:
 
     # the cached values that read only the right Gram and the actions (``with_left_stack``)
     _RIGHT_KEYS = frozenset({"g", "gh", "phi_corners", "psi_corners", "w", "frame",
-                             "corner_factors", "right_lines"})
+                             "right_lines"})
 
     def _cached(self, key: str, build: Callable):
         """``build()``, once per module; the value must not refer to the module."""
@@ -807,17 +807,24 @@ def _corner_rank(E: np.ndarray, b: int, what: str) -> int:
     return rank
 
 
-def _corner_ranges(X: HilbertBimodule, left: bool) -> list[np.ndarray]:
-    """Orthonormal columns spanning the range of the idempotent phi_X(e^l_11)
-    (left) or psi_X(e^l_11), for every block l of A or B, built once per
-    module; each rank is read from the trace."""
+def _corner_ranges(X: HilbertBimodule, left: bool) -> list[tuple]:
+    """The corner record of phi_X (left) or psi_X, built once per module: per
+    block l of A or B, (W, F, H) with W orthonormal columns spanning the
+    range of the idempotent E = act(e^l_11), its rank read from the trace,
+    and the factor stacks F[s] = phi(e^l_s1) W, H[s] = W^* phi(e^l_1s), so
+    that phi(e^l_ab) = F[a] H[b]; for the antihomomorphism psi, F[s] =
+    psi(e^l_1s) W and H[s] = W^* psi(e^l_s1), so psi(e^l_ab) = F[b] H[a].
+    Both hold as W W^* is the identity on ran E, which holds the ranges of
+    phi(e_1b) and psi(e_a1)."""
     alg, stack, what = (X.A, X.phis, "phi") if left else (X.B, X.psis, "psi")
 
-    def corner(l, o):
+    def corner(l, o, n):
         E, rank = stack[o], _corner_rank(stack[o], alg.block_slice(l).start, what)
-        return np.linalg.svd(E)[0][:, :rank] if rank else E[:, :0]
+        W = np.linalg.svd(E)[0][:, :rank] if rank else E[:, :0]
+        col, row = stack[o:o + n * n:n], stack[o:o + n]           # the e_s1 and the e_1s
+        return (W, col @ W, W.conj().T @ row) if left else (W, row @ W, W.conj().T @ col)
     return X._cached(what + "_corners", lambda: [
-        corner(l, o) for l, o in enumerate(_unit_layout(alg.blocks).starts)])
+        corner(l, o, alg.blocks[l]) for l, o in enumerate(_unit_layout(alg.blocks).starts)])
 
 
 def _w_frames(X: HilbertBimodule) -> list[tuple[int, np.ndarray]]:
@@ -832,7 +839,7 @@ def _w_frames(X: HilbertBimodule) -> list[tuple[int, np.ndarray]]:
     def build():
         starts = _unit_layout(X.B.blocks).starts
         return [(l, _read_only(W @ _psd_sqrt_and_inv(W.conj().T @ X.right_stack[o] @ W)[1]))
-                for l, (W, o) in enumerate(zip(_corner_ranges(X, left=False), starts))
+                for l, ((W, _, _), o) in enumerate(zip(_corner_ranges(X, left=False), starts))
                 if W.shape[1]]
     return X._cached("w", build)
 
@@ -867,7 +874,8 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule) -> HilbertBimodule:
     _B(y_j|y_j'); actions (W_X,l^* phi_X(a) W_X,l) (x) 1 and
     1 (x) (W_Y,l^* psi_Y(c) W_Y,l).  ``meta["tensor"]`` keeps, per block l,
     the factors (W_X,l, W_Y,l, JX_l, JY_l), with JX_l[s] = W_X,l^*
-    psi_X(e^l_s1) and JY_l[s] = W_Y,l^* phi_Y(e^l_1s).  On the product
+    psi_X(e^l_s1) and JY_l[s] = W_Y,l^* phi_Y(e^l_1s), the H stacks of the
+    two corner records.  On the product
     coordinates e_p (x) f_u (row-major in (p, u), D = d_X d_Y) they give
     ``lift`` = (+)_l W_X,l (x) W_Y,l (``tensor_lift``), which writes
     b_(l,i,j) there, and the balanced map ``push`` = (+)_l sum_s JX_l[s] (x)
@@ -880,15 +888,14 @@ def tensor(X: HilbertBimodule, Y: HilbertBimodule) -> HilbertBimodule:
     X._need_left()
     Y._need_left()
     psi_X, phi_Y = _corner_ranges(X, left=False), _corner_ranges(Y, left=True)
-    d2 = sum(WX.shape[1] * WY.shape[1] for WX, WY in zip(psi_X, phi_Y))
+    d2 = sum(WX.shape[1] * WY.shape[1] for (WX, _, _), (WY, _, _) in zip(psi_X, phi_Y))
     G2, Psi2 = (np.zeros((len(Y.psis), d2, d2), dtype=complex) for _ in range(2))
     L2, Phi2 = (np.zeros((len(X.phis), d2, d2), dtype=complex) for _ in range(2))
     blocks, r = [], slice(0, 0)
-    for o, n, WX, WY in zip(_unit_layout(X.B.blocks).starts, X.B.blocks, psi_X, phi_Y):
+    for o, (WX, _, JX), (WY, _, JY) in zip(_unit_layout(X.B.blocks).starts, psi_X, phi_Y):
         m, k = WX.shape[1], WY.shape[1]
         r = slice(r.stop, r.stop + m * k)
-        # JX[s] = W_X^* psi_X(e_s1) and JY[s] = W_Y^* phi_Y(e_1s), at the units o + s n and o + s
-        blocks.append((WX, WY, WX.conj().T @ X.psis[o:o + n * n:n], WY.conj().T @ Y.phis[o:o + n]))
+        blocks.append((WX, WY, JX, JY))
         # right Gram over C: gamma_l (x) (y_j|y_j')_C
         G2[:, r, r] = _kron(WX.conj().T @ X.right_stack[o] @ WX, WY.conj().T @ Y.right_stack @ WY)
         # left Gram over A, linear in the first leg: _A(w_i|w_i') (x) beta_l

@@ -52,7 +52,6 @@ from .constructors import (
     _expectation_module,
     _graph_bimodule,
     expectation_cp_gap,
-    from_expectation,
     from_weight_graph,
     minimal_cp_multiplier,
 )
@@ -289,7 +288,7 @@ def _cmd_expectation(req: CommandRequest):
     if kind != "expectation":
         raise ParseError("expectation command expects an expectation file")
     chk = parsed.check()
-    X, _, Z = from_expectation(parsed)
+    X = _expectation_module(parsed)
     idx = right_index(X)
     gap = expectation_cp_gap(parsed)
     cert = minimal_cp_multiplier(parsed)
@@ -306,7 +305,8 @@ def _cmd_expectation(req: CommandRequest):
                     "round_trip_residual": round_trip,
                     "l_ind_identity_residual": l_identity,
                     "minimality_certified": cert["minimality_certified"],
-                    "tensor_dim": Z.dim}
+                    # Y (x)_B X of ``from_expectation`` has dim sum_l rank phi_X(e^l_11)^2 = dim B
+                    "tensor_dim": X.dim}
 
 
 def _cmd_hilbert(req: CommandRequest):

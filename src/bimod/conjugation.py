@@ -7,11 +7,11 @@ product, contracted from the factor tensors by two routines and no tensor
 bimodule: ``_inner`` gives (r|s) (norms, R*R, intertwiner residuals) and
 ``_pair`` gives (r | e_t (x) f_u) for all basis vectors (the equation maps,
 the recovered left Gram and the pair identities, which are exhaustive on the
-basis).  Both run through the corners of B: for a, b in block l,
-phi_Y(e_ab) = [phi_Y(e_a1) U_l] [U_l^* phi_Y(e_1b)] with U_l a basis of
-ran phi_Y(e_11), so no term holds more than O(d^2 U) elements, and both read
-the Gram stacks of the modules (``HilbertBimodule``): a value in C is given
-at its matrix units, U of them.
+basis).  Both run through the corners of B: phi_Y(e_ab) = F[a] H[b] for a, b
+in block l, with F and H the factor stacks of the corner record of phi_Y
+(``bimodule._corner_ranges``), so no term holds more than O(d^2 U) elements,
+and both read the Gram stacks of the modules (``HilbertBimodule``): a value
+in C is given at its matrix units, U of them.
 
 Convention: in the two equations the tensor product is applied before the
 composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).
@@ -25,7 +25,7 @@ attains it and evaluating the product of the numerical indices there;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -53,6 +53,7 @@ from .bimodule import (
     validate,
 )
 from .index import (
+    _certificate,
     _extension_cp_map,
     _multiplicities,
     least_multipliers,
@@ -63,37 +64,20 @@ from .index import (
 # -- vectors of a tensor product in product coordinates -------------------------
 
 
-def _corner_factors(Y: HilbertBimodule) -> list:
-    """(l, F, H, T1) for the blocks l of A with K_l > 0, once per module:
-    F[(a, k), w] = (phi_Y(e_a1) U_l)[w, k], H[(b, k), u] = (U_l^* phi_Y(e_1b))[k, u]
-    (U_l from ``_corner_ranges``), so phi_Y(e_ab) = F_a H_b, and
-    T1[(u', a), (k, c)] = sum_w F_a[w, k] (f_u'|f_w)_C at the unit c of C
-    (d_Y^2 U_C in all)."""
-    def build():
-        dy, out = Y.dim, []
-        starts = _unit_layout(Y.A.blocks).starts
-        for l, (U, o, n) in enumerate(zip(_corner_ranges(Y, left=True), starts, Y.A.blocks)):
-            k = U.shape[1]
-            F = (Y.phis[o:o + n * n:n] @ U).transpose(0, 2, 1).reshape(n * k, dy)
-            H = (U.conj().T @ Y.phis[o:o + n]).reshape(n * k, dy)
-            T1 = (F @ Y.right_stack.transpose(1, 2, 0)).reshape(dy * n, -1)
-            if k:
-                out.append((l, F, H, T1))
-        return out
-    return Y._cached("corner_factors", build)
-
-
 def _peel(X: HilbertBimodule, Y: HilbertBimodule, s: np.ndarray) -> np.ndarray:
     """m[..., p, w]: coordinates in Y of the vectors m_p = sum_{q,v}
     phi_Y((e_p|e_q)_B) f_v s[..., q, v], so that (e_p (x) f | s)_C =
-    (f | m_p)_C.  Per block of B: s H^T, the Gram block, then F."""
-    dx, lead = X.dim, s.shape[:-2]
-    m = np.zeros(lead + (dx, Y.dim), dtype=complex)
+    (f | m_p)_C.  Per block l of B with K_l > 0, by the corner record of
+    phi_Y (module docstring): s H^T, the Gram block, then F, as (n_l K_l,
+    d_Y) matrices H[(b, k), u] = H[b][k, u] and F[(a, k), w] = F[a][w, k]."""
+    dx, dy, lead = X.dim, Y.dim, s.shape[:-2]
+    m = np.zeros(lead + (dx, dy), dtype=complex)
     parts = _unit_blocks(X.right_stack, X.B)
-    for l, F, H, _ in _corner_factors(Y):
-        G = _gram_matrix(parts[l])
-        t = (s @ H.T).reshape(lead + (G.shape[0], -1))
-        m += (G @ t).reshape(lead + (dx, -1)) @ F
+    for l, (U, F, H) in enumerate(_corner_ranges(Y, left=True)):
+        if U.shape[1]:
+            G = _gram_matrix(parts[l])
+            t = (s @ H.reshape(-1, dy).T).reshape(lead + (G.shape[0], -1))
+            m += (G @ t).reshape(lead + (dx, -1)) @ F.transpose(0, 2, 1).reshape(-1, dy)
     return m
 
 
@@ -109,19 +93,23 @@ def _inner(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray,
 
 def _pair(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
     """[t, u, c] = (r | e_t (x) f_u)_C at the unit c of C, in X (x)_B Y, for r
-    (d_X, d_Y).  Per block of B, conj(r) meets the Gram block, then T1, then H
-    (``_corner_factors``): no term exceeds d_X d_Y U elements, U the largest
-    number of matrix units."""
+    (d_X, d_Y).  Per block l of B with K_l > 0, conj(r) meets the Gram
+    block, then T1[(u', a), (k, c)] = sum_w F[a][w, k] (f_u'|f_w)_C at the
+    unit c of C, then H (the matrices of ``_peel``): no term exceeds
+    d_X d_Y U elements, U the largest number of matrix units."""
     dx, dy, uc = X.dim, Y.dim, len(Y.right_stack)
     out = np.zeros((dx * uc, dy), dtype=complex)
     parts = _unit_blocks(X.right_stack, X.B)
-    for l, _, H, T1 in _corner_factors(Y):
-        n = X.B.blocks[l]
-        # [(u', a), (t, b)] = sum_p conj(r[p, u']) (e_p|e_t)_B[a, b]
-        r_g = (r.conj().T @ parts[l]).transpose(2, 0, 3, 1).reshape(dy * n, dx * n)
-        # [t, c, (b, k)] = sum_{u', a} r_g[(u', a), (t, b)] T1[(u', a), (k, c)]
-        m = (r_g.T @ T1).reshape(dx, n, -1, uc).transpose(0, 3, 1, 2)
-        out += m.reshape(dx * uc, -1) @ H
+    for l, (U, F, H) in enumerate(_corner_ranges(Y, left=True)):
+        if U.shape[1]:
+            n = X.B.blocks[l]
+            F = F.transpose(0, 2, 1).reshape(-1, dy)           # [(a, k), w] = F[a][w, k]
+            T1 = (F @ Y.right_stack.transpose(1, 2, 0)).reshape(dy * n, -1)
+            # [(u', a), (t, b)] = sum_p conj(r[p, u']) (e_p|e_t)_B[a, b]
+            r_g = (r.conj().T @ parts[l]).transpose(2, 0, 3, 1).reshape(dy * n, dx * n)
+            # [t, c, (b, k)] = sum_{u', a} r_g[(u', a), (t, b)] T1[(u', a), (k, c)]
+            m = (r_g.T @ T1).reshape(dx, n, -1, uc).transpose(0, 3, 1, 2)
+            out += m.reshape(dx * uc, -1) @ H.reshape(-1, dy)
     return out.reshape(dx, uc, dy).transpose(0, 2, 1)
 
 
@@ -304,8 +292,7 @@ def conjugate_pair_identities(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
 # -- rescaling the left structure -------------------------------------------------
 
 
-def rescale_left(X: HilbertBimodule, Q: np.ndarray,
-                 tol: float = 1e-8) -> HilbertBimodule:
+def rescale_left(X: HilbertBimodule, Q: np.ndarray) -> HilbertBimodule:
     """Replace the left inner product by _A(Q x | y) for Q positive invertible
     in the relative commutant (positivity taken with respect to the left
     inner product); commutation is checked on the generator images of phi
@@ -316,11 +303,11 @@ def rescale_left(X: HilbertBimodule, Q: np.ndarray,
     scale = max(float(np.abs(Q).max()), 1e-300)
     gens = chain(X.phis[_unit_layout(X.A.blocks).gens], X.psis[_unit_layout(X.B.blocks).gens])
     comm_res = max(_max_abs(Q @ u - u @ Q) for u in gens) / scale
-    if comm_res > tol:
+    if comm_res > 1e-8:
         raise ContractError(f"Q is not in the relative commutant (residual {comm_res:.3g})")
     Qh = X.left_op_rep(Q)
     dev = float(np.abs(Qh - Qh.conj().T).max())
-    if dev > tol * (1.0 + np.abs(Qh).max()):
+    if dev > 1e-8 * (1.0 + np.abs(Qh).max()):
         raise ContractError("Q is not self-adjoint for the left inner product")
     w = np.linalg.eigvalsh(hermitian_part(Qh))
     if w.min() <= RANK_TOL * max(float(w.max()), 1e-300):
@@ -434,16 +421,9 @@ class CPCharacterization:
     range_residual: list[float]
     passed_at_index: bool
     minimality_certified: bool
-    tol: float
-
-    def as_dict(self) -> dict:
-        return {"least_multiplier": self.least_multiplier,
-                "range_residual": self.range_residual,
-                "passed_at_index": self.passed_at_index,
-                "minimality_certified": self.minimality_certified}
 
 
-def cp_characterization(X: HilbertBimodule, tol: float = 1e-8) -> CPCharacterization:
+def cp_characterization(X: HilbertBimodule) -> CPCharacterization:
     """The left index element is the smallest central multiplier c for which
     T -> psi(c) phi(F(T)) - T is completely positive on K(X_B).
 
@@ -451,20 +431,14 @@ def cp_characterization(X: HilbertBimodule, tol: float = 1e-8) -> CPCharacteriza
     (w_1 | w_1.c)_B, as w.c = c_l w on X.e^l_11, so the least multiplier
     c_l* of phi F is taken in closed form from the Choi blocks of F and phi
     in that frame (``least_multipliers``, with no phi F formed) and
-    compared with the l-ind of ``right_index``:
-    it passes at l-ind when phi F is completely positive, 1 lies in the
-    range of each diagonal Choi block and c_l* <= c_l (1 + tol), and
-    minimality is certified when c_l* >= c_l (1 - tol).
+    compared with the l-ind of ``right_index`` (``index._certificate``).
     """
     X._need_left()
     w1, w = np.array([v[:, 0] for _, v in _w_frames(X)]).T, _frame_rows(X).T
     c = np.einsum("pl,pl->l", (X.scalar_gram @ w1).conj(), X.psi(right_index(X).l_ind) @ w1).real
     phi = (X.scalar_gram @ w).conj().T @ X.phis @ w         # tr (w_r | phi(e_u) w_s)_B
-    cp_ok, least, residual = least_multipliers(_extension_cp_map(X), phi)
-    return CPCharacterization(
-        least_multiplier=least.tolist(), range_residual=residual.tolist(),
-        passed_at_index=bool(cp_ok and (residual <= tol).all() and (least <= c * (1 + tol)).all()),
-        minimality_certified=bool((least >= c * (1 - tol)).all()), tol=tol)
+    found = least_multipliers(_extension_cp_map(X), phi)
+    return CPCharacterization(found[1].tolist(), found[2].tolist(), *_certificate(found, c))
 
 
 # -- Morita equivalence ---------------------------------------------------------------
@@ -482,15 +456,10 @@ class MoritaReport:
     conditions_agree: bool
 
     def as_dict(self) -> dict:
-        return {"is_morita": self.is_morita, "right_full": self.right_full,
-                "action_surjective": self.action_surjective,
-                "candidate_valid": self.candidate_valid,
-                "r_ind_identity_residual": self.r_ind_identity_residual,
-                "l_ind_identity_residual": self.l_ind_identity_residual,
-                "min_dim": self.min_dim, "conditions_agree": self.conditions_agree}
+        return asdict(self)
 
 
-def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
+def morita_check(X: HilbertBimodule) -> MoritaReport:
     """Decide whether X can carry a left inner product making it a strong
     Morita equivalence: both index elements become identities.
 
@@ -503,10 +472,11 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
     trace-compatible left Gram L0 of ``min_dimension``: Tr theta_{x,y} =
     sum_l n_l tr_l (y|x)_B and Tr phi(e^k_11) = n_l for the block l that k
     fills.  The candidate is validated and its index elements compared with
-    the identities; with no valid candidate both residuals are None.  When X or the candidate carries a left inner product,
-    ``min_dim`` is ||Lambda||_2, the minimal dimension of ``min_dimension``
-    read off the same Lambda with no certificate run, and it must be 1 for
-    an equivalence; otherwise it is None.
+    the identities to 1e-7; with no valid candidate both residuals are None.
+    When X or the candidate carries a left inner product, ``min_dim`` is
+    ||Lambda||_2, the minimal dimension of ``min_dimension`` read off the
+    same Lambda with no certificate run, and it must be 1 for an
+    equivalence; otherwise it is None.
     """
     lam = _multiplicities([(X.A, X.phis), (X.B, X.psis)], X.dim)
     right_full = bool(lam.any(axis=0).all())
@@ -521,7 +491,7 @@ def morita_check(X: HilbertBimodule, tol: float = 1e-7) -> MoritaReport:
             idx = right_index(cand)
             res_r = float((idx.r_ind - X.A.identity()).norm())
             res_l = float((idx.l_ind - X.B.identity()).norm())
-    is_morita = candidate_valid and res_r <= tol and res_l <= tol and right_full
+    is_morita = candidate_valid and res_r <= 1e-7 and res_l <= 1e-7 and right_full
     min_dim = float(np.linalg.norm(lam, 2)) if X.is_bihilbertian or candidate_valid else None
     agree = min_dim is None or is_morita == (abs(min_dim - 1.0) <= 1e-9)
     return MoritaReport(is_morita=is_morita, right_full=right_full,

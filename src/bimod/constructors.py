@@ -25,7 +25,7 @@ from .bimodule import (
     identity_bimodule,
     tensor,
 )
-from .index import CPMap, least_multipliers
+from .index import CPMap, _certificate, least_multipliers
 
 
 # -- weighted Hilbert spaces -----------------------------------------------------
@@ -162,17 +162,17 @@ class ExpectationSpec:
     def check(self) -> dict:
         """Invariants: unital, idempotent onto A, bimodule property, faithful."""
         if "check" not in self._cache:
-            self._cache["check"] = self._check(1e-9)
+            self._cache["check"] = self._check()
         return dict(self._cache["check"])
 
-    def _multipliers(self, tol: float) -> tuple:
-        """``least_multipliers`` on ``_cp_pair``, once per ``tol``."""
-        if ("multipliers", tol) not in self._cache:
-            self._cache["multipliers", tol] = least_multipliers(*_cp_pair(self), tol)
-        return self._cache["multipliers", tol]
+    def _multipliers(self) -> tuple:
+        """``least_multipliers`` on ``_cp_pair``, once."""
+        if "multipliers" not in self._cache:
+            self._cache["multipliers"] = least_multipliers(*_cp_pair(self))
+        return self._cache["multipliers"]
 
-    def _check(self, tol: float) -> dict:
-        A, B, iota = self.A, self.B, self.inclusion.embed_stack
+    def _check(self) -> dict:
+        A, B, iota, tol = self.A, self.B, self.inclusion.embed_stack, 1e-9
         units = A.units_embedded()
         # six seeded samples a1, a2 in A, b in B, drawn in that order
         wa, wb = 2 * A.linear_dim, 2 * B.linear_dim
@@ -285,7 +285,7 @@ def _cp_pair(spec: ExpectationSpec) -> tuple[CPMap, np.ndarray]:
     return spec.as_cp_map(), spec.inclusion.embed_stack(spec.A.units_embedded())
 
 
-def expectation_cp_gap(spec: ExpectationSpec, tol: float = 1e-9) -> float:
+def expectation_cp_gap(spec: ExpectationSpec) -> float:
     """The Pimsner-Popa constant: the largest c such that E - c*id is
     completely positive, in closed form.
 
@@ -293,13 +293,12 @@ def expectation_cp_gap(spec: ExpectationSpec, tol: float = 1e-9) -> float:
     1 / max_k c_k* with c_k* the least multiplier of iota.E on block k of B,
     read off the Choi blocks of E and iota (``least_multipliers``, with no
     iota.E formed), and 0 when vec 1 leaves the range of a diagonal Choi
-    block of iota.E.  ``tol`` is the relative eigenvalue cut that defines
-    that range.
+    block of iota.E beyond 1e-9.
     """
-    cp_ok, least, residual = spec._multipliers(tol)
+    cp_ok, least, residual = spec._multipliers()
     if not cp_ok:
         raise ContractError("expectation is not even positive")
-    if (residual > tol).any():
+    if (residual > 1e-9).any():
         return 0.0
     return 1.0 / float(least.max())
 
@@ -308,19 +307,15 @@ def minimal_cp_multiplier(spec: ExpectationSpec) -> dict:
     """Certify that the index element of E (``quasi_basis``) is the smallest
     central c with c E - id completely positive: per block k of B, the least
     multiplier c_k* of iota.E (``least_multipliers`` on E and iota, with no
-    iota.E formed) against the index element's coefficient c_k.  It passes
-    at the index element when iota.E is completely positive, vec 1 lies in
-    the range of each diagonal Choi block and c_k* <= c_k (1 + 1e-8);
-    minimality is certified when c_k* >= c_k (1 - 1e-8)."""
-    tol = 1e-8
+    iota.E formed) against the index element's coefficient c_k
+    (``index._certificate``)."""
     _, ind = quasi_basis(spec)
     c = np.array([np.trace(b).real / len(b) for b in ind.blocks])
-    cp_ok, least, residual = spec._multipliers(1e-9)
-    return {"index_element": ind, "least_multiplier": least.tolist(),
-            "range_residual": residual.tolist(),
-            "passed_at_index": bool(cp_ok and (residual <= tol).all()
-                                    and (least <= c * (1 + tol)).all()),
-            "minimality_certified": bool((least >= c * (1 - tol)).all())}
+    found = spec._multipliers()
+    passed, certified = _certificate(found, c)
+    return {"index_element": ind, "least_multiplier": found[1].tolist(),
+            "range_residual": found[2].tolist(),
+            "passed_at_index": passed, "minimality_certified": certified}
 
 
 # -- weighted graphs ----------------------------------------------------------------

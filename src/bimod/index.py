@@ -282,15 +282,14 @@ def _extension_cp_map(X: HilbertBimodule) -> CPMap:
     return X._cached("F_units", build)
 
 
-def least_multipliers(cp: CPMap, hom: np.ndarray,
-                      tol: float = 1e-9) -> tuple[bool, np.ndarray, np.ndarray]:
+def least_multipliers(cp: CPMap, hom: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
     """(hom.cp completely positive, c_l*, range residuals) per block l of S
     (module docstring): ``cp`` maps S = (+)_l M_{m_l} into A, and ``hom``,
     its images (U_A, N_S, N_S) at the units of A, is a unital
     *-homomorphism back.  Up to a unitary C_ll = (+)_k C_lk (x) 1, over the
     k that hom takes into block l, and Omega_l Omega_l^* cut to k is
     Q_kl[(i, s), (j, r)] = hom(e^k_rs)[j, i]; so c_l* = sum_k tr C_lk^+
-    Q_kl, each Choi block C_lk of ``cp`` cut at ``tol`` times the largest of
+    Q_kl, each Choi block C_lk of ``cp`` cut at 1e-9 times the largest of
     their eigenvalues, and the residual is sum_k tr (1 - P_lk) Q_kl / m_l.
     One ``eigh`` per (l, k) with hom(e^k_11) != 0 also gives the verdict."""
     S, images = cp.source, _unit_blocks(hom, cp.target)
@@ -306,12 +305,23 @@ def least_multipliers(cp: CPMap, hom: np.ndarray,
                     terms.append((w, v, Q))
         top, c, miss = max(w[-1] for w, _, _ in terms), 0.0, 0.0
         for w, v, Q in terms:
-            keep = w > tol * top
+            keep = w > 1e-9 * top
             q = np.einsum("ji,ji->i", v[:, keep].conj(), Q @ v[:, keep]).real   # v_i^* Q v_i
             c, miss = c + np.sum(q / w[keep]), miss + np.trace(Q).real - q.sum()
         least.append(float(c))
         residual.append(float(miss) / m)
     return _cp_verdict(ends, DEFAULT_TOL)[0], np.array(least), np.array(residual)
+
+
+def _certificate(found: tuple, c: np.ndarray) -> tuple[bool, bool]:
+    """(passed at c, minimality certified) of the ``least_multipliers``
+    result ``found`` against the coefficients c_l of an index element: it
+    passes at c when hom.cp is completely positive, 1 lies in the range of
+    each diagonal Choi block (residual <= 1e-8) and c_l* <= c_l (1 + 1e-8),
+    and c is certified least when c_l* >= c_l (1 - 1e-8)."""
+    cp_ok, least, residual = found
+    return (bool(cp_ok and (residual <= 1e-8).all() and (least <= c * (1 + 1e-8)).all()),
+            bool((least >= c * (1 - 1e-8)).all()))
 
 
 # -- the extension of the left inner product -----------------------------------

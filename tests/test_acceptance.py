@@ -119,7 +119,7 @@ def test_c05_smallest_multiplier_and_gap():
     cert = minimal_cp_multiplier(spec)
     ind = cert["index_element"]
     two = (ind - 2.0 * spec.B.identity()).norm() < 1e-10
-    gap = expectation_cp_gap(spec, tol=1e-9)
+    gap = expectation_cp_gap(spec)
     ok = (two and cert["passed_at_index"] and cert["minimality_certified"]
           and abs(gap - 0.5) <= 1e-6)
     _report(5, "diagonal expectation: minimal multiplier 2I, CP gap 1/2", ok,

@@ -27,8 +27,10 @@ from bimod import (
     tensor,
     tight_frame,
     validate,
+    verify_conjugate,
 )
-from bimod.bimodule import OFF_BLOCK_TOL, _summands, bimodule_map_residual
+from bimod.bimodule import (OFF_BLOCK_TOL, _corner_ranges, _summands, _unit_blocks,
+                            bimodule_map_residual)
 
 from helpers import (
     _act_first,
@@ -871,3 +873,50 @@ def test_amplify_rejects_bad_order():
     X = from_hilbert_space(2, np.eye(2))
     with pytest.raises(ContractError):
         amplify(X, 0)
+
+
+# -- the corner record ---------------------------------------------------------------
+
+_LADDER_SHAPES = [([2, 1], [2, 1], [[1, 1], [2, 3]]), ([2, 1], [2, 1], [[2, 2], [2, 2]])]
+
+
+def _corner_record_cases():
+    cases = [pytest.param(X, id=name) for name, X in corpus()]
+    cases += [pytest.param(random_bimodule(*shape, seed=1), id=f"ladder_{i}")
+              for i, shape in enumerate(_LADDER_SHAPES)]
+    X = random_bimodule(*_LADDER_SHAPES[0], seed=1)
+    return cases + [pytest.param(tensor(X, contragredient(X)), id="product")]
+
+
+@pytest.mark.parametrize("X", _corner_record_cases())
+def test_corner_record_factors_every_unit_image(X):
+    # per block l, W is orthonormal with the rank of act(e^l_11), and the
+    # factor stacks give phi(e^l_ab) = F[a] H[b] and psi(e^l_ab) = F[b] H[a]
+    for left, alg, stack in ((True, X.A, X.phis), (False, X.B, X.psis)):
+        scale = np.abs(stack).max()
+        for (W, F, H), part in zip(_corner_ranges(X, left), _unit_blocks(stack, alg)):
+            assert W.shape[1] == round(np.trace(part[0, 0]).real)
+            assert np.abs(W.conj().T @ W - np.eye(W.shape[1])).max() <= 1e-12
+            prod = F[:, None] @ H[None]                     # [a, b] = F[a] H[b]
+            image = part if left else part.transpose(1, 0, 2, 3)
+            assert np.abs(prod - image).max() <= 1e-12 * scale, (left, alg.blocks)
+
+
+def test_corner_records_take_one_svd_per_block_side_and_module(monkeypatch):
+    # tensor(X, Xbar), build_conjugate(X) and verify_conjugate read the corner
+    # records of both sides of X and Xbar, each built once, with one SVD per
+    # block of nonzero rank
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: calls.append(a.shape)
+                        or svd(a, *args, **kw))
+    X = random_bimodule(*_LADDER_SHAPES[1], seed=1)
+    Xbar = contragredient(X)
+    tensor(X, Xbar)
+    sol = build_conjugate(X)
+    assert sol.Y is Xbar
+    verify_conjugate(X, Xbar, sol.R, sol.Rbar)
+    blocks = sum(np.trace(act[o]).real > 0.5 for M in (X, Xbar)
+                 for alg, act in ((M.A, M.phis), (M.B, M.psis))
+                 for o in np.cumsum([0] + [n * n for n in alg.blocks[:-1]]))
+    assert blocks == 2 * (len(X.A.blocks) + len(X.B.blocks))
+    assert calls == [(X.dim, X.dim)] * blocks

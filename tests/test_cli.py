@@ -382,6 +382,35 @@ def test_expectation_runs_least_multipliers_once(name, tmp_path, monkeypatch):
     assert status == 0 and len(calls) == 1, (report.get("error"), len(calls))
 
 
+# the corpus's expectation files, and the benchmark's expectation_extra shape
+# (B = M_2 + M_2 over A = M_2) at two more weightings
+_TENSOR_DIM_FILES = {**{name: obj for name, (_, obj) in _EXPECTATION_FILES.items()}, **{
+    f"two_block_{w}": {"kind": "expectation", "B": {"blocks": [2, 2]},
+                       "A_blocks": {"blocks": [2], "multiplicity": [[1], [1]]},
+                       "E_weights": [[w], [1.0 - w]]} for w in (0.3, 0.61)}}
+
+
+@pytest.mark.parametrize("name", sorted(_TENSOR_DIM_FILES))
+def test_expectation_reports_the_product_dimension_without_building_it(name, tmp_path,
+                                                                        monkeypatch):
+    # tensor_dim is the dimension of Y (x)_B X of from_expectation, read off
+    # X = B as dim B: the command builds neither the contragredient nor a product
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_TENSOR_DIM_FILES[name]))
+    product_dim = constructors.from_expectation(parse_spec(str(path))[1])[2].dim
+
+    def refused(*args):
+        raise AssertionError("expectation built a contragredient or a tensor product")
+
+    for module in (bimodule, cli, constructors, index, bimod.conjugation):
+        for fn in ("tensor", "contragredient"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, refused)
+    status, report = _run("expectation", [str(path)])
+    assert status == 0, report.get("error")
+    assert report["results"]["tensor_dim"] == product_dim
+
+
 @pytest.mark.parametrize("name", sorted(_EXPECTATION_FILES))
 def test_expectation_round_trip_compares_the_quasi_basis_route(name, tmp_path, monkeypatch):
     # round_trip_residual compares Ind(E) = sum_i u_i u_i^* over the
@@ -512,9 +541,9 @@ def test_expectation_checks_and_builds_once(fixtures, monkeypatch):
     calls = {"check": 0, "module": 0}
     check, identity = constructors.ExpectationSpec._check, constructors.identity_bimodule
 
-    def counted_check(spec, tol):
+    def counted_check(spec):
         calls["check"] += 1
-        return check(spec, tol)
+        return check(spec)
 
     def counted_identity(alg):      # called once per build of the module X
         calls["module"] += 1

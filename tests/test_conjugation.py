@@ -33,7 +33,6 @@ from bimod import (
 from bimod import bimodule, conjugation, index
 from bimod.bimodule import _corner_ranges, _embed, _w_frames, tight_frame
 from bimod.conjugation import (
-    _corner_factors,
     _equation_map,
     _inner,
     _pair,
@@ -621,7 +620,6 @@ def _build_right_keys(Y) -> None:
     Y._g_half()
     _corner_ranges(Y, left=True)
     tight_frame(Y)
-    _corner_factors(Y)
     validate(Y)
 
 

@@ -326,7 +326,7 @@ _SPECS = [pytest.param(spec, id=name) for name, spec in _oracle_specs()]
 
 @pytest.mark.parametrize("spec", _SPECS)
 def test_stacked_expectation_check_matches_per_element_oracle(spec):
-    got, ref = spec._check(1e-9), per_element_check(spec)
+    got, ref = spec._check(), per_element_check(spec)
     assert (got["passed"], got["faithful"]) == (ref["passed"], ref["faithful"]) == (True, True)
     for field in ("unital", "idempotent", "bimodule"):
         assert abs(got[field] - ref[field]) <= 1e-12, field

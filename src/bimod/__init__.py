@@ -24,7 +24,6 @@ from .bimodule import (
     FrameSet,
     HilbertBimodule,
     ModuleOperator,
-    ModuleVector,
     ValidationReport,
     amplify,
     contragredient,

@@ -33,7 +33,7 @@ Hermitian linear algebra there.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
@@ -216,29 +216,30 @@ class HilbertBimodule:
         sq, isq = self._gl_half()
         return isq @ np.asarray(M, dtype=complex) @ sq
 
-    def _self_adjoint_rep(self, T: np.ndarray, tol: float) -> np.ndarray:
+    def _self_adjoint_rep(self, T: np.ndarray) -> np.ndarray:
         """The Hermitian part of ``op_rep(T)``, after refusing a T that is not self-adjoint."""
         M = self.op_rep(T)
         dev = float(np.abs(M - M.conj().T).max())
-        if dev > tol * (1.0 + np.linalg.norm(M, 2)):
+        if dev > DEFAULT_TOL * (1.0 + np.linalg.norm(M, 2)):
             raise ContractError(f"operator is not self-adjoint in L(X_B) (dev {dev:.3g})")
         return hermitian_part(M)
 
-    def op_spectrum(self, T: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def op_spectrum(self, T: np.ndarray) -> np.ndarray:
         """Spectrum of a self-adjoint module operator."""
-        return np.linalg.eigvalsh(self._self_adjoint_rep(T, tol))
+        return np.linalg.eigvalsh(self._self_adjoint_rep(T))
 
-    def op_function(self, T: np.ndarray, f: Callable,
-                    tol: float = DEFAULT_TOL) -> np.ndarray:
+    def op_function(self, T: np.ndarray, f: Callable) -> np.ndarray:
         """f(T) for a self-adjoint module operator T."""
-        w, v = np.linalg.eigh(self._self_adjoint_rep(T, tol))
+        w, v = np.linalg.eigh(self._self_adjoint_rep(T))
         return self.op_unrep((v * f(w)) @ v.conj().T)
 
-    def op_is_positive(self, T: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    def op_is_positive(self, T: np.ndarray) -> tuple[bool, float]:
+        """(least eigenvalue >= -DEFAULT_TOL (1 + s), that eigenvalue) of the
+        Hermitian part of ``op_rep(T)``, s its largest |eigenvalue|."""
         M = hermitian_part(self.op_rep(T))
         w = np.linalg.eigvalsh(M)
         mn, mx = float(w.min()), float(np.abs(w).max())
-        return mn >= -tol * (1.0 + mx), mn
+        return mn >= -DEFAULT_TOL * (1.0 + mx), mn
 
     # -- derived bimodules ------------------------------------------------------
 
@@ -338,26 +339,10 @@ def _unit_blocks(stack: np.ndarray, alg: MultiMatrixAlgebra) -> list[np.ndarray]
 
 
 def _coords(X: HilbertBimodule, x) -> np.ndarray:
-    if isinstance(x, ModuleVector):
-        return x.coords
     x = np.asarray(x, dtype=complex).reshape(-1)
     if x.shape != (X.dim,):
         raise StructureError(f"coordinate vector has length {len(x)}, expected {X.dim}")
     return x
-
-
-@dataclass
-class ModuleVector:
-    bimodule: HilbertBimodule
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=complex).reshape(-1)
-        if self.coords.shape != (self.bimodule.dim,):
-            raise StructureError("coordinate length does not match the bimodule")
-
-    def norm(self) -> float:
-        return self.bimodule.vector_norm(self.coords)
 
 
 @dataclass
@@ -366,15 +351,12 @@ class ModuleOperator:
 
     bimodule: HilbertBimodule
     matrix: np.ndarray
-    adjoint_matrix: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         d = self.bimodule.dim
         if self.matrix.shape != (d, d):
             raise StructureError("operator matrix shape does not match the bimodule")
-        if self.adjoint_matrix is None:
-            self.adjoint_matrix = self.bimodule.op_adjoint(self.matrix)
 
     def norm(self) -> float:
         return self.bimodule.op_norm(self.matrix)
@@ -405,7 +387,6 @@ class CheckResult:
 @dataclass
 class ValidationReport:
     checks: list[CheckResult]
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -666,7 +647,7 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     if X.left_stack is not None:
         lines += _lines([_left_terms(Y) for Y in parts])
     return ValidationReport([CheckResult(name, float(res), res <= tol if ok is None else ok)
-                             for name, res, ok in lines], tol)
+                             for name, res, ok in lines])
 
 
 # -- frames, rank-one sums, generalized bases ----------------------------------

@@ -7,15 +7,17 @@ Grammar::
           [--out PATH] [--format json|text]
 
 Exit status: 0 when every computed check passed, 1 when a computation ran but
-an invariant failed, 2 on input errors (an input too large for the machine
-among them), 3 on an internal error (a fault of the toolkit, reported rather
-than raised).  Reports are single strict JSON documents with schema tag
-"bimod-report/5", written by orjson with two-space indentation, sorted keys
-and one key per line; a value that does not exist (a residual of a check
-that did not run) is null, never a non-finite number.  The wall-time field
-is the only nondeterministic entry for fixed inputs and seed.  ``--budget``
-is accepted and ignored: it bounded the minimal-dimension search, which is
-now a closed form.
+an invariant failed, 2 on input errors (an unreadable input or ``--out``, a
+negative or non-finite ``--tol``, a negative ``--seed``, an input too large
+for the machine; an unwritable ``--out`` writes one line to standard error
+and no report), 3 on an internal error (a fault of the toolkit, reported
+rather than raised).  Reports are single strict JSON documents with schema
+tag "bimod-report/5", written by orjson with two-space indentation, sorted
+keys and one key per line; a value that does not exist (a residual of a
+check that did not run) is null, never a non-finite number.  The wall-time
+field is the only nondeterministic entry for fixed inputs and seed.
+``--budget`` is accepted and ignored: it bounded the minimal-dimension
+search, which is now a closed form.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ class CommandRequest:
     fmt: str = "json"
 
 
+def _read_bytes(path: str) -> bytes:
+    """The bytes of ``path``, or a ParseError naming a path that cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_json(path: str):
     """The JSON document in ``path``, read as bytes once and parsed by orjson.
 
@@ -80,11 +91,7 @@ def _read_json(path: str):
     double range, other non-strict JSON) is parsed again by :mod:`json`, so
     that the decoders can still name the field that holds the bad value.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    data = _read_bytes(path)
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError:
@@ -338,8 +345,7 @@ _TWO_INPUT = {"verify", "tensor"}
 
 
 def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(_read_bytes(path)).hexdigest()
 
 
 def run(request: CommandRequest) -> tuple[int, dict]:
@@ -354,12 +360,16 @@ def run(request: CommandRequest) -> tuple[int, dict]:
         need = 2 if request.command in _TWO_INPUT else 1
         if len(request.inputs) != need:
             raise ParseError(f"command '{request.command}' takes {need} input file(s)")
+        if not (np.isfinite(request.tol) and request.tol >= 0):
+            raise ParseError(f"--tol must be a finite number >= 0, got {request.tol}")
+        if request.seed < 0:
+            raise ParseError(f"--seed must be >= 0, got {request.seed}")
         report["inputs"] = [_digest(p) for p in request.inputs]
         passed, results = _HANDLERS[request.command](request)
         report["passed"] = bool(passed)
         report["results"] = results
         status = 0 if passed else 1
-    except (ToolkitError, FileNotFoundError, MemoryError) as exc:
+    except (ToolkitError, MemoryError) as exc:
         too_large = isinstance(exc, MemoryError)
         report["error"] = f"input too large for this machine: {exc!r}" if too_large else str(exc)
         report["passed"] = False
@@ -372,7 +382,7 @@ def run(request: CommandRequest) -> tuple[int, dict]:
     return status, report
 
 
-def _render_text(report: dict, indent: int = 0) -> str:
+def _render_text(report: dict) -> str:
     lines = []
 
     def walk(obj, key, depth):
@@ -423,8 +433,12 @@ def main(argv=None) -> int:
     payload = (orjson.dumps(report, option=_JSON_LAYOUT) if req.fmt == "json"
                else _render_text(report).encode())
     if req.out:
-        with open(req.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(req.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"bimod: cannot write the report to {req.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload.decode())
     return status

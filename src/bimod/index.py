@@ -251,23 +251,23 @@ class CPMap:
         cut = [img[:, :, s, s] for img in self.unit_images for s in cuts]
         return [c.transpose(0, 2, 1, 3).reshape(c.shape[0] * c.shape[2], -1) for c in cut]
 
-    def is_hermitian_preserving(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(np.abs(c - c.conj().T).max() <= tol * (1 + np.abs(c).max())
+    def is_hermitian_preserving(self) -> bool:
+        return all(np.abs(c - c.conj().T).max() <= DEFAULT_TOL * (1 + np.abs(c).max())
                    for c in self.choi_blocks())
 
-    def is_completely_positive(self, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-        """(least Choi eigenvalue >= -tol (1 + s), that eigenvalue), with s the
-        largest |Choi eigenvalue|: a scale that no change of the source or
-        target bases moves."""
+    def is_completely_positive(self) -> tuple[bool, float]:
+        """(least Choi eigenvalue >= -DEFAULT_TOL (1 + s), that eigenvalue),
+        with s the largest |Choi eigenvalue|: a scale that no change of the
+        source or target bases moves."""
         return _cp_verdict([np.linalg.eigvalsh(hermitian_part(c))[[0, -1]]
-                            for c in self.choi_blocks()], tol)
+                            for c in self.choi_blocks()])
 
 
-def _cp_verdict(ends, tol: float) -> tuple[bool, float]:
+def _cp_verdict(ends) -> tuple[bool, float]:
     """``CPMap.is_completely_positive`` from each Choi block's (least, largest) eigenvalue."""
     ends = np.array(ends)
     mn = float(ends[:, 0].min())
-    return mn >= -tol * (1.0 + float(np.abs(ends).max())), mn
+    return mn >= -DEFAULT_TOL * (1.0 + float(np.abs(ends).max())), mn
 
 
 def _extension_cp_map(X: HilbertBimodule) -> CPMap:
@@ -310,7 +310,7 @@ def least_multipliers(cp: CPMap, hom: np.ndarray) -> tuple[bool, np.ndarray, np.
             c, miss = c + np.sum(q / w[keep]), miss + np.trace(Q).real - q.sum()
         least.append(float(c))
         residual.append(float(miss) / m)
-    return _cp_verdict(ends, DEFAULT_TOL)[0], np.array(least), np.array(residual)
+    return _cp_verdict(ends)[0], np.array(least), np.array(residual)
 
 
 def _certificate(found: tuple, c: np.ndarray) -> tuple[bool, bool]:

@@ -5,10 +5,11 @@ matrix per block.  Everything spectral (norms, positivity, functional
 calculus) goes through numpy's Hermitian eigensolver after an explicit
 Hermitianization gate, so results are reliable to ~1e-12 relative.
 
-The module also contains a generic, seeded structure-recognition routine,
+The module also contains a generic structure-recognition routine,
 ``decompose_star_algebra``, that presents any concrete *-closed matrix
-algebra as an abstract multimatrix algebra with explicit matrix units.  No
-library path calls it: L(X_B) takes its units from the right action
+algebra as an abstract multimatrix algebra with explicit matrix units; its
+random draws come from one fixed seed, so it is deterministic.  No library
+path calls it: L(X_B) takes its units from the right action
 (``index.module_operator_algebra``).  It stays as public API and serves the
 test suite as an independent oracle.
 """
@@ -226,13 +227,12 @@ class AlgebraElement:
 class ScalarFunction:
     """A real function of one real variable, as a rule or a breakpoint list.
 
-    Breakpoint lists are interpolated linearly (numpy.interp) and carry their
-    own domain; a plain callable may declare a domain explicitly.
+    Breakpoint lists are interpolated linearly (numpy.interp) and take their
+    domain from the first and last breakpoint; a rule has no domain.
     """
 
     def __init__(self, rule: Callable | None = None,
                  breakpoints: Sequence[tuple[float, float]] | None = None,
-                 domain: tuple[float, float] | None = None,
                  name: str = "f"):
         if (rule is None) == (breakpoints is None):
             raise StructureError("provide exactly one of rule / breakpoints")
@@ -242,11 +242,11 @@ class ScalarFunction:
             self._xs = np.array([p[0] for p in pts])
             self._ys = np.array([p[1] for p in pts])
             self._rule = None
-            self.domain = (self._xs[0], self._xs[-1]) if domain is None else domain
+            self.domain = (self._xs[0], self._xs[-1])
         else:
             self._rule = rule
             self._xs = self._ys = None
-            self.domain = domain
+            self.domain = None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -254,11 +254,11 @@ class ScalarFunction:
             return np.vectorize(self._rule, otypes=[float])(t)
         return np.interp(t, self._xs, self._ys)
 
-    def check_domain(self, values: np.ndarray, tol: float = 1e-9) -> None:
+    def check_domain(self, values: np.ndarray) -> None:
         if self.domain is None:
             return
         lo, hi = self.domain
-        slack = tol * (1.0 + max(abs(lo), abs(hi)))
+        slack = DEFAULT_TOL * (1.0 + max(abs(lo), abs(hi)))
         if values.min() < lo - slack or values.max() > hi + slack:
             raise SpectrumDomainError(
                 f"{self.name} is defined on [{lo}, {hi}] but the spectrum "
@@ -293,40 +293,39 @@ def operator_norm(x: AlgebraElement) -> float:
     return max(float(np.linalg.norm(b, 2)) if b.size else 0.0 for b in x.blocks)
 
 
-def _hermitian_blocks(x: AlgebraElement, tol: float, who: str) -> list[np.ndarray]:
+def _hermitian_blocks(x: AlgebraElement, who: str) -> list[np.ndarray]:
     scale = 1.0 + operator_norm(x)
     out = []
     for b in x.blocks:
         dev = np.abs(b - b.conj().T).max() if b.size else 0.0
-        if dev > tol * scale:
+        if dev > DEFAULT_TOL * scale:
             raise ContractError(
                 f"{who} expects a Hermitian element; anti-Hermitian part {dev:.3g} "
-                f"exceeds {tol:.3g}*(1+norm)")
+                f"exceeds {DEFAULT_TOL:.3g}*(1+norm)")
         out.append(hermitian_part(b))
     return out
 
 
-def positivity_check(x: AlgebraElement, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether x >= 0 up to tol*(1+||x||); returns (flag, min eigenvalue)."""
-    blocks = _hermitian_blocks(x, tol, "positivity_check")
+def positivity_check(x: AlgebraElement) -> tuple[bool, float]:
+    """Whether x >= 0 up to DEFAULT_TOL*(1+||x||); returns (flag, min eigenvalue)."""
+    blocks = _hermitian_blocks(x, "positivity_check")
     min_eig = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
-    return min_eig >= -tol * (1.0 + operator_norm(x)), min_eig
+    return min_eig >= -DEFAULT_TOL * (1.0 + operator_norm(x)), min_eig
 
 
-def functional_calculus(x: AlgebraElement, f: ScalarFunction | Callable,
-                        tol: float = DEFAULT_TOL) -> AlgebraElement:
+def functional_calculus(x: AlgebraElement, f: ScalarFunction | Callable) -> AlgebraElement:
     """Apply a scalar function to a Hermitian element blockwise.
 
     The element is symmetrized when its anti-Hermitian part is below
-    tol*(1+norm) and rejected above it; f must be defined on the spectrum.
+    DEFAULT_TOL*(1+norm) and rejected above it; f must be defined on the spectrum.
     """
-    blocks = _hermitian_blocks(x, tol, "functional_calculus")
+    blocks = _hermitian_blocks(x, "functional_calculus")
     if not isinstance(f, ScalarFunction):
         f = ScalarFunction(rule=f)
     out = []
     for b in blocks:
         w, v = np.linalg.eigh(b)
-        f.check_domain(w, tol)
+        f.check_domain(w)
         out.append((v * f(w)) @ v.conj().T)
     return AlgebraElement(x.algebra, out)
 
@@ -344,11 +343,11 @@ def inverse_on_support(x: AlgebraElement) -> AlgebraElement:
     return functional_calculus(x, lambda t: 1.0 / t if abs(t) > cut else 0.0)
 
 
-def element_sqrt(x: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
-    ok, mn = positivity_check(x, tol)
+def element_sqrt(x: AlgebraElement) -> AlgebraElement:
+    ok, mn = positivity_check(x)
     if not ok:
         raise ContractError(f"square root of a non-positive element (min eig {mn:.3g})")
-    return functional_calculus(x, lambda t: np.sqrt(max(t, 0.0)), tol)
+    return functional_calculus(x, lambda t: np.sqrt(max(t, 0.0)))
 
 
 def center_decompose(alg: MultiMatrixAlgebra) -> list[AlgebraElement]:
@@ -372,15 +371,9 @@ def random_hermitian(alg: MultiMatrixAlgebra, rng: np.random.Generator) -> Algeb
     return AlgebraElement(alg, [hermitian_part(b) for b in x.blocks])
 
 
-def random_positive(alg: MultiMatrixAlgebra, rng: np.random.Generator,
-                    shift: float = 0.1) -> AlgebraElement:
-    """Random strictly positive element, min eigenvalue >= shift."""
-    x = random_element(alg, rng)
-    return AlgebraElement(alg, [b @ b.conj().T + shift * np.eye(n)
-                                for n, b in zip(alg.blocks, x.blocks)])
-
-
 # -- recognition of concrete *-closed matrix algebras -------------------------
+
+_DECOMPOSE_TOL = 1e-8  # closure of a span given to ``decompose_star_algebra``
 
 
 @dataclass
@@ -432,19 +425,19 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return groups
 
 
-def _orthonormal_span(mats: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _orthonormal_span(mats: np.ndarray) -> np.ndarray:
     """Orthonormal basis (Hilbert-Schmidt) of the span of a stack of matrices."""
     m, t, _ = mats.shape
     flat = mats.reshape(m, t * t)
     u, s, vh = np.linalg.svd(flat, full_matrices=False)
-    keep = s > tol * max(s.max(), 1e-300)
+    keep = s > 1e-10 * max(s.max(), 1e-300)
     return vh[keep].reshape(-1, t, t)
 
 
-def _matrix_nullspace(rows: np.ndarray, scale: float, rel_tol: float = 1e-9) -> np.ndarray:
-    """Null space with a threshold floored at the scale of the generators, so
-    an all-noise system (e.g. commutators of identity actions) keeps its full
-    null space.
+def _matrix_nullspace(rows: np.ndarray, scale: float) -> np.ndarray:
+    """Null space, cut at 1e-9 times the largest singular value floored at the
+    scale of the generators, so an all-noise system (e.g. commutators of
+    identity actions) keeps its full null space.
 
     ``rows`` must have at least as many rows as columns: then the thin SVD
     has one singular value per column and its right factor already spans
@@ -452,13 +445,13 @@ def _matrix_nullspace(rows: np.ndarray, scale: float, rel_tol: float = 1e-9) -> 
     """
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     smax = max(float(s.max()), scale, 1e-300) if s.size else 1.0
-    null_dim = int(np.sum(s <= rel_tol * smax))
+    null_dim = int(np.sum(s <= 1e-9 * smax))
     if null_dim == 0:
         return np.zeros((0, vh.shape[1]), dtype=complex)
     return vh.conj()[-null_dim:]
 
 
-def _center_basis(basis: np.ndarray, rng: np.random.Generator, tol: float) -> np.ndarray:
+def _center_basis(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Basis of the centre of the algebra spanned by ``basis``.
 
     The centraliser of a couple of random elements is computed first (cheap)
@@ -480,21 +473,20 @@ def _center_basis(basis: np.ndarray, rng: np.random.Generator, tol: float) -> np
         cand = np.einsum("ca,aij->cij", null, basis)
         res = max(np.abs(np.einsum("cij,ajk->caik", cand, basis)
                          - np.einsum("aij,cjk->caik", basis, cand)).max(), 0.0)
-        if res <= tol * 10:
+        if res <= _DECOMPOSE_TOL * 10:
             return cand
     raise StructureError("could not isolate the centre of the algebra")
 
 
-def decompose_star_algebra(span, tol: float = 1e-8,
-                           seed: int = 7) -> StarAlgebraDecomposition:
+def decompose_star_algebra(span) -> StarAlgebraDecomposition:
     """Present a *-closed subalgebra of M_t (standard involution) as a
     multimatrix algebra with explicit units.
 
     ``span`` is a stack of matrices generating the algebra linearly (it must
-    already be closed under products and adjoints up to ``tol``).  Central
-    projections come from the spectral projections of a random Hermitian
-    central element; units inside each factor from a random Hermitian element
-    and rank-one polar parts.  The algebra need not contain the identity of
+    already be closed under products and adjoints up to ``_DECOMPOSE_TOL``).
+    Central projections come from the spectral projections of a random
+    Hermitian central element; units inside each factor from a random
+    Hermitian element and rank-one polar parts, all drawn at one fixed seed.  The algebra need not contain the identity of
     M_t; a kernel cluster is detected and skipped.
     """
     span = np.asarray(span, dtype=complex)
@@ -503,8 +495,8 @@ def decompose_star_algebra(span, tol: float = 1e-8,
     t = span.shape[1]
     basis = _orthonormal_span(span)
     m = basis.shape[0]
-    rng = np.random.default_rng(seed)
-    center = _center_basis(basis, rng, tol)
+    rng = np.random.default_rng(7)
+    center = _center_basis(basis, rng)
     null_dim = center.shape[0]
 
     for _ in range(8):
@@ -518,13 +510,13 @@ def decompose_star_algebra(span, tol: float = 1e-8,
         for g in groups:
             vecs = v[:, g]
             proj = vecs @ vecs.conj().T
-            if _project_residual(proj, basis) > tol * 10:
+            if _project_residual(proj, basis) > _DECOMPOSE_TOL * 10:
                 # acceptable only as the kernel of a non-unital-on-M_t algebra
-                if np.abs(np.einsum("aij,jk->aik", basis, proj)).max() < tol * 10:
+                if np.abs(np.einsum("aij,jk->aik", basis, proj)).max() < _DECOMPOSE_TOL * 10:
                     continue
                 ok = False
                 break
-            u_blk, mu = _factor_units(proj, basis, rng, tol)
+            u_blk, mu = _factor_units(proj, basis, rng)
             if u_blk is None:
                 ok = False
                 break
@@ -546,8 +538,7 @@ def _dims_consistent(units, mults, span_dim) -> bool:
     return sum(u.shape[0] ** 2 for u in units) == span_dim
 
 
-def _factor_units(proj: np.ndarray, basis: np.ndarray, rng: np.random.Generator,
-                  tol: float):
+def _factor_units(proj: np.ndarray, basis: np.ndarray, rng: np.random.Generator):
     """Matrix units of one factor p*S*p known to be isomorphic to M_k with
     multiplicity mu; returns (units (k,k,t,t), mu) or (None, None)."""
     t = proj.shape[0]
@@ -599,6 +590,6 @@ def _factor_units(proj: np.ndarray, basis: np.ndarray, rng: np.random.Generator,
         for i in range(k):
             for j in range(k):
                 err = max(err, np.abs(units[i, j] @ units[j, i] - units[i, i]).max())
-        if err < 100 * tol:
+        if err < 100 * _DECOMPOSE_TOL:
             return units, mu
     return None, None

@@ -399,7 +399,7 @@ def unit_loop_validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationRepor
             radj_err = max(radj_err, float(np.abs(lhs - rhs).max()))
         add("right_action_left_adjointable", radj_err / lscale)
 
-    return ValidationReport(checks, tol)
+    return ValidationReport(checks)
 
 
 def scalar_form_lines(X: HilbertBimodule) -> dict[str, float]:
@@ -1063,7 +1063,7 @@ def composite_least_multipliers(cp: CPMap, tol: float = 1e-9) -> tuple[bool, np.
         weight = np.abs(v[::m + 1, keep].sum(axis=0)) ** 2     # |v_i^* Omega_l|^2
         least.append(float(np.sum(weight / w[keep])))
         residual.append(float(m - weight.sum()) / m)
-    return _cp_verdict(ends, 1e-9)[0], np.array(least), np.array(residual)
+    return _cp_verdict(ends)[0], np.array(least), np.array(residual)
 
 
 def frame_multiplier_cp_map(X: HilbertBimodule):
@@ -1177,7 +1177,7 @@ def assert_least_multipliers_factorize_once(cp: CPMap, hom: np.ndarray, composit
     with monkeypatch.context() as mp:
         for name in calls:
             mp.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        mp.setattr(index, "_cp_verdict", lambda ends, tol: seen.append(verdict(ends, tol)) or seen[-1])
+        mp.setattr(index, "_cp_verdict", lambda ends: seen.append(verdict(ends)) or seen[-1])
         got = index.least_multipliers(cp, hom)
     reached = [np.trace(h[0, 0]).real > 0.5 for h in _unit_blocks(hom, cp.target)]
     blocks = cp.choi_blocks()

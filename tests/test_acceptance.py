@@ -256,7 +256,7 @@ def test_c12_generalized_basis_step():
         extra = rng.standard_normal((1, X.dim)) + 1j * rng.standard_normal((1, X.dim))
         _, Tmu = generalized_basis_step(X, mu)
         _, Tnu = generalized_basis_step(X, np.vstack([mu, extra]))
-        ok_psd, _ = X.op_is_positive(Tnu.matrix - Tmu.matrix, tol=1e-9)
+        ok_psd, _ = X.op_is_positive(Tnu.matrix - Tmu.matrix)
         chains_ok = chains_ok and ok_psd
     ok = worst <= 1e-12 and chains_ok
     _report(12, "generalized basis step: 1/(4n) bound and monotone net", ok,

@@ -582,7 +582,7 @@ def test_generalized_basis_contraction_and_chain():
         _, Tnu = generalized_basis_step(X, nu)
         spec = X.op_spectrum(Tmu.matrix)
         assert spec.min() >= -1e-12 and spec.max() <= 1.0 + 1e-12
-        ok, _ = X.op_is_positive(Tnu.matrix - Tmu.matrix, tol=1e-9)
+        ok, _ = X.op_is_positive(Tnu.matrix - Tmu.matrix)
         assert ok
         n = mu.shape[0]
         for x in mu:

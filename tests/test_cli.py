@@ -599,7 +599,7 @@ def test_verify_quotient_coordinate_files(fixtures, tmp_path):
     assert "expected 16" in report["error"] and "bimod conjugate" in report["error"]
 
 
-def test_input_errors_exit_two(fixtures):
+def test_input_errors_exit_two(fixtures, tmp_path, capsys):
     status, report = _run("graph", [fixtures["negative_weight"]])
     assert status == 2
     assert "weight" in report["error"]
@@ -609,6 +609,19 @@ def test_input_errors_exit_two(fixtures):
     assert status == 2
     status, report = _run("verify", [fixtures["hilbert"]])
     assert status == 2      # missing second input
+    directory = os.path.dirname(fixtures["hilbert"])
+    for command, inputs in (("index", [directory]), ("verify", [fixtures["hilbert"], directory])):
+        status, report = _run(command, inputs)
+        assert status == 2 and report["error"].startswith(f"cannot read {directory}"), report
+    for kw, word in (({"tol": float("nan")}, "--tol"), ({"tol": -1.0}, "--tol"),
+                     ({"seed": -1}, "--seed")):
+        status, report = _run("basic", [fixtures["hilbert"]], **kw)
+        assert status == 2 and report["error"].startswith(word), report
+    out = tmp_path / "missing" / "report.json"
+    assert main(["validate", fixtures["hilbert"], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
 
 
 def test_every_toolkit_error_exits_two(fixtures, monkeypatch):

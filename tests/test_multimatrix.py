@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from bimod import (
+    CPMap,
     ContractError,
     MultiMatrixAlgebra,
     SpectrumDomainError,
     center_decompose,
     decompose_star_algebra,
     dyadic_partition_function,
+    from_hilbert_space,
     element_sqrt,
     functional_calculus,
     operator_norm,
     positivity_check,
 )
-from bimod.multimatrix import ScalarFunction, random_element, random_hermitian
+from bimod.multimatrix import DEFAULT_TOL, ScalarFunction, random_element, random_hermitian
 
 from helpers import random_posdef
 
@@ -64,6 +66,33 @@ def test_positivity_rejects_non_hermitian():
     x = M2.element([np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ContractError):
         positivity_check(x)
+
+
+def _positivity_by_multimatrix(top, least):
+    return positivity_check(MultiMatrixAlgebra([2]).element([np.diag([top, least])]))
+
+
+def _positivity_by_module(top, least):
+    X = from_hilbert_space(2, np.diag([1.0, 2.0]))
+    return X.op_is_positive(X.op_unrep(np.diag([top, least])))
+
+
+def _positivity_by_choi(top, least):
+    source = MultiMatrixAlgebra([1])
+    return CPMap(source, [np.diag([top, least]).reshape(1, 1, 2, 2)]).is_completely_positive()
+
+
+@pytest.mark.parametrize("verdict", [_positivity_by_multimatrix, _positivity_by_module,
+                                     _positivity_by_choi])
+def test_positivity_verdicts_share_default_tol(verdict):
+    """Each verdict is least eigenvalue >= -DEFAULT_TOL (1 + s), with s = 7
+    its own scale: ||x||, the largest |eigenvalue| of op_rep(T) and the
+    largest |Choi eigenvalue|.  Half the slack passes, twice it fails."""
+    slack = DEFAULT_TOL * (1 + 7.0)
+    ok, mn = verdict(7.0, -0.5 * slack)
+    assert ok and mn == pytest.approx(-0.5 * slack, rel=1e-6)
+    ok, mn = verdict(7.0, -2.0 * slack)
+    assert not ok and mn == pytest.approx(-2.0 * slack, rel=1e-6)
 
 
 def test_functional_calculus_sqrt_and_identity():

@@ -3,15 +3,16 @@
 Solutions R in Y (x)_A X and Rbar in X (x)_B Y are stored in product
 coordinates; coordinates that differ by a null vector of the product give
 the same solution.  Everything checked of them is an inner product in a
-product, contracted from the factor tensors by two routines and no tensor
-bimodule: ``_inner`` gives (r|s) (norms, R*R, intertwiner residuals) and
-``_pair`` gives (r | e_t (x) f_u) for all basis vectors (the equation maps,
-the recovered left Gram and the pair identities, which are exhaustive on the
-basis).  Both run through the corners of B: phi_Y(e_ab) = F[a] H[b] for a, b
-in block l, with F and H the factor stacks of the corner record of phi_Y
-(``bimodule._corner_ranges``), so no term holds more than O(d^2 U) elements,
-and both read the Gram stacks of the modules (``HilbertBimodule``): a value
-in C is given at its matrix units, U of them.
+product, read off one routine and no tensor bimodule: ``_peel`` gives the
+vectors m_p of Y with (e_p (x) f | s)_C = (f | m_p)_C, and three readings of
+Y's right Gram take them: ``_inner`` gives (r|s) (norms, R*R, intertwiner
+residuals), ``_pair`` (r | e_t (x) f_u) = (m_t | f_u) for all basis vectors
+(the equation maps and the pair identities, exhaustive on the basis) and
+``_left_pairing`` (m_p | m_q) (the recovered left Gram).  ``_peel`` runs
+through the corners of B: phi_Y(e_ab) = F[a] H[b] for a, b in block l, with
+F and H the factor stacks of the corner record of phi_Y
+(``bimodule._corner_ranges``), so no term holds more than O(d^2 U) elements;
+a value in C is given at its matrix units, U of them.
 
 Convention: in the two equations the tensor product is applied before the
 composition, i.e. the map checked on X is x -> (Rbar* (x) 1_X)(x (x) R).
@@ -93,28 +94,16 @@ def _inner(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray,
 
 def _pair(X: HilbertBimodule, Y: HilbertBimodule, r: np.ndarray) -> np.ndarray:
     """[t, u, c] = (r | e_t (x) f_u)_C at the unit c of C, in X (x)_B Y, for r
-    (d_X, d_Y).  Per block l of B with K_l > 0, conj(r) meets the Gram
-    block, then T1[(u', a), (k, c)] = sum_w F[a][w, k] (f_u'|f_w)_C at the
-    unit c of C, then H (the matrices of ``_peel``): no term exceeds
-    d_X d_Y U elements, U the largest number of matrix units."""
-    dx, dy, uc = X.dim, Y.dim, len(Y.right_stack)
-    out = np.zeros((dx * uc, dy), dtype=complex)
-    parts = _unit_blocks(X.right_stack, X.B)
-    for l, (U, F, H) in enumerate(_corner_ranges(Y, left=True)):
-        if U.shape[1]:
-            n = X.B.blocks[l]
-            F = F.transpose(0, 2, 1).reshape(-1, dy)           # [(a, k), w] = F[a][w, k]
-            T1 = (F @ Y.right_stack.transpose(1, 2, 0)).reshape(dy * n, -1)
-            # [(u', a), (t, b)] = sum_p conj(r[p, u']) (e_p|e_t)_B[a, b]
-            r_g = (r.conj().T @ parts[l]).transpose(2, 0, 3, 1).reshape(dy * n, dx * n)
-            # [t, c, (b, k)] = sum_{u', a} r_g[(u', a), (t, b)] T1[(u', a), (k, c)]
-            m = (r_g.T @ T1).reshape(dx, n, -1, uc).transpose(0, 3, 1, 2)
-            out += m.reshape(dx * uc, -1) @ H.reshape(-1, dy)
-    return out.reshape(dx, uc, dy).transpose(0, 2, 1)
+    (d_X, d_Y): the adjoint of (e_t (x) f_u | r)_C = (f_u | m_t)_C, so
+    (m_t | f_u)_C with m = ``_peel(r)``, read off the right Gram of Y."""
+    return np.tensordot(_peel(X, Y, r).conj(), Y.right_stack, axes=([1], [1])).transpose(0, 2, 1)
 
 
 def _norm(emb: np.ndarray) -> np.ndarray:
-    """||r|| = ||(r|r)_C||^(1/2) from (r|r)_C embedded (``_inner``), for a stack."""
+    """||r|| = ||(r|r)_C||^(1/2) from (r|r)_C embedded (``_inner``), for a stack;
+    a non-finite (r|r)_C, from vectors too large to evaluate, raises ContractError."""
+    if not np.isfinite(emb).all():
+        raise ContractError("the vectors are too large to evaluate: (r|r) is not finite")
     w = np.linalg.eigvalsh(0.5 * (emb + np.swapaxes(emb.conj(), -1, -2)))
     return np.sqrt(np.maximum(w[..., -1], 0.0))
 
@@ -250,11 +239,10 @@ def build_conjugate(X: HilbertBimodule) -> ConjugateSolution:
 # -- recovering the left inner product ------------------------------------------
 
 
-def _left_pairing(X: HilbertBimodule, Y: HilbertBimodule, rbar: np.ndarray) -> np.ndarray:
-    """[p, q] = Rbar* (theta_{e_p,e_q} (x) 1_Y) Rbar = sum_u (Rbar | e_p (x) f_u)_A
-    m_q[u], with m_q = V(e_q-bar) the coordinates of ``_peel``; embedded."""
-    return _embed(np.tensordot(_pair(X, Y, rbar), _peel(X, Y, rbar),
-                               axes=([1], [1])).transpose(0, 2, 1), Y.B)
+def _left_pairing(Y: HilbertBimodule, m: np.ndarray) -> np.ndarray:
+    """[p, q] = Rbar* (theta_{e_p,e_q} (x) 1_Y) Rbar = (m_p | m_q) in Y, with
+    m_q = V(e_q-bar) = ``_peel(Rbar)``; embedded."""
+    return _embed((m.conj() @ Y.right_stack @ m.T).transpose(1, 2, 0), Y.B)
 
 
 def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar) -> np.ndarray:
@@ -265,7 +253,7 @@ def inner_from_conjugate(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar) -> np.
     solution produced by ``build_conjugate`` recovers the original left Gram.
     """
     verify_conjugate(X, Y, R, Rbar)
-    L = _left_pairing(X, Y, _product_coords(Rbar, X, Y, "Rbar"))
+    L = _left_pairing(Y, _peel(X, Y, _product_coords(Rbar, X, Y, "Rbar")))
     # clean Hermitian symmetry of the result
     return 0.5 * (L + L.conj().transpose(1, 0, 3, 2))
 
@@ -281,9 +269,10 @@ def conjugate_pair_identities(X: HilbertBimodule, Y: HilbertBimodule, R, Rbar,
     basis pairs (e_p, e_q) and the matrix entries of the values."""
     r_full = _product_coords(R, Y, X, "R")
     rbar_full = _product_coords(Rbar, X, Y, "Rbar")
+    m = _peel(X, Y, rbar_full)
     # [p, q, c] = R*(V e_p-bar (x) e_q) = sum_u m_p[u] (R | f_u (x) e_q)_B at the unit c
-    right = np.tensordot(_peel(X, Y, rbar_full), _pair(Y, X, r_full), axes=([1], [0]))
-    left = _left_pairing(X, Y, rbar_full)
+    right = np.tensordot(m, _pair(Y, X, r_full), axes=([1], [0]))
+    left = _left_pairing(Y, m)
     return {"right_identity_residual":
             float(np.abs(right - X.right_stack.transpose(1, 2, 0)).max()),
             "left_identity_residual": float(np.abs(left - np.asarray(left_gram)).max())}

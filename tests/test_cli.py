@@ -453,12 +453,14 @@ def test_commands_compute_only_what_they_read(fixtures, monkeypatch):
     # right_index cuts no support projection and caches nothing on X; index
     # cuts p and q for its report and basic the support of r-ind; conjugate
     # forms (r|r) four times (the two norms and the two intertwiner residuals)
-    # and reads R*R and Rbar*Rbar off them; basic applies F to T and phi(a)
+    # and reads R*R and Rbar*Rbar off them, and peels six vectors: those four
+    # and one per equation map; basic applies F to T and phi(a)
     # stacked and then to phi E(T), and reads F(1) once; expectation runs
     # right_index once; tensor takes no square root of a Gram; and no module
     # command on a graph file builds a frame operator
     counts = _counting(monkeypatch, [
         "bimod.index.support_projection", "bimod.conjugation._inner",
+        "bimod.conjugation._peel",
         "bimod.index.LeftInnerExtension.apply_matrix",
         "bimod.index.LeftInnerExtension.index_element",
         "bimod.cli.right_index", "bimod.index.right_index", "bimod.conjugation.right_index",
@@ -471,7 +473,7 @@ def test_commands_compute_only_what_they_read(fixtures, monkeypatch):
     basic = {"support_projection": 1, "apply_matrix": 2, "index_element": 1}
     for command, inputs, want in [
             ("index", [hilbert], {"support_projection": 2}),
-            ("conjugate", [hilbert], {"_inner": 4}),
+            ("conjugate", [hilbert], {"_inner": 4, "_peel": 6}),
             ("basic", [hilbert], basic),
             ("expectation", [fixtures["expectation"]], {"right_index": 1}),
             ("tensor", [hilbert, hilbert], {"right_index": 1, "_psd_sqrt_and_inv": 0}),
@@ -567,6 +569,27 @@ def test_verify_bad_solution_exits_one(fixtures):
     status, report = _run("verify", [fixtures["hilbert"], fixtures["bad_solution"]])
     assert status == 1
     assert report["results"]["residual_1"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_of_a_scaled_solution_exits_one_or_two(tmp_path):
+    # at 1e153 the residuals are 1e306 and finite; from 1e154 (R|R) overflows,
+    # which is an input too large to evaluate, not a fault of the toolkit
+    X = random_bimodule([2, 1], [2, 1], [[1, 1], [1, 1]], seed=1)
+    module = tmp_path / "d9.json"
+    module.write_text(json.dumps(encode_bimodule(X)))
+    sol = build_conjugate(X)
+    for scale, want in ((1e153, 1), (1e154, 2), (1e300, 2)):
+        path = tmp_path / f"solution_{scale:g}.json"
+        path.write_text(json.dumps({"kind": "solution", "R": encode_vector(scale * sol.R),
+                                    "Rbar": encode_vector(scale * sol.Rbar)}))
+        status, report = _run("verify", [str(module), str(path)])
+        assert status == want, (scale, report)
+        if want == 1:
+            assert report["results"]["residual_1"] == pytest.approx(1e306, rel=1e-6)
+        else:
+            assert "too large to evaluate" in report["error"]
+            assert "internal error" not in report["error"]
 
 
 def test_verify_quotient_coordinate_files(fixtures, tmp_path):

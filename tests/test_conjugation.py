@@ -285,6 +285,33 @@ def test_corner_pairings_match_dense_oracle(make, order):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_only_peel_walks_the_corner_record(monkeypatch):
+    # _pair and the recovered left Gram read Y's right Gram on the vectors of
+    # _peel, so the corner record of phi_Y is read once per peel: six peels
+    # per verify (two norms, two intertwiner residuals, two equation maps),
+    # one more for the left Gram, and one per solution for the identities
+    counts = {"_peel": 0, "_corner_ranges": 0}
+    for name in counts:
+        original = getattr(conjugation, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(conjugation, name, counted)
+    X = random_bimodule([2, 1], [2, 1], [[1, 1], [1, 1]], seed=1)
+    sol = build_conjugate(X)
+    Y = sol.Y
+    for call, peels in ((lambda: build_conjugate(X), 6),
+                        (lambda: verify_conjugate(X, Y, sol.R, sol.Rbar), 6),
+                        (lambda: inner_from_conjugate(X, Y, sol.R, sol.Rbar), 7),
+                        (lambda: conjugate_pair_identities(X, Y, sol.R, sol.Rbar,
+                                                           X.left_gram), 2)):
+        counts.update(dict.fromkeys(counts, 0))
+        call()
+        assert counts == {"_peel": peels, "_corner_ranges": peels}, counts
+
+
 def _traced_peak(f):
     import tracemalloc
     tracemalloc.start()

@@ -6,18 +6,13 @@ from .multimatrix import (
     AlgebraElement,
     ContractError,
     MultiMatrixAlgebra,
-    ScalarFunction,
-    SpectrumDomainError,
     StructureError,
     ToolkitError,
     center_decompose,
     decompose_star_algebra,
-    dyadic_partition_function,
-    element_sqrt,
     functional_calculus,
     inverse_on_support,
     operator_norm,
-    positivity_check,
     support_projection,
 )
 from .bimodule import (

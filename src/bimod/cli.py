@@ -8,16 +8,16 @@ Grammar::
 
 Exit status: 0 when every computed check passed, 1 when a computation ran but
 an invariant failed, 2 on input errors (an unreadable input or ``--out``, a
-negative or non-finite ``--tol``, a negative ``--seed``, an input too large
-for the machine; an unwritable ``--out`` writes one line to standard error
-and no report), 3 on an internal error (a fault of the toolkit, reported
-rather than raised).  Reports are single strict JSON documents with schema
-tag "bimod-report/5", written by orjson with two-space indentation, sorted
-keys and one key per line; a value that does not exist (a residual of a
-check that did not run) is null, never a non-finite number.  The wall-time
-field is the only nondeterministic entry for fixed inputs and seed.
-``--budget`` is accepted and ignored: it bounded the minimal-dimension
-search, which is now a closed form.
+negative or non-finite ``--tol``, a ``--seed`` outside [0, 2**64), which the
+report writes as null, an input too large for the machine; an unwritable
+``--out`` writes one line to standard error and no report), 3 on an internal
+error (a fault of the toolkit, reported rather than raised).  Reports are
+single strict JSON documents with schema tag "bimod-report/5", written by
+orjson with two-space indentation, sorted keys and one key per line; a value
+that does not exist (a residual of a check that did not run) is null, never a
+non-finite number.  The wall-time field is the only nondeterministic entry
+for fixed inputs and seed.  ``--budget`` is accepted and ignored: it bounded
+the minimal-dimension search, which is now a closed form.
 """
 
 from __future__ import annotations
@@ -352,8 +352,9 @@ def run(request: CommandRequest) -> tuple[int, dict]:
     """Execute one request; returns (exit status, report).  Each handler
     returns JSON types only (no numpy scalars or arrays)."""
     t0 = time.perf_counter()
+    seed_ok = 0 <= request.seed < 1 << 64       # numpy's seeds, in orjson's integer range
     report = {"schema": SCHEMA, "command": request.command,
-              "seed": request.seed, "tolerance": request.tol}
+              "seed": request.seed if seed_ok else None, "tolerance": request.tol}
     try:
         if request.command not in _HANDLERS:
             raise ParseError(f"unknown command '{request.command}'")
@@ -362,8 +363,8 @@ def run(request: CommandRequest) -> tuple[int, dict]:
             raise ParseError(f"command '{request.command}' takes {need} input file(s)")
         if not (np.isfinite(request.tol) and request.tol >= 0):
             raise ParseError(f"--tol must be a finite number >= 0, got {request.tol}")
-        if request.seed < 0:
-            raise ParseError(f"--seed must be >= 0, got {request.seed}")
+        if not seed_ok:
+            raise ParseError(f"--seed must be in [0, 2**64), got {request.seed}")
         report["inputs"] = [_digest(p) for p in request.inputs]
         passed, results = _HANDLERS[request.command](request)
         report["passed"] = bool(passed)

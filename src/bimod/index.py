@@ -660,8 +660,10 @@ class FiberReport:
                 "lambda_prime": self.lambda_prime,
                 "left_adjoint_residual": self.left_adjoint_residual,
                 "constants_exact": self.constants_exact,
+                # a bound of 2**64 or more is written as a float: orjson's ints stop there
                 "fibers": [{"block": f.block, "dimension": f.dimension,
-                            "index_value": f.index_value, "bound": f.bound,
+                            "index_value": f.index_value,
+                            "bound": f.bound if f.bound < 1 << 64 else float(f.bound),
                             "within_bound": f.within_bound} for f in self.fibers]}
 
 

@@ -1,9 +1,11 @@
 """Finite-dimensional C*-algebras as direct sums of complex matrix blocks.
 
 An algebra is an ordered list of block sizes; an element carries one complex
-matrix per block.  Everything spectral (norms, positivity, functional
-calculus) goes through numpy's Hermitian eigensolver after an explicit
-Hermitianization gate, so results are reliable to ~1e-12 relative.
+matrix per block.  The functional calculus takes a plain function of one
+real variable and applies it to the eigenvalues from numpy's Hermitian
+eigensolver, after an explicit Hermitianization gate, so results are
+reliable to ~1e-12 relative.  The support projection and the inverse on the
+support of a positive element are the two functions the package applies.
 
 The module also contains a generic structure-recognition routine,
 ``decompose_star_algebra``, that presents any concrete *-closed matrix
@@ -35,10 +37,6 @@ class StructureError(ToolkitError):
 
 class ContractError(ToolkitError):
     """A caller violated an operation precondition."""
-
-
-class SpectrumDomainError(ToolkitError):
-    """A scalar function was evaluated outside its declared domain."""
 
 
 def _as_complex(mat) -> np.ndarray:
@@ -221,70 +219,6 @@ class AlgebraElement:
         return f"AlgebraElement({self.algebra.blocks}, norm={self.norm():.6g})"
 
 
-# -- scalar functions ---------------------------------------------------------
-
-
-class ScalarFunction:
-    """A real function of one real variable, as a rule or a breakpoint list.
-
-    Breakpoint lists are interpolated linearly (numpy.interp) and take their
-    domain from the first and last breakpoint; a rule has no domain.
-    """
-
-    def __init__(self, rule: Callable | None = None,
-                 breakpoints: Sequence[tuple[float, float]] | None = None,
-                 name: str = "f"):
-        if (rule is None) == (breakpoints is None):
-            raise StructureError("provide exactly one of rule / breakpoints")
-        self.name = name
-        if breakpoints is not None:
-            pts = sorted((float(a), float(b)) for a, b in breakpoints)
-            self._xs = np.array([p[0] for p in pts])
-            self._ys = np.array([p[1] for p in pts])
-            self._rule = None
-            self.domain = (self._xs[0], self._xs[-1])
-        else:
-            self._rule = rule
-            self._xs = self._ys = None
-            self.domain = None
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self._rule is not None:
-            return np.vectorize(self._rule, otypes=[float])(t)
-        return np.interp(t, self._xs, self._ys)
-
-    def check_domain(self, values: np.ndarray) -> None:
-        if self.domain is None:
-            return
-        lo, hi = self.domain
-        slack = DEFAULT_TOL * (1.0 + max(abs(lo), abs(hi)))
-        if values.min() < lo - slack or values.max() > hi + slack:
-            raise SpectrumDomainError(
-                f"{self.name} is defined on [{lo}, {hi}] but the spectrum "
-                f"reaches [{values.min():.6g}, {values.max():.6g}]")
-
-
-def dyadic_partition_function(n: int) -> ScalarFunction:
-    """Tent function of the dyadic partition of unity on (0, 1].
-
-    The family is supported on [2^-n, 2^-(n-2)], sums to 1 on (0, 1], and has
-    f_n * f_m = 0 whenever |n - m| >= 2.
-    """
-    if n < 1:
-        raise ContractError("partition index must be >= 1")
-    if n == 1:
-        pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 1.0)]
-    else:
-        left, peak, right = 2.0 ** (-n), 2.0 ** (-n + 1), min(2.0 ** (-n + 2), 1.0)
-        pts = [(0.0, 0.0), (left, 0.0), (peak, 1.0)]
-        if right > peak:
-            pts.append((right, 0.0))
-        if right < 1.0:
-            pts.append((1.0, 0.0))
-    return ScalarFunction(breakpoints=pts, name=f"tent_{n}")
-
-
 # -- spectral operations ------------------------------------------------------
 
 
@@ -293,39 +227,22 @@ def operator_norm(x: AlgebraElement) -> float:
     return max(float(np.linalg.norm(b, 2)) if b.size else 0.0 for b in x.blocks)
 
 
-def _hermitian_blocks(x: AlgebraElement, who: str) -> list[np.ndarray]:
-    scale = 1.0 + operator_norm(x)
-    out = []
-    for b in x.blocks:
-        dev = np.abs(b - b.conj().T).max() if b.size else 0.0
-        if dev > DEFAULT_TOL * scale:
-            raise ContractError(
-                f"{who} expects a Hermitian element; anti-Hermitian part {dev:.3g} "
-                f"exceeds {DEFAULT_TOL:.3g}*(1+norm)")
-        out.append(hermitian_part(b))
-    return out
-
-
-def positivity_check(x: AlgebraElement) -> tuple[bool, float]:
-    """Whether x >= 0 up to DEFAULT_TOL*(1+||x||); returns (flag, min eigenvalue)."""
-    blocks = _hermitian_blocks(x, "positivity_check")
-    min_eig = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
-    return min_eig >= -DEFAULT_TOL * (1.0 + operator_norm(x)), min_eig
-
-
-def functional_calculus(x: AlgebraElement, f: ScalarFunction | Callable) -> AlgebraElement:
+def functional_calculus(x: AlgebraElement, f: Callable) -> AlgebraElement:
     """Apply a scalar function to a Hermitian element blockwise.
 
     The element is symmetrized when its anti-Hermitian part is below
     DEFAULT_TOL*(1+norm) and rejected above it; f must be defined on the spectrum.
     """
-    blocks = _hermitian_blocks(x, "functional_calculus")
-    if not isinstance(f, ScalarFunction):
-        f = ScalarFunction(rule=f)
+    scale = 1.0 + operator_norm(x)
+    f = np.vectorize(f, otypes=[float])
     out = []
-    for b in blocks:
-        w, v = np.linalg.eigh(b)
-        f.check_domain(w)
+    for b in x.blocks:
+        dev = np.abs(b - b.conj().T).max()
+        if dev > DEFAULT_TOL * scale:
+            raise ContractError(
+                f"functional_calculus expects a Hermitian element; anti-Hermitian part "
+                f"{dev:.3g} exceeds {DEFAULT_TOL:.3g}*(1+norm)")
+        w, v = np.linalg.eigh(hermitian_part(b))
         out.append((v * f(w)) @ v.conj().T)
     return AlgebraElement(x.algebra, out)
 
@@ -341,13 +258,6 @@ def inverse_on_support(x: AlgebraElement) -> AlgebraElement:
     """Inverse of a positive element on its support (``support_projection``), zero on the kernel."""
     cut = RANK_TOL * max(operator_norm(x), 1e-300)
     return functional_calculus(x, lambda t: 1.0 / t if abs(t) > cut else 0.0)
-
-
-def element_sqrt(x: AlgebraElement) -> AlgebraElement:
-    ok, mn = positivity_check(x)
-    if not ok:
-        raise ContractError(f"square root of a non-positive element (min eig {mn:.3g})")
-    return functional_calculus(x, lambda t: np.sqrt(max(t, 0.0)))
 
 
 def center_decompose(alg: MultiMatrixAlgebra) -> list[AlgebraElement]:

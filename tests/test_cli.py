@@ -18,7 +18,7 @@ import numpy as np
 import orjson
 import pytest
 
-from bimod import (SpectrumDomainError, build_conjugate, column_bimodule, contragredient,
+from bimod import (ContractError, build_conjugate, column_bimodule, contragredient,
                    from_hilbert_space)
 import bimod
 from bimod import HilbertBimodule, bimodule, cli, constructors, index, serde
@@ -637,9 +637,11 @@ def test_input_errors_exit_two(fixtures, tmp_path, capsys):
         status, report = _run(command, inputs)
         assert status == 2 and report["error"].startswith(f"cannot read {directory}"), report
     for kw, word in (({"tol": float("nan")}, "--tol"), ({"tol": -1.0}, "--tol"),
-                     ({"seed": -1}, "--seed")):
+                     ({"seed": -1}, "--seed"), ({"seed": 2**64}, "--seed"),
+                     ({"seed": -2**64}, "--seed")):
         status, report = _run("basic", [fixtures["hilbert"]], **kw)
         assert status == 2 and report["error"].startswith(word), report
+        orjson.dumps(report)        # the error report stays writable
     out = tmp_path / "missing" / "report.json"
     assert main(["validate", fixtures["hilbert"], "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -647,9 +649,28 @@ def test_input_errors_exit_two(fixtures, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and str(out) in captured.err
 
 
+def test_fibers_writes_a_bound_beyond_64_bits(tmp_path, capsys):
+    """T = diag(9e8, ..., 9e8, 1) has r-ind 4.5e9 + 1 and lambda' 1, so the
+    bound floor(c/lambda')^2 is about 2.0e19, past orjson's integers: the
+    report writes it as a float.  The graph a -> b (1), b -> a (1e10) too."""
+    T = np.diag([9e8] * 5 + [1.0])
+    docs = {"hilbert": {"kind": "hilbert", "n": 6, "T": T.tolist()},
+            "bimodule": encode_bimodule(from_hilbert_space(6, T)),
+            "graph": {"kind": "graph", "vertices": ["a", "b"],
+                      "edges": [["a", "b", 1.0], ["b", "a", 1e10]]}}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["fibers", str(path)]) == 0, name
+        report = orjson.loads(capsys.readouterr().out)
+        bounds = [f["bound"] for f in report["results"]["fibers"]]
+        assert report["passed"] and max(bounds) >= 2**64, (name, bounds)
+        assert all(isinstance(b, int) == (b < 2**64) for b in bounds), (name, bounds)
+
+
 def test_every_toolkit_error_exits_two(fixtures, monkeypatch):
     def handler(req):
-        raise SpectrumDomainError("sqrt is defined on [0, inf) but the spectrum reaches -1")
+        raise ContractError("sqrt is defined on [0, inf) but the spectrum reaches -1")
 
     monkeypatch.setitem(cli._HANDLERS, "validate", handler)
     status, report = _run("validate", [fixtures["hilbert"]])

@@ -5,19 +5,13 @@ from bimod import (
     CPMap,
     ContractError,
     MultiMatrixAlgebra,
-    SpectrumDomainError,
     center_decompose,
     decompose_star_algebra,
-    dyadic_partition_function,
     from_hilbert_space,
-    element_sqrt,
     functional_calculus,
     operator_norm,
-    positivity_check,
 )
-from bimod.multimatrix import DEFAULT_TOL, ScalarFunction, random_element, random_hermitian
-
-from helpers import random_posdef
+from bimod.multimatrix import DEFAULT_TOL, random_element, random_hermitian
 
 
 def test_operator_norm_identity_and_diag():
@@ -49,27 +43,11 @@ def test_cstar_identity():
                                                                rel=1e-10)
 
 
-def test_positivity_examples():
-    M2 = MultiMatrixAlgebra([2])
-    ok, mn = positivity_check(M2.zero())
-    assert ok and mn == 0.0
-    bad, mn = positivity_check(M2.element([np.diag([1.0, -0.5])]))
-    assert not bad and mn == pytest.approx(-0.5)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        g = random_element(MultiMatrixAlgebra([2, 3]), rng)
-        assert positivity_check(g.adjoint() * g)[0]
-
-
 def test_positivity_rejects_non_hermitian():
     M2 = MultiMatrixAlgebra([2])
     x = M2.element([np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ContractError):
-        positivity_check(x)
-
-
-def _positivity_by_multimatrix(top, least):
-    return positivity_check(MultiMatrixAlgebra([2]).element([np.diag([top, least])]))
+        functional_calculus(x, np.sqrt)
 
 
 def _positivity_by_module(top, least):
@@ -82,12 +60,11 @@ def _positivity_by_choi(top, least):
     return CPMap(source, [np.diag([top, least]).reshape(1, 1, 2, 2)]).is_completely_positive()
 
 
-@pytest.mark.parametrize("verdict", [_positivity_by_multimatrix, _positivity_by_module,
-                                     _positivity_by_choi])
+@pytest.mark.parametrize("verdict", [_positivity_by_module, _positivity_by_choi])
 def test_positivity_verdicts_share_default_tol(verdict):
     """Each verdict is least eigenvalue >= -DEFAULT_TOL (1 + s), with s = 7
-    its own scale: ||x||, the largest |eigenvalue| of op_rep(T) and the
-    largest |Choi eigenvalue|.  Half the slack passes, twice it fails."""
+    its own scale: the largest |eigenvalue| of op_rep(T) and the largest
+    |Choi eigenvalue|.  Half the slack passes, twice it fails."""
     slack = DEFAULT_TOL * (1 + 7.0)
     ok, mn = verdict(7.0, -0.5 * slack)
     assert ok and mn == pytest.approx(-0.5 * slack, rel=1e-6)
@@ -98,7 +75,7 @@ def test_positivity_verdicts_share_default_tol(verdict):
 def test_functional_calculus_sqrt_and_identity():
     alg = MultiMatrixAlgebra([2])
     x = alg.element([np.diag([4.0, 9.0])])
-    s = element_sqrt(x)
+    s = functional_calculus(x, np.sqrt)
     assert np.allclose(s.blocks[0], np.diag([2.0, 3.0]))
     rng = np.random.default_rng(3)
     h = random_hermitian(alg, rng)
@@ -115,39 +92,6 @@ def test_functional_calculus_commutes_and_multiplicative():
     combined = functional_calculus(h, lambda t: f(t) * g(t))
     assert (fg - combined).norm() < 1e-9
     assert (functional_calculus(h, f) * h - h * functional_calculus(h, f)).norm() < 1e-10
-
-
-def test_functional_calculus_domain_error():
-    alg = MultiMatrixAlgebra([2])
-    x = alg.element([np.diag([-1.0, 1.0])])
-    f = ScalarFunction(breakpoints=[(0.0, 0.0), (1.0, 1.0)])
-    with pytest.raises(SpectrumDomainError):
-        functional_calculus(x, f)
-
-
-def test_partition_family_values():
-    f1 = dyadic_partition_function(1)
-    assert f1(1.0) == pytest.approx(1.0)
-    assert f1(0.25) == 0.0
-    #2x - 1 on [1/2, 1]
-    assert f1(0.75) == pytest.approx(0.5)
-    N = 7
-    xs = np.linspace(2.0 ** (-N + 1), 1.0, 200)
-    total = sum(dyadic_partition_function(n)(xs) for n in range(1, N + 1))
-    assert np.abs(total - 1.0).max() < 1e-12
-
-
-def test_partition_family_orthogonality_on_operator():
-    # f_n(h) f_m(h) = 0 for |n - m| >= 2 on a strictly positive contraction
-    alg = MultiMatrixAlgebra([4])
-    rng = np.random.default_rng(5)
-    h = alg.element([random_posdef(4, rng)])
-    h = (1.0 / (operator_norm(h) * 1.05)) * h
-    fs = [functional_calculus(h, dyadic_partition_function(n)) for n in range(1, 7)]
-    for i in range(len(fs)):
-        for j in range(len(fs)):
-            if abs(i - j) >= 2:
-                assert (fs[i] * fs[j]).norm() < 1e-12
 
 
 def test_center_decompose():

@@ -43,7 +43,6 @@ from .index import (
     extend_left_inner,
     fiber_decomposition,
     index_element,
-    index_report,
     invertibility_trichotomy,
     module_operator_algebra,
     relative_commutant,

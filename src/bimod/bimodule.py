@@ -463,39 +463,30 @@ def _check_block_diagonal(gram: np.ndarray, alg: MultiMatrixAlgebra, what: str) 
             f"two blocks of the algebra {alg.blocks}: an inner product takes values in it")
 
 
-class _GramSupport:
-    """The algebra-valued checks of a Gram stack ``live[u] = gram[:, :, a_u,
-    b_u]``: an operator acts on either leg by matrix products on its U d^2
-    entries (U = sum n_k^2).  Positivity and adjointability are read off
-    the scalar trace form (``validate``)."""
+def _gram_terms(live: np.ndarray, alg: MultiMatrixAlgebra, acts: np.ndarray,
+                left: bool) -> tuple:
+    """(Hermitian residual, linearity residual, max |gram|) of a Gram stack
+    ``live[u] = gram[:, :, a_u, b_u]`` over ``alg``, whose generators e_u act
+    on the coordinates by ``acts[u]``: on the second leg, or on the first
+    with ``left``.  An action is a matrix product on the U d^2 entries
+    (U = sum n_k^2), and the product with e_ij a row or column copy:
+    (gram e_ij)[.., a, j] = gram[.., a, i] and (e_ij gram)[.., i, b] =
+    gram[.., j, b].  Positivity and adjointability are read off the scalar
+    trace form (``validate``)."""
+    L = _unit_layout(alg.blocks)
 
-    def __init__(self, live: np.ndarray, alg: MultiMatrixAlgebra):
-        self.live, self.layout = live, _unit_layout(alg.blocks)
-        self.scale = _max_abs(live)       # max |gram|
-
-    def first(self, M: np.ndarray) -> np.ndarray:
-        """[t, p, q] = sum_r M[r, p] live[t, r, q]."""
-        return np.matmul(M.T, self.live)
-
-    def second(self, M: np.ndarray) -> np.ndarray:
-        """[t, p, q] = sum_s M[s, q] live[t, p, s]."""
-        return np.matmul(self.live, M)
-
-    def hermitian_residual(self) -> float:
-        """max |conj(gram[q, p, b, a]) - gram[p, q, a, b]|."""
-        return _max_abs(self.live[self.layout.star].conj().transpose(0, 2, 1) - self.live)
-
-    def unit_product_residual(self, diff: np.ndarray, u: int, left: bool) -> float:
-        """max |diff - gram e_ij|, or |diff - e_ij gram| if ``left``, for the unit
-        u = e_ij and diff given on the blocks.  The product is a column or row
-        copy: (gram e_ij)[.., a, j] = gram[.., a, i] and
-        (e_ij gram)[.., i, b] = gram[.., j, b]."""
-        o, n, i, j = self.layout.place[u]
+    def linearity(u: int) -> float:
+        o, n, i, j = L.place[u]
         if left:
-            diff[o + i * n:o + i * n + n] -= self.live[o + j * n:o + j * n + n]
+            diff = np.matmul(acts[u].T, live)       # [t, p, q] = sum_r M[r, p] live[t, r, q]
+            diff[o + i * n:o + i * n + n] -= live[o + j * n:o + j * n + n]
         else:
-            diff[o + j:o + n * n:n] -= self.live[o + i:o + n * n:n]
+            diff = np.matmul(live, acts[u])         # [t, p, q] = sum_s live[t, p, s] M[s, q]
+            diff[o + j:o + n * n:n] -= live[o + i:o + n * n:n]
         return _max_abs(diff)
+
+    herm = _max_abs(live[L.star].conj().transpose(0, 2, 1) - live)
+    return herm, max(linearity(u) for u in L.gens), _max_abs(live)
 
 
 def _generator_residual(mats: np.ndarray, L: SimpleNamespace, anti: bool) -> float:
@@ -530,11 +521,11 @@ def _right_terms(X: HilbertBimodule) -> list[tuple]:
     """The terms of the ``validate`` lines that read only the right Gram and
     the actions, each (name, raw residual, scale) for ``_lines``."""
     d, LA, LB = X.dim, _unit_layout(X.A.blocks), _unit_layout(X.B.blocks)
-    S, phis, psis = _GramSupport(X.right_stack, X.B), X.phis, X.psis
-    lin_err = max(S.unit_product_residual(S.second(psis[u]), u, left=False) for u in LB.gens)
+    phis, psis = X.phis, X.psis
+    herm, lin_err, scale = _gram_terms(X.right_stack, X.B, psis, left=False)
     Q, pscale = psis[LB.gens], _max_abs(phis)
     return [
-        ("right_gram_hermitian", S.hermitian_residual(), S.scale),
+        ("right_gram_hermitian", herm, scale),
         _spectrum_term("right", X.scalar_gram),
         # phi is a unital *-homomorphism, adjointable for the right inner product
         ("left_action_homomorphism", _generator_residual(phis, LA, False), pscale),
@@ -543,20 +534,19 @@ def _right_terms(X: HilbertBimodule) -> list[tuple]:
         # psi is a unital *-antihomomorphism and the right gram is B-linear
         ("right_action_antihomomorphism", _generator_residual(psis, LB, True), _max_abs(psis)),
         ("right_action_unital", _max_abs(psis[LB.diag].sum(axis=0) - np.eye(d)), 1.0),
-        ("right_gram_B_linear", lin_err, S.scale),
+        ("right_gram_B_linear", lin_err, scale),
         ("actions_commute", max(_max_abs(phis[u] @ Q - Q @ phis[u]) for u in LA.gens), pscale)]
 
 
 def _left_terms(X: HilbertBimodule) -> list[tuple]:
     """The terms of the 5 ``validate`` lines that read the left Gram."""
-    S, LB = _GramSupport(X.left_stack, X.A), _unit_layout(X.B.blocks)
-    alin_err = max(S.unit_product_residual(S.first(X.phis[u]), u, left=True)
-                   for u in S.layout.gens)
-    return [("left_gram_hermitian", S.hermitian_residual(), S.scale),
+    herm, alin_err, scale = _gram_terms(X.left_stack, X.A, X.phis, left=True)
+    return [("left_gram_hermitian", herm, scale),
             _spectrum_term("left", X.scalar_left_gram),
-            ("left_gram_A_linear", alin_err, S.scale),
+            ("left_gram_A_linear", alin_err, scale),
             # H psi(e_u) = psi(e_u*)^H H, conjugate-transposed
-            ("right_action_left_adjointable", *_form_adjoint_term(X.scalar_left_gram, X.psis, LB))]
+            ("right_action_left_adjointable",
+             *_form_adjoint_term(X.scalar_left_gram, X.psis, _unit_layout(X.B.blocks)))]
 
 
 def _spectrum_term(side: str, form: np.ndarray) -> tuple:
@@ -621,7 +611,7 @@ def validate(X: HilbertBimodule, tol: float = 1e-8) -> ValidationReport:
     """Check every structural invariant; the report carries one line per check.
 
     Each Gram is read at the matrix units of its algebra, where the module
-    keeps it (:class:`_GramSupport`).  Positivity and adjointability are
+    keeps it (``_gram_terms``).  Positivity and adjointability are
     read off the faithful scalar trace form <x, y> = tr (x|y)_B,
     ``X.scalar_gram`` (``X.scalar_left_gram`` over A): its spectrum, and
     phi(e_u)^H G = G phi(e_u*), d x d per generator.  Once the Hermitian,

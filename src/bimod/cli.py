@@ -4,7 +4,7 @@ machine-readable reports.
 Grammar::
 
     bimod <command> <input> [<input2>] [--tol R] [--seed N] [--budget N]
-          [--out PATH] [--format json|text]
+          [--out PATH]
 
 Exit status: 0 when every computed check passed, 1 when a computation ran but
 an invariant failed, 2 on input errors (an unreadable input or ``--out``, a
@@ -41,7 +41,6 @@ from .index import (
     basic_construction,
     best_constants,
     fiber_decomposition,
-    index_report,
     right_index,
 )
 from .conjugation import (
@@ -72,7 +71,6 @@ class CommandRequest:
     tol: float = 1e-8
     seed: int = 0
     out: str | None = None
-    fmt: str = "json"
 
 
 def _read_bytes(path: str) -> bytes:
@@ -117,8 +115,6 @@ def _decode(path: str, obj):
         return kind, serde.decode_expectation(obj)
     if kind == "hilbert":
         return kind, serde.decode_hilbert(obj)
-    if kind == "algebra":
-        return kind, serde.decode_algebra(obj)
     if kind == "solution":
         if "R" not in obj or "Rbar" not in obj:
             raise ParseError(f"{path} must carry 'R' and 'Rbar' coordinates")
@@ -179,19 +175,20 @@ def _cmd_validate(req: CommandRequest):
 
 def _cmd_index(req: CommandRequest):
     _, X = _read_module(req.inputs[0])
-    rep = index_report(X)
+    rep = right_index(X)
+    bc = best_constants(X)
     units = X.A.units_embedded()
     r_mat = rep.r_ind.embed()
     central = max(float(np.abs(r_mat @ u - u @ r_mat).max()) for u in units)
     product_ok = rep.r_num * rep.l_num >= 1.0 - 1e-9
     passed = central <= req.tol * (1 + rep.r_num) and product_ok
-    results = rep.as_dict()
+    results = {**rep.as_dict(), **bc.as_dict()}
     results["centrality_residual"] = central
     results["index_product"] = rep.r_num * rep.l_num
     # recorded, not asserted: slack of r-ind >= lambda' on the support,
     # measured from the attained lambda', the upper end of its bracket
     c = [float(np.real(np.trace(b)) / len(b)) for b in rep.r_ind.blocks]
-    slack = [c_k - rep.constants.lambda_prime_hat for c_k in c
+    slack = [c_k - bc.lambda_prime_hat for c_k in c
              if c_k > 1e-9 * max(rep.r_num, 1e-300)]
     results["support_bound_slack"] = min(slack) if slack else None
     return passed, results
@@ -279,9 +276,7 @@ def _cmd_graph(req: CommandRequest):
     dl = float(np.abs(l_eng - rep.l_ind_closed).max())
     passed = (dr <= 1e-10 and dl <= 1e-10
               and rep.right_frame_residual <= 1e-9
-              and rep.left_frame_residual <= 1e-9
-              and rep.c1 == rep.r_ind_closed.max()
-              and rep.c2 == rep.l_ind_closed.max())
+              and rep.left_frame_residual <= 1e-9)
     return passed, {"dim": rep.bimodule.dim, "c1": rep.c1, "c2": rep.c2,
                     "r_ind_closed": rep.r_ind_closed.tolist(),
                     "l_ind_closed": rep.l_ind_closed.tolist(),
@@ -383,27 +378,6 @@ def run(request: CommandRequest) -> tuple[int, dict]:
     return status, report
 
 
-def _render_text(report: dict) -> str:
-    lines = []
-
-    def walk(obj, key, depth):
-        pad = "  " * depth
-        if isinstance(obj, dict):
-            lines.append(f"{pad}{key}:")
-            for k, v in sorted(obj.items()):
-                walk(v, k, depth + 1)
-        elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
-            lines.append(f"{pad}{key}: [{len(obj)} entries]")
-            for i, v in enumerate(obj[:8]):
-                walk(v, f"[{i}]", depth + 1)
-        else:
-            lines.append(f"{pad}{key}: {obj}")
-
-    for k, v in sorted(report.items()):
-        walk(v, k, 0)
-    return "\n".join(lines) + "\n"
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -418,7 +392,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=None,
                         help="ignored; kept so that older command lines still parse")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     return parser
 
 
@@ -429,10 +402,9 @@ _JSON_LAYOUT = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NE
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     req = CommandRequest(command=args.command, inputs=args.inputs, tol=args.tol,
-                         seed=args.seed, out=args.out, fmt=args.fmt)
+                         seed=args.seed, out=args.out)
     status, report = run(req)
-    payload = (orjson.dumps(report, option=_JSON_LAYOUT) if req.fmt == "json"
-               else _render_text(report).encode())
+    payload = orjson.dumps(report, option=_JSON_LAYOUT)
     if req.out:
         try:
             with open(req.out, "wb") as fh:

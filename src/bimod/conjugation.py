@@ -104,7 +104,7 @@ def _norm(emb: np.ndarray) -> np.ndarray:
     a non-finite (r|r)_C, from vectors too large to evaluate, raises ContractError."""
     if not np.isfinite(emb).all():
         raise ContractError("the vectors are too large to evaluate: (r|r) is not finite")
-    w = np.linalg.eigvalsh(0.5 * (emb + np.swapaxes(emb.conj(), -1, -2)))
+    w = np.linalg.eigvalsh(hermitian_part(emb))
     return np.sqrt(np.maximum(w[..., -1], 0.0))
 
 

@@ -41,7 +41,7 @@ Choi blocks of cp, of size m_l a_k.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -376,18 +376,14 @@ class IndexReport:
     l_ind: AlgebraElement
     r_num: float
     l_num: float
-    constants: BestConstants | None = None
 
     def as_dict(self) -> dict:
         """The report of ``bimod index``; p and q, the supports of r-ind and l-ind, are cut here."""
         from .serde import encode_element
-        out = {"r_num": self.r_num, "l_num": self.l_num,
-               "r_ind": encode_element(self.r_ind), "l_ind": encode_element(self.l_ind),
-               "p": encode_element(support_projection(self.r_ind)),
-               "q": encode_element(support_projection(self.l_ind))}
-        if self.constants is not None:
-            out.update(self.constants.as_dict())
-        return out
+        return {"r_num": self.r_num, "l_num": self.l_num,
+                "r_ind": encode_element(self.r_ind), "l_ind": encode_element(self.l_ind),
+                "p": encode_element(support_projection(self.r_ind)),
+                "q": encode_element(support_projection(self.l_ind))}
 
 
 def _dual_basis_sum(alg: MultiMatrixAlgebra, gram: np.ndarray, corners: np.ndarray,
@@ -537,11 +533,6 @@ def best_constants(X: HilbertBimodule) -> BestConstants:
                          lambda_upper=lam_up, lambda_prime_lower=1.0 / inv_up)
 
 
-def index_report(X: HilbertBimodule) -> IndexReport:
-    """Full report: indices plus the bracketed best constants."""
-    return replace(right_index(X), constants=best_constants(X))
-
-
 # -- Jones basic construction -----------------------------------------------------
 
 
@@ -643,6 +634,9 @@ class Fiber:
         return self.dimension <= self.bound
 
 
+_DOUBLE_MAX = int(np.finfo(float).max)
+
+
 @dataclass
 class FiberReport:
     fibers: list[Fiber]
@@ -660,10 +654,12 @@ class FiberReport:
                 "lambda_prime": self.lambda_prime,
                 "left_adjoint_residual": self.left_adjoint_residual,
                 "constants_exact": self.constants_exact,
-                # a bound of 2**64 or more is written as a float: orjson's ints stop there
+                # a bound of 2**64 or more is written as a float, as orjson's ints
+                # stop there, and one past the double range as null
                 "fibers": [{"block": f.block, "dimension": f.dimension,
                             "index_value": f.index_value,
-                            "bound": f.bound if f.bound < 1 << 64 else float(f.bound),
+                            "bound": f.bound if f.bound < 1 << 64 else
+                            float(f.bound) if f.bound <= _DOUBLE_MAX else None,
                             "within_bound": f.within_bound} for f in self.fibers]}
 
 

@@ -300,26 +300,6 @@ class StarAlgebraDecomposition:
     multiplicities: list[int]
     carrier_dim: int
 
-    def realize(self, x: AlgebraElement) -> np.ndarray:
-        """Abstract element -> concrete matrix."""
-        out = np.zeros((self.carrier_dim, self.carrier_dim), dtype=complex)
-        for l, u in enumerate(self.units):
-            out += np.einsum("ij,ijab->ab", x.blocks[l], u)
-        return out
-
-    def coords(self, mat: np.ndarray) -> AlgebraElement:
-        """Concrete matrix (assumed in the algebra) -> abstract element."""
-        blocks = []
-        for l, u in enumerate(self.units):
-            mu = self.multiplicities[l]
-            blocks.append(np.einsum("ijab,ab->ij", u.conj(), mat) / mu)
-        return AlgebraElement(self.algebra, blocks)
-
-    def residual(self, mat: np.ndarray) -> float:
-        """Distance of ``mat`` from the span of the units (max-abs)."""
-        back = self.realize(self.coords(mat))
-        return float(np.abs(back - mat).max())
-
 
 def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     """Group sorted indices of ``values`` by gaps larger than ``tol``."""

@@ -125,7 +125,7 @@ def encode_algebra(alg: MultiMatrixAlgebra) -> dict:
     return {"blocks": list(alg.blocks)}
 
 
-def decode_algebra(obj, what: str = "algebra") -> MultiMatrixAlgebra:
+def decode_algebra(obj, what: str) -> MultiMatrixAlgebra:
     if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
         raise ParseError(f"{what} must be an object with a 'blocks' list")
     sizes = [_integer(n, f"{what} block size", 1) for n in obj["blocks"]]

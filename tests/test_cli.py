@@ -132,8 +132,6 @@ def test_json_output_matches_the_double_sanitized_report(fixtures, monkeypatch, 
         assert main([command, *inputs, "--out", str(out)]) == status
         assert out.read_bytes() == expected, command
         assert json.loads(out.read_bytes()) == sanitize(report), command
-        assert main([command, *inputs, "--out", str(out), "--format", "text"]) == status
-        assert out.read_text() == cli._render_text(sanitize(report)), command
 
 
 # the benchmark's determinism check drops this line before comparing two reports
@@ -156,16 +154,12 @@ def test_two_runs_write_equal_bytes_but_the_wall_time_line(fixtures, tmp_path):
 
 
 def test_main_writes_to_a_text_stream_without_a_buffer(fixtures):
-    # without --out the report goes to sys.stdout as text
-    for fmt in ("json", "text"):
-        with contextlib.redirect_stdout(io.StringIO()) as stream:
-            assert main(["hilbert", fixtures["hilbert"], "--format", fmt]) == 0
-        text = stream.getvalue()
-        assert text.endswith("\n"), fmt
-        if fmt == "json":
-            assert json.loads(text)["results"]["trace"] == 3.0
-        else:
-            assert "passed: True" in text
+    # without --out the JSON report goes to sys.stdout as text
+    with contextlib.redirect_stdout(io.StringIO()) as stream:
+        assert main(["hilbert", fixtures["hilbert"]]) == 0
+    text = stream.getvalue()
+    assert text.endswith("\n")
+    assert json.loads(text)["results"]["trace"] == 3.0
 
 
 def test_every_report_holds_json_types_only(fixtures):
@@ -647,24 +641,43 @@ def test_input_errors_exit_two(fixtures, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err.count("\n") == 1 and str(out) in captured.err
+    # reports are JSON only: --format is an unrecognized argument
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", fixtures["hilbert"], "--format", "text"])
+    assert exc.value.code == 2 and "--format" in capsys.readouterr().err
+    # no command reads an algebra file, so its kind is unknown
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps({"kind": "algebra", "blocks": [2]}))
+    status, report = _run("index", [str(algebra)])
+    assert status == 2 and report["error"].startswith("unknown kind 'algebra'"), report
+
+
+def _two_vertex_graph(w):
+    return {"kind": "graph", "vertices": ["a", "b"], "edges": [["a", "b", 1.0], ["b", "a", w]]}
 
 
 def test_fibers_writes_a_bound_beyond_64_bits(tmp_path, capsys):
     """T = diag(9e8, ..., 9e8, 1) has r-ind 4.5e9 + 1 and lambda' 1, so the
     bound floor(c/lambda')^2 is about 2.0e19, past orjson's integers: the
-    report writes it as a float.  The graph a -> b (1), b -> a (1e10) too."""
+    report writes it as a float.  The graph a -> b (1), b -> a (1e10) too.
+    On that graph with b -> a at 1e155 or 1e200 the bound is past the double
+    range, and the report writes it as null."""
     T = np.diag([9e8] * 5 + [1.0])
     docs = {"hilbert": {"kind": "hilbert", "n": 6, "T": T.tolist()},
             "bimodule": encode_bimodule(from_hilbert_space(6, T)),
-            "graph": {"kind": "graph", "vertices": ["a", "b"],
-                      "edges": [["a", "b", 1.0], ["b", "a", 1e10]]}}
+            "graph": _two_vertex_graph(1e10),
+            "graph_1e155": _two_vertex_graph(1e155), "graph_1e200": _two_vertex_graph(1e200)}
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main(["fibers", str(path)]) == 0, name
         report = orjson.loads(capsys.readouterr().out)
         bounds = [f["bound"] for f in report["results"]["fibers"]]
-        assert report["passed"] and max(bounds) >= 2**64, (name, bounds)
+        assert report["passed"], (name, bounds)
+        if name.startswith("graph_"):
+            assert bounds == [1, None], (name, bounds)
+            continue
+        assert max(bounds) >= 2**64, (name, bounds)
         assert all(isinstance(b, int) == (b < 2**64) for b in bounds), (name, bounds)
 
 
@@ -861,13 +874,6 @@ def test_main_writes_report(fixtures, tmp_path):
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert report["results"]["trace"] == 3.0
-
-
-def test_main_text_format(fixtures, capsys):
-    status = main(["graph", fixtures["graph"], "--format", "text"])
-    assert status == 0
-    captured = capsys.readouterr().out
-    assert "passed: True" in captured
 
 
 def test_every_traced_benchmark_hook_is_a_callable_of_its_layer():

@@ -147,5 +147,9 @@ def test_decompose_star_algebra_recovers_blocks():
                 for a in range(k):
                     prod = blk[i, j] @ blk[j, a]
                     assert np.abs(prod - blk[i, a]).max() < 1e-8
+    # each matrix of the span is its projection onto the units: the units of
+    # a block are orthogonal with Hilbert-Schmidt norm^2 its multiplicity
     for mat in span:
-        assert dec.residual(mat) < 1e-8
+        back = sum(np.einsum("ij,ijab->ab", np.einsum("ijab,ab->ij", u.conj(), mat) / mu, u)
+                   for u, mu in zip(dec.units, dec.multiplicities))
+        assert np.abs(back - mat).max() < 1e-8

@@ -738,14 +738,18 @@ def contragredient(X: HilbertBimodule) -> HilbertBimodule:
 
 
 def identity_bimodule(alg: MultiMatrixAlgebra) -> HilbertBimodule:
-    """The algebra over itself: (x|y) = x* y on the right, x y* on the left."""
-    units = alg.units_embedded()
-    G = np.einsum("pba,qbc->pqac", units.conj(), units)
-    L = np.einsum("pab,qcb->pqac", units, units.conj())
-    # coordinates of e_ab u_q and u_q e_ab on the orthonormal units u_p
-    Phi = np.einsum("pai,qbi->abpq", units.conj(), units)
-    Psi = np.einsum("pjb,qja->abpq", units.conj(), units)
-    return HilbertBimodule(alg, alg, alg.linear_dim, G, Phi, Psi, L)
+    """The algebra over itself: (x|y) = x* y on the right, x y* on the left,
+    written at the units.  On the basis of units, block by block,
+    (e_ij|e_it) = e_jt, e_ij e_jt = e_it and _A(e_it|e_jt) = e_ij, so the
+    left Gram is phi, and psi(e_u) = (.|.) at e_u*."""
+    lay, U = _unit_layout(alg.blocks), alg.linear_dim
+    G, Phi = np.zeros((2, U, U, U), dtype=complex)
+    for o, n in zip(lay.starts, alg.blocks):
+        i, j, t = np.indices((n, n, n))
+        ij, it, jt = o + i * n + j, o + i * n + t, o + j * n + t
+        G[jt, ij, it] = 1.0
+        Phi[ij, it, jt] = 1.0
+    return HilbertBimodule(alg, alg, U, G, Phi, G[lay.star], Phi, units=True)
 
 
 def amplify(X: HilbertBimodule, n: int) -> HilbertBimodule:

@@ -1,6 +1,8 @@
 """Builders for the concrete bimodule families: weighted finite-dimensional
 Hilbert spaces, conditional-expectation bimodules, and weighted finite
-directed graphs.
+directed graphs.  Each builder writes its module's four stacks, and an
+expectation its images, by index at the matrix units: no dense tensor is
+formed, and no coordinate is visited in a Python loop.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .multimatrix import (
 from .bimodule import (
     HilbertBimodule,
     _frame_rows,
+    _unit_layout,
     _unit_values,
     contragredient,
     frame_operator,
@@ -33,7 +36,8 @@ from .index import CPMap, _certificate, least_multipliers
 
 def from_hilbert_space(n: int, T: np.ndarray) -> HilbertBimodule:
     """C^n as a C-C bimodule with (x|y) = sum conj(x_i) y_i on the right and
-    _C(x|y) = (y|Tx) on the left, for a positive invertible weight T."""
+    _C(x|y) = (y|Tx) on the left, for a positive invertible weight T; its
+    stacks, at the one unit of C, are 1, 1, 1 and T^T."""
     T = np.asarray(T, dtype=complex)
     if T.shape != (n, n):
         raise ContractError(f"weight shape {T.shape} does not match n={n}")
@@ -41,31 +45,17 @@ def from_hilbert_space(n: int, T: np.ndarray) -> HilbertBimodule:
         raise ContractError("weight matrix must be Hermitian")
     if np.linalg.eigvalsh(hermitian_part(T)).min() <= 0:
         raise ContractError("weight matrix must be positive definite")
-    C = MultiMatrixAlgebra([1])
-    G = np.eye(n, dtype=complex).reshape(n, n, 1, 1)
-    L = T.T.reshape(n, n, 1, 1).copy()
-    Phi = np.eye(n, dtype=complex).reshape(1, 1, n, n)
-    return HilbertBimodule(C, C, n, G, Phi, Phi.copy(), L)
+    C, one = MultiMatrixAlgebra([1]), np.eye(n, dtype=complex)[None]
+    return HilbertBimodule(C, C, n, one, one, one, T.T.copy()[None], units=True)
 
 
 def column_bimodule(n: int) -> HilbertBimodule:
     """C^n as an M_n-C imprimitivity bimodule: _A(x|y) is the rank-one
-    operator x y*; both index elements are identities."""
-    A = MultiMatrixAlgebra([n])
-    C = MultiMatrixAlgebra([1])
-    G = np.eye(n, dtype=complex).reshape(n, n, 1, 1)
-    L = np.zeros((n, n, n, n), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            L[p, q, p, q] = 1.0
-    Phi = np.zeros((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[a, b] = 1.0
-            Phi[a, b] = E
-    Psi = np.eye(n, dtype=complex).reshape(1, 1, n, n)
-    return HilbertBimodule(A, C, n, G, Phi, Psi, L)
+    operator x y*; both index elements are identities.  Written at the units:
+    _A(e_p|e_q) and phi(e_ab) are both the unit matrix E_ab at e_ab."""
+    E, one = np.eye(n * n, dtype=complex).reshape(n * n, n, n), np.eye(n, dtype=complex)[None]
+    return HilbertBimodule(MultiMatrixAlgebra([n]), MultiMatrixAlgebra([1]), n, one, E, one, E,
+                           units=True)
 
 
 # -- conditional expectations ------------------------------------------------------
@@ -187,15 +177,12 @@ class ExpectationSpec:
             self.apply_stack(iota(a1) @ b @ iota(a2)) - a1 @ self.apply_stack(b) @ a2))
         # faithfulness through the kernel of the sesquilinear form
         # K[u, v] = tr E(u* v) on the units: (E^k_ij)* E^k_i'j' = delta_ii' E^k_jj',
-        # so block k of K is 1 (x) [tr E(E^k_jj')]
+        # so block k of K is 1 (x) t_k, t_k = [tr E(E^k_jj')], and K is definite
+        # iff every t_k is
         traces = np.trace(self.apply_stack(B.units_embedded()), axis1=1, axis2=2)
         per_block = np.split(traces, np.cumsum([n * n for n in B.blocks])[:-1])
-        K = np.zeros((B.linear_dim, B.linear_dim), dtype=complex)
-        start = 0
-        for n, t in zip(B.blocks, per_block):
-            K[start:start + n * n, start:start + n * n] = np.kron(np.eye(n), t.reshape(n, n))
-            start += n * n
-        faithful = float(np.linalg.eigvalsh(hermitian_part(K)).min()) > tol
+        faithful = min(float(np.linalg.eigvalsh(hermitian_part(t.reshape(n, n))).min())
+                       for n, t in zip(B.blocks, per_block)) > tol
         ok = unital <= tol and idem <= tol and bimod <= 1e-7 and faithful
         return {"passed": bool(ok), "unital": unital, "idempotent": idem,
                 "bimodule": bimod, "faithful": bool(faithful)}
@@ -208,34 +195,28 @@ def trace_weighted_expectation(inclusion: Inclusion,
 
     ``weights[k][j]`` scales the copy-compressions of A-block j inside
     B-block k; unitality requires sum_k weights[k,j] * multiplicity[k,j] = 1
-    and the default is the uniform choice.
+    and the default is the uniform choice.  Each image is written by index at
+    the units: E(e^k_xy) = w_kj e_ab wherever iota(e_ab), e_ab in block j of A,
+    has a 1 at (x, y).
     """
     A, B, mult = inclusion.A, inclusion.B, inclusion.multiplicity
     if weights is None:
-        tot = mult.sum(axis=0)
-        weights = np.zeros(mult.shape)
-        for k in range(B.num_blocks):
-            for j in range(A.num_blocks):
-                if mult[k, j]:
-                    weights[k, j] = 1.0 / tot[j]
+        weights = np.where(mult > 0, 1 / mult.sum(axis=0), 0)
     weights = np.asarray(weights, dtype=float)
     norm = np.einsum("kj,kj->j", weights, mult)
     if np.abs(norm - 1.0).max() > 1e-12:
         raise ContractError("weights do not sum to a unital expectation")
     if ((weights <= 0) & (mult > 0)).any():
         raise ContractError("weights must be strictly positive on present copies")
+    L = _unit_layout(A.blocks)
+    owner = np.repeat(np.arange(A.num_blocks), A.blocks)[L.rows]
+    iota = inclusion.embed_stack(A.units_embedded())
     images = []
-    for k in range(B.num_blocks):
-        n = B.blocks[k]
+    for k, n in enumerate(B.blocks):
+        s = B.block_slice(k)
+        u, x, y = np.nonzero(iota[:, s, s])
         img = np.zeros((n, n, A.rep_dim, A.rep_dim), dtype=complex)
-        for j in range(A.num_blocks):
-            m = A.blocks[j]
-            sl = A.block_slice(j)
-            for c in range(mult[k, j]):
-                off = inclusion.copy_offset(k, j, c)
-                for r in range(m):
-                    for s in range(m):
-                        img[off + r, off + s, sl.start + r, sl.start + s] = weights[k, j]
+        img[x, y, L.rows[u], L.cols[u]] = weights[k, owner[u]]
         images.append(img)
     return ExpectationSpec(inclusion, images)
 
@@ -371,25 +352,18 @@ class GraphReport:
 def _graph_bimodule(g: GraphSpec):
     """(X, source, range, weight of each edge): the edge bimodule of a weighted graph
     over the vertex algebra.  Edges are the coordinate basis; the right Gram is
-    the sum over in-edges, the left Gram weights out-edges by T."""
-    nv = len(g.vertices)
+    the sum over in-edges, the left Gram weights out-edges by T.  Written at the
+    units e^v_11 of the vertex algebra, where each stack is diagonal in the edges."""
+    nv, d = len(g.vertices), len(g.edges)
     A = MultiMatrixAlgebra([1] * nv)
     idx = g.vertex_index
-    d = len(g.edges)
     src = np.array([idx[s] for s, _, _ in g.edges])
     dst = np.array([idx[r] for _, r, _ in g.edges])
     wts = np.array([w for _, _, w in g.edges], dtype=float)
-    G = np.zeros((d, d, nv, nv), dtype=complex)
-    L = np.zeros((d, d, nv, nv), dtype=complex)
-    for e in range(d):
-        G[e, e, dst[e], dst[e]] = 1.0
-        L[e, e, src[e], src[e]] = wts[e]
-    Phi = np.zeros((nv, nv, d, d), dtype=complex)
-    Psi = np.zeros((nv, nv, d, d), dtype=complex)
-    for v in range(nv):
-        Phi[v, v] = np.diag((src == v).astype(complex))
-        Psi[v, v] = np.diag((dst == v).astype(complex))
-    return HilbertBimodule(A, A, d, G, Phi, Psi, L), src, dst, wts
+    G, L, Phi, Psi = (np.zeros((nv, d, d), dtype=complex) for _ in range(4))
+    e = np.arange(d)
+    G[dst, e, e], L[src, e, e], Phi[src, e, e], Psi[dst, e, e] = 1.0, wts, 1.0, 1.0
+    return HilbertBimodule(A, A, d, G, Phi, Psi, L, units=True), src, dst, wts
 
 
 def from_weight_graph(g: GraphSpec) -> GraphReport:

@@ -141,13 +141,9 @@ class MultiMatrixAlgebra:
     def units_embedded(self) -> np.ndarray:
         """All matrix units, embedded; shape (linear_dim, N, N)."""
         out = np.zeros((self.linear_dim, self.rep_dim, self.rep_dim), dtype=complex)
-        t = 0
-        for k, s in enumerate(self._slices):
-            n = self.blocks[k]
-            for i in range(n):
-                for j in range(n):
-                    out[t, s.start + i, s.start + j] = 1.0
-                    t += 1
+        rows, cols = np.concatenate([np.indices((n, n)).reshape(2, -1) + s.start
+                                     for n, s in zip(self.blocks, self._slices)], axis=1)
+        out[np.arange(self.linear_dim), rows, cols] = 1.0
         return out
 
     def unit_triples(self) -> list[tuple[int, int, int]]:

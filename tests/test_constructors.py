@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bimod import (
     ContractError,
     GraphSpec,
+    HilbertBimodule,
     Inclusion,
     MultiMatrixAlgebra,
     StructureError,
@@ -247,7 +248,7 @@ def test_expectation_multipliers_match_the_composite_oracle(spec):
 def test_expectation_tensor_matches_direct():
     # Z = Y (x)_B X is isomorphic to the direct A-A structure on B with
     # inner products E(x* y) and E(x y*), via y (x) x -> y x
-    from bimod.bimodule import HilbertBimodule, bimodule_map_residual
+    from bimod.bimodule import bimodule_map_residual
     from helpers import lift_matrix
     E = diag_expectation_m2()
     X, Y, Z = from_expectation(E)
@@ -432,3 +433,118 @@ def test_column_bimodule_morita_data():
     rep = right_index(X)
     assert (rep.r_ind - X.A.identity()).norm() < 1e-10
     assert (rep.l_ind - X.B.identity()).norm() < 1e-10
+
+
+# -- the builders write their stacks at the matrix units ----------------------------
+
+
+def _graph_of(V: int) -> GraphSpec:
+    """V vertices, 3V edges: v -> v + 1, v + 2, v + 3 (mod V), weights 2, 3, 4."""
+    vs = [f"v{i}" for i in range(V)]
+    return GraphSpec(vs, [(vs[i], vs[(i + k) % V], 1.0 + k) for i in range(V) for k in (1, 2, 3)])
+
+
+def _stacks(X) -> list:
+    return [X.right_stack, X.phis, X.psis, X.left_stack]
+
+
+def _dense_hilbert():
+    T = np.array([[2.0, 0.5j, 0.0], [-0.5j, 1.0, 0.25], [0.0, 0.25, 3.0]])
+    I, C = np.eye(3), MultiMatrixAlgebra([1])
+    return (lambda: _stacks(from_hilbert_space(3, T)),
+            lambda: _stacks(HilbertBimodule(C, C, 3, I[:, :, None, None], I[None, None],
+                                            I[None, None], T.T[:, :, None, None])))
+
+
+def _dense_column():
+    # _A(e_p|e_q)[a, b] = phi(e_ab)[p, q] = delta_pa delta_qb
+    n, I = 4, np.eye(4)
+    E = np.einsum("pa,qb->pqab", I, I)
+    return (lambda: _stacks(column_bimodule(n)),
+            lambda: _stacks(HilbertBimodule(MultiMatrixAlgebra([n]), MultiMatrixAlgebra([1]), n,
+                                            I[:, :, None, None], E, I[None, None], E)))
+
+
+def _dense_identity(blocks):
+    # (u_p|u_q) = u_p* u_q, _A(u_p|u_q) = u_p u_q*, and the coordinates of
+    # e_ab u_q and u_q e_ab on the orthonormal units u_p
+    alg = MultiMatrixAlgebra(blocks)
+
+    def dense():
+        u = alg.units_embedded()
+        return _stacks(HilbertBimodule(
+            alg, alg, alg.linear_dim, np.einsum("pba,qbc->pqac", u.conj(), u),
+            np.einsum("pai,qbi->abpq", u.conj(), u), np.einsum("pjb,qja->abpq", u.conj(), u),
+            np.einsum("pab,qcb->pqac", u, u.conj())))
+    return lambda: _stacks(identity_bimodule(alg)), dense
+
+
+def _dense_graph():
+    # edge e pairs at its range on the right and at its source on the left,
+    # with weight w_e there, and e_v fixes the edges from (phi) or into (psi) v
+    g = _graph_of(6)
+    src, dst = (np.eye(6)[[int(e[i][1:]) for e in g.edges]] for i in (0, 1))
+    w, I, A = np.array([e[2] for e in g.edges]), np.eye(len(g.edges)), MultiMatrixAlgebra([1] * 6)
+    return (lambda: _stacks(constructors._graph_bimodule(g)[0]),
+            lambda: _stacks(HilbertBimodule(
+                A, A, len(g.edges), np.einsum("pq,pa,pb->pqab", I, dst, dst),
+                np.einsum("pq,pa,pb->abpq", I, src, src), np.einsum("pq,pa,pb->abpq", I, dst, dst),
+                np.einsum("pq,pa,pb,p->pqab", I, src, src, w))))
+
+
+def _dense_expectation():
+    # E(e^k_xy) = sum_u w_kj(u) iota(e_u)[x, y] e_u, j(u) the block of A of u
+    weights = np.array([[0.2, 0.5], [0.4, 0.5]])
+    inc = Inclusion(MultiMatrixAlgebra([1, 2]), MultiMatrixAlgebra([3, 4]), [[1, 1], [2, 1]])
+    units = inc.A.units_embedded()
+    iota, owner = inc.embed_stack(units), np.repeat([0, 1], [1, 4])
+
+    def built():
+        spec = trace_weighted_expectation(inc, weights)
+        _expectation_module(spec)
+        return spec.images
+    return built, lambda: [np.einsum("u,uxy,uab->xyab", weights[k, owner], iota[:, s, s], units)
+                           for k, s in enumerate(map(inc.B.block_slice, (0, 1)))]
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_dense_hilbert, id="hilbert"),
+    pytest.param(_dense_column, id="column"),
+    pytest.param(lambda: _dense_identity([3, 2, 1]), id="identity-3-2-1"),
+    pytest.param(lambda: _dense_identity([4, 1, 2]), id="identity-4-1-2"),
+    pytest.param(_dense_graph, id="graph"),
+    pytest.param(_dense_expectation, id="expectation"),
+])
+def test_builders_write_the_dense_definition_at_the_units(case, monkeypatch):
+    # built with the dense constructor's slicing switched off, each stack is
+    # bitwise (signed zeros too) the one the dense tensors of its definition give
+    from bimod import bimodule
+
+    def refuse(*args):
+        raise AssertionError("a builder handed dense tensors to the constructor")
+    build, dense = case()
+    monkeypatch.setattr(bimodule, "_gram_units", refuse)
+    monkeypatch.setattr(bimodule, "_action_units", refuse)
+    got = build()
+    monkeypatch.undo()
+    ref = dense()
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b, dtype=complex)
+        assert a.shape == b.shape and a.view(np.uint64).tobytes() == b.view(np.uint64).tobytes()
+
+
+def test_graph_bimodule_peaks_at_the_size_of_its_stacks():
+    # 40 vertices, 120 edges: four (E, E, V, V) dense tensors would take 1.4 GB,
+    # the four (V, E, E) stacks take 4 V E^2 complex numbers
+    import tracemalloc
+    g = _graph_of(40)
+    tracemalloc.start()
+    try:
+        X = constructors._graph_bimodule(g)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stacks = sum(s.nbytes for s in _stacks(X))
+    assert stacks == 4 * 40 * 120 ** 2 * 16
+    assert peak < 2 * stacks, (peak, stacks)

@@ -153,3 +153,12 @@ def test_decompose_star_algebra_recovers_blocks():
         back = sum(np.einsum("ij,ijab->ab", np.einsum("ijab,ab->ij", u.conj(), mat) / mu, u)
                    for u, mu in zip(dec.units, dec.multiplicities))
         assert np.abs(back - mat).max() < 1e-8
+
+
+@pytest.mark.parametrize("blocks", [[1], [3], [2, 1], [3, 2, 1], [1, 1, 1], [4, 2]])
+def test_units_embedded_is_the_embedding_of_each_unit(blocks):
+    # in unit_triples order, bitwise the embedding of each AlgebraElement unit
+    alg = MultiMatrixAlgebra(blocks)
+    got = alg.units_embedded()
+    ref = np.stack([alg.unit(*t).embed() for t in alg.unit_triples()])
+    assert got.shape == ref.shape and got.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()

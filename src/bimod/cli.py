@@ -16,7 +16,8 @@ single strict JSON documents with schema tag "bimod-report/5", written by
 orjson with two-space indentation, sorted keys and one key per line; a value
 that does not exist (a residual of a check that did not run) is null, never a
 non-finite number.  The wall-time field is the only nondeterministic entry
-for fixed inputs and seed.  ``--budget`` is accepted and ignored: it bounded
+for fixed inputs and seed; ``--seed`` seeds only the Pimsner-Popa samples of
+``basic``.  ``--budget`` is accepted and ignored: it bounded
 the minimal-dimension search, which is now a closed form.
 """
 
@@ -388,7 +389,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("inputs", nargs="+", help="1-2 input files")
     parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--seed", type=int, default=0, help="seeds the sampled checks of basic")
+    parser.add_argument("--seed", type=int, default=0, help="seeds basic's Pimsner-Popa samples")
     parser.add_argument("--budget", type=int, default=None,
                         help="ignored; kept so that older command lines still parse")
     parser.add_argument("--out", default=None)

@@ -163,23 +163,25 @@ class ExpectationSpec:
 
     def _check(self) -> dict:
         A, B, iota, tol = self.A, self.B, self.inclusion.embed_stack, 1e-9
-        units = A.units_embedded()
-        # six seeded samples a1, a2 in A, b in B, drawn in that order
-        wa, wb = 2 * A.linear_dim, 2 * B.linear_dim
-        z = np.random.default_rng(11).standard_normal((6, 2 * wa + wb))
-        a1, a2 = A.embedded_from_normals(z[:, :wa]), A.embedded_from_normals(z[:, wa:2 * wa])
-        b = B.embedded_from_normals(z[:, 2 * wa:])
+        units, b = A.units_embedded(), B.units_embedded()
+        na, nb, Eb = A.rep_dim, B.rep_dim, self.apply_stack(b)         # E at the units of B
+        # the bimodule property E(iota(g) b) = g E(b), E(b iota(g)) = E(b) g on
+        # the generators g of A against every unit b of B: both sides are
+        # linear in b, and products of the g give every unit of A
+        g = units[_unit_layout(A.blocks).gens][:, None]
+        ig = iota(g)
         # the stacks are block diagonal, so the spectral norm of each matrix
         # is the operator norm of its element of A
         unital, idem, bimod = (float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()) for diff in (
-            self.apply_stack(B.identity_embedded()[None]) - np.eye(A.rep_dim),
+            self.apply_stack(B.identity_embedded()[None]) - np.eye(na),
             self.apply_stack(iota(units)) - units,
-            self.apply_stack(iota(a1) @ b @ iota(a2)) - a1 @ self.apply_stack(b) @ a2))
+            self.apply_stack(np.concatenate([ig @ b, b @ ig]).reshape(-1, nb, nb))
+            - np.concatenate([g @ Eb, Eb @ g]).reshape(-1, na, na)))
         # faithfulness through the kernel of the sesquilinear form
         # K[u, v] = tr E(u* v) on the units: (E^k_ij)* E^k_i'j' = delta_ii' E^k_jj',
         # so block k of K is 1 (x) t_k, t_k = [tr E(E^k_jj')], and K is definite
         # iff every t_k is
-        traces = np.trace(self.apply_stack(B.units_embedded()), axis1=1, axis2=2)
+        traces = np.trace(Eb, axis1=1, axis2=2)
         per_block = np.split(traces, np.cumsum([n * n for n in B.blocks])[:-1])
         faithful = min(float(np.linalg.eigvalsh(hermitian_part(t.reshape(n, n))).min())
                        for n, t in zip(B.blocks, per_block)) > tol

@@ -68,6 +68,7 @@ from .bimodule import (
     _unit_blocks,
     _unit_images,
     _unit_layout,
+    _unit_values,
     _w_frames,
     contragredient,
 )
@@ -571,44 +572,42 @@ class BasicConstruction:
                      target=MultiMatrixAlgebra([A.blocks[k] for k in kept]))
 
     def sampled_checks(self, lam: float, rng: np.random.Generator) -> dict:
-        """The sampled checks of the basic construction, on BASIC_SAMPLES
-        pairs (T, a) of a random positive compact T and a random a in A
-        (``_basic_samples``), evaluated as one stack:
+        """The checks of the basic construction.  The two linear identities
+        are read on matrix units, in A: each value lies in pA, where phi is
+        isometric, so its norm is the operator norm on X.
 
-        * ``idempotency_residual``: max ||phi E(phi E(T)) - phi E(T)||;
-        * ``conditional_residual``: max ||phi E(phi(a)) - phi(p a)||;
-        * ``pp_inequality_min_eig``: the least eigenvalue of
-          lam phi(F(T)) - T, the Pimsner-Popa bound, over the samples.
+        * ``conditional_residual``: max ||E(phi(e_u)) - p e_u|| over the
+          units e_u of A, with one ``F.apply_matrix``;
+        * ``idempotency_residual``: max ||E(phi(E(u))) - E(u)|| over the
+          units u of L(X_B), E(u) = z' F(u) off F's images and E.phi,
+          linear on A, taken through the first line's values;
+        * ``pp_inequality_min_eig``: the least eigenvalue of lam phi(F(T)) -
+          T, the Pimsner-Popa bound, over BASIC_SAMPLES rank-one T =
+          theta_{x,x} drawn from ``rng`` (``_basic_samples``): every positive
+          T is a sum of them.
         """
-        X, samples = self.bimodule, BASIC_SAMPLES
-        T, a = _basic_samples(X, rng, samples)
-        f = self.F.apply_matrix(np.concatenate([T, X.phi(a)]))    # F(T) and F(phi(a)), once
-        e = X.phi(self.z_prime.embed() @ f)
-        diffs = np.concatenate([self.phi_expectation(e[:samples]) - e[:samples],
-                                e[samples:] - X.phi(self.p.embed() @ a)])
-        norms = np.linalg.norm(X.op_rep(diffs), 2, axis=(-2, -1))
-        resid = lam * X.op_rep(X.phi(f[:samples])) - X.op_rep(T)
-        return {"idempotency_residual": float(norms[:samples].max()),
-                "conditional_residual": float(norms[samples:].max()),
+        X, z = self.bimodule, self.z_prime.embed()
+        e = z @ self.F.apply_matrix(X.phis)                           # E(phi(e_u))
+        eu = np.concatenate([(z @ img).reshape(-1, X.A.rep_dim, X.A.rep_dim)
+                             for img in self.F.as_cp_map().unit_images])      # E(u)
+        cond, idem = (float(np.linalg.norm(diff, 2, axis=(-2, -1)).max()) for diff in (
+            e - self.p.embed() @ X.A.units_embedded(),
+            np.tensordot(_unit_values(eu, X.A), e, axes=1) - eu))
+        T = _basic_samples(X, rng, BASIC_SAMPLES)
+        resid = lam * X.op_rep(X.phi(self.F.apply_matrix(T))) - X.op_rep(T)
+        return {"idempotency_residual": idem, "conditional_residual": cond,
                 "pp_inequality_min_eig": float(np.linalg.eigvalsh(hermitian_part(resid)).min())}
 
 
-def _basic_samples(X: HilbertBimodule, rng: np.random.Generator,
-                   count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` samples for the basic-construction checks from one draw of
-    normals.  Each sample takes, in this order, three rank-one terms x, y
-    (re x, im x, re y, im y) and then ``random_element(X.A, rng)``'s draws.
-    Returns the positive compacts T* T (count, d, d), T the sum of the three
-    theta_{x,y}, and the elements of A embedded (count, N_A, N_A)."""
-    d, terms = X.dim, 3
-    z = rng.standard_normal((count, 4 * terms * d + 2 * X.A.linear_dim))
-    v = z[:, :4 * terms * d].reshape(count, terms, 4, d)    # per term: re x, im x, re y, im y
-    x, y = v[:, :, 0] + 1j * v[:, :, 1], v[:, :, 2] + 1j * v[:, :, 3]
-    # theta_{x,y}[i, q] = sum_u (x.e_u)_i (y|e_q)_B at e_u, summed over the terms
-    xb = np.tensordot(x, X.psis, axes=([2], [2]))                    # (c, t, u, i)
-    yz = np.tensordot(y.conj(), X.right_stack, axes=([2], [1]))      # (c, t, u, q)
-    T = np.moveaxis(xb, 3, 1).reshape(count, d, -1) @ yz.reshape(count, -1, d)
-    return X.op_adjoint(T) @ T, X.A.embedded_from_normals(z[:, 4 * terms * d:])
+def _basic_samples(X: HilbertBimodule, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` rank-one positive compacts theta_{x,x} (count, d, d), each x
+    from 2d normals (re x, then im x)."""
+    z = rng.standard_normal((count, 2, X.dim))
+    x = z[:, 0] + 1j * z[:, 1]
+    # theta_{x,x}[i, q] = sum_u (x.e_u)_i (x|e_q)_B at e_u
+    xb = np.tensordot(x, X.psis, axes=([1], [2]))                     # (c, u, i)
+    xg = np.tensordot(x.conj(), X.right_stack, axes=([1], [1]))       # (c, u, q)
+    return xb.transpose(0, 2, 1) @ xg
 
 
 def basic_construction(X: HilbertBimodule) -> BasicConstruction:

@@ -44,8 +44,9 @@ def _as_complex(mat) -> np.ndarray:
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(M + M*) / 2, of each matrix in a stack (..., n, n)."""
-    return 0.5 * (mat + mat.swapaxes(-1, -2).conj())
+    """(M + M*) / 2, of each matrix in a stack (..., n, n), halved before the
+    sum so that no entry below the double range overflows."""
+    return 0.5 * mat + 0.5 * mat.swapaxes(-1, -2).conj()
 
 
 class MultiMatrixAlgebra:
@@ -124,18 +125,6 @@ class MultiMatrixAlgebra:
         out = np.zeros_like(mats)
         for s in self._slices:
             out[..., s, s] = mats[..., s, s]
-        return out
-
-    def embedded_from_normals(self, z: np.ndarray) -> np.ndarray:
-        """The embedded stack (s, N, N) of the elements that ``random_element``
-        makes from the normals in the rows of z (s, 2 * linear_dim): per block,
-        the n x n real parts, then the n x n imaginary parts."""
-        out = np.zeros((len(z), self.rep_dim, self.rep_dim), dtype=complex)
-        start = 0
-        for n, s in zip(self.blocks, self._slices):
-            re, im = z[:, start:start + n * n], z[:, start + n * n:start + 2 * n * n]
-            out[:, s, s] = (re + 1j * im).reshape(-1, n, n)
-            start += 2 * n * n
         return out
 
     def units_embedded(self) -> np.ndarray:
@@ -265,16 +254,6 @@ def center_decompose(alg: MultiMatrixAlgebra) -> list[AlgebraElement]:
         p.blocks[k] = np.eye(alg.blocks[k], dtype=complex)
         out.append(p)
     return out
-
-
-def random_element(alg: MultiMatrixAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    return AlgebraElement(alg, [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                                for n in alg.blocks])
-
-
-def random_hermitian(alg: MultiMatrixAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    x = random_element(alg, rng)
-    return AlgebraElement(alg, [hermitian_part(b) for b in x.blocks])
 
 
 # -- recognition of concrete *-closed matrix algebras -------------------------

@@ -79,6 +79,16 @@ def random_posdef(n: int, rng: np.random.Generator, spread: float = 2.0) -> np.n
     return (q * eigs) @ q.conj().T
 
 
+def random_element(alg: MultiMatrixAlgebra, rng: np.random.Generator) -> AlgebraElement:
+    return AlgebraElement(alg, [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                                for n in alg.blocks])
+
+
+def random_hermitian(alg: MultiMatrixAlgebra, rng: np.random.Generator) -> AlgebraElement:
+    x = random_element(alg, rng)
+    return AlgebraElement(alg, [hermitian_part(b) for b in x.blocks])
+
+
 def random_hermitian_mat(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (g + g.conj().T)
@@ -1218,23 +1228,27 @@ def sequential_best_constants(X: HilbertBimodule, seed: int = 0) -> tuple[float,
 
 
 def loop_basic_checks(bco: BasicConstruction, lam: float, rng: np.random.Generator) -> dict:
-    """The sampled checks of ``BasicConstruction.sampled_checks`` one sample
-    at a time: the loop that the stacked checks replaced, kept as their
-    oracle.  Each sample draws a positive compact T, then an element a."""
-    from bimod.multimatrix import random_element
+    """The checks of ``BasicConstruction.sampled_checks`` one operator at a
+    time on X, kept as their oracle: the conditional property on each unit
+    e_u of A, idempotency on each unit theta_{w_i, w_j} of L(X_B), both read
+    through ``phi_expectation`` and ``X.op_norm``, and the Pimsner-Popa line
+    on BASIC_SAMPLES rank-one T = ``X.rank_one(x, x)``, each x from 2d
+    normals (re x, then im x)."""
     X = bco.bimodule
-    idem = cond = 0.0
+    cond = max(X.op_norm(bco.phi_expectation(X.phi(X.A.unit(*t))) - X.phi(bco.p * X.A.unit(*t)))
+               for t in X.A.unit_triples())
+    idem = 0.0
+    for _, w in _w_frames(X):
+        for i in range(w.shape[1]):
+            for j in range(w.shape[1]):
+                e1 = bco.phi_expectation(X.rank_one(w[:, i], w[:, j]))
+                idem = max(idem, X.op_norm(bco.phi_expectation(e1) - e1))
     pp_min = np.inf
     for _ in range(BASIC_SAMPLES):
-        T = random_compact_positive(X, rng)
-        e1 = bco.phi_expectation(T)
-        idem = max(idem, X.op_norm(bco.phi_expectation(e1) - e1))
+        x = rng.standard_normal(X.dim) + 1j * rng.standard_normal(X.dim)
+        T = X.rank_one(x, x)
         resid = lam * X.op_rep(X.phi(bco.F.apply(T))) - X.op_rep(T)
-        pp_min = min(pp_min, float(np.linalg.eigvalsh(
-            0.5 * (resid + resid.conj().T)).min()))
-        a = random_element(X.A, rng)
-        pa = bco.p * a
-        cond = max(cond, X.op_norm(bco.phi_expectation(X.phi(a)) - X.phi(pa)))
+        pp_min = min(pp_min, float(np.linalg.eigvalsh(0.5 * (resid + resid.conj().T)).min()))
     return {"idempotency_residual": idem, "conditional_residual": cond,
             "pp_inequality_min_eig": pp_min}
 
@@ -1262,8 +1276,8 @@ def per_element_iota(inc: Inclusion, a: AlgebraElement) -> AlgebraElement:
 
 def per_element_check(spec: ExpectationSpec, tol: float = 1e-9) -> dict:
     """``ExpectationSpec.check`` one element at a time: the oracle of the
-    stacked check (same units, same six seeded samples, same Gram K)."""
-    from bimod.multimatrix import random_element
+    stacked check (the bimodule property on every generator of A against
+    every unit of B, the same Gram K)."""
     A, B = spec.A, spec.B
 
     def E(b):
@@ -1280,11 +1294,13 @@ def per_element_check(spec: ExpectationSpec, tol: float = 1e-9) -> dict:
                 a = A.unit(j, i, jj)
                 idem = max(idem, (E(iota(a)) - a).norm())
     bimod = 0.0
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        a1, a2 = random_element(A, rng), random_element(A, rng)
-        b = random_element(B, rng)
-        bimod = max(bimod, (E(iota(a1) * b * iota(a2)) - a1 * E(b) * a2).norm())
+    for (j, i, jj) in A.unit_triples():
+        if i and jj:
+            continue                    # a product of the generators e_i0 and e_0jj
+        g = A.unit(j, i, jj)
+        for b in (B.unit(*t) for t in B.unit_triples()):
+            bimod = max(bimod, (E(iota(g) * b) - g * E(b)).norm(),
+                        (E(b * iota(g)) - E(b) * g).norm())
     nb = B.linear_dim
     K = np.zeros((nb, nb), dtype=complex)
     triples = B.unit_triples()
@@ -1536,8 +1552,7 @@ def random_compact(X: HilbertBimodule, rng: np.random.Generator,
 
 def random_compact_positive(X: HilbertBimodule, rng: np.random.Generator,
                             terms: int = 3) -> np.ndarray:
-    """A random positive element T* T of K(X_B), one at a time: the sampler
-    whose draws ``bimod.index._basic_samples`` makes as one stack."""
+    """A random positive element T* T of K(X_B)."""
     T = random_compact(X, rng, terms)
     return X.op_adjoint(T) @ T
 

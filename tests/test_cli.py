@@ -18,8 +18,8 @@ import numpy as np
 import orjson
 import pytest
 
-from bimod import (ContractError, build_conjugate, column_bimodule, contragredient,
-                   from_hilbert_space)
+from bimod import (ContractError, GraphSpec, build_conjugate, column_bimodule, contragredient,
+                   from_hilbert_space, from_weight_graph)
 import bimod
 from bimod import HilbertBimodule, bimodule, cli, constructors, index, serde
 from bimod.cli import CommandRequest, main, parse_spec, run
@@ -679,6 +679,26 @@ def test_fibers_writes_a_bound_beyond_64_bits(tmp_path, capsys):
             continue
         assert max(bounds) >= 2**64, (name, bounds)
         assert all(isinstance(b, int) == (b < 2**64) for b in bounds), (name, bounds)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("w", [1.0, 1e9, 1e155, 1e200, 1e306, 1e307, 1e308])
+def test_no_command_exits_three_near_the_double_range(w, tmp_path):
+    """Every module command and ``graph`` on the graph a -> b (1), b -> a (w)
+    ends with a verdict or an input error, never an internal error; verify
+    reads the solution of the graph at w = 1."""
+    path, solution = tmp_path / "graph.json", tmp_path / "solution.json"
+    path.write_text(json.dumps(_two_vertex_graph(w)))
+    sol = build_conjugate(from_weight_graph(
+        GraphSpec(["a", "b"], [("a", "b", 1.0), ("b", "a", 1.0)])).bimodule)
+    solution.write_text(json.dumps({"kind": "solution", "R": encode_vector(sol.R),
+                                    "Rbar": encode_vector(sol.Rbar)}))
+    module = [str(path)]
+    requests = [(command, module) for command in
+                ("validate", "index", "conjugate", "mindim", "basic", "fibers", "morita", "graph")]
+    requests += [("verify", module + [str(solution)]), ("tensor", module + module)]
+    statuses = {command: _run(command, inputs)[0] for command, inputs in requests}
+    assert 3 not in statuses.values(), statuses
 
 
 def test_every_toolkit_error_exits_two(fixtures, monkeypatch):

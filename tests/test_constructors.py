@@ -26,7 +26,6 @@ from bimod import (
 from bimod import constructors
 from bimod.constructors import _cp_pair, _expectation_module
 from bimod.index import least_multipliers
-from bimod.multimatrix import random_element
 
 from helpers import (
     assert_least_multipliers_factorize_once,
@@ -39,6 +38,7 @@ from helpers import (
     per_element_apply,
     per_element_check,
     per_element_iota,
+    random_element,
     random_graph,
     random_posdef,
     star_graph,
@@ -331,6 +331,21 @@ def test_stacked_expectation_check_matches_per_element_oracle(spec):
     assert (got["passed"], got["faithful"]) == (ref["passed"], ref["faithful"]) == (True, True)
     for field in ("unital", "idempotent", "bimodule"):
         assert abs(got[field] - ref[field]) <= 1e-12, field
+
+
+def test_a_map_that_is_no_bimodule_map_fails_the_check_on_both_routes():
+    # E = the diagonal of M_2 onto C + C, plus c (b_01 + b_10) (1 (+) -1), c = 1/4:
+    # unital, the identity on A and faithful, but E(e_00 e_01) = c (1 (+) -1)
+    # and e_00 E(e_01) = c (1 (+) 0) are c apart
+    spec = diag_expectation_m2()
+    images = [img.copy() for img in spec.images]
+    images[0][0, 1] = images[0][1, 0] = 0.25 * np.diag([1.0, -1.0])
+    bad = constructors.ExpectationSpec(spec.inclusion, images)
+    got, ref = bad._check(), per_element_check(bad)
+    assert (got["unital"], got["idempotent"], got["faithful"]) == (0.0, 0.0, True)
+    assert not got["passed"] and not ref["passed"]
+    assert got["bimodule"] == pytest.approx(0.25, rel=1e-12)
+    assert abs(got["bimodule"] - ref["bimodule"]) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", _SPECS)

@@ -11,7 +11,9 @@ from bimod import (
     functional_calculus,
     operator_norm,
 )
-from bimod.multimatrix import DEFAULT_TOL, random_element, random_hermitian
+from bimod.multimatrix import DEFAULT_TOL
+
+from helpers import random_element, random_hermitian
 
 
 def test_operator_norm_identity_and_diag():

@@ -9,8 +9,8 @@ support of a positive element are the two functions the package applies.
 
 The module also contains a generic structure-recognition routine,
 ``decompose_star_algebra``, that presents any concrete *-closed matrix
-algebra as an abstract multimatrix algebra with explicit matrix units; its
-random draws come from one fixed seed, so it is deterministic.  No library
+algebra as an abstract multimatrix algebra with explicit matrix units, read
+off minimal projections and the partial isometries between them.  No library
 path calls it: L(X_B) takes its units from the right action
 (``index.module_operator_algebra``).  It stays as public API and serves the
 test suite as an independent oracle.
@@ -276,20 +276,6 @@ class StarAlgebraDecomposition:
     carrier_dim: int
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group sorted indices of ``values`` by gaps larger than ``tol``."""
-    order = np.argsort(values)
-    groups, cur = [], [order[0]]
-    for idx in order[1:]:
-        if values[idx] - values[cur[-1]] > tol:
-            groups.append(np.array(cur))
-            cur = [idx]
-        else:
-            cur.append(idx)
-    groups.append(np.array(cur))
-    return groups
-
-
 def _orthonormal_span(mats: np.ndarray) -> np.ndarray:
     """Orthonormal basis (Hilbert-Schmidt) of the span of a stack of matrices."""
     m, t, _ = mats.shape
@@ -299,162 +285,77 @@ def _orthonormal_span(mats: np.ndarray) -> np.ndarray:
     return vh[keep].reshape(-1, t, t)
 
 
-def _matrix_nullspace(rows: np.ndarray, scale: float) -> np.ndarray:
-    """Null space, cut at 1e-9 times the largest singular value floored at the
-    scale of the generators, so an all-noise system (e.g. commutators of
-    identity actions) keeps its full null space.
+def _minimal_projections(basis: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+    """Split the projection q q* of the *-algebra S spanned by ``basis`` (q an
+    isometry) into mutually orthogonal minimal projections of S, returned as
+    isometries.
 
-    ``rows`` must have at least as many rows as columns: then the thin SVD
-    has one singular value per column and its right factor already spans
-    the null space, with no (rows x rows) left factor formed.
+    The corner q*Sq is C 1 iff all its Hermitian elements are scalars.
+    Otherwise the Hermitian part farthest from a scalar splits q at the
+    largest gap of its spectrum; both spectral projections lie in S.
     """
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    smax = max(float(s.max()), scale, 1e-300) if s.size else 1.0
-    null_dim = int(np.sum(s <= 1e-9 * smax))
-    if null_dim == 0:
-        return np.zeros((0, vh.shape[1]), dtype=complex)
-    return vh.conj()[-null_dim:]
-
-
-def _center_basis(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Basis of the centre of the algebra spanned by ``basis``.
-
-    The centraliser of a couple of random elements is computed first (cheap)
-    and then verified against the whole basis; generically one draw suffices.
-    """
-    m, t, _ = basis.shape
-    for _ in range(6):
-        rows = []
-        for _ in range(2):
-            coeff = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            r = np.einsum("a,aij->ij", coeff, basis)
-            comm = np.einsum("aij,jk->aik", basis, r) - np.einsum("ij,ajk->aik", r, basis)
-            rows.append(comm.reshape(m, t * t).T)
-        # basis elements are HS-normalized, so commutators live on an O(1)
-        # scale; floor the cutoff there to survive all-noise (abelian) systems
-        null = _matrix_nullspace(np.vstack(rows), 1.0)
-        if len(null) == 0:
-            continue
-        cand = np.einsum("ca,aij->cij", null, basis)
-        res = max(np.abs(np.einsum("cij,ajk->caik", cand, basis)
-                         - np.einsum("aij,cjk->caik", basis, cand)).max(), 0.0)
-        if res <= _DECOMPOSE_TOL * 10:
-            return cand
-    raise StructureError("could not isolate the centre of the algebra")
+    r = q.shape[1]
+    corner = q.conj().T @ basis @ q
+    herm = np.concatenate([hermitian_part(corner), hermitian_part(-1j * corner)])
+    herm -= np.trace(herm, axis1=1, axis2=2)[:, None, None] / r * np.eye(r)
+    norms = np.linalg.norm(herm, axis=(1, 2))
+    a = int(norms.argmax())
+    if norms[a] <= _DECOMPOSE_TOL:
+        return [q]
+    w, v = np.linalg.eigh(herm[a])
+    cut = int(np.diff(w).argmax()) + 1
+    return [p for half in (v[:, :cut], v[:, cut:]) for p in _minimal_projections(basis, q @ half)]
 
 
 def decompose_star_algebra(span) -> StarAlgebraDecomposition:
-    """Present a *-closed subalgebra of M_t (standard involution) as a
+    """Present a *-closed subalgebra S of M_t (standard involution) as a
     multimatrix algebra with explicit units.
 
-    ``span`` is a stack of matrices generating the algebra linearly (it must
-    already be closed under products and adjoints up to ``_DECOMPOSE_TOL``).
-    Central projections come from the spectral projections of a random
-    Hermitian central element; units inside each factor from a random
-    Hermitian element and rank-one polar parts, all drawn at one fixed seed.  The algebra need not contain the identity of
-    M_t; a kernel cluster is detected and skipped.
+    ``span`` is a stack of matrices spanning S linearly (it must already be
+    closed under products and adjoints up to ``_DECOMPOSE_TOL``).  The unit of
+    S projects onto the joint range of its elements, so S need not contain
+    the identity of M_t.  The unit splits into minimal projections q_i; q_i
+    and q_j lie in one block iff q_i S q_j != 0, and with q_1 the first of a
+    block, v_i is the polar part of q_i s q_1 for the element s of the
+    orthonormal basis with the largest such compression.  The units are
+    v_i v_j* and the multiplicity is rank q_1.  Nothing is drawn at random.
     """
     span = np.asarray(span, dtype=complex)
     if span.ndim != 3 or span.shape[1] != span.shape[2]:
         raise StructureError("span must be a stack of square matrices")
+    if not np.any(span):
+        raise StructureError("the span is empty or zero")
     t = span.shape[1]
     basis = _orthonormal_span(span)
-    m = basis.shape[0]
-    rng = np.random.default_rng(7)
-    center = _center_basis(basis, rng)
-    null_dim = center.shape[0]
-
-    for _ in range(8):
-        coeff = rng.standard_normal(null_dim)
-        z = hermitian_part(np.einsum("c,cij->ij", coeff, center))
-        w, v = np.linalg.eigh(z)
-        spread = max(w.max() - w.min(), 1.0)
-        groups = _cluster(w, 1e-7 * spread)
-        units, mults = [], []
-        ok = True
-        for g in groups:
-            vecs = v[:, g]
-            proj = vecs @ vecs.conj().T
-            if _project_residual(proj, basis) > _DECOMPOSE_TOL * 10:
-                # acceptable only as the kernel of a non-unital-on-M_t algebra
-                if np.abs(np.einsum("aij,jk->aik", basis, proj)).max() < _DECOMPOSE_TOL * 10:
-                    continue
-                ok = False
-                break
-            u_blk, mu = _factor_units(proj, basis, rng)
-            if u_blk is None:
-                ok = False
-                break
-            units.append(u_blk)
-            mults.append(mu)
-        if ok and units and _dims_consistent(units, mults, m):
-            alg = MultiMatrixAlgebra([u.shape[0] for u in units])
-            return StarAlgebraDecomposition(alg, units, mults, t)
-    raise StructureError("failed to recognize the multimatrix structure")
-
-
-def _project_residual(mat: np.ndarray, basis: np.ndarray) -> float:
-    coeffs = np.einsum("aji,ji->a", basis.conj(), mat)
-    back = np.einsum("a,aij->ij", coeffs, basis)
-    return float(np.abs(back - mat).max())
-
-
-def _dims_consistent(units, mults, span_dim) -> bool:
-    return sum(u.shape[0] ** 2 for u in units) == span_dim
-
-
-def _factor_units(proj: np.ndarray, basis: np.ndarray, rng: np.random.Generator):
-    """Matrix units of one factor p*S*p known to be isomorphic to M_k with
-    multiplicity mu; returns (units (k,k,t,t), mu) or (None, None)."""
-    t = proj.shape[0]
-    compressed = np.einsum("ij,ajk,kl->ail", proj, basis, proj)
-    sub = _orthonormal_span(compressed)
-    k2 = sub.shape[0]
-    k = int(round(np.sqrt(k2)))
-    if k * k != k2:
-        return None, None
-    rank = int(round(np.trace(proj).real))
-    if rank % k != 0:
-        return None, None
-    mu = rank // k
-    if k == 1:
-        return proj.reshape(1, 1, t, t), mu
-    for _ in range(6):
-        h = hermitian_part(np.einsum("a,aij->ij", rng.standard_normal(k2), sub))
-        # shift by the support projection so eigenvectors inside the factor
-        # separate cleanly from the kernel of the compression
-        shift = 2.0 + 2.0 * float(np.linalg.norm(h, 2))
-        w, v = np.linalg.eigh(h + shift * proj)
-        inside = w > 0.5 * shift
-        wi, vi = w[inside], v[:, inside]
-        if len(wi) != k * mu:
-            continue
-        spread = max(wi.max() - wi.min(), 1e-12)
-        groups = _cluster(wi, 1e-6 * spread)
-        if len(groups) != k or any(len(g) != mu for g in groups):
-            continue
-        projs = [vi[:, g] @ vi[:, g].conj().T for g in groups]
-        h2 = np.einsum("a,aij->ij", rng.standard_normal(k2), sub)
-        vs = [projs[0]]
-        good = True
-        for i in range(1, k):
-            wmat = projs[i] @ h2 @ projs[0]
-            c = np.trace(wmat.conj().T @ wmat).real / mu
-            if c < 1e-12:
-                good = False
-                break
-            vs.append(wmat / np.sqrt(c))
-        if not good:
-            continue
-        units = np.zeros((k, k, t, t), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                units[i, j] = vs[i] @ vs[j].conj().T
-        # relation check: E_ij E_jl = E_il
-        err = 0.0
-        for i in range(k):
-            for j in range(k):
-                err = max(err, np.abs(units[i, j] @ units[j, i] - units[i, i]).max())
-        if err < 100 * _DECOMPOSE_TOL:
-            return units, mu
-    return None, None
+    m = len(basis)
+    u, s, _ = np.linalg.svd(basis.transpose(1, 0, 2).reshape(t, m * t), full_matrices=False)
+    qs = _minimal_projections(basis, u[:, s > _DECOMPOSE_TOL * s[0]])
+    offs = np.cumsum([0] + [q.shape[1] for q in qs])
+    sl = [slice(a, b) for a, b in zip(offs[:-1], offs[1:])]
+    w = np.concatenate(qs, axis=1)
+    comp = w.conj().T @ basis @ w
+    left, vs = list(range(len(qs))), []
+    while left:
+        f = left[0]
+        block = [i for i in left
+                 if i == f or np.linalg.norm(comp[:, sl[i], sl[f]]) > _DECOMPOSE_TOL]
+        left = [i for i in left if i not in block]
+        v = []
+        for i in block:
+            c = comp[:, sl[i], sl[f]]
+            x, _, yh = np.linalg.svd(c[np.linalg.norm(c, axis=(1, 2)).argmax()],
+                                     full_matrices=False)
+            v.append(qs[i] @ x @ yh)
+        vs.append(np.array(v))
+    # units v_i v_j* satisfy E_ij E_kl = delta_jk E_il across all blocks iff
+    # the v's are orthonormal columns, and they span S iff they hold the basis
+    # and their count is dim S
+    cols = np.concatenate([vi for v in vs for vi in v], axis=1)
+    units = [np.einsum("iam,jbm->ijab", v, v.conj()) for v in vs]
+    mults = [v.shape[2] for v in vs]
+    flat = np.concatenate([e.reshape(-1, t * t) / np.sqrt(mu) for e, mu in zip(units, mults)])
+    rest = basis.reshape(m, -1) - (basis.reshape(m, -1) @ flat.conj().T) @ flat
+    if (np.abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max() > _DECOMPOSE_TOL
+            or sum(len(v) ** 2 for v in vs) != m or np.abs(rest).max() > _DECOMPOSE_TOL):
+        raise StructureError("the span is not a *-algebra: its matrix units do not close")
+    return StarAlgebraDecomposition(MultiMatrixAlgebra([len(v) for v in vs]), units, mults, t)

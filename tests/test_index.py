@@ -826,10 +826,12 @@ def test_commutant_path_draws_no_random_numbers(monkeypatch):
     def no_draws(*args, **kwargs):
         raise AssertionError("a random generator was built")
 
+    hat = np.array([X.op_rep(b) for b in kron_commutant(X, left=False)])
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     commutant_of(_hat_actions(X), X.dim)
     relative_commutant(X)
     module_operator_algebra(X)
+    decompose_star_algebra(hat)
     assert best_constants(X) == bc
     assert fiber_decomposition(X).as_dict() == ref
 

@@ -5,6 +5,7 @@ from bimod import (
     CPMap,
     ContractError,
     MultiMatrixAlgebra,
+    StructureError,
     center_decompose,
     decompose_star_algebra,
     from_hilbert_space,
@@ -121,26 +122,40 @@ def test_central_projections_properties():
             assert (p * x - x * p).norm() < 1e-12 * (1 + x.norm())
 
 
-def test_decompose_star_algebra_recovers_blocks():
-    # M_2 (+) C embedded with multiplicities (2, 3) and conjugated by a unitary
+# (blocks, multiplicities, kernel dimension) of the recognizer's test spans
+_STAR_ALGEBRA_SHAPES = {
+    "M2+C_mult23": ([2, 1], [2, 3], 0),
+    "M2+C_mult23_kernel3": ([2, 1], [2, 3], 3),
+    "M3_mult2": ([3], [2], 0),
+    "C3_mult121": ([1, 1, 1], [1, 2, 1], 0),
+    "M4+M2_mult13_kernel2": ([4, 2], [1, 3], 2),
+    "C_mult5": ([1], [5], 0),
+}
+
+
+@pytest.mark.parametrize("shape", list(_STAR_ALGEBRA_SHAPES.values()),
+                         ids=list(_STAR_ALGEBRA_SHAPES))
+def test_decompose_star_algebra_recovers_blocks(shape):
+    # the blocks embedded with their multiplicities next to a kernel, conjugated
+    # by a unitary, with redundant combinations appended to the span
+    blocks, mults, kernel = shape
     rng = np.random.default_rng(7)
-    alg = MultiMatrixAlgebra([2, 1])
-    t = 2 * 2 + 1 * 3
+    t = sum(n * mu for n, mu in zip(blocks, mults)) + kernel
     g = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
     u, _ = np.linalg.qr(g)
-    span = []
-    for k, i, j in alg.unit_triples():
-        mat = np.zeros((t, t), dtype=complex)
-        if k == 0:
-            for c in range(2):
-                mat[2 * c + i, 2 * c + j] = 1.0
-        else:
-            for c in range(3):
-                mat[4 + c, 4 + c] = 1.0
-        span.append(u @ mat @ u.conj().T)
+    span, off = [], 0
+    for n, mu in zip(blocks, mults):
+        for i in range(n):
+            for j in range(n):
+                mat = np.zeros((t, t), dtype=complex)
+                for c in range(mu):
+                    mat[off + n * c + i, off + n * c + j] = 1.0
+                span.append(u @ mat @ u.conj().T)
+        off += n * mu
+    span += list(np.einsum("ca,aij->cij", rng.standard_normal((3, len(span))), span))
     dec = decompose_star_algebra(np.array(span))
-    assert sorted(dec.algebra.blocks) == [1, 2]
-    assert sorted(dec.multiplicities) == [2, 3]
+    assert sorted(zip(dec.algebra.blocks, dec.multiplicities)) == sorted(zip(blocks, mults))
+    assert dec.carrier_dim == t
     # units must reproduce the span and satisfy the relations
     for blk in dec.units:
         k = blk.shape[0]
@@ -155,6 +170,13 @@ def test_decompose_star_algebra_recovers_blocks():
         back = sum(np.einsum("ij,ijab->ab", np.einsum("ijab,ab->ij", u.conj(), mat) / mu, u)
                    for u, mu in zip(dec.units, dec.multiplicities))
         assert np.abs(back - mat).max() < 1e-8
+
+
+@pytest.mark.parametrize("span", [np.triu(np.ones((3, 3)))[None], np.zeros((2, 3, 3)),
+                                  np.zeros((0, 3, 3))], ids=["not_closed", "zero", "empty"])
+def test_decompose_star_algebra_rejects_non_algebras(span):
+    with pytest.raises(StructureError):
+        decompose_star_algebra(span)
 
 
 @pytest.mark.parametrize("blocks", [[1], [3], [2, 1], [3, 2, 1], [1, 1, 1], [4, 2]])
